@@ -49,6 +49,7 @@ from .numkernel import (
     PsdMatrix,
     SubspaceBasis,
     SymMatrix,
+    column_basis,
     image_basis,
     inner_ginverse,
     is_psd,

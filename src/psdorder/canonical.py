@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotMinusComparable
-from .numkernel import PsdMatrix, SymMatrix, maxabs, sym_eig
+from .numkernel import PsdMatrix, SymMatrix, maxabs, min_singular_value, sym_eig
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -63,12 +63,9 @@ def canonical_ek(n: int, k: int) -> np.ndarray:
 def inertia(a, tol: ToleranceConfig = DEFAULT_TOL) -> Inertia:
     """Signature of a symmetric matrix with the shared rank-cutoff
     convention: eigenvalues within the cutoff of zero count as zero."""
-    eig = sym_eig(a, tol)
+    eig = sym_eig(a)
     values = eig.values
-    mx = float(np.abs(values).max()) if values.size else 0.0
-    if mx == 0.0:
-        return Inertia(0, 0, len(values))
-    cutoff = tol.rank_cutoff(len(values), mx)
+    cutoff = eig.cutoff(tol)
     n_pos = int(np.count_nonzero(values > cutoff))
     n_neg = int(np.count_nonzero(values < -cutoff))
     return Inertia(n_pos, n_neg, len(values) - n_pos - n_neg)
@@ -82,13 +79,12 @@ def congruence_canonical(a, tol: ToleranceConfig = DEFAULT_TOL):
     (most negative first), then the null directions.
     """
     sym = a if isinstance(a, SymMatrix) else SymMatrix(a)
-    eig = sym_eig(sym, tol)
+    eig = sym_eig(sym)
     values, vectors = eig.values, eig.vectors
-    mx = float(np.abs(values).max()) if values.size else 0.0
-    cutoff = tol.rank_cutoff(sym.n, mx) if mx > 0 else 0.0
+    cutoff = eig.cutoff(tol)
     pos = np.flatnonzero(values > cutoff)
     neg = np.flatnonzero(values < -cutoff)[::-1]
-    zero = np.flatnonzero((values <= cutoff) & (values >= -cutoff))
+    zero = np.flatnonzero(~eig.nonzero(tol, cutoff))
     order = np.concatenate([pos, neg, zero]).astype(int)
     scales = np.ones(sym.n)
     keep = np.concatenate([pos, neg]).astype(int)
@@ -125,10 +121,8 @@ def sim_congruence(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SimCongResult:
         raise NotMinusComparable(f"size mismatch: {pa.n} vs {pb.n}")
     n = pa.n
 
-    eig_b = sym_eig(pb, tol)
-    radius = float(np.abs(eig_b.values).max()) if n else 0.0
-    cutoff = tol.rank_cutoff(n, radius) if radius > 0 else 0.0
-    s_rank = int(np.count_nonzero(eig_b.values > cutoff))
+    eig_b = sym_eig(pb)
+    s_rank = int(np.count_nonzero(eig_b.values > eig_b.cutoff(tol)))
 
     # Whitening: v @ B @ v.T == E_s exactly up to roundoff.
     inv_scales = np.ones(n)
@@ -145,7 +139,7 @@ def sim_congruence(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SimCongResult:
         )
 
     block = a_tilde[:s_rank, :s_rank]
-    eig_block = sym_eig(block, tol) if s_rank else None
+    eig_block = sym_eig(block) if s_rank else None
     if eig_block is not None:
         lam = eig_block.values
         near_one = np.abs(lam - 1.0) <= tol.idem_tol
@@ -172,9 +166,8 @@ def sim_congruence(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SimCongResult:
     e_s = canonical_ek(n, s_rank)
     residual_a = maxabs(s @ e_r @ s.T - pa.a) / max(1.0, maxabs(pa.a))
     residual_b = maxabs(s @ e_s @ s.T - pb.a) / max(1.0, maxabs(pb.a))
-    sing = np.linalg.svd(s, compute_uv=False)
-    sigma_min = float(sing[-1]) if sing.size else 1.0
-    if sing.size and sigma_min <= tol.rank_cutoff(n, float(sing[0])):
+    sigma_min, invertible = min_singular_value(s, tol)
+    if not invertible:
         raise NotMinusComparable(
             f"constructed transform is singular (sigma_min={sigma_min:.3e})"
         )

@@ -47,10 +47,11 @@ from .orders import MinusMethod, Relation, lowner_leq, minus_leq, star_family_le
 from .preservers import MatrixMap, congruence_map, fit_congruence, preserves_order
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
+# flag -> (environment variable, ToleranceConfig field)
 _ENV_FLAGS = {
-    "tol_rank": "PSDORDER_TOL_RANK",
-    "tol_psd": "PSDORDER_TOL_PSD",
-    "tol_idem": "PSDORDER_TOL_IDEM",
+    "tol_rank": ("PSDORDER_TOL_RANK", "rank_rel_tol"),
+    "tol_psd": ("PSDORDER_TOL_PSD", "psd_tol"),
+    "tol_idem": ("PSDORDER_TOL_IDEM", "idem_tol"),
 }
 
 # Errors that mean "the mathematics said no", not "the input was garbage".
@@ -71,34 +72,52 @@ def _parse_float_token(token: str, path: str) -> float:
         raise ParseError(f"{path}: malformed number {token!r}") from exc
 
 
+def _finite(a: np.ndarray, path: str) -> np.ndarray:
+    if not np.all(np.isfinite(a)):
+        raise ParseError(f"{path}: non-finite entry (nan or inf)")
+    return a
+
+
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def _json_entries(path: str) -> np.ndarray:
+    """Finite float array from a JSON file holding either a bare list or
+    {"n": rows, "entries": [...]}."""
+    obj = _read_json(path)
+    entries = obj.get("entries") if isinstance(obj, dict) else obj
+    if entries is None:
+        raise ParseError(f"{path}: expected an 'entries' key")
+    try:
+        a = np.array(entries, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: ragged rows or non-numeric entries") from exc
+    if isinstance(obj, dict) and "n" in obj and a.ndim and a.shape[0] != obj["n"]:
+        raise ParseError(f"{path}: declared n={obj['n']} but found {a.shape[0]} rows")
+    return _finite(a, path)
+
+
 def read_array(path) -> np.ndarray:
     """Rectangular matrix from a CSV or JSON file, no symmetrization."""
     path = str(path)
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
     if path.endswith(".json"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-        entries = obj.get("entries") if isinstance(obj, dict) else obj
-        if entries is None:
-            raise ParseError(f"{path}: expected an 'entries' key")
-        try:
-            a = np.array(entries, dtype=float)
-        except ValueError as exc:
-            raise ParseError(f"{path}: ragged rows or non-numeric entries") from exc
+        a = _json_entries(path)
         if a.ndim != 2:
             raise ParseError(f"{path}: entries must form a 2-D matrix")
-        if isinstance(obj, dict) and "n" in obj and a.shape[0] != obj["n"]:
-            raise ParseError(
-                f"{path}: declared n={obj['n']} but found {a.shape[0]} rows"
-            )
         return a
     rows = []
-    for line in text.splitlines():
+    for line in _read_text(path).splitlines():
         line = line.strip()
         if not line:
             continue
@@ -108,7 +127,7 @@ def read_array(path) -> np.ndarray:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ParseError(f"{path}: ragged rows")
-    return np.array(rows, dtype=float)
+    return _finite(np.array(rows, dtype=float), path)
 
 
 def read_matrix(path, tol: ToleranceConfig = DEFAULT_TOL) -> SymMatrix:
@@ -131,18 +150,7 @@ def read_vector(path) -> np.ndarray:
     """Vector from a one-row or one-column CSV, or a flat JSON list."""
     path = str(path)
     if path.endswith(".json"):
-        try:
-            obj = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-        entries = obj.get("entries") if isinstance(obj, dict) else obj
-        try:
-            v = np.array(entries, dtype=float).reshape(-1)
-        except ValueError as exc:
-            raise ParseError(f"{path}: non-numeric vector entries") from exc
-        return v
+        return _json_entries(path).reshape(-1)
     a = read_array(path)
     if 1 not in a.shape:
         raise ParseError(f"{path}: expected a single row or column, got {a.shape}")
@@ -159,29 +167,26 @@ def write_matrix(path, m) -> None:
 def read_model(path, tol: ToleranceConfig = DEFAULT_TOL) -> LinearModel:
     """LinearModel from a JSON file with keys X, D, sigma2, label."""
     path = str(path)
-    try:
-        obj = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    obj = _read_json(path)
     if not isinstance(obj, dict) or "X" not in obj or "D" not in obj:
         raise ParseError(f"{path}: model files need 'X' and 'D' keys")
     try:
         x = np.array(obj["X"], dtype=float)
         d = np.array(obj["D"], dtype=float)
-    except ValueError as exc:
+        sigma2 = float(obj.get("sigma2", 1.0))
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: non-numeric model entries") from exc
     if x.ndim != 2 or d.ndim != 2:
         raise ParseError(f"{path}: 'X' and 'D' must be 2-D")
+    _finite(np.r_[x.ravel(), d.ravel(), sigma2], path)
     try:
         return LinearModel(
             x,
             SymMatrix(d),  # symmetrize first; PSD certification happens next
-            sigma2=float(obj.get("sigma2", 1.0)),
+            sigma2=sigma2,
             label=str(obj.get("label", "")),
         )
-    except DimensionMismatch as exc:
+    except (DimensionMismatch, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -217,20 +222,13 @@ def _emit(payload: dict, tol: ToleranceConfig) -> None:
 def _build_tol(args) -> ToleranceConfig:
     """Effective tolerances: defaults, then environment, then flags."""
     updates = {}
-    for dest, env in _ENV_FLAGS.items():
+    for dest, (env, name) in _ENV_FLAGS.items():
         value = getattr(args, dest, None)
         if value is None and env in os.environ:
             value = _parse_float_token(os.environ[env], f"${env}")
         if value is not None:
-            updates[dest] = float(value)
-    kwargs = {}
-    if "tol_rank" in updates:
-        kwargs["rank_rel_tol"] = updates["tol_rank"]
-    if "tol_psd" in updates:
-        kwargs["psd_tol"] = updates["tol_psd"]
-    if "tol_idem" in updates:
-        kwargs["idem_tol"] = updates["tol_idem"]
-    return dataclasses.replace(DEFAULT_TOL, **kwargs) if kwargs else DEFAULT_TOL
+            updates[name] = float(value)
+    return dataclasses.replace(DEFAULT_TOL, **updates) if updates else DEFAULT_TOL
 
 
 def _verdict_payload(command: str, verdict) -> dict:
@@ -328,14 +326,16 @@ def _cmd_canon_simcong(args, tol):
     return 0
 
 
-def _parse_map(map_text: str, tol) -> MatrixMap:
+def _parse_map(map_text: str, tol):
+    """The named map and the matrix size it is fixed to (None for maps that
+    apply at any size)."""
     if map_text == "trace-inflation":
-        return MatrixMap.trace_inflation()
+        return MatrixMap.trace_inflation(), None
     if map_text == "rank-collapse":
-        return MatrixMap.rank_collapse()
+        return MatrixMap.rank_collapse(), None
     if map_text.startswith("congruence:"):
         s = read_array(map_text.split(":", 1)[1])
-        return congruence_map(s, tol)
+        return congruence_map(s, tol), s.shape[0]
     raise ParseError(
         f"unknown map {map_text!r}; expected congruence:S.csv, "
         "trace-inflation or rank-collapse"
@@ -343,12 +343,14 @@ def _parse_map(map_text: str, tol) -> MatrixMap:
 
 
 def _cmd_preserver_verify(args, tol):
-    mmap = _parse_map(args.map, tol)
-    if mmap.kind == "congruence" and args.n is None:
-        s = read_array(args.map.split(":", 1)[1])
-        n = s.shape[0]
-    else:
-        n = args.n if args.n is not None else 3
+    if args.trials < 1:
+        raise ParseError(f"--trials must be at least 1, got {args.trials}")
+    mmap, size = _parse_map(args.map, tol)
+    n = args.n if args.n is not None else (size or 3)
+    if size is not None and n != size:
+        raise ParseError(f"--n {n} does not match the {size}x{size} congruence")
+    if n < 2:
+        raise ParseError(f"preserver checks need n >= 2, got n={n}")
     report = preserves_order(
         mmap, Relation(args.relation), n, trials=args.trials, seed=args.seed, tol=tol
     )
@@ -456,6 +458,8 @@ def _cmd_qform_check(args, tol):
         raise ParseError("--forms needs at least one matrix path")
     cov = read_matrix(args.cov, tol)
     mean = read_vector(args.mean)
+    if args.mc < 0:
+        raise ParseError(f"--mc must be nonnegative, got {args.mc}")
     report = qform_rank_criterion([f.a for f in forms], cov.a, mean, tol)
     result = {
         "overall": report.overall,
@@ -497,8 +501,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="PSD slack (also PSDORDER_TOL_PSD)")
     common.add_argument("--tol-idem", type=float, default=argparse.SUPPRESS,
                         help="idempotency slack (also PSDORDER_TOL_IDEM)")
-    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                        help="force JSON output (JSON is already the default)")
 
     parser = argparse.ArgumentParser(
         prog="psdorder",

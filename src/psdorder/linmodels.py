@@ -23,6 +23,7 @@ from .errors import (
 from .numkernel import (
     PsdMatrix,
     SymMatrix,
+    column_basis,
     maxabs,
     numerical_rank,
     pinv,
@@ -161,8 +162,8 @@ def efficiency_matrix_reduced(model: LinearModel, tol: ToleranceConfig = DEFAULT
     models the same way as efficiency_matrix on their common domain but is
     a different matrix, so it is exposed separately.
     """
-    x_basis = _column_basis(model.x, tol)
-    d_basis = _column_basis(model.d.a, tol)
+    x_basis = column_basis(model.x, tol)
+    d_basis = column_basis(model.d.a, tol)
     if not subspace_leq(x_basis, d_basis, tol):
         raise PreconditionViolated(
             "reduced efficiency form needs Im X inside Im D"
@@ -209,18 +210,6 @@ def estimator_covariance(
     return PsdMatrix(model.sigma2 * (l @ model.d.a @ l.T), tol)
 
 
-def _column_basis(m, tol: ToleranceConfig) -> np.ndarray:
-    """Orthonormal basis of the column space of a general matrix."""
-    m = np.asarray(m, dtype=float)
-    if m.size == 0:
-        return np.zeros((m.shape[0], 0))
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((m.shape[0], 0))
-    keep = s > tol.rank_cutoff(max(m.shape), float(s[0]))
-    return u[:, keep]
-
-
 def blue_check(l, model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) -> BlueVerdict:
     """Is L y the best linear unbiased estimator of X beta?
 
@@ -246,7 +235,7 @@ def blue_check(l, model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) -> Blu
     cond_i = residual_lx <= tol.recon_tol * scale
 
     cond_ii = subspace_leq(
-        _column_basis(l @ model.d.a, tol), _column_basis(model.x, tol), tol
+        column_basis(l @ model.d.a, tol), column_basis(model.x, tol), tol
     )
 
     certificate: dict = {"residual_lx": residual_lx}
@@ -351,10 +340,6 @@ def mc_quadratic_forms(
     v = v if isinstance(v, PsdMatrix) else PsdMatrix(v, tol)
     forms = _coerce_forms(a_list, v.n, tol)
     mu = np.asarray(mu, dtype=float).reshape(-1)
-    if mu.shape[0] != v.n:
-        raise DimensionMismatch(
-            f"mean has length {mu.shape[0]} but covariance is {v.n}x{v.n}"
-        )
     w = _stack_w(v, mu)
     total = np.zeros((v.n, v.n))
     for f in forms:
@@ -362,7 +347,7 @@ def mc_quadratic_forms(
     dfs = [numerical_rank(PsdMatrix(w.T @ f.a @ w, tol), tol) for f in forms]
     total_df = numerical_rank(PsdMatrix(w.T @ total @ w, tol), tol)
 
-    eig = sym_eig(v, tol)
+    eig = sym_eig(v)
     root = (eig.vectors * np.sqrt(np.maximum(eig.values, 0.0))) @ eig.vectors.T
 
     q_values = np.empty((len(forms), n_samples))

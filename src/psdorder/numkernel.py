@@ -6,9 +6,13 @@ Conventions shared by everything built on top of this module:
 - eigenvalues are reported in descending order,
 - the first nonzero component of each eigenvector is made positive, so a
   factorization of the same input is reproducible run to run,
+- each SymMatrix is decomposed at most once: sym_eig keeps the
+  EigDecomposition on the matrix object and hands it out again,
 - rank decisions compare eigenvalue magnitudes against one relative cutoff
-  taken from ToleranceConfig, and every routine accepts the same config
-  object so a caller's tolerance choices apply uniformly.
+  taken from ToleranceConfig; EigDecomposition owns that policy (spectral
+  radius, cutoff, nonzero mask), and every other module asks it rather
+  than recomputing the cutoff.  Rectangular ranks and invertibility checks
+  apply the same convention to singular values through _sv_keep.
 """
 
 from dataclasses import dataclass
@@ -17,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonConvergence, NotPositiveSemidefinite
 from .rng import normal_matrix
-from .tolerances import DEFAULT_TOL, JACOBI_SWEEP_BUDGET, ToleranceConfig
+from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 # A unit eigenvector component below this is treated as zero when fixing signs.
 _SIGN_EPS = 1e-12
@@ -46,7 +50,8 @@ class SymMatrix:
 
     Construction symmetrizes by averaging, so callers may pass data that is
     symmetric only up to roundoff.  How far the input was from symmetric is
-    kept in `asymmetry` for callers that want to warn on sloppy data.
+    kept in `asymmetry` for callers that want to warn on sloppy data.  The
+    first sym_eig of the object is kept and returned by later calls.
     """
 
     def __init__(self, data):
@@ -55,6 +60,7 @@ class SymMatrix:
         a = 0.5 * (a + a.T)
         a.setflags(write=False)
         self._a = a
+        self._eig = None
 
     @property
     def a(self) -> np.ndarray:
@@ -95,6 +101,8 @@ class EigDecomposition:
 
     `values` are descending; `vectors` holds the matching orthonormal
     eigenvectors as columns, sign-fixed as described in the module docstring.
+    The rank-cutoff policy lives here: an eigenvalue is numerically nonzero
+    when its magnitude exceeds tol.rank_cutoff(n, radius).
     """
 
     values: np.ndarray
@@ -103,6 +111,25 @@ class EigDecomposition:
     def reconstruct(self) -> np.ndarray:
         q = self.vectors
         return (q * self.values) @ q.T
+
+    @property
+    def radius(self) -> float:
+        """Spectral radius max|lambda|; zero for an empty matrix."""
+        return float(np.abs(self.values).max()) if self.values.size else 0.0
+
+    def cutoff(self, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+        """Eigenvalues of magnitude at most this count as zero."""
+        return tol.rank_cutoff(len(self.values), self.radius)
+
+    def nonzero(self, tol: ToleranceConfig = DEFAULT_TOL, cutoff: float | None = None) -> np.ndarray:
+        """Mask of the eigenvalues that clear `cutoff` (default: this
+        spectrum's own cutoff)."""
+        if cutoff is None:
+            cutoff = self.cutoff(tol)
+        return np.abs(self.values) > cutoff
+
+    def rank(self, tol: ToleranceConfig = DEFAULT_TOL, cutoff: float | None = None) -> int:
+        return int(np.count_nonzero(self.nonzero(tol, cutoff)))
 
 
 @dataclass(frozen=True)
@@ -139,74 +166,35 @@ def _canonical_order(values: np.ndarray, vectors: np.ndarray) -> EigDecompositio
     order = np.argsort(-values, kind="stable")
     values = values[order]
     vectors = vectors[:, order]
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        nz = np.flatnonzero(np.abs(col) > _SIGN_EPS)
-        if nz.size and col[nz[0]] < 0:
-            vectors[:, j] = -col
+    if vectors.size:
+        big = np.abs(vectors) > _SIGN_EPS
+        lead = vectors[big.argmax(axis=0), np.arange(vectors.shape[1])]
+        vectors[:, big.any(axis=0) & (lead < 0)] *= -1.0
     values.setflags(write=False)
     vectors.setflags(write=False)
     return EigDecomposition(values=values, vectors=vectors)
 
 
-def _jacobi_eig(a: np.ndarray, tol: ToleranceConfig):
-    """Cyclic Jacobi sweeps; returns raw (values, vectors) before ordering."""
-    n = a.shape[0]
-    a = a.copy()
-    q = np.eye(n)
-    target = tol.eig_tol * max(1.0, float(np.linalg.norm(a, "fro")))
-    for sweep in range(JACOBI_SWEEP_BUDGET + 1):
-        off = float(np.linalg.norm(a - np.diag(np.diag(a)), "fro"))
-        if off <= target:
-            return np.diag(a).copy(), q
-        if sweep == JACOBI_SWEEP_BUDGET:
-            raise NonConvergence(
-                f"Jacobi off-diagonal norm {off:.3e} above {target:.3e} "
-                f"after {JACOBI_SWEEP_BUDGET} sweeps"
-            )
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apr = a[p, r]
-                # Rotation angle would underflow; the entry is already dead.
-                if abs(apr) <= 1e-36 * max(1.0, abs(a[p, p]), abs(a[r, r])):
-                    a[p, r] = a[r, p] = 0.0
-                    continue
-                theta = (a[r, r] - a[p, p]) / (2.0 * apr)
-                t = np.sign(theta) if theta != 0 else 1.0
-                t = t / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                col_p, col_r = a[:, p].copy(), a[:, r].copy()
-                a[:, p] = c * col_p - s * col_r
-                a[:, r] = s * col_p + c * col_r
-                row_p, row_r = a[p, :].copy(), a[r, :].copy()
-                a[p, :] = c * row_p - s * row_r
-                a[r, :] = s * row_p + c * row_r
-                a[p, r] = a[r, p] = 0.0
-                q_p, q_r = q[:, p].copy(), q[:, r].copy()
-                q[:, p] = c * q_p - s * q_r
-                q[:, r] = s * q_p + c * q_r
-    raise AssertionError("unreachable")
-
-
-def sym_eig(a, tol: ToleranceConfig = DEFAULT_TOL, backend: str = "lapack") -> EigDecomposition:
-    """Eigendecomposition of a symmetric matrix.
-
-    backend "lapack" uses the platform symmetric eigensolver; "jacobi" runs
-    the cyclic Jacobi iteration with a fixed sweep budget.  Both feed the
-    same ordering and sign post-processing, so results agree to roundoff.
-    """
+def sym_eig(a) -> EigDecomposition:
+    """Eigendecomposition of a symmetric matrix by the platform (LAPACK)
+    symmetric eigensolver, ordered and sign-fixed.  A SymMatrix argument
+    is decomposed once; later calls on the same object return the same
+    EigDecomposition."""
     sym = a if isinstance(a, SymMatrix) else SymMatrix(a)
-    if backend == "lapack":
+    if sym._eig is None:
         try:
             values, vectors = np.linalg.eigh(sym.a)
         except np.linalg.LinAlgError as exc:
             raise NonConvergence(f"eigensolver failed: {exc}") from exc
-    elif backend == "jacobi":
-        values, vectors = _jacobi_eig(sym.a, tol)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return _canonical_order(np.asarray(values, dtype=float), np.asarray(vectors, dtype=float))
+        sym._eig = _canonical_order(values, vectors)
+    return sym._eig
+
+
+def shared_cutoff(eigs, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+    """One rank cutoff for several n x n spectra, taken from the largest of
+    their spectral radii, so that counts against it are consistent with
+    each other."""
+    return tol.rank_cutoff(len(eigs[0].values), max(e.radius for e in eigs))
 
 
 def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -215,37 +203,46 @@ def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     Eigenvalues with |lambda| <= cutoff count as zero, where the cutoff is
     rank_rel_tol * max|lambda| (default rank_rel_tol: n * machine epsilon).
     """
-    eig = sym_eig(a, tol)
-    mags = np.abs(eig.values)
-    mx = float(mags.max()) if mags.size else 0.0
-    if mx == 0.0:
-        return 0
-    cutoff = tol.rank_cutoff(len(eig.values), mx)
-    return int(np.count_nonzero(mags > cutoff))
+    return sym_eig(a).rank(tol)
+
+
+def _sv_keep(s: np.ndarray, shape, tol: ToleranceConfig) -> np.ndarray:
+    """Mask of the singular values (descending, of a matrix of `shape`)
+    that clear the rank cutoff, with n taken as the larger dimension."""
+    return s > tol.rank_cutoff(max(shape), float(s.max(initial=0.0)))
 
 
 def rect_rank(m, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Rank of an arbitrary matrix by singular value, with the same relative
     cutoff convention as numerical_rank (n taken as the larger dimension)."""
     m = np.asarray(m, dtype=float)
-    if m.size == 0:
-        return 0
     s = np.linalg.svd(m, compute_uv=False)
-    mx = float(s[0])
-    if mx == 0.0:
-        return 0
-    cutoff = tol.rank_cutoff(max(m.shape), mx)
-    return int(np.count_nonzero(s > cutoff))
+    return int(np.count_nonzero(_sv_keep(s, m.shape, tol)))
+
+
+def column_basis(m, tol: ToleranceConfig = DEFAULT_TOL) -> SubspaceBasis:
+    """Orthonormal basis of the column space of an arbitrary matrix: the
+    left singular vectors whose singular values rect_rank counts."""
+    m = np.asarray(m, dtype=float)
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    return SubspaceBasis(basis=u[:, _sv_keep(s, m.shape, tol)])
+
+
+def min_singular_value(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, bool]:
+    """Smallest singular value of a square matrix and whether it clears the
+    rank cutoff, i.e. whether the matrix is invertible to working
+    precision.  An empty matrix counts as invertible with sigma_min 1."""
+    m = np.asarray(m, dtype=float)
+    s = np.linalg.svd(m, compute_uv=False)
+    return (float(s[-1]) if s.size else 1.0), bool(_sv_keep(s, m.shape, tol).all())
 
 
 def is_psd(a, tol: ToleranceConfig = DEFAULT_TOL) -> PsdCheck:
     """Tolerance-based PSD test with an eigenvalue (and, on failure, an
     eigenvector) witness."""
-    eig = sym_eig(a, tol)
-    if eig.values.size == 0:
-        return PsdCheck(ok=True, min_eig=0.0, threshold=tol.psd_tol)
-    min_eig = float(eig.values[-1])
-    threshold = tol.psd_tol * max(1.0, float(np.abs(eig.values).max()))
+    eig = sym_eig(a)
+    min_eig = float(eig.values[-1]) if eig.values.size else 0.0
+    threshold = tol.psd_tol * max(1.0, eig.radius)
     ok = min_eig >= -threshold
     witness = None if ok else eig.vectors[:, -1]
     return PsdCheck(ok=ok, min_eig=min_eig, threshold=threshold, witness=witness)
@@ -258,13 +255,9 @@ def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     the result is the pseudoinverse of the nearest matrix of the detected
     rank.
     """
-    eig = sym_eig(a, tol)
-    mags = np.abs(eig.values)
-    mx = float(mags.max()) if mags.size else 0.0
-    if mx == 0.0:
-        return np.zeros_like(eig.vectors)
-    cutoff = tol.rank_cutoff(len(eig.values), mx)
-    inv = np.where(mags > cutoff, 1.0 / np.where(mags > cutoff, eig.values, 1.0), 0.0)
+    eig = sym_eig(a)
+    keep = eig.nonzero(tol)
+    inv = np.where(keep, 1.0 / np.where(keep, eig.values, 1.0), 0.0)
     q = eig.vectors
     return (q * inv) @ q.T
 
@@ -296,14 +289,8 @@ def inner_ginverse(a, seed: int = 0, tol: ToleranceConfig = DEFAULT_TOL) -> np.n
 def image_basis(a, tol: ToleranceConfig = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the column space of a symmetric matrix, taken
     from the eigenvectors whose eigenvalues clear the rank cutoff."""
-    eig = sym_eig(a, tol)
-    mags = np.abs(eig.values)
-    mx = float(mags.max()) if mags.size else 0.0
-    if mx == 0.0:
-        keep = np.zeros(len(eig.values), dtype=bool)
-    else:
-        keep = mags > tol.rank_cutoff(len(eig.values), mx)
-    return SubspaceBasis(basis=eig.vectors[:, keep])
+    eig = sym_eig(a)
+    return SubspaceBasis(basis=eig.vectors[:, eig.nonzero(tol)])
 
 
 def _basis_array(u) -> np.ndarray:
@@ -335,10 +322,8 @@ def pos_neg_split(a, tol: ToleranceConfig = DEFAULT_TOL):
     P collects the eigendirections with eigenvalue above the rank cutoff, N
     those below its negative; near-zero eigenvalues contribute to neither.
     """
-    eig = sym_eig(a, tol)
-    mags = np.abs(eig.values)
-    mx = float(mags.max()) if mags.size else 0.0
-    cutoff = tol.rank_cutoff(len(eig.values), mx) if mx > 0 else 0.0
+    eig = sym_eig(a)
+    cutoff = eig.cutoff(tol)
     pos = np.where(eig.values > cutoff, eig.values, 0.0)
     neg = np.where(eig.values < -cutoff, -eig.values, 0.0)
     q = eig.vectors

@@ -20,10 +20,13 @@ from .errors import DimensionMismatch
 from .numkernel import (
     SymMatrix,
     image_basis,
+    is_psd,
     maxabs,
+    min_singular_value,
     numerical_rank,
     pinv,
     rect_rank,
+    shared_cutoff,
     subspace_leq,
     sym_eig,
 )
@@ -85,16 +88,6 @@ def _detail(holds: bool, equal: bool, reverse_holds: bool) -> str:
     return "incomparable"
 
 
-def _psd_witness(diff: np.ndarray, tol: ToleranceConfig):
-    eig = sym_eig(diff, tol)
-    if eig.values.size == 0:
-        return True, 0.0, tol.psd_tol, None
-    min_eig = float(eig.values[-1])
-    threshold = tol.psd_tol * max(1.0, float(np.abs(eig.values).max()))
-    ok = min_eig >= -threshold
-    return ok, min_eig, threshold, (None if ok else eig.vectors[:, -1])
-
-
 def lowner_leq(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
     """A <= B in the PSD sense: is B - A positive semidefinite?
 
@@ -104,40 +97,30 @@ def lowner_leq(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
     """
     sa, sb = _pair(a, b)
     diff = sb.a - sa.a
-    holds, min_eig, threshold, witness = _psd_witness(diff, tol)
+    check = is_psd(diff, tol)
     equal = matrices_equal(sa, sb, tol)
     reverse = False
-    if not holds:
-        reverse = _psd_witness(-diff, tol)[0]
+    if not check.ok:
+        reverse = is_psd(-diff, tol).ok
     return OrderVerdict(
-        holds=holds,
+        holds=check.ok,
         relation=Relation.LOWNER.value,
-        certificate={"min_eig": min_eig, "threshold": threshold, "witness": witness},
-        detail=_detail(holds, equal, reverse),
+        certificate={
+            "min_eig": check.min_eig,
+            "threshold": check.threshold,
+            "witness": check.witness,
+        },
+        detail=_detail(check.ok, equal, reverse),
     )
-
-
-def _shared_rank_triple(sa: SymMatrix, sb: SymMatrix, tol: ToleranceConfig):
-    """Ranks of A, B, B - A counted against one shared cutoff.
-
-    Using a single cutoff (from the largest of the three spectral radii)
-    keeps the three counts consistent with each other, which is what the
-    subtractivity equation needs.
-    """
-    diff = sb.a - sa.a
-    eigs = [sym_eig(m, tol) for m in (sa.a, sb.a, diff)]
-    radius = max(
-        (float(np.abs(e.values).max()) if e.values.size else 0.0) for e in eigs
-    )
-    if radius == 0.0:
-        return 0, 0, 0, 0.0
-    cutoff = tol.rank_cutoff(sa.n, radius)
-    r_a, r_b, r_d = (int(np.count_nonzero(np.abs(e.values) > cutoff)) for e in eigs)
-    return r_a, r_b, r_d, cutoff
 
 
 def _minus_by_rank(sa, sb, tol):
-    r_a, r_b, r_d, cutoff = _shared_rank_triple(sa, sb, tol)
+    """The rank equation, with the ranks of A, B and B - A counted against
+    one cutoff (from the largest of the three spectral radii), which keeps
+    the three counts consistent with each other."""
+    eigs = [sym_eig(m) for m in (sa, sb, sb.a - sa.a)]
+    cutoff = shared_cutoff(eigs, tol)
+    r_a, r_b, r_d = (e.rank(tol, cutoff) for e in eigs)
     holds = r_d == r_b - r_a
     cert = {"rank_a": r_a, "rank_b": r_b, "rank_diff": r_d, "cutoff": cutoff}
     return holds, cert
@@ -181,10 +164,8 @@ def _minus_by_ginv(sa, sb, tol):
     diff = SymMatrix(sb.a - sa.a)
     u_a = image_basis(sa, tol).basis
     u_c = image_basis(diff, tol).basis
-    eig_b = sym_eig(sb, tol)
-    mags = np.abs(eig_b.values)
-    radius = float(mags.max()) if mags.size else 0.0
-    keep = mags > tol.rank_cutoff(n, radius) if radius > 0 else np.zeros(n, bool)
+    eig_b = sym_eig(sb)
+    keep = eig_b.nonzero(tol)
     u_perp = eig_b.vectors[:, ~keep]
     cert: dict = {
         "dim_a": u_a.shape[1],
@@ -195,9 +176,8 @@ def _minus_by_ginv(sa, sb, tol):
         cert["reason"] = "dimension mismatch"
         return False, cert
     m = np.hstack([u_a, u_c, u_perp])
-    sing = np.linalg.svd(m, compute_uv=False)
-    cert["sigma_min"] = float(sing[-1]) if sing.size else 0.0
-    if sing.size and sing[-1] <= tol.rank_cutoff(n, float(sing[0])):
+    cert["sigma_min"], direct = min_singular_value(m, tol)
+    if not direct:
         cert["reason"] = "sum not direct"
         return False, cert
     selector = np.zeros((n, n))

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InconsistentSamples, SingularS
-from .numkernel import SymMatrix, maxabs, numerical_rank, sym_eig
+from .numkernel import SymMatrix, maxabs, min_singular_value, sym_eig
 from .orders import Relation, lowner_leq, minus_leq, star_family_leq
 from .rng import normal_matrix, substream, uniforms
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -67,13 +67,12 @@ def congruence_map(s, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixMap:
     non-invertible factor does not define an order automorphism.
     """
     s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise SingularS(f"transform must be square, got shape {s.shape}")
-    sing = np.linalg.svd(s, compute_uv=False)
-    if sing.size == 0 or sing[-1] <= tol.rank_cutoff(s.shape[0], float(sing[0])):
+    if s.ndim != 2 or s.shape[0] != s.shape[1] or not s.size:
+        raise SingularS(f"transform must be square and nonempty, got shape {s.shape}")
+    sigma_min, invertible = min_singular_value(s, tol)
+    if not invertible:
         raise SingularS(
-            f"transform is singular to working precision "
-            f"(sigma_min={float(sing[-1]) if sing.size else 0.0:.3e})"
+            f"transform is singular to working precision (sigma_min={sigma_min:.3e})"
         )
     s = s.copy()
     s.setflags(write=False)
@@ -193,16 +192,12 @@ def _incomparable_pair(relation: Relation, seed: int, n: int):
 
 
 def _chain_pair(relation: Relation, seed: int, n: int):
-    """The outer pair of a three-term ascending chain."""
+    """A comparable pair; for the PSD order, the outer pair of a three-term
+    ascending chain A <= B <= B + H H^T."""
     a, b = _comparable_pair(relation, substream(seed, 14), n)
     if relation is Relation.LOWNER:
         h = normal_matrix(substream(seed, 15), n, max(1, n // 2))
         return a, b + h @ h.T
-    if relation is Relation.MINUS:
-        # Extend the B factor's support by rebuilding from the same basis:
-        # cheaper to just compose two comparable draws is not exact here, so
-        # reuse the comparable pair itself.
-        return a, b
     return a, b
 
 
@@ -211,7 +206,9 @@ def sample_pair(relation, seed: int, trial: int, n: int):
 
     Trials cycle through comparable, incomparable, chain-derived and a
     second comparable draw, so both branches of each implication get
-    exercised with known ground truth.
+    exercised with known ground truth.  Only the PSD order draws a
+    chain-extended pair; for the minus and star orders the chain trial is
+    one more comparable draw from its own substream.
     """
     relation = Relation(relation)
     key = substream(seed, trial)
@@ -288,9 +285,9 @@ def _find_output(samples, probe, tol):
 
 def _rank_one_factor(m, tol):
     """Write a PSD rank-one matrix as v v^T; None when it is not one."""
-    eig = sym_eig(m, tol)
+    eig = sym_eig(m)
     lead = float(eig.values[0]) if eig.values.size else 0.0
-    if lead <= 0 or numerical_rank(SymMatrix(m), tol) != 1:
+    if lead <= 0 or eig.rank(tol) != 1:
         return None
     return np.sqrt(lead) * eig.vectors[:, 0]
 

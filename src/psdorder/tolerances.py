@@ -9,19 +9,11 @@ the canonical-form constructions and the CLI.
 from dataclasses import dataclass
 import numpy as np
 
-# Sweep budget for the cyclic Jacobi eigensolver backend.  One sweep visits
-# every off-diagonal pair once; quadratic convergence makes 30 generous for
-# any size this package targets.
-JACOBI_SWEEP_BUDGET = 30
-
 
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Bundle of numerical thresholds.
 
-    eig_tol
-        Off-diagonal convergence target of the Jacobi backend, relative to
-        the Frobenius norm of the input.
     rank_rel_tol
         Relative eigenvalue cutoff for numerical rank: eigenvalues of
         magnitude <= rank_rel_tol * max|lambda| count as zero.  None selects
@@ -40,7 +32,6 @@ class ToleranceConfig:
         inputs beyond it are still symmetrized but flagged.
     """
 
-    eig_tol: float = 1e-12
     rank_rel_tol: float | None = None
     psd_tol: float = 1e-9
     idem_tol: float = 1e-8
@@ -48,7 +39,7 @@ class ToleranceConfig:
     sym_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("eig_tol", "psd_tol", "idem_tol", "recon_tol", "sym_tol"):
+        for name in ("psd_tol", "idem_tol", "recon_tol", "sym_tol"):
             value = getattr(self, name)
             if not (value > 0):
                 raise ValueError(f"{name} must be positive, got {value!r}")

@@ -3,7 +3,9 @@
 Everything here runs on Fractions (or closed forms), so oracle answers carry
 no floating-point error.  The production code must agree with these on
 integer fixtures; the oracles must never import the numerical routines they
-are checking.
+are checking.  The one float routine, jacobi_eigvals, is a plain cyclic
+Jacobi iteration: an eigensolver independent of LAPACK for cross-checking
+spectra on small random matrices.
 """
 
 from fractions import Fraction
@@ -115,6 +117,31 @@ def eig2(a, b, c):
     mean = 0.5 * (a + c)
     disc = np.hypot(0.5 * (a - c), b)
     return mean + disc, mean - disc
+
+
+def jacobi_eigvals(a, tol=1e-12, sweeps=30):
+    """Eigenvalues of a small symmetric float matrix, descending, by cyclic
+    Jacobi rotations until the off-diagonal Frobenius norm is at most tol
+    times that of the input (floored at 1)."""
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    target = tol * max(1.0, float(np.linalg.norm(a, "fro")))
+    for _ in range(sweeps):
+        if np.linalg.norm(a - np.diag(np.diag(a)), "fro") <= target:
+            return np.sort(np.diag(a))[::-1]
+        for p in range(n - 1):
+            for r in range(p + 1, n):
+                if a[p, r] == 0.0:
+                    continue
+                theta = (a[r, r] - a[p, p]) / (2.0 * a[p, r])
+                t = (1.0 if theta >= 0 else -1.0) / (abs(theta) + np.hypot(theta, 1.0))
+                c = 1.0 / np.hypot(t, 1.0)
+                rot = np.eye(n)
+                rot[p, p] = rot[r, r] = c
+                rot[p, r], rot[r, p] = t * c, -t * c
+                a = rot.T @ a @ rot
+                a[p, r] = a[r, p] = 0.0
+    raise AssertionError(f"Jacobi did not converge in {sweeps} sweeps")
 
 
 def integer_psd(rng, n, rank=None, lo=-3, hi=3):

@@ -319,6 +319,82 @@ def test_qform_check_overlap_fails(tmp_path, capsys):
     assert payload["holds"] is False
 
 
+# ----- hostile input ----------------------------------------------------------
+
+def assert_usage_error(capsys, argv):
+    """Exit 2, a message on stderr, nothing on stdout."""
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_non_finite_matrix_entries_are_parse_errors(tmp_path, capsys, token):
+    good = csv(tmp_path, "good.csv", np.eye(2))
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text(f"1,0\n0,{token}\n")
+    literal = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[token]
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text(f'{{"n": 2, "entries": [[1, 0], [0, {literal}]]}}')
+    for bad in (bad_csv, bad_json):
+        with pytest.raises(ParseError, match="non-finite"):
+            read_array(bad)
+        assert_usage_error(capsys, ["order", "check", "--relation", "lowner", good, str(bad)])
+        assert_usage_error(capsys, ["canon", "inertia", str(bad)])
+
+
+def test_non_finite_vector_and_model_entries_are_parse_errors(tmp_path, capsys):
+    form = csv(tmp_path, "form.csv", np.eye(2))
+    mean_csv = tmp_path / "mean.csv"
+    mean_csv.write_text("0,nan\n")
+    mean_json = tmp_path / "mean.json"
+    mean_json.write_text("[0, Infinity]")
+    for mean in (mean_csv, mean_json):
+        assert_usage_error(capsys, [
+            "qform", "check", "--forms", form, "--cov", form, "--mean", str(mean)])
+    good = {"X": [[1.0], [1.0]], "D": [[1.0, 0.0], [0.0, 1.0]]}
+    model = tmp_path / "model.json"
+    for key, value in (("X", [[1.0], [float("nan")]]),
+                       ("D", [[1.0, 0.0], [0.0, float("inf")]]),
+                       ("sigma2", float("nan"))):
+        model.write_text(json.dumps({**good, key: value}))
+        with pytest.raises(ParseError, match="non-finite"):
+            read_model(model)
+        assert_usage_error(capsys, ["model", "compare", str(model), str(model)])
+
+
+def test_preserver_verify_rejects_bad_trials_and_sizes(tmp_path, capsys):
+    s = csv(tmp_path, "s.csv", [[2.0, 1.0], [0.0, 1.0]])
+    base = ["preserver", "verify", "--relation", "lowner"]
+    for trials in ("0", "-1"):
+        assert_usage_error(capsys, base + ["--map", "trace-inflation", "--trials", trials])
+        assert_usage_error(capsys, base + ["--map", f"congruence:{s}", "--trials", trials])
+    for n in ("1", "0", "-2"):
+        assert_usage_error(capsys, base + ["--map", "rank-collapse", "--n", n])
+    # --n must agree with the congruence it is checked against
+    assert_usage_error(capsys, base + ["--map", f"congruence:{s}", "--n", "3"])
+    code, payload = run_json(capsys, base + [
+        "--map", f"congruence:{s}", "--n", "2", "--trials", "8"])
+    assert code == 0 and payload["result"]["n"] == 2
+
+
+def test_qform_check_rejects_negative_draw_count(tmp_path, capsys):
+    form = csv(tmp_path, "form.csv", np.eye(2))
+    mean = tmp_path / "mean.csv"
+    mean.write_text("0,0\n")
+    assert_usage_error(capsys, [
+        "qform", "check", "--forms", form, "--cov", form, "--mean", str(mean),
+        "--mc", "-5"])
+
+
+def test_json_flag_is_gone(tmp_path, capsys):
+    # JSON is the only output format, so there is no flag to ask for it.
+    a = csv(tmp_path, "a.csv", np.eye(2))
+    assert run(["order", "check", "--json", "--relation", "lowner", a, a]) == 2
+    assert capsys.readouterr().out == ""
+
+
 # ----- tolerance plumbing ----------------------------------------------------
 
 def test_tolerance_flag_changes_rank_decision(tmp_path, capsys):

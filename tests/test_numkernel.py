@@ -104,16 +104,13 @@ def test_eig_reconstruction_and_orthogonality():
 
 
 def test_jacobi_backend_matches_lapack():
+    # The Jacobi eigensolver lives in the oracle module as an independent
+    # values-only cross-check of the LAPACK spectrum.
     rng = np.random.default_rng(23)
     for _ in range(40):
         n = rng.integers(1, 7)
         a = random_sym(rng, n, scale=2.0)
-        e1 = sym_eig(a, backend="lapack")
-        e2 = sym_eig(a, backend="jacobi")
-        np.testing.assert_allclose(e1.values, e2.values, atol=1e-10)
-        np.testing.assert_allclose(e2.reconstruct(), a, atol=1e-10)
-    with pytest.raises(ValueError):
-        sym_eig(np.eye(2), backend="cholesky")
+        np.testing.assert_allclose(sym_eig(a).values, oracles.jacobi_eigvals(a), atol=1e-10)
 
 
 def test_rank_examples():
@@ -284,7 +281,7 @@ def test_tolerance_config_validation():
     with pytest.raises(ValueError):
         ToleranceConfig(psd_tol=-1e-9)
     with pytest.raises(ValueError):
-        ToleranceConfig(eig_tol=0.0)
+        ToleranceConfig(recon_tol=0.0)
     with pytest.raises(ValueError):
         ToleranceConfig(rank_rel_tol=-1.0)
     cfg = ToleranceConfig(rank_rel_tol=1e-6)

@@ -1,0 +1,214 @@
+"""One owner for a matrix's spectrum: each SymMatrix is decomposed once,
+rank and PSD cutoffs are questions to its EigDecomposition, and reusing a
+cached decomposition changes no output bit."""
+
+import dataclasses
+import struct
+
+import numpy as np
+import pytest
+
+import oracles
+from psdorder import (
+    DEFAULT_TOL,
+    MinusMethod,
+    PsdMatrix,
+    Relation,
+    SymMatrix,
+    ToleranceConfig,
+    column_basis,
+    inertia,
+    lowner_leq,
+    minus_leq,
+    rect_rank,
+    sim_congruence,
+    star_family_leq,
+    sym_eig,
+)
+from psdorder.numkernel import min_singular_value, shared_cutoff
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Counts calls of numpy.linalg.eigh made while the test runs."""
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def _pairs():
+    """(A, B) below each other ("holds") and incomparable ("fails") for
+    each relation, built on one well-conditioned congruence."""
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    s = q * np.array([1.0, 2.0, 0.5, 1.5])
+    cong = lambda d: (s * np.asarray(d, dtype=float)) @ s.T  # noqa: E731
+    orth = lambda d: (q * np.asarray(d, dtype=float)) @ q.T  # noqa: E731
+    return {
+        "lowner": {
+            "holds": (cong([1, 1, 0, 0]), cong([2, 1, 1, 0])),
+            "fails": (cong([1, 2, 0, 0]), cong([2, 1, 0, 0])),
+        },
+        "minus": {
+            "holds": (cong([1, 0, 0, 0]), cong([1, 1, 1, 0])),
+            "fails": (cong([1, 1, 0, 0]), cong([2, 3, 0, 0])),
+        },
+        "star": {
+            "holds": (orth([1, 0, 0, 0]), orth([1, 2, 0, 0])),
+            "fails": (orth([1, 1, 0, 0]), orth([2, 1, 0, 0])),
+        },
+    }
+
+
+PAIRS = _pairs()
+
+
+def _verdict(route, a, b):
+    if route == "lowner":
+        return lowner_leq(a, b)
+    if route.startswith("minus"):
+        return minus_leq(a, b, method=route.split("_")[1])
+    return star_family_leq(a, b, Relation.STAR)
+
+
+@pytest.mark.parametrize("route, holds_eighs, fails_eighs", [
+    ("lowner", 1, 2),
+    ("minus_rank", 3, 4),
+    ("minus_image", 3, 4),
+    ("minus_ginv", 3, 4),
+    ("star", 2, 2),
+])
+def test_eigh_calls_per_verdict(eigh_calls, route, holds_eighs, fails_eighs):
+    pairs = PAIRS[route.split("_")[0]]
+    for label, expected in (("holds", holds_eighs), ("fails", fails_eighs)):
+        eigh_calls.clear()
+        verdict = _verdict(route, *pairs[label])
+        assert verdict.holds == (label == "holds")
+        assert verdict.detail == ("strictly less" if label == "holds" else "incomparable")
+        assert len(eigh_calls) == expected, (route, label)
+
+
+def test_eigh_calls_sim_congruence(eigh_calls):
+    a, b = PAIRS["minus"]["holds"]
+    res = sim_congruence(a, b)
+    assert (res.rank_a, res.rank_b) == (1, 3)
+    # A and B once each when certified PSD, the idempotent block once.
+    assert len(eigh_calls) == 3
+
+
+def test_sym_eig_decomposes_each_sym_matrix_once(eigh_calls):
+    m = SymMatrix(PAIRS["lowner"]["holds"][1])
+    first = sym_eig(m)
+    assert sym_eig(m) is first
+    assert len(eigh_calls) == 1
+    # raw arrays carry no cache
+    sym_eig(m.a)
+    sym_eig(m.a)
+    assert len(eigh_calls) == 3
+    # a PsdMatrix keeps the decomposition its PSD certificate was built on
+    p = PsdMatrix(m.a)
+    sym_eig(p)
+    assert len(eigh_calls) == 4
+
+
+def _bits(obj):
+    """Structure of a result with every float replaced by its bit pattern."""
+    if isinstance(obj, np.ndarray):
+        return (obj.dtype.str, obj.shape, obj.tobytes())
+    if isinstance(obj, (float, np.floating)):
+        return struct.pack("<d", float(obj))
+    if isinstance(obj, dict):
+        return {k: _bits(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_bits(v) for v in obj]
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _bits(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    return obj
+
+
+@pytest.mark.parametrize("relation", ["lowner", "minus", "star"])
+@pytest.mark.parametrize("label", ["holds", "fails"])
+def test_verdict_on_sym_matrices_matches_raw_bit_for_bit(relation, label):
+    a, b = PAIRS[relation][label]
+    if relation == "lowner":
+        calls = [lambda x, y: lowner_leq(x, y)]
+    elif relation == "minus":
+        calls = [lambda x, y, m=m: minus_leq(x, y, method=m) for m in MinusMethod]
+    else:
+        calls = [lambda x, y, v=v: star_family_leq(x, y, v)
+                 for v in (Relation.STAR, Relation.LEFT_STAR, Relation.RIGHT_STAR)]
+    if relation != "lowner" and label == "holds":
+        calls.append(lambda x, y: sim_congruence(x, y))
+    calls.append(lambda x, y: inertia(y))
+    sa, sb = SymMatrix(a), SymMatrix(b)
+    for call in calls:
+        raw = _bits(call(a, b))
+        assert _bits(call(sa, sb)) == raw
+        assert _bits(call(sa, sb)) == raw  # second call reuses both spectra
+
+
+def test_canonical_order_matches_per_column_sign_fix():
+    rng = np.random.default_rng(71)
+    for n in (1, 2, 3, 6, 10):
+        for _ in range(20):
+            g = rng.standard_normal((n, n))
+            a = (g + g.T) / 2
+            if n > 2:
+                a[:, 0] = a[0, :] = 0.0  # a zero leading component in some vectors
+            values, vectors = np.linalg.eigh(SymMatrix(a).a)
+            order = np.argsort(-values, kind="stable")
+            want = vectors[:, order]
+            for j in range(n):
+                nz = np.flatnonzero(np.abs(want[:, j]) > 1e-12)
+                if nz.size and want[nz[0], j] < 0:
+                    want[:, j] = -want[:, j]
+            eig = sym_eig(a)
+            assert eig.values.tobytes() == values[order].tobytes()
+            assert eig.vectors.tobytes() == want.tobytes()
+    empty = sym_eig(np.zeros((0, 0)))
+    assert empty.values.shape == (0,) and empty.vectors.shape == (0, 0)
+
+
+def test_eig_decomposition_cutoff_queries():
+    eig = sym_eig(np.diag([4.0, -2.0, 1e-17, 0.0]))
+    assert eig.radius == 4.0
+    assert eig.cutoff() == DEFAULT_TOL.rank_cutoff(4, 4.0)
+    # values are descending: 4, 1e-17, 0, -2
+    np.testing.assert_array_equal(eig.nonzero(), [True, False, False, True])
+    assert eig.rank() == 2
+    assert eig.rank(ToleranceConfig(rank_rel_tol=0.6)) == 1
+    assert eig.rank(cutoff=5.0) == 0
+    zero = sym_eig(np.zeros((3, 3)))
+    assert zero.radius == 0.0 and zero.cutoff() == 0.0 and zero.rank() == 0
+    small = sym_eig(np.diag([1.0, 0.0, 0.0, 0.0]))
+    assert shared_cutoff([small, eig]) == DEFAULT_TOL.rank_cutoff(4, 4.0)
+
+
+def test_column_basis_shares_rect_rank_cutoff():
+    rng = np.random.default_rng(73)
+    for _ in range(60):
+        r, c = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        m = rng.integers(-2, 3, size=(r, c)).astype(float)
+        basis = column_basis(m)
+        assert basis.dim == rect_rank(m) == oracles.exact_rank(m.astype(int))
+        np.testing.assert_allclose(basis.basis.T @ basis.basis, np.eye(basis.dim), atol=1e-12)
+        # every column of m lies in the span
+        np.testing.assert_allclose(basis.basis @ (basis.basis.T @ m), m, atol=1e-12)
+    assert column_basis(np.zeros((3, 2))).basis.shape == (3, 0)
+    assert column_basis(np.zeros((3, 0))).basis.shape == (3, 0)
+    assert rect_rank(np.zeros((0, 4))) == 0
+
+
+def test_min_singular_value():
+    sigma, ok = min_singular_value(np.diag([3.0, 0.5]))
+    assert (sigma, ok) == (0.5, True)
+    sigma, ok = min_singular_value(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    assert not ok and sigma < 1e-15
+    assert min_singular_value(np.zeros((2, 2))) == (0.0, False)
+    assert min_singular_value(np.zeros((0, 0))) == (1.0, True)
