@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotMinusComparable
-from .numkernel import PsdMatrix, SymMatrix, maxabs, min_singular_value, sym_eig
+from .numkernel import PsdMatrix, SymMatrix, min_singular_value, rel_residual, sym_eig
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -95,9 +95,8 @@ def congruence_canonical(a, tol: ToleranceConfig = DEFAULT_TOL):
         [np.ones(len(pos)), -np.ones(len(neg)), np.zeros(len(zero))]
     )
     recon = (s * sign) @ s.T
-    scale = max(1.0, maxabs(sym.a))
-    residual = maxabs(recon - sym.a)
-    if residual > tol.recon_tol * scale:
+    residual = rel_residual(recon - sym.a, sym.a)
+    if residual > tol.recon_tol:
         raise NotMinusComparable(
             f"canonical reconstruction residual {residual:.3e} out of budget"
         )
@@ -130,10 +129,9 @@ def sim_congruence(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SimCongResult:
     v = inv_scales[:, None] * eig_b.vectors.T
 
     a_tilde = v @ pa.a @ v.T
-    a_scale = max(1.0, maxabs(a_tilde))
     # A below B forces Im A inside Im B, i.e. nothing outside the block.
-    spill = maxabs(a_tilde[s_rank:, :]) if s_rank < n else 0.0
-    if spill > tol.recon_tol * a_scale:
+    spill = rel_residual(a_tilde[s_rank:, :], a_tilde)
+    if spill > tol.recon_tol:
         raise NotMinusComparable(
             f"transformed A leaks {spill:.3e} outside the rank-{s_rank} block"
         )
@@ -164,8 +162,8 @@ def sim_congruence(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SimCongResult:
 
     e_r = canonical_ek(n, r_rank)
     e_s = canonical_ek(n, s_rank)
-    residual_a = maxabs(s @ e_r @ s.T - pa.a) / max(1.0, maxabs(pa.a))
-    residual_b = maxabs(s @ e_s @ s.T - pb.a) / max(1.0, maxabs(pb.a))
+    residual_a = rel_residual(s @ e_r @ s.T - pa.a, pa.a)
+    residual_b = rel_residual(s @ e_s @ s.T - pb.a, pb.a)
     sigma_min, invertible = min_singular_value(s, tol)
     if not invertible:
         raise NotMinusComparable(

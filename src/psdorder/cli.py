@@ -42,7 +42,7 @@ from .linmodels import (
     model_compare,
     qform_rank_criterion,
 )
-from .numkernel import SymMatrix, maxabs
+from .numkernel import SymMatrix, rel_residual
 from .orders import MinusMethod, Relation, lowner_leq, minus_leq, star_family_leq
 from .preservers import MatrixMap, congruence_map, fit_congruence, preserves_order
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -132,12 +132,13 @@ def read_array(path) -> np.ndarray:
 
 def read_matrix(path, tol: ToleranceConfig = DEFAULT_TOL) -> SymMatrix:
     """Square symmetric matrix from file; asymmetric input is averaged with
-    its transpose, with a stderr warning when the skew is beyond sym_tol."""
+    its transpose, with a stderr warning when the skew, relative to the
+    largest entry, is beyond recon_tol."""
     a = read_array(path)
     if a.shape[0] != a.shape[1]:
         raise ParseError(f"{path}: expected a square matrix, got {a.shape}")
     sym = SymMatrix(a)
-    if sym.asymmetry > tol.sym_tol * max(1.0, maxabs(a)):
+    if rel_residual(a - a.T, a) > tol.recon_tol:
         print(
             f"warning: {path}: asymmetry {sym.asymmetry:.3e} exceeds tolerance; "
             "matrix symmetrized by averaging",
@@ -147,12 +148,10 @@ def read_matrix(path, tol: ToleranceConfig = DEFAULT_TOL) -> SymMatrix:
 
 
 def read_vector(path) -> np.ndarray:
-    """Vector from a one-row or one-column CSV, or a flat JSON list."""
+    """Vector from a CSV or JSON file: a flat list, one row or one column."""
     path = str(path)
-    if path.endswith(".json"):
-        return _json_entries(path).reshape(-1)
-    a = read_array(path)
-    if 1 not in a.shape:
+    a = _json_entries(path) if path.endswith(".json") else read_array(path)
+    if not (a.ndim == 1 or (a.ndim == 2 and 1 in a.shape)):
         raise ParseError(f"{path}: expected a single row or column, got {a.shape}")
     return a.reshape(-1)
 
@@ -209,12 +208,8 @@ def _jsonable(obj):
     return obj
 
 
-def _tolerances_dict(tol: ToleranceConfig) -> dict:
-    return _jsonable(dataclasses.asdict(tol))
-
-
 def _emit(payload: dict, tol: ToleranceConfig) -> None:
-    payload["tolerances"] = _tolerances_dict(tol)
+    payload["tolerances"] = dataclasses.asdict(tol)
     payload["version"] = __version__
     print(json.dumps(_jsonable(payload)))
 

@@ -24,9 +24,10 @@ from .numkernel import (
     PsdMatrix,
     SymMatrix,
     column_basis,
-    maxabs,
+    identity_budget,
     numerical_rank,
     pinv,
+    rel_residual,
     subspace_leq,
     sym_eig,
 )
@@ -230,9 +231,9 @@ def blue_check(l, model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) -> Blu
             "V(Ly) equals V(y); the estimator conditions do not apply"
         )
 
-    residual_lx = maxabs(l @ model.x - model.x)
-    scale = max(1.0, maxabs(model.x), maxabs(l))
-    cond_i = residual_lx <= tol.recon_tol * scale
+    lx = l @ model.x
+    residual_lx = rel_residual(lx - model.x, lx, model.x)
+    cond_i = residual_lx <= identity_budget(tol, l)
 
     cond_ii = subspace_leq(
         column_basis(l @ model.d.a, tol), column_basis(model.x, tol), tol

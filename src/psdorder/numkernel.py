@@ -12,7 +12,12 @@ Conventions shared by everything built on top of this module:
   taken from ToleranceConfig; EigDecomposition owns that policy (spectral
   radius, cutoff, nonzero mask), and every other module asks it rather
   than recomputing the cutoff.  Rectangular ranks and invertibility checks
-  apply the same convention to singular values through _sv_keep.
+  apply the same convention to singular values through _sv_keep,
+- every other tolerance is relative to its inputs, with no absolute
+  floor: rel_residual measures a residual against the largest entry of
+  the matrices compared, and is_psd's threshold is psd_tol times the
+  largest entry of its references, so scaling every input by c > 0
+  changes no decision; exact zero is its own case at any scale.
 """
 
 from dataclasses import dataclass
@@ -42,7 +47,32 @@ def _coerce_square(data) -> np.ndarray:
 def maxabs(m) -> float:
     """Largest entry magnitude; zero for an empty array."""
     m = np.asarray(m, dtype=float)
-    return float(np.max(np.abs(m))) if m.size else 0.0
+    return float(np.abs(m).max()) if m.size else 0.0
+
+
+def rel_residual(diff, *refs) -> float:
+    """maxabs(diff) over the largest entry of `refs`: 0 when diff is exactly
+    zero, inf (failing every budget) when it is not but every ref is."""
+    num = maxabs(diff)
+    if num == 0.0:
+        return 0.0
+    den = max(map(maxabs, refs))
+    return num / den if den > 0.0 else float("inf")
+
+
+def identity_budget(tol: ToleranceConfig, op, *refs) -> float:
+    """Budget for rel_residual of an identity that multiplies by `op` (G in
+    A G A = A, L in L X = X): recon_tol, widened once the dimensionless size
+    |op| |refs| (|op| alone without refs) passes 1, since the roundoff of
+    the products grows with it."""
+    return tol.recon_tol * max(1.0, maxabs(op) * max(map(maxabs, refs), default=1.0))
+
+
+def normalized(*ms) -> tuple:
+    """The arrays divided by their common largest entry (unchanged when all
+    are zero), so that products of them neither underflow nor overflow."""
+    s = max(map(maxabs, ms)) or 1.0
+    return tuple(np.asarray(m, dtype=float) / s for m in ms)
 
 
 class SymMatrix:
@@ -79,8 +109,8 @@ class PsdMatrix(SymMatrix):
     """A symmetric matrix verified positive semidefinite at construction.
 
     The check is tolerance-based: the minimum eigenvalue must be at least
-    -psd_tol * max(1, spectral radius).  The computed minimum is kept as
-    `min_eig_witness`.
+    -psd_tol times the largest entry of the matrix (see is_psd).  The
+    computed minimum is kept as `min_eig_witness`.
     """
 
     def __init__(self, data, tol: ToleranceConfig = DEFAULT_TOL):
@@ -130,6 +160,17 @@ class EigDecomposition:
 
     def rank(self, tol: ToleranceConfig = DEFAULT_TOL, cutoff: float | None = None) -> int:
         return int(np.count_nonzero(self.nonzero(tol, cutoff)))
+
+    def image(self, tol: ToleranceConfig = DEFAULT_TOL, cutoff: float | None = None):
+        """SubspaceBasis of the eigenvectors whose eigenvalues clear `cutoff`."""
+        return SubspaceBasis(basis=self.vectors[:, self.nonzero(tol, cutoff)])
+
+    def negated(self) -> "EigDecomposition":
+        """The decomposition of -A: values negated and reversed, so they stay
+        descending, with the matching eigenvector columns."""
+        values = -self.values[::-1]
+        values.setflags(write=False)
+        return EigDecomposition(values=values, vectors=self.vectors[:, ::-1])
 
 
 @dataclass(frozen=True)
@@ -237,12 +278,15 @@ def min_singular_value(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, bo
     return (float(s[-1]) if s.size else 1.0), bool(_sv_keep(s, m.shape, tol).all())
 
 
-def is_psd(a, tol: ToleranceConfig = DEFAULT_TOL) -> PsdCheck:
+def is_psd(a, tol: ToleranceConfig = DEFAULT_TOL, refs=None) -> PsdCheck:
     """Tolerance-based PSD test with an eigenvalue (and, on failure, an
-    eigenvector) witness."""
-    eig = sym_eig(a)
+    eigenvector) witness.  The minimum eigenvalue must be at least
+    -psd_tol times the largest entry of `refs` (default: A itself); a test
+    of B - A passes A and B, whose scale its roundoff follows."""
+    sym = a if isinstance(a, SymMatrix) else SymMatrix(a)
+    eig = sym_eig(sym)
     min_eig = float(eig.values[-1]) if eig.values.size else 0.0
-    threshold = tol.psd_tol * max(1.0, eig.radius)
+    threshold = tol.psd_tol * max(map(maxabs, refs or (sym.a,)))
     ok = min_eig >= -threshold
     witness = None if ok else eig.vectors[:, -1]
     return PsdCheck(ok=ok, min_eig=min_eig, threshold=threshold, witness=witness)
@@ -277,9 +321,8 @@ def inner_ginverse(a, seed: int = 0, tol: ToleranceConfig = DEFAULT_TOL) -> np.n
     else:
         v = normal_matrix(seed, sym.n, sym.n)
         g = plus + v - plus @ sym.a @ v @ sym.a @ plus
-    residual = maxabs(sym.a @ g @ sym.a - sym.a)
-    scale = max(1.0, maxabs(sym.a)) * max(1.0, maxabs(g))
-    if residual > tol.recon_tol * scale:
+    residual = rel_residual(sym.a @ g @ sym.a - sym.a, sym.a)
+    if residual > identity_budget(tol, g, sym.a):
         raise NonConvergence(
             f"inner-inverse identity residual {residual:.3e} exceeds budget"
         )
@@ -289,8 +332,7 @@ def inner_ginverse(a, seed: int = 0, tol: ToleranceConfig = DEFAULT_TOL) -> np.n
 def image_basis(a, tol: ToleranceConfig = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the column space of a symmetric matrix, taken
     from the eigenvectors whose eigenvalues clear the rank cutoff."""
-    eig = sym_eig(a)
-    return SubspaceBasis(basis=eig.vectors[:, eig.nonzero(tol)])
+    return sym_eig(a).image(tol)
 
 
 def _basis_array(u) -> np.ndarray:

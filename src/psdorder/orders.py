@@ -19,13 +19,15 @@ import numpy as np
 from .errors import DimensionMismatch
 from .numkernel import (
     SymMatrix,
+    identity_budget,
     image_basis,
     is_psd,
-    maxabs,
     min_singular_value,
+    normalized,
     numerical_rank,
     pinv,
     rect_rank,
+    rel_residual,
     shared_cutoff,
     subspace_leq,
     sym_eig,
@@ -72,10 +74,10 @@ def _pair(a, b):
 
 def matrices_equal(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Equality up to the reconstruction tolerance, relative to the larger
-    of the two entry scales (floored at 1)."""
+    of the two entry scales; exactly equal matrices (zero included) are
+    always equal."""
     sa, sb = _pair(a, b)
-    scale = max(1.0, maxabs(sa.a), maxabs(sb.a))
-    return maxabs(sb.a - sa.a) <= tol.recon_tol * scale
+    return rel_residual(sb.a - sa.a, sa.a, sb.a) <= tol.recon_tol
 
 
 def _detail(holds: bool, equal: bool, reverse_holds: bool) -> str:
@@ -91,17 +93,16 @@ def _detail(holds: bool, equal: bool, reverse_holds: bool) -> str:
 def lowner_leq(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
     """A <= B in the PSD sense: is B - A positive semidefinite?
 
-    The certificate records the smallest eigenvalue of the difference and
-    the threshold it was held against; on failure it also carries a unit
-    vector x with x^T (B - A) x < 0.
+    The certificate records the smallest eigenvalue of the difference, the
+    threshold it was held against (psd_tol times the scale of A and B) and,
+    on failure, a unit vector x with x^T (B - A) x < 0.  The reverse
+    question reads the same spectrum: is max eig(B - A) <= threshold?
     """
     sa, sb = _pair(a, b)
-    diff = sb.a - sa.a
-    check = is_psd(diff, tol)
+    diff = SymMatrix(sb.a - sa.a)
+    check = is_psd(diff, tol, refs=(sa.a, sb.a))
     equal = matrices_equal(sa, sb, tol)
-    reverse = False
-    if not check.ok:
-        reverse = is_psd(-diff, tol).ok
+    reverse = not check.ok and float(sym_eig(diff).values[0]) <= check.threshold
     return OrderVerdict(
         holds=check.ok,
         relation=Relation.LOWNER.value,
@@ -114,19 +115,15 @@ def lowner_leq(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
     )
 
 
-def _minus_by_rank(sa, sb, tol):
-    """The rank equation, with the ranks of A, B and B - A counted against
-    one cutoff (from the largest of the three spectral radii), which keeps
-    the three counts consistent with each other."""
-    eigs = [sym_eig(m) for m in (sa, sb, sb.a - sa.a)]
-    cutoff = shared_cutoff(eigs, tol)
+def _minus_by_rank(sa, sb, eigs, cutoff, tol):
+    """The rank equation rank(B - A) = rank(B) - rank(A)."""
     r_a, r_b, r_d = (e.rank(tol, cutoff) for e in eigs)
     holds = r_d == r_b - r_a
     cert = {"rank_a": r_a, "rank_b": r_b, "rank_diff": r_d, "cutoff": cutoff}
     return holds, cert
 
 
-def _minus_by_image(sa, sb, tol):
+def _minus_by_image(sa, sb, eigs, cutoff, tol):
     """Im B = Im A (+) Im(B - A), tested through subspace geometry.
 
     The sum is direct when the stacked bases of A and B - A have full
@@ -134,9 +131,7 @@ def _minus_by_image(sa, sb, tol):
     projection-residual test, far more robust than rank-deciding a stack
     of three eigenbases) and the dimensions add up.
     """
-    base_a = image_basis(sa, tol)
-    base_b = image_basis(sb, tol)
-    base_c = image_basis(SymMatrix(sb.a - sa.a), tol)
+    base_a, base_b, base_c = (e.image(tol, cutoff) for e in eigs)
     dim_a, dim_b, dim_c = base_a.dim, base_b.dim, base_c.dim
     sum_rank = rect_rank(np.hstack([base_a.basis, base_c.basis]), tol)
     direct = sum_rank == dim_a + dim_c
@@ -152,7 +147,7 @@ def _minus_by_image(sa, sb, tol):
     return holds, cert
 
 
-def _minus_by_ginv(sa, sb, tol):
+def _minus_by_ginv(sa, sb, eigs, cutoff, tol):
     """Constructive route: build an inner inverse G of A with G A = G B and
     A G = B G, which exists exactly when A is below B.
 
@@ -160,19 +155,18 @@ def _minus_by_ginv(sa, sb, tol):
     Im(B - A) (+) (Im B)-perp; if the three pieces fail to decompose R^n the
     pair is not comparable and the certificate says which check failed.
     """
-    n = sa.n
-    diff = SymMatrix(sb.a - sa.a)
-    u_a = image_basis(sa, tol).basis
-    u_c = image_basis(diff, tol).basis
-    eig_b = sym_eig(sb)
-    keep = eig_b.nonzero(tol)
+    eig_a, eig_b, eig_d = eigs
+    u_a = eig_a.image(tol, cutoff).basis
+    u_c = eig_d.image(tol, cutoff).basis
+    keep = eig_b.nonzero(tol, cutoff)
     u_perp = eig_b.vectors[:, ~keep]
+    r = u_a.shape[1]
     cert: dict = {
-        "dim_a": u_a.shape[1],
+        "dim_a": r,
         "dim_b": int(keep.sum()),
         "dim_diff": u_c.shape[1],
     }
-    if u_a.shape[1] + u_c.shape[1] + u_perp.shape[1] != n:
+    if r + u_c.shape[1] + u_perp.shape[1] != sa.n:
         cert["reason"] = "dimension mismatch"
         return False, cert
     m = np.hstack([u_a, u_c, u_perp])
@@ -180,19 +174,20 @@ def _minus_by_ginv(sa, sb, tol):
     if not direct:
         cert["reason"] = "sum not direct"
         return False, cert
-    selector = np.zeros((n, n))
-    selector[: u_a.shape[1], : u_a.shape[1]] = np.eye(u_a.shape[1])
-    proj = m @ selector @ np.linalg.inv(m)
+    proj = m[:, :r] @ np.linalg.inv(m)[:r, :]
     g = proj.T @ pinv(sa, tol) @ proj
-    scale = max(1.0, maxabs(g)) * max(1.0, maxabs(sa.a), maxabs(sb.a))
+    ga, gb, ag, bg = g @ sa.a, g @ sb.a, sa.a @ g, sb.a @ g
+    aga = ag @ sa.a
+    # each identity's residual relative to the two sides it compares; the
+    # roundoff of the products grows with the dimensionless |G| |A, B|
     residuals = {
-        "inner": maxabs(sa.a @ g @ sa.a - sa.a),
-        "left": maxabs(g @ sa.a - g @ sb.a),
-        "right": maxabs(sa.a @ g - sb.a @ g),
+        "inner": rel_residual(aga - sa.a, aga, sa.a),
+        "left": rel_residual(ga - gb, ga, gb),
+        "right": rel_residual(ag - bg, ag, bg),
     }
     cert["g"] = g
     cert["residuals"] = residuals
-    if max(residuals.values()) > tol.recon_tol * scale:
+    if max(residuals.values()) > identity_budget(tol, g, sa.a, sb.a):
         cert["reason"] = "identity residual"
         return False, cert
     return True, cert
@@ -216,16 +211,20 @@ def minus_leq(
     Three interchangeable routes: "rank" checks the defining rank equation
     with one shared cutoff, "image" checks that Im B splits as the direct
     sum of Im A and Im(B - A), and "ginv" constructs an explicit inner
-    inverse witness.  They agree whenever the rank decisions are clean.
+    inverse witness.  All three count against one cutoff from the spectra
+    of A, B and B - A, and they agree whenever those rank decisions are
+    clean.  The reverse question reruns the route on (B, A) with the
+    negated spectrum of B - A and the same cutoff.
     """
     method = MinusMethod(method)
+    route = _MINUS_ROUTES[method]
     sa, sb = _pair(a, b)
-    holds, cert = _MINUS_ROUTES[method](sa, sb, tol)
+    e_a, e_b, e_d = eigs = (sym_eig(sa), sym_eig(sb), sym_eig(sb.a - sa.a))
+    cutoff = shared_cutoff(eigs, tol)
+    holds, cert = route(sa, sb, eigs, cutoff, tol)
     cert["method"] = method.value
     equal = matrices_equal(sa, sb, tol)
-    reverse = False
-    if not holds:
-        reverse = _MINUS_ROUTES[method](sb, sa, tol)[0]
+    reverse = not holds and route(sb, sa, (e_b, e_a, e_d.negated()), cutoff, tol)[0]
     return OrderVerdict(
         holds=holds,
         relation=Relation.MINUS.value,
@@ -234,14 +233,20 @@ def minus_leq(
     )
 
 
-def _star_residuals(sa, sb, tol):
-    """Residual of A^2 = A B and whether Im A sits inside Im B."""
-    prod_aa = sa.a @ sa.a
-    prod_ab = sa.a @ sb.a
-    scale = max(1.0, maxabs(prod_aa), maxabs(prod_ab))
-    residual = maxabs(prod_aa - prod_ab)
+def _star_holds(sa, sb, variant, tol):
+    """Whether A is below B in `variant`, the relative residual of
+    A^2 = A B and whether Im A sits inside Im B.  The products are formed
+    from A and B normalized together, which leaves the residual unchanged
+    and keeps them clear of underflow and overflow."""
+    a, b = normalized(sa.a, sb.a)
+    prod_aa = a @ a
+    prod_ab = a @ b
+    residual = rel_residual(prod_aa - prod_ab, prod_aa, prod_ab)
     contained = subspace_leq(image_basis(sa, tol), image_basis(sb, tol), tol)
-    return residual, scale, contained
+    holds = residual <= tol.recon_tol
+    if variant is not Relation.STAR:
+        holds = holds and contained
+    return holds, residual, contained
 
 
 def star_family_leq(
@@ -260,24 +265,14 @@ def star_family_leq(
     if variant not in (Relation.STAR, Relation.LEFT_STAR, Relation.RIGHT_STAR):
         raise ValueError(f"{variant.value!r} is not a star-family relation")
     sa, sb = _pair(a, b)
-    residual, scale, contained = _star_residuals(sa, sb, tol)
-    identity_ok = residual <= tol.recon_tol * scale
-    if variant is Relation.STAR:
-        holds = identity_ok
-    else:
-        holds = identity_ok and contained
+    holds, residual, contained = _star_holds(sa, sb, variant, tol)
     equal = matrices_equal(sa, sb, tol)
-    reverse = False
-    if not holds:
-        r_rev, s_rev, c_rev = _star_residuals(sb, sa, tol)
-        rev_ok = r_rev <= tol.recon_tol * s_rev
-        reverse = rev_ok if variant is Relation.STAR else (rev_ok and c_rev)
+    reverse = not holds and _star_holds(sb, sa, variant, tol)[0]
     return OrderVerdict(
         holds=holds,
         relation=variant.value,
         certificate={
             "residual": residual,
-            "scale": scale,
             "image_contained": bool(contained),
         },
         detail=_detail(holds, equal, reverse),

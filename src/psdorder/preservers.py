@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InconsistentSamples, SingularS
-from .numkernel import SymMatrix, maxabs, min_singular_value, sym_eig
+from .numkernel import SymMatrix, maxabs, min_singular_value, rel_residual, sym_eig
 from .orders import Relation, lowner_leq, minus_leq, star_family_leq
 from .rng import normal_matrix, substream, uniforms
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -334,9 +334,8 @@ def fit_congruence(samples, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
         # cross = s_0 s_i^T + s_i s_0^T, so applying it to s_0 isolates s_i.
         dot = float(first @ cross @ first) / (2.0 * norm_sq)
         col = (cross @ first - dot * first) / norm_sq
-        expected = np.outer(col, col)
-        scale = max(1.0, maxabs(expected), maxabs(diag_images[i]))
-        if maxabs(expected - diag_images[i]) > tol.recon_tol * scale:
+        expected, image = np.outer(col, col), diag_images[i]
+        if rel_residual(expected - image, expected, image) > tol.recon_tol:
             raise InconsistentSamples(
                 f"column {i} reconstructed from the mixed probe does not "
                 "reproduce its diagonal probe image"
@@ -346,8 +345,7 @@ def fit_congruence(samples, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
     for given, image in pairs:
         predicted = s @ given @ s.T
-        scale = max(1.0, maxabs(predicted), maxabs(image))
-        if maxabs(predicted - image) > tol.recon_tol * scale:
+        if rel_residual(predicted - image, predicted, image) > tol.recon_tol:
             raise InconsistentSamples(
                 "a sample disagrees with the congruence fitted from the probes"
             )

@@ -3,10 +3,13 @@
 All comparisons in the package go through a single ToleranceConfig so that a
 caller who tightens or loosens one knob sees consistent behaviour everywhere:
 the same config object is accepted by the kernel routines, the order checks,
-the canonical-form constructions and the CLI.
+the canonical-form constructions and the CLI.  Every threshold is relative
+to the inputs it judges (numkernel owns how that scale is taken), so a
+verdict does not depend on the units of the matrices.
 """
 
 from dataclasses import dataclass
+
 import numpy as np
 
 
@@ -19,34 +22,33 @@ class ToleranceConfig:
         magnitude <= rank_rel_tol * max|lambda| count as zero.  None selects
         the scale-aware default n * machine epsilon.
     psd_tol
-        Slack on the PSD test: the matrix passes when its minimum eigenvalue
-        is >= -psd_tol * max(1, max|lambda|).
+        Slack on the PSD test, relative to the inputs with no floor: the
+        minimum eigenvalue must be >= -psd_tol * the largest entry of the
+        matrix (of A and B when it is the difference B - A).
     idem_tol
         Half-width of the eigenvalue clusters treated as {0} and {1} when
         certifying idempotents during simultaneous reduction.
     recon_tol
-        Relative residual accepted when a factorization is multiplied back
-        together and compared against its input.
-    sym_tol
-        Relative asymmetry accepted silently when coercing raw input;
-        inputs beyond it are still symmetrized but flagged.
+        Relative residual accepted by identity checks (reconstructions,
+        equality, A^2 = A B) and by the symmetrization of raw input, which
+        flags input skewed beyond it.  Identities that multiply by an inner
+        inverse or an estimator widen it by their unit-free size when that
+        exceeds 1 (numkernel.identity_budget).
+
+    Every value must be positive and finite.
     """
 
     rank_rel_tol: float | None = None
     psd_tol: float = 1e-9
     idem_tol: float = 1e-8
     recon_tol: float = 1e-8
-    sym_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("psd_tol", "idem_tol", "recon_tol", "sym_tol"):
-            value = getattr(self, name)
-            if not (value > 0):
-                raise ValueError(f"{name} must be positive, got {value!r}")
-        if self.rank_rel_tol is not None and not (self.rank_rel_tol > 0):
-            raise ValueError(
-                f"rank_rel_tol must be positive or None, got {self.rank_rel_tol!r}"
-            )
+        for name, value in vars(self).items():
+            if name == "rank_rel_tol" and value is None:
+                continue
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     def rank_cutoff(self, n: int, max_abs_eig: float) -> float:
         """Absolute eigenvalue cutoff below which rank counting treats

@@ -12,6 +12,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from psdorder import (
     MinusMethod,
@@ -393,7 +394,9 @@ def test_criterion_8_cli_contract(tmp_path, capsys):
         assert code == want, (argv, want, code, captured.err)
         if want in (0, 1):
             assert captured.out.count("\n") == 1, argv
-            json.loads(captured.out)
+            # strict JSON: NaN and Infinity are not valid JSON values
+            json.loads(captured.out,
+                       parse_constant=lambda c: pytest.fail(f"{argv}: stdout holds {c}"))
         else:
             assert captured.out == "", argv
     print(f"criterion 8 (cli contract): PASS -- {len(corpus)} fixtures, "

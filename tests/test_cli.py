@@ -22,10 +22,19 @@ def csv(tmp_path, name, m):
     return str(p)
 
 
+def _reject_constant(token):
+    raise ValueError(f"stdout is not strict JSON: it holds {token}")
+
+
+def strict_json(text):
+    """Parse stdout as JSON, rejecting the NaN/Infinity extensions."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run_json(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out.strip()
-    return code, (json.loads(out) if out else None)
+    return code, (strict_json(out) if out else None)
 
 
 # ----- file formats ----------------------------------------------------------
@@ -89,6 +98,15 @@ def test_read_vector_shapes(tmp_path):
     p.write_text("1,2\n3,4\n")
     with pytest.raises(ParseError):
         read_vector(p)
+    # JSON takes the shapes CSV takes: flat, one row or one column
+    j.write_text('{"n": 1, "entries": [[4, 5]]}')
+    np.testing.assert_array_equal(read_vector(j), [4, 5])
+    j.write_text("[[4], [5]]")
+    np.testing.assert_array_equal(read_vector(j), [4, 5])
+    for text in ("[[1, 2], [3, 4]]", "7", "[[[1]], [[2]]]"):
+        j.write_text(text)
+        with pytest.raises(ParseError, match="single row or column"):
+            read_vector(j)
 
 
 def test_write_matrix_round_trip_is_lossless(tmp_path):
@@ -364,6 +382,14 @@ def test_non_finite_vector_and_model_entries_are_parse_errors(tmp_path, capsys):
         assert_usage_error(capsys, ["model", "compare", str(model), str(model)])
 
 
+def test_matrix_as_mean_vector_is_a_usage_error(tmp_path, capsys):
+    form = csv(tmp_path, "form.csv", np.eye(4))
+    mean = tmp_path / "mean.json"
+    mean.write_text("[[1, 2], [3, 4]]")
+    assert_usage_error(capsys, [
+        "qform", "check", "--forms", form, "--cov", form, "--mean", str(mean)])
+
+
 def test_preserver_verify_rejects_bad_trials_and_sizes(tmp_path, capsys):
     s = csv(tmp_path, "s.csv", [[2.0, 1.0], [0.0, 1.0]])
     base = ["preserver", "verify", "--relation", "lowner"]
@@ -421,9 +447,20 @@ def test_tolerance_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
     assert run(["canon", "inertia", "--tol-rank", "-1", a]) == 2
 
 
+def test_non_finite_tolerances_are_usage_errors(tmp_path, capsys, monkeypatch):
+    z = csv(tmp_path, "z.csv", np.zeros((2, 2)))
+    for flag in ("--tol-rank", "--tol-psd", "--tol-idem"):
+        for value in ("inf", "nan"):
+            assert_usage_error(capsys, ["order", "minus", flag, value, z, z])
+    for env in ("PSDORDER_TOL_IDEM", "PSDORDER_TOL_PSD", "PSDORDER_TOL_RANK"):
+        monkeypatch.setenv(env, "inf")
+        assert_usage_error(capsys, ["order", "minus", z, z])
+        monkeypatch.delenv(env)
+
+
 def test_stdout_is_single_json_line(tmp_path, capsys):
     a = csv(tmp_path, "a.csv", np.eye(2))
     run(["order", "check", "--relation", "lowner", a, a])
     out = capsys.readouterr().out
     assert out.count("\n") == 1
-    json.loads(out)
+    strict_json(out)

@@ -209,6 +209,23 @@ def test_blue_detects_image_escape():
     assert not v.is_blue
 
 
+def test_blue_budget_grows_with_the_size_of_l():
+    # L adds a map of (Im X)-perp into itself with entries near 1e8, so
+    # L X = X holds exactly; its roundoff grows with |L|, and condition (i)
+    # must allow for that
+    rng = np.random.default_rng(23)
+    residuals = []
+    for _ in range(6):
+        q = ortho(rng, 4)
+        x = q[:, :2] @ rng.standard_normal((2, 2))
+        perp = q[:, 2:] @ q[:, 2:].T
+        l = q[:, :2] @ q[:, :2].T + 1e8 * q[:, 2:] @ rng.standard_normal((2, 4)) @ perp
+        v = blue_check(l, LinearModel(x=x, d=np.eye(4)))
+        assert v.cond_i
+        residuals.append(v.certificate["residual_lx"])
+    # relative to X alone, the roundoff is beyond recon_tol
+    assert max(residuals) > 1e-8
+
 def test_blue_detects_covariance_misfit():
     # least squares under heteroscedastic noise: conditions (i) and (ii)
     # hold but V(Ly) is not below V(y) in the rank-subtractive sense

@@ -1,6 +1,8 @@
-"""One owner for a matrix's spectrum: each SymMatrix is decomposed once,
-rank and PSD cutoffs are questions to its EigDecomposition, and reusing a
-cached decomposition changes no output bit."""
+"""One owner for a matrix's spectrum and for the scale policy: each
+SymMatrix is decomposed once, rank and PSD cutoffs are questions to its
+EigDecomposition, reusing a cached decomposition changes no output bit,
+and every tolerance is relative to the inputs, so scaling a pair by c > 0
+leaves each verdict unchanged."""
 
 import dataclasses
 import struct
@@ -18,6 +20,7 @@ from psdorder import (
     ToleranceConfig,
     column_basis,
     inertia,
+    is_psd,
     lowner_leq,
     minus_leq,
     rect_rank,
@@ -25,7 +28,7 @@ from psdorder import (
     star_family_leq,
     sym_eig,
 )
-from psdorder.numkernel import min_singular_value, shared_cutoff
+from psdorder.numkernel import min_singular_value, rel_residual, shared_cutoff
 
 
 @pytest.fixture
@@ -78,10 +81,10 @@ def _verdict(route, a, b):
 
 
 @pytest.mark.parametrize("route, holds_eighs, fails_eighs", [
-    ("lowner", 1, 2),
-    ("minus_rank", 3, 4),
-    ("minus_image", 3, 4),
-    ("minus_ginv", 3, 4),
+    ("lowner", 1, 1),
+    ("minus_rank", 3, 3),
+    ("minus_image", 3, 3),
+    ("minus_ginv", 3, 3),
     ("star", 2, 2),
 ])
 def test_eigh_calls_per_verdict(eigh_calls, route, holds_eighs, fails_eighs):
@@ -212,3 +215,85 @@ def test_min_singular_value():
     assert not ok and sigma < 1e-15
     assert min_singular_value(np.zeros((2, 2))) == (0.0, False)
     assert min_singular_value(np.zeros((0, 0))) == (1.0, True)
+
+
+ROUTES = ["lowner", "minus_rank", "minus_image", "minus_ginv", "star"]
+
+
+@pytest.mark.parametrize("k", [-300, -200, *range(-12, 13, 3), 200, 300])
+@pytest.mark.parametrize("label", ["holds", "fails"])
+@pytest.mark.parametrize("route", ROUTES)
+def test_verdict_is_invariant_under_positive_scaling(route, label, k):
+    a, b = PAIRS[route.split("_")[0]][label]
+    c = 10.0 ** k
+    assert _verdict(route, c * a, c * b).detail == _verdict(route, a, b).detail
+    swapped = "strictly greater" if label == "holds" else "incomparable"
+    assert _verdict(route, c * b, c * a).detail == swapped
+
+
+def test_scale_defects_of_absolute_floors_are_gone():
+    a, b = np.diag([1.0, 0.0]), np.diag([2.0, 0.0])
+    # cA - cB has eigenvalue -c, however small c is
+    c = 1e-10
+    v = lowner_leq(c * b, c * a)
+    assert not v.holds and v.detail == "strictly greater"
+    # A^2 = diag(1, 0) differs from AB = diag(2, 0) at every scale
+    c = 1e-6
+    v = star_family_leq(c * a, c * b)
+    assert not v.holds and v.certificate["residual"] == pytest.approx(0.5)
+    assert not is_psd(1e-10 * np.diag([1.0, -1.0])).ok
+    # the star products neither underflow nor overflow: A^2 = A = A diag(1, 1)
+    for c in (1e-200, 1e200):
+        assert not star_family_leq(c * a, c * b).holds
+        assert star_family_leq(c * a, c * np.eye(2)).detail == "strictly less"
+    # equal images of I at 10^6 that differ by roundoff are equal
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((5, 5)))
+    big = 1e6 * np.eye(5)
+    v = lowner_leq(big, 1e6 * (q @ q.T))
+    assert v.holds and v.detail == "equal"
+
+
+def test_rank_and_ginv_routes_agree_on_a_small_image_eigenvalue():
+    # an image eigenvalue of 1e-9 sits far above the rank cutoff; the ginv
+    # identities lose about eps |G| |A| to roundoff, and their budget allows it
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        a = q @ np.diag([1.0, 1e-9, 0.0, 0.0]) @ q.T
+        b = q @ np.diag([1.0, 1e-9, 1.0, 0.0]) @ q.T
+        for method in ("rank", "ginv"):
+            v = minus_leq(a, b, method=method)
+            assert v.holds and v.detail == "strictly less", method
+
+def test_exact_zero_is_its_own_case():
+    z = np.zeros((3, 3))
+    check = is_psd(z)
+    assert check.ok and check.threshold == 0.0
+    for route in ROUTES:
+        assert _verdict(route, z, z).detail == "equal", route
+    p = np.diag([1e-100, 0.0, 0.0])
+    for route in ROUTES:
+        assert _verdict(route, z, p).detail == "strictly less", route
+        assert _verdict(route, p, z).detail == "strictly greater", route
+
+
+def test_rel_residual():
+    a = np.array([[4.0, -2.0], [0.0, 1.0]])
+    assert rel_residual(a - a, a) == 0.0
+    assert rel_residual(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
+    assert rel_residual(np.zeros((0, 0)), np.zeros((0, 0))) == 0.0
+    assert rel_residual(1e-300 * np.eye(2), np.zeros((2, 2))) == np.inf
+    assert rel_residual([[1.0, 0.0]], a, 2 * a) == 1.0 / 8.0
+    # the same ratio at every scale
+    assert rel_residual(1e-200 * np.eye(2), 1e-200 * a) == rel_residual(np.eye(2), a)
+
+
+def test_negated_spectrum_decomposes_minus_a():
+    a, b = PAIRS["lowner"]["fails"]
+    eig = sym_eig(b - a)
+    neg = eig.negated()
+    assert np.all(np.diff(neg.values) <= 0)
+    np.testing.assert_array_equal(neg.values, -eig.values[::-1])
+    np.testing.assert_allclose(neg.reconstruct(), a - b, atol=1e-12)
+    assert neg.radius == eig.radius and neg.rank() == eig.rank()
+    assert not neg.values.flags.writeable
