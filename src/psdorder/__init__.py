@@ -37,7 +37,6 @@ from .linmodels import (
     QFormReport,
     blue_check,
     efficiency_matrix,
-    efficiency_matrix_reduced,
     estimator_covariance,
     mc_quadratic_forms,
     model_compare,
@@ -51,12 +50,9 @@ from .numkernel import (
     SymMatrix,
     column_basis,
     image_basis,
-    inner_ginverse,
     is_psd,
     numerical_rank,
     pinv,
-    pos_neg_split,
-    projector_onto,
     rect_rank,
     subspace_leq,
     sym_eig,
@@ -65,10 +61,10 @@ from .orders import (
     MinusMethod,
     OrderVerdict,
     Relation,
-    adjacent,
     lowner_leq,
     matrices_equal,
     minus_leq,
+    order_leq,
     star_family_leq,
 )
 from .preservers import (

@@ -6,6 +6,9 @@ stderr) so the tool can be scripted and its verdicts diffed.  Exit codes:
 domain precondition rejects the input (a JSON verdict is still printed),
 2 usage or parse errors.
 
+Each subcommand is one row of the _COMMANDS table, whose handler returns
+(payload, ok); run() alone prints the payload and maps ok to exit 0 or 1.
+
 Matrix files are CSV (one row per line, comma-separated) or JSON
 ({"n": int, "entries": [[...]]}); model files are JSON objects with keys
 "X", "D" and optionally "sigma2" and "label".  Matrices written by the tool
@@ -43,15 +46,15 @@ from .linmodels import (
     qform_rank_criterion,
 )
 from .numkernel import SymMatrix, rel_residual
-from .orders import MinusMethod, Relation, lowner_leq, minus_leq, star_family_leq
+from .orders import MinusMethod, Relation, minus_leq, order_leq
 from .preservers import MatrixMap, congruence_map, fit_congruence, preserves_order
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
-# flag -> (environment variable, ToleranceConfig field)
+# flag dest -> (environment variable, ToleranceConfig field, help text)
 _ENV_FLAGS = {
-    "tol_rank": ("PSDORDER_TOL_RANK", "rank_rel_tol"),
-    "tol_psd": ("PSDORDER_TOL_PSD", "psd_tol"),
-    "tol_idem": ("PSDORDER_TOL_IDEM", "idem_tol"),
+    "tol_rank": ("PSDORDER_TOL_RANK", "rank_rel_tol", "relative rank cutoff"),
+    "tol_psd": ("PSDORDER_TOL_PSD", "psd_tol", "PSD slack"),
+    "tol_idem": ("PSDORDER_TOL_IDEM", "idem_tol", "idempotency slack"),
 }
 
 # Errors that mean "the mathematics said no", not "the input was garbage".
@@ -203,21 +206,13 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if dataclasses.is_dataclass(obj):
-        return _jsonable(dataclasses.asdict(obj))
     return obj
-
-
-def _emit(payload: dict, tol: ToleranceConfig) -> None:
-    payload["tolerances"] = dataclasses.asdict(tol)
-    payload["version"] = __version__
-    print(json.dumps(_jsonable(payload)))
 
 
 def _build_tol(args) -> ToleranceConfig:
     """Effective tolerances: defaults, then environment, then flags."""
     updates = {}
-    for dest, (env, name) in _ENV_FLAGS.items():
+    for dest, (env, name, _) in _ENV_FLAGS.items():
         value = getattr(args, dest, None)
         if value is None and env in os.environ:
             value = _parse_float_token(os.environ[env], f"${env}")
@@ -226,59 +221,32 @@ def _build_tol(args) -> ToleranceConfig:
     return dataclasses.replace(DEFAULT_TOL, **updates) if updates else DEFAULT_TOL
 
 
-def _verdict_payload(command: str, verdict) -> dict:
-    payload = {
-        "command": command,
+def _verdict_payload(verdict) -> dict:
+    return {
         "holds": verdict.holds,
         "relation": verdict.relation,
         "detail": verdict.detail,
-        "certificate": _jsonable(verdict.certificate),
+        "certificate": verdict.certificate,
     }
-    if not command:  # nested verdicts inside a larger payload
-        del payload["command"]
-    return payload
 
 
 def _cmd_order_check(args, tol):
     a = read_matrix(args.a, tol)
     b = read_matrix(args.b, tol)
-    relation = Relation(args.relation)
-    if relation is Relation.LOWNER:
-        verdict = lowner_leq(a, b, tol)
-    elif relation is Relation.MINUS:
-        verdict = minus_leq(a, b, tol=tol)
-    else:
-        verdict = star_family_leq(a, b, relation, tol)
-    _emit(_verdict_payload("order check", verdict), tol)
-    return 0 if verdict.holds else 1
+    verdict = order_leq(a, b, args.relation, tol)
+    return _verdict_payload(verdict), verdict.holds
 
 
 def _cmd_order_minus(args, tol):
     a = read_matrix(args.a, tol)
     b = read_matrix(args.b, tol)
     verdict = minus_leq(a, b, method=MinusMethod(args.method), tol=tol)
-    payload = _verdict_payload("order minus", verdict)
-    payload["method"] = args.method
-    _emit(payload, tol)
-    return 0 if verdict.holds else 1
+    return {**_verdict_payload(verdict), "method": args.method}, verdict.holds
 
 
 def _cmd_canon_inertia(args, tol):
-    a = read_matrix(args.a, tol)
-    ine = inertia(a, tol)
-    _emit(
-        {
-            "command": "canon inertia",
-            "result": {
-                "n_pos": ine.n_pos,
-                "n_neg": ine.n_neg,
-                "n_zero": ine.n_zero,
-                "rank": ine.rank,
-            },
-        },
-        tol,
-    )
-    return 0
+    ine = inertia(read_matrix(args.a, tol), tol)
+    return {"result": {**dataclasses.asdict(ine), "rank": ine.rank}}, True
 
 
 def _cmd_canon_simcong(args, tol):
@@ -288,37 +256,16 @@ def _cmd_canon_simcong(args, tol):
         res = sim_congruence(a, b, tol)
     except (NotMinusComparable, NotPositiveSemidefinite) as exc:
         triple = minus_leq(a, b, tol=tol).certificate
-        _emit(
-            {
-                "command": "canon simcong",
-                "error": type(exc).__name__,
-                "message": str(exc),
-                "rank_triple": [
-                    triple.get("rank_a"),
-                    triple.get("rank_b"),
-                    triple.get("rank_diff"),
-                ],
-            },
-            tol,
-        )
-        return 1
+        return {
+            "error": type(exc).__name__,
+            "message": str(exc),
+            "rank_triple": [triple.get(k) for k in ("rank_a", "rank_b", "rank_diff")],
+        }, False
     if args.out:
         write_matrix(args.out, res.s)
-    _emit(
-        {
-            "command": "canon simcong",
-            "result": {
-                "rank_a": res.rank_a,
-                "rank_b": res.rank_b,
-                "residual_a": res.residual_a,
-                "residual_b": res.residual_b,
-                "sigma_min": res.sigma_min,
-                "s": res.s,
-            },
-        },
-        tol,
-    )
-    return 0
+    result = dataclasses.asdict(res)
+    result["s"] = result.pop("s")  # the transform goes after the ranks and residuals
+    return {"result": result}, True
 
 
 def _parse_map(map_text: str, tol):
@@ -347,26 +294,19 @@ def _cmd_preserver_verify(args, tol):
     if n < 2:
         raise ParseError(f"preserver checks need n >= 2, got n={n}")
     report = preserves_order(
-        mmap, Relation(args.relation), n, trials=args.trials, seed=args.seed, tol=tol
+        mmap, args.relation, n, trials=args.trials, seed=args.seed, tol=tol
     )
-    _emit(
-        {
-            "command": "preserver verify",
-            "holds": report.preserves_both,
-            "result": {
-                "relation": report.relation,
-                "map": report.map_label,
-                "n": report.n,
-                "trials": report.trials,
-                "forward_checked": report.forward_checked,
-                "forward_failures": report.forward_failures,
-                "backward_checked": report.backward_checked,
-                "backward_failures": report.backward_failures,
-            },
-        },
-        tol,
-    )
-    return 0 if report.preserves_both else 1
+    result = {
+        "relation": report.relation,
+        "map": report.map_label,
+        "n": report.n,
+        "trials": report.trials,
+        "forward_checked": report.forward_checked,
+        "forward_failures": report.forward_failures,
+        "backward_checked": report.backward_checked,
+        "backward_failures": report.backward_failures,
+    }
+    return {"holds": report.preserves_both, "result": result}, report.preserves_both
 
 
 def _load_sample_dir(directory) -> list:
@@ -391,60 +331,42 @@ def _cmd_preserver_fit(args, tol):
     s = fit_congruence(samples, tol)
     if args.out:
         write_matrix(args.out, s)
-    _emit(
-        {
-            "command": "preserver fit",
-            "result": {"s": s, "n_samples": len(samples)},
-        },
-        tol,
-    )
-    return 0
+    return {"result": {"s": s, "n_samples": len(samples)}}, True
 
 
 def _cmd_model_compare(args, tol):
     m1 = read_model(args.m1, tol)
     m2 = read_model(args.m2, tol)
     verdict = model_compare(m1, m2, tol)
-    _emit(
-        {
-            "command": "model compare",
-            "holds": verdict.l1_geq_l2,
-            "result": {
-                "l1_geq_l2": verdict.l1_geq_l2,
-                "l2_geq_l1": verdict.l2_geq_l1,
-                "labels": [m1.label, m2.label],
-                "m1": verdict.m1.a,
-                "m2": verdict.m2.a,
-            },
-            "certificate": {
-                "m2_leq_m1": _verdict_payload("", verdict.certificate["m2_leq_m1"]),
-                "m1_leq_m2": _verdict_payload("", verdict.certificate["m1_leq_m2"]),
-            },
+    return {
+        "holds": verdict.l1_geq_l2,
+        "result": {
+            "l1_geq_l2": verdict.l1_geq_l2,
+            "l2_geq_l1": verdict.l2_geq_l1,
+            "labels": [m1.label, m2.label],
+            "m1": verdict.m1.a,
+            "m2": verdict.m2.a,
         },
-        tol,
-    )
-    return 0 if verdict.l1_geq_l2 else 1
+        "certificate": {
+            key: _verdict_payload(v) for key, v in verdict.certificate.items()
+        },
+    }, verdict.l1_geq_l2
 
 
 def _cmd_model_blue(args, tol):
     model = read_model(args.model, tol)
     estimator = read_array(args.estimator)
     verdict = blue_check(estimator, model, tol)
-    _emit(
-        {
-            "command": "model blue",
-            "holds": verdict.is_blue,
-            "result": {
-                "cond_i": verdict.cond_i,
-                "cond_ii": verdict.cond_ii,
-                "cond_iii": verdict.cond_iii,
-                "is_blue": verdict.is_blue,
-            },
-            "certificate": _jsonable(verdict.certificate),
+    return {
+        "holds": verdict.is_blue,
+        "result": {
+            "cond_i": verdict.cond_i,
+            "cond_ii": verdict.cond_ii,
+            "cond_iii": verdict.cond_iii,
+            "is_blue": verdict.is_blue,
         },
-        tol,
-    )
-    return 0 if verdict.is_blue else 1
+        "certificate": verdict.certificate,
+    }, verdict.is_blue
 
 
 def _cmd_qform_check(args, tol):
@@ -473,30 +395,78 @@ def _cmd_qform_check(args, tol):
         mc = mc_quadratic_forms(
             [f.a for f in forms], cov.a, mean, args.mc, args.seed, tol
         )
-        report.total_chisq_ks = mc.total_ks
-        result["mc"] = {
-            "n_samples": mc.n_samples,
-            "seed": mc.seed,
-            "dfs": mc.dfs,
-            "ks": mc.ks,
-            "max_abs_corr": mc.max_abs_corr,
-            "total_df": mc.total_df,
-            "total_ks": mc.total_ks,
-        }
-        result["total_chisq_ks"] = report.total_chisq_ks
-    _emit({"command": "qform check", "holds": report.overall, "result": result}, tol)
-    return 0 if report.overall else 1
+        result["mc"] = dataclasses.asdict(mc)
+        del result["mc"]["corr"]
+        result["total_chisq_ks"] = mc.total_ks
+    return {"holds": report.overall, "result": result}, report.overall
+
+
+_RELATIONS = [r.value for r in Relation]
+_PAIR = [("a", {}), ("b", {})]
+
+# group -> (help, {subcommand -> (handler, [(argument, add_argument options)])});
+# every subcommand also takes the --tol-* flags built from _ENV_FLAGS.
+_COMMANDS = {
+    "order": ("order relation checks", {
+        "check": (_cmd_order_check, [
+            ("--relation", {"required": True, "choices": _RELATIONS}),
+            *_PAIR,
+        ]),
+        "minus": (_cmd_order_minus, [
+            ("--method", {"default": "rank",
+                          "choices": [m.value for m in MinusMethod]}),
+            *_PAIR,
+        ]),
+    }),
+    "canon": ("canonical forms", {
+        "inertia": (_cmd_canon_inertia, [("a", {})]),
+        "simcong": (_cmd_canon_simcong, [
+            *_PAIR,
+            ("--out", {"help": "write the shared transform S as CSV"}),
+        ]),
+    }),
+    "preserver": ("order-preserving maps", {
+        "verify": (_cmd_preserver_verify, [
+            ("--map", {"required": True,
+                       "help": "congruence:S.csv, trace-inflation or rank-collapse"}),
+            ("--relation", {"required": True, "choices": _RELATIONS}),
+            ("--trials", {"type": int, "default": 200}),
+            ("--seed", {"type": int, "default": 0}),
+            ("--n", {"type": int, "default": None,
+                     "help": "matrix size (defaults to the congruence size, else 3)"}),
+        ]),
+        "fit": (_cmd_preserver_fit, [
+            ("--samples", {"required": True,
+                           "help": "directory of in_<k>.csv / out_<k>.csv pairs"}),
+            ("--out", {"help": "write the fitted transform S as CSV"}),
+        ]),
+    }),
+    "model": ("linear model comparison", {
+        "compare": (_cmd_model_compare, [("m1", {}), ("m2", {})]),
+        "blue": (_cmd_model_blue, [
+            ("--estimator", {"required": True}),
+            ("model", {}),
+        ]),
+    }),
+    "qform": ("quadratic form independence", {
+        "check": (_cmd_qform_check, [
+            ("--forms", {"required": True,
+                         "help": "comma-separated list of matrix files"}),
+            ("--cov", {"required": True}),
+            ("--mean", {"required": True}),
+            ("--mc", {"type": int, "default": 0,
+                      "help": "validate empirically with this many samples"}),
+            ("--seed", {"type": int, "default": 0}),
+        ]),
+    }),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-rank", type=float, default=argparse.SUPPRESS,
-                        help="relative rank cutoff (also PSDORDER_TOL_RANK)")
-    common.add_argument("--tol-psd", type=float, default=argparse.SUPPRESS,
-                        help="PSD slack (also PSDORDER_TOL_PSD)")
-    common.add_argument("--tol-idem", type=float, default=argparse.SUPPRESS,
-                        help="idempotency slack (also PSDORDER_TOL_IDEM)")
-
+    for dest, (env, _, text) in _ENV_FLAGS.items():
+        common.add_argument("--" + dest.replace("_", "-"), type=float,
+                            default=argparse.SUPPRESS, help=f"{text} (also {env})")
     parser = argparse.ArgumentParser(
         prog="psdorder",
         parents=[common],
@@ -504,78 +474,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "comparison for symmetric PSD matrices.",
     )
     groups = parser.add_subparsers(dest="group", required=True)
-
-    order = groups.add_parser("order", help="order relation checks")
-    order_sub = order.add_subparsers(dest="sub", required=True)
-    p = order_sub.add_parser("check", parents=[common])
-    p.add_argument("--relation", required=True,
-                   choices=[r.value for r in Relation])
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(handler=_cmd_order_check)
-    p = order_sub.add_parser("minus", parents=[common])
-    p.add_argument("--method", default="rank",
-                   choices=[m.value for m in MinusMethod])
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(handler=_cmd_order_minus)
-
-    canon = groups.add_parser("canon", help="canonical forms")
-    canon_sub = canon.add_subparsers(dest="sub", required=True)
-    p = canon_sub.add_parser("inertia", parents=[common])
-    p.add_argument("a")
-    p.set_defaults(handler=_cmd_canon_inertia)
-    p = canon_sub.add_parser("simcong", parents=[common])
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--out", help="write the shared transform S as CSV")
-    p.set_defaults(handler=_cmd_canon_simcong)
-
-    pres = groups.add_parser("preserver", help="order-preserving maps")
-    pres_sub = pres.add_subparsers(dest="sub", required=True)
-    p = pres_sub.add_parser("verify", parents=[common])
-    p.add_argument("--map", required=True,
-                   help="congruence:S.csv, trace-inflation or rank-collapse")
-    p.add_argument("--relation", required=True,
-                   choices=[r.value for r in Relation])
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=None,
-                   help="matrix size (defaults to the congruence size, else 3)")
-    p.set_defaults(handler=_cmd_preserver_verify)
-    p = pres_sub.add_parser("fit", parents=[common])
-    p.add_argument("--samples", required=True,
-                   help="directory of in_<k>.csv / out_<k>.csv pairs")
-    p.add_argument("--out", help="write the fitted transform S as CSV")
-    p.set_defaults(handler=_cmd_preserver_fit)
-
-    model = groups.add_parser("model", help="linear model comparison")
-    model_sub = model.add_subparsers(dest="sub", required=True)
-    p = model_sub.add_parser("compare", parents=[common])
-    p.add_argument("m1")
-    p.add_argument("m2")
-    p.set_defaults(handler=_cmd_model_compare)
-    p = model_sub.add_parser("blue", parents=[common])
-    p.add_argument("--estimator", required=True)
-    p.add_argument("model")
-    p.set_defaults(handler=_cmd_model_blue)
-
-    qform = groups.add_parser("qform", help="quadratic form independence")
-    qform_sub = qform.add_subparsers(dest="sub", required=True)
-    p = qform_sub.add_parser("check", parents=[common])
-    p.add_argument("--forms", required=True,
-                   help="comma-separated list of matrix files")
-    p.add_argument("--cov", required=True)
-    p.add_argument("--mean", required=True)
-    p.add_argument("--mc", type=int, default=0,
-                   help="validate empirically with this many samples")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_qform_check)
+    for group, (group_help, subcommands) in _COMMANDS.items():
+        group_parser = groups.add_parser(group, help=group_help)
+        subs = group_parser.add_subparsers(dest="sub", required=True)
+        for sub, (handler, arguments) in subcommands.items():
+            p = subs.add_parser(sub, parents=[common])
+            for name, options in arguments:
+                p.add_argument(name, **options)
+            p.set_defaults(handler=handler)
     return parser
 
 
 def run(argv=None) -> int:
-    """Parse arguments, dispatch, and return the exit code."""
+    """Parse arguments, dispatch, print the handler's JSON payload on
+    stdout, and return the exit code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -587,23 +499,17 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.handler(args, tol)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        payload, ok = args.handler(args, tol)
     except _DOMAIN_ERRORS as exc:
-        _emit(
-            {
-                "command": f"{args.group} {args.sub}",
-                "error": type(exc).__name__,
-                "message": str(exc),
-            },
-            tol,
-        )
-        return 1
-    except PsdOrderError as exc:
+        payload, ok = {"error": type(exc).__name__, "message": str(exc)}, False
+    except PsdOrderError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    payload = {"command": f"{args.group} {args.sub}", **payload}
+    payload["tolerances"] = dataclasses.asdict(tol)
+    payload["version"] = __version__
+    print(json.dumps(_jsonable(payload)))
+    return 0 if ok else 1
 
 
 def main() -> None:

@@ -9,7 +9,7 @@ so this module leans on sim_congruence for its certificates, plus a seeded
 Monte Carlo routine to validate the distributional claims empirically.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,20 +115,19 @@ class QFormEntry:
     reason: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class QFormReport:
     """Rank-criterion outcome for a family of quadratic forms.
 
     `overall` asserts only the rank/congruence part; whether the total form
-    is actually chi-squared distributed is an empirical question, left to
-    mc_quadratic_forms and recorded in total_chisq_ks when available.
+    is actually chi-squared distributed is an empirical question, answered
+    by mc_quadratic_forms (McReport.total_ks).
     """
 
     w: np.ndarray
     forms: list
     s: int
     overall: bool
-    total_chisq_ks: float | None = None
 
 
 @dataclass(frozen=True)
@@ -153,23 +152,6 @@ def efficiency_matrix(model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) ->
     """
     gram = model.d.a + model.x @ model.x.T
     m = model.x.T @ pinv(SymMatrix(gram), tol) @ model.x
-    return PsdMatrix(m, tol)
-
-
-def efficiency_matrix_reduced(model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) -> PsdMatrix:
-    """The reduced summary X^T D^- X, valid when Im X is inside Im D.
-
-    For square models with X = D this collapses to D itself; it orders
-    models the same way as efficiency_matrix on their common domain but is
-    a different matrix, so it is exposed separately.
-    """
-    x_basis = column_basis(model.x, tol)
-    d_basis = column_basis(model.d.a, tol)
-    if not subspace_leq(x_basis, d_basis, tol):
-        raise PreconditionViolated(
-            "reduced efficiency form needs Im X inside Im D"
-        )
-    m = model.x.T @ pinv(model.d, tol) @ model.x
     return PsdMatrix(m, tol)
 
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonConvergence, NotPositiveSemidefinite
-from .rng import normal_matrix
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 # A unit eigenvector component below this is treated as zero when fixing signs.
@@ -109,8 +108,7 @@ class PsdMatrix(SymMatrix):
     """A symmetric matrix verified positive semidefinite at construction.
 
     The check is tolerance-based: the minimum eigenvalue must be at least
-    -psd_tol times the largest entry of the matrix (see is_psd).  The
-    computed minimum is kept as `min_eig_witness`.
+    -psd_tol times the largest entry of the matrix (see is_psd).
     """
 
     def __init__(self, data, tol: ToleranceConfig = DEFAULT_TOL):
@@ -122,7 +120,6 @@ class PsdMatrix(SymMatrix):
                 f"-{check.threshold:.6g}",
                 min_eig=check.min_eig,
             )
-        self.min_eig_witness = check.min_eig
 
 
 @dataclass(frozen=True)
@@ -137,10 +134,6 @@ class EigDecomposition:
 
     values: np.ndarray
     vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        q = self.vectors
-        return (q * self.values) @ q.T
 
     @property
     def radius(self) -> float:
@@ -306,29 +299,6 @@ def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return (q * inv) @ q.T
 
 
-def inner_ginverse(a, seed: int = 0, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """A member of the inner-inverse family {G : A G A = A}.
-
-    The family is parametrized as G = A+ + V - A+ A V A A+ with V free;
-    seed = 0 picks V = 0 and returns the pseudoinverse itself, any other
-    seed draws V from the deterministic stream keyed by it.  The defining
-    identity is re-verified before returning.
-    """
-    sym = a if isinstance(a, SymMatrix) else SymMatrix(a)
-    plus = pinv(sym, tol)
-    if seed == 0:
-        g = plus
-    else:
-        v = normal_matrix(seed, sym.n, sym.n)
-        g = plus + v - plus @ sym.a @ v @ sym.a @ plus
-    residual = rel_residual(sym.a @ g @ sym.a - sym.a, sym.a)
-    if residual > identity_budget(tol, g, sym.a):
-        raise NonConvergence(
-            f"inner-inverse identity residual {residual:.3e} exceeds budget"
-        )
-    return g
-
-
 def image_basis(a, tol: ToleranceConfig = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the column space of a symmetric matrix, taken
     from the eigenvectors whose eigenvalues clear the rank cutoff."""
@@ -357,24 +327,3 @@ def subspace_leq(u, w, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     norms = np.linalg.norm(residual, axis=0)
     return bool(np.all(norms <= tol.recon_tol))
 
-
-def pos_neg_split(a, tol: ToleranceConfig = DEFAULT_TOL):
-    """Split A = P - N with P, N both PSD and P N = 0.
-
-    P collects the eigendirections with eigenvalue above the rank cutoff, N
-    those below its negative; near-zero eigenvalues contribute to neither.
-    """
-    eig = sym_eig(a)
-    cutoff = eig.cutoff(tol)
-    pos = np.where(eig.values > cutoff, eig.values, 0.0)
-    neg = np.where(eig.values < -cutoff, -eig.values, 0.0)
-    q = eig.vectors
-    p_part = PsdMatrix((q * pos) @ q.T, tol)
-    n_part = PsdMatrix((q * neg) @ q.T, tol)
-    return p_part, n_part
-
-
-def projector_onto(u, tol: ToleranceConfig = DEFAULT_TOL) -> PsdMatrix:
-    """Orthogonal projector onto span(u), for u with orthonormal columns."""
-    b = _basis_array(u)
-    return PsdMatrix(b @ b.T, tol)

@@ -24,7 +24,6 @@ from .numkernel import (
     is_psd,
     min_singular_value,
     normalized,
-    numerical_rank,
     pinv,
     rect_rank,
     rel_residual,
@@ -279,13 +278,17 @@ def star_family_leq(
     )
 
 
-def adjacent(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
-    """Whether A and B differ by a rank-one matrix."""
-    sa, sb = _pair(a, b)
-    r = numerical_rank(SymMatrix(sb.a - sa.a), tol)
-    return OrderVerdict(
-        holds=r == 1,
-        relation="adjacent",
-        certificate={"rank_diff": r},
-        detail="adjacent" if r == 1 else f"difference has rank {r}",
-    )
+def order_leq(
+    a,
+    b,
+    relation: Relation | str,
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> OrderVerdict:
+    """A below B in `relation`, decided by the check that owns it; the minus
+    order takes its default (rank) route."""
+    relation = Relation(relation)
+    if relation is Relation.LOWNER:
+        return lowner_leq(a, b, tol)
+    if relation is Relation.MINUS:
+        return minus_leq(a, b, tol=tol)
+    return star_family_leq(a, b, relation, tol)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InconsistentSamples, SingularS
 from .numkernel import SymMatrix, maxabs, min_singular_value, rel_residual, sym_eig
-from .orders import Relation, lowner_leq, minus_leq, star_family_leq
+from .orders import Relation, lowner_leq, minus_leq, order_leq
 from .rng import normal_matrix, substream, uniforms
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -28,7 +28,6 @@ class MatrixMap:
     """A named map on symmetric matrices."""
 
     label: str
-    kind: str
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
     def apply(self, a) -> np.ndarray:
@@ -40,7 +39,6 @@ class MatrixMap:
         """A -> A + tr(A) I; keeps the PSD order forward but not backward."""
         return cls(
             label="trace-inflation",
-            kind="trace_inflation",
             fn=lambda a: a + np.trace(a) * np.eye(a.shape[0]),
         )
 
@@ -53,11 +51,11 @@ class MatrixMap:
             out[0, 0] = np.trace(a)
             return out
 
-        return cls(label="rank-collapse", kind="rank_collapse", fn=collapse)
+        return cls(label="rank-collapse", fn=collapse)
 
     @classmethod
     def custom(cls, fn: Callable[[np.ndarray], np.ndarray], label: str) -> "MatrixMap":
-        return cls(label=label, kind="custom", fn=fn)
+        return cls(label=label, fn=fn)
 
 
 def congruence_map(s, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixMap:
@@ -76,7 +74,7 @@ def congruence_map(s, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixMap:
         )
     s = s.copy()
     s.setflags(write=False)
-    return MatrixMap(label="congruence", kind="congruence", fn=lambda a: s @ a @ s.T)
+    return MatrixMap(label="congruence", fn=lambda a: s @ a @ s.T)
 
 
 @dataclass
@@ -109,15 +107,6 @@ class PreservationReport:
     @property
     def preserves_both(self) -> bool:
         return self.preserves_forward and self.preserves_backward
-
-
-def _relation_checker(relation, tol):
-    relation = Relation(relation)
-    if relation is Relation.LOWNER:
-        return lambda a, b: lowner_leq(a, b, tol).holds
-    if relation is Relation.MINUS:
-        return lambda a, b: minus_leq(a, b, tol=tol).holds
-    return lambda a, b: star_family_leq(a, b, relation, tol).holds
 
 
 def _orthogonal(seed: int, n: int) -> np.ndarray:
@@ -236,15 +225,14 @@ def preserves_order(
     for how the pairs are drawn.
     """
     relation = Relation(relation)
-    check = _relation_checker(relation, tol)
     report = PreservationReport(
         relation=relation.value, map_label=mmap.label, n=n, trials=trials
     )
     for t in range(trials):
         a, b = sample_pair(relation, seed, t, n)
         fa, fb = mmap.apply(a), mmap.apply(b)
-        before = check(a, b)
-        after = check(fa, fb)
+        before = order_leq(a, b, relation, tol).holds
+        after = order_leq(fa, fb, relation, tol).holds
         if before:
             report.forward_checked += 1
             if not after:

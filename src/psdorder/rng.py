@@ -1,8 +1,8 @@
 """Deterministic, counter-based random streams.
 
-Everything stochastic in this package (inner inverse perturbations, sampled
-order-preservation trials, Monte Carlo draws) is keyed by an integer seed and
-produced by SplitMix64 counters mapped through Box-Muller.  Counter-based
+Everything stochastic in this package (sampled order-preservation trials,
+Monte Carlo draws) is keyed by an integer seed and produced by SplitMix64
+counters mapped through Box-Muller.  Counter-based
 generation means a stream can be sharded by offset: draws [k, k+m) are the
 same whether produced in one call or many, so parallel shards and a single
 sequential run agree bit for bit.

@@ -3,9 +3,10 @@
 Everything here runs on Fractions (or closed forms), so oracle answers carry
 no floating-point error.  The production code must agree with these on
 integer fixtures; the oracles must never import the numerical routines they
-are checking.  The one float routine, jacobi_eigvals, is a plain cyclic
-Jacobi iteration: an eigensolver independent of LAPACK for cross-checking
-spectra on small random matrices.
+are checking.  The float routines are jacobi_eigvals, a plain cyclic
+Jacobi iteration (an eigensolver independent of LAPACK for cross-checking
+spectra on small random matrices), and inner_inverse, a closed form that
+takes the pseudoinverse from its caller.
 """
 
 from fractions import Fraction
@@ -142,6 +143,12 @@ def jacobi_eigvals(a, tol=1e-12, sweeps=30):
                 a = rot.T @ a @ rot
                 a[p, r] = a[r, p] = 0.0
     raise AssertionError(f"Jacobi did not converge in {sweeps} sweeps")
+
+
+def inner_inverse(a, a_plus, v):
+    """The member G = A+ + V - A+ A V A A+ of the inner-inverse family
+    {G : A G A = A}, given the pseudoinverse A+ of A and any square V."""
+    return a_plus + v - a_plus @ a @ v @ a @ a_plus
 
 
 def integer_psd(rng, n, rank=None, lo=-3, hi=3):

@@ -1,10 +1,15 @@
 """Command-line contract: file formats, exit codes, tolerance plumbing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import psdorder
 from psdorder.cli import (
     read_array,
     read_matrix,
@@ -464,3 +469,23 @@ def test_stdout_is_single_json_line(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("\n") == 1
     strict_json(out)
+
+
+@pytest.mark.parametrize("pair, code", [((1, 2), 0), ((2, 1), 1), (None, 2)])
+def test_python_m_entry_point(tmp_path, pair, code):
+    files = {k: csv(tmp_path, f"e{k}.csv", np.diag([1.0] * k + [0.0] * (2 - k)))
+             for k in (1, 2)}
+    argv = ["order"]  # no subcommand: a usage error
+    if pair:
+        argv = ["order", "check", "--relation", "lowner", *(files[k] for k in pair)]
+    src = str(Path(psdorder.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "psdorder", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == code
+    if code == 2:
+        assert proc.stdout == "" and "usage:" in proc.stderr
+    else:
+        assert proc.stdout.count("\n") == 1
+        assert strict_json(proc.stdout)["holds"] is (code == 0)

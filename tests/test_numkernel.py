@@ -11,12 +11,9 @@ from psdorder import (
     SymMatrix,
     ToleranceConfig,
     image_basis,
-    inner_ginverse,
     is_psd,
     numerical_rank,
     pinv,
-    pos_neg_split,
-    projector_onto,
     rect_rank,
     subspace_leq,
     sym_eig,
@@ -99,7 +96,8 @@ def test_eig_reconstruction_and_orthogonality():
         a = random_sym(rng, n, scale=3.0)
         eig = sym_eig(a)
         assert np.all(np.diff(eig.values) <= 1e-12)
-        np.testing.assert_allclose(eig.reconstruct(), a, atol=1e-12 * max(1.0, maxabs(a)))
+        q = eig.vectors
+        np.testing.assert_allclose((q * eig.values) @ q.T, a, atol=1e-12 * max(1.0, maxabs(a)))
         np.testing.assert_allclose(eig.vectors.T @ eig.vectors, np.eye(n), atol=1e-13)
 
 
@@ -190,35 +188,6 @@ def test_pinv_penrose_identities():
         assert maxabs((ap @ a) - (ap @ a).T) <= 1e-10 * scale
 
 
-def test_inner_ginverse_identity_and_seeds():
-    rng = np.random.default_rng(47)
-    for trial in range(60):
-        n = int(rng.integers(1, 6))
-        r = int(rng.integers(0, n + 1))
-        g = rng.standard_normal((n, r)) if r else np.zeros((n, 0))
-        a = g @ g.T
-        for seed in (0, 1, trial + 2):
-            gi = inner_ginverse(a, seed=seed)
-            assert maxabs(a @ gi @ a - a) <= 1e-8 * max(1.0, maxabs(a))
-    # seed 0 is the Moore-Penrose choice
-    a = np.diag([3.0, 0.0])
-    np.testing.assert_allclose(inner_ginverse(a, seed=0), pinv(a), atol=1e-14)
-
-
-def test_inner_ginverse_invertible_case():
-    rng = np.random.default_rng(53)
-    a = random_sym(rng, 4) + 5.0 * np.eye(4)
-    # for invertible A every inner inverse equals the inverse
-    for seed in (0, 1, 99):
-        np.testing.assert_allclose(inner_ginverse(a, seed=seed), np.linalg.inv(a), atol=1e-10)
-
-
-def test_inner_ginverse_differs_from_pinv_when_singular():
-    a = np.diag([1.0, 0.0])
-    g1 = inner_ginverse(a, seed=12)
-    assert maxabs(g1 - pinv(a)) > 1e-8
-
-
 def test_image_basis():
     u = image_basis(np.diag([1.0, 0.0]))
     assert u.dim == 1 and u.n == 2
@@ -243,38 +212,6 @@ def test_subspace_leq():
     # zero-dimensional subspace sits inside everything
     z = image_basis(np.zeros((3, 3)))
     assert subspace_leq(z, e1)
-
-
-def test_pos_neg_split_swap_matrix():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    pos, neg = pos_neg_split(a)
-    np.testing.assert_allclose(pos.a, [[0.5, 0.5], [0.5, 0.5]], atol=1e-14)
-    np.testing.assert_allclose(neg.a, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-14)
-
-
-def test_pos_neg_split_properties():
-    rng = np.random.default_rng(61)
-    for _ in range(80):
-        n = int(rng.integers(1, 7))
-        a = random_sym(rng, n, scale=2.0)
-        pos, neg = pos_neg_split(a)
-        assert isinstance(pos, PsdMatrix) and isinstance(neg, PsdMatrix)
-        np.testing.assert_allclose(pos.a - neg.a, a, atol=1e-12 * max(1.0, maxabs(a)))
-        assert numerical_rank(pos.a) + numerical_rank(neg.a) == numerical_rank(a)
-
-
-def test_projector_onto():
-    rng = np.random.default_rng(67)
-    for _ in range(40):
-        n = int(rng.integers(1, 7))
-        a = random_sym(rng, n)
-        u = image_basis(a)
-        p = projector_onto(u)
-        assert isinstance(p, PsdMatrix)
-        np.testing.assert_allclose(p.a @ p.a, p.a, atol=1e-12)
-        assert numerical_rank(p.a) == u.dim
-        # projector restricted to the subspace is the identity
-        np.testing.assert_allclose(p.a @ u.basis, u.basis, atol=1e-12)
 
 
 def test_tolerance_config_validation():

@@ -5,16 +5,17 @@ import pytest
 
 import oracles
 from psdorder import (
+    DEFAULT_TOL,
     MinusMethod,
     Relation,
     ToleranceConfig,
-    adjacent,
     canonical_ek,
     image_basis,
     lowner_leq,
     matrices_equal,
     minus_leq,
     numerical_rank,
+    order_leq,
     star_family_leq,
     subspace_leq,
 )
@@ -123,13 +124,27 @@ def test_idempotent_characterization():
         assert not minus_leq(1.7 * p, np.eye(n), tol=TOL12).holds
 
 
-def test_adjacent():
-    e1, e2, e3 = (canonical_ek(3, k) for k in (1, 2, 3))
-    assert adjacent(e1, e2).holds
-    v = adjacent(e1, e3)
-    assert not v.holds and v.certificate["rank_diff"] == 2
-    assert not adjacent(e2, e2).holds
-    assert adjacent(np.zeros((2, 2)), np.outer([1.0, 2.0], [1.0, 2.0])).holds
+LOOSE = ToleranceConfig(rank_rel_tol=0.1, psd_tol=0.1, recon_tol=0.1)
+
+
+@pytest.mark.parametrize("rel", ALL_RELATIONS, ids=lambda r: r.value)
+def test_order_leq_matches_the_specific_check(rel):
+    rng = np.random.default_rng(31)
+    e1, e2 = canonical_ek(3, 1), canonical_ek(3, 2)
+    near = (np.diag([1.05, 0.0, 0.0]), np.diag([1.0, 1.0, 0.0]))
+    pairs = [(e1, e2), (e2, e1), (e1, e1), star_pair(rng, 3, 1, 2),
+             (random_psd(rng, 3), random_psd(rng, 3)), near]
+    for tol in (DEFAULT_TOL, LOOSE):
+        for a, b in pairs:
+            got, want = order_leq(a, b, rel.value, tol), check(rel, a, b, tol=tol)
+            assert (got.holds, got.relation, got.detail) == (
+                want.holds, want.relation, want.detail)
+            assert got.certificate.keys() == want.certificate.keys()
+            for key, value in want.certificate.items():
+                np.testing.assert_array_equal(got.certificate[key], value)
+    # the near pair is related only under the loose tolerances, so the
+    # tolerance reaches the specific check
+    assert not order_leq(*near, rel).holds and order_leq(*near, rel, LOOSE).holds
 
 
 def test_dimension_mismatch():
