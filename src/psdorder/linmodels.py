@@ -31,7 +31,7 @@ from .numkernel import (
     subspace_leq,
     sym_eig,
 )
-from .orders import OrderVerdict, lowner_leq, matrices_equal, minus_leq
+from .orders import OrderVerdict, lowner_both, matrices_equal, minus_leq
 from .rng import normal_matrix, substream
 from .special import chi2_cdf, ks_uniform_distance
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -161,8 +161,8 @@ def model_compare(
     """Compare two models over the same parameter vector.
 
     l1 is at least as good as l2 exactly when M2 <= M1 in the PSD order;
-    both directions are computed and certified.  The observation counts may
-    differ, only the parameter dimension must agree.
+    both directions are certified from the one spectrum of M1 - M2.  The
+    observation counts may differ, only the parameter dimension must agree.
     """
     if l1.p != l2.p:
         raise DimensionMismatch(
@@ -170,8 +170,7 @@ def model_compare(
         )
     m1 = efficiency_matrix(l1, tol)
     m2 = efficiency_matrix(l2, tol)
-    forward = lowner_leq(m2, m1, tol)
-    backward = lowner_leq(m1, m2, tol)
+    forward, backward = lowner_both(m2, m1, tol)
     return ComparisonVerdict(
         l1_geq_l2=forward.holds,
         l2_geq_l1=backward.holds,

@@ -15,8 +15,9 @@ Conventions shared by everything built on top of this module:
   apply the same convention to singular values through _sv_keep,
 - every other tolerance is relative to its inputs, with no absolute
   floor: rel_residual measures a residual against the largest entry of
-  the matrices compared, and is_psd's threshold is psd_tol times the
-  largest entry of its references, so scaling every input by c > 0
+  the matrices compared, and a PSD threshold is psd_tol times the
+  largest entry of the matrices the test is about (A for is_psd, A and B
+  for the Loewner order on B - A), so scaling every input by c > 0
   changes no decision; exact zero is its own case at any scale.
 """
 
@@ -165,6 +166,14 @@ class EigDecomposition:
         values.setflags(write=False)
         return EigDecomposition(values=values, vectors=self.vectors[:, ::-1])
 
+    def psd(self, threshold: float) -> "PsdCheck":
+        """Whether the smallest eigenvalue is at least -threshold, with its
+        eigenvector as the witness on failure."""
+        min_eig = float(self.values[-1]) if self.values.size else 0.0
+        ok = min_eig >= -threshold
+        witness = None if ok else self.vectors[:, -1]
+        return PsdCheck(ok=ok, min_eig=min_eig, threshold=threshold, witness=witness)
+
 
 @dataclass(frozen=True)
 class SubspaceBasis:
@@ -271,18 +280,12 @@ def min_singular_value(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, bo
     return (float(s[-1]) if s.size else 1.0), bool(_sv_keep(s, m.shape, tol).all())
 
 
-def is_psd(a, tol: ToleranceConfig = DEFAULT_TOL, refs=None) -> PsdCheck:
+def is_psd(a, tol: ToleranceConfig = DEFAULT_TOL) -> PsdCheck:
     """Tolerance-based PSD test with an eigenvalue (and, on failure, an
     eigenvector) witness.  The minimum eigenvalue must be at least
-    -psd_tol times the largest entry of `refs` (default: A itself); a test
-    of B - A passes A and B, whose scale its roundoff follows."""
+    -psd_tol times the largest entry of A."""
     sym = a if isinstance(a, SymMatrix) else SymMatrix(a)
-    eig = sym_eig(sym)
-    min_eig = float(eig.values[-1]) if eig.values.size else 0.0
-    threshold = tol.psd_tol * max(map(maxabs, refs or (sym.a,)))
-    ok = min_eig >= -threshold
-    witness = None if ok else eig.vectors[:, -1]
-    return PsdCheck(ok=ok, min_eig=min_eig, threshold=threshold, witness=witness)
+    return sym_eig(sym).psd(tol.psd_tol * maxabs(sym.a))
 
 
 def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -21,7 +21,7 @@ from .numkernel import (
     SymMatrix,
     identity_budget,
     image_basis,
-    is_psd,
+    maxabs,
     min_singular_value,
     normalized,
     pinv,
@@ -80,7 +80,7 @@ def matrices_equal(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 
 def _detail(holds: bool, equal: bool, reverse_holds: bool) -> str:
-    if equal:
+    if holds and equal:
         return "equal"
     if holds:
         return "strictly less"
@@ -89,19 +89,7 @@ def _detail(holds: bool, equal: bool, reverse_holds: bool) -> str:
     return "incomparable"
 
 
-def lowner_leq(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
-    """A <= B in the PSD sense: is B - A positive semidefinite?
-
-    The certificate records the smallest eigenvalue of the difference, the
-    threshold it was held against (psd_tol times the scale of A and B) and,
-    on failure, a unit vector x with x^T (B - A) x < 0.  The reverse
-    question reads the same spectrum: is max eig(B - A) <= threshold?
-    """
-    sa, sb = _pair(a, b)
-    diff = SymMatrix(sb.a - sa.a)
-    check = is_psd(diff, tol, refs=(sa.a, sb.a))
-    equal = matrices_equal(sa, sb, tol)
-    reverse = not check.ok and float(sym_eig(diff).values[0]) <= check.threshold
+def _lowner_verdict(check, equal: bool, reverse_holds: bool) -> OrderVerdict:
     return OrderVerdict(
         holds=check.ok,
         relation=Relation.LOWNER.value,
@@ -110,8 +98,31 @@ def lowner_leq(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
             "threshold": check.threshold,
             "witness": check.witness,
         },
-        detail=_detail(check.ok, equal, reverse),
+        detail=_detail(check.ok, equal, reverse_holds),
     )
+
+
+def lowner_both(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[OrderVerdict, OrderVerdict]:
+    """The verdicts A <= B and B <= A in the PSD sense, both read from the
+    one spectrum of B - A: B <= A is the PSD test of its negation.
+
+    Each certificate records the smallest eigenvalue of its difference, the
+    threshold it was held against (psd_tol times the largest entry of A and
+    B) and, on failure, a unit vector x with x^T (difference) x < 0.  The
+    pair is equal when every eigenvalue of B - A is within the threshold.
+    """
+    sa, sb = _pair(a, b)
+    eig = sym_eig(SymMatrix(sb.a - sa.a))
+    threshold = tol.psd_tol * max(maxabs(sa.a), maxabs(sb.a))
+    up, down = eig.psd(threshold), eig.negated().psd(threshold)
+    equal = eig.radius <= threshold
+    return _lowner_verdict(up, equal, down.ok), _lowner_verdict(down, equal, up.ok)
+
+
+def lowner_leq(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
+    """A <= B in the PSD sense: is B - A positive semidefinite?  The
+    certificate is described under lowner_both."""
+    return lowner_both(a, b, tol)[0]
 
 
 def _minus_by_rank(sa, sb, eigs, cutoff, tol):
@@ -222,7 +233,7 @@ def minus_leq(
     cutoff = shared_cutoff(eigs, tol)
     holds, cert = route(sa, sb, eigs, cutoff, tol)
     cert["method"] = method.value
-    equal = matrices_equal(sa, sb, tol)
+    equal = e_d.rank(tol, cutoff) == 0
     reverse = not holds and route(sb, sa, (e_b, e_a, e_d.negated()), cutoff, tol)[0]
     return OrderVerdict(
         holds=holds,

@@ -386,6 +386,24 @@ def test_detail_field_all_values():
     assert minus_leq(b, a).detail == "strictly greater"
 
 
+def test_equal_is_decided_by_the_verdicts_own_criterion():
+    # within recon_tol of each other, but each verdict's own spectrum and
+    # cutoff separates them, so neither may read "equal"
+    v = lowner_leq(np.eye(2), np.diag([1.0, 1.0 - 5e-9]))
+    assert not v.holds and v.detail == "strictly greater"
+    e11 = np.diag([1.0, 0.0])
+    for method in MinusMethod:
+        v = minus_leq(np.eye(2), np.eye(2) + 1e-9 * e11, method=method)
+        assert not v.holds and v.detail == "incomparable", method
+    # differences at the roundoff level still read equal
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+    a = q @ np.diag([3.0, 1.0, 0.0, 0.0]) @ q.T
+    b = q @ np.diag([3.0, 1.0, 0.0, 0.0]) @ q.T + 1e-17 * np.eye(4)
+    for rel in ALL_RELATIONS:
+        v = check(rel, a, b)
+        assert v.holds and v.detail == "equal", rel
+
+
 def test_star_rejects_unknown_variant():
     with pytest.raises(ValueError):
         star_family_leq(np.eye(2), np.eye(2), variant="lowner")

@@ -5,17 +5,23 @@ import math
 import numpy as np
 import pytest
 
+from psdorder import special
+from psdorder.errors import NonConvergence
 from psdorder.special import chi2_cdf, gammainc_lower_reg, ks_uniform_distance
-
-scipy_stats = pytest.importorskip("scipy.stats")
 
 
 def test_chi2_cdf_against_scipy():
-    xs = np.concatenate([np.linspace(0.0, 5.0, 41), np.linspace(6.0, 80.0, 30)])
-    for df in (1, 2, 3, 5, 10, 25, 100):
+    scipy_stats = pytest.importorskip("scipy.stats")
+    grid = np.concatenate([np.linspace(0.0, 5.0, 41), np.linspace(6.0, 80.0, 30)])
+    for df in (1, 2, 3, 5, 10, 25, 100, 201, 1000):
+        # df + 2 is x = s + 1 for the incomplete gamma, where the series
+        # hands over to the continued fraction; the bulk sits within a few
+        # sqrt(2 df) of df
+        bulk = df + np.sqrt(2.0 * df) * np.linspace(-6.0, 6.0, 49)
+        xs = np.concatenate([grid, [df + 2.0], np.maximum(bulk, 0.0)])
         ours = chi2_cdf(xs, df)
         ref = scipy_stats.chi2.cdf(xs, df)
-        np.testing.assert_allclose(ours, ref, atol=1e-12)
+        np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-12)
 
 
 def test_chi2_cdf_known_values():
@@ -34,6 +40,27 @@ def test_chi2_cdf_edges():
         chi2_cdf(1.0, 0)
     with pytest.raises(ValueError):
         chi2_cdf(1.0, -2)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            chi2_cdf([1.0, bad], 3)
+
+
+def test_exhausted_budget_raises(monkeypatch):
+    monkeypatch.setattr(special, "_MAX_ITER", 3)
+    with pytest.raises(NonConvergence):
+        chi2_cdf(3.2, 1)  # x = s + 1.1: the continued fraction
+    with pytest.raises(NonConvergence):
+        chi2_cdf(0.9, 1)  # x < s + 1: the series
+
+
+def test_continued_fraction_converges_well_within_budget(monkeypatch):
+    # at most 69 iterations for df <= 1000, the most at the boundary x = s + 1
+    monkeypatch.setattr(special, "_MAX_ITER", 100)
+    for df in (1, 2, 3, 5, 25, 100, 201, 1000):
+        s = 0.5 * df
+        xs = 2.0 * (s + 1.0 + np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 40)]))
+        p = chi2_cdf(xs, df)
+        assert np.all(np.diff(p) >= 0.0) and p[-1] == 1.0
 
 
 def test_gammainc_monotone_and_bounded():

@@ -13,6 +13,7 @@ import pytest
 import oracles
 from psdorder import (
     DEFAULT_TOL,
+    LinearModel,
     MinusMethod,
     PsdMatrix,
     Relation,
@@ -23,6 +24,7 @@ from psdorder import (
     is_psd,
     lowner_leq,
     minus_leq,
+    model_compare,
     rect_rank,
     sim_congruence,
     star_family_leq,
@@ -103,6 +105,20 @@ def test_eigh_calls_sim_congruence(eigh_calls):
     assert (res.rank_a, res.rank_b) == (1, 3)
     # A and B once each when certified PSD, the idempotent block once.
     assert len(eigh_calls) == 3
+
+
+def test_eigh_calls_model_compare(eigh_calls):
+    x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    l1 = LinearModel(x=x, d=np.eye(3))
+    l2 = LinearModel(x=x, d=np.diag([1.0, 2.0, 3.0]))
+    assert len(eigh_calls) == 2  # each covariance certified PSD
+    eigh_calls.clear()
+    v = model_compare(l1, l2)
+    assert v.l1_geq_l2 and not v.l2_geq_l1
+    assert v.certificate["m1_leq_m2"].detail == "strictly greater"
+    # per model the Gram pseudoinverse and the efficiency matrix's PSD
+    # certificate, then one spectrum of M1 - M2 for both directions
+    assert len(eigh_calls) == 5
 
 
 def test_sym_eig_decomposes_each_sym_matrix_once(eigh_calls):
