@@ -46,15 +46,11 @@ from .numkernel import (
     EigDecomposition,
     PsdCheck,
     PsdMatrix,
-    SubspaceBasis,
     SymMatrix,
     column_basis,
-    image_basis,
     is_psd,
     numerical_rank,
     pinv,
-    rect_rank,
-    subspace_leq,
     sym_eig,
 )
 from .orders import (

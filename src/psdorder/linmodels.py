@@ -25,10 +25,10 @@ from .numkernel import (
     SymMatrix,
     column_basis,
     identity_budget,
+    image_in_span,
     numerical_rank,
     pinv,
     rel_residual,
-    subspace_leq,
     sym_eig,
 )
 from .orders import OrderVerdict, lowner_both, matrices_equal, minus_leq
@@ -216,9 +216,8 @@ def blue_check(l, model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) -> Blu
     residual_lx = rel_residual(lx - model.x, lx, model.x)
     cond_i = residual_lx <= identity_budget(tol, l)
 
-    cond_ii = subspace_leq(
-        column_basis(l @ model.d.a, tol), column_basis(model.x, tol), tol
-    )
+    # the basis of X is not in the units of L D, so it is given no slack
+    cond_ii = image_in_span(l @ model.d.a, column_basis(model.x, tol), tol=tol)
 
     certificate: dict = {"residual_lx": residual_lx}
     sim: SimCongResult | None = None
@@ -257,6 +256,15 @@ def _coerce_forms(a_list, n, tol):
     return forms
 
 
+def _setup(a_list, v, mu, tol):
+    """The setup the quadratic-form checks share: V coerced, the matrices of
+    the forms followed by their total, and W = (V : mu)."""
+    v = v if isinstance(v, PsdMatrix) else PsdMatrix(v, tol)
+    mats = [f.a for f in _coerce_forms(a_list, v.n, tol)]
+    mats.append(sum(mats, np.zeros((v.n, v.n))))
+    return v, mats, _stack_w(v, mu)
+
+
 def qform_rank_criterion(
     a_list, v, mu, tol: ToleranceConfig = DEFAULT_TOL
 ) -> QFormReport:
@@ -267,20 +275,14 @@ def qform_rank_criterion(
     an explicit shared congruence per form.  A form compressed to zero
     passes trivially with rank 0.
     """
-    v = v if isinstance(v, PsdMatrix) else PsdMatrix(v, tol)
-    forms = _coerce_forms(a_list, v.n, tol)
-    if not forms:
+    _, mats, w = _setup(a_list, v, mu, tol)
+    *t_forms, t_total = (PsdMatrix(w.T @ m @ w, tol) for m in mats)
+    if not t_forms:
         raise ValueError("need at least one quadratic form")
-    w = _stack_w(v, mu)
-    total = np.zeros((v.n, v.n))
-    for f in forms:
-        total += f.a
-    t_total = PsdMatrix(w.T @ total @ w, tol)
     s_rank = numerical_rank(t_total, tol)
     entries = []
     overall = True
-    for i, f in enumerate(forms):
-        t_i = PsdMatrix(w.T @ f.a @ w, tol)
+    for i, t_i in enumerate(t_forms):
         r_i = numerical_rank(t_i, tol)
         verdict = minus_leq(t_i, t_total, tol=tol)
         sim = None
@@ -319,15 +321,10 @@ def mc_quadratic_forms(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    v = v if isinstance(v, PsdMatrix) else PsdMatrix(v, tol)
-    forms = _coerce_forms(a_list, v.n, tol)
     mu = np.asarray(mu, dtype=float).reshape(-1)
-    w = _stack_w(v, mu)
-    total = np.zeros((v.n, v.n))
-    for f in forms:
-        total += f.a
-    dfs = [numerical_rank(PsdMatrix(w.T @ f.a @ w, tol), tol) for f in forms]
-    total_df = numerical_rank(PsdMatrix(w.T @ total @ w, tol), tol)
+    v, mats, w = _setup(a_list, v, mu, tol)
+    *dfs, total_df = (numerical_rank(PsdMatrix(w.T @ m @ w, tol), tol) for m in mats)
+    *forms, total = mats
 
     eig = sym_eig(v)
     root = (eig.vectors * np.sqrt(np.maximum(eig.values, 0.0))) @ eig.vectors.T
@@ -341,9 +338,7 @@ def mc_quadratic_forms(
         z = normal_matrix(substream(seed, shard), count, v.n)
         x = z @ root + mu
         for j, f in enumerate(forms):
-            q_values[j, done:done + count] = np.einsum(
-                "ij,jk,ik->i", x, f.a, x
-            )
+            q_values[j, done:done + count] = np.einsum("ij,jk,ik->i", x, f, x)
         q_total[done:done + count] = np.einsum("ij,jk,ik->i", x, total, x)
         done += count
         shard += 1

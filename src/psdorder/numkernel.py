@@ -11,7 +11,7 @@ Conventions shared by everything built on top of this module:
 - rank decisions compare eigenvalue magnitudes against one relative cutoff
   taken from ToleranceConfig; EigDecomposition owns that policy (spectral
   radius, cutoff, nonzero mask), and every other module asks it rather
-  than recomputing the cutoff.  Rectangular ranks and invertibility checks
+  than recomputing the cutoff.  Column bases and invertibility checks
   apply the same convention to singular values through _sv_keep,
 - every other tolerance is relative to its inputs, with no absolute
   floor: rel_residual measures a residual against the largest entry of
@@ -66,13 +66,6 @@ def identity_budget(tol: ToleranceConfig, op, *refs) -> float:
     |op| |refs| (|op| alone without refs) passes 1, since the roundoff of
     the products grows with it."""
     return tol.recon_tol * max(1.0, maxabs(op) * max(map(maxabs, refs), default=1.0))
-
-
-def normalized(*ms) -> tuple:
-    """The arrays divided by their common largest entry (unchanged when all
-    are zero), so that products of them neither underflow nor overflow."""
-    s = max(map(maxabs, ms)) or 1.0
-    return tuple(np.asarray(m, dtype=float) / s for m in ms)
 
 
 class SymMatrix:
@@ -155,9 +148,10 @@ class EigDecomposition:
     def rank(self, tol: ToleranceConfig = DEFAULT_TOL, cutoff: float | None = None) -> int:
         return int(np.count_nonzero(self.nonzero(tol, cutoff)))
 
-    def image(self, tol: ToleranceConfig = DEFAULT_TOL, cutoff: float | None = None):
-        """SubspaceBasis of the eigenvectors whose eigenvalues clear `cutoff`."""
-        return SubspaceBasis(basis=self.vectors[:, self.nonzero(tol, cutoff)])
+    def image(self, tol: ToleranceConfig = DEFAULT_TOL, cutoff: float | None = None) -> np.ndarray:
+        """Orthonormal columns spanning the image: the eigenvectors whose
+        eigenvalues clear `cutoff`."""
+        return self.vectors[:, self.nonzero(tol, cutoff)]
 
     def negated(self) -> "EigDecomposition":
         """The decomposition of -A: values negated and reversed, so they stay
@@ -173,21 +167,6 @@ class EigDecomposition:
         ok = min_eig >= -threshold
         witness = None if ok else self.vectors[:, -1]
         return PsdCheck(ok=ok, min_eig=min_eig, threshold=threshold, witness=witness)
-
-
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal columns spanning a subspace of R^n."""
-
-    basis: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.basis.shape[0]
 
 
 @dataclass(frozen=True)
@@ -255,20 +234,13 @@ def _sv_keep(s: np.ndarray, shape, tol: ToleranceConfig) -> np.ndarray:
     return s > tol.rank_cutoff(max(shape), float(s.max(initial=0.0)))
 
 
-def rect_rank(m, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Rank of an arbitrary matrix by singular value, with the same relative
-    cutoff convention as numerical_rank (n taken as the larger dimension)."""
-    m = np.asarray(m, dtype=float)
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(_sv_keep(s, m.shape, tol)))
-
-
-def column_basis(m, tol: ToleranceConfig = DEFAULT_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the column space of an arbitrary matrix: the
-    left singular vectors whose singular values rect_rank counts."""
+def column_basis(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal columns spanning the column space of an arbitrary
+    matrix: the left singular vectors whose singular values clear the rank
+    cutoff, with n taken as the larger dimension."""
     m = np.asarray(m, dtype=float)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return SubspaceBasis(basis=u[:, _sv_keep(s, m.shape, tol)])
+    return u[:, _sv_keep(s, m.shape, tol)]
 
 
 def min_singular_value(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, bool]:
@@ -302,31 +274,12 @@ def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return (q * inv) @ q.T
 
 
-def image_basis(a, tol: ToleranceConfig = DEFAULT_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the column space of a symmetric matrix, taken
-    from the eigenvectors whose eigenvalues clear the rank cutoff."""
-    return sym_eig(a).image(tol)
-
-
-def _basis_array(u) -> np.ndarray:
-    return u.basis if isinstance(u, SubspaceBasis) else np.asarray(u, dtype=float)
-
-
-def subspace_leq(u, w, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Whether span(u) is contained in span(w).
-
-    Both arguments are matrices with orthonormal columns (or SubspaceBasis).
-    Containment holds when every basis vector of u, after removing its
-    projection onto span(w), has norm at most recon_tol.
-    """
-    ub, wb = _basis_array(u), _basis_array(w)
-    if ub.shape[0] != wb.shape[0]:
-        raise DimensionMismatch(
-            f"bases live in different spaces: {ub.shape[0]} vs {wb.shape[0]}"
-        )
-    if ub.shape[1] == 0:
-        return True
-    residual = ub - wb @ (wb.T @ ub)
-    norms = np.linalg.norm(residual, axis=0)
-    return bool(np.all(norms <= tol.recon_tol))
-
+def image_in_span(m, basis, tol: ToleranceConfig = DEFAULT_TOL, slack: float = 0.0) -> bool:
+    """Whether Im M lies in the span of the orthonormal columns `basis`:
+    the part of M outside the span is within recon_tol of the largest entry
+    of M, plus `slack`, the error the basis itself carries into M.
+    Measuring M itself rather than a basis of Im M weighs each direction
+    by how much of M it carries, so an eigenvalue far below the others
+    cannot fail the test through the roundoff in its eigenvector."""
+    m = np.asarray(m, dtype=float)
+    return bool(maxabs(m - basis @ (basis.T @ m)) <= tol.recon_tol * maxabs(m) + slack)

@@ -53,10 +53,6 @@ class MatrixMap:
 
         return cls(label="rank-collapse", fn=collapse)
 
-    @classmethod
-    def custom(cls, fn: Callable[[np.ndarray], np.ndarray], label: str) -> "MatrixMap":
-        return cls(label=label, fn=fn)
-
 
 def congruence_map(s, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixMap:
     """The map A -> S A S^T for an invertible S.
@@ -358,6 +354,15 @@ def projector_fixed_point_suite(
     report = PreservationReport(
         relation="projector-interval", map_label=mmap.label, n=n, trials=trials
     )
+
+    def on_interval(p, contraction, identity, k):
+        return (
+            lowner_leq(p, identity, tol).holds
+            and minus_leq(p, identity, tol=tol).holds
+            and lowner_leq(contraction, identity, tol).holds
+            and (k == 0 or not minus_leq(contraction, identity, tol=tol).holds)
+        )
+
     identity = np.eye(n)
     for t in range(trials):
         key = substream(seed, t, 1)
@@ -366,28 +371,14 @@ def projector_fixed_point_suite(
         p = q[:, :k] @ q[:, :k].T
         shrink = 0.25 + 0.5 * float(uniforms(substream(key, 2), 1)[0])
         contraction = shrink * p
-        ok_before = (
-            lowner_leq(p, identity, tol).holds
-            and minus_leq(p, identity, tol=tol).holds
-            and lowner_leq(contraction, identity, tol).holds
-            and (k == 0 or not minus_leq(contraction, identity, tol=tol).holds)
-        )
         report.forward_checked += 1
-        if not ok_before:
+        if not on_interval(p, contraction, identity, k):
             report.forward_failures += 1
             if len(report.counterexamples) < _MAX_COUNTEREXAMPLES:
                 report.counterexamples.append(("invariant", p, identity))
             continue
-        fp, fi = mmap.apply(p), mmap.apply(identity)
-        fc = mmap.apply(contraction)
-        ok_after = (
-            lowner_leq(fp, fi, tol).holds
-            and minus_leq(fp, fi, tol=tol).holds
-            and lowner_leq(fc, fi, tol).holds
-            and (k == 0 or not minus_leq(fc, fi, tol=tol).holds)
-        )
         report.backward_checked += 1
-        if not ok_after:
+        if not on_interval(mmap.apply(p), mmap.apply(contraction), mmap.apply(identity), k):
             report.backward_failures += 1
             if len(report.counterexamples) < _MAX_COUNTEREXAMPLES:
                 report.counterexamples.append(("image", p, identity))

@@ -203,6 +203,18 @@ def test_blue_detects_image_escape():
     assert not v.is_blue
 
 
+def test_blue_cond_ii_rejects_a_small_component_outside_im_x():
+    rng = np.random.default_rng(21)
+    q = ortho(rng, 4)
+    x = q[:, :2]
+    h = x @ x.T
+    model = LinearModel(x=x, d=np.eye(4))
+    assert blue_check(h, model).cond_ii
+    # 1e-6 of L D, relative to its largest entry, points out of Im X
+    v = blue_check(h + 1e-6 * np.outer(q[:, 3], q[:, 0]), model)
+    assert not v.cond_ii
+
+
 def test_blue_budget_grows_with_the_size_of_l():
     # L adds a map of (Im X)-perp into itself with entries near 1e8, so
     # L X = X holds exactly; its roundoff grows with |L|, and condition (i)

@@ -10,16 +10,14 @@ from psdorder import (
     PsdMatrix,
     SymMatrix,
     ToleranceConfig,
-    image_basis,
+    column_basis,
     is_psd,
     numerical_rank,
     pinv,
-    rect_rank,
-    subspace_leq,
     sym_eig,
 )
 from psdorder.errors import DimensionMismatch
-from psdorder.numkernel import maxabs
+from psdorder.numkernel import image_in_span, maxabs
 
 
 def random_sym(rng, n, scale=1.0):
@@ -128,15 +126,15 @@ def test_rank_matches_exact_oracle():
         assert numerical_rank(a.astype(float)) == oracles.exact_rank(a)
 
 
-def test_rect_rank():
+def test_column_basis_rank():
     m = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
-    assert rect_rank(m) == 1
-    assert rect_rank(np.zeros((2, 5))) == 0
+    assert column_basis(m).shape == (2, 1)
+    assert column_basis(np.zeros((2, 5))).shape == (2, 0)
     rng = np.random.default_rng(37)
     for _ in range(100):
         r, c = int(rng.integers(1, 6)), int(rng.integers(1, 6))
         m = rng.integers(-3, 4, size=(r, c))
-        assert rect_rank(m.astype(float)) == oracles.exact_rank(m)
+        assert column_basis(m.astype(float)).shape[1] == oracles.exact_rank(m)
 
 
 def test_is_psd_examples():
@@ -189,29 +187,36 @@ def test_pinv_penrose_identities():
 
 
 def test_image_basis():
-    u = image_basis(np.diag([1.0, 0.0]))
-    assert u.dim == 1 and u.n == 2
-    np.testing.assert_allclose(np.abs(u.basis[:, 0]), [1.0, 0.0], atol=1e-14)
-    z = image_basis(np.zeros((3, 3)))
-    assert z.dim == 0 and z.basis.shape == (3, 0)
+    u = sym_eig(np.diag([1.0, 0.0])).image()
+    assert u.shape == (2, 1)
+    np.testing.assert_allclose(np.abs(u[:, 0]), [1.0, 0.0], atol=1e-14)
+    assert sym_eig(np.zeros((3, 3))).image().shape == (3, 0)
     rng = np.random.default_rng(59)
     for _ in range(50):
         n = int(rng.integers(1, 7))
         a = random_sym(rng, n)
-        u = image_basis(a)
-        assert u.dim == numerical_rank(a)
-        np.testing.assert_allclose(u.basis.T @ u.basis, np.eye(u.dim), atol=1e-12)
+        u = sym_eig(a).image()
+        assert u.shape == (n, numerical_rank(a))
+        np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-12)
 
 
-def test_subspace_leq():
-    e1 = image_basis(np.diag([1.0, 0.0, 0.0]))
-    full = image_basis(np.eye(3))
-    assert subspace_leq(e1, full)
-    assert not subspace_leq(full, e1)
-    assert subspace_leq(e1, e1)
-    # zero-dimensional subspace sits inside everything
-    z = image_basis(np.zeros((3, 3)))
-    assert subspace_leq(z, e1)
+def test_image_in_span():
+    e1 = np.diag([1.0, 0.0, 0.0])
+    full = np.eye(3)
+    assert image_in_span(e1, sym_eig(full).image())
+    assert not image_in_span(full, sym_eig(e1).image())
+    assert image_in_span(e1, sym_eig(e1).image())
+    # the zero matrix has the zero image, which sits inside every span
+    z = np.zeros((3, 3))
+    assert image_in_span(z, sym_eig(e1).image())
+    assert image_in_span(z, sym_eig(z).image())
+    assert not image_in_span(e1, sym_eig(z).image())
+    # the part outside the span is measured against M, plus the slack
+    assert image_in_span(np.diag([1.0, 1e-9, 0.0]), sym_eig(e1).image())
+    m = np.diag([1.0, 1e-6, 0.0])
+    assert not image_in_span(m, sym_eig(e1).image())
+    assert image_in_span(m, sym_eig(e1).image(), slack=1e-6)
+    assert not image_in_span(m, sym_eig(e1).image(), slack=0.5e-6)
 
 
 def test_tolerance_config_validation():

@@ -10,17 +10,16 @@ from psdorder import (
     Relation,
     ToleranceConfig,
     canonical_ek,
-    image_basis,
     lowner_leq,
     matrices_equal,
     minus_leq,
     numerical_rank,
     order_leq,
     star_family_leq,
-    subspace_leq,
+    sym_eig,
 )
 from psdorder.errors import DimensionMismatch
-from psdorder.numkernel import maxabs
+from psdorder.numkernel import image_in_span, maxabs
 
 ALL_RELATIONS = [Relation.LOWNER, Relation.MINUS, Relation.STAR,
                  Relation.LEFT_STAR, Relation.RIGHT_STAR]
@@ -338,7 +337,7 @@ def test_lowner_implies_image_containment():
         # shrink inside B's range to get a guaranteed PSD-below pair
         a = 0.3 * b
         assert lowner_leq(a, b).holds
-        assert subspace_leq(image_basis(a), image_basis(b))
+        assert image_in_span(a, sym_eig(b).image())
         # and a generic witness with larger image is not PSD-below
         if numerical_rank(b) < n:
             big = b + np.eye(n)
@@ -407,3 +406,94 @@ def test_equal_is_decided_by_the_verdicts_own_criterion():
 def test_star_rejects_unknown_variant():
     with pytest.raises(ValueError):
         star_family_leq(np.eye(2), np.eye(2), variant="lowner")
+
+
+# ----- graded spectra: containment is tested on the matrices ---------------
+
+def graded_pairs(seed, count=200):
+    """A = Q diag(1, 1e-9, 0, 0) Q^T below B = Q diag(1, 1e-9, 1, 0) Q^T in
+    every order, for random rotations Q: the eigenvector of 1e-9 is only
+    known to about eps / 1e-9."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        yield q @ np.diag([1.0, 1e-9, 0.0, 0.0]) @ q.T, q @ np.diag([1.0, 1e-9, 1.0, 0.0]) @ q.T
+
+
+def test_image_route_accepts_graded_pairs():
+    for a, b in graded_pairs(83):
+        v = minus_leq(a, b, method=MinusMethod.IMAGE)
+        assert v.holds and v.detail == "strictly less"
+        assert v.certificate["contained"]
+        assert (v.certificate["dim_a"], v.certificate["dim_b"]) == (2, 3)
+
+
+@pytest.mark.parametrize("variant", [Relation.LEFT_STAR, Relation.RIGHT_STAR])
+def test_one_sided_star_accepts_graded_pairs(variant):
+    for a, b in graded_pairs(89):
+        v = star_family_leq(a, b, variant)
+        assert v.holds and v.detail == "strictly less"
+        assert v.certificate["image_contained"]
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e-9])
+def test_star_identity_is_measured_against_a_and_b(s):
+    # A^2 = A B exactly; the roundoff of A B scales with |A| |B|, which is
+    # far above |A^2| when A is small next to B
+    rng = np.random.default_rng(97)
+    for _ in range(200):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        a, b = q @ np.diag([s, 0.0, 0.0]) @ q.T, q @ np.diag([s, 1.0, 0.0]) @ q.T
+        v = star_family_leq(a, b)
+        assert v.holds and v.detail == "strictly less"
+        assert v.certificate["residual"] <= v.certificate["budget"]
+
+
+def test_one_sided_star_rejects_a_component_outside_im_b():
+    # A^2 = A B up to 1e-12, so only the containment can reject
+    rng = np.random.default_rng(101)
+    for _ in range(20):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        a, b = q @ np.diag([1.0, 1e-6, 0.0]) @ q.T, q @ np.diag([1.0, 0.0, 0.0]) @ q.T
+        for variant in (Relation.LEFT_STAR, Relation.RIGHT_STAR):
+            v = star_family_leq(a, b, variant)
+            assert not v.holds and not v.certificate["image_contained"]
+
+
+def test_one_sided_star_accepts_what_matrices_equal_calls_equal():
+    # diag(1, 1e-9) is within recon_tol of diag(1, 0), so the part of it
+    # outside Im diag(1, 0) is within the containment budget too
+    a, b = np.diag([1.0, 1e-9]), np.diag([1.0, 0.0])
+    assert matrices_equal(a, b)
+    for variant in (Relation.LEFT_STAR, Relation.RIGHT_STAR):
+        v = star_family_leq(a, b, variant)
+        assert v.holds and v.detail == "equal"
+
+
+def test_star_rejects_a_small_a_orthogonal_to_b():
+    # A^2 - A B = A^2 is tiny next to |A| |B|, but it is all of A^2, and
+    # all of A lies outside Im B; minus rejects the pair too, and so does
+    # Loewner once t passes psd_tol
+    for n in (2, 3, 8):
+        q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
+        for t in (1e-6, 5e-9, 1e-12):
+            a, b = np.zeros((n, n)), np.zeros((n, n))
+            a[1, 1], b[0, 0] = t, 1.0
+            for x, y in ((a, b), (q @ a @ q.T, q @ b @ q.T)):
+                assert not minus_leq(x, y).holds
+                assert lowner_leq(x, y).holds == (t < DEFAULT_TOL.psd_tol)
+                for variant in (Relation.STAR, Relation.LEFT_STAR, Relation.RIGHT_STAR):
+                    v = star_family_leq(x, y, variant)
+                    assert not v.holds and v.detail == "incomparable"
+                    assert not v.certificate["image_contained"]
+
+
+def test_star_rejects_a_part_of_a_outside_im_b_in_every_variant():
+    # diag(1, t) meets A^2 = A diag(1, 0) up to t^2, within recon_tol for
+    # t = 1e-5; the containment, linear in t, rejects it as minus does
+    a, b = np.diag([1.0, 1e-5]), np.diag([1.0, 0.0])
+    assert not lowner_leq(a, b).holds and not minus_leq(a, b).holds
+    for variant in (Relation.STAR, Relation.LEFT_STAR, Relation.RIGHT_STAR):
+        v = star_family_leq(a, b, variant)
+        assert v.certificate["residual"] <= v.certificate["budget"]
+        assert not v.holds and not v.certificate["image_contained"]

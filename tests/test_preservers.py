@@ -43,7 +43,7 @@ def test_builtin_maps():
     np.testing.assert_allclose(ti.apply(a), a + 3.0 * np.eye(2), atol=1e-15)
     rc = MatrixMap.rank_collapse()
     np.testing.assert_allclose(rc.apply(a), np.array([[3.0, 0.0], [0.0, 0.0]]), atol=1e-15)
-    cu = MatrixMap.custom(lambda m: 2.0 * m, "double")
+    cu = MatrixMap("double", lambda m: 2.0 * m)
     assert cu.label == "double"
     np.testing.assert_allclose(cu.apply(a), 2.0 * a, atol=1e-15)
 
@@ -226,7 +226,7 @@ def test_fit_congruence_rejects_corrupted_probe():
 
 def test_projector_fixed_point_suite():
     rng = np.random.default_rng(67)
-    ident = MatrixMap.custom(lambda m: m.copy(), "identity")
+    ident = MatrixMap("identity", lambda m: m.copy())
     rep = projector_fixed_point_suite(ident, n=4, trials=40, seed=3, tol=TOL12)
     assert rep.forward_failures == 0 and rep.backward_failures == 0
     cong = congruence_map(random_invertible(rng, 4))

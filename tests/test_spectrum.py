@@ -25,7 +25,6 @@ from psdorder import (
     lowner_leq,
     minus_leq,
     model_compare,
-    rect_rank,
     sim_congruence,
     star_family_leq,
     sym_eig,
@@ -87,7 +86,7 @@ def _verdict(route, a, b):
     ("minus_rank", 3, 3),
     ("minus_image", 3, 3),
     ("minus_ginv", 3, 3),
-    ("star", 2, 2),
+    ("star", 1, 2),
 ])
 def test_eigh_calls_per_verdict(eigh_calls, route, holds_eighs, fails_eighs):
     pairs = PAIRS[route.split("_")[0]]
@@ -97,6 +96,15 @@ def test_eigh_calls_per_verdict(eigh_calls, route, holds_eighs, fails_eighs):
         assert verdict.holds == (label == "holds")
         assert verdict.detail == ("strictly less" if label == "holds" else "incomparable")
         assert len(eigh_calls) == expected, (route, label)
+
+
+def test_image_route_takes_no_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the image route called np.linalg.svd")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for label in ("holds", "fails"):
+        assert _verdict("minus_image", *PAIRS["minus"][label]).holds == (label == "holds")
 
 
 def test_eigh_calls_sim_congruence(eigh_calls):
@@ -209,19 +217,20 @@ def test_eig_decomposition_cutoff_queries():
     assert shared_cutoff([small, eig]) == DEFAULT_TOL.rank_cutoff(4, 4.0)
 
 
-def test_column_basis_shares_rect_rank_cutoff():
+def test_column_basis_spans_the_columns_at_exact_rank():
     rng = np.random.default_rng(73)
     for _ in range(60):
         r, c = int(rng.integers(1, 6)), int(rng.integers(1, 6))
         m = rng.integers(-2, 3, size=(r, c)).astype(float)
         basis = column_basis(m)
-        assert basis.dim == rect_rank(m) == oracles.exact_rank(m.astype(int))
-        np.testing.assert_allclose(basis.basis.T @ basis.basis, np.eye(basis.dim), atol=1e-12)
+        dim = basis.shape[1]
+        assert dim == oracles.exact_rank(m.astype(int))
+        np.testing.assert_allclose(basis.T @ basis, np.eye(dim), atol=1e-12)
         # every column of m lies in the span
-        np.testing.assert_allclose(basis.basis @ (basis.basis.T @ m), m, atol=1e-12)
-    assert column_basis(np.zeros((3, 2))).basis.shape == (3, 0)
-    assert column_basis(np.zeros((3, 0))).basis.shape == (3, 0)
-    assert rect_rank(np.zeros((0, 4))) == 0
+        np.testing.assert_allclose(basis @ (basis.T @ m), m, atol=1e-12)
+    assert column_basis(np.zeros((3, 2))).shape == (3, 0)
+    assert column_basis(np.zeros((3, 0))).shape == (3, 0)
+    assert column_basis(np.zeros((0, 4))).shape == (0, 0)
 
 
 def test_min_singular_value():
