@@ -60,6 +60,7 @@ from .orders import (
     lowner_leq,
     matrices_equal,
     minus_leq,
+    order_holds_many,
     order_leq,
     star_family_leq,
 )

@@ -217,7 +217,7 @@ def blue_check(l, model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) -> Blu
     cond_i = residual_lx <= identity_budget(tol, l)
 
     # the basis of X is not in the units of L D, so it is given no slack
-    cond_ii = image_in_span(l @ model.d.a, column_basis(model.x, tol), tol=tol)
+    cond_ii = bool(image_in_span(l @ model.d.a, column_basis(model.x, tol), tol=tol))
 
     certificate: dict = {"residual_lx": residual_lx}
     sim: SimCongResult | None = None

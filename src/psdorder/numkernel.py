@@ -6,6 +6,9 @@ Conventions shared by everything built on top of this module:
 - eigenvalues are reported in descending order,
 - the first nonzero component of each eigenvector is made positive, so a
   factorization of the same input is reproducible run to run,
+- eigendecompositions run on stacks: eig_stack decomposes a (k, n, n)
+  stack in one LAPACK call, each matrix's factors bit for bit those of a
+  call on it alone, and sym_eig is its k = 1 case,
 - each SymMatrix is decomposed at most once: sym_eig keeps the
   EigDecomposition on the matrix object and hands it out again,
 - rank decisions compare eigenvalue magnitudes against one relative cutoff
@@ -32,22 +35,35 @@ from .tolerances import DEFAULT_TOL, ToleranceConfig
 _SIGN_EPS = 1e-12
 
 
-def _coerce_square(data) -> np.ndarray:
-    """Validate and copy raw input into a float square array."""
+def _coerce_square(data, ndim: int = 2) -> np.ndarray:
+    """Validate and copy raw input into a float square array, or with
+    ndim=3 into a stack of them."""
     if isinstance(data, SymMatrix):
         return np.array(data.a, dtype=float)
     a = np.array(data, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
 
 
+def sym_stack(data) -> np.ndarray:
+    """A (k, n, n) stack of matrices, each checked and symmetrized as
+    SymMatrix does with one."""
+    a = _coerce_square(data, ndim=3)
+    return 0.5 * (a + a.swapaxes(-1, -2))
+
+
 def maxabs(m) -> float:
     """Largest entry magnitude; zero for an empty array."""
     m = np.asarray(m, dtype=float)
     return float(np.abs(m).max()) if m.size else 0.0
+
+
+def maxabs_stack(m) -> np.ndarray:
+    """maxabs of each matrix of a stack (over the last two axes)."""
+    return np.abs(m).max(axis=(-2, -1), initial=0.0)
 
 
 def rel_residual(diff, *refs) -> float:
@@ -183,40 +199,59 @@ class PsdCheck:
     witness: np.ndarray | None = None
 
 
-def _canonical_order(values: np.ndarray, vectors: np.ndarray) -> EigDecomposition:
-    """Sort descending and apply the deterministic sign convention."""
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
-    if vectors.size:
-        big = np.abs(vectors) > _SIGN_EPS
-        lead = vectors[big.argmax(axis=0), np.arange(vectors.shape[1])]
-        vectors[:, big.any(axis=0) & (lead < 0)] *= -1.0
+def _canonical_order(values: np.ndarray, vectors: np.ndarray):
+    """Sort each spectrum of a stack descending and apply the deterministic
+    sign convention.  The eigenvectors are permuted as rows, so each
+    matrix of columns comes back column-major, the layout that indexing
+    the columns of one matrix gives."""
+    order = np.argsort(-values, axis=-1, kind="stable")
+    stack = np.arange(len(values))[:, None]
+    values = values[stack, order]
+    rows = vectors.swapaxes(-1, -2)[stack, order]
+    if rows.size:
+        # a unit vector always has a component above _SIGN_EPS
+        first = (np.abs(rows) > _SIGN_EPS).argmax(axis=-1)
+        lead = rows[stack, np.arange(rows.shape[1]), first]
+        np.negative(rows, out=rows, where=(lead < 0)[..., None])
     values.setflags(write=False)
-    vectors.setflags(write=False)
-    return EigDecomposition(values=values, vectors=vectors)
+    rows.setflags(write=False)
+    return values, np.swapaxes(rows, -1, -2)
+
+
+def eig_stack(x) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecompositions of a (k, n, n) stack of symmetric matrices in
+    one call of the platform (LAPACK) symmetric eigensolver: descending
+    values (k, n) and sign-fixed eigenvector columns (k, n, n).  Each
+    matrix's factors are bit for bit those of a call on it alone."""
+    try:
+        values, vectors = np.linalg.eigh(x)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"eigensolver failed: {exc}") from exc
+    return _canonical_order(values, vectors)
+
+
+def sym_eigs(*mats) -> list[EigDecomposition]:
+    """sym_eig of each argument.  The arguments without a decomposition
+    yet (every raw array, and each SymMatrix decomposed for the first time)
+    are decomposed together in one eig_stack call."""
+    syms = [m if isinstance(m, SymMatrix) else SymMatrix(m) for m in mats]
+    todo = [s for i, s in enumerate(syms) if s._eig is None and s not in syms[:i]]
+    if todo:
+        values, vectors = eig_stack(np.array([s.a for s in todo]))
+        for sym, v, q in zip(todo, values, vectors):
+            sym._eig = EigDecomposition(values=v, vectors=q)
+    return [s._eig for s in syms]
 
 
 def sym_eig(a) -> EigDecomposition:
-    """Eigendecomposition of a symmetric matrix by the platform (LAPACK)
-    symmetric eigensolver, ordered and sign-fixed.  A SymMatrix argument
-    is decomposed once; later calls on the same object return the same
-    EigDecomposition."""
+    """Eigendecomposition of a symmetric matrix, ordered and sign-fixed:
+    the k = 1 case of eig_stack.  A SymMatrix argument is decomposed once;
+    later calls on the same object return the same EigDecomposition."""
     sym = a if isinstance(a, SymMatrix) else SymMatrix(a)
     if sym._eig is None:
-        try:
-            values, vectors = np.linalg.eigh(sym.a)
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergence(f"eigensolver failed: {exc}") from exc
-        sym._eig = _canonical_order(values, vectors)
+        values, vectors = eig_stack(sym.a[None])
+        sym._eig = EigDecomposition(values=values[0], vectors=vectors[0])
     return sym._eig
-
-
-def shared_cutoff(eigs, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """One rank cutoff for several n x n spectra, taken from the largest of
-    their spectral radii, so that counts against it are consistent with
-    each other."""
-    return tol.rank_cutoff(len(eigs[0].values), max(e.radius for e in eigs))
 
 
 def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -274,12 +309,14 @@ def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return (q * inv) @ q.T
 
 
-def image_in_span(m, basis, tol: ToleranceConfig = DEFAULT_TOL, slack: float = 0.0) -> bool:
+def image_in_span(m, basis, tol: ToleranceConfig = DEFAULT_TOL, slack=0.0) -> np.ndarray:
     """Whether Im M lies in the span of the orthonormal columns `basis`:
     the part of M outside the span is within recon_tol of the largest entry
     of M, plus `slack`, the error the basis itself carries into M.
     Measuring M itself rather than a basis of Im M weighs each direction
     by how much of M it carries, so an eigenvalue far below the others
-    cannot fail the test through the roundoff in its eigenvector."""
+    cannot fail the test through the roundoff in its eigenvector.  Stacks
+    of M, bases and slacks give one answer per matrix."""
     m = np.asarray(m, dtype=float)
-    return bool(maxabs(m - basis @ (basis.T @ m)) <= tol.recon_tol * maxabs(m) + slack)
+    outside = m - basis @ (basis.swapaxes(-1, -2) @ m)
+    return maxabs_stack(outside) <= tol.recon_tol * maxabs_stack(m) + slack

@@ -8,6 +8,11 @@ arguments reduces to the identity A^2 = A B for every variant.
 Every check returns an OrderVerdict carrying a machine-checkable
 certificate: an eigenvalue witness, a rank triple, residual norms, or an
 explicit inner inverse, depending on the route taken.
+
+Each decision is written once, over stacks of pairs with a leading axis
+(_lowner_stack, _minus_stack, _star_stack): order_holds_many decides a
+whole stack from one stacked eigendecomposition, and the scalar checks
+read their verdict and certificate from the same arithmetic at k = 1.
 """
 
 from dataclasses import dataclass, field
@@ -18,14 +23,16 @@ import numpy as np
 from .errors import DimensionMismatch
 from .numkernel import (
     SymMatrix,
+    eig_stack,
     identity_budget,
     image_in_span,
-    maxabs,
+    maxabs_stack,
     min_singular_value,
     pinv,
     rel_residual,
-    shared_cutoff,
     sym_eig,
+    sym_eigs,
+    sym_stack,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -85,34 +92,49 @@ def _detail(holds: bool, equal: bool, reverse_holds: bool) -> str:
     return "incomparable"
 
 
-def _lowner_verdict(check, equal: bool, reverse_holds: bool) -> OrderVerdict:
-    return OrderVerdict(
-        holds=check.ok,
-        relation=Relation.LOWNER.value,
-        certificate={
-            "min_eig": check.min_eig,
-            "threshold": check.threshold,
-            "witness": check.witness,
-        },
-        detail=_detail(check.ok, equal, reverse_holds),
-    )
+def _lowner_stack(a, b, values, tol):
+    """Loewner decisions for stacked pairs, from the descending spectra
+    `values` (k, n) of their differences B - A, both read from them: B <= A
+    is the PSD test of the negation.  Returns the smallest eigenvalues of
+    B - A and of A - B (k, 2), whether each is at least -threshold (A <= B,
+    B <= A; a pair is equal when both hold, i.e. every eigenvalue of B - A
+    is within the threshold), and the threshold: psd_tol times the largest
+    entry of A and B."""
+    threshold = tol.psd_tol * np.maximum(maxabs_stack(a), maxabs_stack(b))
+    if values.shape[-1]:
+        min_eigs = values[:, [-1, 0]]
+        min_eigs[:, 1] *= -1.0
+    else:
+        min_eigs = np.zeros((len(values), 2))
+    return min_eigs, min_eigs >= -threshold[:, None], threshold
 
 
 def lowner_both(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[OrderVerdict, OrderVerdict]:
     """The verdicts A <= B and B <= A in the PSD sense, both read from the
-    one spectrum of B - A: B <= A is the PSD test of its negation.
+    one spectrum of B - A (see _lowner_stack).
 
     Each certificate records the smallest eigenvalue of its difference, the
-    threshold it was held against (psd_tol times the largest entry of A and
-    B) and, on failure, a unit vector x with x^T (difference) x < 0.  The
-    pair is equal when every eigenvalue of B - A is within the threshold.
+    threshold it was held against and, on failure, a unit vector x with
+    x^T (difference) x < 0.
     """
     sa, sb = _pair(a, b)
     eig = sym_eig(SymMatrix(sb.a - sa.a))
-    threshold = tol.psd_tol * max(maxabs(sa.a), maxabs(sb.a))
-    up, down = eig.psd(threshold), eig.negated().psd(threshold)
-    equal = eig.radius <= threshold
-    return _lowner_verdict(up, equal, down.ok), _lowner_verdict(down, equal, up.ok)
+    min_eigs, holds, threshold = _lowner_stack(sa.a[None], sb.a[None], eig.values[None], tol)
+    (min_eigs,), (holds,), (threshold,) = min_eigs.tolist(), holds.tolist(), threshold.tolist()
+    return tuple(
+        OrderVerdict(
+            holds=holds[i],
+            relation=Relation.LOWNER.value,
+            certificate={
+                "min_eig": min_eigs[i],
+                "threshold": threshold,
+                # the eigenvector of the smallest eigenvalue of B - A, or of A - B
+                "witness": None if holds[i] else eig.vectors[:, (-1, 0)[i]],
+            },
+            detail=_detail(holds[i], all(holds), holds[1 - i]),
+        )
+        for i in (0, 1)
+    )
 
 
 def lowner_leq(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
@@ -121,12 +143,18 @@ def lowner_leq(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
     return lowner_both(a, b, tol)[0]
 
 
-def _minus_by_rank(sa, sb, eigs, cutoff, tol):
-    """The rank equation rank(B - A) = rank(B) - rank(A)."""
-    r_a, r_b, r_d = (e.rank(tol, cutoff) for e in eigs)
-    holds = r_d == r_b - r_a
-    cert = {"rank_a": r_a, "rank_b": r_b, "rank_diff": r_d, "cutoff": cutoff}
-    return holds, cert
+def _minus_stack(values, tol):
+    """The rank equation rank(B - A) = rank(B) - rank(A) for stacked pairs,
+    from the spectra (3, k, n) of their A, B and B - A.  All three ranks
+    count against one cutoff per pair, taken from the largest of its three
+    spectral radii, so the counts are consistent with each other.  Returns
+    the decisions (3, k): A below B, B below A (the same counts, as
+    -(B - A) has the rank of B - A) and equality (rank(B - A) = 0); the
+    ranks (3, k); and the cutoffs."""
+    mags = np.abs(values)
+    cutoff = tol.rank_cutoff(values.shape[-1], mags.max(axis=(0, 2), initial=0.0))
+    r_a, r_b, r_d = ranks = (mags > cutoff[:, None]).sum(axis=-1)
+    return np.array([r_d == r_b - r_a, r_d == r_a - r_b, r_d == 0]), ranks, cutoff
 
 
 def _minus_by_image(sa, sb, eigs, cutoff, tol):
@@ -200,7 +228,6 @@ def _minus_by_ginv(sa, sb, eigs, cutoff, tol):
 
 
 _MINUS_ROUTES = {
-    MinusMethod.RANK: _minus_by_rank,
     MinusMethod.IMAGE: _minus_by_image,
     MinusMethod.GINV: _minus_by_ginv,
 }
@@ -218,19 +245,23 @@ def minus_leq(
     with one shared cutoff, "image" checks that Im B splits as the direct
     sum of Im A and Im(B - A), and "ginv" constructs an explicit inner
     inverse witness.  All three count against one cutoff from the spectra
-    of A, B and B - A, and they agree whenever those rank decisions are
-    clean.  The reverse question reruns the route on (B, A) with the
+    of A, B and B - A, decomposed together, and they agree whenever those
+    rank decisions are clean.  The rank route reads both directions from
+    the one count of _minus_stack; the other two rerun on (B, A) with the
     negated spectrum of B - A and the same cutoff.
     """
     method = MinusMethod(method)
-    route = _MINUS_ROUTES[method]
     sa, sb = _pair(a, b)
-    e_a, e_b, e_d = eigs = (sym_eig(sa), sym_eig(sb), sym_eig(sb.a - sa.a))
-    cutoff = shared_cutoff(eigs, tol)
-    holds, cert = route(sa, sb, eigs, cutoff, tol)
+    e_a, e_b, e_d = eigs = sym_eigs(sa, sb, sb.a - sa.a)
+    decisions, ranks, cutoff = _minus_stack(np.array([[e.values] for e in eigs]), tol)
+    (holds, reverse, equal), cutoff = decisions[:, 0].tolist(), cutoff[0]
+    if method is MinusMethod.RANK:
+        cert = dict(zip(("rank_a", "rank_b", "rank_diff"), ranks[:, 0].tolist()), cutoff=cutoff)
+    else:
+        route = _MINUS_ROUTES[method]
+        holds, cert = route(sa, sb, eigs, cutoff, tol)
+        reverse = not holds and route(sb, sa, (e_b, e_a, e_d.negated()), cutoff, tol)[0]
     cert["method"] = method.value
-    equal = e_d.rank(tol, cutoff) == 0
-    reverse = not holds and route(sb, sa, (e_b, e_a, e_d.negated()), cutoff, tol)[0]
     return OrderVerdict(
         holds=holds,
         relation=Relation.MINUS.value,
@@ -239,10 +270,11 @@ def minus_leq(
     )
 
 
-def _star_holds(sa, sb, tol):
-    """Whether A is star-below B, with the certificate: the residual of
-    A^2 = A B relative to |A^2| and |A B|, the budget it is held against,
-    and whether Im A sits inside Im B.
+def _star_stack(a, b, values_b, vectors_b, tol):
+    """Whether each A of a stack is star-below its B, with the certificate
+    parts: the residual of A^2 = A B relative to |A^2| and |A B|, the
+    budget it is held against, and whether Im A sits inside Im B.  B comes
+    with its spectrum, values (k, n) and eigenvector columns (k, n, n).
 
     A^2 = A B gives A^2 = B A by transposing, so Im A = Im A^2 lies in
     Im B.  The containment is tested as well because it is linear in a
@@ -252,19 +284,48 @@ def _star_holds(sa, sb, tol):
     entrywise and the part of A outside Im B by up to n c, so both tests
     allow that on top of recon_tol.  The products are formed from A and B
     divided by their common largest entry, which keeps them clear of
-    underflow and overflow.
+    underflow and overflow.  Pairs whose Im B has the same eigenvector
+    columns are tested together, on bases of one shape.
     """
-    eig_b = sym_eig(sb)
-    scale = max(maxabs(sa.a), maxabs(sb.a)) or 1.0
-    a, b = sa.a / scale, sb.a / scale
-    slack = sb.n * eig_b.cutoff(tol) / scale
+    scale = np.maximum(maxabs_stack(a), maxabs_stack(b))
+    scale[scale == 0.0] = 1.0
+    a, b = a / scale[:, None, None], b / scale[:, None, None]
+    n = a.shape[-1]
+    mags = np.abs(values_b)
+    cutoff = tol.rank_cutoff(n, mags.max(axis=-1, initial=0.0))
+    slack = n * cutoff / scale
     aa, ab = a @ a, a @ b
-    den = max(maxabs(aa), maxabs(ab))
-    residual = rel_residual(aa - ab, aa, ab)
-    budget = tol.recon_tol + (maxabs(a) * slack / den if den else 0.0)
-    contained = image_in_span(a, eig_b.image(tol), tol, slack)
-    cert = {"residual": residual, "budget": budget, "image_contained": contained}
-    return residual <= budget and contained, cert
+    den = np.maximum(maxabs_stack(aa), maxabs_stack(ab))
+    # where both products vanish, so does their difference: residual and
+    # budget term are 0, as x / inf is
+    den[den == 0.0] = np.inf
+    residual = maxabs_stack(aa - ab) / den
+    budget = tol.recon_tol + maxabs_stack(a) * slack / den
+    # Im B is spanned by the leading (positive) and trailing (negative)
+    # eigenvector columns that clear the cutoff, so the number kept and the
+    # number of leading ones name the columns
+    cut = cutoff[:, None]
+    keep = mags > cut
+    shape = keep.sum(axis=-1) * (n + 1) + (values_b > cut).sum(axis=-1)
+    shapes = set(shape.tolist())
+    rows = vectors_b.swapaxes(-1, -2)
+    contained = np.empty(len(a), dtype=bool)
+    for key in shapes:
+        # a single group (always so for one pair) is taken by views, not copies
+        members = shape == key if len(shapes) > 1 else slice(None)
+        basis = rows[members][:, keep[members][0]].swapaxes(-1, -2)
+        contained[members] = image_in_span(a[members], basis, tol, slack[members])
+    return (residual <= budget) & contained, residual, budget, contained
+
+
+def _star_holds(sa, sb, tol):
+    """_star_stack at k = 1, with the certificate."""
+    eig_b = sym_eig(sb)
+    holds, residual, budget, contained = (
+        x[0] for x in _star_stack(sa.a[None], sb.a[None], eig_b.values[None], eig_b.vectors[None], tol)
+    )
+    cert = {"residual": float(residual), "budget": float(budget), "image_contained": bool(contained)}
+    return bool(holds), cert
 
 
 def star_family_leq(
@@ -278,7 +339,7 @@ def star_family_leq(
     On symmetric arguments all three reduce to A^2 = A B (its transpose
     gives the other identity for free, and the image containment the
     one-sided variants are defined with follows from it); the test and its
-    certificate are described under _star_holds.
+    certificate are described under _star_stack.
     """
     variant = Relation(variant)
     if variant not in (Relation.STAR, Relation.LEFT_STAR, Relation.RIGHT_STAR):
@@ -309,3 +370,22 @@ def order_leq(
     if relation is Relation.MINUS:
         return minus_leq(a, b, tol=tol)
     return star_family_leq(a, b, relation, tol)
+
+
+def order_holds_many(a, b, relation: Relation | str, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """order_leq(a[i], b[i], relation, tol).holds for every pair of two
+    (k, n, n) stacks, as a bool array: one stacked eigendecomposition for
+    the whole stack (of B - A, of A, B and B - A, or of B), then each
+    decision once over the stack."""
+    relation = Relation(relation)
+    a, b = sym_stack(a), sym_stack(b)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"stack shape mismatch: {a.shape} vs {b.shape}")
+    if relation is Relation.LOWNER:
+        values, _ = eig_stack(sym_stack(b - a))
+        return _lowner_stack(a, b, values, tol)[1][:, 0]
+    if relation is Relation.MINUS:
+        values, _ = eig_stack(np.concatenate([a, b, sym_stack(b - a)]))
+        return _minus_stack(values.reshape(3, *a.shape[:2]), tol)[0][0]
+    values, vectors = eig_stack(b)
+    return _star_stack(a, b, values, vectors, tol)[0]

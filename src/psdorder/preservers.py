@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InconsistentSamples, SingularS
 from .numkernel import SymMatrix, maxabs, min_singular_value, rel_residual, sym_eig
-from .orders import Relation, lowner_leq, minus_leq, order_leq
+from .orders import Relation, order_holds_many
 from .rng import normal_matrix, substream, uniforms
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -218,29 +218,25 @@ def preserves_order(
     For each generated pair the forward implication (related originals must
     have related images) and the backward implication (related images must
     come from related originals) are tallied separately; see sample_pair
-    for how the pairs are drawn.
+    for how the pairs are drawn.  The map is applied to each matrix, and
+    all 2 * trials verdicts, before and after the map, are decided in one
+    stacked check (order_holds_many).
     """
     relation = Relation(relation)
     report = PreservationReport(
         relation=relation.value, map_label=mmap.label, n=n, trials=trials
     )
-    for t in range(trials):
-        a, b = sample_pair(relation, seed, t, n)
-        fa, fb = mmap.apply(a), mmap.apply(b)
-        before = order_leq(a, b, relation, tol).holds
-        after = order_leq(fa, fb, relation, tol).holds
-        if before:
-            report.forward_checked += 1
-            if not after:
-                report.forward_failures += 1
-                if len(report.counterexamples) < _MAX_COUNTEREXAMPLES:
-                    report.counterexamples.append(("forward", a, b))
-        if after:
-            report.backward_checked += 1
-            if not before:
-                report.backward_failures += 1
-                if len(report.counterexamples) < _MAX_COUNTEREXAMPLES:
-                    report.counterexamples.append(("backward", a, b))
+    pairs = [sample_pair(relation, seed, t, n) for t in range(trials)]
+    a, b = (np.array([p[i] for p in pairs]).reshape(trials, n, n) for i in (0, 1))
+    fa, fb = (np.array([mmap.apply(x) for x in m]).reshape(a.shape) for m in (a, b))
+    holds = order_holds_many(np.concatenate([a, fa]), np.concatenate([b, fb]), relation, tol)
+    before, after = holds.reshape(2, trials)
+    report.forward_checked = int(before.sum())
+    report.forward_failures = int((before & ~after).sum())
+    report.backward_checked = int(after.sum())
+    report.backward_failures = int((after & ~before).sum())
+    for t in np.flatnonzero(before != after)[:_MAX_COUNTEREXAMPLES]:
+        report.counterexamples.append(("forward" if before[t] else "backward", *pairs[t]))
     return report
 
 
@@ -349,37 +345,44 @@ def projector_fixed_point_suite(
     rank-subtractivity orders, while a strict contraction t P (0 < t < 1)
     stays below I only in the PSD sense.  Each trial draws a random
     projector, asserts those facts, applies the map, and tallies whether
-    the image pairs still relate the same way.
+    the image pairs still relate the same way.  The Loewner verdicts of all
+    trials, before and after the map, are decided in one stacked check, and
+    so are the minus verdicts.
     """
     report = PreservationReport(
         relation="projector-interval", map_label=mmap.label, n=n, trials=trials
     )
-
-    def on_interval(p, contraction, identity, k):
-        return (
-            lowner_leq(p, identity, tol).holds
-            and minus_leq(p, identity, tol=tol).holds
-            and lowner_leq(contraction, identity, tol).holds
-            and (k == 0 or not minus_leq(contraction, identity, tol=tol).holds)
-        )
-
-    identity = np.eye(n)
+    ranks, projectors, contractions = [], [], []
     for t in range(trials):
         key = substream(seed, t, 1)
         k = int(uniforms(substream(key, 0), 1)[0] * (n + 1))
         q = _orthogonal(substream(key, 1), n)
         p = q[:, :k] @ q[:, :k].T
         shrink = 0.25 + 0.5 * float(uniforms(substream(key, 2), 1)[0])
-        contraction = shrink * p
-        report.forward_checked += 1
-        if not on_interval(p, contraction, identity, k):
-            report.forward_failures += 1
-            if len(report.counterexamples) < _MAX_COUNTEREXAMPLES:
-                report.counterexamples.append(("invariant", p, identity))
-            continue
-        report.backward_checked += 1
-        if not on_interval(mmap.apply(p), mmap.apply(contraction), mmap.apply(identity), k):
-            report.backward_failures += 1
-            if len(report.counterexamples) < _MAX_COUNTEREXAMPLES:
-                report.counterexamples.append(("image", p, identity))
+        ranks.append(k)
+        projectors.append(p)
+        contractions.append(shrink * p)
+
+    # rows: P and t P below I, then their images below the image of I
+    identity = np.eye(n)
+    below = np.array([*projectors, *contractions]).reshape(2 * trials, n, n)
+    mapped = np.array([mmap.apply(x) for x in below]).reshape(below.shape)
+    above = np.concatenate([
+        np.broadcast_to(identity, below.shape),
+        np.broadcast_to(mmap.apply(identity), below.shape),
+    ])
+    lowner, minus = (
+        order_holds_many(np.concatenate([below, mapped]), above, rel, tol).reshape(2, 2, trials)
+        for rel in (Relation.LOWNER, Relation.MINUS)
+    )
+    # P <= I in both orders, t P <= I in the PSD order only (unless P = 0)
+    on_interval = lowner[:, 0] & minus[:, 0] & lowner[:, 1] & ((np.array(ranks) == 0) | ~minus[:, 1])
+    invariant, image = on_interval
+    report.forward_checked = trials
+    report.forward_failures = int((~invariant).sum())
+    report.backward_checked = int(invariant.sum())
+    report.backward_failures = int((invariant & ~image).sum())
+    for t in np.flatnonzero(~(invariant & image))[:_MAX_COUNTEREXAMPLES]:
+        kind = "image" if invariant[t] else "invariant"
+        report.counterexamples.append((kind, projectors[t], identity))
     return report

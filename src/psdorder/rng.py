@@ -10,50 +10,46 @@ sequential run agree bit for bit.
 
 import numpy as np
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_U64 = np.uint64
+_M64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer over uint64 arrays (wrapping arithmetic)."""
-    x = x.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        x ^= x >> _U64(30)
-        x *= _MIX1
-        x ^= x >> _U64(27)
-        x *= _MIX2
-        x ^= x >> _U64(31)
-    return x
+def _mix64(x):
+    """SplitMix64 finalizer, wrapping at 2**64: on a Python int in
+    [0, 2**64), or elementwise on a uint64 array (which wraps by itself)."""
+    x ^= x >> 30
+    x = (x * _MIX1) & _M64
+    x ^= x >> 27
+    x = (x * _MIX2) & _M64
+    return x ^ (x >> 31)
 
 
 def substream(seed: int, *indices: int) -> int:
     """Derive a child seed from a parent seed and a path of indices.
 
     Children of distinct paths are statistically independent streams; this is
-    how trial loops and Monte Carlo shards get their private keys.
+    how trial loops and Monte Carlo shards get their private keys.  The
+    arithmetic runs on Python ints, reduced mod 2**64 like the uint64 array
+    arithmetic of the streams themselves.
     """
-    key = np.asarray(np.uint64(seed % (1 << 64)))
-    with np.errstate(over="ignore"):
-        for idx in indices:
-            key = _mix64(key ^ (_mix64(np.asarray(np.uint64(idx % (1 << 64)))) + _GOLDEN))
-    return int(key)
+    key = seed & _M64
+    for idx in indices:
+        key = _mix64(key ^ ((_mix64(idx & _M64) + _GOLDEN) & _M64))
+    return key
 
 
 def _raw(seed: int, count: int, offset: int) -> np.ndarray:
-    key = np.uint64(seed % (1 << 64))
     counters = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        states = key + counters * _GOLDEN
-    return _mix64(states)
+    return _mix64(np.uint64(seed & _M64) + counters * np.uint64(_GOLDEN))
 
 
 def uniforms(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """`count` doubles in [0, 1) from the stream keyed by `seed`, starting at
     counter position `offset`."""
     bits = _raw(seed, count, offset)
-    return (bits >> _U64(11)).astype(np.float64) * (2.0 ** -53)
+    return (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
 def normals(seed: int, count: int, offset: int = 0) -> np.ndarray:

@@ -13,13 +13,15 @@ from psdorder import (
     fit_congruence,
     lowner_leq,
     minus_leq,
+    order_leq,
     preserves_order,
     probe_inputs,
     projector_fixed_point_suite,
     star_family_leq,
 )
 from psdorder.numkernel import maxabs
-from psdorder.preservers import sample_pair
+from psdorder.preservers import _orthogonal, sample_pair
+from psdorder.rng import substream, uniforms
 
 TOL12 = ToleranceConfig(rank_rel_tol=1e-12)
 
@@ -236,3 +238,116 @@ def test_projector_fixed_point_suite():
                                       seed=3, tol=TOL12)
     assert rep.forward_failures == 0
     assert rep.backward_failures > 0
+
+
+# The sweeps decide all their trials in one stacked check; these references
+# decide the same trials one pair at a time with the scalar verdicts.
+
+
+def _reference_preserves(mmap, relation, n, trials, seed):
+    counts = [0, 0, 0, 0]  # forward checked/failures, backward checked/failures
+    examples = []
+    for t in range(trials):
+        a, b = sample_pair(relation, seed, t, n)
+        before = order_leq(a, b, relation).holds
+        after = order_leq(mmap.apply(a), mmap.apply(b), relation).holds
+        for side, (given, implied) in enumerate(((before, after), (after, before))):
+            if given:
+                counts[2 * side] += 1
+                if not implied:
+                    counts[2 * side + 1] += 1
+                    examples.append((("forward", "backward")[side], a, b))
+    return counts, examples[:5]
+
+
+def _reference_projector_suite(mmap, n, trials, seed):
+    identity = np.eye(n)
+
+    def on_interval(p, contraction, top, k):
+        return (lowner_leq(p, top).holds and minus_leq(p, top).holds
+                and lowner_leq(contraction, top).holds
+                and (k == 0 or not minus_leq(contraction, top).holds))
+
+    counts = [0, 0, 0, 0]
+    examples = []
+    for t in range(trials):
+        key = substream(seed, t, 1)
+        k = int(uniforms(substream(key, 0), 1)[0] * (n + 1))
+        q = _orthogonal(substream(key, 1), n)
+        p = q[:, :k] @ q[:, :k].T
+        contraction = (0.25 + 0.5 * float(uniforms(substream(key, 2), 1)[0])) * p
+        counts[0] += 1
+        if not on_interval(p, contraction, identity, k):
+            counts[1] += 1
+            examples.append(("invariant", p, identity))
+            continue
+        counts[2] += 1
+        if not on_interval(mmap.apply(p), mmap.apply(contraction), mmap.apply(identity), k):
+            counts[3] += 1
+            examples.append(("image", p, identity))
+    return counts, examples[:5]
+
+
+def _as_reference(report):
+    counts = [report.forward_checked, report.forward_failures,
+              report.backward_checked, report.backward_failures]
+    return counts, report.counterexamples
+
+
+def _assert_same(got, want):
+    assert got[0] == want[0]
+    assert len(got[1]) == len(want[1])
+    for (kind, a, b), (want_kind, want_a, want_b) in zip(*(got[1], want[1])):
+        assert kind == want_kind
+        assert a.tobytes() == want_a.tobytes() and b.tobytes() == want_b.tobytes()
+
+
+def _sweep_maps(n, k):
+    rng = np.random.default_rng(100 * n + k)
+    scale = 10.0 ** (k / 2)  # images scale by 10^k
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return [
+        congruence_map(scale * random_invertible(rng, n, limit=50.0)),
+        congruence_map(scale * q),
+        MatrixMap.trace_inflation(),
+        MatrixMap.rank_collapse(),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10])
+@pytest.mark.parametrize("relation", ["lowner", "minus", "star"])
+def test_preserves_order_matches_per_pair_reference(relation, n):
+    for k in (-6, 0, 6):
+        for mmap in _sweep_maps(n, k):
+            seed = 7 * n + k
+            got = _as_reference(preserves_order(mmap, relation, n, trials=40, seed=seed))
+            _assert_same(got, _reference_preserves(mmap, relation, n, 40, seed))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10])
+def test_projector_suite_matches_per_pair_reference(n):
+    for k in (-6, 0, 6):
+        for mmap in _sweep_maps(n, k):
+            seed = 11 * n + k
+            got = _as_reference(projector_fixed_point_suite(mmap, n, trials=40, seed=seed))
+            _assert_same(got, _reference_projector_suite(mmap, n, 40, seed))
+
+
+def test_sweep_references_see_failures():
+    # the maps above break the orders on some trials, so the comparisons
+    # cover counterexamples and not only clean reports
+    counts, examples = _reference_preserves(MatrixMap.trace_inflation(), "lowner", 3, 40, 1)
+    assert counts[3] > 0 and examples[0][0] == "backward"
+    counts, examples = _reference_preserves(MatrixMap.rank_collapse(), "minus", 3, 40, 1)
+    assert counts[1] > 0 and examples[0][0] == "forward"
+    counts, examples = _reference_projector_suite(MatrixMap.rank_collapse(), 3, 40, 1)
+    assert counts[3] > 0 and examples[0][0] == "image"
+
+
+def test_sweeps_with_no_trials():
+    m = MatrixMap.trace_inflation()
+    for relation in ("lowner", "minus", "star"):
+        rep = preserves_order(m, relation, n=3, trials=0)
+        assert (rep.forward_checked, rep.backward_checked, rep.counterexamples) == (0, 0, [])
+    rep = projector_fixed_point_suite(m, n=3, trials=0)
+    assert (rep.forward_checked, rep.backward_checked, rep.counterexamples) == (0, 0, [])

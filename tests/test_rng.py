@@ -59,3 +59,21 @@ def test_normal_matrix_shape_and_determinism():
     assert m.shape == (4, 5)
     np.testing.assert_array_equal(m.ravel(), normals(3, 20))
     np.testing.assert_array_equal(normal_matrix(3, 4, 5, offset=10).ravel(), normals(3, 20, offset=10))
+
+
+def test_streams_match_recorded_values():
+    # recorded from the numpy uint64 implementation, so any rewrite of the
+    # SplitMix64 arithmetic must reproduce every stream bit for bit
+    assert substream(0, 0) == 16294208416658607535
+    assert substream(42, 3, 5) == 944763023252005333
+    assert substream(-1, 2**64 + 5, 7) == 15114195839707298658
+    assert substream(2**70, -3) == 2785712103215064854
+    assert substream(99) == 99
+    assert [x.hex() for x in uniforms(123, 4, offset=7)] == [
+        "0x1.edeefa1936476p-2", "0x1.3d5bb34b7924bp-1",
+        "0x1.2039dbff563a0p-3", "0x1.755024737c6f4p-1",
+    ]
+    assert [x.hex() for x in normals(5, 5, offset=3)] == [
+        "0x1.b396091aef4d0p-2", "-0x1.e36b85ef4593ap-2", "0x1.c27e53b70a828p-2",
+        "-0x1.73bf54d378d81p+1", "-0x1.9f8f75ae48aefp-3",
+    ]

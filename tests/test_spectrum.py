@@ -13,6 +13,7 @@ import pytest
 import oracles
 from psdorder import (
     DEFAULT_TOL,
+    DimensionMismatch,
     LinearModel,
     MinusMethod,
     PsdMatrix,
@@ -25,11 +26,16 @@ from psdorder import (
     lowner_leq,
     minus_leq,
     model_compare,
+    order_holds_many,
+    order_leq,
+    preserves_order,
+    projector_fixed_point_suite,
     sim_congruence,
     star_family_leq,
     sym_eig,
 )
-from psdorder.numkernel import min_singular_value, rel_residual, shared_cutoff
+from psdorder.numkernel import eig_stack, min_singular_value, rel_residual
+from psdorder.preservers import congruence_map, sample_pair
 
 
 @pytest.fixture
@@ -83,9 +89,9 @@ def _verdict(route, a, b):
 
 @pytest.mark.parametrize("route, holds_eighs, fails_eighs", [
     ("lowner", 1, 1),
-    ("minus_rank", 3, 3),
-    ("minus_image", 3, 3),
-    ("minus_ginv", 3, 3),
+    ("minus_rank", 1, 1),
+    ("minus_image", 1, 1),
+    ("minus_ginv", 1, 1),
     ("star", 1, 2),
 ])
 def test_eigh_calls_per_verdict(eigh_calls, route, holds_eighs, fails_eighs):
@@ -96,6 +102,58 @@ def test_eigh_calls_per_verdict(eigh_calls, route, holds_eighs, fails_eighs):
         assert verdict.holds == (label == "holds")
         assert verdict.detail == ("strictly less" if label == "holds" else "incomparable")
         assert len(eigh_calls) == expected, (route, label)
+
+
+@pytest.mark.parametrize("relation", ["lowner", "minus", "star"])
+def test_sweep_eigh_calls_do_not_grow_with_trials(eigh_calls, relation):
+    s = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.0, 1.5]])
+    mmap = congruence_map(s)
+    for trials in (1, 4, 40):
+        eigh_calls.clear()
+        preserves_order(mmap, relation, n=3, trials=trials, seed=5)
+        assert len(eigh_calls) == 1, (relation, trials)
+        eigh_calls.clear()
+        projector_fixed_point_suite(mmap, n=3, trials=trials, seed=5)
+        assert len(eigh_calls) == 2, trials  # one Loewner, one minus stack
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 16])
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 50])
+def test_stacked_eigh_matches_per_matrix_eigh(n, k):
+    # the premise of the stacked core: LAPACK on a (k, n, n) stack gives
+    # each matrix the bits a call on it alone gives, and so does eig_stack
+    rng = np.random.default_rng(1000 * n + k)
+    g = rng.standard_normal((k, n, n))
+    x = g + g.swapaxes(1, 2)
+    q, _ = np.linalg.qr(g[0])
+    x[0] = (q * np.r_[np.ones(n // 2), np.zeros(n - n // 2)]) @ q.T  # a projector
+    x[-1] = np.diag(np.r_[np.ones(n - 1), 0.0])  # exactly repeated eigenvalues
+    values, vectors = np.linalg.eigh(x)
+    c_values, c_vectors = eig_stack(x)
+    for i in range(k):
+        v, q = np.linalg.eigh(x[i])
+        assert v.tobytes() == values[i].tobytes()
+        assert q.tobytes() == vectors[i].tobytes()
+        eig = sym_eig(x[i])
+        assert eig.values.tobytes() == c_values[i].tobytes()
+        assert eig.vectors.tobytes() == c_vectors[i].tobytes()
+        assert eig.vectors.strides == c_vectors[i].strides
+
+
+@pytest.mark.parametrize("relation", ["lowner", "minus", "star", "left-star", "right-star"])
+def test_order_holds_many_matches_order_leq(relation):
+    base = relation if relation in ("lowner", "minus") else "star"
+    pairs = [sample_pair(base, 3, t, n) for n in (4,) for t in range(24)]
+    pairs += [(b, a) for a, b in pairs]
+    pairs += [(1e-200 * a, 1e-200 * b) for a, b in pairs[:8]]
+    pairs += [(np.zeros((4, 4)), np.zeros((4, 4))), (np.zeros((4, 4)), pairs[0][1])]
+    a, b = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+    want = [order_leq(x, y, relation).holds for x, y in pairs]
+    got = order_holds_many(a, b, relation)
+    assert got.dtype == bool and got.tolist() == want
+    assert 0 < sum(want) < len(want)
+    with pytest.raises(DimensionMismatch):
+        order_holds_many(a, b[:, :3, :3], relation)
 
 
 def test_image_route_takes_no_svd(monkeypatch):
@@ -213,8 +271,10 @@ def test_eig_decomposition_cutoff_queries():
     assert eig.rank(cutoff=5.0) == 0
     zero = sym_eig(np.zeros((3, 3)))
     assert zero.radius == 0.0 and zero.cutoff() == 0.0 and zero.rank() == 0
-    small = sym_eig(np.diag([1.0, 0.0, 0.0, 0.0]))
-    assert shared_cutoff([small, eig]) == DEFAULT_TOL.rank_cutoff(4, 4.0)
+    # the minus order counts A, B and B - A against the largest radius of the three
+    small = np.diag([1.0, 0.0, 0.0, 0.0])
+    cert = minus_leq(small, np.diag([4.0, -2.0, 1e-17, 0.0])).certificate
+    assert cert["cutoff"] == DEFAULT_TOL.rank_cutoff(4, 4.0)
 
 
 def test_column_basis_spans_the_columns_at_exact_rank():
