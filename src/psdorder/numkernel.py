@@ -76,6 +76,14 @@ def rel_residual(diff, *refs) -> float:
     return num / den if den > 0.0 else float("inf")
 
 
+def rel_residual_stack(diff, *refs) -> np.ndarray:
+    """rel_residual of each matrix of a stack (over the last two axes)."""
+    num = maxabs_stack(diff)
+    den = np.max([maxabs_stack(r) for r in refs], axis=0)
+    out = np.where(num == 0.0, 0.0, np.inf)
+    return np.divide(num, den, out=out, where=(num != 0.0) & (den > 0.0))
+
+
 def identity_budget(tol: ToleranceConfig, op, *refs) -> float:
     """Budget for rel_residual of an identity that multiplies by `op` (G in
     A G A = A, L in L X = X): recon_tol, widened once the dimensionless size

@@ -374,18 +374,22 @@ def order_leq(
 
 def order_holds_many(a, b, relation: Relation | str, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """order_leq(a[i], b[i], relation, tol).holds for every pair of two
-    (k, n, n) stacks, as a bool array: one stacked eigendecomposition for
-    the whole stack (of B - A, of A, B and B - A, or of B), then each
-    decision once over the stack."""
+    (k, n, n) stacks, as a bool array; B may also be one (n, n) matrix,
+    paired with every A.  One stacked eigendecomposition covers the whole
+    stack (of B - A, of A, B and B - A, or of B; a shared B is decomposed
+    once), then each decision runs once over the stack."""
     relation = Relation(relation)
-    a, b = sym_stack(a), sym_stack(b)
-    if a.shape != b.shape:
+    a = sym_stack(a)
+    shared = np.ndim(b) == 2
+    b = sym_stack(np.expand_dims(b, 0) if shared else b)
+    if b.shape != ((1, *a.shape[1:]) if shared else a.shape):
         raise DimensionMismatch(f"stack shape mismatch: {a.shape} vs {b.shape}")
     if relation is Relation.LOWNER:
         values, _ = eig_stack(sym_stack(b - a))
         return _lowner_stack(a, b, values, tol)[1][:, 0]
     if relation is Relation.MINUS:
         values, _ = eig_stack(np.concatenate([a, b, sym_stack(b - a)]))
-        return _minus_stack(values.reshape(3, *a.shape[:2]), tol)[0][0]
+        parts = np.split(values, [len(a), len(a) + len(b)])
+        return _minus_stack(np.stack(np.broadcast_arrays(*parts)), tol)[0][0]
     values, vectors = eig_stack(b)
     return _star_stack(a, b, values, vectors, tol)[0]

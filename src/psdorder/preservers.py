@@ -14,9 +14,17 @@ from typing import Callable
 import numpy as np
 
 from .errors import InconsistentSamples, SingularS
-from .numkernel import SymMatrix, maxabs, min_singular_value, rel_residual, sym_eig
+from .numkernel import (
+    SymMatrix,
+    maxabs_stack,
+    min_singular_value,
+    rel_residual,
+    rel_residual_stack,
+    sym_eig,
+    sym_stack,
+)
 from .orders import Relation, order_holds_many
-from .rng import normal_matrix, substream, uniforms
+from .rng import box_muller, normal_matrix, substream, uniforms
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 # How many offending pairs a report keeps around for inspection.
@@ -31,8 +39,14 @@ class MatrixMap:
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
     def apply(self, a) -> np.ndarray:
-        sym = a if isinstance(a, SymMatrix) else SymMatrix(a)
-        return np.asarray(self.fn(sym.a), dtype=float)
+        """fn on one matrix, or on each matrix of a (k, n, n) stack.  The
+        input is checked and symmetrized as SymMatrix does, once for the
+        whole stack (sym_stack); each image has the shape of its input."""
+        a = a.a if isinstance(a, SymMatrix) else a
+        single = np.ndim(a) == 2
+        stack = sym_stack(np.expand_dims(a, 0) if single else a)
+        out = np.array([self.fn(m) for m in stack], dtype=float).reshape(stack.shape)
+        return out[0] if single else out
 
     @classmethod
     def trace_inflation(cls) -> "MatrixMap":
@@ -105,45 +119,75 @@ class PreservationReport:
         return self.preserves_forward and self.preserves_backward
 
 
-def _orthogonal(seed: int, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(normal_matrix(seed, n, n))
-    return q * np.sign(np.where(np.diag(r) == 0, 1.0, np.diag(r)))
+def _draw(keys, streams, n: int) -> np.ndarray:
+    """One block of uniforms (k, len(streams), count) for a stack of trial
+    keys: row [i, j] starts the stream substream(keys[i], streams[j]).  The
+    rows are long enough for n * n normals and for 3 n uniforms."""
+    count = max(n * n, 3 * n)
+    children = substream(keys[:, None], np.array(streams, dtype=np.uint64))
+    return uniforms(children, count + count % 2)
 
 
-def _comparable_pair(relation: Relation, seed: int, n: int):
-    """A pair related by construction (possibly equal)."""
+def _normals(u, n: int) -> np.ndarray:
+    """(k, n, n) standard normals, row-major, from uniform rows u (k, count)."""
+    return box_muller(u)[:, :n * n].reshape(-1, n, n)
+
+
+def _orthogonal(z) -> np.ndarray:
+    """Q of the QR factorization of each matrix of a stack, with the column
+    signs that make the diagonal of R nonnegative."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * np.sign(np.where(d == 0, 1.0, d))[:, None, :]
+
+
+def _congruent(s, d) -> np.ndarray:
+    """S diag(d) S^T for each S of a stack and row d of a (k, n) array."""
+    return (s * d[:, None, :]) @ s.swapaxes(-1, -2)
+
+
+def _leading_ones(counts, n: int) -> np.ndarray:
+    """(k, n) rows of counts[i] ones followed by zeros."""
+    return (np.arange(n) < counts[:, None]).astype(float)
+
+
+def _comparable_pair(relation: Relation, keys, n: int):
+    """Pairs related by construction (possibly equal), one per trial key."""
     if relation is Relation.LOWNER:
-        g = normal_matrix(substream(seed, 0), n, n)
-        a = g @ g.T
-        k = int(uniforms(substream(seed, 1), 1)[0] * (n + 1))
-        if k == 0:
-            return a, a.copy()
-        h = normal_matrix(substream(seed, 2), n, k)
-        return a, a + h @ h.T
+        u = _draw(keys, (0, 1, 2), n)
+        g = _normals(u[:, 0], n)
+        a = g @ g.swapaxes(-1, -2)
+        b = a.copy()
+        ks = (u[:, 1, 0] * (n + 1)).astype(int)
+        h = box_muller(u[:, 2])
+        # H H^T has k columns, drawn per trial, so it is formed per trial
+        for i in np.flatnonzero(ks):
+            hi = h[i, :n * ks[i]].reshape(n, ks[i])
+            b[i] = a[i] + hi @ hi.T
+        return a, b
     if relation is Relation.MINUS:
         # Orthogonal times bounded diagonal keeps the factor's condition
         # number at most 4, so every intended eigendirection stays a solid
         # fraction of the spectral radius even after a further congruence.
-        q = _orthogonal(substream(seed, 3), n)
-        s = q * (0.5 + 1.5 * uniforms(substream(seed, 16), n))
-        u = uniforms(substream(seed, 4), 2)
-        r = int(u[0] * (n + 1))
-        k = r + int(u[1] * (n - r + 1))
-        d_a = np.array([1.0] * r + [0.0] * (n - r))
-        d_b = np.array([1.0] * k + [0.0] * (n - k))
-        return (s * d_a) @ s.T, (s * d_b) @ s.T
+        u = _draw(keys, (3, 16, 4), n)
+        s = _orthogonal(_normals(u[:, 0], n)) * (0.5 + 1.5 * u[:, 1, None, :n])
+        r = (u[:, 2, 0] * (n + 1)).astype(int)
+        k = r + (u[:, 2, 1] * (n - r + 1)).astype(int)
+        return _congruent(s, _leading_ones(r, n)), _congruent(s, _leading_ones(k, n))
     # Star family: common eigenbasis, supports nested, shared part identical.
-    q = _orthogonal(substream(seed, 5), n)
-    u = uniforms(substream(seed, 6), 3 * n)
-    support_a = u[:n] < 0.5
-    d_a = np.where(support_a, 0.5 + u[n:2 * n], 0.0)
-    grow = (~support_a) & (u[2 * n:] < 0.5)
-    d_b = d_a + np.where(grow, 0.5 + u[n:2 * n], 0.0)
-    return (q * d_a) @ q.T, (q * d_b) @ q.T
+    u = _draw(keys, (5, 6), n)
+    q = _orthogonal(_normals(u[:, 0], n))
+    v = u[:, 1]
+    support_a = v[:, :n] < 0.5
+    d_a = np.where(support_a, 0.5 + v[:, n:2 * n], 0.0)
+    grow = (~support_a) & (v[:, 2 * n:3 * n] < 0.5)
+    d_b = d_a + np.where(grow, 0.5 + v[:, n:2 * n], 0.0)
+    return _congruent(q, d_a), _congruent(q, d_b)
 
 
-def _incomparable_pair(relation: Relation, seed: int, n: int):
-    """A pair related in neither direction, by construction.
+def _incomparable_pair(relation: Relation, keys, n: int):
+    """Pairs related in neither direction, by construction, one per trial
+    key.
 
     The PSD-order recipe keeps the difference indefinite with positive
     trace, which also exercises maps that inflate by the trace (their
@@ -152,57 +196,58 @@ def _incomparable_pair(relation: Relation, seed: int, n: int):
     if n < 2:
         raise ValueError("incomparable pairs need n >= 2")
     if relation is Relation.LOWNER:
-        q = _orthogonal(substream(seed, 7), n)
-        u = uniforms(substream(seed, 8), n)
-        d = 1.0 + u
-        d[-1] = -(0.05 + 0.25 * u[-1])
-        diff = (q * d) @ q.T
-        g = normal_matrix(substream(seed, 9), n, n)
-        base = g @ g.T + (abs(d[-1]) + 0.5) * np.eye(n)
-        return base, base + diff
+        u = _draw(keys, (7, 8, 9), n)
+        q = _orthogonal(_normals(u[:, 0], n))
+        d = 1.0 + u[:, 1, :n]
+        d[:, -1] = -(0.05 + 0.25 * u[:, 1, n - 1])
+        g = _normals(u[:, 2], n)
+        base = g @ g.swapaxes(-1, -2) + (np.abs(d[:, -1]) + 0.5)[:, None, None] * np.eye(n)
+        return base, base + _congruent(q, d)
     if relation is Relation.MINUS:
-        q = _orthogonal(substream(seed, 10), n)
-        s = q * (0.5 + 1.5 * uniforms(substream(seed, 17), n))
-        u = uniforms(substream(seed, 11), n + 1)
-        k = 1 + int(u[0] * (n - 1))
-        d_a = np.array([1.0] * k + [0.0] * (n - k))
-        d_b = d_a * (1.5 + u[1:])
-        return (s * d_a) @ s.T, (s * d_b) @ s.T
-    q = _orthogonal(substream(seed, 12), n)
-    u = uniforms(substream(seed, 13), n)
-    d_a = 0.5 + u
+        u = _draw(keys, (10, 17, 11), n)
+        s = _orthogonal(_normals(u[:, 0], n)) * (0.5 + 1.5 * u[:, 1, None, :n])
+        d_a = _leading_ones(1 + (u[:, 2, 0] * (n - 1)).astype(int), n)
+        d_b = d_a * (1.5 + u[:, 2, 1:n + 1])
+        return _congruent(s, d_a), _congruent(s, d_b)
+    u = _draw(keys, (12, 13), n)
+    q = _orthogonal(_normals(u[:, 0], n))
+    d_a = 0.5 + u[:, 1, :n]
     d_b = d_a.copy()
-    d_b[0] *= 2.0
-    return (q * d_a) @ q.T, (q * d_b) @ q.T
+    d_b[:, 0] *= 2.0
+    return _congruent(q, d_a), _congruent(q, d_b)
 
 
-def _chain_pair(relation: Relation, seed: int, n: int):
-    """A comparable pair; for the PSD order, the outer pair of a three-term
-    ascending chain A <= B <= B + H H^T."""
-    a, b = _comparable_pair(relation, substream(seed, 14), n)
-    if relation is Relation.LOWNER:
-        h = normal_matrix(substream(seed, 15), n, max(1, n // 2))
-        return a, b + h @ h.T
-    return a, b
-
-
-def sample_pair(relation, seed: int, trial: int, n: int):
-    """Deterministic pair for one preservation trial.
+def sample_pair(relation, seed: int, trial, n: int):
+    """Deterministic pair for one preservation trial, or (k, n, n) stacks
+    of the pairs of an array of trials, all drawn at once.
 
     Trials cycle through comparable, incomparable, chain-derived and a
     second comparable draw, so both branches of each implication get
-    exercised with known ground truth.  Only the PSD order draws a
-    chain-extended pair; for the minus and star orders the chain trial is
-    one more comparable draw from its own substream.
+    exercised with known ground truth.  A chain trial draws a comparable
+    pair from its own substream; only for the PSD order does it extend
+    that pair to the outer pair of a three-term ascending chain
+    A <= B <= B + H H^T.  Each pair is bit for bit the one a call for its
+    trial alone gives.
     """
     relation = Relation(relation)
-    key = substream(seed, trial)
-    kind = trial % 4
-    if kind == 0 or kind == 3:
-        return _comparable_pair(relation, key, n)
-    if kind == 1:
-        return _incomparable_pair(relation, key, n)
-    return _chain_pair(relation, key, n)
+    trials = np.atleast_1d(trial)
+    keys = substream(seed, trials.astype(np.uint64))
+    kind = trials % 4
+    comparable = np.flatnonzero((kind == 0) | (kind == 3))
+    incomparable = np.flatnonzero(kind == 1)
+    chain = np.flatnonzero(kind == 2)
+    a, b = np.empty((2, len(trials), n, n))
+    rows = np.concatenate([comparable, chain])
+    if rows.size:
+        a[rows], b[rows] = _comparable_pair(
+            relation, np.concatenate([keys[comparable], substream(keys[chain], 14)]), n
+        )
+    if chain.size and relation is Relation.LOWNER:
+        h = normal_matrix(substream(keys[chain], 15), n, max(1, n // 2))
+        b[chain] += h @ h.swapaxes(-1, -2)
+    if incomparable.size:
+        a[incomparable], b[incomparable] = _incomparable_pair(relation, keys[incomparable], n)
+    return (a[0], b[0]) if np.ndim(trial) == 0 else (a, b)
 
 
 def preserves_order(
@@ -218,17 +263,16 @@ def preserves_order(
     For each generated pair the forward implication (related originals must
     have related images) and the backward implication (related images must
     come from related originals) are tallied separately; see sample_pair
-    for how the pairs are drawn.  The map is applied to each matrix, and
-    all 2 * trials verdicts, before and after the map, are decided in one
-    stacked check (order_holds_many).
+    for how the pairs are drawn.  All trials are drawn in one sample_pair
+    call and mapped as stacks, and all 2 * trials verdicts, before and
+    after the map, are decided in one stacked check (order_holds_many).
     """
     relation = Relation(relation)
     report = PreservationReport(
         relation=relation.value, map_label=mmap.label, n=n, trials=trials
     )
-    pairs = [sample_pair(relation, seed, t, n) for t in range(trials)]
-    a, b = (np.array([p[i] for p in pairs]).reshape(trials, n, n) for i in (0, 1))
-    fa, fb = (np.array([mmap.apply(x) for x in m]).reshape(a.shape) for m in (a, b))
+    a, b = sample_pair(relation, seed, np.arange(trials), n)
+    fa, fb = mmap.apply(a), mmap.apply(b)
     holds = order_holds_many(np.concatenate([a, fa]), np.concatenate([b, fb]), relation, tol)
     before, after = holds.reshape(2, trials)
     report.forward_checked = int(before.sum())
@@ -236,7 +280,7 @@ def preserves_order(
     report.backward_checked = int(after.sum())
     report.backward_failures = int((after & ~before).sum())
     for t in np.flatnonzero(before != after)[:_MAX_COUNTEREXAMPLES]:
-        report.counterexamples.append(("forward" if before[t] else "backward", *pairs[t]))
+        report.counterexamples.append(("forward" if before[t] else "backward", a[t], b[t]))
     return report
 
 
@@ -254,13 +298,6 @@ def probe_inputs(n: int) -> list:
         e[i, 0] = 1.0
         probes.append(e @ e.T)
     return probes
-
-
-def _find_output(samples, probe, tol):
-    for given, image in samples:
-        if maxabs(np.asarray(given, dtype=float) - probe) <= tol.recon_tol:
-            return np.asarray(image, dtype=float)
-    return None
 
 
 def _rank_one_factor(m, tol):
@@ -282,19 +319,23 @@ def fit_congruence(samples, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     positive.  Every remaining sample is then validated against the
     recovered S; anything unexplained raises InconsistentSamples.
     """
-    pairs = [
-        (np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y in samples
-    ]
-    if not pairs:
+    samples = list(samples)
+    if not samples:
         raise InconsistentSamples("no samples given")
-    n = pairs[0][0].shape[0]
-    probes = probe_inputs(n)
-    images = []
-    for probe in probes:
-        out = _find_output(pairs, probe, tol)
-        if out is None:
-            raise InconsistentSamples("probe inputs are missing from the samples")
-        images.append(out)
+    given, outputs = (np.array(side, dtype=float) for side in zip(*samples))
+    n = given.shape[1]
+    # every probe against every sample, each probe taking its first match in
+    # sample order; only the pairs that agree on the diagonal are compared
+    # in full, since every other pair differs by more on the diagonal alone
+    probes = np.array(probe_inputs(n))
+    diag_given, diag_probes = (np.diagonal(m, axis1=1, axis2=2) for m in (given, probes))
+    near = np.abs(diag_given - diag_probes[:, None]).max(axis=-1) <= tol.recon_tol
+    p, i = np.nonzero(near)
+    match = np.zeros_like(near)
+    match[p, i] = maxabs_stack(given[i] - probes[p]) <= tol.recon_tol
+    if not match.any(axis=1).all():
+        raise InconsistentSamples("probe inputs are missing from the samples")
+    images = outputs[match.argmax(axis=1)]
 
     diag_images, mixed_images = images[:n], images[n:]
     first = _rank_one_factor(diag_images[0], tol)
@@ -323,13 +364,26 @@ def fit_congruence(samples, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
         columns.append(col)
     s = np.column_stack(columns)
 
-    for given, image in pairs:
-        predicted = s @ given @ s.T
-        if rel_residual(predicted - image, predicted, image) > tol.recon_tol:
-            raise InconsistentSamples(
-                "a sample disagrees with the congruence fitted from the probes"
-            )
+    predicted = s @ given @ s.T
+    if (rel_residual_stack(predicted - outputs, predicted, outputs) > tol.recon_tol).any():
+        raise InconsistentSamples(
+            "a sample disagrees with the congruence fitted from the probes"
+        )
     return s
+
+
+def _projectors(seed: int, trials: int, n: int):
+    """The rank k, projector P = Q_k Q_k^T and shrink factor t of every
+    projector_fixed_point_suite trial, all drawn at once."""
+    keys = substream(seed, np.arange(trials, dtype=np.uint64), 1)
+    u = _draw(keys, (0, 1, 2), n)
+    ranks = (u[:, 0, 0] * (n + 1)).astype(int)
+    q = _orthogonal(_normals(u[:, 1], n))
+    projectors = np.empty((trials, n, n))
+    # P has k columns, drawn per trial, so it is formed per trial
+    for t, k in enumerate(ranks):
+        projectors[t] = q[t, :, :k] @ q[t, :, :k].T
+    return ranks, projectors, 0.25 + 0.5 * u[:, 2, 0]
 
 
 def projector_fixed_point_suite(
@@ -345,38 +399,26 @@ def projector_fixed_point_suite(
     rank-subtractivity orders, while a strict contraction t P (0 < t < 1)
     stays below I only in the PSD sense.  Each trial draws a random
     projector, asserts those facts, applies the map, and tallies whether
-    the image pairs still relate the same way.  The Loewner verdicts of all
-    trials, before and after the map, are decided in one stacked check, and
-    so are the minus verdicts.
+    the image pairs still relate the same way.  All trials are drawn at
+    once and mapped as one stack.  The Loewner verdicts of all trials below
+    I are decided in one stacked check and those of their images below the
+    image of I in another, and so are the minus verdicts, each check
+    decomposing its shared upper matrix once.
     """
     report = PreservationReport(
         relation="projector-interval", map_label=mmap.label, n=n, trials=trials
     )
-    ranks, projectors, contractions = [], [], []
-    for t in range(trials):
-        key = substream(seed, t, 1)
-        k = int(uniforms(substream(key, 0), 1)[0] * (n + 1))
-        q = _orthogonal(substream(key, 1), n)
-        p = q[:, :k] @ q[:, :k].T
-        shrink = 0.25 + 0.5 * float(uniforms(substream(key, 2), 1)[0])
-        ranks.append(k)
-        projectors.append(p)
-        contractions.append(shrink * p)
-
+    ranks, projectors, shrink = _projectors(seed, trials, n)
     # rows: P and t P below I, then their images below the image of I
     identity = np.eye(n)
-    below = np.array([*projectors, *contractions]).reshape(2 * trials, n, n)
-    mapped = np.array([mmap.apply(x) for x in below]).reshape(below.shape)
-    above = np.concatenate([
-        np.broadcast_to(identity, below.shape),
-        np.broadcast_to(mmap.apply(identity), below.shape),
-    ])
+    below = np.concatenate([projectors, shrink[:, None, None] * projectors])
+    sides = ((below, identity), (mmap.apply(below), mmap.apply(identity)))
     lowner, minus = (
-        order_holds_many(np.concatenate([below, mapped]), above, rel, tol).reshape(2, 2, trials)
+        np.array([order_holds_many(x, top, rel, tol) for x, top in sides]).reshape(2, 2, trials)
         for rel in (Relation.LOWNER, Relation.MINUS)
     )
     # P <= I in both orders, t P <= I in the PSD order only (unless P = 0)
-    on_interval = lowner[:, 0] & minus[:, 0] & lowner[:, 1] & ((np.array(ranks) == 0) | ~minus[:, 1])
+    on_interval = lowner[:, 0] & minus[:, 0] & lowner[:, 1] & ((ranks == 0) | ~minus[:, 1])
     invariant, image = on_interval
     report.forward_checked = trials
     report.forward_failures = int((~invariant).sum())

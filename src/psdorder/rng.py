@@ -6,6 +6,14 @@ counters mapped through Box-Muller.  Counter-based
 generation means a stream can be sharded by offset: draws [k, k+m) are the
 same whether produced in one call or many, so parallel shards and a single
 sequential run agree bit for bit.
+
+Streams can also be keyed by arrays.  substream, uniforms, normals and
+normal_matrix accept a uint64 array of seeds where they accept one seed,
+and draw every stream at once, with the array's shape as leading axes:
+each stream's values are bit for bit those of a call with its seed alone,
+which is the case of a single seed.  The samplers draw all their trials
+this way (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
+SC'11, on keyed counter-based streams).
 """
 
 import numpy as np
@@ -26,13 +34,14 @@ def _mix64(x):
     return x ^ (x >> 31)
 
 
-def substream(seed: int, *indices: int) -> int:
+def substream(seed, *indices):
     """Derive a child seed from a parent seed and a path of indices.
 
     Children of distinct paths are statistically independent streams; this is
-    how trial loops and Monte Carlo shards get their private keys.  The
-    arithmetic runs on Python ints, reduced mod 2**64 like the uint64 array
-    arithmetic of the streams themselves.
+    how trial loops and Monte Carlo shards get their private keys.  On Python
+    ints the arithmetic is reduced mod 2**64 like the uint64 array
+    arithmetic of the streams themselves; uint64 arrays of seeds or indices
+    give the children of every combination, broadcast together.
     """
     key = seed & _M64
     for idx in indices:
@@ -40,42 +49,46 @@ def substream(seed: int, *indices: int) -> int:
     return key
 
 
-def _raw(seed: int, count: int, offset: int) -> np.ndarray:
+def _raw(seed, count: int, offset: int) -> np.ndarray:
     counters = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    return _mix64(np.uint64(seed & _M64) + counters * np.uint64(_GOLDEN))
+    keys = np.asarray(seed & _M64, dtype=np.uint64)[..., None]
+    return _mix64(keys + counters * np.uint64(_GOLDEN))
 
 
-def uniforms(seed: int, count: int, offset: int = 0) -> np.ndarray:
+def uniforms(seed, count: int, offset: int = 0) -> np.ndarray:
     """`count` doubles in [0, 1) from the stream keyed by `seed`, starting at
-    counter position `offset`."""
+    counter position `offset`; one row of them per seed of a seed array."""
     bits = _raw(seed, count, offset)
     return (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
-def normals(seed: int, count: int, offset: int = 0) -> np.ndarray:
-    """`count` standard normal doubles via Box-Muller.
+def box_muller(u: np.ndarray) -> np.ndarray:
+    """Standard normals from uniforms in [0, 1), one per uniform: entries
+    (2i, 2i + 1) of the last axis, which must have even length, make a
+    pair.  u1 is reflected into (0, 1] to keep log finite."""
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[..., 0::2]))
+    angle = 2.0 * np.pi * u[..., 1::2]
+    out = np.empty(u.shape)
+    out[..., 0::2] = radius * np.cos(angle)
+    out[..., 1::2] = radius * np.sin(angle)
+    return out
+
+
+def normals(seed, count: int, offset: int = 0) -> np.ndarray:
+    """`count` standard normal doubles via Box-Muller, one row per seed of
+    a seed array.
 
     Each counter position yields one normal; positions pair up as (even, odd)
     so offset-based sharding remains exact as long as shard boundaries are
-    even.  Internally u1 is reflected into (0, 1] to keep log finite.
+    even.
     """
-    if count == 0:
-        return np.zeros(0)
     start = offset - (offset % 2)
-    n_pos = (offset + count) - start
-    n_pairs = (n_pos + 1) // 2
-    u = uniforms(seed, 2 * n_pairs, start)
-    u1 = 1.0 - u[0::2]
-    u2 = u[1::2]
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
-    out = np.empty(2 * n_pairs)
-    out[0::2] = radius * np.cos(angle)
-    out[1::2] = radius * np.sin(angle)
+    n_pairs = (offset + count - start + 1) // 2
     lead = offset - start
-    return out[lead:lead + count]
+    return box_muller(uniforms(seed, 2 * n_pairs, start))[..., lead:lead + count]
 
 
-def normal_matrix(seed: int, rows: int, cols: int, offset: int = 0) -> np.ndarray:
-    """Row-major (rows, cols) matrix of standard normals from one stream."""
-    return normals(seed, rows * cols, offset).reshape(rows, cols)
+def normal_matrix(seed, rows: int, cols: int, offset: int = 0) -> np.ndarray:
+    """Row-major (rows, cols) matrix of standard normals from one stream,
+    one per seed of a seed array."""
+    return normals(seed, rows * cols, offset).reshape(*np.shape(seed), rows, cols)

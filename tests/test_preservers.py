@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from psdorder import (
+    DimensionMismatch,
     InconsistentSamples,
     MatrixMap,
     Relation,
@@ -19,9 +20,9 @@ from psdorder import (
     projector_fixed_point_suite,
     star_family_leq,
 )
-from psdorder.numkernel import maxabs
-from psdorder.preservers import _orthogonal, sample_pair
-from psdorder.rng import substream, uniforms
+import per_trial
+from psdorder.numkernel import SymMatrix, maxabs, rel_residual, sym_eig
+from psdorder.preservers import _projectors, sample_pair
 
 TOL12 = ToleranceConfig(rank_rel_tol=1e-12)
 
@@ -142,6 +143,75 @@ def test_sample_pair_mix():
         assert related and unrelated
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 10])
+@pytest.mark.parametrize("relation", ["lowner", "minus", "star"])
+def test_stacked_sampler_matches_per_trial_reference(relation, n):
+    for seed in (0, 7, -3, 2**64 + 11):
+        a, b = sample_pair(relation, seed, np.arange(13), n)
+        assert a.shape == b.shape == (13, n, n)
+        for t in range(13):
+            want_a, want_b = per_trial.sample_pair(relation, seed, t, n)
+            assert a[t].tobytes() == want_a.tobytes() and b[t].tobytes() == want_b.tobytes()
+            one_a, one_b = sample_pair(relation, seed, t, n)
+            assert one_a.tobytes() == want_a.tobytes() and one_b.tobytes() == want_b.tobytes()
+        # any array of trials, in any order
+        a, b = sample_pair(relation, seed, np.array([9, 2, 5]), n)
+        for i, t in enumerate((9, 2, 5)):
+            want_a, want_b = per_trial.sample_pair(relation, seed, t, n)
+            assert a[i].tobytes() == want_a.tobytes() and b[i].tobytes() == want_b.tobytes()
+
+
+def test_drawn_entries_match_recorded_values():
+    # (relation, n, seed, trial): A[0, -1] and B[-1, 0], recorded from the
+    # per-trial sampler; trials 1, 2 and 3 are incomparable, chain and
+    # comparable draws
+    recorded = {
+        ("lowner", 3, 7, 1): ("-0x1.54020f498f5c6p+0", "-0x1.91d28804c1fc8p+0"),
+        ("lowner", 5, -3, 2): ("-0x1.773a3112db8d3p+0", "-0x1.f974d60484964p-1"),
+        ("lowner", 2, 2**64 + 11, 3): ("0x1.9aa53c322999ep-1", "-0x1.4e7cc0f0b0461p+0"),
+        ("minus", 3, 7, 1): ("0x1.57f1af98b73d6p-2", "0x1.2824d54cfca2ap-1"),
+        ("minus", 5, -3, 2): ("-0x1.046e9694f72bbp-2", "-0x1.32472e4000025p-4"),
+        ("minus", 2, 2**64 + 11, 3): ("0x0.0p+0", "0x1.f67fd710bd94cp-2"),
+        ("star", 3, 7, 1): ("0x1.66232f59044f1p-3", "-0x1.b7689f9e49d2dp-3"),
+        ("star", 5, -3, 2): ("-0x1.1b427f6c6508dp-2", "-0x1.71bc510c56f6ep-3"),
+        ("star", 2, 2**64 + 11, 3): ("-0x1.1ec41d2958a2ap-11", "-0x1.1ec41d2958a31p-11"),
+    }
+    for (relation, n, seed, trial), want in recorded.items():
+        a, b = sample_pair(relation, seed, np.arange(trial + 1), n)
+        assert (a[trial][0, -1].hex(), b[trial][-1, 0].hex()) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+def test_projector_draws_match_per_trial_reference(n):
+    for seed in (0, 7, -3, 2**64 + 11):
+        ranks, projectors, shrink = _projectors(seed, 13, n)
+        for t in range(13):
+            k, p, contraction = per_trial.projector_trial(seed, t, n)
+            assert ranks[t] == k and projectors[t].tobytes() == p.tobytes()
+            assert (shrink[t] * projectors[t]).tobytes() == contraction.tobytes()
+
+
+def test_matrix_map_applies_to_stacks():
+    rng = np.random.default_rng(71)
+    x = rng.standard_normal((6, 4, 4))
+    s = random_invertible(rng, 4)
+    for mmap in (congruence_map(s), MatrixMap.trace_inflation(), MatrixMap.rank_collapse()):
+        got = mmap.apply(x)
+        assert got.shape == x.shape
+        for m, image in zip(x, got):
+            sym = 0.5 * (m + m.T)
+            assert image.tobytes() == np.asarray(mmap.fn(sym), dtype=float).tobytes()
+            assert mmap.apply(m).tobytes() == image.tobytes()
+            assert mmap.apply(SymMatrix(m)).tobytes() == image.tobytes()
+        assert mmap.apply(np.empty((0, 4, 4))).shape == (0, 4, 4)
+    bad = x.copy()
+    bad[3, 1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        MatrixMap.trace_inflation().apply(bad)
+    with pytest.raises(DimensionMismatch):
+        MatrixMap.trace_inflation().apply(x[:, :, :3])
+
+
 def test_probe_inputs():
     probes = probe_inputs(3)
     assert len(probes) == 5
@@ -226,6 +296,89 @@ def test_fit_congruence_rejects_corrupted_probe():
         fit_congruence(samples)
 
 
+def _reference_fit(samples, tol=ToleranceConfig()):
+    """fit_congruence sample by sample: each probe takes the image of the
+    first sample that matches it, and every sample is checked against the
+    fitted S on its own."""
+    pairs = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y in samples]
+    if not pairs:
+        raise InconsistentSamples("no samples given")
+    n = pairs[0][0].shape[0]
+    images = []
+    for probe in probe_inputs(n):
+        found = [y for x, y in pairs if maxabs(x - probe) <= tol.recon_tol]
+        if not found:
+            raise InconsistentSamples("probe inputs are missing from the samples")
+        images.append(found[0])
+    eig = sym_eig(images[0])
+    if eig.values[0] <= 0 or eig.rank(tol) != 1:
+        raise InconsistentSamples(
+            "image of the first probe is not rank one; no invertible congruence explains the samples"
+        )
+    first = np.sqrt(float(eig.values[0])) * eig.vectors[:, 0]
+    if first[np.flatnonzero(np.abs(first) > 1e-12 * np.abs(first).max())[0]] < 0:
+        first = -first
+    norm_sq = float(first @ first)
+    columns = [first]
+    for i in range(1, n):
+        cross = images[n + i - 1] - images[0] - images[i]
+        col = (cross @ first - float(first @ cross @ first) / (2.0 * norm_sq) * first) / norm_sq
+        expected = np.outer(col, col)
+        if rel_residual(expected - images[i], expected, images[i]) > tol.recon_tol:
+            raise InconsistentSamples(
+                f"column {i} reconstructed from the mixed probe does not "
+                "reproduce its diagonal probe image"
+            )
+        columns.append(col)
+    s = np.column_stack(columns)
+    for given, image in pairs:
+        predicted = s @ given @ s.T
+        if rel_residual(predicted - image, predicted, image) > tol.recon_tol:
+            raise InconsistentSamples("a sample disagrees with the congruence fitted from the probes")
+    return s
+
+
+def _fit_outcome(fit, samples):
+    try:
+        return fit(samples).tobytes()
+    except InconsistentSamples as exc:
+        return str(exc)
+
+
+def test_fit_congruence_matches_per_sample_reference():
+    rng = np.random.default_rng(73)
+    outcomes = set()
+    for trial in range(70):
+        n = int(rng.integers(1, 7))
+        s = random_invertible(rng, n)
+        given = probe_inputs(n) + [g @ g.T for g in rng.standard_normal((int(rng.integers(0, 5)), n, 2))]
+        samples = [(x, s @ x @ s.T) for x in given]
+        case = trial % 7
+        if case == 1:  # the last probe twice, the first copy's image kept
+            last = len(probe_inputs(n)) - 1
+            samples.insert(0, (samples[last][0], 2.0 * samples[last][1]))
+        elif case == 2:  # a probe missing
+            del samples[int(rng.integers(len(probe_inputs(n))))]
+        elif case == 3:  # first probe's image not rank one
+            samples[0] = (samples[0][0], s @ s.T)
+        elif case == 4 and n > 1:  # a diagonal probe image inconsistent with its mixed probe
+            samples[n - 1] = (samples[n - 1][0], 3.0 * samples[n - 1][1])
+        elif case == 5:  # a sample the fitted S does not explain
+            samples.append((np.eye(n), s @ s.T + 1e-3 * np.eye(n)))
+        elif case == 6:  # a sample with a probe's diagonal, off it elsewhere
+            near = probe_inputs(n)[-1] + 1e-3 * (1.0 - np.eye(n))
+            samples.insert(0, (near, s @ near @ s.T))
+        got = _fit_outcome(fit_congruence, samples)
+        assert got == _fit_outcome(_reference_fit, samples), (trial, n)
+        outcomes.add(got if isinstance(got, str) else "fitted")
+    # a fit, and each way to fail: missing, first probe, column, sample
+    assert {o.split()[0] for o in outcomes} == {"fitted", "probe", "image", "column", "a"}
+    with pytest.raises(InconsistentSamples, match="no samples given"):
+        fit_congruence([])
+    with pytest.raises(InconsistentSamples, match="no samples given"):
+        fit_congruence(iter([]))
+
+
 def test_projector_fixed_point_suite():
     rng = np.random.default_rng(67)
     ident = MatrixMap("identity", lambda m: m.copy())
@@ -240,15 +393,17 @@ def test_projector_fixed_point_suite():
     assert rep.backward_failures > 0
 
 
-# The sweeps decide all their trials in one stacked check; these references
-# decide the same trials one pair at a time with the scalar verdicts.
+# The sweeps draw all their trials at once and decide them in one stacked
+# check; these references draw the same trials one at a time with the
+# per-trial samplers of per_trial and decide them pair by pair with the
+# scalar verdicts.
 
 
 def _reference_preserves(mmap, relation, n, trials, seed):
     counts = [0, 0, 0, 0]  # forward checked/failures, backward checked/failures
     examples = []
     for t in range(trials):
-        a, b = sample_pair(relation, seed, t, n)
+        a, b = per_trial.sample_pair(relation, seed, t, n)
         before = order_leq(a, b, relation).holds
         after = order_leq(mmap.apply(a), mmap.apply(b), relation).holds
         for side, (given, implied) in enumerate(((before, after), (after, before))):
@@ -271,11 +426,7 @@ def _reference_projector_suite(mmap, n, trials, seed):
     counts = [0, 0, 0, 0]
     examples = []
     for t in range(trials):
-        key = substream(seed, t, 1)
-        k = int(uniforms(substream(key, 0), 1)[0] * (n + 1))
-        q = _orthogonal(substream(key, 1), n)
-        p = q[:, :k] @ q[:, :k].T
-        contraction = (0.25 + 0.5 * float(uniforms(substream(key, 2), 1)[0])) * p
+        k, p, contraction = per_trial.projector_trial(seed, t, n)
         counts[0] += 1
         if not on_interval(p, contraction, identity, k):
             counts[1] += 1

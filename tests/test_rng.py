@@ -77,3 +77,28 @@ def test_streams_match_recorded_values():
         "0x1.b396091aef4d0p-2", "-0x1.e36b85ef4593ap-2", "0x1.c27e53b70a828p-2",
         "-0x1.73bf54d378d81p+1", "-0x1.9f8f75ae48aefp-3",
     ]
+
+
+def test_seed_arrays_draw_each_stream_as_its_seed_alone():
+    seeds = [0, 7, 2**63 + 5, 2**64 - 1, substream(-3, 4)]
+    keys = np.array(seeds, dtype=np.uint64)
+    for count in (0, 1, 2, 3, 7, 25):
+        for offset in (0, 1, 2, 5):
+            u, z = uniforms(keys, count, offset), normals(keys, count, offset)
+            assert u.shape == z.shape == (len(seeds), count)
+            for i, seed in enumerate(seeds):
+                assert u[i].tobytes() == uniforms(seed, count, offset).tobytes()
+                assert z[i].tobytes() == normals(seed, count, offset).tobytes()
+    m = normal_matrix(keys.reshape(5, 1), 3, 4, offset=1)
+    assert m.shape == (5, 1, 3, 4)
+    for i, seed in enumerate(seeds):
+        assert m[i, 0].tobytes() == normal_matrix(seed, 3, 4, offset=1).tobytes()
+
+
+def test_substream_of_arrays_broadcasts_seeds_and_indices():
+    seeds = [0, 42, 2**64 - 1]
+    indices = [0, 14, 2**64 - 1]
+    keys = substream(np.array(seeds, dtype=np.uint64)[:, None], np.array(indices, dtype=np.uint64), 1)
+    assert keys.dtype == np.uint64 and keys.shape == (3, 3)
+    assert keys.tolist() == [[substream(s, i, 1) for i in indices] for s in seeds]
+    assert substream(-3, np.arange(4, dtype=np.uint64)).tolist() == [substream(-3, t) for t in range(4)]

@@ -24,6 +24,16 @@ def test_chi2_cdf_against_scipy():
         np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-12)
 
 
+def test_series_budget_grows_with_df():
+    # near x = s + 1 the series needs about 8.7 sqrt(s) terms, past a fixed
+    # 600 from df of about 10^4 on
+    gammainc = pytest.importorskip("scipy.special").gammainc
+    for df in (12_000, 20_000, 100_000):
+        bulk = df + np.sqrt(2.0 * df) * np.linspace(-6.0, 6.0, 49)
+        xs = np.concatenate([[df + 1.999], bulk])
+        np.testing.assert_allclose(chi2_cdf(xs, df), gammainc(0.5 * df, 0.5 * xs), rtol=0, atol=1e-10)
+
+
 def test_chi2_cdf_known_values():
     # df=2 is the exponential with rate 1/2, no scipy needed
     xs = np.array([0.0, 0.5, 1.0, 4.0])

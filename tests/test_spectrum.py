@@ -114,7 +114,8 @@ def test_sweep_eigh_calls_do_not_grow_with_trials(eigh_calls, relation):
         assert len(eigh_calls) == 1, (relation, trials)
         eigh_calls.clear()
         projector_fixed_point_suite(mmap, n=3, trials=trials, seed=5)
-        assert len(eigh_calls) == 2, trials  # one Loewner, one minus stack
+        # Loewner and minus stacks below I and below the image of I
+        assert len(eigh_calls) == 4, trials
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 16])
@@ -138,6 +139,49 @@ def test_stacked_eigh_matches_per_matrix_eigh(n, k):
         assert eig.values.tobytes() == c_values[i].tobytes()
         assert eig.vectors.tobytes() == c_vectors[i].tobytes()
         assert eig.vectors.strides == c_vectors[i].strides
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 40])
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 16])
+def test_stacked_kernels_match_per_matrix_calls(n, k):
+    # the premise of the stacked samplers and fit_congruence: QR, gemm,
+    # G G^T (syrk) and S X S^T on a (k, n, n) stack give each matrix the
+    # bits a call on it alone gives
+    rng = np.random.default_rng(2000 * n + k)
+    g, x = rng.standard_normal((2, k, n, n))
+    d = rng.uniform(0.5, 2.0, (k, n))
+    s = rng.standard_normal((n, n))
+    q, r = np.linalg.qr(g)
+    products = {
+        "gemm": (g * d[:, None, :]) @ x.swapaxes(-1, -2),
+        "syrk": g @ g.swapaxes(-1, -2),
+        "sxst": s @ x @ s.T,
+    }
+    for i in range(k):
+        q_i, r_i = np.linalg.qr(g[i])
+        assert q_i.tobytes() == q[i].tobytes() and r_i.tobytes() == r[i].tobytes()
+        assert ((g[i] * d[i]) @ x[i].T).tobytes() == products["gemm"][i].tobytes()
+        assert (g[i] @ g[i].T).tobytes() == products["syrk"][i].tobytes()
+        assert (s @ x[i] @ s.T).tobytes() == products["sxst"][i].tobytes()
+
+
+@pytest.mark.parametrize("relation", ["lowner", "minus", "star"])
+def test_order_holds_many_with_one_b_decomposes_it_once(eigh_calls, relation):
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    b = (q * np.array([1.0, 1.0, 1.0, 0.0])) @ q.T
+    pairs = [sample_pair(relation, 3, t, 4)[0] for t in range(12)]
+    a = np.array([*pairs, b, 0.5 * b, (q * np.array([1.0, 0.0, 0.0, 0.0])) @ q.T])
+    got = order_holds_many(a, b, relation)
+    assert len(eigh_calls) == 1
+    assert len(eigh_calls[0]) == {"lowner": len(a), "minus": 2 * len(a) + 1, "star": 1}[relation]
+    assert got.tolist() == order_holds_many(a, np.broadcast_to(b, a.shape), relation).tolist()
+    assert got.tolist() == [order_leq(x, b, relation).holds for x in a]
+    assert 0 < got.sum() < len(a)
+    with pytest.raises(DimensionMismatch):
+        order_holds_many(a, b[:3, :3], relation)
+    with pytest.raises(DimensionMismatch):
+        order_holds_many(a, b[None], relation)
 
 
 @pytest.mark.parametrize("relation", ["lowner", "minus", "star", "left-star", "right-star"])
