@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotMinusComparable
-from .numkernel import PsdMatrix, SymMatrix, min_singular_value, rel_residual, sym_eig
+from .numkernel import (EigDecomposition, PsdMatrix, SymMatrix, canonical_order, eig_stack, eigh_stack,
+                        maxabs, min_singular_value, rel_residual, require_psd, sym_array, sym_eig)
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -63,9 +64,8 @@ def canonical_ek(n: int, k: int) -> np.ndarray:
 def inertia(a, tol: ToleranceConfig = DEFAULT_TOL) -> Inertia:
     """Signature of a symmetric matrix with the shared rank-cutoff
     convention: eigenvalues within the cutoff of zero count as zero."""
-    eig = sym_eig(a)
-    values = eig.values
-    cutoff = eig.cutoff(tol)
+    values = eigh_stack(sym_array(a)[None])[0][0]
+    cutoff = tol.rank_cutoff(len(values), np.abs(values).max(initial=0.0))
     n_pos = int(np.count_nonzero(values > cutoff))
     n_neg = int(np.count_nonzero(values < -cutoff))
     return Inertia(n_pos, n_neg, len(values) - n_pos - n_neg)
@@ -112,15 +112,24 @@ def sim_congruence(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SimCongResult:
     orthogonal change of basis inside the block turns into E_r.  Undoing
     the whitening gives S.  Each structural claim is verified numerically
     and any failure raises NotMinusComparable, so a pair that is not
-    actually below B in the minus order cannot slip through.
+    actually below B in the minus order cannot slip through.  A and B are
+    decomposed in one call and certified PSD from their eigenvalues; a
+    pair of PsdMatrix objects is certified already, and B's decomposition
+    is kept on it.
     """
-    pa = a if isinstance(a, PsdMatrix) else PsdMatrix(a, tol)
-    pb = b if isinstance(b, PsdMatrix) else PsdMatrix(b, tol)
-    if pa.n != pb.n:
-        raise NotMinusComparable(f"size mismatch: {pa.n} vs {pb.n}")
-    n = pa.n
-
-    eig_b = sym_eig(pb)
+    given = (a, b)
+    a, b = sym_array(a), sym_array(b)
+    if a.shape != b.shape:
+        raise NotMinusComparable(f"size mismatch: {len(a)} vs {len(b)}")
+    n = len(a)
+    if all(isinstance(x, PsdMatrix) for x in given):
+        eig_b = sym_eig(given[1])
+    else:
+        values, vectors = eigh_stack(np.array([a, b]))
+        for x, m, lam in zip(given, (a, b), values):
+            if not isinstance(x, PsdMatrix):
+                require_psd(float(lam[0]) if n else 0.0, tol.psd_tol * maxabs(m))
+        eig_b = EigDecomposition(*(x[0] for x in canonical_order(values[1:], vectors[1:])))
     s_rank = int(np.count_nonzero(eig_b.values > eig_b.cutoff(tol)))
 
     # Whitening: v @ B @ v.T == E_s exactly up to roundoff.
@@ -128,7 +137,7 @@ def sim_congruence(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SimCongResult:
     inv_scales[:s_rank] = 1.0 / np.sqrt(eig_b.values[:s_rank])
     v = inv_scales[:, None] * eig_b.vectors.T
 
-    a_tilde = v @ pa.a @ v.T
+    a_tilde = v @ a @ v.T
     # A below B forces Im A inside Im B, i.e. nothing outside the block.
     spill = rel_residual(a_tilde[s_rank:, :], a_tilde)
     if spill > tol.recon_tol:
@@ -137,9 +146,8 @@ def sim_congruence(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SimCongResult:
         )
 
     block = a_tilde[:s_rank, :s_rank]
-    eig_block = sym_eig(block) if s_rank else None
-    if eig_block is not None:
-        lam = eig_block.values
+    if s_rank:
+        lam, u = (x[0] for x in eig_stack(sym_array(block)[None]))
         near_one = np.abs(lam - 1.0) <= tol.idem_tol
         near_zero = np.abs(lam) <= tol.idem_tol
         if not np.all(near_one | near_zero):
@@ -149,7 +157,6 @@ def sim_congruence(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SimCongResult:
                 f"{np.array2string(worst, precision=4)} away from {{0, 1}}"
             )
         r_rank = int(np.count_nonzero(near_one))
-        u = eig_block.vectors
     else:
         r_rank = 0
         u = np.zeros((0, 0))
@@ -162,8 +169,8 @@ def sim_congruence(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SimCongResult:
 
     e_r = canonical_ek(n, r_rank)
     e_s = canonical_ek(n, s_rank)
-    residual_a = rel_residual(s @ e_r @ s.T - pa.a, pa.a)
-    residual_b = rel_residual(s @ e_s @ s.T - pb.a, pb.a)
+    residual_a = rel_residual(s @ e_r @ s.T - a, a)
+    residual_b = rel_residual(s @ e_s @ s.T - b, b)
     sigma_min, invertible = min_singular_value(s, tol)
     if not invertible:
         raise NotMinusComparable(

@@ -23,9 +23,10 @@ from .errors import (
 from .numkernel import (
     PsdMatrix,
     SymMatrix,
-    column_basis,
+    column_span,
     identity_budget,
     image_in_span,
+    maxabs,
     numerical_rank,
     pinv,
     rel_residual,
@@ -216,8 +217,11 @@ def blue_check(l, model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) -> Blu
     residual_lx = rel_residual(lx - model.x, lx, model.x)
     cond_i = residual_lx <= identity_budget(tol, l)
 
-    # the basis of X is not in the units of L D, so it is given no slack
-    cond_ii = bool(image_in_span(l @ model.d.a, column_basis(model.x, tol), tol=tol))
+    # the basis of Im X is known only up to the angle column_span bounds,
+    # which moves the part of L D outside it by up to that much of L D
+    ld = l @ model.d.a
+    basis, angle = column_span(model.x, tol)
+    cond_ii = bool(image_in_span(ld, basis, tol, angle * maxabs(ld)))
 
     certificate: dict = {"residual_lx": residual_lx}
     sim: SimCongResult | None = None

@@ -2,20 +2,24 @@
 
 Conventions shared by everything built on top of this module:
 
-- raw input is symmetrized by averaging with its transpose,
-- eigenvalues are reported in descending order,
-- the first nonzero component of each eigenvector is made positive, so a
-  factorization of the same input is reproducible run to run,
-- eigendecompositions run on stacks: eig_stack decomposes a (k, n, n)
+- raw input is checked once and symmetrized as 0.5 A + 0.5 A^T, which
+  cannot overflow (sym_array, sym_stack and SymMatrix),
+- eigendecompositions run on stacks: eigh_stack decomposes a (k, n, n)
   stack in one LAPACK call, each matrix's factors bit for bit those of a
-  call on it alone, and sym_eig is its k = 1 case,
-- each SymMatrix is decomposed at most once: sym_eig keeps the
-  EigDecomposition on the matrix object and hands it out again,
+  call on it alone, eigenvalues ascending; callers that read eigenvalues
+  alone take them so,
+- canonical_order, run only where eigenvectors are read, sorts eigenvalues
+  descending and makes the first nonzero component of each eigenvector
+  positive, so a factorization is reproducible run to run; eig_stack is
+  both steps and sym_eig its k = 1 case,
+- sym_eig keeps the EigDecomposition of a SymMatrix on the object and
+  hands it out again (PsdMatrix and linmodels read it); the order
+  verdicts and sim_congruence work on arrays,
 - rank decisions compare eigenvalue magnitudes against one relative cutoff
   taken from ToleranceConfig; EigDecomposition owns that policy (spectral
   radius, cutoff, nonzero mask), and every other module asks it rather
   than recomputing the cutoff.  Column bases and invertibility checks
-  apply the same convention to singular values through _sv_keep,
+  apply the same convention to singular values through _sv_cutoff,
 - every other tolerance is relative to its inputs, with no absolute
   floor: rel_residual measures a residual against the largest entry of
   the matrices compared, and a PSD threshold is psd_tol times the
@@ -43,16 +47,31 @@ def _coerce_square(data, ndim: int = 2) -> np.ndarray:
     a = np.array(data, dtype=float)
     if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
+
+
+def _symmetrize(a) -> np.ndarray:
+    """0.5 A + 0.5 A^T over the last two axes: exactly symmetric, finite for
+    finite A, and the bits of 0.5 (A + A^T) unless an entry is subnormal
+    or that sum overflows."""
+    half = 0.5 * a
+    return half + half.swapaxes(-1, -2)
+
+
+def sym_array(data) -> np.ndarray:
+    """The symmetric array of a SymMatrix, or raw input checked and
+    symmetrized as SymMatrix does, without building one."""
+    if isinstance(data, SymMatrix):
+        return data.a
+    return _symmetrize(_coerce_square(data))
 
 
 def sym_stack(data) -> np.ndarray:
     """A (k, n, n) stack of matrices, each checked and symmetrized as
     SymMatrix does with one."""
-    a = _coerce_square(data, ndim=3)
-    return 0.5 * (a + a.swapaxes(-1, -2))
+    return _symmetrize(_coerce_square(data, ndim=3))
 
 
 def maxabs(m) -> float:
@@ -104,7 +123,7 @@ class SymMatrix:
     def __init__(self, data):
         a = _coerce_square(data)
         self.asymmetry = maxabs(a - a.T)
-        a = 0.5 * (a + a.T)
+        a = _symmetrize(a)
         a.setflags(write=False)
         self._a = a
         self._eig = None
@@ -132,12 +151,17 @@ class PsdMatrix(SymMatrix):
     def __init__(self, data, tol: ToleranceConfig = DEFAULT_TOL):
         super().__init__(data)
         check = is_psd(self, tol)
-        if not check.ok:
-            raise NotPositiveSemidefinite(
-                f"minimum eigenvalue {check.min_eig:.6g} is below "
-                f"-{check.threshold:.6g}",
-                min_eig=check.min_eig,
-            )
+        require_psd(check.min_eig, check.threshold)
+
+
+def require_psd(min_eig: float, threshold: float) -> None:
+    """Raise NotPositiveSemidefinite when the smallest eigenvalue is below
+    -threshold."""
+    if not min_eig >= -threshold:
+        raise NotPositiveSemidefinite(
+            f"minimum eigenvalue {min_eig:.6g} is below -{threshold:.6g}",
+            min_eig=min_eig,
+        )
 
 
 @dataclass(frozen=True)
@@ -184,6 +208,14 @@ class EigDecomposition:
         values.setflags(write=False)
         return EigDecomposition(values=values, vectors=self.vectors[:, ::-1])
 
+    def pinv(self, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+        """Moore-Penrose pseudoinverse of the matrix, with the eigenvalues
+        under this spectrum's rank cutoff dropped rather than inverted."""
+        keep = self.nonzero(tol)
+        inv = np.where(keep, 1.0 / np.where(keep, self.values, 1.0), 0.0)
+        q = self.vectors
+        return (q * inv) @ q.T
+
     def psd(self, threshold: float) -> "PsdCheck":
         """Whether the smallest eigenvalue is at least -threshold, with its
         eigenvector as the witness on failure."""
@@ -207,11 +239,22 @@ class PsdCheck:
     witness: np.ndarray | None = None
 
 
-def _canonical_order(values: np.ndarray, vectors: np.ndarray):
-    """Sort each spectrum of a stack descending and apply the deterministic
-    sign convention.  The eigenvectors are permuted as rows, so each
-    matrix of columns comes back column-major, the layout that indexing
-    the columns of one matrix gives."""
+def eigh_stack(x) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK's symmetric eigensolver on a (k, n, n) stack in one call:
+    ascending values (k, n) and eigenvector columns (k, n, n) as it returns
+    them.  Each matrix's factors are bit for bit those of a call on it
+    alone."""
+    try:
+        return np.linalg.eigh(x)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"eigensolver failed: {exc}") from exc
+
+
+def canonical_order(values: np.ndarray, vectors: np.ndarray):
+    """Sort each spectrum of an eigh_stack result descending and apply the
+    deterministic sign convention.  The eigenvectors are permuted as rows,
+    so each matrix of columns comes back column-major, the layout that
+    indexing the columns of one matrix gives."""
     order = np.argsort(-values, axis=-1, kind="stable")
     stack = np.arange(len(values))[:, None]
     values = values[stack, order]
@@ -228,38 +271,23 @@ def _canonical_order(values: np.ndarray, vectors: np.ndarray):
 
 def eig_stack(x) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompositions of a (k, n, n) stack of symmetric matrices in
-    one call of the platform (LAPACK) symmetric eigensolver: descending
-    values (k, n) and sign-fixed eigenvector columns (k, n, n).  Each
-    matrix's factors are bit for bit those of a call on it alone."""
-    try:
-        values, vectors = np.linalg.eigh(x)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigensolver failed: {exc}") from exc
-    return _canonical_order(values, vectors)
-
-
-def sym_eigs(*mats) -> list[EigDecomposition]:
-    """sym_eig of each argument.  The arguments without a decomposition
-    yet (every raw array, and each SymMatrix decomposed for the first time)
-    are decomposed together in one eig_stack call."""
-    syms = [m if isinstance(m, SymMatrix) else SymMatrix(m) for m in mats]
-    todo = [s for i, s in enumerate(syms) if s._eig is None and s not in syms[:i]]
-    if todo:
-        values, vectors = eig_stack(np.array([s.a for s in todo]))
-        for sym, v, q in zip(todo, values, vectors):
-            sym._eig = EigDecomposition(values=v, vectors=q)
-    return [s._eig for s in syms]
+    one eigh_stack call, in canonical order: descending values (k, n) and
+    sign-fixed eigenvector columns (k, n, n)."""
+    return canonical_order(*eigh_stack(x))
 
 
 def sym_eig(a) -> EigDecomposition:
     """Eigendecomposition of a symmetric matrix, ordered and sign-fixed:
     the k = 1 case of eig_stack.  A SymMatrix argument is decomposed once;
     later calls on the same object return the same EigDecomposition."""
-    sym = a if isinstance(a, SymMatrix) else SymMatrix(a)
-    if sym._eig is None:
-        values, vectors = eig_stack(sym.a[None])
-        sym._eig = EigDecomposition(values=values[0], vectors=vectors[0])
-    return sym._eig
+    sym = a if isinstance(a, SymMatrix) else None
+    if sym is not None and sym._eig is not None:
+        return sym._eig
+    values, vectors = eig_stack(sym_array(a)[None])
+    eig = EigDecomposition(values=values[0], vectors=vectors[0])
+    if sym is not None:
+        sym._eig = eig
+    return eig
 
 
 def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -271,19 +299,28 @@ def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     return sym_eig(a).rank(tol)
 
 
-def _sv_keep(s: np.ndarray, shape, tol: ToleranceConfig) -> np.ndarray:
-    """Mask of the singular values (descending, of a matrix of `shape`)
-    that clear the rank cutoff, with n taken as the larger dimension."""
-    return s > tol.rank_cutoff(max(shape), float(s.max(initial=0.0)))
+def _sv_cutoff(s: np.ndarray, shape, tol: ToleranceConfig) -> float:
+    """Rank cutoff for the singular values s of a matrix of `shape`, with n
+    taken as the larger dimension."""
+    return tol.rank_cutoff(max(shape), float(s.max(initial=0.0)))
 
 
 def column_basis(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal columns spanning the column space of an arbitrary
     matrix: the left singular vectors whose singular values clear the rank
     cutoff, with n taken as the larger dimension."""
+    return column_span(m, tol)[0]
+
+
+def column_span(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, float]:
+    """column_basis of M and the sine of the angle by which a change of M
+    within its rank cutoff can turn it: the cutoff over the smallest
+    singular value kept (Wedin, BIT 12, 1972), 0 when none is kept."""
     m = np.asarray(m, dtype=float)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, _sv_keep(s, m.shape, tol)]
+    cutoff = _sv_cutoff(s, m.shape, tol)
+    keep = s > cutoff
+    return u[:, keep], (cutoff / s[keep][-1] if keep.any() else 0.0)
 
 
 def min_singular_value(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, bool]:
@@ -292,7 +329,7 @@ def min_singular_value(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, bo
     precision.  An empty matrix counts as invertible with sigma_min 1."""
     m = np.asarray(m, dtype=float)
     s = np.linalg.svd(m, compute_uv=False)
-    return (float(s[-1]) if s.size else 1.0), bool(_sv_keep(s, m.shape, tol).all())
+    return (float(s[-1]) if s.size else 1.0), bool((s > _sv_cutoff(s, m.shape, tol)).all())
 
 
 def is_psd(a, tol: ToleranceConfig = DEFAULT_TOL) -> PsdCheck:
@@ -310,11 +347,7 @@ def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     the result is the pseudoinverse of the nearest matrix of the detected
     rank.
     """
-    eig = sym_eig(a)
-    keep = eig.nonzero(tol)
-    inv = np.where(keep, 1.0 / np.where(keep, eig.values, 1.0), 0.0)
-    q = eig.vectors
-    return (q * inv) @ q.T
+    return sym_eig(a).pinv(tol)
 
 
 def image_in_span(m, basis, tol: ToleranceConfig = DEFAULT_TOL, slack=0.0) -> np.ndarray:

@@ -13,6 +13,9 @@ Each decision is written once, over stacks of pairs with a leading axis
 (_lowner_stack, _minus_stack, _star_stack): order_holds_many decides a
 whole stack from one stacked eigendecomposition, and the scalar checks
 read their verdict and certificate from the same arithmetic at k = 1.
+A scalar check checks and symmetrizes each input once, forms B - A once,
+and decomposes all its matrices in one stacked eigh call, ordering
+eigenvectors only where it reads them.
 """
 
 from dataclasses import dataclass, field
@@ -20,18 +23,18 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, PsdOrderError
 from .numkernel import (
-    SymMatrix,
+    EigDecomposition,
+    canonical_order,
     eig_stack,
+    eigh_stack,
     identity_budget,
     image_in_span,
     maxabs_stack,
     min_singular_value,
-    pinv,
     rel_residual,
-    sym_eig,
-    sym_eigs,
+    sym_array,
     sym_stack,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -66,20 +69,29 @@ class OrderVerdict:
     detail: str = ""
 
 
+def _difference(a, b) -> np.ndarray:
+    """B - A, which may overflow although A and B are finite; that raises."""
+    with np.errstate(over="ignore"):
+        d = b - a
+    if not np.isfinite(d).all():
+        raise PsdOrderError("B - A overflows the floating-point range")
+    return d
+
+
 def _pair(a, b):
-    sa = a if isinstance(a, SymMatrix) else SymMatrix(a)
-    sb = b if isinstance(b, SymMatrix) else SymMatrix(b)
-    if sa.n != sb.n:
-        raise DimensionMismatch(f"size mismatch: {sa.n} vs {sb.n}")
-    return sa, sb
+    """A, B and B - A as arrays, each input checked and symmetrized once."""
+    a, b = sym_array(a), sym_array(b)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"size mismatch: {len(a)} vs {len(b)}")
+    return a, b, _difference(a, b)
 
 
 def matrices_equal(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Equality up to the reconstruction tolerance, relative to the larger
     of the two entry scales; exactly equal matrices (zero included) are
     always equal."""
-    sa, sb = _pair(a, b)
-    return rel_residual(sb.a - sa.a, sa.a, sb.a) <= tol.recon_tol
+    a, b, d = _pair(a, b)
+    return rel_residual(d, a, b) <= tol.recon_tol
 
 
 def _detail(holds: bool, equal: bool, reverse_holds: bool) -> str:
@@ -93,7 +105,7 @@ def _detail(holds: bool, equal: bool, reverse_holds: bool) -> str:
 
 
 def _lowner_stack(a, b, values, tol):
-    """Loewner decisions for stacked pairs, from the descending spectra
+    """Loewner decisions for stacked pairs, from the ascending spectra
     `values` (k, n) of their differences B - A, both read from them: B <= A
     is the PSD test of the negation.  Returns the smallest eigenvalues of
     B - A and of A - B (k, 2), whether each is at least -threshold (A <= B,
@@ -102,11 +114,37 @@ def _lowner_stack(a, b, values, tol):
     entry of A and B."""
     threshold = tol.psd_tol * np.maximum(maxabs_stack(a), maxabs_stack(b))
     if values.shape[-1]:
-        min_eigs = values[:, [-1, 0]]
+        min_eigs = values[:, [0, -1]]
         min_eigs[:, 1] *= -1.0
     else:
         min_eigs = np.zeros((len(values), 2))
     return min_eigs, min_eigs >= -threshold[:, None], threshold
+
+
+def _lowner_verdicts(a, b, tol, count):
+    """The first `count` of the verdicts A <= B and B <= A, from the one
+    spectrum of B - A; eigenvectors are ordered only for a verdict that
+    fails, to give its witness."""
+    a, b, d = _pair(a, b)
+    values, vectors = eigh_stack(d[None])
+    min_eigs, holds, threshold = _lowner_stack(a[None], b[None], values, tol)
+    (min_eigs,), (holds,), (threshold,) = min_eigs.tolist(), holds.tolist(), threshold.tolist()
+    if not all(holds[:count]):
+        vectors = canonical_order(values, vectors)[1][0]
+    return tuple(
+        OrderVerdict(
+            holds=holds[i],
+            relation=Relation.LOWNER.value,
+            certificate={
+                "min_eig": min_eigs[i],
+                "threshold": threshold,
+                # the eigenvector of the smallest eigenvalue of B - A, or of A - B
+                "witness": None if holds[i] else vectors[:, (-1, 0)[i]],
+            },
+            detail=_detail(holds[i], all(holds), holds[1 - i]),
+        )
+        for i in range(count)
+    )
 
 
 def lowner_both(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[OrderVerdict, OrderVerdict]:
@@ -117,30 +155,13 @@ def lowner_both(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[OrderVerdict,
     threshold it was held against and, on failure, a unit vector x with
     x^T (difference) x < 0.
     """
-    sa, sb = _pair(a, b)
-    eig = sym_eig(SymMatrix(sb.a - sa.a))
-    min_eigs, holds, threshold = _lowner_stack(sa.a[None], sb.a[None], eig.values[None], tol)
-    (min_eigs,), (holds,), (threshold,) = min_eigs.tolist(), holds.tolist(), threshold.tolist()
-    return tuple(
-        OrderVerdict(
-            holds=holds[i],
-            relation=Relation.LOWNER.value,
-            certificate={
-                "min_eig": min_eigs[i],
-                "threshold": threshold,
-                # the eigenvector of the smallest eigenvalue of B - A, or of A - B
-                "witness": None if holds[i] else eig.vectors[:, (-1, 0)[i]],
-            },
-            detail=_detail(holds[i], all(holds), holds[1 - i]),
-        )
-        for i in (0, 1)
-    )
+    return _lowner_verdicts(a, b, tol, 2)
 
 
 def lowner_leq(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
     """A <= B in the PSD sense: is B - A positive semidefinite?  The
     certificate is described under lowner_both."""
-    return lowner_both(a, b, tol)[0]
+    return _lowner_verdicts(a, b, tol, 1)[0]
 
 
 def _minus_stack(values, tol):
@@ -157,7 +178,7 @@ def _minus_stack(values, tol):
     return np.array([r_d == r_b - r_a, r_d == r_a - r_b, r_d == 0]), ranks, cutoff
 
 
-def _minus_by_image(sa, sb, eigs, cutoff, tol):
+def _minus_by_image(a, b, d, eigs, cutoff, tol):
     """Im B = Im A (+) Im(B - A): the rank equation plus a containment
     identity.
 
@@ -169,8 +190,8 @@ def _minus_by_image(sa, sb, eigs, cutoff, tol):
     """
     u_b = eigs[1].image(tol, cutoff)
     dim_a, dim_b, dim_c = (e.rank(tol, cutoff) for e in eigs)
-    slack = sb.n * cutoff
-    contained = all(image_in_span(m, u_b, tol, slack) for m in (sa.a, sb.a - sa.a))
+    slack = len(a) * cutoff
+    contained = all(image_in_span(m, u_b, tol, slack) for m in (a, d))
     holds = contained and dim_a + dim_c == dim_b
     cert = {
         "dim_a": dim_a,
@@ -181,7 +202,7 @@ def _minus_by_image(sa, sb, eigs, cutoff, tol):
     return holds, cert
 
 
-def _minus_by_ginv(sa, sb, eigs, cutoff, tol):
+def _minus_by_ginv(a, b, d, eigs, cutoff, tol):
     """Constructive route: build an inner inverse G of A with G A = G B and
     A G = B G, which exists exactly when A is below B.
 
@@ -200,7 +221,7 @@ def _minus_by_ginv(sa, sb, eigs, cutoff, tol):
         "dim_b": int(keep.sum()),
         "dim_diff": u_c.shape[1],
     }
-    if r + u_c.shape[1] + u_perp.shape[1] != sa.n:
+    if r + u_c.shape[1] + u_perp.shape[1] != len(a):
         cert["reason"] = "dimension mismatch"
         return False, cert
     m = np.hstack([u_a, u_c, u_perp])
@@ -209,19 +230,19 @@ def _minus_by_ginv(sa, sb, eigs, cutoff, tol):
         cert["reason"] = "sum not direct"
         return False, cert
     proj = m[:, :r] @ np.linalg.inv(m)[:r, :]
-    g = proj.T @ pinv(sa, tol) @ proj
-    ga, gb, ag, bg = g @ sa.a, g @ sb.a, sa.a @ g, sb.a @ g
-    aga = ag @ sa.a
+    g = proj.T @ eig_a.pinv(tol) @ proj
+    ga, gb, ag, bg = g @ a, g @ b, a @ g, b @ g
+    aga = ag @ a
     # each identity's residual relative to the two sides it compares; the
     # roundoff of the products grows with the dimensionless |G| |A, B|
     residuals = {
-        "inner": rel_residual(aga - sa.a, aga, sa.a),
+        "inner": rel_residual(aga - a, aga, a),
         "left": rel_residual(ga - gb, ga, gb),
         "right": rel_residual(ag - bg, ag, bg),
     }
     cert["g"] = g
     cert["residuals"] = residuals
-    if max(residuals.values()) > identity_budget(tol, g, sa.a, sb.a):
+    if max(residuals.values()) > identity_budget(tol, g, a, b):
         cert["reason"] = "identity residual"
         return False, cert
     return True, cert
@@ -251,16 +272,17 @@ def minus_leq(
     negated spectrum of B - A and the same cutoff.
     """
     method = MinusMethod(method)
-    sa, sb = _pair(a, b)
-    e_a, e_b, e_d = eigs = sym_eigs(sa, sb, sb.a - sa.a)
-    decisions, ranks, cutoff = _minus_stack(np.array([[e.values] for e in eigs]), tol)
+    a, b, d = _pair(a, b)
+    values, vectors = eigh_stack(np.array([a, b, d]))
+    decisions, ranks, cutoff = _minus_stack(values[:, None], tol)
     (holds, reverse, equal), cutoff = decisions[:, 0].tolist(), cutoff[0]
     if method is MinusMethod.RANK:
         cert = dict(zip(("rank_a", "rank_b", "rank_diff"), ranks[:, 0].tolist()), cutoff=cutoff)
     else:
+        e_a, e_b, e_d = eigs = [EigDecomposition(*e) for e in zip(*canonical_order(values, vectors))]
         route = _MINUS_ROUTES[method]
-        holds, cert = route(sa, sb, eigs, cutoff, tol)
-        reverse = not holds and route(sb, sa, (e_b, e_a, e_d.negated()), cutoff, tol)[0]
+        holds, cert = route(a, b, d, eigs, cutoff, tol)
+        reverse = not holds and route(b, a, -d, (e_b, e_a, e_d.negated()), cutoff, tol)[0]
     cert["method"] = method.value
     return OrderVerdict(
         holds=holds,
@@ -318,11 +340,11 @@ def _star_stack(a, b, values_b, vectors_b, tol):
     return (residual <= budget) & contained, residual, budget, contained
 
 
-def _star_holds(sa, sb, tol):
-    """_star_stack at k = 1, with the certificate."""
-    eig_b = sym_eig(sb)
+def _star_holds(a, b, values_b, vectors_b, tol):
+    """_star_stack at k = 1, with the certificate; B's spectrum comes as a
+    stack of one."""
     holds, residual, budget, contained = (
-        x[0] for x in _star_stack(sa.a[None], sb.a[None], eig_b.values[None], eig_b.vectors[None], tol)
+        x[0] for x in _star_stack(a[None], b[None], values_b, vectors_b, tol)
     )
     cert = {"residual": float(residual), "budget": float(budget), "image_contained": bool(contained)}
     return bool(holds), cert
@@ -344,10 +366,12 @@ def star_family_leq(
     variant = Relation(variant)
     if variant not in (Relation.STAR, Relation.LEFT_STAR, Relation.RIGHT_STAR):
         raise ValueError(f"{variant.value!r} is not a star-family relation")
-    sa, sb = _pair(a, b)
-    holds, cert = _star_holds(sa, sb, tol)
-    equal = matrices_equal(sa, sb, tol)
-    reverse = not holds and _star_holds(sb, sa, tol)[0]
+    a, b, d = _pair(a, b)
+    # B for the test, A for the reverse test, in one call
+    values, vectors = eig_stack(np.array([b, a]))
+    holds, cert = _star_holds(a, b, values[:1], vectors[:1], tol)
+    equal = rel_residual(d, a, b) <= tol.recon_tol
+    reverse = not holds and _star_holds(b, a, values[1:], vectors[1:], tol)[0]
     return OrderVerdict(
         holds=holds,
         relation=variant.value,
@@ -375,20 +399,27 @@ def order_leq(
 def order_holds_many(a, b, relation: Relation | str, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """order_leq(a[i], b[i], relation, tol).holds for every pair of two
     (k, n, n) stacks, as a bool array; B may also be one (n, n) matrix,
-    paired with every A.  One stacked eigendecomposition covers the whole
-    stack (of B - A, of A, B and B - A, or of B; a shared B is decomposed
-    once), then each decision runs once over the stack."""
-    relation = Relation(relation)
+    paired with every A.  Both stacks are checked and symmetrized, then
+    decided by holds_stack."""
     a = sym_stack(a)
     shared = np.ndim(b) == 2
     b = sym_stack(np.expand_dims(b, 0) if shared else b)
     if b.shape != ((1, *a.shape[1:]) if shared else a.shape):
         raise DimensionMismatch(f"stack shape mismatch: {a.shape} vs {b.shape}")
+    return holds_stack(a, b, relation, tol)
+
+
+def holds_stack(a, b, relation: Relation | str, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """order_holds_many on stacks as sym_stack returns them, B (k, n, n) or
+    (1, n, n).  One stacked eigendecomposition covers the whole stack (of
+    B - A, of A, B and B - A, or of B, read for its eigenvalues alone but
+    for the star family), then each decision runs once over the stack."""
+    relation = Relation(relation)
     if relation is Relation.LOWNER:
-        values, _ = eig_stack(sym_stack(b - a))
+        values, _ = eigh_stack(_difference(a, b))
         return _lowner_stack(a, b, values, tol)[1][:, 0]
     if relation is Relation.MINUS:
-        values, _ = eig_stack(np.concatenate([a, b, sym_stack(b - a)]))
+        values, _ = eigh_stack(np.concatenate([a, b, _difference(a, b)]))
         parts = np.split(values, [len(a), len(a) + len(b)])
         return _minus_stack(np.stack(np.broadcast_arrays(*parts)), tol)[0][0]
     values, vectors = eig_stack(b)

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InconsistentSamples, SingularS
+from .errors import DimensionMismatch, InconsistentSamples, SingularS
 from .numkernel import (
     SymMatrix,
     maxabs_stack,
@@ -23,7 +23,7 @@ from .numkernel import (
     sym_eig,
     sym_stack,
 )
-from .orders import Relation, order_holds_many
+from .orders import Relation, holds_stack
 from .rng import box_muller, normal_matrix, substream, uniforms
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -44,9 +44,12 @@ class MatrixMap:
         whole stack (sym_stack); each image has the shape of its input."""
         a = a.a if isinstance(a, SymMatrix) else a
         single = np.ndim(a) == 2
-        stack = sym_stack(np.expand_dims(a, 0) if single else a)
-        out = np.array([self.fn(m) for m in stack], dtype=float).reshape(stack.shape)
+        out = self._images(sym_stack(np.expand_dims(a, 0) if single else a))
         return out[0] if single else out
+
+    def _images(self, stack) -> np.ndarray:
+        """fn on each matrix of a stack already checked and symmetrized."""
+        return np.array([self.fn(m) for m in stack], dtype=float).reshape(stack.shape)
 
     @classmethod
     def trace_inflation(cls) -> "MatrixMap":
@@ -264,16 +267,19 @@ def preserves_order(
     have related images) and the backward implication (related images must
     come from related originals) are tallied separately; see sample_pair
     for how the pairs are drawn.  All trials are drawn in one sample_pair
-    call and mapped as stacks, and all 2 * trials verdicts, before and
-    after the map, are decided in one stacked check (order_holds_many).
+    call, checked and symmetrized once, mapped as one stack whose images
+    are checked and symmetrized once, and all 2 * trials verdicts, before
+    and after the map, are decided in one stacked check (holds_stack).
     """
     relation = Relation(relation)
     report = PreservationReport(
         relation=relation.value, map_label=mmap.label, n=n, trials=trials
     )
     a, b = sample_pair(relation, seed, np.arange(trials), n)
-    fa, fb = mmap.apply(a), mmap.apply(b)
-    holds = order_holds_many(np.concatenate([a, fa]), np.concatenate([b, fb]), relation, tol)
+    x = sym_stack(np.concatenate([a, b]))
+    fx = sym_stack(mmap._images(x))
+    k = trials
+    holds = holds_stack(np.concatenate([x[:k], fx[:k]]), np.concatenate([x[k:], fx[k:]]), relation, tol)
     before, after = holds.reshape(2, trials)
     report.forward_checked = int(before.sum())
     report.forward_failures = int((before & ~after).sum())
@@ -322,7 +328,12 @@ def fit_congruence(samples, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     samples = list(samples)
     if not samples:
         raise InconsistentSamples("no samples given")
-    given, outputs = (np.array(side, dtype=float) for side in zip(*samples))
+    try:
+        given, outputs = (np.array(side, dtype=float) for side in zip(*samples))
+        if given.ndim != 3 or given.shape != outputs.shape or given.shape[1] != given.shape[2]:
+            raise ValueError("not a stack of square matrices")
+    except ValueError as exc:  # also numpy's error for matrices of mixed shapes
+        raise DimensionMismatch("samples must be square matrices of one size") from exc
     n = given.shape[1]
     # every probe against every sample, each probe taking its first match in
     # sample order; only the pairs that agree on the diagonal are compared
@@ -409,12 +420,14 @@ def projector_fixed_point_suite(
         relation="projector-interval", map_label=mmap.label, n=n, trials=trials
     )
     ranks, projectors, shrink = _projectors(seed, trials, n)
-    # rows: P and t P below I, then their images below the image of I
+    # rows P, t P and I, mapped together: P and t P below I, then their
+    # images below the image of I
     identity = np.eye(n)
-    below = np.concatenate([projectors, shrink[:, None, None] * projectors])
-    sides = ((below, identity), (mmap.apply(below), mmap.apply(identity)))
+    x = sym_stack(np.concatenate([projectors, shrink[:, None, None] * projectors, identity[None]]))
+    fx = sym_stack(mmap._images(x))
+    sides = ((x[:-1], x[-1:]), (fx[:-1], fx[-1:]))
     lowner, minus = (
-        np.array([order_holds_many(x, top, rel, tol) for x, top in sides]).reshape(2, 2, trials)
+        np.array([holds_stack(below, top, rel, tol) for below, top in sides]).reshape(2, 2, trials)
         for rel in (Relation.LOWNER, Relation.MINUS)
     )
     # P <= I in both orders, t P <= I in the PSD order only (unless P = 0)

@@ -272,6 +272,9 @@ def test_preserver_fit_error_paths(tmp_path, capsys):
     code, payload = run_json(capsys, ["preserver", "fit", "--samples", str(d)])
     assert code == 1  # probes incomplete: a domain rejection, not a usage error
     assert payload["error"] == "InconsistentSamples"
+    write_matrix(d / "in_1.csv", np.eye(3))
+    write_matrix(d / "out_1.csv", np.eye(3))
+    assert_usage_error(capsys, ["preserver", "fit", "--samples", str(d)])  # mixed shapes
 
 
 def test_model_compare(tmp_path, capsys):
@@ -365,6 +368,17 @@ def test_non_finite_matrix_entries_are_parse_errors(tmp_path, capsys, token):
             read_array(bad)
         assert_usage_error(capsys, ["order", "check", "--relation", "lowner", good, str(bad)])
         assert_usage_error(capsys, ["canon", "inertia", str(bad)])
+
+
+@pytest.mark.parametrize("relation", ["lowner", "minus", "star"])
+def test_entries_near_the_top_of_the_float_range(tmp_path, capsys, relation):
+    a = csv(tmp_path, "a.csv", np.diag([1e308, 0.0]))
+    b = csv(tmp_path, "b.csv", np.diag([1.5e308, 1.0]))
+    code, payload = run_json(capsys, ["order", "check", "--relation", relation, a, b])
+    assert code == (0 if payload["holds"] else 1)
+    # a difference B - A beyond the float range is a usage error
+    neg = csv(tmp_path, "neg.csv", np.diag([-1e308, 1.0]))
+    assert_usage_error(capsys, ["order", "check", "--relation", relation, neg, b])
 
 
 def test_non_finite_vector_and_model_entries_are_parse_errors(tmp_path, capsys):

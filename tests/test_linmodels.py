@@ -215,6 +215,24 @@ def test_blue_cond_ii_rejects_a_small_component_outside_im_x():
     assert not v.cond_ii
 
 
+def test_blue_cond_ii_with_a_graded_design():
+    # X = Q2 diag(1, 1e-9) R spans Im Q2, and L = Q2 Q2^T is its BLUE; the
+    # computed basis of Im X is off by about eps * 1e9, which condition (ii)
+    # must allow for, while a leak of 1e-6 of L D out of Im X still fails
+    rng = np.random.default_rng(29)
+    rejected = 0
+    for _ in range(200):
+        q = ortho(rng, 3)
+        t = rng.uniform(0.0, 2.0 * np.pi)
+        r = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        model = LinearModel(x=q[:, :2] @ np.diag([1.0, 1e-9]) @ r, d=np.eye(3))
+        h = q[:, :2] @ q[:, :2].T
+        rejected += not blue_check(h, model).cond_ii
+        leak = 1e-6 * maxabs(h) * np.outer(q[:, 2], q[:, 0]) / maxabs(np.outer(q[:, 2], q[:, 0]))
+        assert not blue_check(h + leak, model).cond_ii
+    assert rejected == 0
+
+
 def test_blue_budget_grows_with_the_size_of_l():
     # L adds a map of (Im X)-perp into itself with entries near 1e8, so
     # L X = X holds exactly; its roundoff grows with |L|, and condition (i)

@@ -17,7 +17,7 @@ from psdorder import (
     sym_eig,
 )
 from psdorder.errors import DimensionMismatch
-from psdorder.numkernel import image_in_span, maxabs
+from psdorder.numkernel import image_in_span, maxabs, sym_stack
 
 
 def random_sym(rng, n, scale=1.0):
@@ -217,6 +217,14 @@ def test_image_in_span():
     assert not image_in_span(m, sym_eig(e1).image())
     assert image_in_span(m, sym_eig(e1).image(), slack=1e-6)
     assert not image_in_span(m, sym_eig(e1).image(), slack=0.5e-6)
+
+
+def test_symmetrization_does_not_overflow():
+    a = np.array([[1e308, 1.5e308], [1.5e308, -1.7e308]])
+    assert SymMatrix(a).a.tobytes() == a.tobytes()
+    assert sym_stack(np.array([a, a.T])).tobytes() == np.array([a, a]).tobytes()
+    skew = np.array([[1.0, 1.7e308], [1.5e308, 1.0]])
+    np.testing.assert_allclose(SymMatrix(skew).a, [[1.0, 1.6e308], [1.6e308, 1.0]], rtol=1e-15)
 
 
 def test_tolerance_config_validation():

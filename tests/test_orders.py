@@ -18,7 +18,7 @@ from psdorder import (
     star_family_leq,
     sym_eig,
 )
-from psdorder.errors import DimensionMismatch
+from psdorder.errors import DimensionMismatch, PsdOrderError
 from psdorder.numkernel import image_in_span, maxabs
 
 ALL_RELATIONS = [Relation.LOWNER, Relation.MINUS, Relation.STAR,
@@ -151,6 +151,35 @@ def test_dimension_mismatch():
         lowner_leq(np.eye(2), np.eye(3))
     with pytest.raises(DimensionMismatch):
         minus_leq(np.eye(3), np.eye(2))
+
+
+def test_verdicts_near_the_top_of_the_float_range():
+    # entries above ~9e307 used to overflow when symmetrized; each verdict
+    # must be that of the same pair scaled by 1e-300
+    pairs = [
+        (np.diag([1e308, 0.0]), np.diag([1.5e308, 1.0])),
+        (np.diag([1e308, 0.0]), np.diag([1e308, 1.0])),
+    ]
+    for a, b in pairs:
+        for rel in ALL_RELATIONS:
+            got, want = order_leq(a, b, rel), order_leq(1e-300 * a, 1e-300 * b, rel)
+            assert (got.holds, got.detail) == (want.holds, want.detail), rel
+        for method in MinusMethod:
+            got = minus_leq(a, b, method=method)
+            want = minus_leq(1e-300 * a, 1e-300 * b, method=method)
+            assert (got.holds, got.detail) == (want.holds, want.detail), method
+    v = star_family_leq(*pairs[1])
+    assert v.holds and v.detail == "equal"
+    assert np.isfinite([v.certificate["residual"], v.certificate["budget"]]).all()
+
+
+def test_a_difference_that_overflows_raises():
+    a, b = np.diag([-1e308, 1.0]), np.diag([1e308, 1.0])
+    for rel in ALL_RELATIONS:
+        with pytest.raises(PsdOrderError, match="overflows"):
+            order_leq(a, b, rel)
+    with pytest.raises(PsdOrderError, match="overflows"):
+        matrices_equal(a, b)
 
 
 def test_matrices_equal_scales():

@@ -268,6 +268,14 @@ def test_fit_congruence_validates_extra_samples():
         fit_congruence(samples)
 
 
+def test_fit_congruence_rejects_samples_of_mixed_shapes():
+    samples = [(p, p) for p in probe_inputs(3)] + [(np.eye(2), np.eye(2))]
+    with pytest.raises(DimensionMismatch):
+        fit_congruence(samples)
+    with pytest.raises(DimensionMismatch):
+        fit_congruence([(p, p[:, :2]) for p in probe_inputs(3)])
+
+
 def test_fit_congruence_missing_probe():
     rng = np.random.default_rng(59)
     s = random_invertible(rng, 3)

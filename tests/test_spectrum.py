@@ -14,6 +14,7 @@ import oracles
 from psdorder import (
     DEFAULT_TOL,
     DimensionMismatch,
+    Inertia,
     LinearModel,
     MinusMethod,
     PsdMatrix,
@@ -92,7 +93,7 @@ def _verdict(route, a, b):
     ("minus_rank", 1, 1),
     ("minus_image", 1, 1),
     ("minus_ginv", 1, 1),
-    ("star", 1, 2),
+    ("star", 1, 1),  # B and A in one call, the reverse test reading A's part
 ])
 def test_eigh_calls_per_verdict(eigh_calls, route, holds_eighs, fails_eighs):
     pairs = PAIRS[route.split("_")[0]]
@@ -213,8 +214,19 @@ def test_eigh_calls_sim_congruence(eigh_calls):
     a, b = PAIRS["minus"]["holds"]
     res = sim_congruence(a, b)
     assert (res.rank_a, res.rank_b) == (1, 3)
-    # A and B once each when certified PSD, the idempotent block once.
-    assert len(eigh_calls) == 3
+    # A and B together, the idempotent block once.
+    assert len(eigh_calls) == 2
+    assert [len(x) for x in eigh_calls] == [2, 1]
+    # a PsdMatrix pair is certified already and keeps B's decomposition
+    pa, pb = PsdMatrix(a), PsdMatrix(b)
+    eigh_calls.clear()
+    sim_congruence(pa, pb)
+    assert len(eigh_calls) == 1
+
+
+def test_eigh_calls_inertia(eigh_calls):
+    assert inertia(PAIRS["lowner"]["fails"][0]) == Inertia(2, 0, 2)
+    assert len(eigh_calls) == 1
 
 
 def test_eigh_calls_model_compare(eigh_calls):
@@ -279,7 +291,7 @@ def test_verdict_on_sym_matrices_matches_raw_bit_for_bit(relation, label):
     for call in calls:
         raw = _bits(call(a, b))
         assert _bits(call(sa, sb)) == raw
-        assert _bits(call(sa, sb)) == raw  # second call reuses both spectra
+        assert _bits(call(sa, sb)) == raw  # and so does a second call
 
 
 def test_canonical_order_matches_per_column_sign_fix():
