@@ -8,10 +8,12 @@ Conventions shared by everything built on top of this module:
   stack in one LAPACK call, each matrix's factors bit for bit those of a
   call on it alone, eigenvalues ascending; callers that read eigenvalues
   alone take them so,
-- canonical_order, run only where eigenvectors are read, sorts eigenvalues
-  descending and makes the first nonzero component of each eigenvector
-  positive, so a factorization is reproducible run to run; eig_stack is
-  both steps and sym_eig its k = 1 case,
+- canonical_order, run only where the order of eigenvectors shows in a
+  result, sorts eigenvalues descending and makes the first nonzero
+  component of each eigenvector positive, so a factorization is
+  reproducible run to run; eig_stack is both steps and sym_eig its k = 1
+  case.  A containment test needs no order: image_in_span takes the
+  eigenvectors as eigh returns them, those under the cutoff zeroed,
 - sym_eig keeps the EigDecomposition of a SymMatrix on the object and
   hands it out again (PsdMatrix and linmodels read it); the order
   verdicts and sim_congruence work on arrays,
@@ -29,6 +31,7 @@ Conventions shared by everything built on top of this module:
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 # A unit eigenvector component below this is treated as zero when fixing signs.
 _SIGN_EPS = 1e-12
+_EPS = np.finfo(float).eps
 
 
 def _coerce_square(data, ndim: int = 2) -> np.ndarray:
@@ -98,7 +102,7 @@ def rel_residual(diff, *refs) -> float:
 def rel_residual_stack(diff, *refs) -> np.ndarray:
     """rel_residual of each matrix of a stack (over the last two axes)."""
     num = maxabs_stack(diff)
-    den = np.max([maxabs_stack(r) for r in refs], axis=0)
+    den = reduce(np.maximum, map(maxabs_stack, refs))
     out = np.where(num == 0.0, 0.0, np.inf)
     return np.divide(num, den, out=out, where=(num != 0.0) & (den > 0.0))
 
@@ -294,7 +298,7 @@ def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Rank of a symmetric matrix by eigenvalue magnitude.
 
     Eigenvalues with |lambda| <= cutoff count as zero, where the cutoff is
-    rank_rel_tol * max|lambda| (default rank_rel_tol: n * machine epsilon).
+    rank_rel_tol * max|lambda| (default rank_rel_tol: 4 n machine epsilon).
     """
     return sym_eig(a).rank(tol)
 
@@ -313,14 +317,17 @@ def column_basis(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 
 def column_span(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, float]:
-    """column_basis of M and the sine of the angle by which a change of M
-    within its rank cutoff can turn it: the cutoff over the smallest
-    singular value kept (Wedin, BIT 12, 1972), 0 when none is kept."""
+    """column_basis of M and the sine of the angle by which the roundoff of
+    the SVD can turn it: its backward error, the larger dimension times eps
+    times the largest singular value, over the smallest singular value kept
+    (Wedin, BIT 12, 1972), 0 when none is kept.  The rank cutoff's margin
+    over roundoff decides which columns are kept, not how far they turn."""
     m = np.asarray(m, dtype=float)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    cutoff = _sv_cutoff(s, m.shape, tol)
-    keep = s > cutoff
-    return u[:, keep], (cutoff / s[keep][-1] if keep.any() else 0.0)
+    keep = s > _sv_cutoff(s, m.shape, tol)
+    if not keep.any():
+        return u[:, keep], 0.0
+    return u[:, keep], max(m.shape) * _EPS * s[0] / s[keep][-1]
 
 
 def min_singular_value(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, bool]:
@@ -351,9 +358,11 @@ def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 
 def image_in_span(m, basis, tol: ToleranceConfig = DEFAULT_TOL, slack=0.0) -> np.ndarray:
-    """Whether Im M lies in the span of the orthonormal columns `basis`:
-    the part of M outside the span is within recon_tol of the largest entry
-    of M, plus `slack`, the error the basis itself carries into M.
+    """Whether Im M lies in the span of `basis`, whose columns are
+    orthonormal or zero (eigenvectors with the dropped ones zeroed, in any
+    order and sign): the part of M outside the span is within recon_tol of
+    the largest entry of M, plus `slack`, the error the basis itself
+    carries into M.
     Measuring M itself rather than a basis of Im M weighs each direction
     by how much of M it carries, so an eigenvalue far below the others
     cannot fail the test through the roundoff in its eigenvector.  Stacks

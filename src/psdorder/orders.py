@@ -14,10 +14,13 @@ Each decision is written once, over stacks of pairs with a leading axis
 whole stack from one stacked eigendecomposition, and the scalar checks
 read their verdict and certificate from the same arithmetic at k = 1.
 A scalar check checks and symmetrizes each input once, forms B - A once,
-and decomposes all its matrices in one stacked eigh call, ordering
-eigenvectors only where it reads them.
+and decomposes all its matrices in one stacked eigh call.  Eigenvectors
+are put in canonical order only where the bits of a result depend on
+their order (the ginv route, a Loewner witness); the star and image
+containment tests read them as eigh returns them.
 """
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -27,13 +30,13 @@ from .errors import DimensionMismatch, PsdOrderError
 from .numkernel import (
     EigDecomposition,
     canonical_order,
-    eig_stack,
     eigh_stack,
     identity_budget,
     image_in_span,
     maxabs_stack,
     min_singular_value,
     rel_residual,
+    rel_residual_stack,
     sym_array,
     sym_stack,
 )
@@ -116,6 +119,10 @@ def _lowner_stack(a, b, values, tol):
     if values.shape[-1]:
         min_eigs = values[:, [0, -1]]
         min_eigs[:, 1] *= -1.0
+        # the smallest eigenvalue of a finite matrix is finite or -inf, and
+        # so is minus its largest; looked for without a numpy reduction
+        if -math.inf in min_eigs.ravel().tolist():
+            raise PsdOrderError("an eigenvalue of B - A overflows the floating-point range")
     else:
         min_eigs = np.zeros((len(values), 2))
     return min_eigs, min_eigs >= -threshold[:, None], threshold
@@ -178,20 +185,21 @@ def _minus_stack(values, tol):
     return np.array([r_d == r_b - r_a, r_d == r_a - r_b, r_d == 0]), ranks, cutoff
 
 
-def _minus_by_image(a, b, d, eigs, cutoff, tol):
+def _minus_by_image(a, d, span_b, dims, cutoff, tol):
     """Im B = Im A (+) Im(B - A): the rank equation plus a containment
     identity.
 
     B = A + (B - A) puts Im B inside Im A + Im(B - A), so once both
     summands lie in Im B and their dimensions add up to that of Im B, the
     sum fills Im B and is direct.  Containment is tested on the matrices
-    themselves (image_in_span), not on their eigenbases.  It allows for
-    the error in the eigenbasis of B, n times the cutoff (see _star_holds).
+    themselves (image_in_span) against `span_b`, B's eigenvectors with the
+    columns under the cutoff zeroed, in any order and sign.  The
+    dimensions are the ranks the rank equation counted, and the test
+    allows for the error in the eigenbasis of B, n times the cutoff (see
+    _star_stack).
     """
-    u_b = eigs[1].image(tol, cutoff)
-    dim_a, dim_b, dim_c = (e.rank(tol, cutoff) for e in eigs)
-    slack = len(a) * cutoff
-    contained = all(image_in_span(m, u_b, tol, slack) for m in (a, d))
+    dim_a, dim_b, dim_c = dims
+    contained = bool(image_in_span(np.array([a, d]), span_b, tol, len(a) * cutoff).all())
     holds = contained and dim_a + dim_c == dim_b
     cert = {
         "dim_a": dim_a,
@@ -231,27 +239,18 @@ def _minus_by_ginv(a, b, d, eigs, cutoff, tol):
         return False, cert
     proj = m[:, :r] @ np.linalg.inv(m)[:r, :]
     g = proj.T @ eig_a.pinv(tol) @ proj
-    ga, gb, ag, bg = g @ a, g @ b, a @ g, b @ g
+    ga, gb, ag, bg = np.array([g, g, a, b]) @ np.array([a, b, g, g])
     aga = ag @ a
     # each identity's residual relative to the two sides it compares; the
     # roundoff of the products grows with the dimensionless |G| |A, B|
-    residuals = {
-        "inner": rel_residual(aga - a, aga, a),
-        "left": rel_residual(ga - gb, ga, gb),
-        "right": rel_residual(ag - bg, ag, bg),
-    }
+    lhs, rhs = np.array([aga, ga, ag]), np.array([a, gb, bg])
+    residuals = dict(zip(("inner", "left", "right"), rel_residual_stack(lhs - rhs, lhs, rhs).tolist()))
     cert["g"] = g
     cert["residuals"] = residuals
     if max(residuals.values()) > identity_budget(tol, g, a, b):
         cert["reason"] = "identity residual"
         return False, cert
     return True, cert
-
-
-_MINUS_ROUTES = {
-    MinusMethod.IMAGE: _minus_by_image,
-    MinusMethod.GINV: _minus_by_ginv,
-}
 
 
 def minus_leq(
@@ -268,21 +267,30 @@ def minus_leq(
     inverse witness.  All three count against one cutoff from the spectra
     of A, B and B - A, decomposed together, and they agree whenever those
     rank decisions are clean.  The rank route reads both directions from
-    the one count of _minus_stack; the other two rerun on (B, A) with the
-    negated spectrum of B - A and the same cutoff.
+    the one count of _minus_stack, and the image route its dimensions; the
+    image and ginv routes rerun on (B, A) with the same cutoff, the ginv
+    route on the negated spectrum of B - A.  Each holds only where the
+    rank equation does, so the rerun is skipped where the reverse equation
+    fails.
     """
     method = MinusMethod(method)
     a, b, d = _pair(a, b)
     values, vectors = eigh_stack(np.array([a, b, d]))
     decisions, ranks, cutoff = _minus_stack(values[:, None], tol)
     (holds, reverse, equal), cutoff = decisions[:, 0].tolist(), cutoff[0]
+    r_a, r_b, r_d = ranks = ranks[:, 0].tolist()
     if method is MinusMethod.RANK:
-        cert = dict(zip(("rank_a", "rank_b", "rank_diff"), ranks[:, 0].tolist()), cutoff=cutoff)
+        cert = dict(zip(("rank_a", "rank_b", "rank_diff"), ranks), cutoff=cutoff)
+    elif method is MinusMethod.IMAGE:
+        # each image spanned by its eigenvectors with those under the cutoff
+        # zeroed; the reverse test reads A's, and tests B - A for A - B
+        spans = vectors * (np.abs(values) > cutoff)[:, None, :]
+        holds, cert = _minus_by_image(a, d, spans[1], ranks, cutoff, tol)
+        reverse = not holds and reverse and _minus_by_image(b, d, spans[0], (r_b, r_a, r_d), cutoff, tol)[0]
     else:
         e_a, e_b, e_d = eigs = [EigDecomposition(*e) for e in zip(*canonical_order(values, vectors))]
-        route = _MINUS_ROUTES[method]
-        holds, cert = route(a, b, d, eigs, cutoff, tol)
-        reverse = not holds and route(b, a, -d, (e_b, e_a, e_d.negated()), cutoff, tol)[0]
+        holds, cert = _minus_by_ginv(a, b, d, eigs, cutoff, tol)
+        reverse = not holds and reverse and _minus_by_ginv(b, a, -d, (e_b, e_a, e_d.negated()), cutoff, tol)[0]
     cert["method"] = method.value
     return OrderVerdict(
         holds=holds,
@@ -296,7 +304,8 @@ def _star_stack(a, b, values_b, vectors_b, tol):
     """Whether each A of a stack is star-below its B, with the certificate
     parts: the residual of A^2 = A B relative to |A^2| and |A B|, the
     budget it is held against, and whether Im A sits inside Im B.  B comes
-    with its spectrum, values (k, n) and eigenvector columns (k, n, n).
+    with its spectrum as eigh_stack returns it, values (k, n) and
+    eigenvector columns (k, n, n), in any order and sign.
 
     A^2 = A B gives A^2 = B A by transposing, so Im A = Im A^2 lies in
     Im B.  The containment is tested as well because it is linear in a
@@ -306,10 +315,13 @@ def _star_stack(a, b, values_b, vectors_b, tol):
     entrywise and the part of A outside Im B by up to n c, so both tests
     allow that on top of recon_tol.  The products are formed from A and B
     divided by their common largest entry, which keeps them clear of
-    underflow and overflow.  Pairs whose Im B has the same eigenvector
-    columns are tested together, on bases of one shape.
+    underflow and overflow; rounding is monotone, so the largest entry of
+    A divided by it is that of the divided A.  Im B is spanned by B's
+    eigenvectors with the columns under the cutoff zeroed, so one pass
+    covers pairs of any mix of ranks.
     """
-    scale = np.maximum(maxabs_stack(a), maxabs_stack(b))
+    max_a = maxabs_stack(a)
+    scale = np.maximum(max_a, maxabs_stack(b))
     scale[scale == 0.0] = 1.0
     a, b = a / scale[:, None, None], b / scale[:, None, None]
     n = a.shape[-1]
@@ -322,32 +334,10 @@ def _star_stack(a, b, values_b, vectors_b, tol):
     # budget term are 0, as x / inf is
     den[den == 0.0] = np.inf
     residual = maxabs_stack(aa - ab) / den
-    budget = tol.recon_tol + maxabs_stack(a) * slack / den
-    # Im B is spanned by the leading (positive) and trailing (negative)
-    # eigenvector columns that clear the cutoff, so the number kept and the
-    # number of leading ones name the columns
-    cut = cutoff[:, None]
-    keep = mags > cut
-    shape = keep.sum(axis=-1) * (n + 1) + (values_b > cut).sum(axis=-1)
-    shapes = set(shape.tolist())
-    rows = vectors_b.swapaxes(-1, -2)
-    contained = np.empty(len(a), dtype=bool)
-    for key in shapes:
-        # a single group (always so for one pair) is taken by views, not copies
-        members = shape == key if len(shapes) > 1 else slice(None)
-        basis = rows[members][:, keep[members][0]].swapaxes(-1, -2)
-        contained[members] = image_in_span(a[members], basis, tol, slack[members])
+    budget = tol.recon_tol + max_a / scale * slack / den
+    span_b = vectors_b * (mags > cutoff[:, None])[:, None, :]
+    contained = image_in_span(a, span_b, tol, slack)
     return (residual <= budget) & contained, residual, budget, contained
-
-
-def _star_holds(a, b, values_b, vectors_b, tol):
-    """_star_stack at k = 1, with the certificate; B's spectrum comes as a
-    stack of one."""
-    holds, residual, budget, contained = (
-        x[0] for x in _star_stack(a[None], b[None], values_b, vectors_b, tol)
-    )
-    cert = {"residual": float(residual), "budget": float(budget), "image_contained": bool(contained)}
-    return bool(holds), cert
 
 
 def star_family_leq(
@@ -367,11 +357,16 @@ def star_family_leq(
     if variant not in (Relation.STAR, Relation.LEFT_STAR, Relation.RIGHT_STAR):
         raise ValueError(f"{variant.value!r} is not a star-family relation")
     a, b, d = _pair(a, b)
-    # B for the test, A for the reverse test, in one call
-    values, vectors = eig_stack(np.array([b, a]))
-    holds, cert = _star_holds(a, b, values[:1], vectors[:1], tol)
-    equal = rel_residual(d, a, b) <= tol.recon_tol
-    reverse = not holds and _star_holds(b, a, values[1:], vectors[1:], tol)[0]
+    # the test (A, B) and the reverse test (B, A) in one pass over a stack
+    # of two, on the spectra of B and of A from one call
+    ba = np.array([b, a])
+    values, vectors = eigh_stack(ba)
+    (holds, reverse), residual, budget, contained = (
+        x.tolist() for x in _star_stack(np.array([a, b]), ba, values, vectors, tol)
+    )
+    cert = {"residual": residual[0], "budget": budget[0], "image_contained": contained[0]}
+    # equality is read only when A is below B
+    equal = holds and rel_residual(d, a, b) <= tol.recon_tol
     return OrderVerdict(
         holds=holds,
         relation=variant.value,
@@ -422,5 +417,5 @@ def holds_stack(a, b, relation: Relation | str, tol: ToleranceConfig = DEFAULT_T
         values, _ = eigh_stack(np.concatenate([a, b, _difference(a, b)]))
         parts = np.split(values, [len(a), len(a) + len(b)])
         return _minus_stack(np.stack(np.broadcast_arrays(*parts)), tol)[0][0]
-    values, vectors = eig_stack(b)
+    values, vectors = eigh_stack(b)
     return _star_stack(a, b, values, vectors, tol)[0]

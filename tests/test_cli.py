@@ -477,6 +477,26 @@ def test_non_finite_tolerances_are_usage_errors(tmp_path, capsys, monkeypatch):
         monkeypatch.delenv(env)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["order", "check", "--relation", "minus", "Z", "BIG"],
+    ["order", "check", "--relation", "star", "Z", "BIG"],
+    ["order", "check", "--relation", "lowner", "Z", "BIG"],
+    ["canon", "inertia", "BIG"],
+])
+def test_a_spectrum_beyond_the_float_range_is_an_error(tmp_path, capsys, argv):
+    # BIG has finite entries and the eigenvalue 2.5e308, beyond the float
+    # range: exit 2 with one line on stderr, not a verdict read from an
+    # infinite cutoff ("equal", inertia (0, 0, 2)) or a NaN budget
+    files = {"Z": csv(tmp_path, "z.csv", np.zeros((2, 2))),
+             "BIG": csv(tmp_path, "big.csv", [[1e308, 1.5e308], [1.5e308, 1e308]])}
+    assert run([files.get(x, x) for x in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "overflows" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_stdout_is_single_json_line(tmp_path, capsys):
     a = csv(tmp_path, "a.csv", np.eye(2))
     run(["order", "check", "--relation", "lowner", a, a])

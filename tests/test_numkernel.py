@@ -238,7 +238,7 @@ def test_tolerance_config_validation():
     assert cfg.rank_cutoff(4, 10.0) == pytest.approx(1e-5)
     # default relative cutoff scales with dimension and machine epsilon
     d = DEFAULT_TOL.rank_cutoff(3, 2.0)
-    assert d == pytest.approx(3 * np.finfo(float).eps * 2.0)
+    assert d == 4 * 3 * np.finfo(float).eps * 2.0
     assert DEFAULT_TOL.rank_cutoff(3, 0.0) == 0.0
 
 

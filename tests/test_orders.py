@@ -10,10 +10,12 @@ from psdorder import (
     Relation,
     ToleranceConfig,
     canonical_ek,
+    inertia,
     lowner_leq,
     matrices_equal,
     minus_leq,
     numerical_rank,
+    order_holds_many,
     order_leq,
     star_family_leq,
     sym_eig,
@@ -110,6 +112,44 @@ def test_projector_below_identity():
         assert star_family_leq(p, np.eye(n), tol=TOL12).holds
 
 
+def test_computed_projectors_are_minus_below_the_identity_at_the_default_cutoff():
+    # P = Q_k Q_k^T with Q from a QR factor: the roundoff eigenvalues of P
+    # and I - P crossed the old default cutoff n eps |lambda|max in 298, 179,
+    # 38 and 0 of these 3,000 draws at n = 2, 3, 5 and 8 (in 102, 57, 10 and 0
+    # of the first 1,000, which are also decided one at a time)
+    for n in (2, 3, 5, 8):
+        rng = np.random.default_rng(0)
+        ps = []
+        for _ in range(3000):
+            k = int(rng.integers(1, n))
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            ps.append(q[:, :k] @ q[:, :k].T)
+        assert order_holds_many(np.array(ps), np.eye(n), Relation.MINUS).all(), n
+        assert all(minus_leq(p, np.eye(n)).holds for p in ps[:1000]), n
+    # the draw whose roundoff came closest, 3.24 n eps |lambda|max in 2,000,000:
+    # it fails at 3 n eps and holds at the default 4 n eps
+    q = np.array([[-0.20164124457463806, 0.9793315957614259],
+                  [-0.9218381158476441, -0.1842940007078269],
+                  [-0.3309913845659063, -0.08333874756966933]])
+    p = q @ q.T
+    assert not minus_leq(p, np.eye(3), tol=ToleranceConfig(rank_rel_tol=9 * np.finfo(float).eps)).holds
+    v = minus_leq(p, np.eye(3))
+    assert v.holds and (v.certificate["rank_a"], v.certificate["rank_diff"]) == (2, 1)
+
+
+def test_the_default_cutoff_keeps_a_graded_eigenvalue():
+    # an image eigenvalue of 1e-13 |lambda|max at n = 16 is real: the
+    # cutoff's margin over roundoff must not drop it
+    rng = np.random.default_rng(4)
+    n = 16
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    d_a = np.r_[1.0, 1e-13, np.zeros(n - 2)]
+    d_b = d_a + np.r_[0.0, 0.0, 1.0, np.zeros(n - 3)]
+    v = minus_leq((q * d_a) @ q.T, (q * d_b) @ q.T)
+    assert v.holds
+    assert (v.certificate["rank_a"], v.certificate["rank_b"], v.certificate["rank_diff"]) == (2, 3, 1)
+
+
 def test_idempotent_characterization():
     # among symmetric P, P is minus-below I exactly when P is a projector
     rng = np.random.default_rng(13)
@@ -180,6 +220,31 @@ def test_a_difference_that_overflows_raises():
             order_leq(a, b, rel)
     with pytest.raises(PsdOrderError, match="overflows"):
         matrices_equal(a, b)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_spectrum_beyond_the_float_range_raises():
+    # finite entries with the eigenvalue 2.5e308: an infinite rank cutoff
+    # counted nothing (minus "equal", inertia (0, 0, 2)), and the star
+    # budget became NaN; every verdict on such a matrix now raises
+    z, big = np.zeros((2, 2)), np.array([[1e308, 1.5e308], [1.5e308, 1e308]])
+    for a, b in ((z, big), (big, z)):
+        for rel in ALL_RELATIONS:
+            with pytest.raises(PsdOrderError, match="overflows"):
+                order_leq(a, b, rel)
+        for method in MinusMethod:
+            with pytest.raises(PsdOrderError, match="overflows"):
+                minus_leq(a, b, method=method)
+    for rel in ALL_RELATIONS:
+        with pytest.raises(PsdOrderError, match="overflows"):
+            order_holds_many(z[None], big[None], rel)
+    # B - A = 0 has a finite spectrum
+    assert lowner_leq(big, big).detail == "equal"
+    for m in (big, -big):
+        with pytest.raises(PsdOrderError, match="overflows"):
+            inertia(m)
+        with pytest.raises(PsdOrderError, match="overflows"):
+            numerical_rank(m)
 
 
 def test_matrices_equal_scales():

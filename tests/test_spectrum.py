@@ -35,6 +35,7 @@ from psdorder import (
     star_family_leq,
     sym_eig,
 )
+from psdorder import numkernel, orders
 from psdorder.numkernel import eig_stack, min_singular_value, rel_residual
 from psdorder.preservers import congruence_map, sample_pair
 
@@ -153,10 +154,16 @@ def test_stacked_kernels_match_per_matrix_calls(n, k):
     d = rng.uniform(0.5, 2.0, (k, n))
     s = rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
+    # the star and image containment: eigenvectors with the dropped columns
+    # zeroed, a different mask per matrix, projected the way image_in_span does
+    v = np.linalg.eigh(x + x.swapaxes(-1, -2))[1]
+    keep = rng.uniform(size=(k, n)) < 0.5
+    span = v * keep[:, None, :]
     products = {
         "gemm": (g * d[:, None, :]) @ x.swapaxes(-1, -2),
         "syrk": g @ g.swapaxes(-1, -2),
         "sxst": s @ x @ s.T,
+        "masked": span @ (span.swapaxes(-1, -2) @ x),
     }
     for i in range(k):
         q_i, r_i = np.linalg.qr(g[i])
@@ -164,6 +171,8 @@ def test_stacked_kernels_match_per_matrix_calls(n, k):
         assert ((g[i] * d[i]) @ x[i].T).tobytes() == products["gemm"][i].tobytes()
         assert (g[i] @ g[i].T).tobytes() == products["syrk"][i].tobytes()
         assert (s @ x[i] @ s.T).tobytes() == products["sxst"][i].tobytes()
+        span_i = v[i] * keep[i]
+        assert (span_i @ (span_i.T @ x[i])).tobytes() == products["masked"][i].tobytes()
 
 
 @pytest.mark.parametrize("relation", ["lowner", "minus", "star"])
@@ -199,6 +208,47 @@ def test_order_holds_many_matches_order_leq(relation):
     assert 0 < sum(want) < len(want)
     with pytest.raises(DimensionMismatch):
         order_holds_many(a, b[:, :3, :3], relation)
+
+
+@pytest.mark.parametrize("relation", ["star", "left-star", "right-star"])
+def test_star_stack_mixes_every_image_rank(relation):
+    # one pair per image rank of B, 0 to n, holding and failing, in one
+    # stack: each decision is the one a pair alone gets
+    n = 5
+    rng = np.random.default_rng(17)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    pairs, labels = [], []
+    for rank in range(n + 1):
+        d_b = np.r_[rng.uniform(0.5, 2.0, rank), np.zeros(n - rank)]
+        d_a = d_b * (rng.uniform(size=n) < 0.5)
+        pairs.append(((q * d_a) @ q.T, (q * d_b) @ q.T))  # A star-below B
+        labels.append(True)
+        if rank:
+            # B's spectrum moved one place: A^2 != A B
+            pairs.append(((q * np.roll(d_b, 1)) @ q.T, (q * d_b) @ q.T))
+            labels.append(False)
+    a, b = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+    assert sorted({int(np.linalg.matrix_rank(x)) for x in b}) == list(range(n + 1))
+    assert [order_leq(x, y, relation).holds for x, y in pairs] == labels
+    assert order_holds_many(a, b, relation).tolist() == labels
+
+
+def test_star_and_image_routes_order_no_eigenvectors(monkeypatch):
+    # they test containment on eigh's raw factors, with the dropped columns
+    # zeroed, so they never sort or sign-fix eigenvectors
+    def no_order(*args, **kwargs):
+        raise AssertionError("canonical_order was called")
+
+    for module in (orders, numkernel):
+        monkeypatch.setattr(module, "canonical_order", no_order)
+    for label in ("holds", "fails"):
+        assert _verdict("minus_image", *PAIRS["minus"][label]).holds == (label == "holds")
+        a, b = PAIRS["star"][label]
+        for variant in ("star", "left-star", "right-star"):
+            assert star_family_leq(a, b, variant).holds == (label == "holds")
+            assert order_holds_many(a[None], b[None], variant).tolist() == [label == "holds"]
+    with pytest.raises(AssertionError, match="canonical_order"):
+        _verdict("minus_ginv", *PAIRS["minus"]["holds"])
 
 
 def test_image_route_takes_no_svd(monkeypatch):
