@@ -47,7 +47,6 @@ from .numkernel import (
     PsdCheck,
     PsdMatrix,
     SymMatrix,
-    column_basis,
     is_psd,
     numerical_rank,
     pinv,

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotMinusComparable
-from .numkernel import (EigDecomposition, PsdMatrix, SymMatrix, canonical_order, eig_stack, eigh_stack,
-                        maxabs, min_singular_value, rel_residual, require_psd, sym_array, sym_eig)
+from .numkernel import (EigDecomposition, PsdMatrix, canonical_order, eigh_stack, maxabs, min_singular_value,
+                        rel_residual, require_psd, sym_array, sym_eig)
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -78,15 +78,15 @@ def congruence_canonical(a, tol: ToleranceConfig = DEFAULT_TOL):
     null space), ordered positives first (descending), then negatives
     (most negative first), then the null directions.
     """
-    sym = a if isinstance(a, SymMatrix) else SymMatrix(a)
-    eig = sym_eig(sym)
+    eig = sym_eig(a)
+    a = sym_array(a)
     values, vectors = eig.values, eig.vectors
     cutoff = eig.cutoff(tol)
     pos = np.flatnonzero(values > cutoff)
     neg = np.flatnonzero(values < -cutoff)[::-1]
     zero = np.flatnonzero(~eig.nonzero(tol, cutoff))
     order = np.concatenate([pos, neg, zero]).astype(int)
-    scales = np.ones(sym.n)
+    scales = np.ones(len(a))
     keep = np.concatenate([pos, neg]).astype(int)
     scales[keep] = np.sqrt(np.abs(values[keep]))
     s = vectors[:, order] * scales[order]
@@ -95,7 +95,7 @@ def congruence_canonical(a, tol: ToleranceConfig = DEFAULT_TOL):
         [np.ones(len(pos)), -np.ones(len(neg)), np.zeros(len(zero))]
     )
     recon = (s * sign) @ s.T
-    residual = rel_residual(recon - sym.a, sym.a)
+    residual = rel_residual(recon - a, a)
     if residual > tol.recon_tol:
         raise NotMinusComparable(
             f"canonical reconstruction residual {residual:.3e} out of budget"
@@ -132,8 +132,10 @@ def sim_congruence(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SimCongResult:
         eig_b = EigDecomposition(*(x[0] for x in canonical_order(values[1:], vectors[1:])))
     s_rank = int(np.count_nonzero(eig_b.values > eig_b.cutoff(tol)))
 
-    # Whitening: v @ B @ v.T == E_s exactly up to roundoff.
-    inv_scales = np.ones(n)
+    # Whitening: v @ B @ v.T == E_s exactly up to roundoff.  B's null
+    # directions take the scale of its largest eigenvalue, so that neither
+    # the spill test nor S depends on the units of A and B.
+    inv_scales = np.full(n, 1.0 / np.sqrt(eig_b.values[0]) if s_rank else 1.0)
     inv_scales[:s_rank] = 1.0 / np.sqrt(eig_b.values[:s_rank])
     v = inv_scales[:, None] * eig_b.vectors.T
 
@@ -145,21 +147,17 @@ def sim_congruence(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SimCongResult:
             f"transformed A leaks {spill:.3e} outside the rank-{s_rank} block"
         )
 
-    block = a_tilde[:s_rank, :s_rank]
-    if s_rank:
-        lam, u = (x[0] for x in eig_stack(sym_array(block)[None]))
-        near_one = np.abs(lam - 1.0) <= tol.idem_tol
-        near_zero = np.abs(lam) <= tol.idem_tol
-        if not np.all(near_one | near_zero):
-            worst = lam[~(near_one | near_zero)]
-            raise NotMinusComparable(
-                "block spectrum not idempotent: eigenvalues "
-                f"{np.array2string(worst, precision=4)} away from {{0, 1}}"
-            )
-        r_rank = int(np.count_nonzero(near_one))
-    else:
-        r_rank = 0
-        u = np.zeros((0, 0))
+    block = sym_eig(a_tilde[:s_rank, :s_rank])
+    lam, u = block.values, block.vectors
+    near_one = np.abs(lam - 1.0) <= tol.idem_tol
+    near_zero = np.abs(lam) <= tol.idem_tol
+    if not np.all(near_one | near_zero):
+        worst = lam[~(near_one | near_zero)]
+        raise NotMinusComparable(
+            "block spectrum not idempotent: eigenvalues "
+            f"{np.array2string(worst, precision=4)} away from {{0, 1}}"
+        )
+    r_rank = int(np.count_nonzero(near_one))
 
     # S = V^{-1} diag(U, I); the whitening inverse is explicit.
     v_inv = eig_b.vectors * (1.0 / inv_scales)

@@ -45,7 +45,7 @@ from .linmodels import (
     model_compare,
     qform_rank_criterion,
 )
-from .numkernel import SymMatrix, rel_residual
+from .numkernel import SymMatrix, maxabs, rel_residual
 from .orders import MinusMethod, Relation, minus_leq, order_leq
 from .preservers import MatrixMap, congruence_map, fit_congruence, preserves_order
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -140,14 +140,14 @@ def read_matrix(path, tol: ToleranceConfig = DEFAULT_TOL) -> SymMatrix:
     a = read_array(path)
     if a.shape[0] != a.shape[1]:
         raise ParseError(f"{path}: expected a square matrix, got {a.shape}")
-    sym = SymMatrix(a)
-    if rel_residual(a - a.T, a) > tol.recon_tol:
+    skew = a - a.T
+    if rel_residual(skew, a) > tol.recon_tol:
         print(
-            f"warning: {path}: asymmetry {sym.asymmetry:.3e} exceeds tolerance; "
+            f"warning: {path}: asymmetry {maxabs(skew):.3e} exceeds tolerance; "
             "matrix symmetrized by averaging",
             file=sys.stderr,
         )
-    return sym
+    return SymMatrix(a)
 
 
 def read_vector(path) -> np.ndarray:
@@ -192,21 +192,16 @@ def read_model(path, tol: ToleranceConfig = DEFAULT_TOL) -> LinearModel:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _jsonable(obj):
+def _json_default(obj):
+    """The numpy values json cannot encode: arrays as nested lists, numpy
+    bools and integers as Python ones (numpy's float64 is a float)."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    # bool must come before int: Python's bool is an int subclass
-    if isinstance(obj, (np.bool_, bool)):
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _build_tol(args) -> ToleranceConfig:
@@ -508,7 +503,7 @@ def run(argv=None) -> int:
     payload = {"command": f"{args.group} {args.sub}", **payload}
     payload["tolerances"] = dataclasses.asdict(tol)
     payload["version"] = __version__
-    print(json.dumps(_jsonable(payload)))
+    print(json.dumps(payload, default=_json_default))
     return 0 if ok else 1
 
 

@@ -22,7 +22,6 @@ from .errors import (
 )
 from .numkernel import (
     PsdMatrix,
-    SymMatrix,
     column_span,
     identity_budget,
     image_in_span,
@@ -37,8 +36,8 @@ from .rng import normal_matrix, substream
 from .special import chi2_cdf, ks_uniform_distance
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
-# Shard size for Monte Carlo sampling; shard boundaries are even so the
-# Box-Muller pairing stays aligned.
+# Draws per Monte Carlo shard.  Shard k reads its own stream,
+# substream(seed, k), so this size is part of what a seed draws.
 _MC_SHARD = 20000
 
 
@@ -152,7 +151,7 @@ def efficiency_matrix(model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) ->
     Im X is always inside Im(D + X X^T).
     """
     gram = model.d.a + model.x @ model.x.T
-    m = model.x.T @ pinv(SymMatrix(gram), tol) @ model.x
+    m = model.x.T @ pinv(gram, tol) @ model.x
     return PsdMatrix(m, tol)
 
 
@@ -317,11 +316,11 @@ def mc_quadratic_forms(
 ) -> McReport:
     """Seeded Monte Carlo check of independence and chi-squared margins.
 
-    Draws x ~ N(mu, V) through the symmetric square root of V and the
-    deterministic normal stream, shards the draws by sub-seed so parallel
-    and sequential evaluation agree, and reports pairwise correlations of
-    the Q_i plus per-form KS distances against chi-squared with the ranks
-    of the compressed forms as degrees of freedom.
+    Draws x ~ N(mu, V) through the symmetric square root of V from the
+    deterministic normal streams, _MC_SHARD draws per sub-seed of `seed`,
+    and reports pairwise correlations of the Q_i plus per-form KS
+    distances against chi-squared with the ranks of the compressed forms
+    as degrees of freedom.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")

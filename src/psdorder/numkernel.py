@@ -3,7 +3,8 @@
 Conventions shared by everything built on top of this module:
 
 - raw input is checked once and symmetrized as 0.5 A + 0.5 A^T, which
-  cannot overflow (sym_array, sym_stack and SymMatrix),
+  cannot overflow: sym_array for one matrix, sym_stack for a stack; a
+  SymMatrix is sym_array's result made read-only,
 - eigendecompositions run on stacks: eigh_stack decomposes a (k, n, n)
   stack in one LAPACK call, each matrix's factors bit for bit those of a
   call on it alone, eigenvalues ascending; callers that read eigenvalues
@@ -11,9 +12,9 @@ Conventions shared by everything built on top of this module:
 - canonical_order, run only where the order of eigenvectors shows in a
   result, sorts eigenvalues descending and makes the first nonzero
   component of each eigenvector positive, so a factorization is
-  reproducible run to run; eig_stack is both steps and sym_eig its k = 1
-  case.  A containment test needs no order: image_in_span takes the
-  eigenvectors as eigh returns them, those under the cutoff zeroed,
+  reproducible run to run; sym_eig is eigh_stack and canonical_order on
+  one matrix.  A containment test needs no order: image_in_span takes
+  the eigenvectors as eigh returns them, those under the cutoff zeroed,
 - sym_eig keeps the EigDecomposition of a SymMatrix on the object and
   hands it out again (PsdMatrix and linmodels read it); the order
   verdicts and sim_congruence work on arrays,
@@ -46,8 +47,6 @@ _EPS = np.finfo(float).eps
 def _coerce_square(data, ndim: int = 2) -> np.ndarray:
     """Validate and copy raw input into a float square array, or with
     ndim=3 into a stack of them."""
-    if isinstance(data, SymMatrix):
-        return np.array(data.a, dtype=float)
     a = np.array(data, dtype=float)
     if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
@@ -65,8 +64,8 @@ def _symmetrize(a) -> np.ndarray:
 
 
 def sym_array(data) -> np.ndarray:
-    """The symmetric array of a SymMatrix, or raw input checked and
-    symmetrized as SymMatrix does, without building one."""
+    """The symmetric array of a SymMatrix, or raw input checked (square,
+    finite), copied to float and symmetrized."""
     if isinstance(data, SymMatrix):
         return data.a
     return _symmetrize(_coerce_square(data))
@@ -74,7 +73,7 @@ def sym_array(data) -> np.ndarray:
 
 def sym_stack(data) -> np.ndarray:
     """A (k, n, n) stack of matrices, each checked and symmetrized as
-    SymMatrix does with one."""
+    sym_array does with one."""
     return _symmetrize(_coerce_square(data, ndim=3))
 
 
@@ -118,16 +117,13 @@ def identity_budget(tol: ToleranceConfig, op, *refs) -> float:
 class SymMatrix:
     """A real symmetric matrix, stored immutably.
 
-    Construction symmetrizes by averaging, so callers may pass data that is
-    symmetric only up to roundoff.  How far the input was from symmetric is
-    kept in `asymmetry` for callers that want to warn on sloppy data.  The
-    first sym_eig of the object is kept and returned by later calls.
+    Construction symmetrizes by averaging (sym_array), so callers may pass
+    data that is symmetric only up to roundoff.  The first sym_eig of the
+    object is kept and returned by later calls.
     """
 
     def __init__(self, data):
-        a = _coerce_square(data)
-        self.asymmetry = maxabs(a - a.T)
-        a = _symmetrize(a)
+        a = sym_array(data)
         a.setflags(write=False)
         self._a = a
         self._eig = None
@@ -220,14 +216,6 @@ class EigDecomposition:
         q = self.vectors
         return (q * inv) @ q.T
 
-    def psd(self, threshold: float) -> "PsdCheck":
-        """Whether the smallest eigenvalue is at least -threshold, with its
-        eigenvector as the witness on failure."""
-        min_eig = float(self.values[-1]) if self.values.size else 0.0
-        ok = min_eig >= -threshold
-        witness = None if ok else self.vectors[:, -1]
-        return PsdCheck(ok=ok, min_eig=min_eig, threshold=threshold, witness=witness)
-
 
 @dataclass(frozen=True)
 class PsdCheck:
@@ -273,21 +261,14 @@ def canonical_order(values: np.ndarray, vectors: np.ndarray):
     return values, np.swapaxes(rows, -1, -2)
 
 
-def eig_stack(x) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecompositions of a (k, n, n) stack of symmetric matrices in
-    one eigh_stack call, in canonical order: descending values (k, n) and
-    sign-fixed eigenvector columns (k, n, n)."""
-    return canonical_order(*eigh_stack(x))
-
-
 def sym_eig(a) -> EigDecomposition:
-    """Eigendecomposition of a symmetric matrix, ordered and sign-fixed:
-    the k = 1 case of eig_stack.  A SymMatrix argument is decomposed once;
-    later calls on the same object return the same EigDecomposition."""
+    """Eigendecomposition of a symmetric matrix, ordered and sign-fixed by
+    canonical_order.  A SymMatrix argument is decomposed once; later calls
+    on the same object return the same EigDecomposition."""
     sym = a if isinstance(a, SymMatrix) else None
     if sym is not None and sym._eig is not None:
         return sym._eig
-    values, vectors = eig_stack(sym_array(a)[None])
+    values, vectors = canonical_order(*eigh_stack(sym_array(a)[None]))
     eig = EigDecomposition(values=values[0], vectors=vectors[0])
     if sym is not None:
         sym._eig = eig
@@ -309,19 +290,15 @@ def _sv_cutoff(s: np.ndarray, shape, tol: ToleranceConfig) -> float:
     return tol.rank_cutoff(max(shape), float(s.max(initial=0.0)))
 
 
-def column_basis(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal columns spanning the column space of an arbitrary
-    matrix: the left singular vectors whose singular values clear the rank
-    cutoff, with n taken as the larger dimension."""
-    return column_span(m, tol)[0]
-
-
 def column_span(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, float]:
-    """column_basis of M and the sine of the angle by which the roundoff of
-    the SVD can turn it: its backward error, the larger dimension times eps
-    times the largest singular value, over the smallest singular value kept
-    (Wedin, BIT 12, 1972), 0 when none is kept.  The rank cutoff's margin
-    over roundoff decides which columns are kept, not how far they turn."""
+    """Orthonormal columns spanning the column space of an arbitrary matrix
+    M, the left singular vectors whose singular values clear the rank
+    cutoff (n taken as the larger dimension), and the sine of the angle by
+    which the roundoff of the SVD can turn them: its backward error, the
+    larger dimension times eps times the largest singular value, over the
+    smallest singular value kept (Wedin, BIT 12, 1972), 0 when none is
+    kept.  The rank cutoff's margin over roundoff decides which columns
+    are kept, not how far they turn."""
     m = np.asarray(m, dtype=float)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     keep = s > _sv_cutoff(s, m.shape, tol)
@@ -343,8 +320,11 @@ def is_psd(a, tol: ToleranceConfig = DEFAULT_TOL) -> PsdCheck:
     """Tolerance-based PSD test with an eigenvalue (and, on failure, an
     eigenvector) witness.  The minimum eigenvalue must be at least
     -psd_tol times the largest entry of A."""
-    sym = a if isinstance(a, SymMatrix) else SymMatrix(a)
-    return sym_eig(sym).psd(tol.psd_tol * maxabs(sym.a))
+    eig = sym_eig(a)
+    min_eig = float(eig.values[-1]) if eig.values.size else 0.0
+    threshold = tol.psd_tol * maxabs(sym_array(a))
+    ok = min_eig >= -threshold
+    return PsdCheck(ok=ok, min_eig=min_eig, threshold=threshold, witness=None if ok else eig.vectors[:, -1])
 
 
 def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -239,7 +239,7 @@ def _minus_by_ginv(a, b, d, eigs, cutoff, tol):
         return False, cert
     proj = m[:, :r] @ np.linalg.inv(m)[:r, :]
     g = proj.T @ eig_a.pinv(tol) @ proj
-    ga, gb, ag, bg = np.array([g, g, a, b]) @ np.array([a, b, g, g])
+    ga, gb, ag, bg = g @ a, g @ b, a @ g, b @ g
     aga = ag @ a
     # each identity's residual relative to the two sides it compares; the
     # roundoff of the products grows with the dimensionless |G| |A, B|

@@ -293,17 +293,9 @@ def preserves_order(
 def probe_inputs(n: int) -> list:
     """The canonical probe matrices fit_congruence expects to see sampled:
     every e_i e_i^T and every (e_0 + e_i)(e_0 + e_i)^T."""
-    probes = []
-    for i in range(n):
-        e = np.zeros((n, 1))
-        e[i, 0] = 1.0
-        probes.append(e @ e.T)
-    for i in range(1, n):
-        e = np.zeros((n, 1))
-        e[0, 0] = 1.0
-        e[i, 0] = 1.0
-        probes.append(e @ e.T)
-    return probes
+    e = np.eye(n)
+    v = np.concatenate([e, e[:1] + e[1:]])
+    return list(v[:, :, None] * v[:, None, :])
 
 
 def _rank_one_factor(m, tol):

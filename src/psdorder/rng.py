@@ -2,10 +2,9 @@
 
 Everything stochastic in this package (sampled order-preservation trials,
 Monte Carlo draws) is keyed by an integer seed and produced by SplitMix64
-counters mapped through Box-Muller.  Counter-based
-generation means a stream can be sharded by offset: draws [k, k+m) are the
-same whether produced in one call or many, so parallel shards and a single
-sequential run agree bit for bit.
+counters mapped through Box-Muller.  Every draw reads its stream from the
+first counter on; independent draws come from independent keys, derived
+from a parent seed by substream.
 
 Streams can also be keyed by arrays.  substream, uniforms, normals and
 normal_matrix accept a uint64 array of seeds where they accept one seed,
@@ -49,16 +48,16 @@ def substream(seed, *indices):
     return key
 
 
-def _raw(seed, count: int, offset: int) -> np.ndarray:
-    counters = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+def _raw(seed, count: int) -> np.ndarray:
+    counters = np.arange(1, count + 1, dtype=np.uint64)
     keys = np.asarray(seed & _M64, dtype=np.uint64)[..., None]
     return _mix64(keys + counters * np.uint64(_GOLDEN))
 
 
-def uniforms(seed, count: int, offset: int = 0) -> np.ndarray:
-    """`count` doubles in [0, 1) from the stream keyed by `seed`, starting at
-    counter position `offset`; one row of them per seed of a seed array."""
-    bits = _raw(seed, count, offset)
+def uniforms(seed, count: int) -> np.ndarray:
+    """`count` doubles in [0, 1) from the stream keyed by `seed`; one row of
+    them per seed of a seed array."""
+    bits = _raw(seed, count)
     return (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
@@ -74,21 +73,14 @@ def box_muller(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def normals(seed, count: int, offset: int = 0) -> np.ndarray:
+def normals(seed, count: int) -> np.ndarray:
     """`count` standard normal doubles via Box-Muller, one row per seed of
-    a seed array.
-
-    Each counter position yields one normal; positions pair up as (even, odd)
-    so offset-based sharding remains exact as long as shard boundaries are
-    even.
-    """
-    start = offset - (offset % 2)
-    n_pairs = (offset + count - start + 1) // 2
-    lead = offset - start
-    return box_muller(uniforms(seed, 2 * n_pairs, start))[..., lead:lead + count]
+    a seed array: counter positions (2i, 2i + 1) make the pair of normals
+    2i and 2i + 1, and an odd count drops the last normal of its pair."""
+    return box_muller(uniforms(seed, count + count % 2))[..., :count]
 
 
-def normal_matrix(seed, rows: int, cols: int, offset: int = 0) -> np.ndarray:
+def normal_matrix(seed, rows: int, cols: int) -> np.ndarray:
     """Row-major (rows, cols) matrix of standard normals from one stream,
     one per seed of a seed array."""
-    return normals(seed, rows * cols, offset).reshape(*np.shape(seed), rows, cols)
+    return normals(seed, rows * cols).reshape(*np.shape(seed), rows, cols)

@@ -155,7 +155,7 @@ def sim_congruence(a, b, tol=DEFAULT_TOL):
     n = pa.n
     eig_b = sym_eig(pb)
     s_rank = int(np.count_nonzero(eig_b.values > eig_b.cutoff(tol)))
-    inv_scales = np.ones(n)
+    inv_scales = np.full(n, 1.0 / np.sqrt(eig_b.values[0]) if s_rank else 1.0)
     inv_scales[:s_rank] = 1.0 / np.sqrt(eig_b.values[:s_rank])
     v = inv_scales[:, None] * eig_b.vectors.T
     a_tilde = v @ pa.a @ v.T

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,10 +80,13 @@ def test_read_array_rejects_bad_input(tmp_path):
 
 def test_read_matrix_symmetrizes_with_warning(tmp_path, capsys):
     p = tmp_path / "m.csv"
-    p.write_text("1,0.3\n0.1,1\n")
+    p.write_text("4,0.75\n0.25,1\n")
     sym = read_matrix(p)
-    assert sym.a[0, 1] == pytest.approx(0.2)
-    assert "asymmetry" in capsys.readouterr().err
+    assert sym.a[0, 1] == 0.5
+    # the warning prints max|A - A^T| of the file, neither relative nor halved
+    a = read_array(p)
+    printed = re.search(r"asymmetry (\S+) exceeds", capsys.readouterr().err).group(1)
+    assert float(printed) == np.abs(a - a.T).max() == 0.5
     p.write_text("1,0.2\n0.2,1\n")
     read_matrix(p)
     assert capsys.readouterr().err == ""

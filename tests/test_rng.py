@@ -1,4 +1,4 @@
-"""Counter-based random streams: determinism, sharding, rough moments."""
+"""Counter-based random streams: determinism, seed arrays, rough moments."""
 
 import numpy as np
 
@@ -11,21 +11,6 @@ def test_uniforms_deterministic_and_in_range():
     np.testing.assert_array_equal(u1, u2)
     assert np.all((u1 >= 0.0) & (u1 < 1.0))
     assert np.any(uniforms(124, 1000) != u1)
-
-
-def test_uniforms_offset_is_pure_slicing():
-    full = uniforms(9, 100)
-    np.testing.assert_array_equal(uniforms(9, 40, offset=60), full[60:])
-    np.testing.assert_array_equal(uniforms(9, 1, offset=37), full[37:38])
-
-
-def test_normals_offset_sharding():
-    # counter-based generation means shards concatenate to the full stream,
-    # including shards that start at odd offsets inside a Box-Muller pair
-    full = normals(5, 101)
-    parts = [normals(5, 25, offset=0), normals(5, 33, offset=25), normals(5, 43, offset=58)]
-    np.testing.assert_array_equal(np.concatenate(parts), full)
-    np.testing.assert_array_equal(normals(5, 7, offset=51), full[51:58])
 
 
 def test_normals_rough_moments():
@@ -58,7 +43,6 @@ def test_normal_matrix_shape_and_determinism():
     m = normal_matrix(3, 4, 5)
     assert m.shape == (4, 5)
     np.testing.assert_array_equal(m.ravel(), normals(3, 20))
-    np.testing.assert_array_equal(normal_matrix(3, 4, 5, offset=10).ravel(), normals(3, 20, offset=10))
 
 
 def test_streams_match_recorded_values():
@@ -69,11 +53,11 @@ def test_streams_match_recorded_values():
     assert substream(-1, 2**64 + 5, 7) == 15114195839707298658
     assert substream(2**70, -3) == 2785712103215064854
     assert substream(99) == 99
-    assert [x.hex() for x in uniforms(123, 4, offset=7)] == [
+    assert [x.hex() for x in uniforms(123, 11)[7:]] == [
         "0x1.edeefa1936476p-2", "0x1.3d5bb34b7924bp-1",
         "0x1.2039dbff563a0p-3", "0x1.755024737c6f4p-1",
     ]
-    assert [x.hex() for x in normals(5, 5, offset=3)] == [
+    assert [x.hex() for x in normals(5, 8)[3:]] == [
         "0x1.b396091aef4d0p-2", "-0x1.e36b85ef4593ap-2", "0x1.c27e53b70a828p-2",
         "-0x1.73bf54d378d81p+1", "-0x1.9f8f75ae48aefp-3",
     ]
@@ -83,16 +67,15 @@ def test_seed_arrays_draw_each_stream_as_its_seed_alone():
     seeds = [0, 7, 2**63 + 5, 2**64 - 1, substream(-3, 4)]
     keys = np.array(seeds, dtype=np.uint64)
     for count in (0, 1, 2, 3, 7, 25):
-        for offset in (0, 1, 2, 5):
-            u, z = uniforms(keys, count, offset), normals(keys, count, offset)
-            assert u.shape == z.shape == (len(seeds), count)
-            for i, seed in enumerate(seeds):
-                assert u[i].tobytes() == uniforms(seed, count, offset).tobytes()
-                assert z[i].tobytes() == normals(seed, count, offset).tobytes()
-    m = normal_matrix(keys.reshape(5, 1), 3, 4, offset=1)
+        u, z = uniforms(keys, count), normals(keys, count)
+        assert u.shape == z.shape == (len(seeds), count)
+        for i, seed in enumerate(seeds):
+            assert u[i].tobytes() == uniforms(seed, count).tobytes()
+            assert z[i].tobytes() == normals(seed, count).tobytes()
+    m = normal_matrix(keys.reshape(5, 1), 3, 4)
     assert m.shape == (5, 1, 3, 4)
     for i, seed in enumerate(seeds):
-        assert m[i, 0].tobytes() == normal_matrix(seed, 3, 4, offset=1).tobytes()
+        assert m[i, 0].tobytes() == normal_matrix(seed, 3, 4).tobytes()
 
 
 def test_substream_of_arrays_broadcasts_seeds_and_indices():

@@ -21,7 +21,6 @@ from psdorder import (
     Relation,
     SymMatrix,
     ToleranceConfig,
-    column_basis,
     inertia,
     is_psd,
     lowner_leq,
@@ -31,12 +30,13 @@ from psdorder import (
     order_leq,
     preserves_order,
     projector_fixed_point_suite,
+    qform_rank_criterion,
     sim_congruence,
     star_family_leq,
     sym_eig,
 )
 from psdorder import numkernel, orders
-from psdorder.numkernel import eig_stack, min_singular_value, rel_residual
+from psdorder.numkernel import canonical_order, column_span, min_singular_value, rel_residual
 from psdorder.preservers import congruence_map, sample_pair
 
 
@@ -124,7 +124,8 @@ def test_sweep_eigh_calls_do_not_grow_with_trials(eigh_calls, relation):
 @pytest.mark.parametrize("n", [2, 3, 5, 10, 50])
 def test_stacked_eigh_matches_per_matrix_eigh(n, k):
     # the premise of the stacked core: LAPACK on a (k, n, n) stack gives
-    # each matrix the bits a call on it alone gives, and so does eig_stack
+    # each matrix the bits a call on it alone gives, and so does sym_eig
+    # against the stack's factors in canonical order
     rng = np.random.default_rng(1000 * n + k)
     g = rng.standard_normal((k, n, n))
     x = g + g.swapaxes(1, 2)
@@ -132,7 +133,7 @@ def test_stacked_eigh_matches_per_matrix_eigh(n, k):
     x[0] = (q * np.r_[np.ones(n // 2), np.zeros(n - n // 2)]) @ q.T  # a projector
     x[-1] = np.diag(np.r_[np.ones(n - 1), 0.0])  # exactly repeated eigenvalues
     values, vectors = np.linalg.eigh(x)
-    c_values, c_vectors = eig_stack(x)
+    c_values, c_vectors = canonical_order(values, vectors)
     for i in range(k):
         v, q = np.linalg.eigh(x[i])
         assert v.tobytes() == values[i].tobytes()
@@ -388,15 +389,15 @@ def test_column_basis_spans_the_columns_at_exact_rank():
     for _ in range(60):
         r, c = int(rng.integers(1, 6)), int(rng.integers(1, 6))
         m = rng.integers(-2, 3, size=(r, c)).astype(float)
-        basis = column_basis(m)
+        basis = column_span(m)[0]
         dim = basis.shape[1]
         assert dim == oracles.exact_rank(m.astype(int))
         np.testing.assert_allclose(basis.T @ basis, np.eye(dim), atol=1e-12)
         # every column of m lies in the span
         np.testing.assert_allclose(basis @ (basis.T @ m), m, atol=1e-12)
-    assert column_basis(np.zeros((3, 2))).shape == (3, 0)
-    assert column_basis(np.zeros((3, 0))).shape == (3, 0)
-    assert column_basis(np.zeros((0, 4))).shape == (0, 0)
+    assert column_span(np.zeros((3, 2)))[0].shape == (3, 0)
+    assert column_span(np.zeros((3, 0)))[0].shape == (3, 0)
+    assert column_span(np.zeros((0, 4)))[0].shape == (0, 0)
 
 
 def test_min_singular_value():
@@ -442,6 +443,21 @@ def test_scale_defects_of_absolute_floors_are_gone():
     big = 1e6 * np.eye(5)
     v = lowner_leq(big, 1e6 * (q @ q.T))
     assert v.holds and v.detail == "equal"
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-40, 1.0, 1e40, 1e300])
+def test_sim_congruence_and_qform_criterion_do_not_depend_on_units(c):
+    # B's null directions must take the scale of B in the whitening and in
+    # S: unit scale makes S singular at c = 1e+-40 and makes the transformed
+    # A leak out of the rank-2 block from c = 1e20 on
+    a, b = np.diag([1.0, 0.0, 0.0]), np.diag([1.0, 1.0, 0.0])
+    res = sim_congruence(c * a, c * b)
+    assert (res.rank_a, res.rank_b) == (1, 2)
+    np.testing.assert_allclose(res.s, np.sqrt(c) * sim_congruence(a, b).s, rtol=1e-12)
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))
+    forms = [c * np.outer(q[:, 0], q[:, 0]), c * np.outer(q[:, 1], q[:, 1])]
+    report = qform_rank_criterion(forms, np.eye(4), np.zeros(4))
+    assert report.overall and [e.rank for e in report.forms] == [1, 1]
 
 
 def test_rank_and_ginv_routes_agree_on_a_small_image_eigenvalue():
