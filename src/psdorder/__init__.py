@@ -13,7 +13,6 @@ from .canonical import (
     Inertia,
     SimCongResult,
     canonical_ek,
-    congruence_canonical,
     inertia,
     sim_congruence,
 )

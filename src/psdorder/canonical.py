@@ -1,11 +1,13 @@
 """Canonical forms under congruence.
 
 Sylvester's law says a real symmetric matrix is congruent to
-diag(I_p, -I_q, 0) with (p, q) its inertia; on the PSD cone the form is
-E_k = diag(I_k, 0).  The central piece of this module is the
-simultaneous reduction: a pair of PSD matrices with A below B in the
-rank-subtractivity order shares one congruence S with
-A = S E_r S^T and B = S E_s S^T, and that S is constructed explicitly here.
+diag(I_p, -I_q, 0) with (p, q) its inertia, which `inertia` counts; on
+the PSD cone the form is E_k = diag(I_k, 0).  The central piece of this
+module is the simultaneous reduction: a pair of PSD matrices with A below
+B in the rank-subtractivity order shares one congruence S with
+A = S E_r S^T and B = S E_s S^T, and that S is constructed explicitly
+here.  A itself is below A, so sim_congruence(A, A) gives the single
+form A = S E_r S^T.
 """
 
 from dataclasses import dataclass
@@ -71,38 +73,6 @@ def inertia(a, tol: ToleranceConfig = DEFAULT_TOL) -> Inertia:
     return Inertia(n_pos, n_neg, len(values) - n_pos - n_neg)
 
 
-def congruence_canonical(a, tol: ToleranceConfig = DEFAULT_TOL):
-    """Invertible S with A = S diag(I_p, -I_q, 0) S^T; returns (S, Inertia).
-
-    Columns of S scale the eigenvectors by sqrt|lambda| (unit scale on the
-    null space), ordered positives first (descending), then negatives
-    (most negative first), then the null directions.
-    """
-    eig = sym_eig(a)
-    a = sym_array(a)
-    values, vectors = eig.values, eig.vectors
-    cutoff = eig.cutoff(tol)
-    pos = np.flatnonzero(values > cutoff)
-    neg = np.flatnonzero(values < -cutoff)[::-1]
-    zero = np.flatnonzero(~eig.nonzero(tol, cutoff))
-    order = np.concatenate([pos, neg, zero]).astype(int)
-    scales = np.ones(len(a))
-    keep = np.concatenate([pos, neg]).astype(int)
-    scales[keep] = np.sqrt(np.abs(values[keep]))
-    s = vectors[:, order] * scales[order]
-    inert = Inertia(len(pos), len(neg), len(zero))
-    sign = np.concatenate(
-        [np.ones(len(pos)), -np.ones(len(neg)), np.zeros(len(zero))]
-    )
-    recon = (s * sign) @ s.T
-    residual = rel_residual(recon - a, a)
-    if residual > tol.recon_tol:
-        raise NotMinusComparable(
-            f"canonical reconstruction residual {residual:.3e} out of budget"
-        )
-    return s, inert
-
-
 def sim_congruence(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SimCongResult:
     """One congruence bringing a rank-subtractive PSD pair to (E_r, E_s).
 
@@ -147,10 +117,11 @@ def sim_congruence(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SimCongResult:
             f"transformed A leaks {spill:.3e} outside the rank-{s_rank} block"
         )
 
+    # P^2 = P in spectral form on a unit-scale block, judged as identities are
     block = sym_eig(a_tilde[:s_rank, :s_rank])
     lam, u = block.values, block.vectors
-    near_one = np.abs(lam - 1.0) <= tol.idem_tol
-    near_zero = np.abs(lam) <= tol.idem_tol
+    near_one = np.abs(lam - 1.0) <= tol.recon_tol
+    near_zero = np.abs(lam) <= tol.recon_tol
     if not np.all(near_one | near_zero):
         worst = lam[~(near_one | near_zero)]
         raise NotMinusComparable(

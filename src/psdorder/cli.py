@@ -54,7 +54,6 @@ from .tolerances import DEFAULT_TOL, ToleranceConfig
 _ENV_FLAGS = {
     "tol_rank": ("PSDORDER_TOL_RANK", "rank_rel_tol", "relative rank cutoff"),
     "tol_psd": ("PSDORDER_TOL_PSD", "psd_tol", "PSD slack"),
-    "tol_idem": ("PSDORDER_TOL_IDEM", "idem_tol", "idempotency slack"),
 }
 
 # Errors that mean "the mathematics said no", not "the input was garbage".

@@ -65,8 +65,8 @@ class LinearModel:
                 f"covariance is {self.d.n}x{self.d.n} but the design has "
                 f"{x.shape[0]} rows"
             )
-        if self.sigma2 < 0:
-            raise ValueError(f"sigma2 must be nonnegative, got {self.sigma2!r}")
+        if not 0 <= self.sigma2 < np.inf:
+            raise ValueError(f"sigma2 must be nonnegative and finite, got {self.sigma2!r}")
 
     @property
     def n(self) -> int:
@@ -240,32 +240,23 @@ def blue_check(l, model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) -> Blu
     )
 
 
-def _stack_w(v: PsdMatrix, mu) -> np.ndarray:
+def _setup(a_list, v, mu, tol):
+    """The setup the quadratic-form checks share: V coerced, the matrices of
+    the forms followed by their total, and W = (V : mu)."""
+    v = v if isinstance(v, PsdMatrix) else PsdMatrix(v, tol)
+    mats = []
+    for i, a in enumerate(a_list):
+        p = a if isinstance(a, PsdMatrix) else PsdMatrix(a, tol)
+        if p.n != v.n:
+            raise DimensionMismatch(f"form {i} is {p.n}x{p.n}, expected {v.n}x{v.n}")
+        mats.append(p.a)
+    mats.append(sum(mats, np.zeros((v.n, v.n))))
     mu = np.asarray(mu, dtype=float).reshape(-1)
     if mu.shape[0] != v.n:
         raise DimensionMismatch(
             f"mean has length {mu.shape[0]} but covariance is {v.n}x{v.n}"
         )
-    return np.hstack([v.a, mu[:, None]])
-
-
-def _coerce_forms(a_list, n, tol):
-    forms = []
-    for i, a in enumerate(a_list):
-        p = a if isinstance(a, PsdMatrix) else PsdMatrix(a, tol)
-        if p.n != n:
-            raise DimensionMismatch(f"form {i} is {p.n}x{p.n}, expected {n}x{n}")
-        forms.append(p)
-    return forms
-
-
-def _setup(a_list, v, mu, tol):
-    """The setup the quadratic-form checks share: V coerced, the matrices of
-    the forms followed by their total, and W = (V : mu)."""
-    v = v if isinstance(v, PsdMatrix) else PsdMatrix(v, tol)
-    mats = [f.a for f in _coerce_forms(a_list, v.n, tol)]
-    mats.append(sum(mats, np.zeros((v.n, v.n))))
-    return v, mats, _stack_w(v, mu)
+    return v, mats, np.hstack([v.a, mu[:, None]])
 
 
 def qform_rank_criterion(
@@ -318,50 +309,41 @@ def mc_quadratic_forms(
 
     Draws x ~ N(mu, V) through the symmetric square root of V from the
     deterministic normal streams, _MC_SHARD draws per sub-seed of `seed`,
-    and reports pairwise correlations of the Q_i plus per-form KS
-    distances against chi-squared with the ranks of the compressed forms
-    as degrees of freedom.
+    and reports pairwise correlations of the Q_i plus the KS distances of
+    each form and of their total against chi-squared with the ranks of
+    the compressed forms as degrees of freedom.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    mu = np.asarray(mu, dtype=float).reshape(-1)
     v, mats, w = _setup(a_list, v, mu, tol)
-    *dfs, total_df = (numerical_rank(PsdMatrix(w.T @ m @ w, tol), tol) for m in mats)
-    *forms, total = mats
+    mu = w[:, -1]
+    # one entry per form, then the total's, in dfs, q_values and ks alike
+    dfs = [numerical_rank(PsdMatrix(w.T @ m @ w, tol), tol) for m in mats]
 
     eig = sym_eig(v)
     root = (eig.vectors * np.sqrt(np.maximum(eig.values, 0.0))) @ eig.vectors.T
 
-    q_values = np.empty((len(forms), n_samples))
-    q_total = np.empty(n_samples)
+    q_values = np.empty((len(mats), n_samples))
     done = 0
     shard = 0
     while done < n_samples:
         count = min(_MC_SHARD, n_samples - done)
         z = normal_matrix(substream(seed, shard), count, v.n)
         x = z @ root + mu
-        for j, f in enumerate(forms):
-            q_values[j, done:done + count] = np.einsum("ij,jk,ik->i", x, f, x)
-        q_total[done:done + count] = np.einsum("ij,jk,ik->i", x, total, x)
+        for j, m in enumerate(mats):
+            q_values[j, done:done + count] = np.einsum("ij,jk,ik->i", x, m, x)
         done += count
         shard += 1
 
-    ks = []
-    for j, df in enumerate(dfs):
-        if df == 0:
-            ks.append(None)
-            continue
-        ks.append(ks_uniform_distance(chi2_cdf(q_values[j], df)))
-    total_ks = (
-        ks_uniform_distance(chi2_cdf(q_total, total_df)) if total_df > 0 else None
-    )
-    if len(forms) > 1:
+    ks = [ks_uniform_distance(chi2_cdf(q, df)) if df > 0 else None for q, df in zip(q_values, dfs)]
+    k = len(mats) - 1
+    if k > 1:
         # degenerate forms (constant Q, e.g. df 0) carry no correlation
-        live = np.flatnonzero(q_values.std(axis=1) > 0.0)
-        corr = np.eye(len(forms))
+        live = np.flatnonzero(q_values[:k].std(axis=1) > 0.0)
+        corr = np.eye(k)
         if live.size > 1:
             corr[np.ix_(live, live)] = np.corrcoef(q_values[live])
-        off = corr - np.eye(len(forms))
+        off = corr - np.eye(k)
         max_abs_corr = float(np.abs(off).max())
     else:
         corr = np.ones((1, 1))
@@ -369,10 +351,10 @@ def mc_quadratic_forms(
     return McReport(
         n_samples=n_samples,
         seed=seed,
-        dfs=dfs,
-        ks=ks,
+        dfs=dfs[:k],
+        ks=ks[:k],
         corr=corr,
         max_abs_corr=max_abs_corr,
-        total_df=total_df,
-        total_ks=total_ks,
+        total_df=dfs[k],
+        total_ks=ks[k],
     )

@@ -18,7 +18,6 @@ from .numkernel import (
     SymMatrix,
     maxabs_stack,
     min_singular_value,
-    rel_residual,
     rel_residual_stack,
     sym_eig,
     sym_stack,
@@ -327,6 +326,8 @@ def fit_congruence(samples, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     except ValueError as exc:  # also numpy's error for matrices of mixed shapes
         raise DimensionMismatch("samples must be square matrices of one size") from exc
     n = given.shape[1]
+    if n == 0:
+        raise DimensionMismatch("samples must be at least 1x1")
     # every probe against every sample, each probe taking its first match in
     # sample order; only the pairs that agree on the diagonal are compared
     # in full, since every other pair differs by more on the diagonal alone
@@ -352,20 +353,20 @@ def fit_congruence(samples, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
         first = -first
     norm_sq = float(first @ first)
 
-    columns = [first]
-    for i in range(1, n):
-        cross = mixed_images[i - 1] - diag_images[0] - diag_images[i]
-        # cross = s_0 s_i^T + s_i s_0^T, so applying it to s_0 isolates s_i.
-        dot = float(first @ cross @ first) / (2.0 * norm_sq)
-        col = (cross @ first - dot * first) / norm_sq
-        expected, image = np.outer(col, col), diag_images[i]
-        if rel_residual(expected - image, expected, image) > tol.recon_tol:
-            raise InconsistentSamples(
-                f"column {i} reconstructed from the mixed probe does not "
-                "reproduce its diagonal probe image"
-            )
-        columns.append(col)
-    s = np.column_stack(columns)
+    # cross_i = s_0 s_i^T + s_i s_0^T, so applying it to s_0 isolates s_i.
+    # Each s_0 . s_i is its own vector product: as a row of one
+    # matrix-vector product it would be summed in another order.
+    cross = mixed_images - diag_images[0] - diag_images[1:]
+    dots = np.array([row @ first for row in first @ cross]) / (2.0 * norm_sq)
+    cols = (cross @ first - dots[:, None] * first) / norm_sq
+    expected, image = cols[:, :, None] * cols[:, None, :], diag_images[1:]
+    off = rel_residual_stack(expected - image, expected, image) > tol.recon_tol
+    if off.any():
+        raise InconsistentSamples(
+            f"column {off.argmax() + 1} reconstructed from the mixed probe does "
+            "not reproduce its diagonal probe image"
+        )
+    s = np.column_stack([first, *cols])
 
     predicted = s @ given @ s.T
     if (rel_residual_stack(predicted - outputs, predicted, outputs) > tol.recon_tol).any():

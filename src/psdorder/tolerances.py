@@ -35,13 +35,12 @@ class ToleranceConfig:
         Slack on the PSD test, relative to the inputs with no floor: the
         minimum eigenvalue must be >= -psd_tol * the largest entry of the
         matrix (of A and B when it is the difference B - A).
-    idem_tol
-        Half-width of the eigenvalue clusters treated as {0} and {1} when
-        certifying idempotents during simultaneous reduction.
     recon_tol
         Relative residual accepted by identity checks (reconstructions,
-        equality, A^2 = A B) and by the symmetrization of raw input, which
-        flags input skewed beyond it.  Identities that multiply by an inner
+        equality, A^2 = A B, and P^2 = P for the whitened unit-scale
+        block sim_congruence certifies, whose eigenvalues must lie within
+        it of 0 or 1) and by the symmetrization of raw input, which flags
+        input skewed beyond it.  Identities that multiply by an inner
         inverse or an estimator widen it by their unit-free size when that
         exceeds 1 (numkernel.identity_budget).
 
@@ -50,7 +49,6 @@ class ToleranceConfig:
 
     rank_rel_tol: float | None = None
     psd_tol: float = 1e-9
-    idem_tol: float = 1e-8
     recon_tol: float = 1e-8
 
     def __post_init__(self):

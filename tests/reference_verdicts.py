@@ -167,8 +167,8 @@ def sim_congruence(a, b, tol=DEFAULT_TOL):
     if s_rank:
         eig_block = sym_eig(a_tilde[:s_rank, :s_rank])
         lam = eig_block.values
-        near_one = np.abs(lam - 1.0) <= tol.idem_tol
-        near_zero = np.abs(lam) <= tol.idem_tol
+        near_one = np.abs(lam - 1.0) <= tol.recon_tol
+        near_zero = np.abs(lam) <= tol.recon_tol
         if not np.all(near_one | near_zero):
             worst = lam[~(near_one | near_zero)]
             raise NotMinusComparable(

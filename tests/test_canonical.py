@@ -5,16 +5,16 @@ import pytest
 
 import oracles
 from psdorder import (
+    DEFAULT_TOL,
     NotMinusComparable,
     NotPositiveSemidefinite,
     ToleranceConfig,
     canonical_ek,
-    congruence_canonical,
     inertia,
     minus_leq,
     sim_congruence,
 )
-from psdorder.numkernel import maxabs
+from psdorder.numkernel import maxabs, rel_residual
 
 TOL12 = ToleranceConfig(rank_rel_tol=1e-12)
 
@@ -57,27 +57,24 @@ def test_inertia_oracle_agreement():
         assert (got.n_pos, got.n_neg, got.n_zero) == want
 
 
-def test_congruence_canonical_hand_case():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    s, inert = congruence_canonical(a)
-    assert (inert.n_pos, inert.n_neg, inert.n_zero) == (1, 1, 0)
-    np.testing.assert_allclose(s @ np.diag([1.0, -1.0]) @ s.T, a, atol=1e-12)
-
-
-def test_congruence_canonical_reconstruction():
+def test_sim_congruence_of_a_matrix_with_itself_is_its_canonical_form():
+    # on the cone, A below A gives A = S E_r S^T with one invertible S
     rng = np.random.default_rng(7)
-    for _ in range(80):
-        n = int(rng.integers(1, 7))
-        g = rng.uniform(-2.0, 2.0, size=(n, n))
-        a = (g + g.T) / 2
-        s, inert = congruence_canonical(a)
-        sign = np.concatenate([
-            np.ones(inert.n_pos), -np.ones(inert.n_neg), np.zeros(inert.n_zero)])
-        np.testing.assert_allclose(
-            s @ np.diag(sign) @ s.T, a, atol=1e-10 * max(1.0, maxabs(a)))
-        assert np.linalg.matrix_rank(s) == n
-        got = inertia(a)
-        assert (got.n_pos, got.n_neg, got.n_zero) == (inert.n_pos, inert.n_neg, inert.n_zero)
+    for n in range(1, 7):
+        for r in range(n + 1):
+            for _ in range(4):
+                want = (r, 0, n - r)
+                while True:  # exact rank r, by the rational oracle
+                    g = rng.integers(-3, 4, size=(n, r))
+                    if oracles.exact_inertia(g @ g.T) == want:
+                        break
+                a = (g @ g.T).astype(float)
+                res = sim_congruence(a, a)
+                assert (res.rank_a, res.rank_b) == (r, r)
+                assert np.linalg.matrix_rank(res.s) == n
+                assert rel_residual(res.s @ canonical_ek(n, r) @ res.s.T - a, a) <= DEFAULT_TOL.recon_tol
+                got = inertia(a)
+                assert (got.n_pos, got.n_neg, got.n_zero) == want
 
 
 def test_sim_congruence_constructed_pairs():

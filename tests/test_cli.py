@@ -472,10 +472,12 @@ def test_tolerance_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
 
 def test_non_finite_tolerances_are_usage_errors(tmp_path, capsys, monkeypatch):
     z = csv(tmp_path, "z.csv", np.zeros((2, 2)))
-    for flag in ("--tol-rank", "--tol-psd", "--tol-idem"):
+    for flag in ("--tol-rank", "--tol-psd"):
         for value in ("inf", "nan"):
             assert_usage_error(capsys, ["order", "minus", flag, value, z, z])
-    for env in ("PSDORDER_TOL_IDEM", "PSDORDER_TOL_PSD", "PSDORDER_TOL_RANK"):
+    # the idempotent block is judged against recon_tol, which has no flag
+    assert_usage_error(capsys, ["order", "minus", "--tol-idem", "1e-8", z, z])
+    for env in ("PSDORDER_TOL_PSD", "PSDORDER_TOL_RANK"):
         monkeypatch.setenv(env, "inf")
         assert_usage_error(capsys, ["order", "minus", z, z])
         monkeypatch.delenv(env)

@@ -42,6 +42,9 @@ def test_linear_model_validation():
     assert m.n == 3 and m.p == 1
     with pytest.raises(ValueError):
         LinearModel(x=np.ones((3, 1)), d=np.eye(3), sigma2=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma2"):
+            LinearModel(x=np.ones((3, 1)), d=np.eye(3), sigma2=bad)
     with pytest.raises(DimensionMismatch):
         LinearModel(x=np.ones((2, 1)), d=np.eye(3))
     with pytest.raises(NotPositiveSemidefinite):

@@ -276,6 +276,21 @@ def test_fit_congruence_rejects_samples_of_mixed_shapes():
         fit_congruence([(p, p[:, :2]) for p in probe_inputs(3)])
 
 
+def test_fit_congruence_rejects_empty_matrices():
+    with pytest.raises(DimensionMismatch, match="1x1"):
+        fit_congruence([(np.zeros((0, 0)), np.zeros((0, 0)))])
+
+
+def test_fit_congruence_names_the_first_inconsistent_column():
+    rng = np.random.default_rng(79)
+    s = random_invertible(rng, 5)
+    samples = [(p, s @ p @ s.T) for p in probe_inputs(5)]
+    for i in (4, 2, 3):  # diagonal probe images of columns 2, 3 and 4
+        samples[i] = (samples[i][0], 3.0 * samples[i][1])
+    with pytest.raises(InconsistentSamples, match="^column 2 "):
+        fit_congruence(samples)
+
+
 def test_fit_congruence_missing_probe():
     rng = np.random.default_rng(59)
     s = random_invertible(rng, 3)
