@@ -57,7 +57,24 @@ def test_inertia_oracle_agreement():
         assert (got.n_pos, got.n_neg, got.n_zero) == want
 
 
-def test_sim_congruence_of_a_matrix_with_itself_is_its_canonical_form():
+def test_congruence_canonical_hand_case():
+    # the congruence canonical form of A in the cone is sim_congruence(A, A)
+    a = np.array([[1.0, 1.0], [1.0, 1.0]])
+    res = sim_congruence(a, a)
+    assert (res.rank_a, res.rank_b) == (1, 1)
+    assert np.linalg.matrix_rank(res.s) == 2
+    np.testing.assert_allclose(res.s @ canonical_ek(2, 1) @ res.s.T, a, atol=1e-12)
+    i = inertia(a)
+    assert (i.n_pos, i.n_neg, i.n_zero) == (1, 0, 1)
+    # off the cone only the inertia is defined
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    i = inertia(swap)
+    assert (i.n_pos, i.n_neg, i.n_zero) == (1, 1, 0)
+    with pytest.raises(NotPositiveSemidefinite):
+        sim_congruence(swap, swap)
+
+
+def test_congruence_canonical_reconstruction():
     # on the cone, A below A gives A = S E_r S^T with one invertible S
     rng = np.random.default_rng(7)
     for n in range(1, 7):
