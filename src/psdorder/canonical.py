@@ -67,7 +67,7 @@ def inertia(a, tol: ToleranceConfig = DEFAULT_TOL) -> Inertia:
     """Signature of a symmetric matrix with the shared rank-cutoff
     convention: eigenvalues within the cutoff of zero count as zero."""
     values = eigh_stack(sym_array(a)[None])[0][0]
-    cutoff = tol.rank_cutoff(len(values), np.abs(values).max(initial=0.0))
+    cutoff = tol.rank_cutoff(values)
     n_pos = int(np.count_nonzero(values > cutoff))
     n_neg = int(np.count_nonzero(values < -cutoff))
     return Inertia(n_pos, n_neg, len(values) - n_pos - n_neg)
@@ -100,7 +100,7 @@ def sim_congruence(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SimCongResult:
             if not isinstance(x, PsdMatrix):
                 require_psd(float(lam[0]) if n else 0.0, tol.psd_tol * maxabs(m))
         eig_b = EigDecomposition(*(x[0] for x in canonical_order(values[1:], vectors[1:])))
-    s_rank = int(np.count_nonzero(eig_b.values > eig_b.cutoff(tol)))
+    s_rank = int(np.count_nonzero(eig_b.values > tol.rank_cutoff(eig_b.values)))
 
     # Whitening: v @ B @ v.T == E_s exactly up to roundoff.  B's null
     # directions take the scale of its largest eigenvalue, so that neither

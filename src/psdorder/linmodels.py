@@ -242,7 +242,7 @@ def blue_check(l, model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) -> Blu
 
 def _setup(a_list, v, mu, tol):
     """The setup the quadratic-form checks share: V coerced, the matrices of
-    the forms followed by their total, and W = (V : mu)."""
+    the forms followed by their total, and W = (V : mu); no forms raise."""
     v = v if isinstance(v, PsdMatrix) else PsdMatrix(v, tol)
     mats = []
     for i, a in enumerate(a_list):
@@ -256,6 +256,8 @@ def _setup(a_list, v, mu, tol):
         raise DimensionMismatch(
             f"mean has length {mu.shape[0]} but covariance is {v.n}x{v.n}"
         )
+    if len(mats) == 1:
+        raise ValueError("need at least one quadratic form")
     return v, mats, np.hstack([v.a, mu[:, None]])
 
 
@@ -271,8 +273,6 @@ def qform_rank_criterion(
     """
     _, mats, w = _setup(a_list, v, mu, tol)
     *t_forms, t_total = (PsdMatrix(w.T @ m @ w, tol) for m in mats)
-    if not t_forms:
-        raise ValueError("need at least one quadratic form")
     s_rank = numerical_rank(t_total, tol)
     entries = []
     overall = True

@@ -18,11 +18,10 @@ Conventions shared by everything built on top of this module:
 - sym_eig keeps the EigDecomposition of a SymMatrix on the object and
   hands it out again (PsdMatrix and linmodels read it); the order
   verdicts and sim_congruence work on arrays,
-- rank decisions compare eigenvalue magnitudes against one relative cutoff
-  taken from ToleranceConfig; EigDecomposition owns that policy (spectral
-  radius, cutoff, nonzero mask), and every other module asks it rather
-  than recomputing the cutoff.  Column bases and invertibility checks
-  apply the same convention to singular values through _sv_cutoff,
+- rank decisions compare eigenvalue magnitudes against one relative cutoff,
+  which ToleranceConfig.rank_cutoff alone takes from the spectra it
+  judges; EigDecomposition.nonzero applies it to one spectrum, and column
+  bases and invertibility checks apply it to singular values,
 - every other tolerance is relative to its inputs, with no absolute
   floor: rel_residual measures a residual against the largest entry of
   the matrices compared, and a PSD threshold is psd_tol times the
@@ -78,9 +77,8 @@ def sym_stack(data) -> np.ndarray:
 
 
 def maxabs(m) -> float:
-    """Largest entry magnitude; zero for an empty array."""
-    m = np.asarray(m, dtype=float)
-    return float(np.abs(m).max()) if m.size else 0.0
+    """Largest entry magnitude of a matrix; zero for an empty one."""
+    return float(maxabs_stack(m))
 
 
 def maxabs_stack(m) -> np.ndarray:
@@ -170,27 +168,18 @@ class EigDecomposition:
 
     `values` are descending; `vectors` holds the matching orthonormal
     eigenvectors as columns, sign-fixed as described in the module docstring.
-    The rank-cutoff policy lives here: an eigenvalue is numerically nonzero
-    when its magnitude exceeds tol.rank_cutoff(n, radius).
+    An eigenvalue is numerically nonzero when its magnitude exceeds the
+    rank cutoff, by default tol.rank_cutoff(values), this spectrum's own.
     """
 
     values: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def radius(self) -> float:
-        """Spectral radius max|lambda|; zero for an empty matrix."""
-        return float(np.abs(self.values).max()) if self.values.size else 0.0
-
-    def cutoff(self, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-        """Eigenvalues of magnitude at most this count as zero."""
-        return tol.rank_cutoff(len(self.values), self.radius)
-
     def nonzero(self, tol: ToleranceConfig = DEFAULT_TOL, cutoff: float | None = None) -> np.ndarray:
         """Mask of the eigenvalues that clear `cutoff` (default: this
         spectrum's own cutoff)."""
         if cutoff is None:
-            cutoff = self.cutoff(tol)
+            cutoff = tol.rank_cutoff(self.values)
         return np.abs(self.values) > cutoff
 
     def rank(self, tol: ToleranceConfig = DEFAULT_TOL, cutoff: float | None = None) -> int:
@@ -284,12 +273,6 @@ def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     return sym_eig(a).rank(tol)
 
 
-def _sv_cutoff(s: np.ndarray, shape, tol: ToleranceConfig) -> float:
-    """Rank cutoff for the singular values s of a matrix of `shape`, with n
-    taken as the larger dimension."""
-    return tol.rank_cutoff(max(shape), float(s.max(initial=0.0)))
-
-
 def column_span(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, float]:
     """Orthonormal columns spanning the column space of an arbitrary matrix
     M, the left singular vectors whose singular values clear the rank
@@ -301,7 +284,7 @@ def column_span(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, floa
     are kept, not how far they turn."""
     m = np.asarray(m, dtype=float)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    keep = s > _sv_cutoff(s, m.shape, tol)
+    keep = s > tol.rank_cutoff(s, max(m.shape))
     if not keep.any():
         return u[:, keep], 0.0
     return u[:, keep], max(m.shape) * _EPS * s[0] / s[keep][-1]
@@ -313,7 +296,7 @@ def min_singular_value(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, bo
     precision.  An empty matrix counts as invertible with sigma_min 1."""
     m = np.asarray(m, dtype=float)
     s = np.linalg.svd(m, compute_uv=False)
-    return (float(s[-1]) if s.size else 1.0), bool((s > _sv_cutoff(s, m.shape, tol)).all())
+    return (float(s[-1]) if s.size else 1.0), bool((s > tol.rank_cutoff(s, max(m.shape))).all())
 
 
 def is_psd(a, tol: ToleranceConfig = DEFAULT_TOL) -> PsdCheck:

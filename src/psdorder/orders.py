@@ -171,18 +171,21 @@ def lowner_leq(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
     return _lowner_verdicts(a, b, tol, 1)[0]
 
 
+# _minus_stack's decisions: r_B - r_A - r_{B-A}, r_A - r_B - r_{B-A} and r_{B-A} vanish
+_RANK_EQUATIONS = np.array([[-1, 1, -1], [1, -1, -1], [0, 0, 1]])
+
+
 def _minus_stack(values, tol):
     """The rank equation rank(B - A) = rank(B) - rank(A) for stacked pairs,
-    from the spectra (3, k, n) of their A, B and B - A.  All three ranks
-    count against one cutoff per pair, taken from the largest of its three
-    spectral radii, so the counts are consistent with each other.  Returns
-    the decisions (3, k): A below B, B below A (the same counts, as
+    from the spectra (k, 3, n) of their A, B and B - A, whose ranks count
+    against one cutoff per pair, taken from its three spectra together.
+    Returns the decisions (3, k): A below B, B below A (the same counts, as
     -(B - A) has the rank of B - A) and equality (rank(B - A) = 0); the
     ranks (3, k); and the cutoffs."""
-    mags = np.abs(values)
-    cutoff = tol.rank_cutoff(values.shape[-1], mags.max(axis=(0, 2), initial=0.0))
-    r_a, r_b, r_d = ranks = (mags > cutoff[:, None]).sum(axis=-1)
-    return np.array([r_d == r_b - r_a, r_d == r_a - r_b, r_d == 0]), ranks, cutoff
+    k, _, n = values.shape
+    cutoff = tol.rank_cutoff(values.reshape(k, 3 * n), n)
+    ranks = (np.abs(values) > cutoff[:, None, None]).sum(axis=-1).T
+    return _RANK_EQUATIONS @ ranks == 0, ranks, cutoff
 
 
 def _minus_by_image(a, d, span_b, dims, cutoff, tol):
@@ -276,7 +279,7 @@ def minus_leq(
     method = MinusMethod(method)
     a, b, d = _pair(a, b)
     values, vectors = eigh_stack(np.array([a, b, d]))
-    decisions, ranks, cutoff = _minus_stack(values[:, None], tol)
+    decisions, ranks, cutoff = _minus_stack(values[None], tol)
     (holds, reverse, equal), cutoff = decisions[:, 0].tolist(), cutoff[0]
     r_a, r_b, r_d = ranks = ranks[:, 0].tolist()
     if method is MinusMethod.RANK:
@@ -324,10 +327,8 @@ def _star_stack(a, b, values_b, vectors_b, tol):
     scale = np.maximum(max_a, maxabs_stack(b))
     scale[scale == 0.0] = 1.0
     a, b = a / scale[:, None, None], b / scale[:, None, None]
-    n = a.shape[-1]
-    mags = np.abs(values_b)
-    cutoff = tol.rank_cutoff(n, mags.max(axis=-1, initial=0.0))
-    slack = n * cutoff / scale
+    cutoff = tol.rank_cutoff(values_b)
+    slack = a.shape[-1] * cutoff / scale
     aa, ab = a @ a, a @ b
     den = np.maximum(maxabs_stack(aa), maxabs_stack(ab))
     # where both products vanish, so does their difference: residual and
@@ -335,7 +336,7 @@ def _star_stack(a, b, values_b, vectors_b, tol):
     den[den == 0.0] = np.inf
     residual = maxabs_stack(aa - ab) / den
     budget = tol.recon_tol + max_a / scale * slack / den
-    span_b = vectors_b * (mags > cutoff[:, None])[:, None, :]
+    span_b = vectors_b * (np.abs(values_b) > cutoff[:, None])[:, None, :]
     contained = image_in_span(a, span_b, tol, slack)
     return (residual <= budget) & contained, residual, budget, contained
 
@@ -362,7 +363,7 @@ def star_family_leq(
     ba = np.array([b, a])
     values, vectors = eigh_stack(ba)
     (holds, reverse), residual, budget, contained = (
-        x.tolist() for x in _star_stack(np.array([a, b]), ba, values, vectors, tol)
+        x.tolist() for x in _star_stack(ba[::-1], ba, values, vectors, tol)
     )
     cert = {"residual": residual[0], "budget": budget[0], "image_contained": contained[0]}
     # equality is read only when A is below B
@@ -392,10 +393,12 @@ def order_leq(
 
 
 def order_holds_many(a, b, relation: Relation | str, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """order_leq(a[i], b[i], relation, tol).holds for every pair of two
-    (k, n, n) stacks, as a bool array; B may also be one (n, n) matrix,
-    paired with every A.  Both stacks are checked and symmetrized, then
-    decided by holds_stack."""
+    """order_leq(a[i], b[i], relation, tol).holds, as a bool array, for
+    every pair of two (k, n, n) stacks on which order_leq returns; B may
+    also be one (n, n) matrix, paired with every A.  Both stacks are
+    checked and symmetrized, then decided by holds_stack.  Only the star
+    family's forward test runs, so this answers a pair whose reverse test
+    raises (PsdOrderError: the rank cutoff of A's spectrum overflows)."""
     a = sym_stack(a)
     shared = np.ndim(b) == 2
     b = sym_stack(np.expand_dims(b, 0) if shared else b)
@@ -416,6 +419,6 @@ def holds_stack(a, b, relation: Relation | str, tol: ToleranceConfig = DEFAULT_T
     if relation is Relation.MINUS:
         values, _ = eigh_stack(np.concatenate([a, b, _difference(a, b)]))
         parts = np.split(values, [len(a), len(a) + len(b)])
-        return _minus_stack(np.stack(np.broadcast_arrays(*parts)), tol)[0][0]
+        return _minus_stack(np.stack(np.broadcast_arrays(*parts), axis=1), tol)[0][0]
     values, vectors = eigh_stack(b)
     return _star_stack(a, b, values, vectors, tol)[0]

@@ -312,9 +312,11 @@ def fit_congruence(samples, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     The sample list must contain the probe_inputs images: the image of
     e_i e_i^T pins column i up to sign, and the mixed probes
     (e_0 + e_i)(e_0 + e_i)^T fix every sign relative to the first column.
-    The global sign is normalized so the first nonzero entry of column 0 is
-    positive.  Every remaining sample is then validated against the
-    recovered S; anything unexplained raises InconsistentSamples.
+    The global sign is canonical_order's: column 0 is sqrt(lambda) q for
+    the leading eigenpair of its probe image, the first entry of q above
+    1e-12 in magnitude positive (one in (1e-12 max|q|, 1e-12] never sets
+    it).  Every remaining sample is then validated against the recovered
+    S; anything unexplained raises InconsistentSamples.
     """
     samples = list(samples)
     if not samples:
@@ -348,9 +350,6 @@ def fit_congruence(samples, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
             "image of the first probe is not rank one; no invertible "
             "congruence explains the samples"
         )
-    nz = np.flatnonzero(np.abs(first) > 1e-12 * np.abs(first).max())
-    if first[nz[0]] < 0:
-        first = -first
     norm_sq = float(first @ first)
 
     # cross_i = s_0 s_i^T + s_i s_0^T, so applying it to s_0 isolates s_i.

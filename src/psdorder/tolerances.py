@@ -58,19 +58,22 @@ class ToleranceConfig:
             if not 0 < value < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
-    def rank_cutoff(self, n: int, max_abs_eig: float) -> float:
-        """Absolute eigenvalue cutoff below which rank counting treats
-        eigenvalues as zero, for an n x n matrix with spectral radius
-        max_abs_eig (or for each of an array of radii).  A finite matrix
-        can still have an eigenvalue beyond the float range, and nothing
-        counts against an infinite cutoff, so that raises."""
+    def rank_cutoff(self, spectra: np.ndarray, n: int | None = None):
+        """Absolute cutoff at or below which rank counting treats a value of
+        `spectra` as zero, the one place a spectrum becomes a cutoff: the
+        relative cutoff times the largest magnitude over the last axis, one
+        cutoff per spectrum of a stack.  n, which the default scales with,
+        is a spectrum's length unless given (singular values pass the larger
+        dimension of their matrix).  A finite matrix can still have an
+        eigenvalue beyond the float range, and nothing counts against an
+        infinite cutoff, so that raises."""
         rel = self.rank_rel_tol
         if rel is None:
-            rel = n * _RANK_EPS
-        cutoff = rel * max_abs_eig
-        # rel is finite and the radii are at least 0, so inf is the one
-        # value that is not finite; looked for without a numpy reduction
-        if math.inf in (cutoff.tolist() if isinstance(cutoff, np.ndarray) else [cutoff]):
+            rel = (spectra.shape[-1] if n is None else n) * _RANK_EPS
+        cutoff = rel * np.abs(spectra).max(axis=-1, initial=0.0)
+        # rel is finite and the magnitudes are at least 0, so inf is the
+        # one value that is not finite; looked for without a numpy reduction
+        if math.inf in (cutoff.tolist() if cutoff.ndim else [cutoff]):
             raise PsdOrderError("the rank cutoff overflows the floating-point range")
         return cutoff
 

@@ -107,7 +107,7 @@ def minus_leq(a, b, method="rank", tol=DEFAULT_TOL):
     sd = SymMatrix(sb.a - sa.a)
     eigs = [sym_eig(m) for m in (sa, sb, sd)]
     radius = np.abs(np.concatenate([e.values for e in eigs])).max(initial=0.0)
-    cutoff = tol.rank_cutoff(sa.n, radius)
+    cutoff = tol.rank_cutoff(np.array([radius]), sa.n)
     r_a, r_b, r_d = (e.rank(tol, cutoff) for e in eigs)
     holds, reverse = r_d == r_b - r_a, r_d == r_a - r_b
     if method is MinusMethod.RANK:
@@ -142,7 +142,7 @@ def star_family_leq(a, b, variant=Relation.STAR, tol=DEFAULT_TOL):
 
 def inertia(a, tol=DEFAULT_TOL):
     eig = sym_eig(SymMatrix(a))
-    cutoff = eig.cutoff(tol)
+    cutoff = tol.rank_cutoff(eig.values)
     n_pos = int(np.count_nonzero(eig.values > cutoff))
     n_neg = int(np.count_nonzero(eig.values < -cutoff))
     return Inertia(n_pos, n_neg, len(eig.values) - n_pos - n_neg)
@@ -154,7 +154,7 @@ def sim_congruence(a, b, tol=DEFAULT_TOL):
         raise NotMinusComparable(f"size mismatch: {pa.n} vs {pb.n}")
     n = pa.n
     eig_b = sym_eig(pb)
-    s_rank = int(np.count_nonzero(eig_b.values > eig_b.cutoff(tol)))
+    s_rank = int(np.count_nonzero(eig_b.values > tol.rank_cutoff(eig_b.values)))
     inv_scales = np.full(n, 1.0 / np.sqrt(eig_b.values[0]) if s_rank else 1.0)
     inv_scales[:s_rank] = 1.0 / np.sqrt(eig_b.values[:s_rank])
     v = inv_scales[:, None] * eig_b.vectors.T

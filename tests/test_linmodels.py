@@ -349,6 +349,17 @@ def test_mc_zero_form_has_no_df():
         mc_quadratic_forms(forms, np.eye(2), np.zeros(2), n_samples=0, seed=1)
 
 
+def test_an_empty_family_of_forms_raises():
+    for check in (lambda *args: mc_quadratic_forms(*args, n_samples=10, seed=0), qform_rank_criterion):
+        with pytest.raises(ValueError, match="at least one quadratic form"):
+            check([], np.eye(2), np.zeros(2))
+        # the covariance and the mean are checked first
+        with pytest.raises(NotPositiveSemidefinite):
+            check([], -np.eye(2), np.zeros(2))
+        with pytest.raises(DimensionMismatch):
+            check([], np.eye(2), np.zeros(3))
+
+
 def test_mc_dimension_checks():
     with pytest.raises(DimensionMismatch):
         mc_quadratic_forms([np.eye(2)], np.eye(2), np.zeros(3),

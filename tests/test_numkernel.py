@@ -15,7 +15,7 @@ from psdorder import (
     pinv,
     sym_eig,
 )
-from psdorder.errors import DimensionMismatch
+from psdorder.errors import DimensionMismatch, PsdOrderError
 from psdorder.numkernel import column_span, image_in_span, maxabs, sym_stack
 
 
@@ -232,11 +232,40 @@ def test_tolerance_config_validation():
     with pytest.raises(ValueError):
         ToleranceConfig(rank_rel_tol=-1.0)
     cfg = ToleranceConfig(rank_rel_tol=1e-6)
-    assert cfg.rank_cutoff(4, 10.0) == pytest.approx(1e-5)
+    assert cfg.rank_cutoff(np.array([10.0, -3.0, 0.0, 1.0])) == 1e-6 * 10.0
     # default relative cutoff scales with dimension and machine epsilon
-    d = DEFAULT_TOL.rank_cutoff(3, 2.0)
+    d = DEFAULT_TOL.rank_cutoff(np.array([1.0, 0.0, -2.0]))
     assert d == 4 * 3 * np.finfo(float).eps * 2.0
-    assert DEFAULT_TOL.rank_cutoff(3, 0.0) == 0.0
+    assert DEFAULT_TOL.rank_cutoff(np.zeros(3)) == 0.0
+
+
+def test_rank_cutoff_reads_the_spectra_it_judges():
+    rng = np.random.default_rng(29)
+    eps = np.finfo(float).eps
+    for tol in (DEFAULT_TOL, ToleranceConfig(rank_rel_tol=1e-6)):
+        for k in (1, 7):
+            for n in (0, 3, 10):
+                spectra = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-5, 6, size=(k, 1))
+                cutoffs = tol.rank_cutoff(spectra)
+                assert cutoffs.shape == (k,)
+                for row, cutoff in zip(spectra, cutoffs):
+                    one = tol.rank_cutoff(row)
+                    assert type(one) is np.float64 and one.tobytes() == cutoff.tobytes()
+        assert tol.rank_cutoff(np.zeros(0)) == 0.0
+    # singular values pass the larger dimension: sigma = 16 eps is under
+    # the cutoff 4 * 6 * eps of a 6 x 2 or 2 x 6 matrix, not under 4 * 2 * eps
+    for sigma, rank in ((16 * eps, 1), (32 * eps, 2)):
+        tall = np.zeros((6, 2))
+        tall[0, 0], tall[1, 1] = 1.0, sigma
+        for m in (tall, tall.T):
+            s = np.linalg.svd(m, compute_uv=False)
+            assert DEFAULT_TOL.rank_cutoff(s, 6) == 4 * 6 * eps
+            assert DEFAULT_TOL.rank_cutoff(s) == 4 * 2 * eps
+            assert column_span(m)[0].shape == (len(m), rank)
+    # a spectrum beyond the float range has no finite cutoff, one row or many
+    for spectra in (np.array([np.inf, 1.0]), np.array([[1.0, 2.0], [-np.inf, 0.0]])):
+        with pytest.raises(PsdOrderError, match="overflows"):
+            DEFAULT_TOL.rank_cutoff(spectra)
 
 
 def test_rank_cutoff_flips_decision():

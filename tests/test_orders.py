@@ -247,6 +247,17 @@ def test_a_spectrum_beyond_the_float_range_raises():
             numerical_rank(m)
 
 
+def test_order_holds_many_answers_a_star_pair_whose_reverse_test_overflows():
+    # the reverse test (B below A) order_leq runs for its detail takes the
+    # rank cutoff of A's spectrum, which overflows; the forward test alone
+    # reads B = 0's
+    z, big = np.zeros((2, 2)), np.array([[1e308, 1.5e308], [1.5e308, 1e308]])
+    for rel in ALL_RELATIONS[2:]:
+        with pytest.raises(PsdOrderError, match="rank cutoff overflows"):
+            order_leq(big, z, rel)
+        assert order_holds_many(big[None], z[None], rel).tolist() == [False]
+
+
 def test_matrices_equal_scales():
     a = np.eye(2)
     assert matrices_equal(a, a + 1e-12)

@@ -369,19 +369,18 @@ def test_canonical_order_matches_per_column_sign_fix():
 
 def test_eig_decomposition_cutoff_queries():
     eig = sym_eig(np.diag([4.0, -2.0, 1e-17, 0.0]))
-    assert eig.radius == 4.0
-    assert eig.cutoff() == DEFAULT_TOL.rank_cutoff(4, 4.0)
+    assert DEFAULT_TOL.rank_cutoff(eig.values) == 4 * 4 * np.finfo(float).eps * 4.0
     # values are descending: 4, 1e-17, 0, -2
     np.testing.assert_array_equal(eig.nonzero(), [True, False, False, True])
     assert eig.rank() == 2
     assert eig.rank(ToleranceConfig(rank_rel_tol=0.6)) == 1
     assert eig.rank(cutoff=5.0) == 0
     zero = sym_eig(np.zeros((3, 3)))
-    assert zero.radius == 0.0 and zero.cutoff() == 0.0 and zero.rank() == 0
+    assert DEFAULT_TOL.rank_cutoff(zero.values) == 0.0 and zero.rank() == 0
     # the minus order counts A, B and B - A against the largest radius of the three
     small = np.diag([1.0, 0.0, 0.0, 0.0])
     cert = minus_leq(small, np.diag([4.0, -2.0, 1e-17, 0.0])).certificate
-    assert cert["cutoff"] == DEFAULT_TOL.rank_cutoff(4, 4.0)
+    assert cert["cutoff"] == DEFAULT_TOL.rank_cutoff(eig.values)
 
 
 def test_column_basis_spans_the_columns_at_exact_rank():
@@ -503,5 +502,6 @@ def test_negated_spectrum_decomposes_minus_a():
     np.testing.assert_array_equal(neg.values, -eig.values[::-1])
     q = neg.vectors
     np.testing.assert_allclose((q * neg.values) @ q.T, a - b, atol=1e-12)
-    assert neg.radius == eig.radius and neg.rank() == eig.rank()
+    assert DEFAULT_TOL.rank_cutoff(neg.values) == DEFAULT_TOL.rank_cutoff(eig.values)
+    assert neg.rank() == eig.rank()
     assert not neg.values.flags.writeable
