@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotMinusComparable
-from .numkernel import (EigDecomposition, PsdMatrix, canonical_order, eigh_stack, maxabs, min_singular_value,
-                        rel_residual, require_psd, sym_array, sym_eig)
+from .numkernel import (EigDecomposition, canonical_eigs, eigh_stack, min_singular_value, rel_residual, require_psd,
+                        sym_array, sym_eig)
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -76,30 +76,32 @@ def inertia(a, tol: ToleranceConfig = DEFAULT_TOL) -> Inertia:
 def sim_congruence(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SimCongResult:
     """One congruence bringing a rank-subtractive PSD pair to (E_r, E_s).
 
+    A and B are decomposed in one call and certified PSD from their
+    eigenvalues; B's eigenvectors are then put in canonical order and the
+    pair is reduced as _sim_congruence describes.
+    """
+    a, b = sym_array(a), sym_array(b)
+    if a.shape != b.shape:
+        raise NotMinusComparable(f"size mismatch: {len(a)} vs {len(b)}")
+    pair = np.array([a, b])
+    values, vectors = eigh_stack(pair)
+    require_psd(pair, values, tol)
+    return _sim_congruence(a, b, canonical_eigs(values[1:], vectors[1:])[0], tol)
+
+
+def _sim_congruence(a, b, eig_b: EigDecomposition, tol: ToleranceConfig) -> SimCongResult:
+    """sim_congruence on a pair of symmetric arrays of one shape, certified
+    PSD by the caller, which also supplies B's spectrum in canonical order.
+
     The construction follows the structure of the pair directly.  Whiten B
     to E_s; the transformed A is then confined to the leading s-by-s block
     and that block must be a symmetric idempotent of rank r, which an
     orthogonal change of basis inside the block turns into E_r.  Undoing
     the whitening gives S.  Each structural claim is verified numerically
     and any failure raises NotMinusComparable, so a pair that is not
-    actually below B in the minus order cannot slip through.  A and B are
-    decomposed in one call and certified PSD from their eigenvalues; a
-    pair of PsdMatrix objects is certified already, and B's decomposition
-    is kept on it.
+    actually below B in the minus order cannot slip through.
     """
-    given = (a, b)
-    a, b = sym_array(a), sym_array(b)
-    if a.shape != b.shape:
-        raise NotMinusComparable(f"size mismatch: {len(a)} vs {len(b)}")
     n = len(a)
-    if all(isinstance(x, PsdMatrix) for x in given):
-        eig_b = sym_eig(given[1])
-    else:
-        values, vectors = eigh_stack(np.array([a, b]))
-        for x, m, lam in zip(given, (a, b), values):
-            if not isinstance(x, PsdMatrix):
-                require_psd(float(lam[0]) if n else 0.0, tol.psd_tol * maxabs(m))
-        eig_b = EigDecomposition(*(x[0] for x in canonical_order(values[1:], vectors[1:])))
     s_rank = int(np.count_nonzero(eig_b.values > tol.rank_cutoff(eig_b.values)))
 
     # Whitening: v @ B @ v.T == E_s exactly up to roundoff.  B's null

@@ -13,25 +13,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import SimCongResult, sim_congruence
-from .errors import (
-    DimensionMismatch,
-    NotMinusComparable,
-    NotPositiveSemidefinite,
-    PreconditionViolated,
-)
+from .canonical import SimCongResult, _sim_congruence
+from .errors import DimensionMismatch, NotMinusComparable, PreconditionViolated
 from .numkernel import (
     PsdMatrix,
+    canonical_eigs,
     column_span,
+    eigh_stack,
     identity_budget,
     image_in_span,
     maxabs,
-    numerical_rank,
     pinv,
     rel_residual,
-    sym_eig,
+    require_psd,
+    sym_array,
+    sym_stack,
 )
-from .orders import OrderVerdict, lowner_both, matrices_equal, minus_leq
+from .orders import OrderVerdict, _difference, _equal, _lowner_verdicts, _rank_verdicts
 from .rng import normal_matrix, substream
 from .special import chi2_cdf, ks_uniform_distance
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -144,15 +142,19 @@ class McReport:
     total_ks: float | None
 
 
+def _gram_sandwich(model: LinearModel, tol: ToleranceConfig) -> np.ndarray:
+    """X^T (D + X X^T)^+ X as computed, before symmetrization."""
+    gram = model.d.a + model.x @ model.x.T
+    return model.x.T @ pinv(gram, tol) @ model.x
+
+
 def efficiency_matrix(model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) -> PsdMatrix:
     """M = X^T (D + X X^T)^- X with the pseudoinverse as the inner inverse.
 
     The result does not depend on which inner inverse is used because
     Im X is always inside Im(D + X X^T).
     """
-    gram = model.d.a + model.x @ model.x.T
-    m = model.x.T @ pinv(gram, tol) @ model.x
-    return PsdMatrix(m, tol)
+    return PsdMatrix(_gram_sandwich(model, tol), tol)
 
 
 def model_compare(
@@ -160,24 +162,33 @@ def model_compare(
 ) -> ComparisonVerdict:
     """Compare two models over the same parameter vector.
 
-    l1 is at least as good as l2 exactly when M2 <= M1 in the PSD order;
-    both directions are certified from the one spectrum of M1 - M2.  The
-    observation counts may differ, only the parameter dimension must agree.
+    l1 is at least as good as l2 exactly when M2 <= M1 in the PSD order.
+    M1, M2 and M1 - M2 are decomposed in one call: M1 and M2 are certified
+    PSD from their eigenvalues, and both directions are decided from the
+    one spectrum of M1 - M2.  The observation counts may differ, only the
+    parameter dimension must agree.
     """
     if l1.p != l2.p:
         raise DimensionMismatch(
             f"models estimate different parameter dimensions: {l1.p} vs {l2.p}"
         )
-    m1 = efficiency_matrix(l1, tol)
-    m2 = efficiency_matrix(l2, tol)
-    forward, backward = lowner_both(m2, m1, tol)
+    m1, m2 = (sym_array(_gram_sandwich(model, tol)) for model in (l1, l2))
+    stack = np.array([m1, m2, _difference(m2, m1)])
+    values, vectors = eigh_stack(stack)
+    require_psd(stack[:2], values[:2], tol)
+    forward, backward = _lowner_verdicts(m2, m1, values[2:], vectors[2:], tol, 2)
     return ComparisonVerdict(
         l1_geq_l2=forward.holds,
         l2_geq_l1=backward.holds,
-        m1=m1,
-        m2=m2,
+        m1=PsdMatrix._certified(m1),
+        m2=PsdMatrix._certified(m2),
         certificate={"m2_leq_m1": forward, "m1_leq_m2": backward},
     )
+
+
+def _statistic_covariance(l: np.ndarray, model: LinearModel) -> np.ndarray:
+    """sigma^2 (L D) L^T as computed, before symmetrization."""
+    return model.sigma2 * (l @ model.d.a @ l.T)
 
 
 def estimator_covariance(
@@ -189,7 +200,7 @@ def estimator_covariance(
         raise DimensionMismatch(
             f"estimator must have {model.n} columns, got shape {l.shape}"
         )
-    return PsdMatrix(model.sigma2 * (l @ model.d.a @ l.T), tol)
+    return PsdMatrix(_statistic_covariance(l, model), tol)
 
 
 def blue_check(l, model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) -> BlueVerdict:
@@ -198,16 +209,20 @@ def blue_check(l, model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) -> Blu
     Three conditions: L X = X; Im(L D) inside Im X; and the covariances
     V(Ly), V(y) admit one congruence to (E_r, E_s) with r < s.  The check
     only applies when V(Ly) differs from V(y); equality raises
-    PreconditionViolated.
+    PreconditionViolated.  V(Ly) and V(y) are decomposed in one call,
+    which certifies both PSD and gives the reduction V(y)'s spectrum.
     """
     l = np.asarray(l, dtype=float)
     if l.shape != (model.n, model.n):
         raise DimensionMismatch(
             f"estimator must be {model.n}x{model.n}, got {l.shape}"
         )
-    v_ly = estimator_covariance(l, model, tol)
-    v_y = PsdMatrix(model.sigma2 * model.d.a, tol)
-    if matrices_equal(v_ly, v_y, tol):
+    v_ly = sym_array(_statistic_covariance(l, model))
+    v_y = sym_array(model.sigma2 * model.d.a)
+    pair = np.array([v_ly, v_y])
+    values, vectors = eigh_stack(pair)
+    require_psd(pair, values, tol)
+    if _equal(v_ly, v_y, _difference(v_ly, v_y), tol):
         raise PreconditionViolated(
             "V(Ly) equals V(y); the estimator conditions do not apply"
         )
@@ -225,10 +240,10 @@ def blue_check(l, model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) -> Blu
     certificate: dict = {"residual_lx": residual_lx}
     sim: SimCongResult | None = None
     try:
-        sim = sim_congruence(v_ly, v_y, tol)
+        sim = _sim_congruence(v_ly, v_y, canonical_eigs(values[1:], vectors[1:])[0], tol)
         cond_iii = sim.rank_a < sim.rank_b
         certificate["ranks"] = (sim.rank_a, sim.rank_b)
-    except (NotMinusComparable, NotPositiveSemidefinite) as exc:
+    except NotMinusComparable as exc:
         cond_iii = False
         certificate["sim_cong_failure"] = str(exc)
     return BlueVerdict(
@@ -241,24 +256,38 @@ def blue_check(l, model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) -> Blu
 
 
 def _setup(a_list, v, mu, tol):
-    """The setup the quadratic-form checks share: V coerced, the matrices of
-    the forms followed by their total, and W = (V : mu); no forms raise."""
-    v = v if isinstance(v, PsdMatrix) else PsdMatrix(v, tol)
+    """The work the quadratic-form checks share, in two eigh_stack calls:
+    one certifies V and the forms (no forms raise); the other holds the k
+    forms and their total compressed to W^T A W, W = (V : mu), and the k
+    differences total - form.  Returns the forms followed by their total,
+    W, V's spectrum, the compressed matrices, the second stack's spectra
+    and the compressed matrices' ranks."""
+    v = sym_array(v)
     mats = []
     for i, a in enumerate(a_list):
-        p = a if isinstance(a, PsdMatrix) else PsdMatrix(a, tol)
-        if p.n != v.n:
-            raise DimensionMismatch(f"form {i} is {p.n}x{p.n}, expected {v.n}x{v.n}")
-        mats.append(p.a)
-    mats.append(sum(mats, np.zeros((v.n, v.n))))
+        m = sym_array(a)
+        if m.shape != v.shape:
+            raise DimensionMismatch(f"form {i} is {len(m)}x{len(m)}, expected {len(v)}x{len(v)}")
+        mats.append(m)
+    first = np.array([v, *mats])
+    values_v, vectors_v = eigh_stack(first)
+    require_psd(first, values_v, tol)
+    mats.append(sum(mats, np.zeros(v.shape)))
     mu = np.asarray(mu, dtype=float).reshape(-1)
-    if mu.shape[0] != v.n:
+    if mu.shape[0] != len(v):
         raise DimensionMismatch(
-            f"mean has length {mu.shape[0]} but covariance is {v.n}x{v.n}"
+            f"mean has length {mu.shape[0]} but covariance is {len(v)}x{len(v)}"
         )
     if len(mats) == 1:
         raise ValueError("need at least one quadratic form")
-    return v, mats, np.hstack([v.a, mu[:, None]])
+
+    w = np.hstack([v, mu[:, None]])
+    t = sym_stack([w.T @ m @ w for m in mats])
+    k = len(mats) - 1
+    values, vectors = eigh_stack(np.concatenate([t, _difference(t[:k], t[k])]))
+    require_psd(t, values[:k + 1], tol)
+    ranks = (np.abs(values[:k + 1]) > tol.rank_cutoff(values[:k + 1])[:, None]).sum(axis=1).tolist()
+    return mats, w, (values_v[0], vectors_v[0]), t, values, vectors, ranks
 
 
 def qform_rank_criterion(
@@ -269,21 +298,25 @@ def qform_rank_criterion(
     With W = (V : mu), each compressed form W^T A_i W must sit below the
     compressed total W^T A W in the rank-subtractivity order, certified by
     an explicit shared congruence per form.  A form compressed to zero
-    passes trivially with rank 0.
+    passes trivially with rank 0.  The minus verdicts are the rank
+    route's, read from the stack _setup decomposes, and the total's
+    spectrum from that stack serves every reduction.
     """
-    _, mats, w = _setup(a_list, v, mu, tol)
-    *t_forms, t_total = (PsdMatrix(w.T @ m @ w, tol) for m in mats)
-    s_rank = numerical_rank(t_total, tol)
+    _, w, _, t, values, vectors, ranks = _setup(a_list, v, mu, tol)
+    k = len(t) - 1
+    # the spectra of (form, total, total - form) for each form
+    triples = values[np.c_[np.arange(k), np.full(k, k), np.arange(k + 1, 2 * k + 1)]]
+    verdicts = _rank_verdicts(triples, tol)
+    eig_total = canonical_eigs(values[k:k + 1], vectors[k:k + 1])[0] if any(x.holds for x in verdicts) else None
     entries = []
     overall = True
-    for i, t_i in enumerate(t_forms):
-        r_i = numerical_rank(t_i, tol)
-        verdict = minus_leq(t_i, t_total, tol=tol)
+    for i, verdict in enumerate(verdicts):
+        r_i = ranks[i]
         sim = None
         reason = ""
         if verdict.holds:
             try:
-                sim = sim_congruence(t_i, t_total, tol)
+                sim = _sim_congruence(t[i], t[k], eig_total, tol)
                 r_i = sim.rank_a
             except NotMinusComparable as exc:
                 reason = str(exc)
@@ -294,7 +327,7 @@ def qform_rank_criterion(
         entries.append(
             QFormEntry(index=i, rank=r_i, verdict=verdict, sim=sim, reason=reason)
         )
-    return QFormReport(w=w, forms=entries, s=s_rank, overall=overall)
+    return QFormReport(w=w, forms=entries, s=ranks[k], overall=overall)
 
 
 def mc_quadratic_forms(
@@ -311,27 +344,26 @@ def mc_quadratic_forms(
     deterministic normal streams, _MC_SHARD draws per sub-seed of `seed`,
     and reports pairwise correlations of the Q_i plus the KS distances of
     each form and of their total against chi-squared with the ranks of
-    the compressed forms as degrees of freedom.
+    the compressed forms as degrees of freedom.  The ranks and V's
+    spectrum come from the two stacks _setup decomposes.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    v, mats, w = _setup(a_list, v, mu, tol)
-    mu = w[:, -1]
     # one entry per form, then the total's, in dfs, q_values and ks alike
-    dfs = [numerical_rank(PsdMatrix(w.T @ m @ w, tol), tol) for m in mats]
-
-    eig = sym_eig(v)
-    root = (eig.vectors * np.sqrt(np.maximum(eig.values, 0.0))) @ eig.vectors.T
+    mats, w, (lam, q), *_, dfs = _setup(a_list, v, mu, tol)
+    n = len(w)
+    mu = w[:, -1]
+    root = (q * np.sqrt(np.maximum(lam, 0.0))) @ q.T
 
     q_values = np.empty((len(mats), n_samples))
     done = 0
     shard = 0
     while done < n_samples:
         count = min(_MC_SHARD, n_samples - done)
-        z = normal_matrix(substream(seed, shard), count, v.n)
+        z = normal_matrix(substream(seed, shard), count, n)
         x = z @ root + mu
         for j, m in enumerate(mats):
-            q_values[j, done:done + count] = np.einsum("ij,jk,ik->i", x, m, x)
+            q_values[j, done:done + count] = np.einsum("ij,ij->i", x @ m, x)
         done += count
         shard += 1
 

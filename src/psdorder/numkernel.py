@@ -12,12 +12,15 @@ Conventions shared by everything built on top of this module:
 - canonical_order, run only where the order of eigenvectors shows in a
   result, sorts eigenvalues descending and makes the first nonzero
   component of each eigenvector positive, so a factorization is
-  reproducible run to run; sym_eig is eigh_stack and canonical_order on
-  one matrix.  A containment test needs no order: image_in_span takes
-  the eigenvectors as eigh returns them, those under the cutoff zeroed,
-- sym_eig keeps the EigDecomposition of a SymMatrix on the object and
-  hands it out again (PsdMatrix and linmodels read it); the order
-  verdicts and sim_congruence work on arrays,
+  reproducible run to run; canonical_eigs wraps a stack so ordered in
+  EigDecompositions, and sym_eig is eigh_stack and canonical_eigs on one
+  matrix.  A containment test needs no order: image_in_span takes the
+  eigenvectors as eigh returns them, those under the cutoff zeroed,
+- a spectrum is owned by the call that computed it and handed on as
+  arrays, never kept on a matrix object: a PsdMatrix is certified from
+  its eigenvalues and keeps none, and require_psd certifies a whole
+  stack from the eigenvalues its caller computed with the rest of its
+  work,
 - rank decisions compare eigenvalue magnitudes against one relative cutoff,
   which ToleranceConfig.rank_cutoff alone takes from the spectra it
   judges; EigDecomposition.nonzero applies it to one spectrum, and column
@@ -116,15 +119,13 @@ class SymMatrix:
     """A real symmetric matrix, stored immutably.
 
     Construction symmetrizes by averaging (sym_array), so callers may pass
-    data that is symmetric only up to roundoff.  The first sym_eig of the
-    object is kept and returned by later calls.
+    data that is symmetric only up to roundoff.
     """
 
     def __init__(self, data):
         a = sym_array(data)
         a.setflags(write=False)
         self._a = a
-        self._eig = None
 
     @property
     def a(self) -> np.ndarray:
@@ -143,23 +144,38 @@ class PsdMatrix(SymMatrix):
     """A symmetric matrix verified positive semidefinite at construction.
 
     The check is tolerance-based: the minimum eigenvalue must be at least
-    -psd_tol times the largest entry of the matrix (see is_psd).
+    -psd_tol times the largest entry of the matrix (see require_psd).  It
+    reads the eigenvalues alone and keeps none of them.
     """
 
     def __init__(self, data, tol: ToleranceConfig = DEFAULT_TOL):
         super().__init__(data)
-        check = is_psd(self, tol)
-        require_psd(check.min_eig, check.threshold)
+        require_psd(self._a[None], eigh_stack(self._a[None])[0], tol)
+
+    @classmethod
+    def _certified(cls, a: np.ndarray) -> "PsdMatrix":
+        """The PsdMatrix of `a`, unchecked: it trusts that `a` came from
+        sym_array and that require_psd passed it, on this very array, from
+        a spectrum its caller decomposed with other work.  The array is
+        taken as it is and made read-only."""
+        m = cls.__new__(cls)
+        a.setflags(write=False)
+        m._a = a
+        return m
 
 
-def require_psd(min_eig: float, threshold: float) -> None:
-    """Raise NotPositiveSemidefinite when the smallest eigenvalue is below
-    -threshold."""
-    if not min_eig >= -threshold:
-        raise NotPositiveSemidefinite(
-            f"minimum eigenvalue {min_eig:.6g} is below -{threshold:.6g}",
-            min_eig=min_eig,
-        )
+def require_psd(stack, values, tol: ToleranceConfig = DEFAULT_TOL) -> None:
+    """Raise NotPositiveSemidefinite for the first matrix of a (k, n, n)
+    stack whose smallest eigenvalue is below -psd_tol times its largest
+    entry; `values` are the stack's spectra, ascending, as eigh_stack
+    returns them."""
+    min_eigs = values[:, 0].tolist() if values.shape[-1] else [0.0] * len(values)
+    for min_eig, threshold in zip(min_eigs, (tol.psd_tol * maxabs_stack(stack)).tolist()):
+        if not min_eig >= -threshold:
+            raise NotPositiveSemidefinite(
+                f"minimum eigenvalue {min_eig:.6g} is below -{threshold:.6g}",
+                min_eig=min_eig,
+            )
 
 
 @dataclass(frozen=True)
@@ -250,18 +266,16 @@ def canonical_order(values: np.ndarray, vectors: np.ndarray):
     return values, np.swapaxes(rows, -1, -2)
 
 
+def canonical_eigs(values: np.ndarray, vectors: np.ndarray) -> list[EigDecomposition]:
+    """The EigDecomposition of each matrix of an eigh_stack result, put in
+    canonical_order."""
+    return [EigDecomposition(*e) for e in zip(*canonical_order(values, vectors))]
+
+
 def sym_eig(a) -> EigDecomposition:
     """Eigendecomposition of a symmetric matrix, ordered and sign-fixed by
-    canonical_order.  A SymMatrix argument is decomposed once; later calls
-    on the same object return the same EigDecomposition."""
-    sym = a if isinstance(a, SymMatrix) else None
-    if sym is not None and sym._eig is not None:
-        return sym._eig
-    values, vectors = canonical_order(*eigh_stack(sym_array(a)[None]))
-    eig = EigDecomposition(values=values[0], vectors=vectors[0])
-    if sym is not None:
-        sym._eig = eig
-    return eig
+    canonical_order."""
+    return canonical_eigs(*eigh_stack(sym_array(a)[None]))[0]
 
 
 def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -302,12 +316,15 @@ def min_singular_value(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, bo
 def is_psd(a, tol: ToleranceConfig = DEFAULT_TOL) -> PsdCheck:
     """Tolerance-based PSD test with an eigenvalue (and, on failure, an
     eigenvector) witness.  The minimum eigenvalue must be at least
-    -psd_tol times the largest entry of A."""
-    eig = sym_eig(a)
-    min_eig = float(eig.values[-1]) if eig.values.size else 0.0
-    threshold = tol.psd_tol * maxabs(sym_array(a))
+    -psd_tol times the largest entry of A.  Eigenvectors are put in
+    canonical order only when the test fails, to give the witness."""
+    a = sym_array(a)
+    values, vectors = eigh_stack(a[None])
+    min_eig = float(values[0, 0]) if a.size else 0.0
+    threshold = tol.psd_tol * maxabs(a)
     ok = min_eig >= -threshold
-    return PsdCheck(ok=ok, min_eig=min_eig, threshold=threshold, witness=None if ok else eig.vectors[:, -1])
+    return PsdCheck(ok=ok, min_eig=min_eig, threshold=threshold,
+                    witness=None if ok else canonical_order(values, vectors)[1][0][:, -1])
 
 
 def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

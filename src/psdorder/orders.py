@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, PsdOrderError
 from .numkernel import (
-    EigDecomposition,
+    canonical_eigs,
     canonical_order,
     eigh_stack,
     identity_budget,
@@ -93,7 +93,11 @@ def matrices_equal(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Equality up to the reconstruction tolerance, relative to the larger
     of the two entry scales; exactly equal matrices (zero included) are
     always equal."""
-    a, b, d = _pair(a, b)
+    return _equal(*_pair(a, b), tol)
+
+
+def _equal(a, b, d, tol):
+    """matrices_equal on symmetric arrays A, B and their difference d."""
     return rel_residual(d, a, b) <= tol.recon_tol
 
 
@@ -128,12 +132,11 @@ def _lowner_stack(a, b, values, tol):
     return min_eigs, min_eigs >= -threshold[:, None], threshold
 
 
-def _lowner_verdicts(a, b, tol, count):
+def _lowner_verdicts(a, b, values, vectors, tol, count):
     """The first `count` of the verdicts A <= B and B <= A, from the one
-    spectrum of B - A; eigenvectors are ordered only for a verdict that
-    fails, to give its witness."""
-    a, b, d = _pair(a, b)
-    values, vectors = eigh_stack(d[None])
+    spectrum of B - A, values (1, n) and vectors (1, n, n) as eigh_stack
+    returns them; eigenvectors are ordered only for a verdict that fails,
+    to give its witness."""
     min_eigs, holds, threshold = _lowner_stack(a[None], b[None], values, tol)
     (min_eigs,), (holds,), (threshold,) = min_eigs.tolist(), holds.tolist(), threshold.tolist()
     if not all(holds[:count]):
@@ -154,21 +157,15 @@ def _lowner_verdicts(a, b, tol, count):
     )
 
 
-def lowner_both(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[OrderVerdict, OrderVerdict]:
-    """The verdicts A <= B and B <= A in the PSD sense, both read from the
-    one spectrum of B - A (see _lowner_stack).
-
-    Each certificate records the smallest eigenvalue of its difference, the
-    threshold it was held against and, on failure, a unit vector x with
-    x^T (difference) x < 0.
-    """
-    return _lowner_verdicts(a, b, tol, 2)
-
-
 def lowner_leq(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
-    """A <= B in the PSD sense: is B - A positive semidefinite?  The
-    certificate is described under lowner_both."""
-    return _lowner_verdicts(a, b, tol, 1)[0]
+    """A <= B in the PSD sense: is B - A positive semidefinite?
+
+    The certificate records the smallest eigenvalue of B - A, the threshold
+    it was held against and, on failure, a unit vector x with
+    x^T (B - A) x < 0.
+    """
+    a, b, d = _pair(a, b)
+    return _lowner_verdicts(a, b, *eigh_stack(d[None]), tol, 1)[0]
 
 
 # _minus_stack's decisions: r_B - r_A - r_{B-A}, r_A - r_B - r_{B-A} and r_{B-A} vanish
@@ -186,6 +183,28 @@ def _minus_stack(values, tol):
     cutoff = tol.rank_cutoff(values.reshape(k, 3 * n), n)
     ranks = (np.abs(values) > cutoff[:, None, None]).sum(axis=-1).T
     return _RANK_EQUATIONS @ ranks == 0, ranks, cutoff
+
+
+def _rank_verdict(decision, triple, cutoff):
+    """The rank route's verdict A below B for one pair, from its decisions
+    (A below B, B below A, equal), its rank triple and its cutoff as
+    _minus_stack gives them: the triple and the cutoff are the
+    certificate."""
+    holds, reverse, equal = decision
+    return OrderVerdict(
+        holds=holds,
+        relation=Relation.MINUS.value,
+        certificate=dict(zip(("rank_a", "rank_b", "rank_diff"), triple), cutoff=cutoff,
+                         method=MinusMethod.RANK.value),
+        detail=_detail(holds, equal, reverse),
+    )
+
+
+def _rank_verdicts(values, tol):
+    """_rank_verdict for each pair of a stack, from the spectra (k, 3, n) of
+    their A, B and B - A (see _minus_stack)."""
+    decisions, ranks, cutoffs = _minus_stack(values, tol)
+    return list(map(_rank_verdict, decisions.T.tolist(), ranks.T.tolist(), cutoffs))
 
 
 def _minus_by_image(a, d, span_b, dims, cutoff, tol):
@@ -283,15 +302,15 @@ def minus_leq(
     (holds, reverse, equal), cutoff = decisions[:, 0].tolist(), cutoff[0]
     r_a, r_b, r_d = ranks = ranks[:, 0].tolist()
     if method is MinusMethod.RANK:
-        cert = dict(zip(("rank_a", "rank_b", "rank_diff"), ranks), cutoff=cutoff)
-    elif method is MinusMethod.IMAGE:
+        return _rank_verdict((holds, reverse, equal), ranks, cutoff)
+    if method is MinusMethod.IMAGE:
         # each image spanned by its eigenvectors with those under the cutoff
         # zeroed; the reverse test reads A's, and tests B - A for A - B
         spans = vectors * (np.abs(values) > cutoff)[:, None, :]
         holds, cert = _minus_by_image(a, d, spans[1], ranks, cutoff, tol)
         reverse = not holds and reverse and _minus_by_image(b, d, spans[0], (r_b, r_a, r_d), cutoff, tol)[0]
     else:
-        e_a, e_b, e_d = eigs = [EigDecomposition(*e) for e in zip(*canonical_order(values, vectors))]
+        e_a, e_b, e_d = eigs = canonical_eigs(values, vectors)
         holds, cert = _minus_by_ginv(a, b, d, eigs, cutoff, tol)
         reverse = not holds and reverse and _minus_by_ginv(b, a, -d, (e_b, e_a, e_d.negated()), cutoff, tol)[0]
     cert["method"] = method.value

@@ -65,17 +65,21 @@ class ToleranceConfig:
         cutoff per spectrum of a stack.  n, which the default scales with,
         is a spectrum's length unless given (singular values pass the larger
         dimension of their matrix).  A finite matrix can still have an
-        eigenvalue beyond the float range, and nothing counts against an
-        infinite cutoff, so that raises."""
+        eigenvalue beyond the float range, or a radius that a relative
+        cutoff of 1 or more carries past it, and nothing counts against an
+        infinite cutoff, so that raises, with no numpy overflow warning."""
         rel = self.rank_rel_tol
         if rel is None:
             rel = (spectra.shape[-1] if n is None else n) * _RANK_EPS
-        cutoff = rel * np.abs(spectra).max(axis=-1, initial=0.0)
-        # rel is finite and the magnitudes are at least 0, so inf is the
-        # one value that is not finite; looked for without a numpy reduction
-        if math.inf in (cutoff.tolist() if cutoff.ndim else [cutoff]):
+        radius = np.abs(spectra).max(axis=-1, initial=0.0)
+        # the largest product first, in Python floats, which overflow to inf
+        # with no warning; numpy's products round the same, so they are
+        # finite where it is.  rel is finite and positive and the radii are
+        # at least 0, so inf is the one value that is not finite
+        largest = max(radius.tolist() or [0.0]) if radius.ndim else float(radius)
+        if rel * largest == math.inf:
             raise PsdOrderError("the rank cutoff overflows the floating-point range")
-        return cutoff
+        return rel * radius
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -503,6 +503,22 @@ def test_a_spectrum_beyond_the_float_range_is_an_error(tmp_path, capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["--tol-rank", "10", "order", "check", "--relation", "minus", "Z", "BIG"],
+    ["--tol-rank", "10", "canon", "inertia", "BIG"],
+])
+def test_a_rank_cutoff_beyond_the_float_range_is_an_error(tmp_path, capsys, argv):
+    # the spectrum of BIG = diag(1e308, 0) is finite, but 10 times its
+    # radius is not: exit 2 with the typed error alone, no numpy warning
+    files = {"Z": csv(tmp_path, "z.csv", np.zeros((2, 2))),
+             "BIG": csv(tmp_path, "big.csv", np.diag([1e308, 0.0]))}
+    assert run([files.get(x, x) for x in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the rank cutoff overflows the floating-point range\n"
+
+
 def test_stdout_is_single_json_line(tmp_path, capsys):
     a = csv(tmp_path, "a.csv", np.eye(2))
     run(["order", "check", "--relation", "lowner", a, a])

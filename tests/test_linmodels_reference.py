@@ -1,0 +1,271 @@
+"""The linear-model layer against the per-matrix reference in
+reference_linmodels.py: model_compare, blue_check and qform_rank_criterion
+return every result field, certificate value and error bit for bit and of
+the same type, on holding and failing inputs, NotMinusComparable
+reductions, PreconditionViolated and inputs that are not PSD; the Monte
+Carlo check draws the same degrees of freedom and its statistics agree to
+roundoff.  Inputs with two faults may report the other fault first; that
+precedence is pinned at the end."""
+
+import dataclasses
+import struct
+
+import numpy as np
+import pytest
+
+import reference_linmodels as ref
+from psdorder import (
+    DimensionMismatch,
+    LinearModel,
+    NotPositiveSemidefinite,
+    PsdOrderError,
+    SymMatrix,
+    blue_check,
+    mc_quadratic_forms,
+    model_compare,
+    qform_rank_criterion,
+)
+
+
+def _bits(obj):
+    """Structure of a result with each leaf replaced by its type and bits."""
+    if isinstance(obj, np.ndarray):
+        return ("ndarray", obj.dtype.str, obj.shape, obj.tobytes())
+    if isinstance(obj, SymMatrix):
+        return (type(obj).__name__, _bits(obj.a))
+    if isinstance(obj, (float, np.floating)):
+        return (type(obj).__name__, struct.pack("<d", float(obj)))
+    if isinstance(obj, dict):
+        return ("dict", [(k, _bits(v)) for k, v in obj.items()])
+    if isinstance(obj, (list, tuple)):
+        return (type(obj).__name__, [_bits(v) for v in obj])
+    if dataclasses.is_dataclass(obj):
+        return (type(obj).__name__, [(f.name, _bits(getattr(obj, f.name))) for f in dataclasses.fields(obj)])
+    return (type(obj).__name__, obj)
+
+
+def _outcome(call, *args):
+    """The bits of call(*args), or the type and message of its error."""
+    try:
+        return _bits(call(*args))
+    except (PsdOrderError, ValueError) as exc:
+        return ("raises", type(exc).__name__, str(exc))
+
+
+def _orthogonal(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return q
+
+
+def _families(n):
+    """(forms, V, mu) for qform_rank_criterion: independent and dependent
+    projector families pulled back through V's factor, graded pairs whose
+    reduction fails, a zero form, a singular V, scaled copies, and inputs
+    that are not PSD or do not fit."""
+    rng = np.random.default_rng(200 + n)
+    out = []
+    for independent in (True, False):
+        for centred in (True, False):
+            r = _orthogonal(rng, n) * rng.uniform(0.5, 2.0, n)
+            r_inv = np.linalg.inv(r)
+            q = _orthogonal(rng, n)
+            half = max(1, n // 2)
+            first = q[:, :half]
+            second = q[:, half:] if independent else q[:, half - 1:]
+            forms = [r_inv.T @ (b @ b.T) @ r_inv for b in (first, second)]
+            mu = np.zeros(n) if centred else rng.standard_normal(n)
+            out.append((forms, r @ r.T, mu))
+    forms, v, mu = out[0]
+    out += [
+        ([c * f for f in forms], c * v, mu) for c in (2.0 ** -40, 1e40)
+    ]
+    # three forms, one of them zero; a singular V
+    q = _orthogonal(rng, n)
+    out.append(([np.outer(q[:, 0], q[:, 0]), np.zeros((n, n)), np.outer(q[:, -1], q[:, -1])],
+                np.eye(n), rng.standard_normal(n)))
+    out.append(([np.eye(n)], (q[:, :1] * 2.0) @ q[:, :1].T, np.zeros(n)))
+    # rank-subtractive but graded: the reduction raises NotMinusComparable
+    for g in (1e-12, 5e-10, 1e-6):
+        u, w = rng.standard_normal((2, n, 1))
+        out.append(([u @ u.T, g * (w @ w.T)], np.eye(n), np.zeros(n)))
+    bad = np.eye(n)
+    bad[0, 0] = -1.0
+    tiny_negative = np.diag(np.r_[-1e-10, np.ones(n - 1)])
+    out += [
+        ([bad, np.eye(n)], np.eye(n), np.zeros(n)),  # a form not PSD
+        ([np.eye(n)], bad, np.zeros(n)),  # V not PSD
+        # each form passes, but W^T A W brings out A's tiny negative eigenvalue
+        ([tiny_negative, np.eye(n)], np.diag(np.r_[1e6, np.ones(n - 1)]), np.zeros(n)),
+        ([np.eye(n), np.eye(n + 1)], np.eye(n), np.zeros(n)),  # a form of the wrong size
+        ([np.eye(n)], np.eye(n), np.zeros(n + 1)),  # a mean of the wrong length
+        ([], np.eye(n), np.zeros(n)),  # no forms
+    ]
+    return out
+
+
+def _models(n):
+    """Pairs of models for model_compare: a shared design with ordered,
+    unordered and equal noise, designs of other row counts, a zero design
+    and a singular noise matrix."""
+    rng = np.random.default_rng(300 + n)
+    q = _orthogonal(rng, n)
+    x = rng.standard_normal((n, n))
+    d1 = rng.uniform(0.5, 2.0, n)
+    d2 = d1 + rng.uniform(0.0, 1.0, n)
+    d3 = d1.copy()
+    d3[0] += 1.0
+    d3[-1] *= 0.5
+    cov = lambda d: (q * d) @ q.T  # noqa: E731
+    p = max(1, n - 1)
+    x_tall = rng.standard_normal((n + 2, p))
+    return [
+        (LinearModel(x, cov(d1)), LinearModel(x, cov(d2))),
+        (LinearModel(x, cov(d2)), LinearModel(x, cov(d1))),
+        (LinearModel(x, cov(d1)), LinearModel(x, cov(d3))),
+        (LinearModel(x, cov(d1)), LinearModel(x, cov(d1))),
+        (LinearModel(x[:, :p], cov(d1)), LinearModel(x_tall, np.eye(n + 2))),
+        (LinearModel(np.zeros((n, p)), np.eye(n)), LinearModel(x[:, :p], cov(d1))),
+        (LinearModel(x, cov(np.r_[np.zeros(n - 1), 1.0])), LinearModel(x, cov(d1))),
+        (LinearModel(x[:, :p], np.eye(n)), LinearModel(x, np.eye(n))),  # p differs
+    ]
+
+
+def _estimators(n):
+    """(L, model) for blue_check: generalized and ordinary least squares,
+    the identity (V(Ly) = V(y)), an estimator that is not unbiased, and a
+    V(Ly) that is not PSD."""
+    rng = np.random.default_rng(400 + n)
+    p = max(1, n // 2)
+    x = rng.standard_normal((n, p))
+    g = rng.standard_normal((n, n))
+    d = g @ g.T + 0.5 * np.eye(n)
+    di = np.linalg.inv(d)
+    gls = x @ np.linalg.solve(x.T @ di @ x, x.T @ di)
+    ols = x @ np.linalg.solve(x.T @ x, x.T)
+    model = LinearModel(x, d)
+    tiny_negative = LinearModel(x, np.diag(np.r_[np.ones(n - 1), -1e-10]))
+    last = np.zeros((n, n))
+    last[-1, -1] = 1.0
+    return [
+        (gls, model),
+        (ols, model),
+        (gls, LinearModel(x, np.eye(n))),
+        (ols, LinearModel(x, np.eye(n), sigma2=1e-30)),
+        (np.eye(n), model),
+        (0.5 * gls, model),
+        (rng.standard_normal((n, n)), model),
+        (last, tiny_negative),
+        (np.eye(n + 1), model),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_qform_rank_criterion_matches_the_reference_bit_for_bit(n):
+    seen = set()
+    for i, (forms, v, mu) in enumerate(_families(n)):
+        got = _outcome(qform_rank_criterion, forms, v, mu)
+        assert got == _outcome(ref.qform_rank_criterion, forms, v, mu), (n, i)
+        if got[0] == "raises":
+            seen.add(got[1])
+        else:
+            report = qform_rank_criterion(forms, v, mu)
+            seen.add(report.overall)
+            seen.update(e.reason.split()[0] for e in report.forms if e.verdict.holds and e.reason)
+    assert {True, False, "block", "NotPositiveSemidefinite", "DimensionMismatch", "ValueError"} <= seen
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_overflowing_inputs_raise_as_the_reference_does(n):
+    # numpy warns of the overflow on the way, in both; the error follows
+    cases = [
+        (qform_rank_criterion, [np.eye(n)], np.eye(n), np.full(n, 1e200)),  # W^T A W
+        (blue_check, np.zeros((n, n)), LinearModel(np.ones((n, 1)), 1e10 * np.eye(n), sigma2=1e300)),  # V(y)
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for call, *args in cases:
+            got = _outcome(call, *args)
+            assert got == _outcome(getattr(ref, call.__name__), *args)
+            assert got[:2] == ("raises", "ValueError")
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_model_compare_matches_the_reference_bit_for_bit(n):
+    seen = set()
+    for i, (l1, l2) in enumerate(_models(n)):
+        got = _outcome(model_compare, l1, l2)
+        assert got == _outcome(ref.model_compare, l1, l2), (n, i)
+        if got[0] != "raises":
+            v = model_compare(l1, l2)
+            seen.add((v.l1_geq_l2, v.l2_geq_l1))
+    assert seen == {(True, False), (False, True), (False, False), (True, True)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_blue_check_matches_the_reference_bit_for_bit(n):
+    seen = set()
+    for i, (l, model) in enumerate(_estimators(n)):
+        got = _outcome(blue_check, l, model)
+        assert got == _outcome(ref.blue_check, l, model), (n, i)
+        if got[0] == "raises":
+            seen.add(got[1])
+        else:
+            verdict = blue_check(l, model)
+            seen.update([verdict.is_blue, *verdict.certificate])
+    assert {True, False, "ranks", "sim_cong_failure", "PreconditionViolated", "NotPositiveSemidefinite",
+            "DimensionMismatch"} <= seen
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_mc_quadratic_forms_matches_the_reference_to_roundoff(n):
+    # on centred families, as perfbench draws them: with a mean the forms
+    # carry a large constant part, and the correlations of what is left
+    # lose digits to cancellation in either order of summation
+    families = _families(n)
+    centred = [f for f in families[:-6] if not np.any(f[2])]
+    assert len(centred) >= 7
+    for i, (forms, v, mu) in enumerate(centred):
+        got = mc_quadratic_forms(forms, v, mu, 3000, seed=11 + i)
+        want = ref.mc_quadratic_forms(forms, v, mu, 3000, seed=11 + i)
+        assert (got.dfs, got.total_df) == (want.dfs, want.total_df), (n, i)
+        assert type(got.dfs[0]) is type(want.dfs[0]) is int
+        for a, b in zip(got.ks + [got.total_ks], want.ks + [want.total_ks]):
+            assert (a is None) == (b is None) and (a is None or abs(a - b) <= 1e-12), (n, i)
+        assert got.corr.shape == want.corr.shape
+        assert np.abs(got.corr - want.corr).max() <= 1e-12, (n, i)
+        assert abs(got.max_abs_corr - want.max_abs_corr) <= 1e-12, (n, i)
+    for forms, v, mu in families[-6:]:
+        assert _outcome(mc_quadratic_forms, forms, v, mu, 100, 1) == _outcome(
+            ref.mc_quadratic_forms, forms, v, mu, 100, 1)
+
+
+def test_two_faults_report_the_structural_one_first():
+    # Each family of matrices is decomposed in one call, so every input of
+    # it is checked for shape and finiteness before any is certified PSD;
+    # the per-matrix reference certified each matrix as it came to it.
+    bad = np.diag([1.0, -1.0])
+    # qform: V not PSD and a form of the wrong size
+    args = ([np.eye(3)], bad, np.zeros(2))
+    with pytest.raises(NotPositiveSemidefinite):
+        ref.qform_rank_criterion(*args)
+    with pytest.raises(DimensionMismatch, match="form 0 is 3x3"):
+        qform_rank_criterion(*args)
+    # qform: a first form not PSD and a second one not finite
+    args = ([bad, [[np.inf, 0.0], [0.0, 1.0]]], np.eye(2), np.zeros(2))
+    with pytest.raises(NotPositiveSemidefinite):
+        ref.qform_rank_criterion(*args)
+    with pytest.raises(ValueError, match="finite"):
+        qform_rank_criterion(*args)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # qform: a first compressed form not PSD and a second one not finite
+        args = ([np.diag([-1e-10, 1.0]), np.diag([1e20, 0.0])], np.diag([1e150, 1.0]), np.zeros(2))
+        with pytest.raises(NotPositiveSemidefinite):
+            ref.qform_rank_criterion(*args)
+        with pytest.raises(ValueError, match="finite"):
+            qform_rank_criterion(*args)
+        # blue_check: V(Ly) not PSD and V(y) not finite
+        model = LinearModel(np.ones((2, 1)), np.diag([1e10, -1e-1]), sigma2=1e300)
+        last = np.diag([0.0, 1.0])
+        with pytest.raises(NotPositiveSemidefinite):
+            ref.blue_check(last, model)
+        with pytest.raises(ValueError, match="finite"):
+            blue_check(last, model)

@@ -239,6 +239,17 @@ def test_tolerance_config_validation():
     assert DEFAULT_TOL.rank_cutoff(np.zeros(3)) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_rank_cutoff_that_overflows_raises_without_a_warning():
+    tol = ToleranceConfig(rank_rel_tol=10.0)
+    for spectra in (np.array([1e308, 0.0]), np.array([[1.0, 0.0], [0.0, -1e308]])):
+        with pytest.raises(PsdOrderError, match="rank cutoff overflows"):
+            tol.rank_cutoff(spectra)
+    # just inside the range, the cutoff is the plain product, with no warning
+    assert tol.rank_cutoff(np.array([[1e307, 0.0], [-1e307, 1.0]])).tolist() == [1e308, 1e308]
+    assert tol.rank_cutoff(np.array([0.0, -1e307])) == 1e308
+
+
 def test_rank_cutoff_reads_the_spectra_it_judges():
     rng = np.random.default_rng(29)
     eps = np.finfo(float).eps

@@ -1,8 +1,8 @@
-"""One owner for a matrix's spectrum and for the scale policy: each
-SymMatrix is decomposed once, rank and PSD cutoffs are questions to its
-EigDecomposition, reusing a cached decomposition changes no output bit,
-and every tolerance is relative to the inputs, so scaling a pair by c > 0
-leaves each verdict unchanged."""
+"""One owner for a matrix's spectrum and for the scale policy: each call
+decomposes the matrices it needs in stacked eigh calls and keeps no
+spectrum on a matrix object, rank and PSD cutoffs are questions to the
+spectra it computed, and every tolerance is relative to the inputs, so
+scaling a pair by c > 0 leaves each verdict unchanged."""
 
 import dataclasses
 import struct
@@ -21,9 +21,11 @@ from psdorder import (
     Relation,
     SymMatrix,
     ToleranceConfig,
+    blue_check,
     inertia,
     is_psd,
     lowner_leq,
+    mc_quadratic_forms,
     minus_leq,
     model_compare,
     order_holds_many,
@@ -266,13 +268,12 @@ def test_eigh_calls_sim_congruence(eigh_calls):
     res = sim_congruence(a, b)
     assert (res.rank_a, res.rank_b) == (1, 3)
     # A and B together, the idempotent block once.
-    assert len(eigh_calls) == 2
     assert [len(x) for x in eigh_calls] == [2, 1]
-    # a PsdMatrix pair is certified already and keeps B's decomposition
+    # a PsdMatrix pair keeps no spectrum, so it is decomposed the same way
     pa, pb = PsdMatrix(a), PsdMatrix(b)
     eigh_calls.clear()
-    sim_congruence(pa, pb)
-    assert len(eigh_calls) == 1
+    assert _bits(sim_congruence(pa, pb)) == _bits(res)
+    assert [len(x) for x in eigh_calls] == [2, 1]
 
 
 def test_eigh_calls_inertia(eigh_calls):
@@ -289,22 +290,54 @@ def test_eigh_calls_model_compare(eigh_calls):
     v = model_compare(l1, l2)
     assert v.l1_geq_l2 and not v.l2_geq_l1
     assert v.certificate["m1_leq_m2"].detail == "strictly greater"
-    # per model the Gram pseudoinverse and the efficiency matrix's PSD
-    # certificate, then one spectrum of M1 - M2 for both directions
-    assert len(eigh_calls) == 5
+    # per model the Gram pseudoinverse, then one stack of M1, M2 and
+    # M1 - M2: the PSD certificates of M1 and M2 and both directions
+    assert [len(x) for x in eigh_calls] == [1, 1, 3]
 
 
-def test_sym_eig_decomposes_each_sym_matrix_once(eigh_calls):
+def test_eigh_calls_blue_check(eigh_calls):
+    x = np.array([[1.0], [1.0], [0.0]])
+    model = LinearModel(x=x, d=np.eye(3))
+    eigh_calls.clear()
+    v = blue_check(x @ np.linalg.pinv(x), model)
+    assert v.is_blue and v.certificate["ranks"] == (1, 3)
+    # V(Ly) and V(y) in one stack, then the idempotent block of the reduction
+    assert [len(x) for x in eigh_calls] == [2, 1]
+
+
+def _three_forms(n=6):
+    """Three orthogonal projectors onto disjoint coordinate pairs, V = I."""
+    eye = np.eye(n)
+    return [eye[:, 2 * i:2 * i + 2] @ eye[:, 2 * i:2 * i + 2].T for i in range(3)], eye, np.zeros(n)
+
+
+def test_eigh_calls_qform_rank_criterion(eigh_calls):
+    report = qform_rank_criterion(*_three_forms())
+    assert report.overall and report.s == 6
+    # V and the forms certified in one stack; the compressed forms, their
+    # total and the differences total - form in a second; one idempotent
+    # block per form.  The per-matrix path made 14 calls on 20 matrices.
+    assert [len(x) for x in eigh_calls] == [4, 7, 1, 1, 1]
+
+
+def test_eigh_calls_mc_quadratic_forms(eigh_calls):
+    mc = mc_quadratic_forms(*_three_forms(), n_samples=1000, seed=3)
+    assert mc.dfs == [2, 2, 2] and mc.total_df == 6
+    # the two stacks of qform_rank_criterion, V's root read from the first
+    assert [len(x) for x in eigh_calls] == [4, 7]
+
+
+def test_sym_eig_keeps_no_spectrum_on_a_sym_matrix(eigh_calls):
     m = SymMatrix(PAIRS["lowner"]["holds"][1])
     first = sym_eig(m)
-    assert sym_eig(m) is first
-    assert len(eigh_calls) == 1
-    # raw arrays carry no cache
-    sym_eig(m.a)
-    sym_eig(m.a)
-    assert len(eigh_calls) == 3
-    # a PsdMatrix keeps the decomposition its PSD certificate was built on
+    second = sym_eig(m)
+    assert second is not first and _bits(second) == _bits(first)
+    assert len(eigh_calls) == 2
+    assert not hasattr(m, "_eig")
+    # a PsdMatrix is certified from the eigenvalues of one decomposition
+    # and keeps none of it
     p = PsdMatrix(m.a)
+    assert len(eigh_calls) == 3
     sym_eig(p)
     assert len(eigh_calls) == 4
 

@@ -20,7 +20,6 @@ from psdorder import (
     sim_congruence,
     star_family_leq,
 )
-from psdorder.orders import lowner_both
 
 
 def _bits(obj):
@@ -40,13 +39,12 @@ def _bits(obj):
 
 def _outcome(call, a, b):
     """The bits of call(a, b), or of the error it raises, and whether it
-    held (a verdict, the first of lowner_both) or returned (the others)."""
+    held (a verdict) or returned (the others)."""
     try:
         result = call(a, b)
     except PsdOrderError as exc:
         return ("raises", type(exc).__name__, str(exc)), False
-    verdict = result[0] if isinstance(result, tuple) else result
-    return _bits(result), getattr(verdict, "holds", True)
+    return _bits(result), getattr(result, "holds", True)
 
 
 def _pairs(n):
@@ -83,7 +81,6 @@ def _pairs(n):
 
 
 CALLS = {
-    "lowner_both": (lowner_both, ref.lowner_both),
     "lowner_leq": (lowner_leq, lambda a, b: ref.lowner_both(a, b)[0]),
     **{
         f"minus_{m.value}": (
