@@ -43,10 +43,8 @@ from .linmodels import (
 )
 from .numkernel import (
     EigDecomposition,
-    PsdCheck,
     PsdMatrix,
     SymMatrix,
-    is_psd,
     numerical_rank,
     pinv,
     sym_eig,

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotMinusComparable
-from .numkernel import (EigDecomposition, canonical_eigs, eigh_stack, min_singular_value, rel_residual, require_psd,
-                        sym_array, sym_eig)
+from .errors import NotMinusComparable, PsdOrderError
+from .numkernel import (EigDecomposition, canonical_eigs, derived, eigh_stack, min_singular_value, rel_residual,
+                        require_psd, sym_array, sym_eig)
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -111,7 +111,11 @@ def _sim_congruence(a, b, eig_b: EigDecomposition, tol: ToleranceConfig) -> SimC
     inv_scales[:s_rank] = 1.0 / np.sqrt(eig_b.values[:s_rank])
     v = inv_scales[:, None] * eig_b.vectors.T
 
-    a_tilde = v @ a @ v.T
+    # A beyond the float range in B's own metric exceeds B, whatever the units
+    try:
+        a_tilde = derived("whitened A", lambda: v @ a @ v.T)
+    except PsdOrderError as exc:
+        raise NotMinusComparable(str(exc)) from None
     # A below B forces Im A inside Im B, i.e. nothing outside the block.
     spill = rel_residual(a_tilde[s_rank:, :], a_tilde)
     if spill > tol.recon_tol:

@@ -45,7 +45,7 @@ from .linmodels import (
     model_compare,
     qform_rank_criterion,
 )
-from .numkernel import SymMatrix, maxabs, rel_residual
+from .numkernel import PsdMatrix, SymMatrix, maxabs, rel_residual
 from .orders import MinusMethod, Relation, minus_leq, order_leq
 from .preservers import MatrixMap, congruence_map, fit_congruence, preserves_order
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -183,7 +183,7 @@ def read_model(path, tol: ToleranceConfig = DEFAULT_TOL) -> LinearModel:
     try:
         return LinearModel(
             x,
-            SymMatrix(d),  # symmetrize first; PSD certification happens next
+            PsdMatrix(d, tol),  # certified under the caller's psd_tol
             sigma2=sigma2,
             label=str(obj.get("label", "")),
         )

@@ -17,8 +17,10 @@ from .canonical import SimCongResult, _sim_congruence
 from .errors import DimensionMismatch, NotMinusComparable, PreconditionViolated
 from .numkernel import (
     PsdMatrix,
+    _symmetrize,
     canonical_eigs,
     column_span,
+    derived,
     eigh_stack,
     identity_budget,
     image_in_span,
@@ -27,9 +29,8 @@ from .numkernel import (
     rel_residual,
     require_psd,
     sym_array,
-    sym_stack,
 )
-from .orders import OrderVerdict, _difference, _equal, _lowner_verdicts, _rank_verdicts
+from .orders import OrderVerdict, _equal, _lowner_verdicts, _rank_verdicts
 from .rng import normal_matrix, substream
 from .special import chi2_cdf, ks_uniform_distance
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -144,8 +145,8 @@ class McReport:
 
 def _gram_sandwich(model: LinearModel, tol: ToleranceConfig) -> np.ndarray:
     """X^T (D + X X^T)^+ X as computed, before symmetrization."""
-    gram = model.d.a + model.x @ model.x.T
-    return model.x.T @ pinv(gram, tol) @ model.x
+    gram = derived("D + X X^T", lambda: model.d.a + model.x @ model.x.T)
+    return derived("X^T (D + X X^T)^+ X", lambda: model.x.T @ pinv(gram, tol) @ model.x)
 
 
 def efficiency_matrix(model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) -> PsdMatrix:
@@ -172,8 +173,8 @@ def model_compare(
         raise DimensionMismatch(
             f"models estimate different parameter dimensions: {l1.p} vs {l2.p}"
         )
-    m1, m2 = (sym_array(_gram_sandwich(model, tol)) for model in (l1, l2))
-    stack = np.array([m1, m2, _difference(m2, m1)])
+    m1, m2 = (_symmetrize(_gram_sandwich(model, tol)) for model in (l1, l2))
+    stack = np.array([m1, m2, derived("M1 - M2", np.subtract, m1, m2)])
     values, vectors = eigh_stack(stack)
     require_psd(stack[:2], values[:2], tol)
     forward, backward = _lowner_verdicts(m2, m1, values[2:], vectors[2:], tol, 2)
@@ -188,7 +189,7 @@ def model_compare(
 
 def _statistic_covariance(l: np.ndarray, model: LinearModel) -> np.ndarray:
     """sigma^2 (L D) L^T as computed, before symmetrization."""
-    return model.sigma2 * (l @ model.d.a @ l.T)
+    return derived("sigma^2 L D L^T", lambda: model.sigma2 * (l @ model.d.a @ l.T))
 
 
 def estimator_covariance(
@@ -217,25 +218,26 @@ def blue_check(l, model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) -> Blu
         raise DimensionMismatch(
             f"estimator must be {model.n}x{model.n}, got {l.shape}"
         )
-    v_ly = sym_array(_statistic_covariance(l, model))
-    v_y = sym_array(model.sigma2 * model.d.a)
+    v_ly = _symmetrize(_statistic_covariance(l, model))
+    v_y = _symmetrize(derived("sigma^2 D", np.multiply, model.sigma2, model.d.a))
     pair = np.array([v_ly, v_y])
     values, vectors = eigh_stack(pair)
     require_psd(pair, values, tol)
-    if _equal(v_ly, v_y, _difference(v_ly, v_y), tol):
+    if _equal(v_ly, v_y, derived("V(y) - V(Ly)", np.subtract, v_y, v_ly), tol):
         raise PreconditionViolated(
             "V(Ly) equals V(y); the estimator conditions do not apply"
         )
 
-    lx = l @ model.x
-    residual_lx = rel_residual(lx - model.x, lx, model.x)
-    cond_i = residual_lx <= identity_budget(tol, l)
-
-    # the basis of Im X is known only up to the angle column_span bounds,
-    # which moves the part of L D outside it by up to that much of L D
-    ld = l @ model.d.a
     basis, angle = column_span(model.x, tol)
-    cond_ii = bool(image_in_span(ld, basis, tol, angle * maxabs(ld)))
+    # L X and L D enter residuals alone, which fail beyond the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        lx = l @ model.x
+        residual_lx = rel_residual(lx - model.x, lx, model.x)
+        # the basis of Im X is known only up to the angle column_span bounds,
+        # which moves the part of L D outside it by up to that much of L D
+        ld = l @ model.d.a
+        cond_ii = bool(image_in_span(ld, basis, tol, angle * maxabs(ld)))
+    cond_i = residual_lx <= identity_budget(tol, l)
 
     certificate: dict = {"residual_lx": residual_lx}
     sim: SimCongResult | None = None
@@ -272,7 +274,7 @@ def _setup(a_list, v, mu, tol):
     first = np.array([v, *mats])
     values_v, vectors_v = eigh_stack(first)
     require_psd(first, values_v, tol)
-    mats.append(sum(mats, np.zeros(v.shape)))
+    mats.append(derived("the sum of the forms", sum, mats, np.zeros(v.shape)))
     mu = np.asarray(mu, dtype=float).reshape(-1)
     if mu.shape[0] != len(v):
         raise DimensionMismatch(
@@ -282,9 +284,9 @@ def _setup(a_list, v, mu, tol):
         raise ValueError("need at least one quadratic form")
 
     w = np.hstack([v, mu[:, None]])
-    t = sym_stack([w.T @ m @ w for m in mats])
+    t = _symmetrize(derived("W^T A W", lambda: np.array([w.T @ m @ w for m in mats])))
     k = len(mats) - 1
-    values, vectors = eigh_stack(np.concatenate([t, _difference(t[:k], t[k])]))
+    values, vectors = eigh_stack(np.concatenate([t, derived("the total minus a form", np.subtract, t[k], t[:k])]))
     require_psd(t, values[:k + 1], tol)
     ranks = (np.abs(values[:k + 1]) > tol.rank_cutoff(values[:k + 1])[:, None]).sum(axis=1).tolist()
     return mats, w, (values_v[0], vectors_v[0]), t, values, vectors, ranks
@@ -362,8 +364,8 @@ def mc_quadratic_forms(
         count = min(_MC_SHARD, n_samples - done)
         z = normal_matrix(substream(seed, shard), count, n)
         x = z @ root + mu
-        for j, m in enumerate(mats):
-            q_values[j, done:done + count] = np.einsum("ij,ij->i", x @ m, x)
+        q_values[:, done:done + count] = derived(
+            "a quadratic form's value", lambda: np.array([np.einsum("ij,ij->i", x @ m, x) for m in mats]))
         done += count
         shard += 1
 
@@ -371,10 +373,10 @@ def mc_quadratic_forms(
     k = len(mats) - 1
     if k > 1:
         # degenerate forms (constant Q, e.g. df 0) carry no correlation
-        live = np.flatnonzero(q_values[:k].std(axis=1) > 0.0)
+        live = np.flatnonzero(derived("the spread of a form", lambda: q_values[:k].std(axis=1)) > 0.0)
         corr = np.eye(k)
         if live.size > 1:
-            corr[np.ix_(live, live)] = np.corrcoef(q_values[live])
+            corr[np.ix_(live, live)] = derived("the correlation of two forms", np.corrcoef, q_values[live])
         off = corr - np.eye(k)
         max_abs_corr = float(np.abs(off).max())
     else:

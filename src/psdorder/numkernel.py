@@ -5,6 +5,10 @@ Conventions shared by everything built on top of this module:
 - raw input is checked once and symmetrized as 0.5 A + 0.5 A^T, which
   cannot overflow: sym_array for one matrix, sym_stack for a stack; a
   SymMatrix is sym_array's result made read-only,
+- a non-finite entry of raw input raises ValueError; a matrix derived
+  from checked input (B - A, D + X X^T, W^T A W, a map's images) is
+  formed by `derived`, which raises PsdOrderError when it leaves the
+  float range; a residual beyond it is inf to rel_residual and fails,
 - eigendecompositions run on stacks: eigh_stack decomposes a (k, n, n)
   stack in one LAPACK call, each matrix's factors bit for bit those of a
   call on it alone, eigenvalues ascending; callers that read eigenvalues
@@ -28,9 +32,10 @@ Conventions shared by everything built on top of this module:
 - every other tolerance is relative to its inputs, with no absolute
   floor: rel_residual measures a residual against the largest entry of
   the matrices compared, and a PSD threshold is psd_tol times the
-  largest entry of the matrices the test is about (A for is_psd, A and B
-  for the Loewner order on B - A), so scaling every input by c > 0
-  changes no decision; exact zero is its own case at any scale.
+  largest entry of the matrices the test is about (the matrix itself
+  for require_psd, A and B for the Loewner order on B - A), so scaling
+  every input by c > 0 changes no decision; exact zero is its own case
+  at any scale.
 """
 
 from dataclasses import dataclass
@@ -38,7 +43,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonConvergence, NotPositiveSemidefinite
+from .errors import DimensionMismatch, NonConvergence, NotPositiveSemidefinite, PsdOrderError
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 # A unit eigenvector component below this is treated as zero when fixing signs.
@@ -79,6 +84,17 @@ def sym_stack(data) -> np.ndarray:
     return _symmetrize(_coerce_square(data, ndim=3))
 
 
+def derived(what: str, op, *args) -> np.ndarray:
+    """op(*args), a matrix derived from finite arrays, formed with numpy's
+    overflow and invalid-value warnings silenced: returned as it is when
+    finite, else PsdOrderError naming `what`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = op(*args)
+    if not np.isfinite(d).all():
+        raise PsdOrderError(f"{what} overflows the floating-point range")
+    return d
+
+
 def maxabs(m) -> float:
     """Largest entry magnitude of a matrix; zero for an empty one."""
     return float(maxabs_stack(m))
@@ -91,12 +107,13 @@ def maxabs_stack(m) -> np.ndarray:
 
 def rel_residual(diff, *refs) -> float:
     """maxabs(diff) over the largest entry of `refs`: 0 when diff is exactly
-    zero, inf (failing every budget) when it is not but every ref is."""
+    zero, inf (failing every budget) when it is not but every ref is, or
+    when diff is not finite (a residual beyond the float range)."""
     num = maxabs(diff)
     if num == 0.0:
         return 0.0
     den = max(map(maxabs, refs))
-    return num / den if den > 0.0 else float("inf")
+    return num / den if den > 0.0 and num < np.inf else np.inf
 
 
 def rel_residual_stack(diff, *refs) -> np.ndarray:
@@ -104,7 +121,7 @@ def rel_residual_stack(diff, *refs) -> np.ndarray:
     num = maxabs_stack(diff)
     den = reduce(np.maximum, map(maxabs_stack, refs))
     out = np.where(num == 0.0, 0.0, np.inf)
-    return np.divide(num, den, out=out, where=(num != 0.0) & (den > 0.0))
+    return np.divide(num, den, out=out, where=(num != 0.0) & (num < np.inf) & (den > 0.0))
 
 
 def identity_budget(tol: ToleranceConfig, op, *refs) -> float:
@@ -154,10 +171,11 @@ class PsdMatrix(SymMatrix):
 
     @classmethod
     def _certified(cls, a: np.ndarray) -> "PsdMatrix":
-        """The PsdMatrix of `a`, unchecked: it trusts that `a` came from
-        sym_array and that require_psd passed it, on this very array, from
-        a spectrum its caller decomposed with other work.  The array is
-        taken as it is and made read-only."""
+        """The PsdMatrix of `a`, unchecked: it trusts that `a` is finite and
+        symmetrized (by sym_array, or derived and then _symmetrize) and
+        that require_psd passed it, on this very array, from a spectrum
+        its caller decomposed with other work.  The array is taken as it
+        is and made read-only."""
         m = cls.__new__(cls)
         a.setflags(write=False)
         m._a = a
@@ -220,20 +238,6 @@ class EigDecomposition:
         inv = np.where(keep, 1.0 / np.where(keep, self.values, 1.0), 0.0)
         q = self.vectors
         return (q * inv) @ q.T
-
-
-@dataclass(frozen=True)
-class PsdCheck:
-    """Outcome of a PSD test.
-
-    On failure `witness` is a unit vector with witness^T A witness < 0 (the
-    eigenvector of the most negative eigenvalue); on success it is None.
-    """
-
-    ok: bool
-    min_eig: float
-    threshold: float
-    witness: np.ndarray | None = None
 
 
 def eigh_stack(x) -> tuple[np.ndarray, np.ndarray]:
@@ -311,20 +315,6 @@ def min_singular_value(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, bo
     m = np.asarray(m, dtype=float)
     s = np.linalg.svd(m, compute_uv=False)
     return (float(s[-1]) if s.size else 1.0), bool((s > tol.rank_cutoff(s, max(m.shape))).all())
-
-
-def is_psd(a, tol: ToleranceConfig = DEFAULT_TOL) -> PsdCheck:
-    """Tolerance-based PSD test with an eigenvalue (and, on failure, an
-    eigenvector) witness.  The minimum eigenvalue must be at least
-    -psd_tol times the largest entry of A.  Eigenvectors are put in
-    canonical order only when the test fails, to give the witness."""
-    a = sym_array(a)
-    values, vectors = eigh_stack(a[None])
-    min_eig = float(values[0, 0]) if a.size else 0.0
-    threshold = tol.psd_tol * maxabs(a)
-    ok = min_eig >= -threshold
-    return PsdCheck(ok=ok, min_eig=min_eig, threshold=threshold,
-                    witness=None if ok else canonical_order(values, vectors)[1][0][:, -1])
 
 
 def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

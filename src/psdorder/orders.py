@@ -30,6 +30,7 @@ from .errors import DimensionMismatch, PsdOrderError
 from .numkernel import (
     canonical_eigs,
     canonical_order,
+    derived,
     eigh_stack,
     identity_budget,
     image_in_span,
@@ -72,21 +73,12 @@ class OrderVerdict:
     detail: str = ""
 
 
-def _difference(a, b) -> np.ndarray:
-    """B - A, which may overflow although A and B are finite; that raises."""
-    with np.errstate(over="ignore"):
-        d = b - a
-    if not np.isfinite(d).all():
-        raise PsdOrderError("B - A overflows the floating-point range")
-    return d
-
-
 def _pair(a, b):
     """A, B and B - A as arrays, each input checked and symmetrized once."""
     a, b = sym_array(a), sym_array(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"size mismatch: {len(a)} vs {len(b)}")
-    return a, b, _difference(a, b)
+    return a, b, derived("B - A", np.subtract, b, a)
 
 
 def matrices_equal(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -433,10 +425,10 @@ def holds_stack(a, b, relation: Relation | str, tol: ToleranceConfig = DEFAULT_T
     for the star family), then each decision runs once over the stack."""
     relation = Relation(relation)
     if relation is Relation.LOWNER:
-        values, _ = eigh_stack(_difference(a, b))
+        values, _ = eigh_stack(derived("B - A", np.subtract, b, a))
         return _lowner_stack(a, b, values, tol)[1][:, 0]
     if relation is Relation.MINUS:
-        values, _ = eigh_stack(np.concatenate([a, b, _difference(a, b)]))
+        values, _ = eigh_stack(np.concatenate([a, b, derived("B - A", np.subtract, b, a)]))
         parts = np.split(values, [len(a), len(a) + len(b)])
         return _minus_stack(np.stack(np.broadcast_arrays(*parts), axis=1), tol)[0][0]
     values, vectors = eigh_stack(b)

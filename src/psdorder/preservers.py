@@ -16,6 +16,8 @@ import numpy as np
 from .errors import DimensionMismatch, InconsistentSamples, SingularS
 from .numkernel import (
     SymMatrix,
+    _symmetrize,
+    derived,
     maxabs_stack,
     min_singular_value,
     rel_residual_stack,
@@ -40,10 +42,11 @@ class MatrixMap:
     def apply(self, a) -> np.ndarray:
         """fn on one matrix, or on each matrix of a (k, n, n) stack.  The
         input is checked and symmetrized as SymMatrix does, once for the
-        whole stack (sym_stack); each image has the shape of its input."""
+        whole stack (sym_stack); each image has the shape of its input, and
+        one beyond the float range raises PsdOrderError."""
         a = a.a if isinstance(a, SymMatrix) else a
         single = np.ndim(a) == 2
-        out = self._images(sym_stack(np.expand_dims(a, 0) if single else a))
+        out = derived("a map image", self._images, sym_stack(np.expand_dims(a, 0) if single else a))
         return out[0] if single else out
 
     def _images(self, stack) -> np.ndarray:
@@ -276,7 +279,7 @@ def preserves_order(
     )
     a, b = sample_pair(relation, seed, np.arange(trials), n)
     x = sym_stack(np.concatenate([a, b]))
-    fx = sym_stack(mmap._images(x))
+    fx = _symmetrize(derived("a map image", mmap._images, x))
     k = trials
     holds = holds_stack(np.concatenate([x[:k], fx[:k]]), np.concatenate([x[k:], fx[k:]]), relation, tol)
     before, after = holds.reshape(2, trials)
@@ -316,7 +319,8 @@ def fit_congruence(samples, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     the leading eigenpair of its probe image, the first entry of q above
     1e-12 in magnitude positive (one in (1e-12 max|q|, 1e-12] never sets
     it).  Every remaining sample is then validated against the recovered
-    S; anything unexplained raises InconsistentSamples.
+    S; anything unexplained raises InconsistentSamples.  A column whose
+    reconstruction leaves the float range raises PsdOrderError.
     """
     samples = list(samples)
     if not samples:
@@ -352,13 +356,18 @@ def fit_congruence(samples, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
         )
     norm_sq = float(first @ first)
 
-    # cross_i = s_0 s_i^T + s_i s_0^T, so applying it to s_0 isolates s_i.
-    # Each s_0 . s_i is its own vector product: as a row of one
-    # matrix-vector product it would be summed in another order.
-    cross = mixed_images - diag_images[0] - diag_images[1:]
-    dots = np.array([row @ first for row in first @ cross]) / (2.0 * norm_sq)
-    cols = (cross @ first - dots[:, None] * first) / norm_sq
-    expected, image = cols[:, :, None] * cols[:, None, :], diag_images[1:]
+    def columns():
+        # cross_i = s_0 s_i^T + s_i s_0^T, so applying it to s_0 isolates
+        # s_i.  Each s_0 . s_i is its own vector product: as a row of one
+        # matrix-vector product it would be summed in another order.
+        cross = mixed_images - diag_images[0] - diag_images[1:]
+        dots = np.array([row @ first for row in first @ cross]) / (2.0 * norm_sq)
+        return (cross @ first - dots[:, None] * first) / norm_sq
+
+    cols = derived("a column of S", columns)
+    # s_i s_i^T and S X S^T enter residuals alone, which fail beyond the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected, image = cols[:, :, None] * cols[:, None, :], diag_images[1:]
     off = rel_residual_stack(expected - image, expected, image) > tol.recon_tol
     if off.any():
         raise InconsistentSamples(
@@ -367,7 +376,8 @@ def fit_congruence(samples, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
         )
     s = np.column_stack([first, *cols])
 
-    predicted = s @ given @ s.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        predicted = s @ given @ s.T
     if (rel_residual_stack(predicted - outputs, predicted, outputs) > tol.recon_tol).any():
         raise InconsistentSamples(
             "a sample disagrees with the congruence fitted from the probes"
@@ -416,7 +426,7 @@ def projector_fixed_point_suite(
     # images below the image of I
     identity = np.eye(n)
     x = sym_stack(np.concatenate([projectors, shrink[:, None, None] * projectors, identity[None]]))
-    fx = sym_stack(mmap._images(x))
+    fx = _symmetrize(derived("a map image", mmap._images, x))
     sides = ((x[:-1], x[-1:]), (fx[:-1], fx[-1:]))
     lowner, minus = (
         np.array([holds_stack(below, top, rel, tol) for below, top in sides]).reshape(2, 2, trials)

@@ -519,6 +519,64 @@ def test_a_rank_cutoff_beyond_the_float_range_is_an_error(tmp_path, capsys, argv
     assert captured.err == "error: the rank cutoff overflows the floating-point range\n"
 
 
+def _overflow_files(tmp_path):
+    """Finite inputs whose derived matrices leave the float range."""
+    eye = np.eye(2)
+    models = {"MX": {"X": 1e200 * eye, "D": eye}, "M1": {"X": eye, "D": eye},
+              "MB": {"X": eye, "D": 1e300 * eye, "sigma2": 1e100}}
+    files = {name: str(tmp_path / f"{name}.json") for name in models}
+    for name, model in models.items():
+        Path(files[name]).write_text(json.dumps({k: np.asarray(v).tolist() for k, v in model.items()}))
+    for name, m in {"F": 1e200 * eye, "I2": eye, "M": [[1e200, 1e200]], "S": 1e200 * np.eye(3),
+                    "A": 1e100 * eye, "B": 1e-300 * eye}.items():
+        files[name] = csv(tmp_path, f"{name}.csv", m)
+    files["congruence:S"] = "congruence:" + files["S"]
+    return files
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, what", [
+    (["qform", "check", "--forms", "F", "--cov", "I2", "--mean", "M"], "W^T A W"),
+    (["preserver", "verify", "--map", "congruence:S", "--relation", "lowner", "--trials", "8"], "a map image"),
+    (["model", "compare", "MX", "M1"], "D + X X^T"),
+    (["model", "blue", "--estimator", "I2", "MB"], "sigma^2 L D L^T"),
+], ids=["qform-check", "preserver-verify", "model-compare", "model-blue"])
+def test_a_derived_matrix_beyond_the_float_range_is_an_error(tmp_path, capsys, argv, what):
+    # every input is finite, but a matrix formed from them is not: exit 2
+    # with one line on stderr naming it, and no numpy warning
+    files = _overflow_files(tmp_path)
+    assert run([files.get(x, x) for x in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {what} overflows the floating-point range\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_simcong_reports_a_whitened_a_beyond_the_float_range(tmp_path, capsys):
+    # A = 1e100 I exceeds B = 1e-300 I in B's own metric, where it leaves
+    # the float range: the pair is not minus-comparable, whatever its units
+    files = _overflow_files(tmp_path)
+    code, payload = run_json(capsys, ["canon", "simcong", files["A"], files["B"]])
+    assert code == 1
+    assert payload["error"] == "NotMinusComparable"
+    assert payload["message"] == "whitened A overflows the floating-point range"
+    assert payload["rank_triple"] == [2, 0, 2]
+
+
+def test_tol_psd_reaches_a_models_covariance(tmp_path, capsys):
+    # D has the eigenvalue -0.1: within --tol-psd 0.5 of its largest entry,
+    # beyond the default 1e-9
+    m4, m1 = tmp_path / "m4.json", tmp_path / "m1.json"
+    m4.write_text(json.dumps({"X": np.ones((4, 1)).tolist(), "D": np.diag([1, 1, 1, -0.1]).tolist()}))
+    m1.write_text(json.dumps({"X": np.ones((4, 1)).tolist(), "D": np.eye(4).tolist()}))
+    code, payload = run_json(capsys, ["--tol-psd", "0.5", "model", "compare", str(m4), str(m1)])
+    assert code == 0 and "error" not in payload
+    code, payload = run_json(capsys, ["model", "compare", str(m4), str(m1)])
+    assert code == 1
+    assert payload["error"] == "NotPositiveSemidefinite"
+    assert payload["message"] == "minimum eigenvalue -0.1 is below -1e-09"
+
+
 def test_stdout_is_single_json_line(tmp_path, capsys):
     a = csv(tmp_path, "a.csv", np.eye(2))
     run(["order", "check", "--relation", "lowner", a, a])

@@ -1,5 +1,7 @@
 """Model efficiency comparison, estimator optimality, and quadratic forms."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from psdorder import (
     LinearModel,
     NotPositiveSemidefinite,
     PreconditionViolated,
+    PsdOrderError,
     blue_check,
     efficiency_matrix,
     estimator_covariance,
@@ -182,6 +185,31 @@ def test_blue_rejects_zero_estimator():
     model, _ = gauss_markov(rng, 4, 2)
     v = blue_check(np.zeros((4, 4)), model)
     assert not v.cond_i and not v.is_blue
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("forms, what", [
+    ([1e308 * np.eye(2), 1e308 * np.eye(2)], "the sum of the forms"),
+    ([1.7e308 * np.eye(2)], "a quadratic form's value"),
+    ([1e307 * np.eye(2), np.eye(2)], "the spread of a form"),
+], ids=["sum", "value", "spread"])
+def test_mc_quadratic_forms_raises_when_a_statistic_leaves_the_float_range(forms, what):
+    # every form is finite, but their sum is not, or W^T A W is finite but
+    # x^T A x for a draw x, or the variance of those values, is not
+    with pytest.raises(PsdOrderError, match=f"^{re.escape(what)} overflows"):
+        mc_quadratic_forms(forms, np.eye(2), np.zeros(2), 64, seed=0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_blue_check_fails_conditions_beyond_the_float_range():
+    # V(Ly) = 1e100 J and V(y) = 1e-300 J (J all ones) are finite, but
+    # L X is not, and V(Ly) whitened by V(y) is not: conditions (i) and
+    # (iii) fail, with no numpy warning and no NaN residual
+    model = LinearModel(1e200 * np.ones((2, 1)), 1e-300 * np.ones((2, 2)))
+    v = blue_check(1e200 * np.eye(2), model)
+    assert (v.cond_i, v.cond_ii, v.cond_iii) == (False, True, False)
+    assert v.certificate["residual_lx"] == np.inf
+    assert v.certificate["sim_cong_failure"] == "whitened A overflows the floating-point range"
 
 
 def test_blue_precondition_identity():

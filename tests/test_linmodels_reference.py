@@ -5,7 +5,9 @@ the same type, on holding and failing inputs, NotMinusComparable
 reductions, PreconditionViolated and inputs that are not PSD; the Monte
 Carlo check draws the same degrees of freedom and its statistics agree to
 roundoff.  Inputs with two faults may report the other fault first; that
-precedence is pinned at the end."""
+precedence is pinned at the end.  A derived matrix beyond the float range
+is a PsdOrderError here and a ValueError in the reference; those inputs
+are pinned on their own."""
 
 import dataclasses
 import struct
@@ -176,16 +178,17 @@ def test_qform_rank_criterion_matches_the_reference_bit_for_bit(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_overflowing_inputs_raise_as_the_reference_does(n):
-    # numpy warns of the overflow on the way, in both; the error follows
+    # a matrix derived from finite input that leaves the float range raises
+    # PsdOrderError naming it, with no numpy warning; the per-matrix
+    # reference lets numpy warn and then raises ValueError, as raw input
+    # does, so it is not compared on these inputs
     cases = [
-        (qform_rank_criterion, [np.eye(n)], np.eye(n), np.full(n, 1e200)),  # W^T A W
-        (blue_check, np.zeros((n, n)), LinearModel(np.ones((n, 1)), 1e10 * np.eye(n), sigma2=1e300)),  # V(y)
+        (qform_rank_criterion, [np.eye(n)], np.eye(n), np.full(n, 1e200), "W^T A W"),
+        (blue_check, np.zeros((n, n)), LinearModel(np.ones((n, 1)), 1e10 * np.eye(n), sigma2=1e300), "sigma^2 D"),
     ]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for call, *args in cases:
-            got = _outcome(call, *args)
-            assert got == _outcome(getattr(ref, call.__name__), *args)
-            assert got[:2] == ("raises", "ValueError")
+    for call, *args, what in cases:
+        got = _outcome(call, *args)
+        assert got == ("raises", "PsdOrderError", f"{what} overflows the floating-point range")
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -255,17 +258,16 @@ def test_two_faults_report_the_structural_one_first():
         ref.qform_rank_criterion(*args)
     with pytest.raises(ValueError, match="finite"):
         qform_rank_criterion(*args)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # qform: a first compressed form not PSD and a second one not finite
-        args = ([np.diag([-1e-10, 1.0]), np.diag([1e20, 0.0])], np.diag([1e150, 1.0]), np.zeros(2))
-        with pytest.raises(NotPositiveSemidefinite):
-            ref.qform_rank_criterion(*args)
-        with pytest.raises(ValueError, match="finite"):
-            qform_rank_criterion(*args)
-        # blue_check: V(Ly) not PSD and V(y) not finite
-        model = LinearModel(np.ones((2, 1)), np.diag([1e10, -1e-1]), sigma2=1e300)
-        last = np.diag([0.0, 1.0])
-        with pytest.raises(NotPositiveSemidefinite):
-            ref.blue_check(last, model)
-        with pytest.raises(ValueError, match="finite"):
-            blue_check(last, model)
+    # qform: a first compressed form not PSD and a second one not finite
+    args = ([np.diag([-1e-10, 1.0]), np.diag([1e20, 0.0])], np.diag([1e150, 1.0]), np.zeros(2))
+    with pytest.raises(NotPositiveSemidefinite):
+        ref.qform_rank_criterion(*args)
+    with pytest.raises(PsdOrderError, match=r"^W\^T A W overflows"):
+        qform_rank_criterion(*args)
+    # blue_check: V(Ly) not PSD and V(y) not finite
+    model = LinearModel(np.ones((2, 1)), np.diag([1e10, -1e-1]), sigma2=1e300)
+    last = np.diag([0.0, 1.0])
+    with pytest.raises(NotPositiveSemidefinite):
+        ref.blue_check(last, model)
+    with pytest.raises(PsdOrderError, match=r"^sigma\^2 D overflows"):
+        blue_check(last, model)

@@ -10,7 +10,7 @@ from psdorder import (
     PsdMatrix,
     SymMatrix,
     ToleranceConfig,
-    is_psd,
+    lowner_leq,
     numerical_rank,
     pinv,
     sym_eig,
@@ -134,13 +134,19 @@ def test_column_basis_rank():
         assert column_span(m.astype(float))[0].shape[1] == oracles.exact_rank(m)
 
 
+def _psd_check(a):
+    """The PSD test of A as the Loewner order 0 <= A gives it."""
+    a = np.asarray(a, dtype=float)
+    return lowner_leq(np.zeros_like(a), a)
+
+
 def test_is_psd_examples():
-    chk = is_psd(np.eye(2))
-    assert chk.ok and chk.witness is None
-    chk = is_psd([[1.0, 2.0], [2.0, 1.0]])
-    assert not chk.ok
-    assert chk.min_eig == pytest.approx(-1.0, abs=1e-12)
-    x = chk.witness
+    chk = _psd_check(np.eye(2))
+    assert chk.holds and chk.certificate["witness"] is None
+    chk = _psd_check([[1.0, 2.0], [2.0, 1.0]])
+    assert not chk.holds
+    assert chk.certificate["min_eig"] == pytest.approx(-1.0, abs=1e-12)
+    x = chk.certificate["witness"]
     np.testing.assert_allclose(np.abs(x), [1, 1] / np.sqrt(2), atol=1e-12)
     # the witness really does expose negativity
     a = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -153,10 +159,11 @@ def test_is_psd_oracle_agreement():
         n = int(rng.integers(1, 6))
         a = rng.integers(-3, 4, size=(n, n))
         a = a + a.T
-        chk = is_psd(a.astype(float))
-        assert chk.ok == oracles.exact_psd(a)
-        if not chk.ok:
-            assert float(chk.witness @ a @ chk.witness) < 0
+        chk = _psd_check(a)
+        assert chk.holds == oracles.exact_psd(a)
+        if not chk.holds:
+            x = chk.certificate["witness"]
+            assert float(x @ a @ x) < 0
 
 
 def test_pinv_examples():

@@ -7,6 +7,7 @@ from psdorder import (
     DimensionMismatch,
     InconsistentSamples,
     MatrixMap,
+    PsdOrderError,
     Relation,
     SingularS,
     ToleranceConfig,
@@ -60,6 +61,14 @@ def test_congruence_map_apply_and_reject():
         congruence_map(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(SingularS):
         congruence_map(np.zeros((3, 3)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_map_images_beyond_the_float_range_raise():
+    m = congruence_map(1e200 * np.eye(2))
+    for a in (np.eye(2), np.array([np.eye(2), np.zeros((2, 2))])):
+        with pytest.raises(PsdOrderError, match="^a map image overflows"):
+            m.apply(a)
 
 
 def test_congruence_preserves_lowner_and_minus():
@@ -266,6 +275,28 @@ def test_fit_congruence_validates_extra_samples():
     samples[-1] = (extra_in, s @ extra_in @ s.T + 1e-3 * np.eye(3))
     with pytest.raises(InconsistentSamples):
         fit_congruence(samples)
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_congruence_rejects_a_sample_whose_prediction_overflows():
+    # S = 1e100 I explains the probes, but S X S^T for X = 1e200 I lies
+    # beyond the float range, so it cannot be the sample's I
+    s = 1e100 * np.eye(2)
+    samples = [(p, s @ p @ s.T) for p in probe_inputs(2)] + [(1e200 * np.eye(2), np.eye(2))]
+    with pytest.raises(InconsistentSamples, match="a sample disagrees"):
+        fit_congruence(samples)
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_congruence_rejects_a_column_whose_image_overflows():
+    # the mixed probe's image gives s_1 = 1e200 e_1, whose s_1 s_1^T lies
+    # beyond the float range, so it cannot be the diagonal probe's e_1 e_1^T
+    e0, e1 = np.eye(2)
+    s0, s1 = 1e-100 * e0, 1e200 * e1
+    images = [np.outer(s0, s0), np.outer(e1, e1)]
+    images.append(images[0] + images[1] + np.outer(s0, s1) + np.outer(s1, s0))
+    with pytest.raises(InconsistentSamples, match="column 1 reconstructed"):
+        fit_congruence(list(zip(probe_inputs(2), images)))
 
 
 def test_fit_congruence_rejects_samples_of_mixed_shapes():

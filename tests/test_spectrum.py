@@ -23,7 +23,6 @@ from psdorder import (
     ToleranceConfig,
     blue_check,
     inertia,
-    is_psd,
     lowner_leq,
     mc_quadratic_forms,
     minus_leq,
@@ -38,7 +37,7 @@ from psdorder import (
     sym_eig,
 )
 from psdorder import numkernel, orders
-from psdorder.numkernel import canonical_order, column_span, min_singular_value, rel_residual
+from psdorder.numkernel import canonical_order, column_span, min_singular_value, rel_residual, rel_residual_stack
 from psdorder.preservers import congruence_map, sample_pair
 
 
@@ -465,7 +464,7 @@ def test_scale_defects_of_absolute_floors_are_gone():
     c = 1e-6
     v = star_family_leq(c * a, c * b)
     assert not v.holds and v.certificate["residual"] == pytest.approx(0.5)
-    assert not is_psd(1e-10 * np.diag([1.0, -1.0])).ok
+    assert not lowner_leq(np.zeros((2, 2)), 1e-10 * np.diag([1.0, -1.0])).holds
     # the star products neither underflow nor overflow: A^2 = A = A diag(1, 1)
     for c in (1e-200, 1e200):
         assert not star_family_leq(c * a, c * b).holds
@@ -506,8 +505,8 @@ def test_rank_and_ginv_routes_agree_on_a_small_image_eigenvalue():
 
 def test_exact_zero_is_its_own_case():
     z = np.zeros((3, 3))
-    check = is_psd(z)
-    assert check.ok and check.threshold == 0.0
+    check = lowner_leq(z, z)
+    assert check.holds and check.certificate["threshold"] == 0.0
     for route in ROUTES:
         assert _verdict(route, z, z).detail == "equal", route
     p = np.diag([1e-100, 0.0, 0.0])
@@ -525,6 +524,18 @@ def test_rel_residual():
     assert rel_residual([[1.0, 0.0]], a, 2 * a) == 1.0 / 8.0
     # the same ratio at every scale
     assert rel_residual(1e-200 * np.eye(2), 1e-200 * a) == rel_residual(np.eye(2), a)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_residual_beyond_the_float_range_fails_its_check():
+    # an infinite or NaN residual is inf against any references, infinite
+    # ones included, with no numpy warning: it fails every budget
+    inf, nan = np.full((2, 2), np.inf), np.full((2, 2), np.nan)
+    for diff, ref in ((inf, inf), (inf, np.eye(2)), (nan, inf), (nan, np.eye(2))):
+        assert rel_residual(diff, ref) == np.inf
+        assert rel_residual_stack(diff[None], ref[None]).tolist() == [np.inf]
+    got = rel_residual_stack(np.array([np.eye(2), inf, np.zeros((2, 2))]), np.array([2 * np.eye(2), inf, inf]))
+    assert got.tolist() == [0.5, np.inf, 0.0]
 
 
 def test_negated_spectrum_decomposes_minus_a():
