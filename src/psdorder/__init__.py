@@ -42,10 +42,8 @@ from .linmodels import (
     qform_rank_criterion,
 )
 from .numkernel import (
-    EigDecomposition,
     PsdMatrix,
     SymMatrix,
-    numerical_rank,
     pinv,
     sym_eig,
 )

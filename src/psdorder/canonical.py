@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotMinusComparable, PsdOrderError
-from .numkernel import (EigDecomposition, canonical_eigs, derived, eigh_stack, min_singular_value, rel_residual,
-                        require_psd, sym_array, sym_eig)
+from .numkernel import (canonical_order, derived, eigh_stack, min_singular_value, rel_residual, require_psd,
+                        sym_array, sym_eig)
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -86,12 +86,13 @@ def sim_congruence(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SimCongResult:
     pair = np.array([a, b])
     values, vectors = eigh_stack(pair)
     require_psd(pair, values, tol)
-    return _sim_congruence(a, b, canonical_eigs(values[1:], vectors[1:])[0], tol)
+    (values_b,), (vectors_b,) = canonical_order(values[1:], vectors[1:])
+    return _sim_congruence(a, b, values_b, vectors_b, tol)
 
 
-def _sim_congruence(a, b, eig_b: EigDecomposition, tol: ToleranceConfig) -> SimCongResult:
-    """sim_congruence on a pair of symmetric arrays of one shape, certified
-    PSD by the caller, which also supplies B's spectrum in canonical order.
+def _sim_congruence(a, b, values_b, vectors_b, tol: ToleranceConfig) -> SimCongResult:
+    """sim_congruence on symmetric arrays of one shape, certified PSD by the
+    caller, which also supplies B's values and vectors in canonical order.
 
     The construction follows the structure of the pair directly.  Whiten B
     to E_s; the transformed A is then confined to the leading s-by-s block
@@ -102,14 +103,14 @@ def _sim_congruence(a, b, eig_b: EigDecomposition, tol: ToleranceConfig) -> SimC
     actually below B in the minus order cannot slip through.
     """
     n = len(a)
-    s_rank = int(np.count_nonzero(eig_b.values > tol.rank_cutoff(eig_b.values)))
+    s_rank = int(np.count_nonzero(values_b > tol.rank_cutoff(values_b)))
 
     # Whitening: v @ B @ v.T == E_s exactly up to roundoff.  B's null
     # directions take the scale of its largest eigenvalue, so that neither
     # the spill test nor S depends on the units of A and B.
-    inv_scales = np.full(n, 1.0 / np.sqrt(eig_b.values[0]) if s_rank else 1.0)
-    inv_scales[:s_rank] = 1.0 / np.sqrt(eig_b.values[:s_rank])
-    v = inv_scales[:, None] * eig_b.vectors.T
+    inv_scales = np.full(n, 1.0 / np.sqrt(values_b[0]) if s_rank else 1.0)
+    inv_scales[:s_rank] = 1.0 / np.sqrt(values_b[:s_rank])
+    v = inv_scales[:, None] * vectors_b.T
 
     # A beyond the float range in B's own metric exceeds B, whatever the units
     try:
@@ -124,8 +125,7 @@ def _sim_congruence(a, b, eig_b: EigDecomposition, tol: ToleranceConfig) -> SimC
         )
 
     # P^2 = P in spectral form on a unit-scale block, judged as identities are
-    block = sym_eig(a_tilde[:s_rank, :s_rank])
-    lam, u = block.values, block.vectors
+    lam, u = sym_eig(a_tilde[:s_rank, :s_rank])
     near_one = np.abs(lam - 1.0) <= tol.recon_tol
     near_zero = np.abs(lam) <= tol.recon_tol
     if not np.all(near_one | near_zero):
@@ -137,7 +137,7 @@ def _sim_congruence(a, b, eig_b: EigDecomposition, tol: ToleranceConfig) -> SimC
     r_rank = int(np.count_nonzero(near_one))
 
     # S = V^{-1} diag(U, I); the whitening inverse is explicit.
-    v_inv = eig_b.vectors * (1.0 / inv_scales)
+    v_inv = vectors_b * (1.0 / inv_scales)
     z = np.eye(n)
     z[:s_rank, :s_rank] = u
     s = v_inv @ z

@@ -18,7 +18,7 @@ from .errors import DimensionMismatch, NotMinusComparable, PreconditionViolated
 from .numkernel import (
     PsdMatrix,
     _symmetrize,
-    canonical_eigs,
+    canonical_order,
     column_span,
     derived,
     eigh_stack,
@@ -242,7 +242,8 @@ def blue_check(l, model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) -> Blu
     certificate: dict = {"residual_lx": residual_lx}
     sim: SimCongResult | None = None
     try:
-        sim = _sim_congruence(v_ly, v_y, canonical_eigs(values[1:], vectors[1:])[0], tol)
+        (values_y,), (vectors_y,) = canonical_order(values[1:], vectors[1:])
+        sim = _sim_congruence(v_ly, v_y, values_y, vectors_y, tol)
         cond_iii = sim.rank_a < sim.rank_b
         certificate["ranks"] = (sim.rank_a, sim.rank_b)
     except NotMinusComparable as exc:
@@ -309,7 +310,7 @@ def qform_rank_criterion(
     # the spectra of (form, total, total - form) for each form
     triples = values[np.c_[np.arange(k), np.full(k, k), np.arange(k + 1, 2 * k + 1)]]
     verdicts = _rank_verdicts(triples, tol)
-    eig_total = canonical_eigs(values[k:k + 1], vectors[k:k + 1])[0] if any(x.holds for x in verdicts) else None
+    (values_t,), (vectors_t,) = canonical_order(values[k:k + 1], vectors[k:k + 1])
     entries = []
     overall = True
     for i, verdict in enumerate(verdicts):
@@ -318,7 +319,7 @@ def qform_rank_criterion(
         reason = ""
         if verdict.holds:
             try:
-                sim = _sim_congruence(t[i], t[k], eig_total, tol)
+                sim = _sim_congruence(t[i], t[k], values_t, vectors_t, tol)
                 r_i = sim.rank_a
             except NotMinusComparable as exc:
                 reason = str(exc)

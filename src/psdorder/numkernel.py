@@ -16,10 +16,10 @@ Conventions shared by everything built on top of this module:
 - canonical_order, run only where the order of eigenvectors shows in a
   result, sorts eigenvalues descending and makes the first nonzero
   component of each eigenvector positive, so a factorization is
-  reproducible run to run; canonical_eigs wraps a stack so ordered in
-  EigDecompositions, and sym_eig is eigh_stack and canonical_eigs on one
-  matrix.  A containment test needs no order: image_in_span takes the
-  eigenvectors as eigh returns them, those under the cutoff zeroed,
+  reproducible run to run; sym_eig is eigh_stack and canonical_order on
+  one matrix, and returns its values and vectors as arrays.  A
+  containment test needs no order: image_in_span takes the eigenvectors
+  as eigh returns them, those under the cutoff zeroed,
 - a spectrum is owned by the call that computed it and handed on as
   arrays, never kept on a matrix object: a PsdMatrix is certified from
   its eigenvalues and keeps none, and require_psd certifies a whole
@@ -27,8 +27,8 @@ Conventions shared by everything built on top of this module:
   work,
 - rank decisions compare eigenvalue magnitudes against one relative cutoff,
   which ToleranceConfig.rank_cutoff alone takes from the spectra it
-  judges; EigDecomposition.nonzero applies it to one spectrum, and column
-  bases and invertibility checks apply it to singular values,
+  judges; a caller masks its spectra with np.abs(values) > cutoff, and
+  column bases and invertibility checks apply it to singular values,
 - every other tolerance is relative to its inputs, with no absolute
   floor: rel_residual measures a residual against the largest entry of
   the matrices compared, and a PSD threshold is psd_tol times the
@@ -38,7 +38,6 @@ Conventions shared by everything built on top of this module:
   at any scale.
 """
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -196,50 +195,6 @@ def require_psd(stack, values, tol: ToleranceConfig = DEFAULT_TOL) -> None:
             )
 
 
-@dataclass(frozen=True)
-class EigDecomposition:
-    """Spectral factorization A = Q diag(values) Q^T.
-
-    `values` are descending; `vectors` holds the matching orthonormal
-    eigenvectors as columns, sign-fixed as described in the module docstring.
-    An eigenvalue is numerically nonzero when its magnitude exceeds the
-    rank cutoff, by default tol.rank_cutoff(values), this spectrum's own.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def nonzero(self, tol: ToleranceConfig = DEFAULT_TOL, cutoff: float | None = None) -> np.ndarray:
-        """Mask of the eigenvalues that clear `cutoff` (default: this
-        spectrum's own cutoff)."""
-        if cutoff is None:
-            cutoff = tol.rank_cutoff(self.values)
-        return np.abs(self.values) > cutoff
-
-    def rank(self, tol: ToleranceConfig = DEFAULT_TOL, cutoff: float | None = None) -> int:
-        return int(np.count_nonzero(self.nonzero(tol, cutoff)))
-
-    def image(self, tol: ToleranceConfig = DEFAULT_TOL, cutoff: float | None = None) -> np.ndarray:
-        """Orthonormal columns spanning the image: the eigenvectors whose
-        eigenvalues clear `cutoff`."""
-        return self.vectors[:, self.nonzero(tol, cutoff)]
-
-    def negated(self) -> "EigDecomposition":
-        """The decomposition of -A: values negated and reversed, so they stay
-        descending, with the matching eigenvector columns."""
-        values = -self.values[::-1]
-        values.setflags(write=False)
-        return EigDecomposition(values=values, vectors=self.vectors[:, ::-1])
-
-    def pinv(self, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-        """Moore-Penrose pseudoinverse of the matrix, with the eigenvalues
-        under this spectrum's rank cutoff dropped rather than inverted."""
-        keep = self.nonzero(tol)
-        inv = np.where(keep, 1.0 / np.where(keep, self.values, 1.0), 0.0)
-        q = self.vectors
-        return (q * inv) @ q.T
-
-
 def eigh_stack(x) -> tuple[np.ndarray, np.ndarray]:
     """LAPACK's symmetric eigensolver on a (k, n, n) stack in one call:
     ascending values (k, n) and eigenvector columns (k, n, n) as it returns
@@ -270,25 +225,11 @@ def canonical_order(values: np.ndarray, vectors: np.ndarray):
     return values, np.swapaxes(rows, -1, -2)
 
 
-def canonical_eigs(values: np.ndarray, vectors: np.ndarray) -> list[EigDecomposition]:
-    """The EigDecomposition of each matrix of an eigh_stack result, put in
-    canonical_order."""
-    return [EigDecomposition(*e) for e in zip(*canonical_order(values, vectors))]
-
-
-def sym_eig(a) -> EigDecomposition:
-    """Eigendecomposition of a symmetric matrix, ordered and sign-fixed by
-    canonical_order."""
-    return canonical_eigs(*eigh_stack(sym_array(a)[None]))[0]
-
-
-def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Rank of a symmetric matrix by eigenvalue magnitude.
-
-    Eigenvalues with |lambda| <= cutoff count as zero, where the cutoff is
-    rank_rel_tol * max|lambda| (default rank_rel_tol: 4 n machine epsilon).
-    """
-    return sym_eig(a).rank(tol)
+def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a symmetric matrix: its values and eigenvector
+    columns, ordered and sign-fixed by canonical_order."""
+    values, vectors = canonical_order(*eigh_stack(sym_array(a)[None]))
+    return values[0], vectors[0]
 
 
 def column_span(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, float]:
@@ -324,7 +265,15 @@ def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     the result is the pseudoinverse of the nearest matrix of the detected
     rank.
     """
-    return sym_eig(a).pinv(tol)
+    return _spectral_pinv(*sym_eig(a), tol)
+
+
+def _spectral_pinv(values, vectors, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """pinv of Q diag(values) Q^T, Q = `vectors`, from that spectrum, under
+    its own rank cutoff."""
+    keep = np.abs(values) > tol.rank_cutoff(values)
+    inv = np.where(keep, 1.0 / np.where(keep, values, 1.0), 0.0)
+    return (vectors * inv) @ vectors.T
 
 
 def image_in_span(m, basis, tol: ToleranceConfig = DEFAULT_TOL, slack=0.0) -> np.ndarray:

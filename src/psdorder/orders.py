@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, PsdOrderError
 from .numkernel import (
-    canonical_eigs,
+    _spectral_pinv,
     canonical_order,
     derived,
     eigh_stack,
@@ -224,19 +224,21 @@ def _minus_by_image(a, d, span_b, dims, cutoff, tol):
     return holds, cert
 
 
-def _minus_by_ginv(a, b, d, eigs, cutoff, tol):
+def _minus_by_ginv(a, b, d, values, vectors, cutoff, tol):
     """Constructive route: build an inner inverse G of A with G A = G B and
     A G = B G, which exists exactly when A is below B.
 
     G is assembled from the oblique projector onto Im A along
     Im(B - A) (+) (Im B)-perp; if the three pieces fail to decompose R^n the
     pair is not comparable and the certificate says which check failed.
+    `values`, `vectors`: the canonical spectra of A, B and B - A, masked
+    by the shared cutoff; A^+ reads A's under its own.
     """
-    eig_a, eig_b, eig_d = eigs
-    u_a = eig_a.image(tol, cutoff)
-    u_c = eig_d.image(tol, cutoff)
-    keep = eig_b.nonzero(tol, cutoff)
-    u_perp = eig_b.vectors[:, ~keep]
+    keep_a, keep, keep_d = (np.abs(v) > cutoff for v in values)
+    q_a, q_b, q_d = vectors
+    u_a = q_a[:, keep_a]
+    u_c = q_d[:, keep_d]
+    u_perp = q_b[:, ~keep]
     r = u_a.shape[1]
     cert: dict = {
         "dim_a": r,
@@ -252,7 +254,7 @@ def _minus_by_ginv(a, b, d, eigs, cutoff, tol):
         cert["reason"] = "sum not direct"
         return False, cert
     proj = m[:, :r] @ np.linalg.inv(m)[:r, :]
-    g = proj.T @ eig_a.pinv(tol) @ proj
+    g = proj.T @ _spectral_pinv(values[0], q_a, tol) @ proj
     ga, gb, ag, bg = g @ a, g @ b, a @ g, b @ g
     aga = ag @ a
     # each identity's residual relative to the two sides it compares; the
@@ -302,9 +304,12 @@ def minus_leq(
         holds, cert = _minus_by_image(a, d, spans[1], ranks, cutoff, tol)
         reverse = not holds and reverse and _minus_by_image(b, d, spans[0], (r_b, r_a, r_d), cutoff, tol)[0]
     else:
-        e_a, e_b, e_d = eigs = canonical_eigs(values, vectors)
-        holds, cert = _minus_by_ginv(a, b, d, eigs, cutoff, tol)
-        reverse = not holds and reverse and _minus_by_ginv(b, a, -d, (e_b, e_a, e_d.negated()), cutoff, tol)[0]
+        values, vectors = canonical_order(values, vectors)
+        holds, cert = _minus_by_ginv(a, b, d, values, vectors, cutoff, tol)
+        # -(B - A): the spectrum of B - A negated and reversed, as views
+        (v_a, v_b, v_d), (q_a, q_b, q_d) = values, vectors
+        reverse = not holds and reverse and _minus_by_ginv(
+            b, a, -d, (v_b, v_a, -v_d[::-1]), (q_b, q_a, q_d[:, ::-1]), cutoff, tol)[0]
     cert["method"] = method.value
     return OrderVerdict(
         holds=holds,
@@ -378,7 +383,7 @@ def star_family_leq(
     )
     cert = {"residual": residual[0], "budget": budget[0], "image_contained": contained[0]}
     # equality is read only when A is below B
-    equal = holds and rel_residual(d, a, b) <= tol.recon_tol
+    equal = holds and _equal(a, b, d, tol)
     return OrderVerdict(
         holds=holds,
         relation=variant.value,

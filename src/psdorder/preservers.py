@@ -8,6 +8,7 @@ known by construction, and recover the congruence factor S from observed
 input/output samples.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -272,7 +273,10 @@ def preserves_order(
     call, checked and symmetrized once, mapped as one stack whose images
     are checked and symmetrized once, and all 2 * trials verdicts, before
     and after the map, are decided in one stacked check (holds_stack).
+    Needs trials >= 1 and n >= 2, else ValueError.
     """
+    if trials < 1 or n < 2:
+        raise ValueError(f"preserves_order needs trials >= 1 and n >= 2, got trials={trials}, n={n}")
     relation = Relation(relation)
     report = PreservationReport(
         relation=relation.value, map_label=mmap.label, n=n, trials=trials
@@ -302,11 +306,11 @@ def probe_inputs(n: int) -> list:
 
 def _rank_one_factor(m, tol):
     """Write a PSD rank-one matrix as v v^T; None when it is not one."""
-    eig = sym_eig(m)
-    lead = float(eig.values[0]) if eig.values.size else 0.0
-    if lead <= 0 or eig.rank(tol) != 1:
+    values, vectors = sym_eig(m)
+    lead = float(values[0])
+    if lead <= 0 or np.count_nonzero(np.abs(values) > tol.rank_cutoff(values)) != 1:
         return None
-    return np.sqrt(lead) * eig.vectors[:, 0]
+    return np.sqrt(lead) * vectors[:, 0]
 
 
 def fit_congruence(samples, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -354,15 +358,20 @@ def fit_congruence(samples, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
             "image of the first probe is not rank one; no invertible "
             "congruence explains the samples"
         )
-    norm_sq = float(first @ first)
 
     def columns():
         # cross_i = s_0 s_i^T + s_i s_0^T, so applying it to s_0 isolates
-        # s_i.  Each s_0 . s_i is its own vector product: as a row of one
-        # matrix-vector product it would be summed in another order.
-        cross = mixed_images - diag_images[0] - diag_images[1:]
-        dots = np.array([row @ first for row in first @ cross]) / (2.0 * norm_sq)
-        return (cross @ first - dots[:, None] * first) / norm_sq
+        # s_i.  s_0^T cross_i s_0 has four factors of S's scale, so s_0 is
+        # divided by a power of two u near its largest entry and cross_i by
+        # u twice (u^2 can overflow), exactly above the subnormals.  Each
+        # s_0 . s_i is its own vector product: as a row of one matrix-vector
+        # product it would be summed in another order.
+        u = math.ldexp(1.0, math.frexp(float(np.abs(first).max()))[1])
+        s_0 = first / u
+        cross = (mixed_images - diag_images[0] - diag_images[1:]) / u / u
+        norm_sq = float(s_0 @ s_0)
+        dots = np.array([row @ s_0 for row in s_0 @ cross]) / (2.0 * norm_sq)
+        return (cross @ s_0 - dots[:, None] * s_0) / norm_sq * u
 
     cols = derived("a column of S", columns)
     # s_i s_i^T and S X S^T enter residuals alone, which fail beyond the float range
@@ -416,8 +425,10 @@ def projector_fixed_point_suite(
     once and mapped as one stack.  The Loewner verdicts of all trials below
     I are decided in one stacked check and those of their images below the
     image of I in another, and so are the minus verdicts, each check
-    decomposing its shared upper matrix once.
+    decomposing its shared upper matrix once.  Needs trials, n >= 1.
     """
+    if trials < 1 or n < 1:
+        raise ValueError(f"projector_fixed_point_suite needs trials >= 1 and n >= 1, got trials={trials}, n={n}")
     report = PreservationReport(
         relation="projector-interval", map_label=mmap.label, n=n, trials=trials
     )

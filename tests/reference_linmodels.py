@@ -2,10 +2,11 @@
 
 Each function here computes what its namesake in psdorder.linmodels
 computes, the way that module did before it moved onto stacked spectra:
-every matrix it certifies becomes a PsdMatrix of its own, each rank is a
-numerical_rank, each minus question a minus_leq call, each reduction a
-sim_congruence call, the Loewner verdicts of model_compare both read from
-one decomposition of M1 - M2 (reference_verdicts.lowner_both), and the
+every matrix it certifies becomes a PsdMatrix of its own, each rank is
+read from reference_verdicts.inertia, each minus question a minus_leq
+call, each reduction a sim_congruence call, the Loewner verdicts of
+model_compare both read from one decomposition of M1 - M2
+(reference_verdicts.lowner_both), and the
 Monte Carlo forms are three-operand einsums on the symmetric root of V
 taken from sym_eig.  psdorder.linmodels decomposes each family of matrices
 in one stacked eigh call and must return every value these return, bit for
@@ -33,7 +34,6 @@ from psdorder.numkernel import (
     identity_budget,
     image_in_span,
     maxabs,
-    numerical_rank,
     rel_residual,
     sym_eig,
 )
@@ -41,7 +41,7 @@ from psdorder.orders import matrices_equal, minus_leq
 from psdorder.rng import normal_matrix, substream
 from psdorder.special import chi2_cdf, ks_uniform_distance
 from psdorder.tolerances import DEFAULT_TOL
-from reference_verdicts import lowner_both
+from reference_verdicts import inertia, lowner_both
 
 
 def model_compare(l1, l2, tol=DEFAULT_TOL):
@@ -100,11 +100,11 @@ def _setup(a_list, v, mu, tol):
 def qform_rank_criterion(a_list, v, mu, tol=DEFAULT_TOL):
     _, mats, w = _setup(a_list, v, mu, tol)
     *t_forms, t_total = (PsdMatrix(w.T @ m @ w, tol) for m in mats)
-    s_rank = numerical_rank(t_total, tol)
+    s_rank = inertia(t_total, tol).rank
     entries = []
     overall = True
     for i, t_i in enumerate(t_forms):
-        r_i = numerical_rank(t_i, tol)
+        r_i = inertia(t_i, tol).rank
         verdict = minus_leq(t_i, t_total, tol=tol)
         sim = None
         reason = ""
@@ -127,9 +127,9 @@ def mc_quadratic_forms(a_list, v, mu, n_samples, seed, tol=DEFAULT_TOL):
         raise ValueError("n_samples must be positive")
     v, mats, w = _setup(a_list, v, mu, tol)
     mu = w[:, -1]
-    dfs = [numerical_rank(PsdMatrix(w.T @ m @ w, tol), tol) for m in mats]
-    eig = sym_eig(v)
-    root = (eig.vectors * np.sqrt(np.maximum(eig.values, 0.0))) @ eig.vectors.T
+    dfs = [inertia(PsdMatrix(w.T @ m @ w, tol), tol).rank for m in mats]
+    values, vectors = sym_eig(v)
+    root = (vectors * np.sqrt(np.maximum(values, 0.0))) @ vectors.T
     q_values = np.empty((len(mats), n_samples))
     done = 0
     shard = 0

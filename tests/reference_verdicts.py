@@ -5,11 +5,12 @@ Each function here decides one pair the way the scalar checks did before
 they moved onto plain arrays: every input becomes a SymMatrix (a PsdMatrix
 for sim_congruence), each matrix is decomposed on its own by sym_eig, in
 canonical order with its eigenvectors, and every decision is read from
-those EigDecompositions.  The checks in psdorder.orders and
-psdorder.canonical decompose all the matrices of a verdict in one stacked
-eigh call and order eigenvectors only where they read them; they must
-return every value these return, bit for bit and of the same type.  The
-decision arithmetic of the star test (_star_stack) is shared, not copied.
+those spectra, masked against the cutoff where it counts a rank.  The
+checks in psdorder.orders and psdorder.canonical decompose all the
+matrices of a verdict in one stacked eigh call and order eigenvectors only
+where they read them; they must return every value these return, bit for
+bit and of the same type.  The decision arithmetic of the star test
+(_star_stack) is shared, not copied.
 """
 
 import numpy as np
@@ -40,9 +41,9 @@ def _pair(a, b):
 
 def lowner_both(a, b, tol=DEFAULT_TOL):
     sa, sb = _pair(a, b)
-    eig = sym_eig(SymMatrix(sb.a - sa.a))
+    values, vectors = sym_eig(SymMatrix(sb.a - sa.a))
     threshold = tol.psd_tol * max(maxabs(sa.a), maxabs(sb.a))
-    min_eigs = (float(eig.values[-1]), -float(eig.values[0]))
+    min_eigs = (float(values[-1]), -float(values[0]))
     holds = [m >= -threshold for m in min_eigs]
     return tuple(
         OrderVerdict(
@@ -51,7 +52,7 @@ def lowner_both(a, b, tol=DEFAULT_TOL):
             certificate={
                 "min_eig": min_eigs[i],
                 "threshold": threshold,
-                "witness": None if holds[i] else eig.vectors[:, (-1, 0)[i]],
+                "witness": None if holds[i] else vectors[:, (-1, 0)[i]],
             },
             detail=_detail(holds[i], all(holds), holds[1 - i]),
         )
@@ -60,8 +61,9 @@ def lowner_both(a, b, tol=DEFAULT_TOL):
 
 
 def _by_image(sa, sb, eigs, cutoff, tol):
-    u_b = eigs[1].image(tol, cutoff)
-    dim_a, dim_b, dim_c = (e.rank(tol, cutoff) for e in eigs)
+    keeps = [np.abs(v) > cutoff for v, _ in eigs]
+    u_b = eigs[1][1][:, keeps[1]]
+    dim_a, dim_b, dim_c = (int(np.count_nonzero(k)) for k in keeps)
     slack = sb.n * cutoff
     contained = all(image_in_span(m, u_b, tol, slack) for m in (sa.a, sb.a - sa.a))
     cert = {"dim_a": dim_a, "dim_b": dim_b, "dim_diff": dim_c, "contained": contained}
@@ -69,11 +71,11 @@ def _by_image(sa, sb, eigs, cutoff, tol):
 
 
 def _by_ginv(sa, sb, eigs, cutoff, tol):
-    eig_a, eig_b, eig_d = eigs
-    u_a = eig_a.image(tol, cutoff)
-    u_c = eig_d.image(tol, cutoff)
-    keep = eig_b.nonzero(tol, cutoff)
-    u_perp = eig_b.vectors[:, ~keep]
+    (v_a, q_a), (v_b, q_b), (v_d, q_d) = eigs
+    u_a = q_a[:, np.abs(v_a) > cutoff]
+    u_c = q_d[:, np.abs(v_d) > cutoff]
+    keep = np.abs(v_b) > cutoff
+    u_perp = q_b[:, ~keep]
     r = u_a.shape[1]
     cert = {"dim_a": r, "dim_b": int(keep.sum()), "dim_diff": u_c.shape[1]}
     if r + u_c.shape[1] + u_perp.shape[1] != sa.n:
@@ -106,16 +108,17 @@ def minus_leq(a, b, method="rank", tol=DEFAULT_TOL):
     sa, sb = _pair(a, b)
     sd = SymMatrix(sb.a - sa.a)
     eigs = [sym_eig(m) for m in (sa, sb, sd)]
-    radius = np.abs(np.concatenate([e.values for e in eigs])).max(initial=0.0)
+    radius = np.abs(np.concatenate([v for v, _ in eigs])).max(initial=0.0)
     cutoff = tol.rank_cutoff(np.array([radius]), sa.n)
-    r_a, r_b, r_d = (e.rank(tol, cutoff) for e in eigs)
+    r_a, r_b, r_d = (int(np.count_nonzero(np.abs(v) > cutoff)) for v, _ in eigs)
     holds, reverse = r_d == r_b - r_a, r_d == r_a - r_b
     if method is MinusMethod.RANK:
         cert = {"rank_a": r_a, "rank_b": r_b, "rank_diff": r_d, "cutoff": cutoff}
     else:
         route = _by_image if method is MinusMethod.IMAGE else _by_ginv
         holds, cert = route(sa, sb, eigs, cutoff, tol)
-        swapped = (eigs[1], eigs[0], eigs[2].negated())
+        v_d, q_d = eigs[2]
+        swapped = (eigs[1], eigs[0], (-v_d[::-1], q_d[:, ::-1]))
         reverse = not holds and route(sb, sa, swapped, cutoff, tol)[0]
     cert["method"] = method.value
     return OrderVerdict(holds=holds, relation=Relation.MINUS.value, certificate=cert,
@@ -123,9 +126,9 @@ def minus_leq(a, b, method="rank", tol=DEFAULT_TOL):
 
 
 def _star_holds(sa, sb, tol):
-    eig_b = sym_eig(sb)
+    values, vectors = sym_eig(sb)
     holds, residual, budget, contained = (
-        x[0] for x in _star_stack(sa.a[None], sb.a[None], eig_b.values[None], eig_b.vectors[None], tol)
+        x[0] for x in _star_stack(sa.a[None], sb.a[None], values[None], vectors[None], tol)
     )
     cert = {"residual": float(residual), "budget": float(budget), "image_contained": bool(contained)}
     return bool(holds), cert
@@ -141,11 +144,11 @@ def star_family_leq(a, b, variant=Relation.STAR, tol=DEFAULT_TOL):
 
 
 def inertia(a, tol=DEFAULT_TOL):
-    eig = sym_eig(SymMatrix(a))
-    cutoff = tol.rank_cutoff(eig.values)
-    n_pos = int(np.count_nonzero(eig.values > cutoff))
-    n_neg = int(np.count_nonzero(eig.values < -cutoff))
-    return Inertia(n_pos, n_neg, len(eig.values) - n_pos - n_neg)
+    values, _ = sym_eig(SymMatrix(a))
+    cutoff = tol.rank_cutoff(values)
+    n_pos = int(np.count_nonzero(values > cutoff))
+    n_neg = int(np.count_nonzero(values < -cutoff))
+    return Inertia(n_pos, n_neg, len(values) - n_pos - n_neg)
 
 
 def sim_congruence(a, b, tol=DEFAULT_TOL):
@@ -153,11 +156,11 @@ def sim_congruence(a, b, tol=DEFAULT_TOL):
     if pa.n != pb.n:
         raise NotMinusComparable(f"size mismatch: {pa.n} vs {pb.n}")
     n = pa.n
-    eig_b = sym_eig(pb)
-    s_rank = int(np.count_nonzero(eig_b.values > tol.rank_cutoff(eig_b.values)))
-    inv_scales = np.full(n, 1.0 / np.sqrt(eig_b.values[0]) if s_rank else 1.0)
-    inv_scales[:s_rank] = 1.0 / np.sqrt(eig_b.values[:s_rank])
-    v = inv_scales[:, None] * eig_b.vectors.T
+    values_b, vectors_b = sym_eig(pb)
+    s_rank = int(np.count_nonzero(values_b > tol.rank_cutoff(values_b)))
+    inv_scales = np.full(n, 1.0 / np.sqrt(values_b[0]) if s_rank else 1.0)
+    inv_scales[:s_rank] = 1.0 / np.sqrt(values_b[:s_rank])
+    v = inv_scales[:, None] * vectors_b.T
     a_tilde = v @ pa.a @ v.T
     spill = rel_residual(a_tilde[s_rank:, :], a_tilde)
     if spill > tol.recon_tol:
@@ -165,8 +168,7 @@ def sim_congruence(a, b, tol=DEFAULT_TOL):
     u = np.zeros((0, 0))
     r_rank = 0
     if s_rank:
-        eig_block = sym_eig(a_tilde[:s_rank, :s_rank])
-        lam = eig_block.values
+        lam, u = sym_eig(a_tilde[:s_rank, :s_rank])
         near_one = np.abs(lam - 1.0) <= tol.recon_tol
         near_zero = np.abs(lam) <= tol.recon_tol
         if not np.all(near_one | near_zero):
@@ -176,8 +178,7 @@ def sim_congruence(a, b, tol=DEFAULT_TOL):
                 f"{np.array2string(worst, precision=4)} away from {{0, 1}}"
             )
         r_rank = int(np.count_nonzero(near_one))
-        u = eig_block.vectors
-    v_inv = eig_b.vectors * (1.0 / inv_scales)
+    v_inv = vectors_b * (1.0 / inv_scales)
     z = np.eye(n)
     z[:s_rank, :s_rank] = u
     s = v_inv @ z

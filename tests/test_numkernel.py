@@ -10,13 +10,20 @@ from psdorder import (
     PsdMatrix,
     SymMatrix,
     ToleranceConfig,
+    inertia,
     lowner_leq,
-    numerical_rank,
     pinv,
     sym_eig,
 )
 from psdorder.errors import DimensionMismatch, PsdOrderError
 from psdorder.numkernel import column_span, image_in_span, maxabs, sym_stack
+
+
+def image(a, tol=DEFAULT_TOL):
+    """Orthonormal columns spanning Im A: the eigenvectors whose eigenvalues
+    clear A's own rank cutoff."""
+    values, vectors = sym_eig(a)
+    return vectors[:, np.abs(values) > tol.rank_cutoff(values)]
 
 
 def random_sym(rng, n, scale=1.0):
@@ -51,34 +58,34 @@ def test_psd_matrix_accepts_and_rejects():
 
 
 def test_eig_diagonal_is_signed_permutation():
-    eig = sym_eig(np.diag([3.0, 1.0, 2.0]))
-    np.testing.assert_allclose(eig.values, [3.0, 2.0, 1.0], atol=1e-14)
+    values, vectors = sym_eig(np.diag([3.0, 1.0, 2.0]))
+    np.testing.assert_allclose(values, [3.0, 2.0, 1.0], atol=1e-14)
     # columns must be +/- standard basis vectors in the order 0, 2, 1
-    perm = np.abs(eig.vectors)
+    perm = np.abs(vectors)
     expected = np.eye(3)[:, [0, 2, 1]]
     np.testing.assert_allclose(perm, expected, atol=1e-14)
 
 
 def test_eig_2x2_closed_form():
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
-    eig = sym_eig(a)
+    values, vectors = sym_eig(a)
     lam1, lam2 = oracles.eig2(2.0, 1.0, 2.0)
-    np.testing.assert_allclose(eig.values, [lam1, lam2], atol=1e-14)
-    np.testing.assert_allclose(np.abs(eig.vectors[:, 0]), [1, 1] / np.sqrt(2), atol=1e-14)
-    np.testing.assert_allclose(np.abs(eig.vectors[:, 1]), [1, 1] / np.sqrt(2), atol=1e-14)
+    np.testing.assert_allclose(values, [lam1, lam2], atol=1e-14)
+    np.testing.assert_allclose(np.abs(vectors[:, 0]), [1, 1] / np.sqrt(2), atol=1e-14)
+    np.testing.assert_allclose(np.abs(vectors[:, 1]), [1, 1] / np.sqrt(2), atol=1e-14)
 
 
 def test_eig_zero_matrix_gives_identity_basis():
-    eig = sym_eig(np.zeros((4, 4)))
-    np.testing.assert_array_equal(eig.values, np.zeros(4))
-    np.testing.assert_array_equal(eig.vectors, np.eye(4))
+    values, vectors = sym_eig(np.zeros((4, 4)))
+    np.testing.assert_array_equal(values, np.zeros(4))
+    np.testing.assert_array_equal(vectors, np.eye(4))
 
 
 def test_eig_sign_convention_first_nonzero_positive():
     rng = np.random.default_rng(7)
     for _ in range(50):
         a = random_sym(rng, 5)
-        vecs = sym_eig(a).vectors
+        _, vecs = sym_eig(a)
         for j in range(5):
             col = vecs[:, j]
             nz = col[np.abs(col) > 1e-12]
@@ -89,11 +96,10 @@ def test_eig_reconstruction_and_orthogonality():
     rng = np.random.default_rng(11)
     for n in (1, 2, 3, 5, 9, 16):
         a = random_sym(rng, n, scale=3.0)
-        eig = sym_eig(a)
-        assert np.all(np.diff(eig.values) <= 1e-12)
-        q = eig.vectors
-        np.testing.assert_allclose((q * eig.values) @ q.T, a, atol=1e-12 * max(1.0, maxabs(a)))
-        np.testing.assert_allclose(eig.vectors.T @ eig.vectors, np.eye(n), atol=1e-13)
+        values, q = sym_eig(a)
+        assert np.all(np.diff(values) <= 1e-12)
+        np.testing.assert_allclose((q * values) @ q.T, a, atol=1e-12 * max(1.0, maxabs(a)))
+        np.testing.assert_allclose(q.T @ q, np.eye(n), atol=1e-13)
 
 
 def test_jacobi_backend_matches_lapack():
@@ -103,15 +109,15 @@ def test_jacobi_backend_matches_lapack():
     for _ in range(40):
         n = rng.integers(1, 7)
         a = random_sym(rng, n, scale=2.0)
-        np.testing.assert_allclose(sym_eig(a).values, oracles.jacobi_eigvals(a), atol=1e-10)
+        np.testing.assert_allclose(sym_eig(a)[0], oracles.jacobi_eigvals(a), atol=1e-10)
 
 
 def test_rank_examples():
-    assert numerical_rank(np.diag([1.0, 1e-20])) == 1
-    assert numerical_rank(np.eye(4)) == 4
-    assert numerical_rank(np.zeros((3, 3))) == 0
+    assert inertia(np.diag([1.0, 1e-20])).rank == 1
+    assert inertia(np.eye(4)).rank == 4
+    assert inertia(np.zeros((3, 3))).rank == 0
     x = np.array([[1.0, 2.0], [2.0, 4.0]])
-    assert numerical_rank(x) == 1
+    assert inertia(x).rank == 1
 
 
 def test_rank_matches_exact_oracle():
@@ -120,7 +126,7 @@ def test_rank_matches_exact_oracle():
         n = int(rng.integers(1, 7))
         a = rng.integers(-4, 5, size=(n, n))
         a = a + a.T
-        assert numerical_rank(a.astype(float)) == oracles.exact_rank(a)
+        assert inertia(a.astype(float)).rank == oracles.exact_rank(a)
 
 
 def test_column_basis_rank():
@@ -191,36 +197,36 @@ def test_pinv_penrose_identities():
 
 
 def test_image_basis():
-    u = sym_eig(np.diag([1.0, 0.0])).image()
+    u = image(np.diag([1.0, 0.0]))
     assert u.shape == (2, 1)
     np.testing.assert_allclose(np.abs(u[:, 0]), [1.0, 0.0], atol=1e-14)
-    assert sym_eig(np.zeros((3, 3))).image().shape == (3, 0)
+    assert image(np.zeros((3, 3))).shape == (3, 0)
     rng = np.random.default_rng(59)
     for _ in range(50):
         n = int(rng.integers(1, 7))
         a = random_sym(rng, n)
-        u = sym_eig(a).image()
-        assert u.shape == (n, numerical_rank(a))
+        u = image(a)
+        assert u.shape == (n, inertia(a).rank)
         np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-12)
 
 
 def test_image_in_span():
     e1 = np.diag([1.0, 0.0, 0.0])
     full = np.eye(3)
-    assert image_in_span(e1, sym_eig(full).image())
-    assert not image_in_span(full, sym_eig(e1).image())
-    assert image_in_span(e1, sym_eig(e1).image())
+    assert image_in_span(e1, image(full))
+    assert not image_in_span(full, image(e1))
+    assert image_in_span(e1, image(e1))
     # the zero matrix has the zero image, which sits inside every span
     z = np.zeros((3, 3))
-    assert image_in_span(z, sym_eig(e1).image())
-    assert image_in_span(z, sym_eig(z).image())
-    assert not image_in_span(e1, sym_eig(z).image())
+    assert image_in_span(z, image(e1))
+    assert image_in_span(z, image(z))
+    assert not image_in_span(e1, image(z))
     # the part outside the span is measured against M, plus the slack
-    assert image_in_span(np.diag([1.0, 1e-9, 0.0]), sym_eig(e1).image())
+    assert image_in_span(np.diag([1.0, 1e-9, 0.0]), image(e1))
     m = np.diag([1.0, 1e-6, 0.0])
-    assert not image_in_span(m, sym_eig(e1).image())
-    assert image_in_span(m, sym_eig(e1).image(), slack=1e-6)
-    assert not image_in_span(m, sym_eig(e1).image(), slack=0.5e-6)
+    assert not image_in_span(m, image(e1))
+    assert image_in_span(m, image(e1), slack=1e-6)
+    assert not image_in_span(m, image(e1), slack=0.5e-6)
 
 
 def test_symmetrization_does_not_overflow():
@@ -288,5 +294,5 @@ def test_rank_cutoff_reads_the_spectra_it_judges():
 
 def test_rank_cutoff_flips_decision():
     a = np.diag([1.0, 1e-6])
-    assert numerical_rank(a) == 2
-    assert numerical_rank(a, ToleranceConfig(rank_rel_tol=1e-5)) == 1
+    assert inertia(a).rank == 2
+    assert inertia(a, ToleranceConfig(rank_rel_tol=1e-5)).rank == 1

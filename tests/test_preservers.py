@@ -243,6 +243,17 @@ def test_fit_congruence_recovers_s():
         assert maxabs(fitted - target) <= 1e-8 * max(1.0, maxabs(target))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [-500, -300, 300, 500])
+def test_fit_congruence_recovers_s_at_any_scale(k):
+    # s_0^T cross_i s_0 carries four factors of S's scale, so formed as it
+    # stands it leaves the float range from about 2^256 and underflows below
+    # 2^-256, although every probe image is representable
+    s = np.ldexp(np.array([[1.0, 1.0], [0.0, 1.0]]), k)
+    samples = [(p, s @ p @ s.T) for p in probe_inputs(2)]
+    assert fit_congruence(samples).tobytes() == s.tobytes()
+
+
 def test_fit_congruence_sign_insensitive():
     rng = np.random.default_rng(47)
     s = random_invertible(rng, 4)
@@ -364,12 +375,12 @@ def _reference_fit(samples, tol=ToleranceConfig()):
         if not found:
             raise InconsistentSamples("probe inputs are missing from the samples")
         images.append(found[0])
-    eig = sym_eig(images[0])
-    if eig.values[0] <= 0 or eig.rank(tol) != 1:
+    values, vectors = sym_eig(images[0])
+    if values[0] <= 0 or np.count_nonzero(np.abs(values) > tol.rank_cutoff(values)) != 1:
         raise InconsistentSamples(
             "image of the first probe is not rank one; no invertible congruence explains the samples"
         )
-    first = np.sqrt(float(eig.values[0])) * eig.vectors[:, 0]
+    first = np.sqrt(float(values[0])) * vectors[:, 0]
     if first[np.flatnonzero(np.abs(first) > 1e-12 * np.abs(first).max())[0]] < 0:
         first = -first
     norm_sq = float(first @ first)
@@ -550,9 +561,27 @@ def test_sweep_references_see_failures():
 
 
 def test_sweeps_with_no_trials():
+    # zero checks show nothing, so a sweep with no trial (or fewer) has no
+    # answer to give, where it once reported "preserves"
     m = MatrixMap.trace_inflation()
-    for relation in ("lowner", "minus", "star"):
-        rep = preserves_order(m, relation, n=3, trials=0)
-        assert (rep.forward_checked, rep.backward_checked, rep.counterexamples) == (0, 0, [])
-    rep = projector_fixed_point_suite(m, n=3, trials=0)
-    assert (rep.forward_checked, rep.backward_checked, rep.counterexamples) == (0, 0, [])
+    for trials in (0, -1):
+        for relation in ("lowner", "minus", "star"):
+            with pytest.raises(ValueError, match="trials >= 1"):
+                preserves_order(m, relation, n=3, trials=trials)
+        with pytest.raises(ValueError, match="trials >= 1"):
+            projector_fixed_point_suite(m, n=3, trials=trials)
+
+
+def test_sweeps_reject_sizes_they_cannot_draw():
+    # every fourth trial of preserves_order draws an incomparable pair,
+    # which needs n >= 2, so n < 2 is refused whatever the trial count;
+    # the projector suite draws a projector of any size from 1 up
+    m = MatrixMap.trace_inflation()
+    for n in (0, 1):
+        for trials in (1, 2):
+            with pytest.raises(ValueError, match="n >= 2"):
+                preserves_order(m, "lowner", n=n, trials=trials)
+    with pytest.raises(ValueError, match="n >= 1"):
+        projector_fixed_point_suite(m, n=0, trials=1)
+    assert preserves_order(m, "lowner", n=2, trials=1).trials == 1
+    assert projector_fixed_point_suite(m, n=1, trials=1).forward_checked == 1
