@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotMinusComparable, PsdOrderError
+from .errors import DimensionMismatch, NotMinusComparable, PsdOrderError
 from .numkernel import (canonical_order, derived, eigh_stack, min_singular_value, rel_residual, require_psd,
                         sym_array, sym_eig)
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -82,7 +82,7 @@ def sim_congruence(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SimCongResult:
     """
     a, b = sym_array(a), sym_array(b)
     if a.shape != b.shape:
-        raise NotMinusComparable(f"size mismatch: {len(a)} vs {len(b)}")
+        raise DimensionMismatch(f"size mismatch: {len(a)} vs {len(b)}")
     pair = np.array([a, b])
     values, vectors = eigh_stack(pair)
     require_psd(pair, values, tol)

@@ -17,6 +17,7 @@ from .canonical import SimCongResult, _sim_congruence
 from .errors import DimensionMismatch, NotMinusComparable, PreconditionViolated
 from .numkernel import (
     PsdMatrix,
+    _coerce,
     _symmetrize,
     canonical_order,
     column_span,
@@ -50,19 +51,13 @@ class LinearModel:
     label: str = ""
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=float)
-        if x.ndim != 2:
-            raise DimensionMismatch(f"design matrix must be 2-D, got {x.ndim}-D")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("design matrix entries must be finite")
-        x.setflags(write=False)
-        self.x = x
+        self.x = _coerce(self.x, square=False)
+        self.x.setflags(write=False)
         if not isinstance(self.d, PsdMatrix):
             self.d = PsdMatrix(self.d)
-        if self.d.n != x.shape[0]:
+        if self.d.n != self.n:
             raise DimensionMismatch(
-                f"covariance is {self.d.n}x{self.d.n} but the design has "
-                f"{x.shape[0]} rows"
+                f"covariance is {self.d.n}x{self.d.n} but the design has {self.n} rows"
             )
         if not 0 <= self.sigma2 < np.inf:
             raise ValueError(f"sigma2 must be nonnegative and finite, got {self.sigma2!r}")
@@ -196,8 +191,8 @@ def estimator_covariance(
     l, model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL
 ) -> PsdMatrix:
     """Covariance sigma^2 L D L^T of the linear statistic L y."""
-    l = np.asarray(l, dtype=float)
-    if l.ndim != 2 or l.shape[1] != model.n:
+    l = _coerce(l, square=False)
+    if l.shape[1] != model.n:
         raise DimensionMismatch(
             f"estimator must have {model.n} columns, got shape {l.shape}"
         )
@@ -213,7 +208,7 @@ def blue_check(l, model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) -> Blu
     PreconditionViolated.  V(Ly) and V(y) are decomposed in one call,
     which certifies both PSD and gives the reduction V(y)'s spectrum.
     """
-    l = np.asarray(l, dtype=float)
+    l = _coerce(l, square=False)
     if l.shape != (model.n, model.n):
         raise DimensionMismatch(
             f"estimator must be {model.n}x{model.n}, got {l.shape}"
@@ -276,7 +271,7 @@ def _setup(a_list, v, mu, tol):
     values_v, vectors_v = eigh_stack(first)
     require_psd(first, values_v, tol)
     mats.append(derived("the sum of the forms", sum, mats, np.zeros(v.shape)))
-    mu = np.asarray(mu, dtype=float).reshape(-1)
+    mu = _coerce(np.reshape(mu, -1), ndim=1, square=False)
     if mu.shape[0] != len(v):
         raise DimensionMismatch(
             f"mean has length {mu.shape[0]} but covariance is {len(v)}x{len(v)}"

@@ -2,13 +2,17 @@
 
 Conventions shared by everything built on top of this module:
 
-- raw input is checked once and symmetrized as 0.5 A + 0.5 A^T, which
-  cannot overflow: sym_array for one matrix, sym_stack for a stack; a
-  SymMatrix is sym_array's result made read-only,
-- a non-finite entry of raw input raises ValueError; a matrix derived
-  from checked input (B - A, D + X X^T, W^T A W, a map's images) is
-  formed by `derived`, which raises PsdOrderError when it leaves the
-  float range; a residual beyond it is inf to rel_residual and fails,
+- each array a public entry takes from its caller passes one gate,
+  _coerce, once: copied to a C-ordered float array, it raises
+  DimensionMismatch for a wrong number of axes or a square argument that
+  is not square, and ValueError for a non-finite entry.  sym_array (one
+  matrix) and sym_stack (a stack) pass a symmetric argument through it and
+  symmetrize it as 0.5 A + 0.5 A^T, which cannot overflow; a SymMatrix is
+  sym_array's result made read-only,
+- a matrix derived from checked input (B - A, D + X X^T, W^T A W, a
+  map's images) is formed by `derived`, which raises PsdOrderError when
+  it leaves the float range; a residual beyond it is inf to rel_residual
+  and fails,
 - eigendecompositions run on stacks: eigh_stack decomposes a (k, n, n)
   stack in one LAPACK call, each matrix's factors bit for bit those of a
   call on it alone, eigenvalues ascending; callers that read eigenvalues
@@ -48,16 +52,19 @@ from .tolerances import DEFAULT_TOL, ToleranceConfig
 # A unit eigenvector component below this is treated as zero when fixing signs.
 _SIGN_EPS = 1e-12
 _EPS = np.finfo(float).eps
+# What _coerce expects, by number of axes.
+_SHAPES = {1: "a vector", 2: "a {}matrix", 3: "a stack of {}matrices"}
 
 
-def _coerce_square(data, ndim: int = 2) -> np.ndarray:
-    """Validate and copy raw input into a float square array, or with
-    ndim=3 into a stack of them."""
-    a = np.array(data, dtype=float)
-    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+def _coerce(data, ndim: int = 2, square: bool = True) -> np.ndarray:
+    """The gate for raw input: a C-ordered float copy of `data`, which must
+    have `ndim` axes, the last two equal if `square` (else
+    DimensionMismatch), and finite entries (else ValueError)."""
+    a = np.array(data, dtype=float, order="C")
+    if a.ndim != ndim or (square and a.shape[-1] != a.shape[-2]):
+        raise DimensionMismatch(f"expected {_SHAPES[ndim].format('square ' * square)}, got shape {a.shape}")
     if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
+        raise ValueError("array entries must be finite")
     return a
 
 
@@ -74,13 +81,13 @@ def sym_array(data) -> np.ndarray:
     finite), copied to float and symmetrized."""
     if isinstance(data, SymMatrix):
         return data.a
-    return _symmetrize(_coerce_square(data))
+    return _symmetrize(_coerce(data))
 
 
 def sym_stack(data) -> np.ndarray:
     """A (k, n, n) stack of matrices, each checked and symmetrized as
     sym_array does with one."""
-    return _symmetrize(_coerce_square(data, ndim=3))
+    return _symmetrize(_coerce(data, ndim=3))
 
 
 def derived(what: str, op, *args) -> np.ndarray:
@@ -241,7 +248,6 @@ def column_span(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, floa
     smallest singular value kept (Wedin, BIT 12, 1972), 0 when none is
     kept.  The rank cutoff's margin over roundoff decides which columns
     are kept, not how far they turn."""
-    m = np.asarray(m, dtype=float)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     keep = s > tol.rank_cutoff(s, max(m.shape))
     if not keep.any():
@@ -253,7 +259,6 @@ def min_singular_value(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, bo
     """Smallest singular value of a square matrix and whether it clears the
     rank cutoff, i.e. whether the matrix is invertible to working
     precision.  An empty matrix counts as invertible with sigma_min 1."""
-    m = np.asarray(m, dtype=float)
     s = np.linalg.svd(m, compute_uv=False)
     return (float(s[-1]) if s.size else 1.0), bool((s > tol.rank_cutoff(s, max(m.shape))).all())
 
@@ -286,6 +291,5 @@ def image_in_span(m, basis, tol: ToleranceConfig = DEFAULT_TOL, slack=0.0) -> np
     by how much of M it carries, so an eigenvalue far below the others
     cannot fail the test through the roundoff in its eigenvector.  Stacks
     of M, bases and slacks give one answer per matrix."""
-    m = np.asarray(m, dtype=float)
     outside = m - basis @ (basis.swapaxes(-1, -2) @ m)
     return maxabs_stack(outside) <= tol.recon_tol * maxabs_stack(m) + slack

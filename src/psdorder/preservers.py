@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DimensionMismatch, InconsistentSamples, SingularS
 from .numkernel import (
     SymMatrix,
+    _coerce,
     _symmetrize,
     derived,
     maxabs_stack,
@@ -77,20 +78,26 @@ class MatrixMap:
 def congruence_map(s, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixMap:
     """The map A -> S A S^T for an invertible S.
 
-    Raises SingularS when S is singular to working precision, since a
-    non-invertible factor does not define an order automorphism.
+    Raises SingularS when S is empty or singular to working precision,
+    since a non-invertible factor defines no order automorphism; the map
+    raises DimensionMismatch on a matrix whose shape is not S's.
     """
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1] or not s.size:
-        raise SingularS(f"transform must be square and nonempty, got shape {s.shape}")
+    s = _coerce(s)
+    if not s.size:
+        raise SingularS("transform must be nonempty")
     sigma_min, invertible = min_singular_value(s, tol)
     if not invertible:
         raise SingularS(
             f"transform is singular to working precision (sigma_min={sigma_min:.3e})"
         )
-    s = s.copy()
     s.setflags(write=False)
-    return MatrixMap(label="congruence", fn=lambda a: s @ a @ s.T)
+
+    def congruence(a):
+        if a.shape != s.shape:
+            raise DimensionMismatch(f"a {len(s)}x{len(s)} congruence cannot map shape {a.shape}")
+        return s @ a @ s.T
+
+    return MatrixMap(label="congruence", fn=congruence)
 
 
 @dataclass
@@ -330,11 +337,10 @@ def fit_congruence(samples, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     if not samples:
         raise InconsistentSamples("no samples given")
     try:
-        given, outputs = (np.array(side, dtype=float) for side in zip(*samples))
-        if given.ndim != 3 or given.shape != outputs.shape or given.shape[1] != given.shape[2]:
-            raise ValueError("not a stack of square matrices")
-    except ValueError as exc:  # also numpy's error for matrices of mixed shapes
+        given, outputs = np.array(list(zip(*samples)), dtype=float)
+    except ValueError as exc:  # numpy's for matrices of mixed shapes, or samples that are not pairs
         raise DimensionMismatch("samples must be square matrices of one size") from exc
+    given, outputs = _coerce(given, ndim=3), _coerce(outputs, ndim=3)
     n = given.shape[1]
     if n == 0:
         raise DimensionMismatch("samples must be at least 1x1")

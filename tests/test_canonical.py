@@ -6,6 +6,7 @@ import pytest
 import oracles
 from psdorder import (
     DEFAULT_TOL,
+    DimensionMismatch,
     NotMinusComparable,
     NotPositiveSemidefinite,
     ToleranceConfig,
@@ -163,7 +164,8 @@ def test_sim_congruence_rejects_non_psd():
 
 
 def test_sim_congruence_rejects_size_mismatch():
-    with pytest.raises(NotMinusComparable):
+    # a shape error, as the order checks raise it, not a verdict on the pair
+    with pytest.raises(DimensionMismatch, match="size mismatch: 2 vs 3"):
         sim_congruence(np.eye(2), np.eye(3))
 
 

@@ -247,6 +247,17 @@ def test_preserver_verify(tmp_path, capsys):
                 "--relation", "lowner"]) == 2
 
 
+def test_preserver_verify_rejects_a_congruence_that_does_not_fit(tmp_path, capsys):
+    # a factor that is not square, and a square one of another size than --n
+    for s, n in (([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], []), (np.eye(2), ["--n", "3"])):
+        path = csv(tmp_path, "s.csv", s)
+        code = run(["preserver", "verify", "--map", f"congruence:{path}", "--relation", "lowner", *n])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
 def test_preserver_fit(tmp_path, capsys):
     from psdorder import probe_inputs
     rng = np.random.default_rng(5)

@@ -1,10 +1,15 @@
-"""The float-range contract, as properties over inputs scaled by 2^k.
+"""The float-range contract.
 
-Inputs are small integer matrices, PSD ones as G G^T, times 2^k with
-|k| <= 500, so every input is exact and finite while products of three
-of them pass the float range either way.  Every call either returns a
-result with no NaN anywhere in it, or raises a PsdOrderError subclass:
-never a bare ValueError, and never a numpy warning on the way.
+Raw input: every public entry that takes arrays checks each of them in
+one gate, so a NaN or an infinite entry raises ValueError and a wrong
+number of axes DimensionMismatch, whichever array it is in.
+
+Derived matrices, as properties over inputs scaled by 2^k: inputs are
+small integer matrices, PSD ones as G G^T, times 2^k with |k| <= 500, so
+every input is exact and finite while products of three of them pass the
+float range either way.  Every call either returns a result with no NaN
+anywhere in it, or raises a PsdOrderError subclass: never a bare
+ValueError, and never a numpy warning on the way.
 """
 
 import dataclasses
@@ -14,20 +19,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psdorder import (
+    DimensionMismatch,
     LinearModel,
+    MatrixMap,
+    MinusMethod,
+    PsdMatrix,
     PsdOrderError,
     Relation,
     SymMatrix,
     blue_check,
     congruence_map,
+    estimator_covariance,
     fit_congruence,
+    inertia,
+    lowner_leq,
+    matrices_equal,
     mc_quadratic_forms,
+    minus_leq,
     model_compare,
+    order_holds_many,
+    order_leq,
+    pinv,
     preserves_order,
     probe_inputs,
     projector_fixed_point_suite,
     qform_rank_criterion,
     sim_congruence,
+    star_family_leq,
+    sym_eig,
 )
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -48,6 +67,59 @@ def _scaled(draw, rows, cols):
 def _psd(draw, n):
     g = draw(_scaled(n, n))
     return g @ g.T
+
+
+_E1, _I = np.diag([1.0, 0.0]), np.eye(2)
+_S = np.array([[1.0, 1.0], [0.0, 1.0]])
+_X = np.array([[1.0], [0.0]])
+_MODEL = LinearModel(_X, _I)
+# probe samples of A -> S A S^T, then one more sample
+_GIVEN = np.array([*probe_inputs(2), _I])
+_OUTPUTS = _S @ _GIVEN @ _S.T
+
+# every public entry that takes arrays from its caller: a call with those
+# arrays as its arguments, and valid values of them
+_RAW_ENTRIES = {
+    "lowner_leq": (lowner_leq, _E1, _I),
+    **{f"minus_leq/{m.value}": (lambda a, b, m=m: minus_leq(a, b, method=m), _E1, _I) for m in MinusMethod},
+    "star_family_leq": (star_family_leq, _E1, _I),
+    "order_leq": (lambda a, b: order_leq(a, b, Relation.LOWNER), _E1, _I),
+    "matrices_equal": (matrices_equal, _E1, _I),
+    "order_holds_many": (lambda a, b: order_holds_many(a, b, Relation.MINUS), _E1[None], _I[None]),
+    "sim_congruence": (sim_congruence, _E1, _I),
+    "inertia": (inertia, _I),
+    "pinv": (pinv, _I),
+    "sym_eig": (sym_eig, _I),
+    "SymMatrix": (SymMatrix, _I),
+    "PsdMatrix": (PsdMatrix, _I),
+    "LinearModel": (LinearModel, _X, _I),
+    "model_compare": (lambda x, d: model_compare(LinearModel(x, d), _MODEL), _X, _I),
+    "blue_check": (lambda l, x, d: blue_check(l, LinearModel(x, d)), _E1, _X, _I),
+    "estimator_covariance": (lambda l: estimator_covariance(l, _MODEL), _E1),
+    "qform_rank_criterion": (lambda a, v, mu: qform_rank_criterion([a], v, mu), _E1, _I, np.zeros(2)),
+    "mc_quadratic_forms": (lambda a, v, mu: mc_quadratic_forms([a], v, mu, 8, 0), _E1, _I, np.zeros(2)),
+    "congruence_map": (congruence_map, _S),
+    "MatrixMap.apply": (lambda a: MatrixMap.trace_inflation().apply(a), _I[None]),
+    "fit_congruence": (lambda given, outputs: fit_congruence(zip(given, outputs)), _GIVEN, _OUTPUTS),
+}
+# the argument that is the mean, read as a flat vector whatever its axes
+_FLAT = {"qform_rank_criterion": 2, "mc_quadratic_forms": 2}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", _RAW_ENTRIES)
+def test_every_raw_array_passes_one_gate(name):
+    call, *args = _RAW_ENTRIES[name]
+    call(*args)  # the valid arguments are accepted
+    for i, arg in enumerate(args):
+        for bad in (np.nan, np.inf, -np.inf):
+            poisoned = arg.copy()
+            poisoned.flat[-1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                call(*args[:i], poisoned, *args[i + 1:])
+        if _FLAT.get(name) != i:
+            with pytest.raises(DimensionMismatch):
+                call(*args[:i], arg[None], *args[i + 1:])
 
 
 def _floats(obj):

@@ -193,6 +193,13 @@ def test_dimension_mismatch():
         minus_leq(np.eye(3), np.eye(2))
 
 
+def test_empty_matrices_are_equal_in_the_loewner_order():
+    z = np.zeros((0, 0))
+    v = lowner_leq(z, z)
+    assert (v.holds, v.detail, v.certificate["min_eig"]) == (True, "equal", 0.0)
+    assert order_holds_many(np.zeros((2, 0, 0)), z, Relation.LOWNER).tolist() == [True, True]
+
+
 def test_verdicts_near_the_top_of_the_float_range():
     # entries above ~9e307 used to overflow when symmetrized; each verdict
     # must be that of the same pair scaled by 1e-300

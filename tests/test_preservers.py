@@ -61,6 +61,22 @@ def test_congruence_map_apply_and_reject():
         congruence_map(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(SingularS):
         congruence_map(np.zeros((3, 3)))
+    with pytest.raises(SingularS, match="nonempty"):
+        congruence_map(np.zeros((0, 0)))
+    # a factor that is not square is a shape error, not a singular one
+    for s in (np.ones((2, 3)), np.ones(3)):
+        with pytest.raises(DimensionMismatch):
+            congruence_map(s)
+
+
+def test_a_congruence_applied_at_another_size_raises_dimension_mismatch():
+    m = congruence_map(np.eye(3))
+    with pytest.raises(DimensionMismatch, match="3x3 congruence"):
+        m.apply(np.eye(2))
+    with pytest.raises(DimensionMismatch, match="3x3 congruence"):
+        preserves_order(m, Relation.LOWNER, 2, trials=4)
+    with pytest.raises(DimensionMismatch, match="3x3 congruence"):
+        projector_fixed_point_suite(m, 2, trials=4)
 
 
 @pytest.mark.filterwarnings("error")

@@ -81,6 +81,14 @@ def test_gammainc_monotone_and_bounded():
         assert np.all(np.diff(p) >= -1e-13)
 
 
+def test_gammainc_rejects_arguments_outside_its_domain():
+    for s in (0.0, -1.0):
+        with pytest.raises(ValueError, match="shape parameter"):
+            gammainc_lower_reg(s, 1.0)
+    with pytest.raises(ValueError, match="x >= 0"):
+        gammainc_lower_reg(1.0, [1.0, -0.5])
+
+
 def test_gammainc_special_point():
     # P(1, x) = 1 - exp(-x)
     assert gammainc_lower_reg(1.0, 3.0) == pytest.approx(1.0 - math.exp(-3.0), abs=1e-14)
@@ -96,6 +104,8 @@ def test_ks_uniform_distance():
     rng = np.random.default_rng(1)
     u = rng.uniform(size=200)
     assert ks_uniform_distance(u) == ks_uniform_distance(np.sort(u)[::-1])
+    with pytest.raises(ValueError, match="at least one value"):
+        ks_uniform_distance([])
 
 
 def test_ks_uniform_distance_calibration():
