@@ -423,6 +423,14 @@ def order_holds_many(a, b, relation: Relation | str, tol: ToleranceConfig = DEFA
     return holds_stack(a, b, relation, tol)
 
 
+def _pair_spectra(a, b) -> np.ndarray:
+    """The ascending spectra (k, 3, n) of A, B and B - A for stacks as
+    holds_stack takes them, from one eigh call (a shared B decomposed once)."""
+    values, _ = eigh_stack(np.concatenate([a, b, derived("B - A", np.subtract, b, a)]))
+    parts = np.split(values, [len(a), len(a) + len(b)])
+    return np.stack(np.broadcast_arrays(*parts), axis=1)
+
+
 def holds_stack(a, b, relation: Relation | str, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """order_holds_many on stacks as sym_stack returns them, B (k, n, n) or
     (1, n, n).  One stacked eigendecomposition covers the whole stack (of
@@ -433,8 +441,6 @@ def holds_stack(a, b, relation: Relation | str, tol: ToleranceConfig = DEFAULT_T
         values, _ = eigh_stack(derived("B - A", np.subtract, b, a))
         return _lowner_stack(a, b, values, tol)[1][:, 0]
     if relation is Relation.MINUS:
-        values, _ = eigh_stack(np.concatenate([a, b, derived("B - A", np.subtract, b, a)]))
-        parts = np.split(values, [len(a), len(a) + len(b)])
-        return _minus_stack(np.stack(np.broadcast_arrays(*parts), axis=1), tol)[0][0]
+        return _minus_stack(_pair_spectra(a, b), tol)[0][0]
     values, vectors = eigh_stack(b)
     return _star_stack(a, b, values, vectors, tol)[0]

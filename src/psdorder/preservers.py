@@ -26,8 +26,8 @@ from .numkernel import (
     sym_eig,
     sym_stack,
 )
-from .orders import Relation, holds_stack
-from .rng import box_muller, normal_matrix, substream, uniforms
+from .orders import Relation, _lowner_stack, _minus_stack, _pair_spectra, holds_stack
+from .rng import box_muller, substream, uniforms
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 # How many offending pairs a report keeps around for inspection.
@@ -132,134 +132,122 @@ class PreservationReport:
         return self.preserves_forward and self.preserves_backward
 
 
-def _draw(keys, streams, n: int) -> np.ndarray:
-    """One block of uniforms (k, len(streams), count) for a stack of trial
-    keys: row [i, j] starts the stream substream(keys[i], streams[j]).  The
+def _draw(parents, streams, n: int) -> np.ndarray:
+    """One block of uniforms, a row per stream substream(parent, stream) of
+    the uint64 arrays `parents` and `streams`, broadcast together.  The
     rows are long enough for n * n normals and for 3 n uniforms."""
     count = max(n * n, 3 * n)
-    children = substream(keys[:, None], np.array(streams, dtype=np.uint64))
-    return uniforms(children, count + count % 2)
+    return uniforms(substream(parents, streams), count + count % 2)
 
 
-def _normals(u, n: int) -> np.ndarray:
-    """(k, n, n) standard normals, row-major, from uniform rows u (k, count)."""
-    return box_muller(u)[:, :n * n].reshape(-1, n, n)
-
-
-def _orthogonal(z) -> np.ndarray:
-    """Q of the QR factorization of each matrix of a stack, with the column
-    signs that make the diagonal of R nonnegative."""
-    q, r = np.linalg.qr(z)
+def _orthogonal(z, n: int) -> np.ndarray:
+    """Q of the QR factorization of the (n, n) matrix of the first n * n
+    normals, row-major, of each row of z, with the column signs that make
+    the diagonal of R nonnegative."""
+    q, r = np.linalg.qr(z[:, :n * n].reshape(-1, n, n))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * np.sign(np.where(d == 0, 1.0, d))[:, None, :]
 
 
 def _congruent(s, d) -> np.ndarray:
-    """S diag(d) S^T for each S of a stack and row d of a (k, n) array."""
-    return (s * d[:, None, :]) @ s.swapaxes(-1, -2)
+    """S diag(d) S^T for each S of a stack (k, n, n) and row d of a (k, n)
+    array, or of each (k, n) block of an (m, k, n) array."""
+    return (s * d[..., None, :]) @ s.swapaxes(-1, -2)
 
 
-def _leading_ones(counts, n: int) -> np.ndarray:
-    """(k, n) rows of counts[i] ones followed by zeros."""
-    return (np.arange(n) < counts[:, None]).astype(float)
+# The streams a trial draws from, by relation (the star family shares the
+# star order's): a comparable or chain trial's, then an incomparable one's.
+_STREAMS = {
+    Relation.LOWNER: ((0, 1, 2), (7, 8, 9)),
+    Relation.MINUS: ((3, 16, 4), (10, 17, 11)),
+    Relation.STAR: ((5, 6), (12, 13)),
+}
 
 
-def _comparable_pair(relation: Relation, keys, n: int):
-    """Pairs related by construction (possibly equal), one per trial key."""
-    if relation is Relation.LOWNER:
-        u = _draw(keys, (0, 1, 2), n)
-        g = _normals(u[:, 0], n)
-        a = g @ g.swapaxes(-1, -2)
-        b = a.copy()
-        ks = (u[:, 1, 0] * (n + 1)).astype(int)
-        h = box_muller(u[:, 2])
-        # H H^T has k columns, drawn per trial, so it is formed per trial
-        for i in np.flatnonzero(ks):
-            hi = h[i, :n * ks[i]].reshape(n, ks[i])
-            b[i] = a[i] + hi @ hi.T
-        return a, b
-    if relation is Relation.MINUS:
-        # Orthogonal times bounded diagonal keeps the factor's condition
-        # number at most 4, so every intended eigendirection stays a solid
-        # fraction of the spectral radius even after a further congruence.
-        u = _draw(keys, (3, 16, 4), n)
-        s = _orthogonal(_normals(u[:, 0], n)) * (0.5 + 1.5 * u[:, 1, None, :n])
-        r = (u[:, 2, 0] * (n + 1)).astype(int)
-        k = r + (u[:, 2, 1] * (n - r + 1)).astype(int)
-        return _congruent(s, _leading_ones(r, n)), _congruent(s, _leading_ones(k, n))
-    # Star family: common eigenbasis, supports nested, shared part identical.
-    u = _draw(keys, (5, 6), n)
-    q = _orthogonal(_normals(u[:, 0], n))
-    v = u[:, 1]
-    support_a = v[:, :n] < 0.5
-    d_a = np.where(support_a, 0.5 + v[:, n:2 * n], 0.0)
-    grow = (~support_a) & (v[:, 2 * n:3 * n] < 0.5)
-    d_b = d_a + np.where(grow, 0.5 + v[:, n:2 * n], 0.0)
-    return _congruent(q, d_a), _congruent(q, d_b)
-
-
-def _incomparable_pair(relation: Relation, keys, n: int):
-    """Pairs related in neither direction, by construction, one per trial
-    key.
-
-    The PSD-order recipe keeps the difference indefinite with positive
-    trace, which also exercises maps that inflate by the trace (their
-    images become comparable although the originals are not).
-    """
-    if n < 2:
-        raise ValueError("incomparable pairs need n >= 2")
-    if relation is Relation.LOWNER:
-        u = _draw(keys, (7, 8, 9), n)
-        q = _orthogonal(_normals(u[:, 0], n))
-        d = 1.0 + u[:, 1, :n]
-        d[:, -1] = -(0.05 + 0.25 * u[:, 1, n - 1])
-        g = _normals(u[:, 2], n)
-        base = g @ g.swapaxes(-1, -2) + (np.abs(d[:, -1]) + 0.5)[:, None, None] * np.eye(n)
-        return base, base + _congruent(q, d)
-    if relation is Relation.MINUS:
-        u = _draw(keys, (10, 17, 11), n)
-        s = _orthogonal(_normals(u[:, 0], n)) * (0.5 + 1.5 * u[:, 1, None, :n])
-        d_a = _leading_ones(1 + (u[:, 2, 0] * (n - 1)).astype(int), n)
-        d_b = d_a * (1.5 + u[:, 2, 1:n + 1])
-        return _congruent(s, d_a), _congruent(s, d_b)
-    u = _draw(keys, (12, 13), n)
-    q = _orthogonal(_normals(u[:, 0], n))
-    d_a = 0.5 + u[:, 1, :n]
-    d_b = d_a.copy()
-    d_b[:, 0] *= 2.0
-    return _congruent(q, d_a), _congruent(q, d_b)
+def _lowner_pairs(u, u_chain, incomparable, chain, n: int):
+    """PSD-order pairs from the uniforms (k, 3, count) of their trials and
+    those of the chain trials' H.  Comparable: G G^T below G G^T + H H^T, H
+    of k columns drawn per trial.  Incomparable: G G^T, shifted to keep both
+    PD, and Q diag(d) Q^T above it, indefinite with positive trace (which
+    also exercises maps that inflate by the trace).  Chain: B + H H^T."""
+    # the streams read as normals: G and H (or Q and G), then the chain's H
+    z = box_muller(np.concatenate([u[:, 0], u[:, 2], u_chain]))
+    first, third, h_chain = np.split(z, [len(u), 2 * len(u)])
+    g = np.where(incomparable[:, None], third, first)[:, :n * n].reshape(-1, n, n)
+    a = g @ g.swapaxes(-1, -2)
+    b = a.copy()
+    ks = np.where(incomparable, 0, (u[:, 1, 0] * (n + 1)).astype(int))
+    # H H^T has k columns, drawn per trial: one product per value of k
+    for cols in set(ks[ks > 0].tolist()):
+        rows = np.flatnonzero(ks == cols)
+        h = third[rows, :n * cols].reshape(-1, n, cols)
+        b[rows] = a[rows] + h @ h.swapaxes(-1, -2)
+    inc = np.flatnonzero(incomparable)
+    if inc.size:
+        d = 1.0 + u[inc, 1, :n]
+        d[:, -1] = -(0.05 + 0.25 * u[inc, 1, n - 1])
+        a[inc] += (np.abs(d[:, -1]) + 0.5)[:, None, None] * np.eye(n)
+        b[inc] = a[inc] + _congruent(_orthogonal(first[inc], n), d)
+    cols = max(1, n // 2)
+    h = h_chain[:, :n * cols].reshape(-1, n, cols)
+    b[chain] += h @ h.swapaxes(-1, -2)
+    return a, b
 
 
 def sample_pair(relation, seed: int, trial, n: int):
     """Deterministic pair for one preservation trial, or (k, n, n) stacks
-    of the pairs of an array of trials, all drawn at once.
+    of the pairs of an array of trials.
 
-    Trials cycle through comparable, incomparable, chain-derived and a
-    second comparable draw, so both branches of each implication get
-    exercised with known ground truth.  A chain trial draws a comparable
-    pair from its own substream; only for the PSD order does it extend
-    that pair to the outer pair of a three-term ascending chain
-    A <= B <= B + H H^T.  Each pair is bit for bit the one a call for its
-    trial alone gives.
+    Trials cycle through comparable, incomparable (n >= 2, else ValueError),
+    chain-derived and a second comparable draw, so both branches of each
+    implication get exercised with known ground truth.  A chain trial draws
+    a comparable pair from its own substream; only for the PSD order does it
+    extend it to the outer pair of a chain A <= B <= B + H H^T.  All trials
+    are drawn in one pass: one substream call keys every stream from a table
+    of stream ids per trial, then one block of uniforms, one Box-Muller
+    pass, one stacked QR and one stacked S diag(d) S^T (or G G^T), selecting
+    rows by kind.  Each pair is bit for bit its trial's drawn alone.
     """
     relation = Relation(relation)
     trials = np.atleast_1d(trial)
+    incomparable, chain = trials % 4 == 1, trials % 4 == 2
+    if n < 2 and incomparable.any():
+        raise ValueError("incomparable pairs need n >= 2")
     keys = substream(seed, trials.astype(np.uint64))
-    kind = trials % 4
-    comparable = np.flatnonzero((kind == 0) | (kind == 3))
-    incomparable = np.flatnonzero(kind == 1)
-    chain = np.flatnonzero(kind == 2)
-    a, b = np.empty((2, len(trials), n, n))
-    rows = np.concatenate([comparable, chain])
-    if rows.size:
-        a[rows], b[rows] = _comparable_pair(
-            relation, np.concatenate([keys[comparable], substream(keys[chain], 14)]), n
-        )
-    if chain.size and relation is Relation.LOWNER:
-        h = normal_matrix(substream(keys[chain], 15), n, max(1, n // 2))
-        b[chain] += h @ h.swapaxes(-1, -2)
-    if incomparable.size:
-        a[incomparable], b[incomparable] = _incomparable_pair(relation, keys[incomparable], n)
+    table = np.array(_STREAMS.get(relation, _STREAMS[Relation.STAR]), dtype=np.uint64)[incomparable.astype(int)]
+    parents = np.where(chain, substream(keys, 14), keys)
+    parents, streams = (x.ravel() for x in np.broadcast_arrays(parents[:, None], table))
+    if relation is Relation.LOWNER:
+        # then the chain trials' H, from stream 15 of the trial key
+        parents = np.concatenate([parents, keys[chain]])
+        streams = np.concatenate([streams, np.full(chain.sum(), 15, dtype=np.uint64)])
+    u, u_chain = np.split(_draw(parents, streams, n), [table.size])
+    u = u.reshape(*table.shape, -1)
+    if relation is Relation.LOWNER:
+        a, b = _lowner_pairs(u, u_chain, incomparable, chain, n)
+        return (a[0], b[0]) if np.ndim(trial) == 0 else (a, b)
+    inc, s, v = incomparable[:, None], _orthogonal(box_muller(u[:, 0]), n), u[:, -1]
+    if relation is Relation.MINUS:
+        # orthogonal times bounded diagonal keeps S's condition number at most
+        # 4, so every intended eigendirection stays a solid fraction of the
+        # spectral radius even after a further congruence.  Comparable: E_r
+        # below E_k, k >= r; incomparable: E_r (r >= 1) and E_r scaled
+        s = s * (0.5 + 1.5 * u[:, 1, None, :n])
+        r = (v[:, 0] * (n + 1)).astype(int)
+        ranks = np.array([np.where(incomparable, 1 + (v[:, 0] * (n - 1)).astype(int), r),
+                          r + (v[:, 1] * (n - r + 1)).astype(int)])
+        # rows of as many ones as each rank, then zeros
+        d_a, ones_b = (np.arange(n) < ranks[..., None]).astype(float)
+        d_b = np.where(inc, d_a * (1.5 + v[:, 1:n + 1]), ones_b)
+    else:
+        # one eigenbasis.  Comparable: supports nested, shared part
+        # identical; incomparable: full supports, B doubling A's first value
+        support = v[:, :n] < 0.5
+        grow = ~support & (v[:, 2 * n:3 * n] < 0.5)
+        d_a = np.where(inc, 0.5 + v[:, :n], np.where(support, 0.5 + v[:, n:2 * n], 0.0))
+        d_b = np.where(inc, d_a * np.where(np.arange(n) == 0, 2.0, 1.0),
+                       d_a + np.where(grow, 0.5 + v[:, n:2 * n], 0.0))
+    a, b = _congruent(s, np.array([d_a, d_b]))
     return (a[0], b[0]) if np.ndim(trial) == 0 else (a, b)
 
 
@@ -276,10 +264,10 @@ def preserves_order(
     For each generated pair the forward implication (related originals must
     have related images) and the backward implication (related images must
     come from related originals) are tallied separately; see sample_pair
-    for how the pairs are drawn.  All trials are drawn in one sample_pair
-    call, checked and symmetrized once, mapped as one stack whose images
-    are checked and symmetrized once, and all 2 * trials verdicts, before
-    and after the map, are decided in one stacked check (holds_stack).
+    for how the pairs are drawn, all in one pass.  They are checked and
+    symmetrized once, mapped as one stack whose images are checked and
+    symmetrized once, and all 2 * trials verdicts, before and after the
+    map, are decided in one stacked check (holds_stack).
     Needs trials >= 1 and n >= 2, else ValueError.
     """
     if trials < 1 or n < 2:
@@ -404,9 +392,9 @@ def _projectors(seed: int, trials: int, n: int):
     """The rank k, projector P = Q_k Q_k^T and shrink factor t of every
     projector_fixed_point_suite trial, all drawn at once."""
     keys = substream(seed, np.arange(trials, dtype=np.uint64), 1)
-    u = _draw(keys, (0, 1, 2), n)
+    u = _draw(keys[:, None], np.arange(3, dtype=np.uint64), n)
     ranks = (u[:, 0, 0] * (n + 1)).astype(int)
-    q = _orthogonal(_normals(u[:, 1], n))
+    q = _orthogonal(box_muller(u[:, 1]), n)
     projectors = np.empty((trials, n, n))
     # P has k columns, drawn per trial, so it is formed per trial
     for t, k in enumerate(ranks):
@@ -428,10 +416,10 @@ def projector_fixed_point_suite(
     stays below I only in the PSD sense.  Each trial draws a random
     projector, asserts those facts, applies the map, and tallies whether
     the image pairs still relate the same way.  All trials are drawn at
-    once and mapped as one stack.  The Loewner verdicts of all trials below
-    I are decided in one stacked check and those of their images below the
-    image of I in another, and so are the minus verdicts, each check
-    decomposing its shared upper matrix once.  Needs trials, n >= 1.
+    once and mapped as one stack.  One stacked eigh call decomposes every
+    P, t P, I, I - P and I - t P, and one their images: the Loewner
+    verdicts read the differences' spectra, the minus verdicts all of
+    them.  Needs trials, n >= 1.
     """
     if trials < 1 or n < 1:
         raise ValueError(f"projector_fixed_point_suite needs trials >= 1 and n >= 1, got trials={trials}, n={n}")
@@ -444,11 +432,10 @@ def projector_fixed_point_suite(
     identity = np.eye(n)
     x = sym_stack(np.concatenate([projectors, shrink[:, None, None] * projectors, identity[None]]))
     fx = _symmetrize(derived("a map image", mmap._images, x))
-    sides = ((x[:-1], x[-1:]), (fx[:-1], fx[-1:]))
-    lowner, minus = (
-        np.array([holds_stack(below, top, rel, tol) for below, top in sides]).reshape(2, 2, trials)
-        for rel in (Relation.LOWNER, Relation.MINUS)
-    )
+    # one decomposition per side, read by the Loewner and the minus decisions
+    sides = [(m[:-1], m[-1:], _pair_spectra(m[:-1], m[-1:])) for m in (x, fx)]
+    lowner = np.reshape([_lowner_stack(a, b, v[:, 2], tol)[1][:, 0] for a, b, v in sides], (2, 2, trials))
+    minus = np.reshape([_minus_stack(v, tol)[0][0] for *_, v in sides], (2, 2, trials))
     # P <= I in both orders, t P <= I in the PSD order only (unless P = 0)
     on_interval = lowner[:, 0] & minus[:, 0] & lowner[:, 1] & ((ranks == 0) | ~minus[:, 1])
     invariant, image = on_interval

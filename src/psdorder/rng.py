@@ -15,6 +15,8 @@ this way (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
 SC'11, on keyed counter-based streams).
 """
 
+import operator
+
 import numpy as np
 
 _M64 = (1 << 64) - 1
@@ -33,6 +35,11 @@ def _mix64(x):
     return x ^ (x >> 31)
 
 
+def _key(x):
+    """A uint64 array as it is, an integer scalar as its Python int mod 2**64."""
+    return x if isinstance(x, np.ndarray) else operator.index(x) & _M64
+
+
 def substream(seed, *indices):
     """Derive a child seed from a parent seed and a path of indices.
 
@@ -42,15 +49,15 @@ def substream(seed, *indices):
     arithmetic of the streams themselves; uint64 arrays of seeds or indices
     give the children of every combination, broadcast together.
     """
-    key = seed & _M64
+    key = _key(seed)
     for idx in indices:
-        key = _mix64(key ^ ((_mix64(idx & _M64) + _GOLDEN) & _M64))
+        key = _mix64(key ^ ((_mix64(_key(idx)) + _GOLDEN) & _M64))
     return key
 
 
 def _raw(seed, count: int) -> np.ndarray:
     counters = np.arange(1, count + 1, dtype=np.uint64)
-    keys = np.asarray(seed & _M64, dtype=np.uint64)[..., None]
+    keys = np.asarray(_key(seed), dtype=np.uint64)[..., None]
     return _mix64(keys + counters * np.uint64(_GOLDEN))
 
 

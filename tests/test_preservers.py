@@ -169,7 +169,7 @@ def test_sample_pair_mix():
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 10])
-@pytest.mark.parametrize("relation", ["lowner", "minus", "star"])
+@pytest.mark.parametrize("relation", ["lowner", "minus", "star", "right-star"])
 def test_stacked_sampler_matches_per_trial_reference(relation, n):
     for seed in (0, 7, -3, 2**64 + 11):
         a, b = sample_pair(relation, seed, np.arange(13), n)

@@ -1,7 +1,12 @@
 """Counter-based random streams: determinism, seed arrays, rough moments."""
 
-import numpy as np
+import warnings
 
+import numpy as np
+import pytest
+
+from psdorder import MatrixMap, mc_quadratic_forms, preserves_order, projector_fixed_point_suite
+from psdorder.preservers import sample_pair
 from psdorder.rng import normal_matrix, normals, substream, uniforms
 
 
@@ -85,3 +90,32 @@ def test_substream_of_arrays_broadcasts_seeds_and_indices():
     assert keys.dtype == np.uint64 and keys.shape == (3, 3)
     assert keys.tolist() == [[substream(s, i, 1) for i in indices] for s in seeds]
     assert substream(-3, np.arange(4, dtype=np.uint64)).tolist() == [substream(-3, t) for t in range(4)]
+
+
+@pytest.mark.parametrize("dtype, seed", [
+    (np.int64, 7), (np.int64, -3), (np.int32, 7), (np.int32, -3), (np.uint64, 0), (np.uint64, 2**63 + 5),
+])
+def test_numpy_integer_seeds_draw_as_the_python_int(dtype, seed):
+    # a numpy integer seed or index is the Python int it equals, reduced
+    # mod 2**64 like any other, with no overflow error or warning
+    as_np = dtype(seed)
+    m = MatrixMap.trace_inflation()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert substream(as_np, dtype(3), 5) == substream(seed, 3, 5)
+        assert substream(2, as_np) == substream(2, seed)
+        assert uniforms(as_np, 7).tobytes() == uniforms(seed, 7).tobytes()
+        assert normals(as_np, 7).tobytes() == normals(seed, 7).tobytes()
+        assert normal_matrix(as_np, 2, 3).tobytes() == normal_matrix(seed, 2, 3).tobytes()
+        for got, want in zip(sample_pair("minus", as_np, np.arange(5), 3), sample_pair("minus", seed, np.arange(5), 3)):
+            assert got.tobytes() == want.tobytes()
+        for sweep in (
+            lambda s: preserves_order(m, "lowner", n=3, trials=8, seed=s),
+            lambda s: projector_fixed_point_suite(m, n=3, trials=8, seed=s),
+        ):
+            got, want = sweep(as_np), sweep(seed)
+            assert (got.forward_failures, got.backward_failures) == (want.forward_failures, want.backward_failures)
+            assert (got.forward_checked, got.backward_checked) == (want.forward_checked, want.backward_checked)
+        got, want = (mc_quadratic_forms([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], np.eye(2), np.zeros(2), 50, s)
+                     for s in (as_np, seed))
+        assert got.corr.tobytes() == want.corr.tobytes() and got.ks == want.ks

@@ -117,8 +117,29 @@ def test_sweep_eigh_calls_do_not_grow_with_trials(eigh_calls, relation):
         assert len(eigh_calls) == 1, (relation, trials)
         eigh_calls.clear()
         projector_fixed_point_suite(mmap, n=3, trials=trials, seed=5)
-        # Loewner and minus stacks below I and below the image of I
-        assert len(eigh_calls) == 4, trials
+        # one stack per side, P, t P, I and the differences, then their
+        # images: the Loewner and the minus decisions read the same spectra
+        assert len(eigh_calls) == 2, trials
+        assert sum(map(len, eigh_calls)) == 8 * trials + 2, trials
+
+
+@pytest.mark.parametrize("relation", ["lowner", "minus", "star"])
+def test_sampler_makes_one_qr_call_per_draw(monkeypatch, relation):
+    # every kind of trial is drawn in one pass, so all the orthogonal
+    # factors of a call come from one stacked QR, whatever the mix of kinds
+    calls = []
+    real = np.linalg.qr
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    for trials in (1, 4, 13, 40):
+        calls.clear()
+        sample_pair(relation, 5, np.arange(trials), 4)
+        # the PSD order's comparable and chain pairs need no Q
+        assert len(calls) == int(relation != "lowner" or trials > 1), (relation, trials, calls)
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 16])
