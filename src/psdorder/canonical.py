@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotMinusComparable, PsdOrderError
-from .numkernel import (canonical_order, derived, eigh_stack, min_singular_value, rel_residual, require_psd,
-                        sym_array, sym_eig)
+from .errors import NotMinusComparable, PsdOrderError
+from .numkernel import (_symmetrize, canonical_order, derived, eigh_stack, min_singular_value, rel_residual,
+                        require_psd, sym_array, sym_pair)
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -76,18 +76,16 @@ def inertia(a, tol: ToleranceConfig = DEFAULT_TOL) -> Inertia:
 def sim_congruence(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SimCongResult:
     """One congruence bringing a rank-subtractive PSD pair to (E_r, E_s).
 
-    A and B are decomposed in one call and certified PSD from their
-    eigenvalues; B's eigenvectors are then put in canonical order and the
-    pair is reduced as _sim_congruence describes.
+    A and B pass the gate as one stack (numkernel.sym_pair), are decomposed
+    in one call and certified PSD from their eigenvalues; B's eigenvectors
+    are then put in canonical order and the pair is reduced as
+    _sim_congruence describes.
     """
-    a, b = sym_array(a), sym_array(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"size mismatch: {len(a)} vs {len(b)}")
-    pair = np.array([a, b])
+    pair, _ = sym_pair(a, b)
     values, vectors = eigh_stack(pair)
     require_psd(pair, values, tol)
     (values_b,), (vectors_b,) = canonical_order(values[1:], vectors[1:])
-    return _sim_congruence(a, b, values_b, vectors_b, tol)
+    return _sim_congruence(*pair, values_b, vectors_b, tol)
 
 
 def _sim_congruence(a, b, values_b, vectors_b, tol: ToleranceConfig) -> SimCongResult:
@@ -124,8 +122,9 @@ def _sim_congruence(a, b, values_b, vectors_b, tol: ToleranceConfig) -> SimCongR
             f"transformed A leaks {spill:.3e} outside the rank-{s_rank} block"
         )
 
-    # P^2 = P in spectral form on a unit-scale block, judged as identities are
-    lam, u = sym_eig(a_tilde[:s_rank, :s_rank])
+    # P^2 = P in spectral form on a unit-scale block, judged as identities
+    # are; the block is derived, so finite, and is symmetrized as raw input is
+    (lam,), (u,) = canonical_order(*eigh_stack(_symmetrize(a_tilde[None, :s_rank, :s_rank])))
     near_one = np.abs(lam - 1.0) <= tol.recon_tol
     near_zero = np.abs(lam) <= tol.recon_tol
     if not np.all(near_one | near_zero):

@@ -31,7 +31,7 @@ from .numkernel import (
     require_psd,
     sym_array,
 )
-from .orders import OrderVerdict, _equal, _lowner_verdicts, _rank_verdicts
+from .orders import OrderVerdict, _equal, _lowner_verdicts, _pair_scale, _rank_verdicts
 from .rng import normal_matrix, substream
 from .special import chi2_cdf, ks_uniform_distance
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -172,7 +172,7 @@ def model_compare(
     stack = np.array([m1, m2, derived("M1 - M2", np.subtract, m1, m2)])
     values, vectors = eigh_stack(stack)
     require_psd(stack[:2], values[:2], tol)
-    forward, backward = _lowner_verdicts(m2, m1, values[2:], vectors[2:], tol, 2)
+    forward, backward = _lowner_verdicts(_pair_scale(stack[:2]), values[2:], vectors[2:], tol, 2)
     return ComparisonVerdict(
         l1_geq_l2=forward.holds,
         l2_geq_l1=backward.holds,
@@ -218,7 +218,7 @@ def blue_check(l, model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) -> Blu
     pair = np.array([v_ly, v_y])
     values, vectors = eigh_stack(pair)
     require_psd(pair, values, tol)
-    if _equal(v_ly, v_y, derived("V(y) - V(Ly)", np.subtract, v_y, v_ly), tol):
+    if _equal(derived("V(y) - V(Ly)", np.subtract, v_y, v_ly), _pair_scale(pair).item(), tol):
         raise PreconditionViolated(
             "V(Ly) equals V(y); the estimator conditions do not apply"
         )

@@ -8,7 +8,12 @@ Conventions shared by everything built on top of this module:
   is not square, and ValueError for a non-finite entry.  sym_array (one
   matrix) and sym_stack (a stack) pass a symmetric argument through it and
   symmetrize it as 0.5 A + 0.5 A^T, which cannot overflow; a SymMatrix is
-  sym_array's result made read-only,
+  sym_array's result made read-only.  sym_pair passes the two matrices of
+  a pair through it as one stack and scans them once: a pair entry of
+  the orders scans B - A alone, finite exactly when A and B are and
+  their difference stays in range, and only when that scan fails does
+  it scan A and B to tell ValueError from PsdOrderError; every fault
+  raises what it raises alone,
 - a matrix derived from checked input (B - A, D + X X^T, W^T A W, a
   map's images) is formed by `derived`, which raises PsdOrderError when
   it leaves the float range; a residual beyond it is inf to rel_residual
@@ -21,9 +26,12 @@ Conventions shared by everything built on top of this module:
   result, sorts eigenvalues descending and makes the first nonzero
   component of each eigenvector positive, so a factorization is
   reproducible run to run; sym_eig is eigh_stack and canonical_order on
-  one matrix, and returns its values and vectors as arrays.  A
-  containment test needs no order: image_in_span takes the eigenvectors
-  as eigh returns them, those under the cutoff zeroed,
+  one matrix, and returns its values and vectors as arrays.  Where a
+  result shows one eigenvector (a Loewner witness), canonical_column
+  reads it from eigh's columns, bit for bit the column canonical_order
+  would give, with nothing sorted.  A containment test needs no order:
+  image_in_span takes the eigenvectors as eigh returns them, those under
+  the cutoff zeroed,
 - a spectrum is owned by the call that computed it and handed on as
   arrays, never kept on a matrix object: a PsdMatrix is certified from
   its eigenvalues and keeps none, and require_psd certifies a whole
@@ -56,14 +64,16 @@ _EPS = np.finfo(float).eps
 _SHAPES = {1: "a vector", 2: "a {}matrix", 3: "a stack of {}matrices"}
 
 
-def _coerce(data, ndim: int = 2, square: bool = True) -> np.ndarray:
+def _coerce(data, ndim: int = 2, square: bool = True, finite: bool = True) -> np.ndarray:
     """The gate for raw input: a C-ordered float copy of `data`, which must
     have `ndim` axes, the last two equal if `square` (else
-    DimensionMismatch), and finite entries (else ValueError)."""
+    DimensionMismatch), and finite entries (else ValueError).  finite=False
+    leaves the entries to the caller, which scans a result that is finite
+    only where they are (sym_pair scans B - A)."""
     a = np.array(data, dtype=float, order="C")
     if a.ndim != ndim or (square and a.shape[-1] != a.shape[-2]):
         raise DimensionMismatch(f"expected {_SHAPES[ndim].format('square ' * square)}, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if finite and not np.isfinite(a).all():
         raise ValueError("array entries must be finite")
     return a
 
@@ -88,6 +98,32 @@ def sym_stack(data) -> np.ndarray:
     """A (k, n, n) stack of matrices, each checked and symmetrized as
     sym_array does with one."""
     return _symmetrize(_coerce(data, ndim=3))
+
+
+def sym_pair(a, b, difference: bool = False):
+    """A pair of square matrices of one shape, checked and symmetrized as
+    sym_array does each, as one (2, n, n) stack; with `difference`, also
+    B - A, formed as derived forms it (else None).
+
+    Raw A and B of one shape pass _coerce as one stack: one copy and one
+    finiteness scan, of B - A when it is formed, since symmetrized A and B
+    are finite wherever B - A is.  On any fault the pair goes through
+    sym_array one matrix at a time, A first, then the size check and
+    derived, so that each fault raises the error it raises alone.
+    """
+    if not isinstance(a, SymMatrix) and not isinstance(b, SymMatrix):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                ab = _symmetrize(_coerce((a, b), ndim=3, finite=not difference))
+                d = np.subtract(ab[1], ab[0]) if difference else None
+            if d is None or np.isfinite(d).all():
+                return ab, d
+        except (DimensionMismatch, ValueError, TypeError):
+            pass
+    a, b = sym_array(a), sym_array(b)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"size mismatch: {len(a)} vs {len(b)}")
+    return np.array([a, b]), (derived("B - A", np.subtract, b, a) if difference else None)
 
 
 def derived(what: str, op, *args) -> np.ndarray:
@@ -116,9 +152,15 @@ def rel_residual(diff, *refs) -> float:
     zero, inf (failing every budget) when it is not but every ref is, or
     when diff is not finite (a residual beyond the float range)."""
     num = maxabs(diff)
+    # the refs are scanned only for a nonzero residual
+    return over_scale(num, max(map(maxabs, refs))) if num else 0.0
+
+
+def over_scale(num: float, den: float) -> float:
+    """rel_residual from the largest entries, `num` of the residual and
+    `den` of the matrices compared."""
     if num == 0.0:
         return 0.0
-    den = max(map(maxabs, refs))
     return num / den if den > 0.0 and num < np.inf else np.inf
 
 
@@ -230,6 +272,20 @@ def canonical_order(values: np.ndarray, vectors: np.ndarray):
     values.setflags(write=False)
     rows.setflags(write=False)
     return values, np.swapaxes(rows, -1, -2)
+
+
+def canonical_column(values: np.ndarray, vectors: np.ndarray, last: bool) -> np.ndarray:
+    """The last (last=True) or the first eigenvector column that
+    canonical_order gives one spectrum, values (n,) and vectors (n, n) as
+    eigh returns them, bit for bit, with no other column sorted: its stable
+    descending sort puts last eigh's column t - 1, t the number of
+    eigenvalues equal to the smallest, and first column n - t', t' the
+    number equal to the largest."""
+    spectrum = values.tolist()
+    x = vectors[:, spectrum.count(spectrum[0]) - 1 if last else len(spectrum) - spectrum.count(spectrum[-1])]
+    entries = x.tolist()
+    lead = next((e for e in entries if abs(e) > _SIGN_EPS), entries[0])
+    return -x if lead < 0 else x
 
 
 def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:

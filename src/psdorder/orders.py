@@ -13,11 +13,15 @@ Each decision is written once, over stacks of pairs with a leading axis
 (_lowner_stack, _minus_stack, _star_stack): order_holds_many decides a
 whole stack from one stacked eigendecomposition, and the scalar checks
 read their verdict and certificate from the same arithmetic at k = 1.
-A scalar check checks and symmetrizes each input once, forms B - A once,
-and decomposes all its matrices in one stacked eigh call.  Eigenvectors
-are put in canonical order only where the bits of a result depend on
-their order (the ginv route, a Loewner witness); the star and image
-containment tests read them as eigh returns them.
+A scalar check passes A and B through one gate as a stack (_pair), forms
+B - A once and scans only it for finiteness, takes the largest entries
+of A and B in one scan where a threshold or a scale needs them, and
+decomposes all its matrices in one stacked eigh call.  Eigenvectors are
+put in canonical order only where the bits of a result depend on their
+order: the ginv route, for a pair that passes one of its rank equations.
+A Loewner witness is the one column canonical_order would give, read
+from eigh's output by canonical_column; the star and image containment
+tests read the eigenvectors as eigh returns them.
 """
 
 import math
@@ -29,16 +33,18 @@ import numpy as np
 from .errors import DimensionMismatch, PsdOrderError
 from .numkernel import (
     _spectral_pinv,
+    canonical_column,
     canonical_order,
     derived,
     eigh_stack,
     identity_budget,
     image_in_span,
+    maxabs,
     maxabs_stack,
     min_singular_value,
-    rel_residual,
+    over_scale,
     rel_residual_stack,
-    sym_array,
+    sym_pair,
     sym_stack,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -74,23 +80,33 @@ class OrderVerdict:
 
 
 def _pair(a, b):
-    """A, B and B - A as arrays, each input checked and symmetrized once."""
-    a, b = sym_array(a), sym_array(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"size mismatch: {len(a)} vs {len(b)}")
-    return a, b, derived("B - A", np.subtract, b, a)
+    """A and B checked and symmetrized, as one (2, n, n) stack, and B - A,
+    through numkernel.sym_pair: raw input is copied once and scanned once,
+    as B - A, for finiteness.  A non-finite entry of A or B raises
+    ValueError, as sym_array does, and a finite pair whose difference
+    leaves the float range PsdOrderError."""
+    return sym_pair(a, b, difference=True)
+
+
+def _pair_scale(ab):
+    """The largest entry of A and B together, as a (1,) array, from their
+    (2, n, n) stack in one scan."""
+    return maxabs_stack(ab.reshape(1, 2 * ab.shape[-1], ab.shape[-1]))
 
 
 def matrices_equal(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Equality up to the reconstruction tolerance, relative to the larger
     of the two entry scales; exactly equal matrices (zero included) are
     always equal."""
-    return _equal(*_pair(a, b), tol)
+    ab, d = _pair(a, b)
+    return _equal(d, _pair_scale(ab).item(), tol)
 
 
-def _equal(a, b, d, tol):
-    """matrices_equal on symmetric arrays A, B and their difference d."""
-    return rel_residual(d, a, b) <= tol.recon_tol
+def _equal(d, scale, tol):
+    """matrices_equal from the difference d of two symmetric arrays and the
+    largest entry `scale` of the two: rel_residual(d, A, B) against
+    recon_tol."""
+    return over_scale(maxabs(d), scale) <= tol.recon_tol
 
 
 def _detail(holds: bool, equal: bool, reverse_holds: bool) -> str:
@@ -103,15 +119,15 @@ def _detail(holds: bool, equal: bool, reverse_holds: bool) -> str:
     return "incomparable"
 
 
-def _lowner_stack(a, b, values, tol):
+def _lowner_stack(scale, values, tol):
     """Loewner decisions for stacked pairs, from the ascending spectra
     `values` (k, n) of their differences B - A, both read from them: B <= A
     is the PSD test of the negation.  Returns the smallest eigenvalues of
     B - A and of A - B (k, 2), whether each is at least -threshold (A <= B,
     B <= A; a pair is equal when both hold, i.e. every eigenvalue of B - A
-    is within the threshold), and the threshold: psd_tol times the largest
-    entry of A and B."""
-    threshold = tol.psd_tol * np.maximum(maxabs_stack(a), maxabs_stack(b))
+    is within the threshold), and the threshold: psd_tol times `scale`
+    (k,), the largest entry of each pair's A and B."""
+    threshold = tol.psd_tol * scale
     if values.shape[-1]:
         min_eigs = values[:, [0, -1]]
         min_eigs[:, 1] *= -1.0
@@ -124,15 +140,15 @@ def _lowner_stack(a, b, values, tol):
     return min_eigs, min_eigs >= -threshold[:, None], threshold
 
 
-def _lowner_verdicts(a, b, values, vectors, tol, count):
+def _lowner_verdicts(scale, values, vectors, tol, count):
     """The first `count` of the verdicts A <= B and B <= A, from the one
     spectrum of B - A, values (1, n) and vectors (1, n, n) as eigh_stack
-    returns them; eigenvectors are ordered only for a verdict that fails,
-    to give its witness."""
-    min_eigs, holds, threshold = _lowner_stack(a[None], b[None], values, tol)
+    returns them, and the largest entry `scale` (1,) of A and B.  A verdict
+    that fails gives as its witness the one eigenvector that
+    canonical_order would put last (A <= B) or first (B <= A), read from
+    eigh's columns by canonical_column; no other eigenvector is ordered."""
+    min_eigs, holds, threshold = _lowner_stack(scale, values, tol)
     (min_eigs,), (holds,), (threshold,) = min_eigs.tolist(), holds.tolist(), threshold.tolist()
-    if not all(holds[:count]):
-        vectors = canonical_order(values, vectors)[1][0]
     return tuple(
         OrderVerdict(
             holds=holds[i],
@@ -141,7 +157,7 @@ def _lowner_verdicts(a, b, values, vectors, tol, count):
                 "min_eig": min_eigs[i],
                 "threshold": threshold,
                 # the eigenvector of the smallest eigenvalue of B - A, or of A - B
-                "witness": None if holds[i] else vectors[:, (-1, 0)[i]],
+                "witness": None if holds[i] else canonical_column(values[0], vectors[0], last=i == 0),
             },
             detail=_detail(holds[i], all(holds), holds[1 - i]),
         )
@@ -156,8 +172,8 @@ def lowner_leq(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
     it was held against and, on failure, a unit vector x with
     x^T (B - A) x < 0.
     """
-    a, b, d = _pair(a, b)
-    return _lowner_verdicts(a, b, *eigh_stack(d[None]), tol, 1)[0]
+    ab, d = _pair(a, b)
+    return _lowner_verdicts(_pair_scale(ab), *eigh_stack(d[None]), tol, 1)[0]
 
 
 # _minus_stack's decisions: r_B - r_A - r_{B-A}, r_A - r_B - r_{B-A} and r_{B-A} vanish
@@ -224,31 +240,27 @@ def _minus_by_image(a, d, span_b, dims, cutoff, tol):
     return holds, cert
 
 
-def _minus_by_ginv(a, b, d, values, vectors, cutoff, tol):
+def _minus_by_ginv(a, b, d, values, vectors, dims, cutoff, tol):
     """Constructive route: build an inner inverse G of A with G A = G B and
     A G = B G, which exists exactly when A is below B.
 
     G is assembled from the oblique projector onto Im A along
     Im(B - A) (+) (Im B)-perp; if the three pieces fail to decompose R^n the
     pair is not comparable and the certificate says which check failed.
-    `values`, `vectors`: the canonical spectra of A, B and B - A, masked
-    by the shared cutoff; A^+ reads A's under its own.
+    `dims` are the ranks of A, B and B - A under the shared cutoff, as the
+    rank equation counted them: the pieces' dimensions add up to n exactly
+    where that equation holds, and the spectra are read only past that
+    test.  `values`, `vectors`: the canonical spectra of A, B and B - A,
+    masked by the cutoff; A^+ reads A's under its own.
     """
-    keep_a, keep, keep_d = (np.abs(v) > cutoff for v in values)
-    q_a, q_b, q_d = vectors
-    u_a = q_a[:, keep_a]
-    u_c = q_d[:, keep_d]
-    u_perp = q_b[:, ~keep]
-    r = u_a.shape[1]
-    cert: dict = {
-        "dim_a": r,
-        "dim_b": int(keep.sum()),
-        "dim_diff": u_c.shape[1],
-    }
-    if r + u_c.shape[1] + u_perp.shape[1] != len(a):
+    r, dim_b, dim_c = dims
+    cert: dict = {"dim_a": r, "dim_b": dim_b, "dim_diff": dim_c}
+    if r + dim_c != dim_b:
         cert["reason"] = "dimension mismatch"
         return False, cert
-    m = np.hstack([u_a, u_c, u_perp])
+    keep_a, keep, keep_d = (np.abs(v) > cutoff for v in values)
+    q_a, q_b, q_d = vectors
+    m = np.hstack([q_a[:, keep_a], q_d[:, keep_d], q_b[:, ~keep]])
     cert["sigma_min"], direct = min_singular_value(m, tol)
     if not direct:
         cert["reason"] = "sum not direct"
@@ -283,14 +295,17 @@ def minus_leq(
     inverse witness.  All three count against one cutoff from the spectra
     of A, B and B - A, decomposed together, and they agree whenever those
     rank decisions are clean.  The rank route reads both directions from
-    the one count of _minus_stack, and the image route its dimensions; the
-    image and ginv routes rerun on (B, A) with the same cutoff, the ginv
-    route on the negated spectrum of B - A.  Each holds only where the
-    rank equation does, so the rerun is skipped where the reverse equation
-    fails.
+    the one count of _minus_stack, and the image and ginv routes their
+    dimensions; they rerun on (B, A) with the same cutoff, the ginv route
+    on the negated spectrum of B - A.  Each holds only where the rank
+    equation does, so the rerun is skipped where the reverse equation
+    fails, and the ginv route puts its eigenvectors in canonical order
+    only when one of the two equations holds.  The inputs are checked by
+    one gate, which scans B - A alone for finiteness (see _pair).
     """
     method = MinusMethod(method)
-    a, b, d = _pair(a, b)
+    ab, d = _pair(a, b)
+    a, b = ab
     values, vectors = eigh_stack(np.array([a, b, d]))
     decisions, ranks, cutoff = _minus_stack(values[None], tol)
     (holds, reverse, equal), cutoff = decisions[:, 0].tolist(), cutoff[0]
@@ -304,12 +319,15 @@ def minus_leq(
         holds, cert = _minus_by_image(a, d, spans[1], ranks, cutoff, tol)
         reverse = not holds and reverse and _minus_by_image(b, d, spans[0], (r_b, r_a, r_d), cutoff, tol)[0]
     else:
-        values, vectors = canonical_order(values, vectors)
-        holds, cert = _minus_by_ginv(a, b, d, values, vectors, cutoff, tol)
+        # a pair that fails both equations fails the dimension test both
+        # ways, before the spectra are read
+        if holds or reverse:
+            values, vectors = canonical_order(values, vectors)
+        holds, cert = _minus_by_ginv(a, b, d, values, vectors, ranks, cutoff, tol)
         # -(B - A): the spectrum of B - A negated and reversed, as views
         (v_a, v_b, v_d), (q_a, q_b, q_d) = values, vectors
         reverse = not holds and reverse and _minus_by_ginv(
-            b, a, -d, (v_b, v_a, -v_d[::-1]), (q_b, q_a, q_d[:, ::-1]), cutoff, tol)[0]
+            b, a, -d, (v_b, v_a, -v_d[::-1]), (q_b, q_a, q_d[:, ::-1]), (r_b, r_a, r_d), cutoff, tol)[0]
     cert["method"] = method.value
     return OrderVerdict(
         holds=holds,
@@ -319,12 +337,13 @@ def minus_leq(
     )
 
 
-def _star_stack(a, b, values_b, vectors_b, tol):
+def _star_stack(a, b, values_b, vectors_b, tol, maxima=None):
     """Whether each A of a stack is star-below its B, with the certificate
     parts: the residual of A^2 = A B relative to |A^2| and |A B|, the
     budget it is held against, and whether Im A sits inside Im B.  B comes
     with its spectrum as eigh_stack returns it, values (k, n) and
-    eigenvector columns (k, n, n), in any order and sign.
+    eigenvector columns (k, n, n), in any order and sign; `maxima`, the
+    largest entries (k,) of the A and of the B, when the caller has them.
 
     A^2 = A B gives A^2 = B A by transposing, so Im A = Im A^2 lies in
     Im B.  The containment is tested as well because it is linear in a
@@ -339,8 +358,8 @@ def _star_stack(a, b, values_b, vectors_b, tol):
     eigenvectors with the columns under the cutoff zeroed, so one pass
     covers pairs of any mix of ranks.
     """
-    max_a = maxabs_stack(a)
-    scale = np.maximum(max_a, maxabs_stack(b))
+    max_a, max_b = (maxabs_stack(a), maxabs_stack(b)) if maxima is None else maxima
+    scale = np.maximum(max_a, max_b)
     scale[scale == 0.0] = 1.0
     a, b = a / scale[:, None, None], b / scale[:, None, None]
     cutoff = tol.rank_cutoff(values_b)
@@ -373,17 +392,19 @@ def star_family_leq(
     variant = Relation(variant)
     if variant not in (Relation.STAR, Relation.LEFT_STAR, Relation.RIGHT_STAR):
         raise ValueError(f"{variant.value!r} is not a star-family relation")
-    a, b, d = _pair(a, b)
+    ab, d = _pair(a, b)
     # the test (A, B) and the reverse test (B, A) in one pass over a stack
-    # of two, on the spectra of B and of A from one call
-    ba = np.array([b, a])
+    # of two, on the spectra of B and of A from one call, with the largest
+    # entries of A and B scanned once
+    ba = ab[::-1]
     values, vectors = eigh_stack(ba)
+    maxima = maxabs_stack(ab)
     (holds, reverse), residual, budget, contained = (
-        x.tolist() for x in _star_stack(ba[::-1], ba, values, vectors, tol)
+        x.tolist() for x in _star_stack(ab, ba, values, vectors, tol, (maxima, maxima[::-1]))
     )
     cert = {"residual": residual[0], "budget": budget[0], "image_contained": contained[0]}
     # equality is read only when A is below B
-    equal = holds and _equal(a, b, d, tol)
+    equal = holds and _equal(d, max(maxima.tolist()), tol)
     return OrderVerdict(
         holds=holds,
         relation=variant.value,
@@ -439,7 +460,7 @@ def holds_stack(a, b, relation: Relation | str, tol: ToleranceConfig = DEFAULT_T
     relation = Relation(relation)
     if relation is Relation.LOWNER:
         values, _ = eigh_stack(derived("B - A", np.subtract, b, a))
-        return _lowner_stack(a, b, values, tol)[1][:, 0]
+        return _lowner_stack(np.maximum(maxabs_stack(a), maxabs_stack(b)), values, tol)[1][:, 0]
     if relation is Relation.MINUS:
         return _minus_stack(_pair_spectra(a, b), tol)[0][0]
     values, vectors = eigh_stack(b)

@@ -43,6 +43,8 @@ def gauss_markov(rng, n, p):
 def test_linear_model_validation():
     m = LinearModel(x=np.ones((3, 1)), d=np.eye(3))
     assert m.n == 3 and m.p == 1
+    # noise-free observations are a model too
+    assert LinearModel(x=np.ones((3, 1)), d=np.eye(3), sigma2=0.0).sigma2 == 0.0
     with pytest.raises(ValueError):
         LinearModel(x=np.ones((3, 1)), d=np.eye(3), sigma2=-1.0)
     for bad in (float("nan"), float("inf")):
@@ -375,6 +377,15 @@ def test_mc_zero_form_has_no_df():
     assert rep.ks[1] is not None
     with pytest.raises(ValueError):
         mc_quadratic_forms(forms, np.eye(2), np.zeros(2), n_samples=0, seed=1)
+
+
+def test_mc_takes_a_single_draw():
+    forms = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    rep = mc_quadratic_forms(forms, np.eye(2), np.zeros(2), n_samples=1, seed=3)
+    assert rep.n_samples == 1
+    assert (rep.dfs, rep.total_df) == ([1, 1], 2)
+    # one draw has no spread, so it carries no correlation
+    assert rep.max_abs_corr == 0.0
 
 
 def test_an_empty_family_of_forms_raises():

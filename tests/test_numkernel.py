@@ -16,7 +16,7 @@ from psdorder import (
     sym_eig,
 )
 from psdorder.errors import DimensionMismatch, PsdOrderError
-from psdorder.numkernel import column_span, image_in_span, maxabs, sym_stack
+from psdorder.numkernel import canonical_column, canonical_order, column_span, image_in_span, maxabs, sym_stack
 
 
 def image(a, tol=DEFAULT_TOL):
@@ -90,6 +90,21 @@ def test_eig_sign_convention_first_nonzero_positive():
             col = vecs[:, j]
             nz = col[np.abs(col) > 1e-12]
             assert nz.size > 0 and nz[0] > 0
+
+
+def test_canonical_column_is_the_column_canonical_order_gives():
+    # the first and last columns, bit for bit, on spectra with and without
+    # ties (a tie keeps LAPACK's order inside it) and of both signs
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    spectra = [np.zeros(5), np.ones(5), [2.0, 2.0, 1.0, -1.0, -1.0], [0.0, 0.0, 3.0, 0.0, -3.0]]
+    stack = np.array([random_sym(rng, 5) for _ in range(20)] + [(q * np.array(d)) @ q.T for d in spectra]
+                     + [np.diag(d) for d in spectra])
+    values, vectors = np.linalg.eigh(stack)
+    _, ordered = canonical_order(values, vectors)
+    for v, q_raw, q_ordered in zip(values, vectors, ordered):
+        for last, column in ((True, -1), (False, 0)):
+            assert canonical_column(v, q_raw, last).tobytes() == q_ordered[:, column].tobytes()
 
 
 def test_eig_reconstruction_and_orthogonality():

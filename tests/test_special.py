@@ -46,10 +46,10 @@ def test_chi2_cdf_edges():
     assert chi2_cdf(0.0, 3) == 0.0
     assert chi2_cdf(-1.0, 3) == 0.0
     assert chi2_cdf(1e4, 3) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        chi2_cdf(1.0, 0)
-    with pytest.raises(ValueError):
-        chi2_cdf(1.0, -2)
+    # chi2_cdf's own check, not the shape check of gammainc_lower_reg
+    for df in (0, -2):
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            chi2_cdf(1.0, df)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
             chi2_cdf([1.0, bad], 3)

@@ -258,7 +258,10 @@ def test_star_stack_mixes_every_image_rank(relation):
 
 def test_star_and_image_routes_order_no_eigenvectors(monkeypatch):
     # they test containment on eigh's raw factors, with the dropped columns
-    # zeroed, so they never sort or sign-fix eigenvectors
+    # zeroed, so they never sort or sign-fix eigenvectors; nor does a
+    # Loewner verdict, whose witness is one column read from eigh's output,
+    # or the ginv route on a pair that fails both rank equations, which it
+    # rejects at its dimension test
     def no_order(*args, **kwargs):
         raise AssertionError("canonical_order was called")
 
@@ -266,12 +269,35 @@ def test_star_and_image_routes_order_no_eigenvectors(monkeypatch):
         monkeypatch.setattr(module, "canonical_order", no_order)
     for label in ("holds", "fails"):
         assert _verdict("minus_image", *PAIRS["minus"][label]).holds == (label == "holds")
+        assert _verdict("lowner", *PAIRS["lowner"][label]).holds == (label == "holds")
         a, b = PAIRS["star"][label]
         for variant in ("star", "left-star", "right-star"):
             assert star_family_leq(a, b, variant).holds == (label == "holds")
             assert order_holds_many(a[None], b[None], variant).tolist() == [label == "holds"]
+    assert lowner_leq(*PAIRS["lowner"]["fails"]).certificate["witness"] is not None
+    assert lowner_leq(*PAIRS["lowner"]["fails"][::-1]).detail == "incomparable"
+    fails = _verdict("minus_ginv", *PAIRS["minus"]["fails"])
+    assert (fails.detail, fails.certificate["reason"]) == ("incomparable", "dimension mismatch")
     with pytest.raises(AssertionError, match="canonical_order"):
         _verdict("minus_ginv", *PAIRS["minus"]["holds"])
+
+
+@pytest.mark.parametrize("route", ["lowner", "minus_rank", "minus_image", "minus_ginv", "star"])
+def test_one_finiteness_scan_per_pair(monkeypatch, route):
+    # the pair gate scans B - A alone, which is finite exactly when A and B
+    # are and their difference stays in range
+    scanned = []
+    real = np.isfinite
+
+    def counting(x, *args, **kwargs):
+        scanned.append(np.shape(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    for label in ("holds", "fails"):
+        scanned.clear()
+        _verdict(route, *PAIRS[route.split("_")[0]][label])
+        assert scanned == [(4, 4)], (route, label)
 
 
 def test_image_route_takes_no_svd(monkeypatch):
