@@ -402,7 +402,8 @@ _COMMANDS = {
         ]),
         "minus": (_cmd_order_minus, [
             ("--method", {"default": "rank",
-                          "choices": [m.value for m in MinusMethod]}),
+                          "choices": [m.value for m in MinusMethod],
+                          "help": "certificate attached to the rank verdict"}),
             *_PAIR,
         ]),
     }),

@@ -6,8 +6,10 @@ rank(B - A) = rank(B) - rank(A), and the star family, which on symmetric
 arguments reduces to the identity A^2 = A B for every variant.
 
 Every check returns an OrderVerdict carrying a machine-checkable
-certificate: an eigenvalue witness, a rank triple, residual norms, or an
-explicit inner inverse, depending on the route taken.
+certificate: an eigenvalue witness, residual norms, or a rank triple.  The
+rank equation decides the minus order for every method; a holding minus
+verdict can carry more on request, the containment of the images or an
+explicit inner inverse, each checked before it is returned.
 
 Each decision is written once, over stacks of pairs with a leading axis
 (_lowner_stack, _minus_stack, _star_stack): order_holds_many decides a
@@ -18,10 +20,10 @@ B - A once and scans only it for finiteness, takes the largest entries
 of A and B in one scan where a threshold or a scale needs them, and
 decomposes all its matrices in one stacked eigh call.  Eigenvectors are
 put in canonical order only where the bits of a result depend on their
-order: the ginv route, for a pair that passes one of its rank equations.
-A Loewner witness is the one column canonical_order would give, read
-from eigh's output by canonical_column; the star and image containment
-tests read the eigenvectors as eigh returns them.
+order: the ginv certificate of a holding minus verdict.  A Loewner
+witness is the one column canonical_order would give, read from eigh's
+output by canonical_column; the star and image containment tests read
+the eigenvectors as eigh returns them.
 """
 
 import math
@@ -186,24 +188,27 @@ def _minus_stack(values, tol):
     against one cutoff per pair, taken from its three spectra together.
     Returns the decisions (3, k): A below B, B below A (the same counts, as
     -(B - A) has the rank of B - A) and equality (rank(B - A) = 0); the
-    ranks (3, k); and the cutoffs."""
+    ranks (3, k); and the cutoffs.  |values| is taken once: the cutoff's
+    radius reads the same bits from it as from the spectra."""
     k, _, n = values.shape
-    cutoff = tol.rank_cutoff(values.reshape(k, 3 * n), n)
-    ranks = (np.abs(values) > cutoff[:, None, None]).sum(axis=-1).T
+    mags = np.abs(values)
+    cutoff = tol.rank_cutoff(mags.reshape(k, 3 * n), n)
+    ranks = (mags > cutoff[:, None, None]).sum(axis=-1).T
     return _RANK_EQUATIONS @ ranks == 0, ranks, cutoff
 
 
-def _rank_verdict(decision, triple, cutoff):
-    """The rank route's verdict A below B for one pair, from its decisions
-    (A below B, B below A, equal), its rank triple and its cutoff as
-    _minus_stack gives them: the triple and the cutoff are the
-    certificate."""
+def _rank_verdict(decision, triple, cutoff, method=MinusMethod.RANK, extra=None):
+    """The minus verdict A below B for one pair, from its decisions (A below
+    B, B below A, equal), its rank triple and its cutoff as _minus_stack
+    gives them.  The triple, the cutoff and the method are the certificate,
+    whatever the method; `extra`, the image or ginv certificate of a
+    holding verdict, is appended to it."""
     holds, reverse, equal = decision
     return OrderVerdict(
         holds=holds,
         relation=Relation.MINUS.value,
         certificate=dict(zip(("rank_a", "rank_b", "rank_diff"), triple), cutoff=cutoff,
-                         method=MinusMethod.RANK.value),
+                         method=method.value, **(extra or {})),
         detail=_detail(holds, equal, reverse),
     )
 
@@ -215,57 +220,48 @@ def _rank_verdicts(values, tol):
     return list(map(_rank_verdict, decisions.T.tolist(), ranks.T.tolist(), cutoffs))
 
 
-def _minus_by_image(a, d, span_b, dims, cutoff, tol):
-    """Im B = Im A (+) Im(B - A): the rank equation plus a containment
-    identity.
+def _certificate_fails(method, check):
+    """The error of a requested certificate that fails its own `check` on a
+    verdict the rank equation holds."""
+    return PsdOrderError(f"the {method.value} certificate of a holding minus verdict fails its {check}")
 
-    B = A + (B - A) puts Im B inside Im A + Im(B - A), so once both
-    summands lie in Im B and their dimensions add up to that of Im B, the
-    sum fills Im B and is direct.  Containment is tested on the matrices
-    themselves (image_in_span) against `span_b`, B's eigenvectors with the
-    columns under the cutoff zeroed, in any order and sign.  The
-    dimensions are the ranks the rank equation counted, and the test
-    allows for the error in the eigenbasis of B, n times the cutoff (see
-    _star_stack).
+
+def _image_certificate(a, d, values_b, vectors_b, cutoff, tol):
+    """Im B = Im A (+) Im(B - A) for a pair whose rank equation holds.
+
+    B = A + (B - A) puts Im B inside Im A + Im(B - A), and the ranks add
+    up, so once both summands lie in Im B the sum fills Im B and is
+    direct.  Containment is tested on the matrices themselves
+    (image_in_span) against B's eigenvectors, `vectors_b` as eigh returns
+    them, with the columns under the cutoff zeroed.  The test allows for
+    the error in the eigenbasis of B, n times the cutoff (see _star_stack).
     """
-    dim_a, dim_b, dim_c = dims
-    contained = bool(image_in_span(np.array([a, d]), span_b, tol, len(a) * cutoff).all())
-    holds = contained and dim_a + dim_c == dim_b
-    cert = {
-        "dim_a": dim_a,
-        "dim_b": dim_b,
-        "dim_diff": dim_c,
-        "contained": contained,
-    }
-    return holds, cert
+    span_b = vectors_b * (np.abs(values_b) > cutoff)
+    if not image_in_span(np.array([a, d]), span_b, tol, len(a) * cutoff).all():
+        raise _certificate_fails(MinusMethod.IMAGE, "containment check: Im A or Im(B - A) leaves Im B")
+    return {"contained": True}
 
 
-def _minus_by_ginv(a, b, d, values, vectors, dims, cutoff, tol):
-    """Constructive route: build an inner inverse G of A with G A = G B and
-    A G = B G, which exists exactly when A is below B.
+def _ginv_certificate(a, b, values, vectors, rank_a, cutoff, tol):
+    """An inner inverse G of A with G A = G B and A G = B G, which exists
+    exactly when A is below B, for a pair whose rank equation holds.
 
     G is assembled from the oblique projector onto Im A along
-    Im(B - A) (+) (Im B)-perp; if the three pieces fail to decompose R^n the
-    pair is not comparable and the certificate says which check failed.
-    `dims` are the ranks of A, B and B - A under the shared cutoff, as the
-    rank equation counted them: the pieces' dimensions add up to n exactly
-    where that equation holds, and the spectra are read only past that
-    test.  `values`, `vectors`: the canonical spectra of A, B and B - A,
+    Im(B - A) (+) (Im B)-perp.  The rank equation makes the three pieces'
+    dimensions add up to n; the certificate checks that their sum is
+    direct and that G meets the three identities.  `values`, `vectors`:
+    the spectra of A, B and B - A as eigh returns them, put in canonical
+    order here, since G's bits depend on the order of the columns, and
     masked by the cutoff; A^+ reads A's under its own.
     """
-    r, dim_b, dim_c = dims
-    cert: dict = {"dim_a": r, "dim_b": dim_b, "dim_diff": dim_c}
-    if r + dim_c != dim_b:
-        cert["reason"] = "dimension mismatch"
-        return False, cert
+    values, vectors = canonical_order(values, vectors)
     keep_a, keep, keep_d = (np.abs(v) > cutoff for v in values)
     q_a, q_b, q_d = vectors
     m = np.hstack([q_a[:, keep_a], q_d[:, keep_d], q_b[:, ~keep]])
-    cert["sigma_min"], direct = min_singular_value(m, tol)
+    sigma_min, direct = min_singular_value(m, tol)
     if not direct:
-        cert["reason"] = "sum not direct"
-        return False, cert
-    proj = m[:, :r] @ np.linalg.inv(m)[:r, :]
+        raise _certificate_fails(MinusMethod.GINV, f"direct-sum check: sigma_min {sigma_min:.3e}")
+    proj = m[:, :rank_a] @ np.linalg.inv(m)[:rank_a, :]
     g = proj.T @ _spectral_pinv(values[0], q_a, tol) @ proj
     ga, gb, ag, bg = g @ a, g @ b, a @ g, b @ g
     aga = ag @ a
@@ -273,12 +269,12 @@ def _minus_by_ginv(a, b, d, values, vectors, dims, cutoff, tol):
     # roundoff of the products grows with the dimensionless |G| |A, B|
     lhs, rhs = np.array([aga, ga, ag]), np.array([a, gb, bg])
     residuals = dict(zip(("inner", "left", "right"), rel_residual_stack(lhs - rhs, lhs, rhs).tolist()))
-    cert["g"] = g
-    cert["residuals"] = residuals
-    if max(residuals.values()) > identity_budget(tol, g, a, b):
-        cert["reason"] = "identity residual"
-        return False, cert
-    return True, cert
+    budget = identity_budget(tol, g, a, b)
+    worst = max(residuals, key=residuals.get)
+    if residuals[worst] > budget:
+        raise _certificate_fails(
+            MinusMethod.GINV, f"identity check: {worst} residual {residuals[worst]:.3e} over {budget:.3e}")
+    return {"sigma_min": sigma_min, "g": g, "residuals": residuals}
 
 
 def minus_leq(
@@ -289,52 +285,29 @@ def minus_leq(
 ) -> OrderVerdict:
     """A <= B in the rank-subtractivity sense.
 
-    Three interchangeable routes: "rank" checks the defining rank equation
-    with one shared cutoff, "image" checks that Im B splits as the direct
-    sum of Im A and Im(B - A), and "ginv" constructs an explicit inner
-    inverse witness.  All three count against one cutoff from the spectra
-    of A, B and B - A, decomposed together, and they agree whenever those
-    rank decisions are clean.  The rank route reads both directions from
-    the one count of _minus_stack, and the image and ginv routes their
-    dimensions; they rerun on (B, A) with the same cutoff, the ginv route
-    on the negated spectrum of B - A.  Each holds only where the rank
-    equation does, so the rerun is skipped where the reverse equation
-    fails, and the ginv route puts its eigenvectors in canonical order
-    only when one of the two equations holds.  The inputs are checked by
-    one gate, which scans B - A alone for finiteness (see _pair).
+    The rank equation decides, for every method: the ranks of A, B and
+    B - A, decomposed together, count against one cutoff from their three
+    spectra, and both directions and equality are read from that one count
+    (_minus_stack).  The certificate is the rank triple, the cutoff and the
+    method.  `method` names what a holding verdict carries besides: "rank"
+    nothing, "image" the containment of Im A and Im(B - A) in Im B, which
+    with the ranks makes Im B their direct sum, and "ginv" an explicit
+    inner inverse witness G.  A requested certificate that fails its own
+    check raises PsdOrderError, naming the check.  The inputs are checked
+    by one gate, which scans B - A alone for finiteness (see _pair).
     """
     method = MinusMethod(method)
     ab, d = _pair(a, b)
     a, b = ab
     values, vectors = eigh_stack(np.array([a, b, d]))
     decisions, ranks, cutoff = _minus_stack(values[None], tol)
-    (holds, reverse, equal), cutoff = decisions[:, 0].tolist(), cutoff[0]
-    r_a, r_b, r_d = ranks = ranks[:, 0].tolist()
-    if method is MinusMethod.RANK:
-        return _rank_verdict((holds, reverse, equal), ranks, cutoff)
-    if method is MinusMethod.IMAGE:
-        # each image spanned by its eigenvectors with those under the cutoff
-        # zeroed; the reverse test reads A's, and tests B - A for A - B
-        spans = vectors * (np.abs(values) > cutoff)[:, None, :]
-        holds, cert = _minus_by_image(a, d, spans[1], ranks, cutoff, tol)
-        reverse = not holds and reverse and _minus_by_image(b, d, spans[0], (r_b, r_a, r_d), cutoff, tol)[0]
-    else:
-        # a pair that fails both equations fails the dimension test both
-        # ways, before the spectra are read
-        if holds or reverse:
-            values, vectors = canonical_order(values, vectors)
-        holds, cert = _minus_by_ginv(a, b, d, values, vectors, ranks, cutoff, tol)
-        # -(B - A): the spectrum of B - A negated and reversed, as views
-        (v_a, v_b, v_d), (q_a, q_b, q_d) = values, vectors
-        reverse = not holds and reverse and _minus_by_ginv(
-            b, a, -d, (v_b, v_a, -v_d[::-1]), (q_b, q_a, q_d[:, ::-1]), (r_b, r_a, r_d), cutoff, tol)[0]
-    cert["method"] = method.value
-    return OrderVerdict(
-        holds=holds,
-        relation=Relation.MINUS.value,
-        certificate=cert,
-        detail=_detail(holds, equal, reverse),
-    )
+    decision, triple, cutoff = decisions[:, 0].tolist(), ranks[:, 0].tolist(), cutoff[0]
+    holds, extra = decision[0], None
+    if holds and method is MinusMethod.IMAGE:
+        extra = _image_certificate(a, d, values[1], vectors[1], cutoff, tol)
+    elif holds and method is MinusMethod.GINV:
+        extra = _ginv_certificate(a, b, values, vectors, triple[0], cutoff, tol)
+    return _rank_verdict(decision, triple, cutoff, method, extra)
 
 
 def _star_stack(a, b, values_b, vectors_b, tol, maxima=None):

@@ -16,7 +16,7 @@ bit and of the same type.  The decision arithmetic of the star test
 import numpy as np
 
 from psdorder.canonical import Inertia, SimCongResult, canonical_ek
-from psdorder.errors import DimensionMismatch, NotMinusComparable
+from psdorder.errors import DimensionMismatch, NotMinusComparable, PsdOrderError
 from psdorder.numkernel import (
     PsdMatrix,
     SymMatrix,
@@ -61,31 +61,24 @@ def lowner_both(a, b, tol=DEFAULT_TOL):
 
 
 def _by_image(sa, sb, eigs, cutoff, tol):
-    keeps = [np.abs(v) > cutoff for v, _ in eigs]
-    u_b = eigs[1][1][:, keeps[1]]
-    dim_a, dim_b, dim_c = (int(np.count_nonzero(k)) for k in keeps)
+    u_b = eigs[1][1][:, np.abs(eigs[1][0]) > cutoff]
     slack = sb.n * cutoff
     contained = all(image_in_span(m, u_b, tol, slack) for m in (sa.a, sb.a - sa.a))
-    cert = {"dim_a": dim_a, "dim_b": dim_b, "dim_diff": dim_c, "contained": contained}
-    return contained and dim_a + dim_c == dim_b, cert
+    if not contained:
+        raise PsdOrderError("the image certificate of a holding minus verdict fails its "
+                            "containment check: Im A or Im(B - A) leaves Im B")
+    return {"contained": contained}
 
 
 def _by_ginv(sa, sb, eigs, cutoff, tol):
     (v_a, q_a), (v_b, q_b), (v_d, q_d) = eigs
     u_a = q_a[:, np.abs(v_a) > cutoff]
-    u_c = q_d[:, np.abs(v_d) > cutoff]
-    keep = np.abs(v_b) > cutoff
-    u_perp = q_b[:, ~keep]
-    r = u_a.shape[1]
-    cert = {"dim_a": r, "dim_b": int(keep.sum()), "dim_diff": u_c.shape[1]}
-    if r + u_c.shape[1] + u_perp.shape[1] != sa.n:
-        cert["reason"] = "dimension mismatch"
-        return False, cert
-    m = np.hstack([u_a, u_c, u_perp])
-    cert["sigma_min"], direct = min_singular_value(m, tol)
+    m = np.hstack([u_a, q_d[:, np.abs(v_d) > cutoff], q_b[:, np.abs(v_b) <= cutoff]])
+    sigma_min, direct = min_singular_value(m, tol)
     if not direct:
-        cert["reason"] = "sum not direct"
-        return False, cert
+        raise PsdOrderError("the ginv certificate of a holding minus verdict fails its "
+                            f"direct-sum check: sigma_min {sigma_min:.3e}")
+    r = u_a.shape[1]
     proj = m[:, :r] @ np.linalg.inv(m)[:r, :]
     g = proj.T @ pinv(sa, tol) @ proj
     ga, gb, ag, bg = g @ sa.a, g @ sb.a, sa.a @ g, sb.a @ g
@@ -95,12 +88,12 @@ def _by_ginv(sa, sb, eigs, cutoff, tol):
         "left": rel_residual(ga - gb, ga, gb),
         "right": rel_residual(ag - bg, ag, bg),
     }
-    cert["g"] = g
-    cert["residuals"] = residuals
-    if max(residuals.values()) > identity_budget(tol, g, sa.a, sb.a):
-        cert["reason"] = "identity residual"
-        return False, cert
-    return True, cert
+    budget = identity_budget(tol, g, sa.a, sb.a)
+    worst = max(residuals, key=residuals.get)
+    if residuals[worst] > budget:
+        raise PsdOrderError("the ginv certificate of a holding minus verdict fails its identity "
+                            f"check: {worst} residual {residuals[worst]:.3e} over {budget:.3e}")
+    return {"sigma_min": sigma_min, "g": g, "residuals": residuals}
 
 
 def minus_leq(a, b, method="rank", tol=DEFAULT_TOL):
@@ -112,15 +105,10 @@ def minus_leq(a, b, method="rank", tol=DEFAULT_TOL):
     cutoff = tol.rank_cutoff(np.array([radius]), sa.n)
     r_a, r_b, r_d = (int(np.count_nonzero(np.abs(v) > cutoff)) for v, _ in eigs)
     holds, reverse = r_d == r_b - r_a, r_d == r_a - r_b
-    if method is MinusMethod.RANK:
-        cert = {"rank_a": r_a, "rank_b": r_b, "rank_diff": r_d, "cutoff": cutoff}
-    else:
-        route = _by_image if method is MinusMethod.IMAGE else _by_ginv
-        holds, cert = route(sa, sb, eigs, cutoff, tol)
-        v_d, q_d = eigs[2]
-        swapped = (eigs[1], eigs[0], (-v_d[::-1], q_d[:, ::-1]))
-        reverse = not holds and route(sb, sa, swapped, cutoff, tol)[0]
-    cert["method"] = method.value
+    cert = {"rank_a": r_a, "rank_b": r_b, "rank_diff": r_d, "cutoff": cutoff, "method": method.value}
+    # the rank equation decides; a holding verdict carries the certificate asked for
+    if holds and method is not MinusMethod.RANK:
+        cert.update((_by_image if method is MinusMethod.IMAGE else _by_ginv)(sa, sb, eigs, cutoff, tol))
     return OrderVerdict(holds=holds, relation=Relation.MINUS.value, certificate=cert,
                         detail=_detail(holds, r_d == 0, reverse))
 

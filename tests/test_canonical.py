@@ -156,6 +156,44 @@ def test_sim_congruence_rejects_image_spill():
         sim_congruence(a, b)
 
 
+def _reduces_then_raises(a, b, ranks, loose, tight, message):
+    """sim_congruence reduces (a, b) to `ranks` at recon_tol `loose` and
+    raises NotMinusComparable with `message` at `tight`, 10 times smaller."""
+    res = sim_congruence(a, b, ToleranceConfig(recon_tol=loose))
+    assert (res.rank_a, res.rank_b) == ranks
+    with pytest.raises(NotMinusComparable, match=message):
+        sim_congruence(a, b, ToleranceConfig(recon_tol=tight))
+
+
+# Each check of the reduction is pinned from both sides at the default
+# recon_tol 1e-8: a pair it passes there and fails 10 times tighter, and a
+# pair it fails there, by its own message, and passes 10 times looser.
+# The final residual check rejects the first two families as well, so only
+# the message tells the check that fired.
+
+def test_sim_congruence_spill_test_is_pinned_from_both_sides():
+    # A = diag(1, delta) below B = diag(1, 0): A leaks delta out of Im B
+    b = np.diag([1.0, 0.0])
+    _reduces_then_raises(np.diag([1.0, 5e-9]), b, (1, 1), 1e-8, 1e-9, "leaks 5.000e-09")
+    _reduces_then_raises(np.diag([1.0, 5e-8]), b, (1, 1), 1e-7, 1e-8, "leaks 5.000e-08")
+
+
+def test_sim_congruence_idempotent_test_is_pinned_from_both_sides():
+    # A = diag(1 + delta, 0) below B = I: the block spectrum is {1 + delta, 0}
+    b = np.eye(2)
+    _reduces_then_raises(np.diag([1.0 + 5e-9, 0.0]), b, (1, 2), 1e-8, 1e-9, "not idempotent")
+    _reduces_then_raises(np.diag([1.0 + 5e-8, 0.0]), b, (1, 2), 1e-7, 1e-8, "not idempotent")
+
+
+def test_sim_congruence_residual_check_is_pinned_from_both_sides():
+    # A = diag(x, 1e-2) below B = diag(1, 1e-2): whitened, A is diag(x, 1),
+    # whose x passes the idempotent test at every recon_tol used here, but
+    # x is 100 x of A's own scale, which the reconstruction is judged against
+    b = np.diag([1.0, 1e-2])
+    _reduces_then_raises(np.diag([5e-11, 1e-2]), b, (1, 2), 1e-8, 1e-9, "reconstruction residuals")
+    _reduces_then_raises(np.diag([5e-10, 1e-2]), b, (1, 2), 1e-7, 1e-8, "reconstruction residuals")
+
+
 def test_sim_congruence_rejects_non_psd():
     with pytest.raises(NotPositiveSemidefinite):
         sim_congruence(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2))

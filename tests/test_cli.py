@@ -178,6 +178,24 @@ def test_order_minus_methods(tmp_path, capsys):
     assert code == 1
 
 
+def test_order_minus_certificate_that_fails_its_check_exits_2(tmp_path, capsys):
+    # the rank equation holds on a miscount (see test_orders.MISCOUNTED):
+    # the image and ginv certificates fail their checks, with nothing on stdout
+    a = csv(tmp_path, "a.csv", np.diag([-1.0, 2e-15, 2e-15]))
+    b = csv(tmp_path, "b.csv", np.diag([0.0, 4e-15, 4e-15]))
+    code, payload = run_json(capsys, ["order", "minus", a, b])
+    assert code == 0 and payload["detail"] == "strictly less"
+    for method, check in (("image", "containment"), ("ginv", "direct-sum")):
+        assert run(["order", "minus", "--method", method, a, b]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"fails its {check} check" in captured.err
+    a = csv(tmp_path, "a.csv", np.diag([1.0, 1e-3, 0.0]))
+    b = csv(tmp_path, "b.csv", np.diag([1.0, 1e-3, 1.0]))
+    assert run(["order", "minus", "--method", "ginv", "--tol-rank", "1e-2", a, b]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "fails its identity check" in captured.err
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     a = csv(tmp_path, "a.csv", np.eye(2))
     assert run([]) == 2

@@ -17,6 +17,7 @@ from psdorder import (
     estimator_covariance,
     lowner_leq,
     mc_quadratic_forms,
+    minus_leq,
     model_compare,
     pinv,
     qform_rank_criterion,
@@ -180,6 +181,26 @@ def test_blue_accepts_least_squares_under_white_noise():
         assert v.cond_i and v.cond_ii and v.cond_iii
         assert v.is_blue
         assert v.sim_cong is not None and v.sim_cong.rank_a == p
+
+
+def test_blue_accepts_gls_whose_computed_covariances_fail_the_rank_route():
+    # generalized least squares, L = X (X^T D^-1 X)^-1 X^T D^-1 with p = n - 1:
+    # computed, D - L D L^T carries a roundoff eigenvalue above the rank
+    # route's cutoff, so minus_leq(L D L^T, D) counts ranks (7, 8, 2) and
+    # fails, while the simultaneous reduction of condition (iii) finds the
+    # estimator BLUE, as it is
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((8, 7))
+    g = rng.standard_normal((8, 8))
+    d = g @ g.T + 0.5 * np.eye(8)
+    d_inv = np.linalg.inv(d)
+    l = x @ np.linalg.solve(x.T @ d_inv @ x, x.T @ d_inv)
+    v = minus_leq(l @ d @ l.T, d)
+    assert not v.holds
+    assert [v.certificate[k] for k in ("rank_a", "rank_b", "rank_diff")] == [7, 8, 2]
+    b = blue_check(l, LinearModel(x, d))
+    assert b.cond_iii and b.is_blue
+    assert b.certificate["ranks"] == (7, 8)
 
 
 def test_blue_rejects_zero_estimator():

@@ -332,6 +332,10 @@ def test_transitivity_minus_and_star():
 
 # ----- minus order: methods agree with each other and the oracle -------------
 
+MINUS_CERTIFICATES = {MinusMethod.RANK: set(), MinusMethod.IMAGE: {"contained"},
+                      MinusMethod.GINV: {"sigma_min", "g", "residuals"}}
+
+
 def test_minus_methods_agree():
     rng = np.random.default_rng(31)
     for trial in range(150):
@@ -347,6 +351,16 @@ def test_minus_methods_agree():
             b = a + random_psd(rng, n, rank=int(rng.integers(0, n + 1)))
         verdicts = [minus_leq(a, b, method=m, tol=TOL12) for m in MinusMethod]
         assert len({v.holds for v in verdicts}) == 1, (trial, [v.holds for v in verdicts])
+        # the rank route's verdict and certificate under every method; a
+        # holding verdict adds the certificate asked for
+        rank = verdicts[0]
+        for method, v in zip(MinusMethod, verdicts):
+            assert v.detail == rank.detail, (trial, method)
+            assert v.certificate == {**v.certificate, **rank.certificate, "method": method.value}
+            added = set(v.certificate) - set(rank.certificate)
+            assert added == (MINUS_CERTIFICATES[method] if v.holds else set()), (trial, method)
+        if rank.holds:
+            assert verdicts[1].certificate["contained"] is True
 
 
 def test_minus_rank_certificate_equation():
@@ -403,6 +417,41 @@ def test_minus_strictness_needs_rank_gap():
         else:
             assert v.detail == "strictly less"
             assert inertia(b.astype(float)).rank > inertia(a.astype(float)).rank
+
+
+# ----- minus certificates: the rank equation decides, and a requested
+# certificate of a holding verdict is checked before it is returned ---------
+
+# A and B - A carry -1 and 1 along e1, where B is 0, and B's two eigenvalues
+# 4e-15 sit just above the cutoff 12 eps while their halves in A and B - A
+# sit under it: ranks (1, 2, 1) meet the rank equation, yet Im A leaves Im B
+# and Im A + Im(B - A) is not direct
+MISCOUNTED = (np.diag([-1.0, 2e-15, 2e-15]), np.diag([0.0, 4e-15, 4e-15]))
+
+
+def test_a_certificate_that_fails_its_check_raises():
+    v = minus_leq(*MISCOUNTED)
+    assert (v.holds, v.detail) == (True, "strictly less")
+    assert [v.certificate[k] for k in ("rank_a", "rank_b", "rank_diff")] == [1, 2, 1]
+    with pytest.raises(PsdOrderError, match="image certificate .* containment check"):
+        minus_leq(*MISCOUNTED, method=MinusMethod.IMAGE)
+    with pytest.raises(PsdOrderError, match="ginv certificate .* direct-sum check"):
+        minus_leq(*MISCOUNTED, method=MinusMethod.GINV)
+    # a cutoff of 1e-2 drops A's eigenvalue 1e-3, so A G A misses it
+    a, b = np.diag([1.0, 1e-3, 0.0]), np.diag([1.0, 1e-3, 1.0])
+    coarse = ToleranceConfig(rank_rel_tol=1e-2)
+    assert minus_leq(a, b, method=MinusMethod.IMAGE, tol=coarse).holds
+    with pytest.raises(PsdOrderError, match="identity check: inner residual 1.000e-03"):
+        minus_leq(a, b, method=MinusMethod.GINV, tol=coarse)
+    # roundoff alone fails an identity budget far under eps
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
+    s = q * [1.0, 2.0, 0.5]
+    a, b = (s * [1.0, 0.0, 0.0]) @ s.T, (s * [1.0, 1.0, 0.0]) @ s.T
+    assert minus_leq(a, b, method=MinusMethod.GINV).holds
+    with pytest.raises(PsdOrderError, match="ginv certificate .* identity check"):
+        minus_leq(a, b, method=MinusMethod.GINV, tol=ToleranceConfig(recon_tol=1e-20))
+    # a failing verdict builds no certificate, so nothing fails
+    assert not minus_leq(b, a, method=MinusMethod.GINV, tol=ToleranceConfig(recon_tol=1e-20)).holds
 
 
 # ----- relation lattice ------------------------------------------------------
@@ -538,7 +587,7 @@ def test_image_route_accepts_graded_pairs():
         v = minus_leq(a, b, method=MinusMethod.IMAGE)
         assert v.holds and v.detail == "strictly less"
         assert v.certificate["contained"]
-        assert (v.certificate["dim_a"], v.certificate["dim_b"]) == (2, 3)
+        assert (v.certificate["rank_a"], v.certificate["rank_b"]) == (2, 3)
 
 
 @pytest.mark.parametrize("variant", [Relation.LEFT_STAR, Relation.RIGHT_STAR])

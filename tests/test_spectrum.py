@@ -260,8 +260,8 @@ def test_star_and_image_routes_order_no_eigenvectors(monkeypatch):
     # they test containment on eigh's raw factors, with the dropped columns
     # zeroed, so they never sort or sign-fix eigenvectors; nor does a
     # Loewner verdict, whose witness is one column read from eigh's output,
-    # or the ginv route on a pair that fails both rank equations, which it
-    # rejects at its dimension test
+    # or a failing ginv verdict, which carries the rank route's certificate
+    # and no inner inverse
     def no_order(*args, **kwargs):
         raise AssertionError("canonical_order was called")
 
@@ -277,7 +277,8 @@ def test_star_and_image_routes_order_no_eigenvectors(monkeypatch):
     assert lowner_leq(*PAIRS["lowner"]["fails"]).certificate["witness"] is not None
     assert lowner_leq(*PAIRS["lowner"]["fails"][::-1]).detail == "incomparable"
     fails = _verdict("minus_ginv", *PAIRS["minus"]["fails"])
-    assert (fails.detail, fails.certificate["reason"]) == ("incomparable", "dimension mismatch")
+    rank = _verdict("minus_rank", *PAIRS["minus"]["fails"])
+    assert (fails.detail, fails.certificate) == ("incomparable", {**rank.certificate, "method": "ginv"})
     with pytest.raises(AssertionError, match="canonical_order"):
         _verdict("minus_ginv", *PAIRS["minus"]["holds"])
 
@@ -588,7 +589,7 @@ def test_a_residual_beyond_the_float_range_fails_its_check():
 def test_negated_spectrum_decomposes_minus_a():
     a, b = PAIRS["lowner"]["fails"]
     values, vectors = sym_eig(b - a)
-    # the spectrum the ginv route's reverse test reads for A - B
+    # B - A's spectrum negated and reversed, as views, is a canonical one of A - B
     neg_values, q = -values[::-1], vectors[:, ::-1]
     assert np.all(np.diff(neg_values) <= 0)
     np.testing.assert_allclose((q * neg_values) @ q.T, a - b, atol=1e-12)
