@@ -20,8 +20,15 @@ Conventions shared by everything built on top of this module:
   and fails,
 - eigendecompositions run on stacks: eigh_stack decomposes a (k, n, n)
   stack in one LAPACK call, each matrix's factors bit for bit those of a
-  call on it alone, eigenvalues ascending; callers that read eigenvalues
-  alone take them so,
+  call on it alone, eigenvalues ascending.  A stacked decision that reads
+  no eigenvector (the Loewner and minus decisions of a sweep) takes
+  eigvalsh_stack, the values alone, again bit for bit those of a call on
+  each matrix alone; LAPACK computes them by another route (dsterf for
+  the tridiagonal stage), so they can differ from eigh's in the last
+  bits, and a stacked decision differs from the scalar check's only on a
+  pair with an eigenvalue within a few eps times the spectral radius of
+  its cutoff.  The scalar verdicts take eigh's values, with which their
+  certificates are pinned,
 - canonical_order, run only where the order of eigenvectors shows in a
   result, sorts eigenvalues descending and makes the first nonzero
   component of each eigenvector positive, so a factorization is
@@ -249,8 +256,20 @@ def eigh_stack(x) -> tuple[np.ndarray, np.ndarray]:
     ascending values (k, n) and eigenvector columns (k, n, n) as it returns
     them.  Each matrix's factors are bit for bit those of a call on it
     alone."""
+    return _solve(np.linalg.eigh, x)
+
+
+def eigvalsh_stack(x) -> np.ndarray:
+    """The values-only twin of eigh_stack: the ascending spectra (k, n) of a
+    (k, n, n) stack in one LAPACK call, each bit for bit that of a call on
+    its matrix alone."""
+    return _solve(np.linalg.eigvalsh, x)
+
+
+def _solve(solver, x):
+    """solver(x), LAPACK's failure to converge raised as NonConvergence."""
     try:
-        return np.linalg.eigh(x)
+        return solver(x)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigensolver failed: {exc}") from exc
 

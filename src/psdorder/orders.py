@@ -15,6 +15,12 @@ Each decision is written once, over stacks of pairs with a leading axis
 (_lowner_stack, _minus_stack, _star_stack): order_holds_many decides a
 whole stack from one stacked eigendecomposition, and the scalar checks
 read their verdict and certificate from the same arithmetic at k = 1.
+The stacked Loewner and minus decisions read no eigenvector and take
+the values alone (eigvalsh_stack), which LAPACK computes by another
+route than the scalar checks' eigh: they agree with the scalar checks
+except on a pair with an eigenvalue within a few eps times the spectral
+radius of its cutoff (the threshold, for Loewner), which either
+backward-stable solver may put on either side.
 A scalar check passes A and B through one gate as a stack (_pair), forms
 B - A once and scans only it for finiteness, takes the largest entries
 of A and B in one scan where a threshold or a scale needs them, and
@@ -39,6 +45,7 @@ from .numkernel import (
     canonical_order,
     derived,
     eigh_stack,
+    eigvalsh_stack,
     identity_budget,
     image_in_span,
     maxabs,
@@ -408,7 +415,11 @@ def order_holds_many(a, b, relation: Relation | str, tol: ToleranceConfig = DEFA
     also be one (n, n) matrix, paired with every A.  Both stacks are
     checked and symmetrized, then decided by holds_stack.  Only the star
     family's forward test runs, so this answers a pair whose reverse test
-    raises (PsdOrderError: the rank cutoff of A's spectrum overflows)."""
+    raises (PsdOrderError: the rank cutoff of A's spectrum overflows).
+    The Loewner and minus decisions read values-only spectra, so a pair
+    with an eigenvalue within a few eps times the spectral radius of its
+    cutoff (the threshold, for Loewner) may be decided otherwise than
+    order_leq decides it; every other pair gets order_leq's answer."""
     a = sym_stack(a)
     shared = np.ndim(b) == 2
     b = sym_stack(np.expand_dims(b, 0) if shared else b)
@@ -419,20 +430,22 @@ def order_holds_many(a, b, relation: Relation | str, tol: ToleranceConfig = DEFA
 
 def _pair_spectra(a, b) -> np.ndarray:
     """The ascending spectra (k, 3, n) of A, B and B - A for stacks as
-    holds_stack takes them, from one eigh call (a shared B decomposed once)."""
-    values, _ = eigh_stack(np.concatenate([a, b, derived("B - A", np.subtract, b, a)]))
+    holds_stack takes them, from one values-only call (eigvalsh_stack; a
+    shared B decomposed once)."""
+    values = eigvalsh_stack(np.concatenate([a, b, derived("B - A", np.subtract, b, a)]))
     parts = np.split(values, [len(a), len(a) + len(b)])
     return np.stack(np.broadcast_arrays(*parts), axis=1)
 
 
 def holds_stack(a, b, relation: Relation | str, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """order_holds_many on stacks as sym_stack returns them, B (k, n, n) or
-    (1, n, n).  One stacked eigendecomposition covers the whole stack (of
-    B - A, of A, B and B - A, or of B, read for its eigenvalues alone but
-    for the star family), then each decision runs once over the stack."""
+    (1, n, n).  One stacked eigendecomposition covers the whole stack, then
+    each decision runs once over the stack: the Loewner and minus decisions
+    read the values alone (eigvalsh_stack) of B - A, or of A, B and B - A;
+    the star family reads B's eigenvectors as well (eigh_stack)."""
     relation = Relation(relation)
     if relation is Relation.LOWNER:
-        values, _ = eigh_stack(derived("B - A", np.subtract, b, a))
+        values = eigvalsh_stack(derived("B - A", np.subtract, b, a))
         return _lowner_stack(np.maximum(maxabs_stack(a), maxabs_stack(b)), values, tol)[1][:, 0]
     if relation is Relation.MINUS:
         return _minus_stack(_pair_spectra(a, b), tol)[0][0]

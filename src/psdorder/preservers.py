@@ -75,8 +75,25 @@ class MatrixMap:
         return cls(label="rank-collapse", fn=collapse)
 
 
+@dataclass(frozen=True)
+class CongruenceMap(MatrixMap):
+    """The MatrixMap of congruence_map, which keeps its factor S to map a
+    whole stack at once."""
+
+    s: np.ndarray = field(repr=False, compare=False)
+
+    def _images(self, stack) -> np.ndarray:
+        """S X S^T for every X of the stack in one stacked product, each
+        image bit for bit fn's on its matrix; a stack of another shape goes
+        to fn, which raises DimensionMismatch on its first matrix."""
+        if stack.shape[1:] != self.s.shape:
+            return super()._images(stack)
+        return self.s @ stack @ self.s.T
+
+
 def congruence_map(s, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixMap:
-    """The map A -> S A S^T for an invertible S.
+    """The map A -> S A S^T for an invertible S, as a CongruenceMap, which
+    maps a whole stack in one product.
 
     Raises SingularS when S is empty or singular to working precision,
     since a non-invertible factor defines no order automorphism; the map
@@ -97,7 +114,7 @@ def congruence_map(s, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixMap:
             raise DimensionMismatch(f"a {len(s)}x{len(s)} congruence cannot map shape {a.shape}")
         return s @ a @ s.T
 
-    return MatrixMap(label="congruence", fn=congruence)
+    return CongruenceMap(label="congruence", fn=congruence, s=s)
 
 
 @dataclass
@@ -267,7 +284,8 @@ def preserves_order(
     for how the pairs are drawn, all in one pass.  They are checked and
     symmetrized once, mapped as one stack whose images are checked and
     symmetrized once, and all 2 * trials verdicts, before and after the
-    map, are decided in one stacked check (holds_stack).
+    map, are decided in one stacked check (holds_stack), on values-only
+    spectra for the Loewner and minus orders.
     Needs trials >= 1 and n >= 2, else ValueError.
     """
     if trials < 1 or n < 2:
@@ -416,10 +434,10 @@ def projector_fixed_point_suite(
     stays below I only in the PSD sense.  Each trial draws a random
     projector, asserts those facts, applies the map, and tallies whether
     the image pairs still relate the same way.  All trials are drawn at
-    once and mapped as one stack.  One stacked eigh call decomposes every
-    P, t P, I, I - P and I - t P, and one their images: the Loewner
-    verdicts read the differences' spectra, the minus verdicts all of
-    them.  Needs trials, n >= 1.
+    once and mapped as one stack.  One stacked values-only call
+    (eigvalsh_stack) decomposes every P, t P, I, I - P and I - t P, and one
+    their images: the Loewner verdicts read the differences' spectra, the
+    minus verdicts all of them.  Needs trials, n >= 1.
     """
     if trials < 1 or n < 1:
         raise ValueError(f"projector_fixed_point_suite needs trials >= 1 and n >= 1, got trials={trials}, n={n}")

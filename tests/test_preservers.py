@@ -23,7 +23,7 @@ from psdorder import (
 )
 import per_trial
 from psdorder.numkernel import SymMatrix, maxabs, rel_residual, sym_eig
-from psdorder.preservers import _projectors, sample_pair
+from psdorder.preservers import CongruenceMap, _orthogonal, _projectors, sample_pair
 
 TOL12 = ToleranceConfig(rank_rel_tol=1e-12)
 
@@ -220,24 +220,50 @@ def test_projector_draws_match_per_trial_reference(n):
 
 
 def test_matrix_map_applies_to_stacks():
+    # a congruence maps a whole stack in one product S X S^T, every other
+    # map matrix by matrix: either way each image is fn's on its matrix
     rng = np.random.default_rng(71)
+    for n in range(1, 13):
+        s = random_invertible(rng, n)
+        congruences = [congruence_map(c * s) for c in (1e-6, 1.0, 1e6)]
+        assert all(isinstance(m, CongruenceMap) for m in congruences)
+        for k in (1, 2, 3, 7, 16, 48):
+            x = rng.standard_normal((k, n, n))
+            for mmap in (*congruences, MatrixMap.trace_inflation(), MatrixMap.rank_collapse()):
+                got = mmap.apply(x)
+                assert got.shape == x.shape
+                for m, image in zip(x, got):
+                    sym = 0.5 * (m + m.T)
+                    assert image.tobytes() == np.asarray(mmap.fn(sym), dtype=float).tobytes(), (n, k, mmap)
+                    assert mmap.apply(m).tobytes() == image.tobytes()
+                    assert mmap.apply(SymMatrix(m)).tobytes() == image.tobytes()
+                assert mmap.apply(np.empty((0, n, n))).shape == (0, n, n)
     x = rng.standard_normal((6, 4, 4))
-    s = random_invertible(rng, 4)
-    for mmap in (congruence_map(s), MatrixMap.trace_inflation(), MatrixMap.rank_collapse()):
-        got = mmap.apply(x)
-        assert got.shape == x.shape
-        for m, image in zip(x, got):
-            sym = 0.5 * (m + m.T)
-            assert image.tobytes() == np.asarray(mmap.fn(sym), dtype=float).tobytes()
-            assert mmap.apply(m).tobytes() == image.tobytes()
-            assert mmap.apply(SymMatrix(m)).tobytes() == image.tobytes()
-        assert mmap.apply(np.empty((0, 4, 4))).shape == (0, 4, 4)
     bad = x.copy()
     bad[3, 1, 2] = np.nan
     with pytest.raises(ValueError, match="finite"):
         MatrixMap.trace_inflation().apply(bad)
     with pytest.raises(DimensionMismatch):
         MatrixMap.trace_inflation().apply(x[:, :, :3])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+def test_orthogonal_factor_has_r_with_a_nonnegative_diagonal(n):
+    # Q of Z = Q R, drawn for a stack: Q is orthogonal and R = Q^T Z is
+    # upper triangular with a nonnegative diagonal, also where a column of
+    # Z is zero and R's diagonal entry with it (its sign is taken as +1)
+    rng = np.random.default_rng(90 + n)
+    z = rng.standard_normal((24, n * n + 3))
+    zero = z[:8, :n * n].reshape(8, n, n)
+    zero[np.arange(8), :, np.arange(8) % n] = 0.0
+    q = _orthogonal(z, n)
+    zs = z[:, :n * n].reshape(-1, n, n)
+    r = q.swapaxes(-1, -2) @ zs
+    assert np.abs(q.swapaxes(-1, -2) @ q - np.eye(n)).max() <= 1e-13
+    assert np.abs(np.tril(r, -1)).max() <= 1e-13 * np.abs(zs).max()
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    assert (diagonal >= 0.0).all()
+    assert (diagonal[np.arange(8), np.arange(8) % n] == 0.0).all()
 
 
 def test_probe_inputs():

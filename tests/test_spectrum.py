@@ -38,21 +38,37 @@ from psdorder import (
 )
 from psdorder import numkernel, orders
 from psdorder.numkernel import canonical_order, column_span, min_singular_value, rel_residual, rel_residual_stack
-from psdorder.preservers import congruence_map, sample_pair
+from psdorder.preservers import _projectors, congruence_map, sample_pair
 
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """Counts calls of numpy.linalg.eigh made while the test runs."""
+    """The calls of numpy.linalg.eigh and numpy.linalg.eigvalsh made while
+    the test runs, in order, each as (routine, matrices in its stack)."""
     calls = []
-    real = np.linalg.eigh
 
-    def counting(a, *args, **kwargs):
-        calls.append(np.array(a))
-        return real(a, *args, **kwargs)
+    def counting(name):
+        real = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+        def call(a, *args, **kwargs):
+            calls.append((name, len(a)))
+            return real(a, *args, **kwargs)
+
+        return call
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
     return calls
+
+
+def _routines(calls):
+    """The routine of each call eigh_calls recorded."""
+    return [name for name, _ in calls]
+
+
+# the routine a sweep's stacked decision calls: the Loewner and minus
+# decisions read eigenvalues alone, the star family B's eigenvectors too
+SWEEP_ROUTINE = {"lowner": "eigvalsh", "minus": "eigvalsh", "star": "eigh"}
 
 
 def _pairs():
@@ -104,7 +120,8 @@ def test_eigh_calls_per_verdict(eigh_calls, route, holds_eighs, fails_eighs):
         verdict = _verdict(route, *pairs[label])
         assert verdict.holds == (label == "holds")
         assert verdict.detail == ("strictly less" if label == "holds" else "incomparable")
-        assert len(eigh_calls) == expected, (route, label)
+        # a scalar verdict's certificate is pinned to eigh's values
+        assert _routines(eigh_calls) == ["eigh"] * expected, (route, label)
 
 
 @pytest.mark.parametrize("relation", ["lowner", "minus", "star"])
@@ -115,12 +132,15 @@ def test_sweep_eigh_calls_do_not_grow_with_trials(eigh_calls, relation):
         eigh_calls.clear()
         preserves_order(mmap, relation, n=3, trials=trials, seed=5)
         assert len(eigh_calls) == 1, (relation, trials)
+        assert _routines(eigh_calls) == [SWEEP_ROUTINE[relation]], (relation, trials)
         eigh_calls.clear()
         projector_fixed_point_suite(mmap, n=3, trials=trials, seed=5)
         # one stack per side, P, t P, I and the differences, then their
-        # images: the Loewner and the minus decisions read the same spectra
+        # images: the Loewner and the minus decisions read the same
+        # values-only spectra
         assert len(eigh_calls) == 2, trials
-        assert sum(map(len, eigh_calls)) == 8 * trials + 2, trials
+        assert _routines(eigh_calls) == ["eigvalsh"] * 2, trials
+        assert sum(k for _, k in eigh_calls) == 8 * trials + 2, trials
 
 
 @pytest.mark.parametrize("relation", ["lowner", "minus", "star"])
@@ -166,6 +186,24 @@ def test_stacked_eigh_matches_per_matrix_eigh(n, k):
         assert q.strides == c_vectors[i].strides
 
 
+@pytest.mark.parametrize("k", [1, 2, 7, 48])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 20, 50])
+def test_stacked_eigvalsh_matches_per_matrix_eigvalsh(n, k):
+    # the premise of the values-only sweeps: eigvalsh on a (k, n, n) stack,
+    # and eigvalsh_stack with it, gives each matrix the bits a call on it
+    # alone gives
+    rng = np.random.default_rng(3000 * n + k)
+    g = rng.standard_normal((k, n, n))
+    x = g + g.swapaxes(1, 2)
+    q, _ = np.linalg.qr(g[0])
+    x[0] = (q * np.r_[np.ones(n // 2), np.zeros(n - n // 2)]) @ q.T  # a projector
+    x[-1] = np.diag(np.r_[np.ones(n - 1), 0.0])  # exactly repeated eigenvalues
+    values = numkernel.eigvalsh_stack(x)
+    assert values.tobytes() == np.linalg.eigvalsh(x).tobytes()
+    for i in range(k):
+        assert np.linalg.eigvalsh(x[i]).tobytes() == values[i].tobytes()
+
+
 @pytest.mark.parametrize("k", [1, 2, 7, 40])
 @pytest.mark.parametrize("n", [2, 3, 5, 10, 16])
 def test_stacked_kernels_match_per_matrix_calls(n, k):
@@ -207,7 +245,7 @@ def test_order_holds_many_with_one_b_decomposes_it_once(eigh_calls, relation):
     a = np.array([*pairs, b, 0.5 * b, (q * np.array([1.0, 0.0, 0.0, 0.0])) @ q.T])
     got = order_holds_many(a, b, relation)
     assert len(eigh_calls) == 1
-    assert len(eigh_calls[0]) == {"lowner": len(a), "minus": 2 * len(a) + 1, "star": 1}[relation]
+    assert eigh_calls[0] == (SWEEP_ROUTINE[relation], {"lowner": len(a), "minus": 2 * len(a) + 1, "star": 1}[relation])
     assert got.tolist() == order_holds_many(a, np.broadcast_to(b, a.shape), relation).tolist()
     assert got.tolist() == [order_leq(x, b, relation).holds for x in a]
     assert 0 < got.sum() < len(a)
@@ -231,6 +269,66 @@ def test_order_holds_many_matches_order_leq(relation):
     assert 0 < sum(want) < len(want)
     with pytest.raises(DimensionMismatch):
         order_holds_many(a, b[:, :3, :3], relation)
+
+
+def _near_cutoff(verdict, a, b):
+    """How far, in eps times the spectral radius, the eigenvalue nearest a
+    scalar verdict's cutoff lies from it: the smallest eigenvalue of B - A
+    from minus the threshold (Loewner), or the magnitude nearest the rank
+    cutoff among those of A, B and B - A (minus); inf when every eigenvalue
+    is zero, which either solver returns exactly."""
+    cert = verdict.certificate
+    if verdict.relation == "lowner":
+        values = np.linalg.eigvalsh(b - a)
+        gap = abs(cert["min_eig"] + cert["threshold"])
+    else:
+        values = np.linalg.eigvalsh(np.array([a, b, b - a]))
+        gap = np.abs(np.abs(values) - cert["cutoff"]).min()
+    radius = np.abs(values).max()
+    return gap / (np.finfo(float).eps * radius) if radius else np.inf
+
+
+@pytest.mark.parametrize("relation", ["lowner", "minus"])
+def test_order_holds_many_differs_from_order_leq_only_at_a_cutoff(relation):
+    # the values-only stacked decision and the scalar check's eigh may put
+    # an eigenvalue within a few eps times the spectral radius of a cutoff
+    # on either side of it, and nowhere else may they disagree: projector
+    # suite and sampled pairs, before and after congruences that scale
+    # them by 10^k, |k| <= 6
+    decided, held = 0, 0
+    for n in range(2, 11):
+        # entries in [0.5, 1.5): condition numbers up to about 3e4
+        s = 0.5 + np.random.default_rng(n).uniform(size=(n, n))
+        _, projectors, shrink = _projectors(n, 8, n)
+        eye = np.broadcast_to(np.eye(n), projectors.shape)
+        x = np.concatenate([projectors, shrink[:, None, None] * projectors])
+        pa, pb = sample_pair(relation, n, np.arange(8), n)
+        for k in (-6, -3, 0, 3, 6):
+            mmap = congruence_map(10.0 ** (k / 2) * s)
+            for pair in ((x, np.concatenate([eye, eye])), (pa, pb)):
+                for a, b in (pair, tuple(map(mmap.apply, pair))):
+                    got = order_holds_many(a, b, relation)
+                    for x_a, x_b, holds in zip(a, b, got.tolist()):
+                        verdict = order_leq(x_a, x_b, relation)
+                        decided, held = decided + 1, held + holds
+                        if holds != verdict.holds:
+                            assert _near_cutoff(verdict, x_a, x_b) <= 8.0, (n, k)
+    assert decided == 9 * 5 * 2 * 24 and 0 < held < decided
+
+
+@pytest.mark.parametrize("relation", ["lowner", "minus"])
+def test_order_holds_many_matches_the_exact_oracle(relation):
+    exact = {"lowner": oracles.exact_lowner_leq, "minus": oracles.exact_minus_leq}[relation]
+    rng = np.random.default_rng(61)
+    for n in range(1, 7):
+        pairs = [oracles.exact_minus_pair(rng, n) for _ in range(12)]
+        pairs += [(a, a + oracles.integer_psd(rng, n)) for a, _ in pairs[:6]]
+        pairs += [(oracles.integer_psd(rng, n), oracles.integer_psd(rng, n)) for _ in range(12)]
+        pairs += [(b, a) for a, b in pairs[:12]]
+        a, b = (np.array(m, dtype=float) for m in zip(*pairs))
+        want = [exact(x, y) for x, y in pairs]
+        assert order_holds_many(a, b, relation).tolist() == want, n
+        assert 0 < sum(want) < len(want)
 
 
 @pytest.mark.parametrize("relation", ["star", "left-star", "right-star"])
@@ -315,31 +413,31 @@ def test_eigh_calls_sim_congruence(eigh_calls):
     res = sim_congruence(a, b)
     assert (res.rank_a, res.rank_b) == (1, 3)
     # A and B together, the idempotent block once.
-    assert [len(x) for x in eigh_calls] == [2, 1]
+    assert eigh_calls == [("eigh", 2), ("eigh", 1)]
     # a PsdMatrix pair keeps no spectrum, so it is decomposed the same way
     pa, pb = PsdMatrix(a), PsdMatrix(b)
     eigh_calls.clear()
     assert _bits(sim_congruence(pa, pb)) == _bits(res)
-    assert [len(x) for x in eigh_calls] == [2, 1]
+    assert eigh_calls == [("eigh", 2), ("eigh", 1)]
 
 
 def test_eigh_calls_inertia(eigh_calls):
     assert inertia(PAIRS["lowner"]["fails"][0]) == Inertia(2, 0, 2)
-    assert len(eigh_calls) == 1
+    assert eigh_calls == [("eigh", 1)]
 
 
 def test_eigh_calls_model_compare(eigh_calls):
     x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     l1 = LinearModel(x=x, d=np.eye(3))
     l2 = LinearModel(x=x, d=np.diag([1.0, 2.0, 3.0]))
-    assert len(eigh_calls) == 2  # each covariance certified PSD
+    assert eigh_calls == [("eigh", 1)] * 2  # each covariance certified PSD
     eigh_calls.clear()
     v = model_compare(l1, l2)
     assert v.l1_geq_l2 and not v.l2_geq_l1
     assert v.certificate["m1_leq_m2"].detail == "strictly greater"
     # per model the Gram pseudoinverse, then one stack of M1, M2 and
     # M1 - M2: the PSD certificates of M1 and M2 and both directions
-    assert [len(x) for x in eigh_calls] == [1, 1, 3]
+    assert eigh_calls == [("eigh", 1), ("eigh", 1), ("eigh", 3)]
 
 
 def test_eigh_calls_blue_check(eigh_calls):
@@ -349,7 +447,7 @@ def test_eigh_calls_blue_check(eigh_calls):
     v = blue_check(x @ np.linalg.pinv(x), model)
     assert v.is_blue and v.certificate["ranks"] == (1, 3)
     # V(Ly) and V(y) in one stack, then the idempotent block of the reduction
-    assert [len(x) for x in eigh_calls] == [2, 1]
+    assert eigh_calls == [("eigh", 2), ("eigh", 1)]
 
 
 def _three_forms(n=6):
@@ -364,14 +462,14 @@ def test_eigh_calls_qform_rank_criterion(eigh_calls):
     # V and the forms certified in one stack; the compressed forms, their
     # total and the differences total - form in a second; one idempotent
     # block per form.  The per-matrix path made 14 calls on 20 matrices.
-    assert [len(x) for x in eigh_calls] == [4, 7, 1, 1, 1]
+    assert eigh_calls == [("eigh", k) for k in (4, 7, 1, 1, 1)]
 
 
 def test_eigh_calls_mc_quadratic_forms(eigh_calls):
     mc = mc_quadratic_forms(*_three_forms(), n_samples=1000, seed=3)
     assert mc.dfs == [2, 2, 2] and mc.total_df == 6
     # the two stacks of qform_rank_criterion, V's root read from the first
-    assert [len(x) for x in eigh_calls] == [4, 7]
+    assert eigh_calls == [("eigh", 4), ("eigh", 7)]
 
 
 def test_sym_eig_keeps_no_spectrum_on_a_sym_matrix(eigh_calls):
