@@ -10,7 +10,7 @@ input/output samples.
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .numkernel import (
     sym_stack,
 )
 from .orders import Relation, _lowner_stack, _minus_stack, _pair_spectra, holds_stack
-from .rng import box_muller, substream, uniforms
+from .rng import box_muller, child_key, index_hash, uniform_block
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 # How many offending pairs a report keeps around for inspection.
@@ -36,10 +36,13 @@ _MAX_COUNTEREXAMPLES = 5
 
 @dataclass(frozen=True)
 class MatrixMap:
-    """A named map on symmetric matrices."""
+    """A named map on symmetric matrices: fn on one matrix, and optionally
+    stack_fn, the same map on a whole (k, n, n) stack at once, each image
+    bit for bit fn's on its matrix (without it, fn maps matrix by matrix)."""
 
     label: str
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    stack_fn: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False, compare=False)
 
     def apply(self, a) -> np.ndarray:
         """fn on one matrix, or on each matrix of a (k, n, n) stack.  The
@@ -53,6 +56,8 @@ class MatrixMap:
 
     def _images(self, stack) -> np.ndarray:
         """fn on each matrix of a stack already checked and symmetrized."""
+        if self.stack_fn is not None:
+            return self.stack_fn(stack)
         return np.array([self.fn(m) for m in stack], dtype=float).reshape(stack.shape)
 
     @classmethod
@@ -61,6 +66,7 @@ class MatrixMap:
         return cls(
             label="trace-inflation",
             fn=lambda a: a + np.trace(a) * np.eye(a.shape[0]),
+            stack_fn=lambda x: x + np.trace(x, axis1=-2, axis2=-1)[:, None, None] * np.eye(x.shape[-1]),
         )
 
     @classmethod
@@ -69,31 +75,22 @@ class MatrixMap:
 
         def collapse(a):
             out = np.zeros_like(a)
-            out[0, 0] = np.trace(a)
+            out[..., 0, 0] = np.trace(a, axis1=-2, axis2=-1)
             return out
 
-        return cls(label="rank-collapse", fn=collapse)
+        return cls(label="rank-collapse", fn=collapse, stack_fn=collapse)
 
 
 @dataclass(frozen=True)
 class CongruenceMap(MatrixMap):
-    """The MatrixMap of congruence_map, which keeps its factor S to map a
-    whole stack at once."""
+    """The MatrixMap of congruence_map, which keeps its factor S."""
 
-    s: np.ndarray = field(repr=False, compare=False)
-
-    def _images(self, stack) -> np.ndarray:
-        """S X S^T for every X of the stack in one stacked product, each
-        image bit for bit fn's on its matrix; a stack of another shape goes
-        to fn, which raises DimensionMismatch on its first matrix."""
-        if stack.shape[1:] != self.s.shape:
-            return super()._images(stack)
-        return self.s @ stack @ self.s.T
+    s: np.ndarray = field(default=None, repr=False, compare=False)
 
 
 def congruence_map(s, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixMap:
     """The map A -> S A S^T for an invertible S, as a CongruenceMap, which
-    maps a whole stack in one product.
+    maps a whole stack in one product and keeps S.
 
     Raises SingularS when S is empty or singular to working precision,
     since a non-invertible factor defines no order automorphism; the map
@@ -110,11 +107,13 @@ def congruence_map(s, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixMap:
     s.setflags(write=False)
 
     def congruence(a):
-        if a.shape != s.shape:
-            raise DimensionMismatch(f"a {len(s)}x{len(s)} congruence cannot map shape {a.shape}")
+        """S A S^T for one matrix A, or S X S^T for every X of a stack in
+        one stacked product, each image bit for bit the one of its matrix."""
+        if a.shape[-2:] != s.shape:
+            raise DimensionMismatch(f"a {len(s)}x{len(s)} congruence cannot map shape {a.shape[-2:]}")
         return s @ a @ s.T
 
-    return CongruenceMap(label="congruence", fn=congruence, s=s)
+    return CongruenceMap(label="congruence", fn=congruence, stack_fn=congruence, s=s)
 
 
 @dataclass
@@ -149,14 +148,6 @@ class PreservationReport:
         return self.preserves_forward and self.preserves_backward
 
 
-def _draw(parents, streams, n: int) -> np.ndarray:
-    """One block of uniforms, a row per stream substream(parent, stream) of
-    the uint64 arrays `parents` and `streams`, broadcast together.  The
-    rows are long enough for n * n normals and for 3 n uniforms."""
-    count = max(n * n, 3 * n)
-    return uniforms(substream(parents, streams), count + count % 2)
-
-
 def _orthogonal(z, n: int) -> np.ndarray:
     """Q of the QR factorization of the (n, n) matrix of the first n * n
     normals, row-major, of each row of z, with the column signs that make
@@ -173,27 +164,54 @@ def _congruent(s, d) -> np.ndarray:
 
 
 # The streams a trial draws from, by relation (the star family shares the
-# star order's): a comparable or chain trial's, then an incomparable one's.
+# star order's): a comparable or chain trial's, then an incomparable one's,
+# the streams read as normals first.
 _STREAMS = {
-    Relation.LOWNER: ((0, 1, 2), (7, 8, 9)),
+    Relation.LOWNER: ((0, 2, 1), (7, 9, 8)),
     Relation.MINUS: ((3, 16, 4), (10, 17, 11)),
     Relation.STAR: ((5, 6), (12, 13)),
 }
+# The index hashes of every fixed stream id, taken once: those of _STREAMS;
+# 14, a chain trial's parent, and 15, its H; 1, a projector trial's
+# parent, and its streams 1 (normals), 0 and 2.
+_STREAM_HASHES = {r: index_hash(np.array(ids, dtype=np.uint64)) for r, ids in _STREAMS.items()}
+_CHAIN_HASHES = index_hash(np.array([14, 15], dtype=np.uint64))
+_PROJECTOR_HASH = index_hash(np.array([1], dtype=np.uint64))
+_PROJECTOR_STREAM_HASHES = index_hash(np.array([1, 0, 2], dtype=np.uint64))
+
+
+def _even(count: int) -> int:
+    """count rounded up to even: the uniforms of `count` normals."""
+    return count + count % 2
+
+
+def _stream_counts(relation: Relation, n: int) -> tuple:
+    """The length each stream of a trial is drawn at, in _STREAMS's order:
+    the normals of an n x n matrix (the PSD order's H has at most n
+    columns), then as many uniforms as the most its recipe reads."""
+    count = _even(n * n)
+    if relation is Relation.LOWNER:
+        return count, count, n
+    if relation is Relation.MINUS:
+        return count, n, n + 1
+    return count, 3 * n
 
 
 def _lowner_pairs(u, u_chain, incomparable, chain, n: int):
-    """PSD-order pairs from the uniforms (k, 3, count) of their trials and
-    those of the chain trials' H.  Comparable: G G^T below G G^T + H H^T, H
-    of k columns drawn per trial.  Incomparable: G G^T, shifted to keep both
-    PD, and Q diag(d) Q^T above it, indefinite with positive trace (which
-    also exercises maps that inflate by the trace).  Chain: B + H H^T."""
-    # the streams read as normals: G and H (or Q and G), then the chain's H
-    z = box_muller(np.concatenate([u[:, 0], u[:, 2], u_chain]))
-    first, third, h_chain = np.split(z, [len(u), 2 * len(u)])
+    """PSD-order pairs from the uniform block (k, count) of their trials'
+    streams 0 (or 7), 2 (or 9) and 1 (or 8), and that of the chain trials'
+    H.  Comparable: G G^T below G G^T + H H^T, H of k columns drawn per
+    trial.  Incomparable: G G^T, shifted to keep both PD, and Q diag(d) Q^T
+    above it, indefinite with positive trace (which also exercises maps
+    that inflate by the trace).  Chain: B + H H^T."""
+    # the streams read as normals: G and H (or Q and G)
+    count = _even(n * n)
+    z, v = box_muller(u[:, :2 * count]), u[:, 2 * count:]
+    first, third = z[:, :count], z[:, count:]
     g = np.where(incomparable[:, None], third, first)[:, :n * n].reshape(-1, n, n)
     a = g @ g.swapaxes(-1, -2)
     b = a.copy()
-    ks = np.where(incomparable, 0, (u[:, 1, 0] * (n + 1)).astype(int))
+    ks = np.where(incomparable, 0, (v[:, 0] * (n + 1)).astype(int))
     # H H^T has k columns, drawn per trial: one product per value of k
     for cols in set(ks[ks > 0].tolist()):
         rows = np.flatnonzero(ks == cols)
@@ -201,12 +219,12 @@ def _lowner_pairs(u, u_chain, incomparable, chain, n: int):
         b[rows] = a[rows] + h @ h.swapaxes(-1, -2)
     inc = np.flatnonzero(incomparable)
     if inc.size:
-        d = 1.0 + u[inc, 1, :n]
-        d[:, -1] = -(0.05 + 0.25 * u[inc, 1, n - 1])
+        d = 1.0 + v[inc, :n]
+        d[:, -1] = -(0.05 + 0.25 * v[inc, n - 1])
         a[inc] += (np.abs(d[:, -1]) + 0.5)[:, None, None] * np.eye(n)
         b[inc] = a[inc] + _congruent(_orthogonal(first[inc], n), d)
     cols = max(1, n // 2)
-    h = h_chain[:, :n * cols].reshape(-1, n, cols)
+    h = box_muller(u_chain)[:, :n * cols].reshape(-1, n, cols)
     b[chain] += h @ h.swapaxes(-1, -2)
     return a, b
 
@@ -220,36 +238,37 @@ def sample_pair(relation, seed: int, trial, n: int):
     implication get exercised with known ground truth.  A chain trial draws
     a comparable pair from its own substream; only for the PSD order does it
     extend it to the outer pair of a chain A <= B <= B + H H^T.  All trials
-    are drawn in one pass: one substream call keys every stream from a table
-    of stream ids per trial, then one block of uniforms, one Box-Muller
-    pass, one stacked QR and one stacked S diag(d) S^T (or G G^T), selecting
-    rows by kind.  Each pair is bit for bit its trial's drawn alone.
+    are drawn in one pass: the keys of every trial, then of its chain
+    streams, then of its streams from a table of stream ids per trial, each
+    level in one array mix; then one block of uniforms, every stream at the
+    length its recipe reads, one Box-Muller pass, one stacked QR and one
+    stacked S diag(d) S^T (or G G^T), selecting rows by kind.  Each pair is
+    bit for bit its trial's drawn alone.
     """
     relation = Relation(relation)
     trials = np.atleast_1d(trial)
     incomparable, chain = trials % 4 == 1, trials % 4 == 2
     if n < 2 and incomparable.any():
         raise ValueError("incomparable pairs need n >= 2")
-    keys = substream(seed, trials.astype(np.uint64))
-    table = np.array(_STREAMS.get(relation, _STREAMS[Relation.STAR]), dtype=np.uint64)[incomparable.astype(int)]
-    parents = np.where(chain, substream(keys, 14), keys)
-    parents, streams = (x.ravel() for x in np.broadcast_arrays(parents[:, None], table))
+    keys = child_key(seed, index_hash(trials.astype(np.uint64)))
+    # the chain trials' parent (stream 14 of the trial key) and H (stream 15)
+    chained = child_key(keys[:, None], _CHAIN_HASHES)
+    parents = np.where(chain, chained[:, 0], keys)
+    hashes = _STREAM_HASHES.get(relation, _STREAM_HASHES[Relation.STAR])[incomparable.astype(int)]
+    u = uniform_block(child_key(parents[:, None], hashes), _stream_counts(relation, n))
+    count = _even(n * n)
     if relation is Relation.LOWNER:
-        # then the chain trials' H, from stream 15 of the trial key
-        parents = np.concatenate([parents, keys[chain]])
-        streams = np.concatenate([streams, np.full(chain.sum(), 15, dtype=np.uint64)])
-    u, u_chain = np.split(_draw(parents, streams, n), [table.size])
-    u = u.reshape(*table.shape, -1)
-    if relation is Relation.LOWNER:
+        u_chain = uniform_block(chained[chain, 1:], (_even(n * max(1, n // 2)),))
         a, b = _lowner_pairs(u, u_chain, incomparable, chain, n)
         return (a[0], b[0]) if np.ndim(trial) == 0 else (a, b)
-    inc, s, v = incomparable[:, None], _orthogonal(box_muller(u[:, 0]), n), u[:, -1]
+    inc = incomparable[:, None]
     if relation is Relation.MINUS:
+        scale, v = u[:, count:count + n], u[:, count + n:]
         # orthogonal times bounded diagonal keeps S's condition number at most
         # 4, so every intended eigendirection stays a solid fraction of the
         # spectral radius even after a further congruence.  Comparable: E_r
         # below E_k, k >= r; incomparable: E_r (r >= 1) and E_r scaled
-        s = s * (0.5 + 1.5 * u[:, 1, None, :n])
+        s = _orthogonal(box_muller(u[:, :count]), n) * (0.5 + 1.5 * scale[:, None, :])
         r = (v[:, 0] * (n + 1)).astype(int)
         ranks = np.array([np.where(incomparable, 1 + (v[:, 0] * (n - 1)).astype(int), r),
                           r + (v[:, 1] * (n - r + 1)).astype(int)])
@@ -259,6 +278,7 @@ def sample_pair(relation, seed: int, trial, n: int):
     else:
         # one eigenbasis.  Comparable: supports nested, shared part
         # identical; incomparable: full supports, B doubling A's first value
+        s, v = _orthogonal(box_muller(u[:, :count]), n), u[:, count:]
         support = v[:, :n] < 0.5
         grow = ~support & (v[:, 2 * n:3 * n] < 0.5)
         d_a = np.where(inc, 0.5 + v[:, :n], np.where(support, 0.5 + v[:, n:2 * n], 0.0))
@@ -408,16 +428,18 @@ def fit_congruence(samples, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 def _projectors(seed: int, trials: int, n: int):
     """The rank k, projector P = Q_k Q_k^T and shrink factor t of every
-    projector_fixed_point_suite trial, all drawn at once."""
-    keys = substream(seed, np.arange(trials, dtype=np.uint64), 1)
-    u = _draw(keys[:, None], np.arange(3, dtype=np.uint64), n)
-    ranks = (u[:, 0, 0] * (n + 1)).astype(int)
-    q = _orthogonal(box_muller(u[:, 1]), n)
+    projector_fixed_point_suite trial, all drawn at once: streams 1
+    (normals, Q), 0 (k) and 2 (t) of each trial's key's child 1."""
+    keys = child_key(child_key(seed, index_hash(np.arange(trials, dtype=np.uint64))), _PROJECTOR_HASH)
+    count = _even(n * n)
+    u = uniform_block(child_key(keys[:, None], _PROJECTOR_STREAM_HASHES), (count, 1, 1))
+    ranks = (u[:, count] * (n + 1)).astype(int)
+    q = _orthogonal(box_muller(u[:, :count]), n)
     projectors = np.empty((trials, n, n))
     # P has k columns, drawn per trial, so it is formed per trial
     for t, k in enumerate(ranks):
         projectors[t] = q[t, :, :k] @ q[t, :, :k].T
-    return ranks, projectors, 0.25 + 0.5 * u[:, 2, 0]
+    return ranks, projectors, 0.25 + 0.5 * u[:, count + 1]
 
 
 def projector_fixed_point_suite(

@@ -1,25 +1,43 @@
 """Special functions needed by the Monte Carlo validation layer.
 
-Only the regularized lower incomplete gamma is needed (for chi-square
-probability transforms), so it is implemented directly: a power series on
-x < s + 1 and a modified Lentz continued fraction elsewhere (Press et al.,
-Numerical Recipes, 3rd ed., section 6.2).  Both iterate to near machine
-precision, comfortably past the 1e-10 the callers require:
+The chi-square CDF is the regularized lower incomplete gamma P(df/2, x/2),
+and it takes one of two routes by its degrees of freedom:
 
-- the series stops once its last term is below 1e-16 of the sum; the
-  number of terms grows like sqrt(s) near x = s + 1, about 8.7 sqrt(s)
-  (195 at df = 1000, 1,778 at df = 10^5), so its budget is _MAX_ITER
-  times max(1, sqrt(s / 500)), about three times that need,
-- the continued fraction stops once every Lentz factor is within four
-  machine epsilons of 1; that takes at most 69 iterations for every
-  df <= 1000, the most at the boundary x = s + 1 (for even df the fraction
-  terminates at iteration s at the latest, where its numerator is 0).
+- an integer df <= _CLOSED_FORM_MAX_DF (500) takes the closed forms of
+  Abramowitz & Stegun 26.4.4-26.4.5: for even df the upper tail is the
+  finite Poisson sum e^{-x/2} sum_{k < df/2} (x/2)^k / k!, and for odd df
+  it is erfc(sqrt(x/2)) plus the finite half-integer sum.  That is df/2
+  elementwise steps, the same for every value, so each value is bit for
+  bit what a call with it alone gives.  erfc is Numerical Recipes' (3rd
+  ed., section 6.2.2) Chebyshev fit, numpy only.  Against scipy the CDF
+  stays within 5e-15 absolute for every df <= 500; relative accuracy in
+  the far lower tail, where the CDF is 1 minus the upper tail, is not
+  kept.  500 is where the df/2 steps start to cost more than the
+  iterations below: the two routes cross at about df 500 on 50,000 values
+  and df 800 on 8,000 (one core, numpy 2.4).  Far beyond it e^{-x/2}
+  itself underflows in the bulk, from df of about 1,400 on.
+- every other df, and gammainc_lower_reg itself, take a power series on
+  x < s + 1 and a modified Lentz continued fraction elsewhere (Press et
+  al., Numerical Recipes, 3rd ed., section 6.2).  Both iterate to near
+  machine precision, comfortably past the 1e-10 the callers require; each
+  element iterates until the slowest of its call converges, so a value's
+  last bits may depend on the others in its call:
 
-Either branch that spends its budget without meeting its test raises
-NonConvergence rather than returning the unconverged value.  Both stay
-within 1e-10 of scipy's gammainc up to df = 10^5; beyond that the roundoff
-of the prefactor s log x - x - lgamma(s), about eps times s log x, grows
-past it.
+  - the series stops once its last term is below 1e-16 of the sum; the
+    number of terms grows like sqrt(s) near x = s + 1, about 8.7 sqrt(s)
+    (195 at df = 1000, 1,778 at df = 10^5), so its budget is _MAX_ITER
+    times max(1, sqrt(s / 500)), about three times that need,
+  - the continued fraction stops once every Lentz factor is within four
+    machine epsilons of 1; that takes at most 69 iterations for every
+    df <= 1000, the most at the boundary x = s + 1 (for even df the
+    fraction terminates at iteration s at the latest, where its numerator
+    is 0).
+
+  Either branch that spends its budget without meeting its test raises
+  NonConvergence rather than returning the unconverged value.  Both stay
+  within 1e-10 of scipy's gammainc up to df = 10^5; beyond that the
+  roundoff of the prefactor s log x - x - lgamma(s), about eps times
+  s log x, grows past it.
 """
 
 import math
@@ -36,6 +54,19 @@ _SERIES_TOL = 1e-16
 # stops once every factor is within four machine epsilons of 1.
 _LENTZ_TOL = 4.0 * np.finfo(float).eps
 _MAX_ITER = 600
+# Integer degrees of freedom up to this take the closed forms of chi2_cdf.
+_CLOSED_FORM_MAX_DF = 500
+# Chebyshev coefficients of erfc on [0, inf) in t = 2 / (2 + z) (Numerical
+# Recipes, 3rd ed., section 6.2.2, Erf::cof).
+_ERFC_COF = (
+    -1.3026537197817094, 6.4196979235649026e-1, 1.9476473204185836e-2,
+    -9.561514786808631e-3, -9.46595344482036e-4, 3.66839497852761e-4,
+    4.2523324806907e-5, -2.0278578112534e-5, -1.624290004647e-6,
+    1.303655835580e-6, 1.5626441722e-8, -8.5238095915e-8, 6.529054439e-9,
+    5.059343495e-9, -9.91364156e-10, -2.27365122e-10, 9.6467911e-11,
+    2.394038e-12, -6.886027e-12, 8.94487e-13, 3.13092e-13, -1.12708e-13,
+    3.81e-16, 7.106e-15, -1.523e-15, -9.4e-17, 1.21e-16, -2.8e-17,
+)
 
 
 def _lower_series(s: float, x: np.ndarray) -> np.ndarray:
@@ -113,13 +144,59 @@ def gammainc_lower_reg(s: float, x) -> np.ndarray:
     return out[0] if scalar else out
 
 
+def _erfc(z) -> np.ndarray:
+    """Complementary error function of each z >= 0: Numerical Recipes'
+    Chebyshev fit, summed by Clenshaw's recurrence: within 4.4e-16
+    absolute of scipy's on [0, 30], with a relative error that grows from a
+    few eps like eps z^2 (the roundoff of z^2 in its exponent)."""
+    z = np.asarray(z, dtype=float)
+    t = 2.0 / (2.0 + z)
+    ty = 4.0 * t - 2.0
+    d, dd, spare = np.full_like(ty, _ERFC_COF[-1]), np.zeros_like(ty), np.empty_like(ty)
+    for c in _ERFC_COF[-2:0:-1]:
+        np.multiply(ty, d, out=spare)
+        spare -= dd
+        spare += c
+        dd, d, spare = d, spare, dd
+    return t * np.exp(-z * z + 0.5 * (_ERFC_COF[0] + ty * d) - dd)
+
+
+def _chi2_upper(y: np.ndarray, df: int) -> np.ndarray:
+    """1 - P(df / 2, y) for an integer df, elementwise over y = x / 2 >= 0:
+    erfc(sqrt(y)) for odd df, plus sum_{j < df // 2} e^{-y} y^{j + h} /
+    Gamma(j + h + 1) with h = 1/2 for odd df and 0 for even df."""
+    h = 0.5 * (df % 2)
+    term = np.exp(-y)
+    if h:
+        root = np.sqrt(y)
+        upper = _erfc(root)
+        term *= root / math.gamma(1.5)
+    else:
+        upper = np.zeros_like(y)
+    for j in range(df // 2):
+        upper += term
+        term *= y / (j + h + 1.0)
+    return upper
+
+
 def chi2_cdf(x, df: float) -> np.ndarray:
-    """CDF of the chi-square distribution with df degrees of freedom."""
+    """CDF of the chi-square distribution with df degrees of freedom: in
+    closed form for an integer df <= _CLOSED_FORM_MAX_DF, else as
+    gammainc_lower_reg(df / 2, x / 2); 0 for every x <= 0."""
     if df <= 0:
         raise ValueError(f"degrees of freedom must be positive, got {df!r}")
     x = np.asarray(x, dtype=float)
-    clipped = np.maximum(x, 0.0)
-    return gammainc_lower_reg(0.5 * df, 0.5 * clipped)
+    y = 0.5 * np.maximum(x, 0.0)
+    if df > _CLOSED_FORM_MAX_DF or not float(df).is_integer():
+        return gammainc_lower_reg(0.5 * df, y)
+    scalar = y.ndim == 0
+    y = np.atleast_1d(y)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("chi-square CDF requires finite x")
+    out = np.clip(1.0 - _chi2_upper(y, int(df)), 0.0, 1.0)
+    # the fit's erfc(0) is one ulp below 1
+    out[y == 0.0] = 0.0
+    return out[0] if scalar else out
 
 
 def ks_uniform_distance(values) -> float:

@@ -220,16 +220,19 @@ def test_projector_draws_match_per_trial_reference(n):
 
 
 def test_matrix_map_applies_to_stacks():
-    # a congruence maps a whole stack in one product S X S^T, every other
-    # map matrix by matrix: either way each image is fn's on its matrix
+    # a congruence maps a whole stack in one product S X S^T, the built-in
+    # maps in one stacked trace, a map without stack_fn matrix by matrix:
+    # either way each image is fn's on its matrix
     rng = np.random.default_rng(71)
+    double = MatrixMap("double", lambda m: 2.0 * m)
+    assert double.stack_fn is None
     for n in range(1, 13):
         s = random_invertible(rng, n)
         congruences = [congruence_map(c * s) for c in (1e-6, 1.0, 1e6)]
         assert all(isinstance(m, CongruenceMap) for m in congruences)
         for k in (1, 2, 3, 7, 16, 48):
             x = rng.standard_normal((k, n, n))
-            for mmap in (*congruences, MatrixMap.trace_inflation(), MatrixMap.rank_collapse()):
+            for mmap in (*congruences, MatrixMap.trace_inflation(), MatrixMap.rank_collapse(), double):
                 got = mmap.apply(x)
                 assert got.shape == x.shape
                 for m, image in zip(x, got):
@@ -238,6 +241,13 @@ def test_matrix_map_applies_to_stacks():
                     assert mmap.apply(m).tobytes() == image.tobytes()
                     assert mmap.apply(SymMatrix(m)).tobytes() == image.tobytes()
                 assert mmap.apply(np.empty((0, n, n))).shape == (0, n, n)
+    # the stacked trace sums each diagonal as np.trace sums it alone, also
+    # past the 8 terms where numpy's sums turn pairwise and past a block of 128
+    for n in (13, 20, 50, 130, 300):
+        x = rng.standard_normal((5, n, n)) * 10.0 ** rng.integers(-3, 4, size=(5, 1, 1))
+        for mmap in (MatrixMap.trace_inflation(), MatrixMap.rank_collapse()):
+            for m, image in zip(x, mmap.apply(x)):
+                assert image.tobytes() == mmap.fn(0.5 * (m + m.T)).tobytes(), (n, mmap)
     x = rng.standard_normal((6, 4, 4))
     bad = x.copy()
     bad[3, 1, 2] = np.nan

@@ -7,7 +7,7 @@ import pytest
 
 from psdorder import MatrixMap, mc_quadratic_forms, preserves_order, projector_fixed_point_suite
 from psdorder.preservers import sample_pair
-from psdorder.rng import normal_matrix, normals, substream, uniforms
+from psdorder.rng import child_key, index_hash, normal_matrix, normals, substream, uniform_block, uniforms
 
 
 def test_uniforms_deterministic_and_in_range():
@@ -90,6 +90,43 @@ def test_substream_of_arrays_broadcasts_seeds_and_indices():
     assert keys.dtype == np.uint64 and keys.shape == (3, 3)
     assert keys.tolist() == [[substream(s, i, 1) for i in indices] for s in seeds]
     assert substream(-3, np.arange(4, dtype=np.uint64)).tolist() == [substream(-3, t) for t in range(4)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_array_key_path_matches_python_int_substream():
+    # hashes taken once and children derived for whole arrays, level by
+    # level, as the samplers do, against substream on Python ints
+    rng = np.random.default_rng(25)
+    seeds = rng.integers(0, 2**64, size=40, dtype=np.uint64).tolist() + [0, 2**63, 2**63 + 5, 2**64 - 1]
+    indices = [0, 1, 2, 14, 15, 2**63 + 3, 2**64 - 1]
+    keys, idx = np.array(seeds, dtype=np.uint64), np.array(indices, dtype=np.uint64)
+    given = idx.copy()
+    hashed = index_hash(idx)
+    level1 = child_key(keys[:, None], hashed)
+    assert level1.tolist() == [[substream(s, i) for i in indices] for s in seeds]
+    level2 = child_key(level1[:, :, None], hashed)
+    assert level2.tolist() == [[[substream(s, i, j) for j in indices] for i in indices] for s in seeds]
+    assert substream(keys[:, None, None], idx[:, None], idx).tolist() == level2.tolist()
+    # the index array is read, not written
+    assert idx.tobytes() == given.tobytes()
+    for seed in seeds[:4] + seeds[-3:]:
+        # a Python int seed over an array of hashes, and numpy scalars and
+        # 0-d arrays as the Python ints they equal
+        assert child_key(seed, hashed).tolist() == [substream(seed, i) for i in indices]
+        for as_np in (np.uint64(seed), np.array(seed, dtype=np.uint64)):
+            assert child_key(as_np, index_hash(np.uint64(14))) == substream(seed, 14)
+            assert substream(as_np, np.array(2**63 + 3, dtype=np.uint64)) == substream(seed, 2**63 + 3)
+
+
+def test_uniform_block_draws_each_stream_at_its_length():
+    keys = np.array([[substream(3, t, j) for j in range(3)] for t in range(5)], dtype=np.uint64)
+    for counts in ((26, 26, 5), (1, 9, 0), (2,), (7, 7, 7)):
+        block = uniform_block(keys[:, :len(counts)], counts)
+        assert block.shape == (5, sum(counts))
+        for row, key in zip(block, keys):
+            assert row.tobytes() == np.concatenate([uniforms(k, c) for k, c in zip(key, counts)]).tobytes()
+    # a stream is a prefix of itself drawn longer
+    assert uniforms(9, 26)[:7].tobytes() == uniforms(9, 7).tobytes()
 
 
 @pytest.mark.parametrize("dtype, seed", [
