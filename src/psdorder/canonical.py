@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotMinusComparable, PsdOrderError
-from .numkernel import (_symmetrize, canonical_order, derived, eigh_stack, min_singular_value, rel_residual,
-                        require_psd, sym_array, sym_pair)
+from .numkernel import (_symmetrize, canonical_order, derived, eigh_stack, eigvalsh_stack, min_singular_value,
+                        rel_residual, require_psd, sym_array, sym_pair)
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -65,8 +65,9 @@ def canonical_ek(n: int, k: int) -> np.ndarray:
 
 def inertia(a, tol: ToleranceConfig = DEFAULT_TOL) -> Inertia:
     """Signature of a symmetric matrix with the shared rank-cutoff
-    convention: eigenvalues within the cutoff of zero count as zero."""
-    values = eigh_stack(sym_array(a)[None])[0][0]
+    convention: eigenvalues within the cutoff of zero count as zero.  It
+    reads the eigenvalues alone (eigvalsh_stack)."""
+    values = eigvalsh_stack(sym_array(a)[None])[0]
     cutoff = tol.rank_cutoff(values)
     n_pos = int(np.count_nonzero(values > cutoff))
     n_neg = int(np.count_nonzero(values < -cutoff))

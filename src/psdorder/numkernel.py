@@ -20,15 +20,18 @@ Conventions shared by everything built on top of this module:
   and fails,
 - eigendecompositions run on stacks: eigh_stack decomposes a (k, n, n)
   stack in one LAPACK call, each matrix's factors bit for bit those of a
-  call on it alone, eigenvalues ascending.  A stacked decision that reads
-  no eigenvector (the Loewner and minus decisions of a sweep) takes
-  eigvalsh_stack, the values alone, again bit for bit those of a call on
-  each matrix alone; LAPACK computes them by another route (dsterf for
-  the tridiagonal stage), so they can differ from eigh's in the last
-  bits, and a stacked decision differs from the scalar check's only on a
-  pair with an eigenvalue within a few eps times the spectral radius of
-  its cutoff.  The scalar verdicts take eigh's values, with which their
-  certificates are pinned,
+  call on it alone, eigenvalues ascending.  A decision that reads no
+  eigenvector takes eigvalsh_stack, the values alone, again bit for bit
+  those of a call on each matrix alone: the Loewner and minus decisions
+  of a sweep, the minus rank route, inertia and a PsdMatrix's
+  certificate.  LAPACK computes them by another route (dsterf for the
+  tridiagonal stage), so they can differ from eigh's in the last bits: a
+  decision on them differs from one on eigh's values only where an
+  eigenvalue lies within a few eps times the spectral radius of its
+  cutoff or threshold.  A check that reads eigenvectors (the Loewner
+  witness, the image and ginv certificates, the star family, the
+  reductions of sim_congruence and the linear models) decides on the
+  values of its one eigh call,
 - canonical_order, run only where the order of eigenvectors shows in a
   result, sorts eigenvalues descending and makes the first nonzero
   component of each eigenvector positive, so a factorization is
@@ -179,12 +182,13 @@ def rel_residual_stack(diff, *refs) -> np.ndarray:
     return np.divide(num, den, out=out, where=(num != 0.0) & (num < np.inf) & (den > 0.0))
 
 
-def identity_budget(tol: ToleranceConfig, op, *refs) -> float:
+def identity_budget(tol: ToleranceConfig, op, scale: float = 1.0) -> float:
     """Budget for rel_residual of an identity that multiplies by `op` (G in
     A G A = A, L in L X = X): recon_tol, widened once the dimensionless size
-    |op| |refs| (|op| alone without refs) passes 1, since the roundoff of
-    the products grows with it."""
-    return tol.recon_tol * max(1.0, maxabs(op) * max(map(maxabs, refs), default=1.0))
+    |op| `scale` passes 1, since the roundoff of the products grows with
+    it; `scale` is the largest entry of the matrices op multiplies (A and
+    B for G), 1 where op is unit-free (L)."""
+    return tol.recon_tol * max(1.0, maxabs(op) * scale)
 
 
 class SymMatrix:
@@ -217,12 +221,13 @@ class PsdMatrix(SymMatrix):
 
     The check is tolerance-based: the minimum eigenvalue must be at least
     -psd_tol times the largest entry of the matrix (see require_psd).  It
-    reads the eigenvalues alone and keeps none of them.
+    reads the eigenvalues alone, from eigvalsh_stack, and keeps none of
+    them.
     """
 
     def __init__(self, data, tol: ToleranceConfig = DEFAULT_TOL):
         super().__init__(data)
-        require_psd(self._a[None], eigh_stack(self._a[None])[0], tol)
+        require_psd(self._a[None], eigvalsh_stack(self._a[None]), tol)
 
     @classmethod
     def _certified(cls, a: np.ndarray) -> "PsdMatrix":
@@ -240,8 +245,8 @@ class PsdMatrix(SymMatrix):
 def require_psd(stack, values, tol: ToleranceConfig = DEFAULT_TOL) -> None:
     """Raise NotPositiveSemidefinite for the first matrix of a (k, n, n)
     stack whose smallest eigenvalue is below -psd_tol times its largest
-    entry; `values` are the stack's spectra, ascending, as eigh_stack
-    returns them."""
+    entry; `values` are the stack's spectra, ascending, as eigh_stack or
+    eigvalsh_stack returns them."""
     min_eigs = values[:, 0].tolist() if values.shape[-1] else [0.0] * len(values)
     for min_eig, threshold in zip(min_eigs, (tol.psd_tol * maxabs_stack(stack)).tolist()):
         if not min_eig >= -threshold:

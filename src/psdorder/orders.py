@@ -15,17 +15,20 @@ Each decision is written once, over stacks of pairs with a leading axis
 (_lowner_stack, _minus_stack, _star_stack): order_holds_many decides a
 whole stack from one stacked eigendecomposition, and the scalar checks
 read their verdict and certificate from the same arithmetic at k = 1.
-The stacked Loewner and minus decisions read no eigenvector and take
-the values alone (eigvalsh_stack), which LAPACK computes by another
-route than the scalar checks' eigh: they agree with the scalar checks
-except on a pair with an eigenvalue within a few eps times the spectral
-radius of its cutoff (the threshold, for Loewner), which either
-backward-stable solver may put on either side.
+A decision that reads no eigenvector takes the values alone
+(eigvalsh_stack): the stacked Loewner and minus decisions and the
+scalar minus rank route, which read the same bits.  The scalar Loewner
+check, whose failing verdict carries an eigenvector, and the image and
+ginv minus routes decide on eigh's values, which LAPACK computes by
+another route: they agree with a values-only decision except on a pair
+with an eigenvalue within a few eps times the spectral radius of its
+cutoff (the threshold, for Loewner), which either backward-stable
+solver may put on either side.
 A scalar check passes A and B through one gate as a stack (_pair), forms
 B - A once and scans only it for finiteness, takes the largest entries
 of A and B in one scan where a threshold or a scale needs them, and
-decomposes all its matrices in one stacked eigh call.  Eigenvectors are
-put in canonical order only where the bits of a result depend on their
+decomposes all its matrices in one stacked call.  Eigenvectors are put
+in canonical order only where the bits of a result depend on their
 order: the ginv certificate of a holding minus verdict.  A Loewner
 witness is the one column canonical_order would give, read from eigh's
 output by canonical_column; the star and image containment tests read
@@ -249,17 +252,18 @@ def _image_certificate(a, d, values_b, vectors_b, cutoff, tol):
     return {"contained": True}
 
 
-def _ginv_certificate(a, b, values, vectors, rank_a, cutoff, tol):
+def _ginv_certificate(a, b, scale, values, vectors, rank_a, cutoff, tol):
     """An inner inverse G of A with G A = G B and A G = B G, which exists
     exactly when A is below B, for a pair whose rank equation holds.
 
     G is assembled from the oblique projector onto Im A along
     Im(B - A) (+) (Im B)-perp.  The rank equation makes the three pieces'
     dimensions add up to n; the certificate checks that their sum is
-    direct and that G meets the three identities.  `values`, `vectors`:
-    the spectra of A, B and B - A as eigh returns them, put in canonical
-    order here, since G's bits depend on the order of the columns, and
-    masked by the cutoff; A^+ reads A's under its own.
+    direct and that G meets the three identities.  `scale`: the largest
+    entry of A and B.  `values`, `vectors`: the spectra of A, B and B - A
+    as eigh returns them, put in canonical order here, since G's bits
+    depend on the order of the columns, and masked by the cutoff; A^+
+    reads A's under its own.
     """
     values, vectors = canonical_order(values, vectors)
     keep_a, keep, keep_d = (np.abs(v) > cutoff for v in values)
@@ -276,7 +280,7 @@ def _ginv_certificate(a, b, values, vectors, rank_a, cutoff, tol):
     # roundoff of the products grows with the dimensionless |G| |A, B|
     lhs, rhs = np.array([aga, ga, ag]), np.array([a, gb, bg])
     residuals = dict(zip(("inner", "left", "right"), rel_residual_stack(lhs - rhs, lhs, rhs).tolist()))
-    budget = identity_budget(tol, g, a, b)
+    budget = identity_budget(tol, g, scale)
     worst = max(residuals, key=residuals.get)
     if residuals[worst] > budget:
         raise _certificate_fails(
@@ -299,21 +303,27 @@ def minus_leq(
     method.  `method` names what a holding verdict carries besides: "rank"
     nothing, "image" the containment of Im A and Im(B - A) in Im B, which
     with the ranks makes Im B their direct sum, and "ginv" an explicit
-    inner inverse witness G.  A requested certificate that fails its own
-    check raises PsdOrderError, naming the check.  The inputs are checked
-    by one gate, which scans B - A alone for finiteness (see _pair).
+    inner inverse witness G.  The rank route reads eigenvalues alone
+    (eigvalsh_stack), the image and ginv routes eigh's factors.  A
+    requested certificate that fails its own check raises PsdOrderError,
+    naming the check.  The inputs are checked by one gate, which scans
+    B - A alone for finiteness (see _pair).
     """
     method = MinusMethod(method)
     ab, d = _pair(a, b)
     a, b = ab
-    values, vectors = eigh_stack(np.array([a, b, d]))
+    stack = np.array([a, b, d])
+    if method is MinusMethod.RANK:
+        values = eigvalsh_stack(stack)
+    else:
+        values, vectors = eigh_stack(stack)
     decisions, ranks, cutoff = _minus_stack(values[None], tol)
     decision, triple, cutoff = decisions[:, 0].tolist(), ranks[:, 0].tolist(), cutoff[0]
     holds, extra = decision[0], None
     if holds and method is MinusMethod.IMAGE:
         extra = _image_certificate(a, d, values[1], vectors[1], cutoff, tol)
     elif holds and method is MinusMethod.GINV:
-        extra = _ginv_certificate(a, b, values, vectors, triple[0], cutoff, tol)
+        extra = _ginv_certificate(a, b, _pair_scale(ab).item(), values, vectors, triple[0], cutoff, tol)
     return _rank_verdict(decision, triple, cutoff, method, extra)
 
 
@@ -416,10 +426,12 @@ def order_holds_many(a, b, relation: Relation | str, tol: ToleranceConfig = DEFA
     checked and symmetrized, then decided by holds_stack.  Only the star
     family's forward test runs, so this answers a pair whose reverse test
     raises (PsdOrderError: the rank cutoff of A's spectrum overflows).
-    The Loewner and minus decisions read values-only spectra, so a pair
-    with an eigenvalue within a few eps times the spectral radius of its
-    cutoff (the threshold, for Loewner) may be decided otherwise than
-    order_leq decides it; every other pair gets order_leq's answer."""
+    The minus decision reads the values-only spectra order_leq's rank
+    route reads, and gets its answer.  The Loewner decision reads them
+    where lowner_leq reads eigh's, so a pair with an eigenvalue within a
+    few eps times the spectral radius of its threshold may be decided
+    otherwise than lowner_leq decides it; every other pair gets its
+    answer."""
     a = sym_stack(a)
     shared = np.ndim(b) == 2
     b = sym_stack(np.expand_dims(b, 0) if shared else b)

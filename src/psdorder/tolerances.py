@@ -17,9 +17,10 @@ from .errors import PsdOrderError
 
 # The default relative rank cutoff per unit of n.  Roundoff eigenvalues of
 # computed matrices reach past n eps: those of P and I - P, for P = Q_k Q_k^T
-# from a QR factor, reached 3.24 n eps |lambda|max in 2,000,000 draws at
-# n = 2 to 5, and 4 n eps is the smallest integer multiple that none
-# crosses.  A real eigenvalue of 1e-13 |lambda|max still clears it at n = 16.
+# from a QR factor, reached 2.94 n eps |lambda|max under eigvalsh and 3.24
+# under eigh in surveys of 2,000,000 draws at n = 2 to 5, and 4 n eps is the
+# smallest integer multiple that none crosses.  A real eigenvalue of 1e-13
+# |lambda|max still clears it at n = 16.
 _RANK_EPS = 4 * np.finfo(float).eps
 
 

@@ -178,3 +178,14 @@ def exact_minus_pair(rng, n):
     e_r = np.diag([1] * r + [0] * (n - r))
     e_s = np.diag([1] * k + [0] * (n - k))
     return s @ e_r @ s.T, s @ e_s @ s.T
+
+
+def cutoff_gap(c1, c2, a, b) -> float:
+    """How far apart two rank cutoffs of the pair (A, B) lie, in eps times
+    the spectral radius of A, B and B - A taken from eigvalsh, as
+    test_spectrum._near_cutoff measures a gap; inf when the cutoffs differ
+    on a radius of zero, where both solvers return exact zeros."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    radius = np.abs(np.linalg.eigvalsh(np.array([a, b, b - a]))).max()
+    gap = abs(c1 - c2)
+    return 0.0 if gap == 0.0 else gap / (np.finfo(float).eps * radius) if radius else np.inf

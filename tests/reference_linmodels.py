@@ -2,16 +2,23 @@
 
 Each function here computes what its namesake in psdorder.linmodels
 computes, the way that module did before it moved onto stacked spectra:
-every matrix it certifies becomes a PsdMatrix of its own, each rank is
-read from reference_verdicts.inertia, each minus question a minus_leq
-call, each reduction a sim_congruence call, the Loewner verdicts of
-model_compare both read from one decomposition of M1 - M2
-(reference_verdicts.lowner_both), and the
-Monte Carlo forms are three-operand einsums on the symmetric root of V
-taken from sym_eig.  psdorder.linmodels decomposes each family of matrices
-in one stacked eigh call and must return every value these return, bit for
-bit and of the same type; only the Monte Carlo statistics may differ, by
-roundoff, since the root and the forms are summed in another order.
+every matrix it certifies is certified on its own, each reduction is a
+sim_congruence call, the Loewner verdicts of model_compare are both read
+from one decomposition of M1 - M2 (reference_verdicts.lowner_both), and
+the Monte Carlo forms are three-operand einsums on the symmetric root of
+V taken from sym_eig.  V, the forms and the compressed forms W^T A W are
+certified from their sym_eig spectra (reference_verdicts.certified_eig),
+from which each rank is counted and each minus question decided by the
+rank equation (reference_verdicts.minus_verdict), as the module decides
+them on the eigh spectra its stacks hold.  The covariances of
+model_compare and blue_check are PsdMatrix objects, certified from
+eigvalsh where the module certifies them from eigh: the two could part
+only on a matrix whose smallest eigenvalue lies within a few eps times
+its radius of the PSD threshold, which no input here comes near.
+psdorder.linmodels decomposes each family of matrices in one stacked
+eigh call and must return every value these return, bit for bit and of
+the same type; only the Monte Carlo statistics may differ, by roundoff,
+since the root and the forms are summed in another order.
 """
 
 import numpy as np
@@ -30,6 +37,7 @@ from psdorder.linmodels import (
 )
 from psdorder.numkernel import (
     PsdMatrix,
+    SymMatrix,
     column_span,
     identity_budget,
     image_in_span,
@@ -37,11 +45,15 @@ from psdorder.numkernel import (
     rel_residual,
     sym_eig,
 )
-from psdorder.orders import matrices_equal, minus_leq
+from psdorder.orders import matrices_equal
 from psdorder.rng import normal_matrix, substream
 from psdorder.special import chi2_cdf, ks_uniform_distance
 from psdorder.tolerances import DEFAULT_TOL
-from reference_verdicts import inertia, lowner_both
+from reference_verdicts import certified_eig, lowner_both, minus_verdict
+
+
+def _rank(values, tol):
+    return int(np.count_nonzero(np.abs(values) > tol.rank_cutoff(values)))
 
 
 def model_compare(l1, l2, tol=DEFAULT_TOL):
@@ -81,10 +93,10 @@ def blue_check(l, model, tol=DEFAULT_TOL):
 
 
 def _setup(a_list, v, mu, tol):
-    v = v if isinstance(v, PsdMatrix) else PsdMatrix(v, tol)
+    v = certified_eig(v, tol)[0]
     mats = []
     for i, a in enumerate(a_list):
-        p = a if isinstance(a, PsdMatrix) else PsdMatrix(a, tol)
+        p = certified_eig(a, tol)[0]
         if p.n != v.n:
             raise DimensionMismatch(f"form {i} is {p.n}x{p.n}, expected {v.n}x{v.n}")
         mats.append(p.a)
@@ -99,13 +111,14 @@ def _setup(a_list, v, mu, tol):
 
 def qform_rank_criterion(a_list, v, mu, tol=DEFAULT_TOL):
     _, mats, w = _setup(a_list, v, mu, tol)
-    *t_forms, t_total = (PsdMatrix(w.T @ m @ w, tol) for m in mats)
-    s_rank = inertia(t_total, tol).rank
+    *t_forms, (t_total, values_t, _) = (certified_eig(w.T @ m @ w, tol) for m in mats)
+    s_rank = _rank(values_t, tol)
     entries = []
     overall = True
-    for i, t_i in enumerate(t_forms):
-        r_i = inertia(t_i, tol).rank
-        verdict = minus_leq(t_i, t_total, tol=tol)
+    for i, (t_i, values_i, _) in enumerate(t_forms):
+        r_i = _rank(values_i, tol)
+        values_d, _ = sym_eig(SymMatrix(t_total.a - t_i.a))
+        verdict = minus_verdict([values_i, values_t, values_d], t_i.n, tol=tol)
         sim = None
         reason = ""
         if verdict.holds:
@@ -127,7 +140,7 @@ def mc_quadratic_forms(a_list, v, mu, n_samples, seed, tol=DEFAULT_TOL):
         raise ValueError("n_samples must be positive")
     v, mats, w = _setup(a_list, v, mu, tol)
     mu = w[:, -1]
-    dfs = [inertia(PsdMatrix(w.T @ m @ w, tol), tol).rank for m in mats]
+    dfs = [_rank(certified_eig(w.T @ m @ w, tol)[1], tol) for m in mats]
     values, vectors = sym_eig(v)
     root = (vectors * np.sqrt(np.maximum(values, 0.0))) @ vectors.T
     q_values = np.empty((len(mats), n_samples))

@@ -2,12 +2,15 @@
 sim_congruence.
 
 Each function here decides one pair the way the scalar checks did before
-they moved onto plain arrays: every input becomes a SymMatrix (a PsdMatrix
-for sim_congruence), each matrix is decomposed on its own by sym_eig, in
-canonical order with its eigenvectors, and every decision is read from
-those spectra, masked against the cutoff where it counts a rank.  The
-checks in psdorder.orders and psdorder.canonical decompose all the
-matrices of a verdict in one stacked eigh call and order eigenvectors only
+they moved onto plain arrays: every input becomes a SymMatrix, each
+matrix is decomposed on its own, and every decision is read from those
+spectra, masked against the cutoff where it counts a rank.  A decision
+that reads eigenvectors takes them from sym_eig, in canonical order; the
+minus rank route and inertia read eigenvalues alone, from
+np.linalg.eigvalsh, as the code does.  sim_congruence certifies each
+matrix PSD from its sym_eig spectrum, the eigh values its reduction reads.
+The checks in psdorder.orders and psdorder.canonical decompose all the
+matrices of a verdict in one stacked call and order eigenvectors only
 where they read them; they must return every value these return, bit for
 bit and of the same type.  The decision arithmetic of the star test
 (_star_stack) is shared, not copied.
@@ -18,7 +21,6 @@ import numpy as np
 from psdorder.canonical import Inertia, SimCongResult, canonical_ek
 from psdorder.errors import DimensionMismatch, NotMinusComparable, PsdOrderError
 from psdorder.numkernel import (
-    PsdMatrix,
     SymMatrix,
     identity_budget,
     image_in_span,
@@ -26,6 +28,7 @@ from psdorder.numkernel import (
     min_singular_value,
     pinv,
     rel_residual,
+    require_psd,
     sym_eig,
 )
 from psdorder.orders import MinusMethod, OrderVerdict, Relation, _detail, _star_stack
@@ -88,7 +91,7 @@ def _by_ginv(sa, sb, eigs, cutoff, tol):
         "left": rel_residual(ga - gb, ga, gb),
         "right": rel_residual(ag - bg, ag, bg),
     }
-    budget = identity_budget(tol, g, sa.a, sb.a)
+    budget = identity_budget(tol, g, max(maxabs(sa.a), maxabs(sb.a)))
     worst = max(residuals, key=residuals.get)
     if residuals[worst] > budget:
         raise PsdOrderError("the ginv certificate of a holding minus verdict fails its identity "
@@ -96,21 +99,30 @@ def _by_ginv(sa, sb, eigs, cutoff, tol):
     return {"sigma_min": sigma_min, "g": g, "residuals": residuals}
 
 
+def minus_verdict(spectra, n, method=MinusMethod.RANK, tol=DEFAULT_TOL, certify=None):
+    """The minus verdict from the spectra of A, B and B - A, in any order:
+    the rank equation decides, and a holding verdict carries what
+    certify(cutoff) returns, the certificate asked for."""
+    radius = np.abs(np.concatenate(spectra)).max(initial=0.0)
+    cutoff = tol.rank_cutoff(np.array([radius]), n)
+    r_a, r_b, r_d = (int(np.count_nonzero(np.abs(v) > cutoff)) for v in spectra)
+    holds, reverse = r_d == r_b - r_a, r_d == r_a - r_b
+    cert = {"rank_a": r_a, "rank_b": r_b, "rank_diff": r_d, "cutoff": cutoff, "method": method.value}
+    if holds and certify is not None:
+        cert.update(certify(cutoff))
+    return OrderVerdict(holds=holds, relation=Relation.MINUS.value, certificate=cert,
+                        detail=_detail(holds, r_d == 0, reverse))
+
+
 def minus_leq(a, b, method="rank", tol=DEFAULT_TOL):
     method = MinusMethod(method)
     sa, sb = _pair(a, b)
-    sd = SymMatrix(sb.a - sa.a)
-    eigs = [sym_eig(m) for m in (sa, sb, sd)]
-    radius = np.abs(np.concatenate([v for v, _ in eigs])).max(initial=0.0)
-    cutoff = tol.rank_cutoff(np.array([radius]), sa.n)
-    r_a, r_b, r_d = (int(np.count_nonzero(np.abs(v) > cutoff)) for v, _ in eigs)
-    holds, reverse = r_d == r_b - r_a, r_d == r_a - r_b
-    cert = {"rank_a": r_a, "rank_b": r_b, "rank_diff": r_d, "cutoff": cutoff, "method": method.value}
-    # the rank equation decides; a holding verdict carries the certificate asked for
-    if holds and method is not MinusMethod.RANK:
-        cert.update((_by_image if method is MinusMethod.IMAGE else _by_ginv)(sa, sb, eigs, cutoff, tol))
-    return OrderVerdict(holds=holds, relation=Relation.MINUS.value, certificate=cert,
-                        detail=_detail(holds, r_d == 0, reverse))
+    mats = (sa, sb, SymMatrix(sb.a - sa.a))
+    if method is MinusMethod.RANK:
+        return minus_verdict([np.linalg.eigvalsh(m.a) for m in mats], sa.n, method, tol)
+    eigs = [sym_eig(m) for m in mats]
+    by = _by_image if method is MinusMethod.IMAGE else _by_ginv
+    return minus_verdict([v for v, _ in eigs], sa.n, method, tol, lambda cutoff: by(sa, sb, eigs, cutoff, tol))
 
 
 def _star_holds(sa, sb, tol):
@@ -132,19 +144,27 @@ def star_family_leq(a, b, variant=Relation.STAR, tol=DEFAULT_TOL):
 
 
 def inertia(a, tol=DEFAULT_TOL):
-    values, _ = sym_eig(SymMatrix(a))
+    values = np.linalg.eigvalsh(SymMatrix(a).a)
     cutoff = tol.rank_cutoff(values)
     n_pos = int(np.count_nonzero(values > cutoff))
     n_neg = int(np.count_nonzero(values < -cutoff))
     return Inertia(n_pos, n_neg, len(values) - n_pos - n_neg)
 
 
+def certified_eig(a, tol=DEFAULT_TOL):
+    """A SymMatrix of `a` and its sym_eig spectrum, certified PSD from it."""
+    m = SymMatrix(a)
+    values, vectors = sym_eig(m)
+    require_psd(m.a[None], values[None, ::-1], tol)
+    return m, values, vectors
+
+
 def sim_congruence(a, b, tol=DEFAULT_TOL):
-    pa, pb = PsdMatrix(a, tol), PsdMatrix(b, tol)
+    pa, _, _ = certified_eig(a, tol)
+    pb, values_b, vectors_b = certified_eig(b, tol)
     if pa.n != pb.n:
         raise NotMinusComparable(f"size mismatch: {pa.n} vs {pb.n}")
     n = pa.n
-    values_b, vectors_b = sym_eig(pb)
     s_rank = int(np.count_nonzero(values_b > tol.rank_cutoff(values_b)))
     inv_scales = np.full(n, 1.0 / np.sqrt(values_b[0]) if s_rank else 1.0)
     inv_scales[:s_rank] = 1.0 / np.sqrt(values_b[:s_rank])

@@ -114,9 +114,11 @@ def test_projector_below_identity():
 
 def test_computed_projectors_are_minus_below_the_identity_at_the_default_cutoff():
     # P = Q_k Q_k^T with Q from a QR factor: the roundoff eigenvalues of P
-    # and I - P crossed the old default cutoff n eps |lambda|max in 298, 179,
-    # 38 and 0 of these 3,000 draws at n = 2, 3, 5 and 8 (in 102, 57, 10 and 0
-    # of the first 1,000, which are also decided one at a time)
+    # and I - P, read by eigvalsh as the rank route reads them, crossed the
+    # old default cutoff n eps |lambda|max in 298, 130, 23 and 0 of these
+    # 3,000 draws at n = 2, 3, 5 and 8 (in 102, 42, 9 and 0 of the first
+    # 1,000, which are also decided one at a time; read by eigh, in 298,
+    # 179, 38 and 0, and 102, 57, 10 and 0)
     for n in (2, 3, 5, 8):
         rng = np.random.default_rng(0)
         ps = []
@@ -126,15 +128,31 @@ def test_computed_projectors_are_minus_below_the_identity_at_the_default_cutoff(
             ps.append(q[:, :k] @ q[:, :k].T)
         assert order_holds_many(np.array(ps), np.eye(n), Relation.MINUS).all(), n
         assert all(minus_leq(p, np.eye(n)).holds for p in ps[:1000]), n
-    # the draw whose roundoff came closest, 3.24 n eps |lambda|max in 2,000,000:
-    # it fails at 3 n eps and holds at the default 4 n eps
+    eps = np.finfo(float).eps
+    # the draw whose roundoff came closest under eigvalsh in 2,000,000
+    # (500,000 at each n = 2 to 5), 8.83 eps = 2.94 n eps |lambda|max: the
+    # rank route fails just below it and holds just above, and at the
+    # default 4 n eps
+    q = np.array([[-0.016605641357583023, -0.9736228863978508],
+                  [0.04070758925097986, -0.2280591926111749],
+                  [-0.9990331049832522, 0.0068905549745983605]])
+    p = q @ q.T
+    assert not minus_leq(p, np.eye(3), tol=ToleranceConfig(rank_rel_tol=8.8 * eps)).holds
+    assert minus_leq(p, np.eye(3), tol=ToleranceConfig(rank_rel_tol=8.85 * eps)).holds
+    v = minus_leq(p, np.eye(3))
+    assert v.holds and (v.certificate["rank_a"], v.certificate["rank_diff"]) == (2, 1)
+    # the image and ginv routes decide on eigh's values: the draw whose
+    # roundoff came closest under eigh in 2,000,000, 9.71 eps = 3.24 n eps,
+    # fails at 3 n eps and holds at 4 n eps (eigvalsh reads it at 8.82 eps)
     q = np.array([[-0.20164124457463806, 0.9793315957614259],
                   [-0.9218381158476441, -0.1842940007078269],
                   [-0.3309913845659063, -0.08333874756966933]])
     p = q @ q.T
-    assert not minus_leq(p, np.eye(3), tol=ToleranceConfig(rank_rel_tol=9 * np.finfo(float).eps)).holds
-    v = minus_leq(p, np.eye(3))
-    assert v.holds and (v.certificate["rank_a"], v.certificate["rank_diff"]) == (2, 1)
+    for method in (MinusMethod.IMAGE, MinusMethod.GINV):
+        assert not minus_leq(p, np.eye(3), method, ToleranceConfig(rank_rel_tol=9 * eps)).holds, method
+        v = minus_leq(p, np.eye(3), method)
+        assert v.holds and (v.certificate["rank_a"], v.certificate["rank_diff"]) == (2, 1), method
+    assert minus_leq(p, np.eye(3), tol=ToleranceConfig(rank_rel_tol=9 * eps)).holds
 
 
 def test_the_default_cutoff_keeps_a_graded_eigenvalue():
@@ -352,11 +370,15 @@ def test_minus_methods_agree():
         verdicts = [minus_leq(a, b, method=m, tol=TOL12) for m in MinusMethod]
         assert len({v.holds for v in verdicts}) == 1, (trial, [v.holds for v in verdicts])
         # the rank route's verdict and certificate under every method; a
-        # holding verdict adds the certificate asked for
+        # holding verdict adds the certificate asked for.  The image and ginv
+        # routes read eigh's values, the rank route eigvalsh's, so their
+        # cutoffs may differ by the gap between the two solvers' radii
         rank = verdicts[0]
         for method, v in zip(MinusMethod, verdicts):
+            cutoff = v.certificate["cutoff"]
             assert v.detail == rank.detail, (trial, method)
-            assert v.certificate == {**v.certificate, **rank.certificate, "method": method.value}
+            assert v.certificate == {**v.certificate, **rank.certificate, "method": method.value, "cutoff": cutoff}
+            assert oracles.cutoff_gap(cutoff, rank.certificate["cutoff"], a, b) <= 4.0, (trial, method)
             added = set(v.certificate) - set(rank.certificate)
             assert added == (MINUS_CERTIFICATES[method] if v.holds else set()), (trial, method)
         if rank.holds:

@@ -1,8 +1,9 @@
 """One owner for a matrix's spectrum and for the scale policy: each call
-decomposes the matrices it needs in stacked eigh calls and keeps no
-spectrum on a matrix object, rank and PSD cutoffs are questions to the
-spectra it computed, and every tolerance is relative to the inputs, so
-scaling a pair by c > 0 leaves each verdict unchanged."""
+decomposes the matrices it needs in stacked calls, eigvalsh where it
+reads no eigenvector and eigh where it does, and keeps no spectrum on a
+matrix object, rank and PSD cutoffs are questions to the spectra it
+computed, and every tolerance is relative to the inputs, so scaling a
+pair by c > 0 leaves each verdict unchanged."""
 
 import dataclasses
 import struct
@@ -106,6 +107,12 @@ def _verdict(route, a, b):
     return star_family_leq(a, b, Relation.STAR)
 
 
+# the routine of a scalar verdict's one call: the rank route reads
+# eigenvalues alone, every other route eigenvectors too (a failing Loewner
+# verdict's witness, the image and ginv certificates, the star test)
+VERDICT_ROUTINE = {"minus_rank": "eigvalsh"}
+
+
 @pytest.mark.parametrize("route, holds_eighs, fails_eighs", [
     ("lowner", 1, 1),
     ("minus_rank", 1, 1),
@@ -120,8 +127,7 @@ def test_eigh_calls_per_verdict(eigh_calls, route, holds_eighs, fails_eighs):
         verdict = _verdict(route, *pairs[label])
         assert verdict.holds == (label == "holds")
         assert verdict.detail == ("strictly less" if label == "holds" else "incomparable")
-        # a scalar verdict's certificate is pinned to eigh's values
-        assert _routines(eigh_calls) == ["eigh"] * expected, (route, label)
+        assert _routines(eigh_calls) == [VERDICT_ROUTINE.get(route, "eigh")] * expected, (route, label)
 
 
 @pytest.mark.parametrize("relation", ["lowner", "minus", "star"])
@@ -290,11 +296,12 @@ def _near_cutoff(verdict, a, b):
 
 @pytest.mark.parametrize("relation", ["lowner", "minus"])
 def test_order_holds_many_differs_from_order_leq_only_at_a_cutoff(relation):
-    # the values-only stacked decision and the scalar check's eigh may put
-    # an eigenvalue within a few eps times the spectral radius of a cutoff
-    # on either side of it, and nowhere else may they disagree: projector
-    # suite and sampled pairs, before and after congruences that scale
-    # them by 10^k, |k| <= 6
+    # the stacked Loewner decision reads eigvalsh's values and the scalar
+    # check eigh's, which may put an eigenvalue within a few eps times the
+    # spectral radius of the threshold on either side of it, and nowhere
+    # else may they disagree; the minus decisions both read eigvalsh's and
+    # agree everywhere: projector suite and sampled pairs, before and after
+    # congruences that scale them by 10^k, |k| <= 6
     decided, held = 0, 0
     for n in range(2, 11):
         # entries in [0.5, 1.5): condition numbers up to about 3e4
@@ -312,6 +319,7 @@ def test_order_holds_many_differs_from_order_leq_only_at_a_cutoff(relation):
                         verdict = order_leq(x_a, x_b, relation)
                         decided, held = decided + 1, held + holds
                         if holds != verdict.holds:
+                            assert relation == "lowner", (n, k)
                             assert _near_cutoff(verdict, x_a, x_b) <= 8.0, (n, k)
     assert decided == 9 * 5 * 2 * 24 and 0 < held < decided
 
@@ -359,7 +367,8 @@ def test_star_and_image_routes_order_no_eigenvectors(monkeypatch):
     # zeroed, so they never sort or sign-fix eigenvectors; nor does a
     # Loewner verdict, whose witness is one column read from eigh's output,
     # or a failing ginv verdict, which carries the rank route's certificate
-    # and no inner inverse
+    # and no inner inverse, its cutoff from eigh's values where the rank
+    # route reads eigvalsh's
     def no_order(*args, **kwargs):
         raise AssertionError("canonical_order was called")
 
@@ -376,9 +385,28 @@ def test_star_and_image_routes_order_no_eigenvectors(monkeypatch):
     assert lowner_leq(*PAIRS["lowner"]["fails"][::-1]).detail == "incomparable"
     fails = _verdict("minus_ginv", *PAIRS["minus"]["fails"])
     rank = _verdict("minus_rank", *PAIRS["minus"]["fails"])
-    assert (fails.detail, fails.certificate) == ("incomparable", {**rank.certificate, "method": "ginv"})
+    assert (fails.detail, fails.certificate) == (
+        "incomparable", {**rank.certificate, "method": "ginv", "cutoff": fails.certificate["cutoff"]})
+    assert oracles.cutoff_gap(fails.certificate["cutoff"], rank.certificate["cutoff"], *PAIRS["minus"]["fails"]) <= 4.0
     with pytest.raises(AssertionError, match="canonical_order"):
         _verdict("minus_ginv", *PAIRS["minus"]["holds"])
+
+
+def test_holding_ginv_verdict_scans_a_and_b_once(monkeypatch):
+    # the identity budget takes the pair's largest entry from the scan of
+    # the (A, B) stack; the other scans are of G and of the three
+    # identities' residuals and sides
+    scanned = []
+    real = numkernel.maxabs_stack
+
+    def counting(m):
+        scanned.append(np.shape(m))
+        return real(m)
+
+    for module in (orders, numkernel):
+        monkeypatch.setattr(module, "maxabs_stack", counting)
+    assert _verdict("minus_ginv", *PAIRS["minus"]["holds"]).holds
+    assert scanned == [(1, 8, 4), (3, 4, 4), (3, 4, 4), (3, 4, 4), (4, 4)]
 
 
 @pytest.mark.parametrize("route", ["lowner", "minus_rank", "minus_image", "minus_ginv", "star"])
@@ -423,14 +451,14 @@ def test_eigh_calls_sim_congruence(eigh_calls):
 
 def test_eigh_calls_inertia(eigh_calls):
     assert inertia(PAIRS["lowner"]["fails"][0]) == Inertia(2, 0, 2)
-    assert eigh_calls == [("eigh", 1)]
+    assert eigh_calls == [("eigvalsh", 1)]
 
 
 def test_eigh_calls_model_compare(eigh_calls):
     x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     l1 = LinearModel(x=x, d=np.eye(3))
     l2 = LinearModel(x=x, d=np.diag([1.0, 2.0, 3.0]))
-    assert eigh_calls == [("eigh", 1)] * 2  # each covariance certified PSD
+    assert eigh_calls == [("eigvalsh", 1)] * 2  # each covariance certified PSD from its values
     eigh_calls.clear()
     v = model_compare(l1, l2)
     assert v.l1_geq_l2 and not v.l2_geq_l1
@@ -479,10 +507,10 @@ def test_sym_eig_keeps_no_spectrum_on_a_sym_matrix(eigh_calls):
     assert all(x is not y for x, y in zip(first, second)) and _bits(second) == _bits(first)
     assert len(eigh_calls) == 2
     assert not hasattr(m, "_eig")
-    # a PsdMatrix is certified from the eigenvalues of one decomposition
-    # and keeps none of it
+    # a PsdMatrix is certified from the eigenvalues of one values-only
+    # decomposition and keeps none of them
     p = PsdMatrix(m.a)
-    assert len(eigh_calls) == 3
+    assert eigh_calls[2] == ("eigvalsh", 1)
     sym_eig(p)
     assert len(eigh_calls) == 4
 
