@@ -23,7 +23,6 @@ from .errors import (
     NotMinusComparable,
     NotPositiveSemidefinite,
     ParseError,
-    PreconditionViolated,
     PsdOrderError,
     SingularS,
 )

@@ -34,7 +34,6 @@ from .errors import (
     NotMinusComparable,
     NotPositiveSemidefinite,
     ParseError,
-    PreconditionViolated,
     PsdOrderError,
     SingularS,
 )
@@ -60,7 +59,6 @@ _ENV_FLAGS = {
 _DOMAIN_ERRORS = (
     NotMinusComparable,
     NotPositiveSemidefinite,
-    PreconditionViolated,
     InconsistentSamples,
     SingularS,
     NonConvergence,
@@ -350,7 +348,6 @@ def _cmd_model_blue(args, tol):
         "result": {
             "cond_i": verdict.cond_i,
             "cond_ii": verdict.cond_ii,
-            "cond_iii": verdict.cond_iii,
             "is_blue": verdict.is_blue,
         },
         "certificate": verdict.certificate,

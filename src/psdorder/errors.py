@@ -33,9 +33,5 @@ class InconsistentSamples(PsdOrderError):
     """Input/output samples cannot be explained by any single congruence."""
 
 
-class PreconditionViolated(PsdOrderError):
-    """A documented precondition of the requested check does not hold."""
-
-
 class ParseError(PsdOrderError):
     """A matrix or model file could not be parsed."""

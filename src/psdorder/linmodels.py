@@ -3,10 +3,12 @@
 A linear model (y, X beta, sigma^2 D) is summarized for comparison purposes
 by its efficiency matrix M = X^T (D + X X^T)^- X; one model is at least as
 good as another exactly when the efficiency matrices are PSD-ordered the
-right way around.  Best linear unbiased estimation and Cochran-style
-independence of quadratic forms both reduce to rank-subtractivity questions,
-so this module leans on sim_congruence for its certificates, plus a seeded
-Monte Carlo routine to validate the distributional claims empirically.
+right way around.  Best linear unbiased estimation is decided by Rao's
+fundamental BLUE equation, from two residuals of matrix products.
+Cochran-style independence of quadratic forms reduces to
+rank-subtractivity questions, certified by the shared congruence of
+sim_congruence, plus a seeded Monte Carlo routine to validate the
+distributional claims empirically.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import SimCongResult, _sim_congruence
-from .errors import DimensionMismatch, NotMinusComparable, PreconditionViolated
+from .errors import DimensionMismatch, NotMinusComparable
 from .numkernel import (
     PsdMatrix,
     _coerce,
@@ -31,7 +33,7 @@ from .numkernel import (
     require_psd,
     sym_array,
 )
-from .orders import OrderVerdict, _equal, _lowner_verdicts, _pair_scale, _rank_verdicts
+from .orders import OrderVerdict, _lowner_verdicts, _pair_scale, _rank_verdicts
 from .rng import normal_matrix, substream
 from .special import chi2_cdf, ks_uniform_distance
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -85,17 +87,16 @@ class ComparisonVerdict:
 
 @dataclass(frozen=True)
 class BlueVerdict:
-    """The three estimator conditions, their certificates, and the verdict."""
+    """The two conditions of Rao's BLUE equation, the residual of the
+    first, and the verdict."""
 
     cond_i: bool
     cond_ii: bool
-    cond_iii: bool
     certificate: dict
-    sim_cong: SimCongResult | None
 
     @property
     def is_blue(self) -> bool:
-        return self.cond_i and self.cond_ii and self.cond_iii
+        return self.cond_i and self.cond_ii
 
 
 @dataclass(frozen=True)
@@ -182,11 +183,6 @@ def model_compare(
     )
 
 
-def _statistic_covariance(l: np.ndarray, model: LinearModel) -> np.ndarray:
-    """sigma^2 (L D) L^T as computed, before symmetrization."""
-    return derived("sigma^2 L D L^T", lambda: model.sigma2 * (l @ model.d.a @ l.T))
-
-
 def estimator_covariance(
     l, model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL
 ) -> PsdMatrix:
@@ -196,60 +192,36 @@ def estimator_covariance(
         raise DimensionMismatch(
             f"estimator must have {model.n} columns, got shape {l.shape}"
         )
-    return PsdMatrix(_statistic_covariance(l, model), tol)
+    return PsdMatrix(derived("sigma^2 L D L^T", lambda: model.sigma2 * (l @ model.d.a @ l.T)), tol)
 
 
 def blue_check(l, model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) -> BlueVerdict:
     """Is L y the best linear unbiased estimator of X beta?
 
-    Three conditions: L X = X; Im(L D) inside Im X; and the covariances
-    V(Ly), V(y) admit one congruence to (E_r, E_s) with r < s.  The check
-    only applies when V(Ly) differs from V(y); equality raises
-    PreconditionViolated.  V(Ly) and V(y) are decomposed in one call,
-    which certifies both PSD and gives the reduction V(y)'s spectrum.
+    Rao's fundamental BLUE equation L (X : D Z) = (X : 0), with Z spanning
+    the orthogonal complement of Im X: (i) L X = X, and (ii) L D Z = 0,
+    that is Im(D L^T) inside Im X.  Both are residuals of products; the
+    only decomposition is the SVD of X that gives a basis of Im X.
+    Neither condition depends on sigma^2.
     """
     l = _coerce(l, square=False)
     if l.shape != (model.n, model.n):
         raise DimensionMismatch(
             f"estimator must be {model.n}x{model.n}, got {l.shape}"
         )
-    v_ly = _symmetrize(_statistic_covariance(l, model))
-    v_y = _symmetrize(derived("sigma^2 D", np.multiply, model.sigma2, model.d.a))
-    pair = np.array([v_ly, v_y])
-    values, vectors = eigh_stack(pair)
-    require_psd(pair, values, tol)
-    if _equal(derived("V(y) - V(Ly)", np.subtract, v_y, v_ly), _pair_scale(pair).item(), tol):
-        raise PreconditionViolated(
-            "V(Ly) equals V(y); the estimator conditions do not apply"
-        )
-
     basis, angle = column_span(model.x, tol)
-    # L X and L D enter residuals alone, which fail beyond the float range
+    # L X and D L^T enter residuals alone, which fail beyond the float range
     with np.errstate(over="ignore", invalid="ignore"):
         lx = l @ model.x
         residual_lx = rel_residual(lx - model.x, lx, model.x)
         # the basis of Im X is known only up to the angle column_span bounds,
-        # which moves the part of L D outside it by up to that much of L D
-        ld = l @ model.d.a
-        cond_ii = bool(image_in_span(ld, basis, tol, angle * maxabs(ld)))
-    cond_i = residual_lx <= identity_budget(tol, l)
-
-    certificate: dict = {"residual_lx": residual_lx}
-    sim: SimCongResult | None = None
-    try:
-        (values_y,), (vectors_y,) = canonical_order(values[1:], vectors[1:])
-        sim = _sim_congruence(v_ly, v_y, values_y, vectors_y, tol)
-        cond_iii = sim.rank_a < sim.rank_b
-        certificate["ranks"] = (sim.rank_a, sim.rank_b)
-    except NotMinusComparable as exc:
-        cond_iii = False
-        certificate["sim_cong_failure"] = str(exc)
+        # which moves the part of D L^T outside it by up to that much of D L^T
+        dl = model.d.a @ l.T
+        cond_ii = bool(image_in_span(dl, basis, tol, angle * maxabs(dl)))
     return BlueVerdict(
-        cond_i=cond_i,
+        cond_i=residual_lx <= identity_budget(tol, l),
         cond_ii=cond_ii,
-        cond_iii=cond_iii,
-        certificate=certificate,
-        sim_cong=sim,
+        certificate={"residual_lx": residual_lx},
     )
 
 

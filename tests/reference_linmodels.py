@@ -10,11 +10,15 @@ V taken from sym_eig.  V, the forms and the compressed forms W^T A W are
 certified from their sym_eig spectra (reference_verdicts.certified_eig),
 from which each rank is counted and each minus question decided by the
 rank equation (reference_verdicts.minus_verdict), as the module decides
-them on the eigh spectra its stacks hold.  The covariances of
-model_compare and blue_check are PsdMatrix objects, certified from
-eigvalsh where the module certifies them from eigh: the two could part
-only on a matrix whose smallest eigenvalue lies within a few eps times
-its radius of the PSD threshold, which no input here comes near.
+them on the eigh spectra its stacks hold.  The efficiency matrices of
+model_compare are PsdMatrix objects, certified from eigvalsh where the
+module certifies them from eigh: the two could part only on a matrix
+whose smallest eigenvalue lies within a few eps times its radius of the
+PSD threshold, which no input here comes near.  blue_check is Rao's
+fundamental BLUE equation written without the module's helpers: L X = X
+as the module measures it, and L D Z = 0 with Z = I - X X^+ from numpy's
+pinv, where the module projects D L^T off an SVD basis of Im X; the two
+must agree on every estimator here, none of which is near the budget.
 psdorder.linmodels decomposes each family of matrices in one stacked
 eigh call and must return every value these return, bit for bit and of
 the same type; only the Monte Carlo statistics may differ, by roundoff,
@@ -24,7 +28,7 @@ since the root and the forms are summed in another order.
 import numpy as np
 
 from psdorder.canonical import sim_congruence
-from psdorder.errors import DimensionMismatch, NotMinusComparable, PreconditionViolated
+from psdorder.errors import DimensionMismatch, NotMinusComparable
 from psdorder.linmodels import (
     _MC_SHARD,
     BlueVerdict,
@@ -33,19 +37,8 @@ from psdorder.linmodels import (
     QFormEntry,
     QFormReport,
     efficiency_matrix,
-    estimator_covariance,
 )
-from psdorder.numkernel import (
-    PsdMatrix,
-    SymMatrix,
-    column_span,
-    identity_budget,
-    image_in_span,
-    maxabs,
-    rel_residual,
-    sym_eig,
-)
-from psdorder.orders import matrices_equal
+from psdorder.numkernel import SymMatrix, identity_budget, rel_residual, sym_eig
 from psdorder.rng import normal_matrix, substream
 from psdorder.special import chi2_cdf, ks_uniform_distance
 from psdorder.tolerances import DEFAULT_TOL
@@ -70,26 +63,15 @@ def blue_check(l, model, tol=DEFAULT_TOL):
     l = np.asarray(l, dtype=float)
     if l.shape != (model.n, model.n):
         raise DimensionMismatch(f"estimator must be {model.n}x{model.n}, got {l.shape}")
-    v_ly = estimator_covariance(l, model, tol)
-    v_y = PsdMatrix(model.sigma2 * model.d.a, tol)
-    if matrices_equal(v_ly, v_y, tol):
-        raise PreconditionViolated("V(Ly) equals V(y); the estimator conditions do not apply")
-    lx = l @ model.x
-    residual_lx = rel_residual(lx - model.x, lx, model.x)
-    cond_i = residual_lx <= identity_budget(tol, l)
+    x = model.x
+    lx = l @ x
+    residual_lx = rel_residual(lx - x, lx, x)
+    # Rao's equation L D Z = 0, Z = I - X X^+ projecting onto (Im X)-perp
     ld = l @ model.d.a
-    basis, angle = column_span(model.x, tol)
-    cond_ii = bool(image_in_span(ld, basis, tol, angle * maxabs(ld)))
-    certificate = {"residual_lx": residual_lx}
-    sim = None
-    try:
-        sim = sim_congruence(v_ly, v_y, tol)
-        cond_iii = sim.rank_a < sim.rank_b
-        certificate["ranks"] = (sim.rank_a, sim.rank_b)
-    except NotMinusComparable as exc:
-        cond_iii = False
-        certificate["sim_cong_failure"] = str(exc)
-    return BlueVerdict(cond_i=cond_i, cond_ii=cond_ii, cond_iii=cond_iii, certificate=certificate, sim_cong=sim)
+    ldz = ld @ (np.eye(model.n) - x @ np.linalg.pinv(x))
+    cond_ii = bool(np.abs(ldz).max() <= tol.recon_tol * np.abs(ld).max())
+    return BlueVerdict(cond_i=residual_lx <= identity_budget(tol, l), cond_ii=cond_ii,
+                       certificate={"residual_lx": residual_lx})
 
 
 def _setup(a_list, v, mu, tol):

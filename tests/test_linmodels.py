@@ -1,5 +1,6 @@
 """Model efficiency comparison, estimator optimality, and quadratic forms."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -7,10 +8,10 @@ import pytest
 
 import oracles
 from psdorder import (
+    DEFAULT_TOL,
     DimensionMismatch,
     LinearModel,
     NotPositiveSemidefinite,
-    PreconditionViolated,
     PsdOrderError,
     blue_check,
     efficiency_matrix,
@@ -178,29 +179,50 @@ def test_blue_accepts_least_squares_under_white_noise():
         p = int(rng.integers(1, n - 1))
         model, h = gauss_markov(rng, n, p)
         v = blue_check(h, model)
-        assert v.cond_i and v.cond_ii and v.cond_iii
+        assert v.cond_i and v.cond_ii
         assert v.is_blue
-        assert v.sim_cong is not None and v.sim_cong.rank_a == p
 
 
-def test_blue_accepts_gls_whose_computed_covariances_fail_the_rank_route():
-    # generalized least squares, L = X (X^T D^-1 X)^-1 X^T D^-1 with p = n - 1:
-    # computed, D - L D L^T carries a roundoff eigenvalue above the rank
-    # route's cutoff, so minus_leq(L D L^T, D) counts ranks (7, 8, 2) and
-    # fails, while the simultaneous reduction of condition (iii) finds the
-    # estimator BLUE, as it is
-    rng = np.random.default_rng(1)
+def _gls_and_ols(seed):
+    """A design with p = n - 1 = 7 and a noise covariance D, with the
+    generalized least squares L = X (X^T D^-1 X)^-1 X^T D^-1 and the
+    ordinary least squares of that design; both are unbiased."""
+    rng = np.random.default_rng(seed)
     x = rng.standard_normal((8, 7))
     g = rng.standard_normal((8, 8))
     d = g @ g.T + 0.5 * np.eye(8)
     d_inv = np.linalg.inv(d)
-    l = x @ np.linalg.solve(x.T @ d_inv @ x, x.T @ d_inv)
+    gls = x @ np.linalg.solve(x.T @ d_inv @ x, x.T @ d_inv)
+    return LinearModel(x, d), gls, x @ np.linalg.solve(x.T @ x, x.T)
+
+
+def test_blue_accepts_gls_whose_computed_covariances_fail_the_rank_route():
+    # computed, D - L D L^T carries a roundoff eigenvalue above the rank
+    # route's cutoff, so minus_leq(L D L^T, D) counts ranks (7, 8, 2) and
+    # fails; Rao's equation reads no rank and finds the estimator BLUE, as
+    # it is
+    model, l, _ = _gls_and_ols(1)
+    d = model.d.a
     v = minus_leq(l @ d @ l.T, d)
     assert not v.holds
     assert [v.certificate[k] for k in ("rank_a", "rank_b", "rank_diff")] == [7, 8, 2]
-    b = blue_check(l, LinearModel(x, d))
-    assert b.cond_iii and b.is_blue
-    assert b.certificate["ranks"] == (7, 8)
+    b = blue_check(l, model)
+    assert b.cond_i and b.cond_ii and b.is_blue
+
+
+@pytest.mark.parametrize("delta, factor, blue", [
+    (1e-8, 1.0, True), (1e-8, 0.1, False), (1e-7, 1.0, False), (1e-7, 10.0, True),
+])
+def test_blue_cond_ii_budget_is_recon_tol(delta, factor, blue):
+    # L = GLS + delta (OLS - GLS) is unbiased for every delta, and D L^T
+    # leaves Im X by about 0.53 delta of its largest entry: condition (ii)
+    # flips between delta = 1e-8 and 1e-7 at the default recon_tol of 1e-8,
+    # and moves with it
+    model, gls, ols = _gls_and_ols(1)
+    tol = dataclasses.replace(DEFAULT_TOL, recon_tol=factor * DEFAULT_TOL.recon_tol)
+    v = blue_check(gls + delta * (ols - gls), model, tol)
+    assert v.cond_i
+    assert (v.cond_ii, v.is_blue) == (blue, blue)
 
 
 def test_blue_rejects_zero_estimator():
@@ -225,25 +247,28 @@ def test_mc_quadratic_forms_raises_when_a_statistic_leaves_the_float_range(forms
 
 @pytest.mark.filterwarnings("error")
 def test_blue_check_fails_conditions_beyond_the_float_range():
-    # V(Ly) = 1e100 J and V(y) = 1e-300 J (J all ones) are finite, but
-    # L X is not, and V(Ly) whitened by V(y) is not: conditions (i) and
-    # (iii) fail, with no numpy warning and no NaN residual
+    # L X = 1e400 J is not finite, so condition (i) fails with an infinite
+    # residual, with no numpy warning and no NaN; D L^T = 1e-100 J is, and
+    # lies in Im X, so condition (ii) holds
     model = LinearModel(1e200 * np.ones((2, 1)), 1e-300 * np.ones((2, 2)))
     v = blue_check(1e200 * np.eye(2), model)
-    assert (v.cond_i, v.cond_ii, v.cond_iii) == (False, True, False)
+    assert (v.cond_i, v.cond_ii) == (False, True)
     assert v.certificate["residual_lx"] == np.inf
-    assert v.certificate["sim_cong_failure"] == "whitened A overflows the floating-point range"
 
 
-def test_blue_precondition_identity():
+def test_blue_decides_the_identity_estimator():
+    # L = I is unbiased; it is BLUE exactly when Im D lies in Im X
     rng = np.random.default_rng(17)
     model, _ = gauss_markov(rng, 4, 2)
-    with pytest.raises(PreconditionViolated):
-        blue_check(np.eye(4), model)
+    v = blue_check(np.eye(4), model)
+    assert (v.cond_i, v.cond_ii, v.is_blue) == (True, False, False)
+    x = model.x
+    v = blue_check(np.eye(4), LinearModel(x, x @ x.T))
+    assert (v.cond_i, v.cond_ii, v.is_blue) == (True, True, True)
 
 
 def test_blue_detects_image_escape():
-    # L fixes X but lets Im(LD) escape Im X: only condition (ii) should trip
+    # L fixes X but lets Im(D L^T) escape Im X: only condition (ii) should trip
     rng = np.random.default_rng(19)
     q = ortho(rng, 4)
     x = q[:, :2]
@@ -253,7 +278,6 @@ def test_blue_detects_image_escape():
     v = blue_check(l, model)
     assert v.cond_i
     assert not v.cond_ii
-    assert v.cond_iii
     assert not v.is_blue
 
 
@@ -264,15 +288,16 @@ def test_blue_cond_ii_rejects_a_small_component_outside_im_x():
     h = x @ x.T
     model = LinearModel(x=x, d=np.eye(4))
     assert blue_check(h, model).cond_ii
-    # 1e-6 of L D, relative to its largest entry, points out of Im X
-    v = blue_check(h + 1e-6 * np.outer(q[:, 3], q[:, 0]), model)
-    assert not v.cond_ii
+    # 1e-6 of D L^T, relative to its largest entry, points out of Im X,
+    # while L X = X still holds
+    v = blue_check(h + 1e-6 * np.outer(q[:, 0], q[:, 3]), model)
+    assert v.cond_i and not v.cond_ii
 
 
 def test_blue_cond_ii_with_a_graded_design():
     # X = Q2 diag(1, 1e-9) R spans Im Q2, and L = Q2 Q2^T is its BLUE; the
     # computed basis of Im X is off by about eps * 1e9, which condition (ii)
-    # must allow for, while a leak of 1e-6 of L D out of Im X still fails
+    # must allow for, while a leak of 1e-6 of D L^T out of Im X still fails
     rng = np.random.default_rng(29)
     rejected = 0
     for _ in range(200):
@@ -282,7 +307,7 @@ def test_blue_cond_ii_with_a_graded_design():
         model = LinearModel(x=q[:, :2] @ np.diag([1.0, 1e-9]) @ r, d=np.eye(3))
         h = q[:, :2] @ q[:, :2].T
         rejected += not blue_check(h, model).cond_ii
-        leak = 1e-6 * maxabs(h) * np.outer(q[:, 2], q[:, 0]) / maxabs(np.outer(q[:, 2], q[:, 0]))
+        leak = 1e-6 * maxabs(h) * np.outer(q[:, 0], q[:, 2]) / maxabs(np.outer(q[:, 0], q[:, 2]))
         assert not blue_check(h + leak, model).cond_ii
     assert rejected == 0
 
@@ -305,16 +330,15 @@ def test_blue_budget_grows_with_the_size_of_l():
     assert max(residuals) > 1e-8
 
 def test_blue_detects_covariance_misfit():
-    # least squares under heteroscedastic noise: conditions (i) and (ii)
-    # hold but V(Ly) is not below V(y) in the rank-subtractive sense
+    # least squares under heteroscedastic noise: L X = X holds, but D L^T
+    # leaves Im X, so L D Z = 0 fails
     p = np.array([1.0, 1.0]) / np.sqrt(2.0)
     x = p[:, None]
     h = np.outer(p, p)
     model = LinearModel(x=x, d=np.diag([1.0, 9.0]))
     v = blue_check(h, model)
-    assert v.cond_i and v.cond_ii
-    assert not v.cond_iii
-    assert "sim_cong_failure" in v.certificate
+    assert v.cond_i
+    assert not v.cond_ii and not v.is_blue
 
 
 def test_qform_cochran_split():

@@ -472,10 +472,10 @@ def test_eigh_calls_blue_check(eigh_calls):
     x = np.array([[1.0], [1.0], [0.0]])
     model = LinearModel(x=x, d=np.eye(3))
     eigh_calls.clear()
-    v = blue_check(x @ np.linalg.pinv(x), model)
-    assert v.is_blue and v.certificate["ranks"] == (1, 3)
-    # V(Ly) and V(y) in one stack, then the idempotent block of the reduction
-    assert eigh_calls == [("eigh", 2), ("eigh", 1)]
+    assert blue_check(x @ np.linalg.pinv(x), model).is_blue
+    assert not blue_check(np.eye(3), model).is_blue
+    # Rao's equation reads residuals of products; Im X comes from an SVD
+    assert eigh_calls == []
 
 
 def _three_forms(n=6):
