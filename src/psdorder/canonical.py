@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotMinusComparable, PsdOrderError
-from .numkernel import (_symmetrize, canonical_order, derived, eigh_stack, eigvalsh_stack, min_singular_value,
-                        rel_residual, require_psd, sym_array, sym_pair)
+from .numkernel import (_symmetrize, canonical_order, derived, eigh_stack, eigvalsh_stack, maxabs_stack,
+                        min_singular_value, over_scale, rel_residual, require_psd, sym_array, sym_pair)
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -86,22 +86,25 @@ def sim_congruence(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SimCongResult:
     values, vectors = eigh_stack(pair)
     require_psd(pair, values, tol)
     (values_b,), (vectors_b,) = canonical_order(values[1:], vectors[1:])
-    return _sim_congruence(*pair, values_b, vectors_b, tol)
+    return _sim_congruence(pair, values_b, vectors_b, tol)
 
 
-def _sim_congruence(a, b, values_b, vectors_b, tol: ToleranceConfig) -> SimCongResult:
-    """sim_congruence on symmetric arrays of one shape, certified PSD by the
-    caller, which also supplies B's values and vectors in canonical order.
+def _sim_congruence(pair, values_b, vectors_b, tol: ToleranceConfig) -> SimCongResult:
+    """sim_congruence on a (2, n, n) stack `pair` of symmetric A and B,
+    certified PSD by the caller, which also supplies B's values and
+    vectors in canonical order.
 
     The construction follows the structure of the pair directly.  Whiten B
     to E_s; the transformed A is then confined to the leading s-by-s block
     and that block must be a symmetric idempotent of rank r, which an
     orthogonal change of basis inside the block turns into E_r.  Undoing
-    the whitening gives S.  Each structural claim is verified numerically
-    and any failure raises NotMinusComparable, so a pair that is not
-    actually below B in the minus order cannot slip through.
+    the whitening gives S = V^{-1} diag(U, I), which U changes only in its
+    leading s columns; S E_k S^T is S's leading k columns times their
+    transpose.  Each structural claim is verified numerically and any
+    failure raises NotMinusComparable, so a pair that is not actually
+    below B in the minus order cannot slip through.
     """
-    n = len(a)
+    n = len(vectors_b)
     s_rank = int(np.count_nonzero(values_b > tol.rank_cutoff(values_b)))
 
     # Whitening: v @ B @ v.T == E_s exactly up to roundoff.  B's null
@@ -113,7 +116,7 @@ def _sim_congruence(a, b, values_b, vectors_b, tol: ToleranceConfig) -> SimCongR
 
     # A beyond the float range in B's own metric exceeds B, whatever the units
     try:
-        a_tilde = derived("whitened A", lambda: v @ a @ v.T)
+        a_tilde = derived("whitened A", lambda: v @ pair[0] @ v.T)
     except PsdOrderError as exc:
         raise NotMinusComparable(str(exc)) from None
     # A below B forces Im A inside Im B, i.e. nothing outside the block.
@@ -136,16 +139,12 @@ def _sim_congruence(a, b, values_b, vectors_b, tol: ToleranceConfig) -> SimCongR
         )
     r_rank = int(np.count_nonzero(near_one))
 
-    # S = V^{-1} diag(U, I); the whitening inverse is explicit.
-    v_inv = vectors_b * (1.0 / inv_scales)
-    z = np.eye(n)
-    z[:s_rank, :s_rank] = u
-    s = v_inv @ z
-
-    e_r = canonical_ek(n, r_rank)
-    e_s = canonical_ek(n, s_rank)
-    residual_a = rel_residual(s @ e_r @ s.T - a, a)
-    residual_b = rel_residual(s @ e_s @ s.T - b, b)
+    # S = V^{-1} diag(U, I), the whitening inverse explicit
+    s = np.multiply(vectors_b, 1.0 / inv_scales, order="C")
+    s[:, :s_rank] = s[:, :s_rank] @ u
+    s[:, s_rank:] += 0.0  # +0.0 for B's -0.0 entries, as a product with diag(U, I) gives
+    recon = np.array([s[:, :r_rank] @ s[:, :r_rank].T, s[:, :s_rank] @ s[:, :s_rank].T])
+    residual_a, residual_b = map(over_scale, maxabs_stack(recon - pair).tolist(), maxabs_stack(pair).tolist())
     sigma_min, invertible = min_singular_value(s, tol)
     if not invertible:
         raise NotMinusComparable(

@@ -26,8 +26,8 @@ from .numkernel import (
     derived,
     eigh_stack,
     identity_budget,
-    image_in_span,
-    maxabs,
+    outside_span,
+    over_scale,
     pinv,
     rel_residual,
     require_psd,
@@ -87,8 +87,11 @@ class ComparisonVerdict:
 
 @dataclass(frozen=True)
 class BlueVerdict:
-    """The two conditions of Rao's BLUE equation, the residual of the
-    first, and the verdict."""
+    """The two conditions of Rao's BLUE equation and the verdict.  The
+    certificate holds the residual of the first, `residual_lx`, and the two
+    sides of the second: `residual_dl`, the largest entry of the part of
+    D L^T outside Im X over the largest entry of D L^T, and `budget_dl`,
+    the budget it is held against."""
 
     cond_i: bool
     cond_ii: bool
@@ -200,9 +203,10 @@ def blue_check(l, model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) -> Blu
 
     Rao's fundamental BLUE equation L (X : D Z) = (X : 0), with Z spanning
     the orthogonal complement of Im X: (i) L X = X, and (ii) L D Z = 0,
-    that is Im(D L^T) inside Im X.  Both are residuals of products; the
-    only decomposition is the SVD of X that gives a basis of Im X.
-    Neither condition depends on sigma^2.
+    that is Im(D L^T) inside Im X.  Both are relative residuals of
+    products, infinite beyond the float range; (ii) measures the part of
+    D L^T outside Im X.  The only decomposition is the SVD of X that gives
+    a basis of Im X.  Neither condition depends on sigma^2.
     """
     l = _coerce(l, square=False)
     if l.shape != (model.n, model.n):
@@ -214,14 +218,14 @@ def blue_check(l, model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) -> Blu
     with np.errstate(over="ignore", invalid="ignore"):
         lx = l @ model.x
         residual_lx = rel_residual(lx - model.x, lx, model.x)
-        # the basis of Im X is known only up to the angle column_span bounds,
-        # which moves the part of D L^T outside it by up to that much of D L^T
-        dl = model.d.a @ l.T
-        cond_ii = bool(image_in_span(dl, basis, tol, angle * maxabs(dl)))
+        residual_dl = over_scale(*(x.item() for x in outside_span(model.d.a @ l.T, basis)))
+    # the basis of Im X is known only up to the angle column_span bounds,
+    # which moves the part of D L^T outside it by up to that much of D L^T
+    budget_dl = tol.recon_tol + float(angle)
     return BlueVerdict(
         cond_i=residual_lx <= identity_budget(tol, l),
-        cond_ii=cond_ii,
-        certificate={"residual_lx": residual_lx},
+        cond_ii=residual_dl <= budget_dl,
+        certificate={"residual_lx": residual_lx, "residual_dl": residual_dl, "budget_dl": budget_dl},
     )
 
 
@@ -286,7 +290,7 @@ def qform_rank_criterion(
         reason = ""
         if verdict.holds:
             try:
-                sim = _sim_congruence(t[i], t[k], values_t, vectors_t, tol)
+                sim = _sim_congruence(t[[i, k]], values_t, vectors_t, tol)
                 r_i = sim.rank_a
             except NotMinusComparable as exc:
                 reason = str(exc)

@@ -371,5 +371,12 @@ def image_in_span(m, basis, tol: ToleranceConfig = DEFAULT_TOL, slack=0.0) -> np
     by how much of M it carries, so an eigenvalue far below the others
     cannot fail the test through the roundoff in its eigenvector.  Stacks
     of M, bases and slacks give one answer per matrix."""
+    outside, scale = outside_span(m, basis)
+    return outside <= tol.recon_tol * scale + slack
+
+
+def outside_span(m, basis):
+    """The largest entry of the part of M outside the span of `basis`, and
+    the largest entry of M, as image_in_span compares them."""
     outside = m - basis @ (basis.swapaxes(-1, -2) @ m)
-    return maxabs_stack(outside) <= tol.recon_tol * maxabs_stack(m) + slack
+    return maxabs_stack(outside), maxabs_stack(m)

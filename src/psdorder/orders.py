@@ -29,10 +29,10 @@ B - A once and scans only it for finiteness, takes the largest entries
 of A and B in one scan where a threshold or a scale needs them, and
 decomposes all its matrices in one stacked call.  Eigenvectors are put
 in canonical order only where the bits of a result depend on their
-order: the ginv certificate of a holding minus verdict.  A Loewner
-witness is the one column canonical_order would give, read from eigh's
-output by canonical_column; the star and image containment tests read
-the eigenvectors as eigh returns them.
+order: the ginv certificate of a holding minus verdict, whose identities
+multiply G by the gate's (A, B) stack.  A Loewner witness is the one
+column canonical_order would give, read from eigh's output by
+canonical_column; the star and image tests read eigh's eigenvectors.
 """
 
 import math
@@ -55,7 +55,6 @@ from .numkernel import (
     maxabs_stack,
     min_singular_value,
     over_scale,
-    rel_residual_stack,
     sym_pair,
     sym_stack,
 )
@@ -252,34 +251,35 @@ def _image_certificate(a, d, values_b, vectors_b, cutoff, tol):
     return {"contained": True}
 
 
-def _ginv_certificate(a, b, scale, values, vectors, rank_a, cutoff, tol):
+def _ginv_certificate(ab, scale, values, vectors, rank_a, cutoff, tol):
     """An inner inverse G of A with G A = G B and A G = B G, which exists
     exactly when A is below B, for a pair whose rank equation holds.
 
     G is assembled from the oblique projector onto Im A along
     Im(B - A) (+) (Im B)-perp.  The rank equation makes the three pieces'
     dimensions add up to n; the certificate checks that their sum is
-    direct and that G meets the three identities.  `scale`: the largest
-    entry of A and B.  `values`, `vectors`: the spectra of A, B and B - A
-    as eigh returns them, put in canonical order here, since G's bits
-    depend on the order of the columns, and masked by the cutoff; A^+
-    reads A's under its own.
+    direct and that G meets the three identities.  `ab`: the (2, n, n)
+    stack of A and B; `scale`: its largest entry.  `values`, `vectors`:
+    the spectra of A, B and B - A as eigh returns them, put in canonical
+    order here, since G's bits depend on the order of the columns, and
+    masked by the cutoff; A^+ reads A's under its own.
     """
     values, vectors = canonical_order(values, vectors)
-    keep_a, keep, keep_d = (np.abs(v) > cutoff for v in values)
+    keep_a, keep, keep_d = np.abs(values) > cutoff
     q_a, q_b, q_d = vectors
-    m = np.hstack([q_a[:, keep_a], q_d[:, keep_d], q_b[:, ~keep]])
+    m = np.concatenate((q_a, q_d, q_b), axis=1)[:, np.concatenate((keep_a, keep_d, ~keep))]
     sigma_min, direct = min_singular_value(m, tol)
     if not direct:
         raise _certificate_fails(MinusMethod.GINV, f"direct-sum check: sigma_min {sigma_min:.3e}")
     proj = m[:, :rank_a] @ np.linalg.inv(m)[:rank_a, :]
     g = proj.T @ _spectral_pinv(values[0], q_a, tol) @ proj
-    ga, gb, ag, bg = g @ a, g @ b, a @ g, b @ g
-    aga = ag @ a
-    # each identity's residual relative to the two sides it compares; the
-    # roundoff of the products grows with the dimensionless |G| |A, B|
-    lhs, rhs = np.array([aga, ga, ag]), np.array([a, gb, bg])
-    residuals = dict(zip(("inner", "left", "right"), rel_residual_stack(lhs - rhs, lhs, rhs).tolist()))
+    left, right = g @ ab, ab @ g
+    # the sides of A G A = A, G A = G B and A G = B G; each identity's
+    # residual is relative to its two sides, and the roundoff of the
+    # products grows with the dimensionless |G| |A, B|
+    sides = np.array([(right[0] @ ab[0], ab[0]), left, right])
+    num, den = maxabs_stack(sides[:, 0] - sides[:, 1]), maxabs_stack(sides.reshape(3, 2 * len(g), len(g)))
+    residuals = dict(zip(("inner", "left", "right"), map(over_scale, num.tolist(), den.tolist())))
     budget = identity_budget(tol, g, scale)
     worst = max(residuals, key=residuals.get)
     if residuals[worst] > budget:
@@ -323,7 +323,7 @@ def minus_leq(
     if holds and method is MinusMethod.IMAGE:
         extra = _image_certificate(a, d, values[1], vectors[1], cutoff, tol)
     elif holds and method is MinusMethod.GINV:
-        extra = _ginv_certificate(a, b, _pair_scale(ab).item(), values, vectors, triple[0], cutoff, tol)
+        extra = _ginv_certificate(ab, _pair_scale(ab).item(), values, vectors, triple[0], cutoff, tol)
     return _rank_verdict(decision, triple, cutoff, method, extra)
 
 

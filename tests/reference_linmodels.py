@@ -17,8 +17,10 @@ whose smallest eigenvalue lies within a few eps times its radius of the
 PSD threshold, which no input here comes near.  blue_check is Rao's
 fundamental BLUE equation written without the module's helpers: L X = X
 as the module measures it, and L D Z = 0 with Z = I - X X^+ from numpy's
-pinv, where the module projects D L^T off an SVD basis of Im X; the two
-must agree on every estimator here, none of which is near the budget.
+pinv, where the module projects D L^T off an SVD basis of Im X, relative
+to L D and against recon_tol plus the angle that basis can turn by; the
+two must decide alike on every estimator here, none of which is near the
+budget, and their residuals and budgets agree to roundoff.
 psdorder.linmodels decomposes each family of matrices in one stacked
 eigh call and must return every value these return, bit for bit and of
 the same type; only the Monte Carlo statistics may differ, by roundoff,
@@ -66,12 +68,16 @@ def blue_check(l, model, tol=DEFAULT_TOL):
     x = model.x
     lx = l @ x
     residual_lx = rel_residual(lx - x, lx, x)
-    # Rao's equation L D Z = 0, Z = I - X X^+ projecting onto (Im X)-perp
+    # Rao's equation L D Z = 0, Z = I - X X^+ projecting onto (Im X)-perp;
+    # the budget allows for Wedin's bound on the turn of an SVD basis of Im X
     ld = l @ model.d.a
-    ldz = ld @ (np.eye(model.n) - x @ np.linalg.pinv(x))
-    cond_ii = bool(np.abs(ldz).max() <= tol.recon_tol * np.abs(ld).max())
-    return BlueVerdict(cond_i=residual_lx <= identity_budget(tol, l), cond_ii=cond_ii,
-                       certificate={"residual_lx": residual_lx})
+    outside = np.abs(ld @ (np.eye(model.n) - x @ np.linalg.pinv(x))).max()
+    residual_dl = float(outside / np.abs(ld).max()) if outside else 0.0
+    sv = np.linalg.svd(x, compute_uv=False)
+    kept = sv[sv > tol.rank_cutoff(sv, max(x.shape))]
+    budget_dl = tol.recon_tol + (float(max(x.shape) * np.finfo(float).eps * sv[0] / kept[-1]) if kept.size else 0.0)
+    return BlueVerdict(cond_i=residual_lx <= identity_budget(tol, l), cond_ii=residual_dl <= budget_dl,
+                       certificate={"residual_lx": residual_lx, "residual_dl": residual_dl, "budget_dl": budget_dl})
 
 
 def _setup(a_list, v, mu, tol):

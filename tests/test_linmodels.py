@@ -256,6 +256,22 @@ def test_blue_check_fails_conditions_beyond_the_float_range():
     assert v.certificate["residual_lx"] == np.inf
 
 
+@pytest.mark.filterwarnings("error")
+def test_blue_check_reports_how_far_d_lt_leaves_im_x():
+    # condition (ii) compares the part of D L^T outside Im X, relative to
+    # D L^T, with recon_tol plus the angle of the basis of Im X: L = I under
+    # D = I leaves Im X by the whole of (Im X)-perp; beyond the float range
+    # the residual is infinite, with no NaN and no numpy warning
+    x = np.array([[1.0], [1.0], [0.0]])
+    v = blue_check(np.eye(3), LinearModel(x, np.eye(3)))
+    assert (v.cond_i, v.cond_ii) == (True, False)
+    assert v.certificate["residual_dl"] == 1.0
+    assert v.certificate["budget_dl"] == pytest.approx(DEFAULT_TOL.recon_tol)
+    v = blue_check(1e200 * np.eye(3), LinearModel(x, 1e200 * np.eye(3)))
+    assert not v.cond_ii
+    assert (v.certificate["residual_dl"], np.isfinite(v.certificate["budget_dl"])) == (np.inf, True)
+
+
 def test_blue_decides_the_identity_estimator():
     # L = I is unbiased; it is BLUE exactly when Im D lies in Im X
     rng = np.random.default_rng(17)

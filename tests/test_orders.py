@@ -17,6 +17,7 @@ from psdorder import (
     order_holds_many,
     order_leq,
     pinv,
+    sim_congruence,
     star_family_leq,
     sym_eig,
 )
@@ -216,6 +217,16 @@ def test_empty_matrices_are_equal_in_the_loewner_order():
     v = lowner_leq(z, z)
     assert (v.holds, v.detail, v.certificate["min_eig"]) == (True, "equal", 0.0)
     assert order_holds_many(np.zeros((2, 0, 0)), z, Relation.LOWNER).tolist() == [True, True]
+
+
+def test_empty_matrices_carry_both_minus_certificates():
+    # the ginv identities and the reconstructions of S have no entries
+    z = np.zeros((0, 0))
+    v = minus_leq(z, z, method="ginv")
+    assert (v.holds, v.detail) == (True, "equal")
+    assert v.certificate["residuals"] == {"inner": 0.0, "left": 0.0, "right": 0.0}
+    res = sim_congruence(z, z)
+    assert (res.s.shape, res.rank_a, res.rank_b, res.residual_a, res.residual_b) == ((0, 0), 0, 0, 0.0, 0.0)
 
 
 def test_verdicts_near_the_top_of_the_float_range():

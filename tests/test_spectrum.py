@@ -7,6 +7,7 @@ pair by c > 0 leaves each verdict unchanged."""
 
 import dataclasses
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from psdorder import (
     star_family_leq,
     sym_eig,
 )
-from psdorder import numkernel, orders
+from psdorder import canonical, numkernel, orders
 from psdorder.numkernel import canonical_order, column_span, min_singular_value, rel_residual, rel_residual_stack
 from psdorder.preservers import _projectors, congruence_map, sample_pair
 
@@ -394,8 +395,8 @@ def test_star_and_image_routes_order_no_eigenvectors(monkeypatch):
 
 def test_holding_ginv_verdict_scans_a_and_b_once(monkeypatch):
     # the identity budget takes the pair's largest entry from the scan of
-    # the (A, B) stack; the other scans are of G and of the three
-    # identities' residuals and sides
+    # the (A, B) stack; the other scans are of the three identities'
+    # differences, of their two sides together, and of G
     scanned = []
     real = numkernel.maxabs_stack
 
@@ -406,7 +407,36 @@ def test_holding_ginv_verdict_scans_a_and_b_once(monkeypatch):
     for module in (orders, numkernel):
         monkeypatch.setattr(module, "maxabs_stack", counting)
     assert _verdict("minus_ginv", *PAIRS["minus"]["holds"]).holds
-    assert scanned == [(1, 8, 4), (3, 4, 4), (3, 4, 4), (3, 4, 4), (4, 4)]
+    assert scanned == [(1, 8, 4), (3, 4, 4), (3, 8, 4), (4, 4)]
+
+
+def test_minus_certificates_make_their_lapack_calls_and_no_more(monkeypatch):
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    def no_ek(*args):
+        raise AssertionError("canonical_ek was called")
+
+    for name in ("eigh", "eigvalsh", "svd", "inv"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    monkeypatch.setattr(canonical, "canonical_ek", no_ek)
+    a, b = PAIRS["minus"]["holds"]
+    # A and B together, the idempotent block, and the SVD that certifies S
+    # invertible; S E_k S^T is read from S's leading k columns
+    assert (sim_congruence(a, b).rank_a, calls) == (1, {"eigh": 2, "svd": 1})
+    calls.clear()
+    # A, B and B - A together, the direct-sum SVD and the inverse of the
+    # oblique basis
+    assert _verdict("minus_ginv", a, b).holds
+    assert calls == {"eigh": 1, "svd": 1, "inv": 1}
 
 
 @pytest.mark.parametrize("route", ["lowner", "minus_rank", "minus_image", "minus_ginv", "star"])

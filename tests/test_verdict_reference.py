@@ -1,13 +1,16 @@
 """The scalar verdicts, inertia and sim_congruence against the
 SymMatrix-based reference in reference_verdicts.py: every holds, detail,
 certificate value, result field and error, bit for bit and of the same
-type, on holding and failing pairs with repeated eigenvalues among them."""
+type, on holding and failing pairs with repeated eigenvalues among them,
+and the two minus certificates, sim_congruence and the ginv route, on
+generated pairs below each other."""
 
 import dataclasses
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_verdicts as ref
 from psdorder import (
@@ -113,3 +116,39 @@ def test_verdicts_match_the_symmatrix_reference_bit_for_bit(n):
     # both outcomes of every verdict, and of sim_congruence, were compared
     for name, seen in outcomes.items():
         assert seen == ({True} if name.startswith("inertia") else {True, False}), name
+
+
+def _factor(kind, n, rng):
+    """An invertible congruence factor: general, a scaled orthogonal one,
+    a signed permutation times a power of two, under which a pair's
+    spectra repeat exactly, or a general block beside a signed permutation,
+    rows shuffled, whose pairs' eigenvectors hold exact zeros of both signs."""
+    if kind == "permutation":
+        return 2.0 ** rng.integers(-3, 4) * np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], n)
+    if kind == "block":
+        k = rng.integers(1, n + 1)
+        f = np.zeros((n, n))
+        f[:k, :k], f[k:, k:] = _factor("general", k, rng), _factor("permutation", n - k, rng)
+        return f[rng.permutation(n)]
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * (rng.uniform(0.5, 2.0, n) if kind == "general" else rng.uniform(0.5, 2.0))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.data(), st.integers(2, 10), st.sampled_from(["general", "orthogonal", "permutation", "block"]),
+       st.integers(0, 2**32 - 1))
+def test_minus_certificates_match_the_reference_on_generated_pairs(data, n, kind, seed):
+    # A = S E_r S^T below B = S E_s S^T: sim_congruence forms S and its
+    # reconstructions from S's leading columns and the ginv route G's
+    # identities from stacked products, where the reference multiplies by
+    # E_k and by each matrix on its own; the bits agree as the BLAS
+    # kernel sums, so they are compared on many pairs
+    s_rank = data.draw(st.integers(0, n))
+    r_rank = data.draw(st.integers(0, s_rank))
+    factor = _factor(kind, n, np.random.default_rng(seed))
+    a, b = ((factor * np.r_[np.ones(k), np.zeros(n - k)]) @ factor.T for k in (r_rank, s_rank))
+    for name in ("sim_congruence", "minus_ginv"):
+        call, reference = CALLS[name]
+        got = _outcome(call, a, b)
+        assert got == _outcome(reference, a, b), name
+        assert got[1], name
