@@ -84,15 +84,15 @@ def sim_congruence(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SimCongResult:
     """
     pair, _ = sym_pair(a, b)
     values, vectors = eigh_stack(pair)
-    require_psd(pair, values, tol)
+    scales = require_psd(pair, values, tol).tolist()
     (values_b,), (vectors_b,) = canonical_order(values[1:], vectors[1:])
-    return _sim_congruence(pair, values_b, vectors_b, tol)
+    return _sim_congruence(pair, values_b, vectors_b, tol, scales)
 
 
-def _sim_congruence(pair, values_b, vectors_b, tol: ToleranceConfig) -> SimCongResult:
+def _sim_congruence(pair, values_b, vectors_b, tol: ToleranceConfig, scales) -> SimCongResult:
     """sim_congruence on a (2, n, n) stack `pair` of symmetric A and B,
     certified PSD by the caller, which also supplies B's values and
-    vectors in canonical order.
+    vectors in canonical order and the largest entries of A and B (floats).
 
     The construction follows the structure of the pair directly.  Whiten B
     to E_s; the transformed A is then confined to the leading s-by-s block
@@ -144,7 +144,7 @@ def _sim_congruence(pair, values_b, vectors_b, tol: ToleranceConfig) -> SimCongR
     s[:, :s_rank] = s[:, :s_rank] @ u
     s[:, s_rank:] += 0.0  # +0.0 for B's -0.0 entries, as a product with diag(U, I) gives
     recon = np.array([s[:, :r_rank] @ s[:, :r_rank].T, s[:, :s_rank] @ s[:, :s_rank].T])
-    residual_a, residual_b = map(over_scale, maxabs_stack(recon - pair).tolist(), maxabs_stack(pair).tolist())
+    residual_a, residual_b = map(over_scale, maxabs_stack(recon - pair).tolist(), scales)
     sigma_min, invertible = min_singular_value(s, tol)
     if not invertible:
         raise NotMinusComparable(

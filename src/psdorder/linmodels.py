@@ -11,15 +11,17 @@ sim_congruence, plus a seeded Monte Carlo routine to validate the
 distributional claims empirically.
 """
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from .canonical import SimCongResult, _sim_congruence
-from .errors import DimensionMismatch, NotMinusComparable
+from .errors import DimensionMismatch, NotMinusComparable, PsdOrderError
 from .numkernel import (
     PsdMatrix,
     _coerce,
+    _spectral_pinv,
     _symmetrize,
     canonical_order,
     column_span,
@@ -28,7 +30,6 @@ from .numkernel import (
     identity_budget,
     outside_span,
     over_scale,
-    pinv,
     rel_residual,
     require_psd,
     sym_array,
@@ -142,10 +143,13 @@ class McReport:
     total_ks: float | None
 
 
-def _gram_sandwich(model: LinearModel, tol: ToleranceConfig) -> np.ndarray:
-    """X^T (D + X X^T)^+ X as computed, before symmetrization."""
-    gram = derived("D + X X^T", lambda: model.d.a + model.x @ model.x.T)
-    return derived("X^T (D + X X^T)^+ X", lambda: model.x.T @ pinv(gram, tol) @ model.x)
+def _gram_sandwiches(models, tol: ToleranceConfig) -> np.ndarray:
+    """X^T (D + X X^T)^+ X of models whose designs share a shape, before
+    symmetrization, from one decomposition of their Gram matrices."""
+    x = np.array([model.x for model in models])
+    gram = derived("D + X X^T", lambda: np.array([model.d.a for model in models]) + x @ x.swapaxes(-1, -2))
+    return derived("X^T (D + X X^T)^+ X", lambda: x.swapaxes(-1, -2) @ _spectral_pinv(
+        *canonical_order(*eigh_stack(_symmetrize(gram))), tol) @ x)
 
 
 def efficiency_matrix(model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) -> PsdMatrix:
@@ -154,7 +158,7 @@ def efficiency_matrix(model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) ->
     The result does not depend on which inner inverse is used because
     Im X is always inside Im(D + X X^T).
     """
-    return PsdMatrix(_gram_sandwich(model, tol), tol)
+    return PsdMatrix(_gram_sandwiches([model], tol)[0], tol)
 
 
 def model_compare(
@@ -166,13 +170,17 @@ def model_compare(
     M1, M2 and M1 - M2 are decomposed in one call: M1 and M2 are certified
     PSD from their eigenvalues, and both directions are decided from the
     one spectrum of M1 - M2.  The observation counts may differ, only the
-    parameter dimension must agree.
+    parameter dimension must agree; models of one count share one Gram call.
     """
     if l1.p != l2.p:
         raise DimensionMismatch(
             f"models estimate different parameter dimensions: {l1.p} vs {l2.p}"
         )
-    m1, m2 = (_symmetrize(_gram_sandwich(model, tol)) for model in (l1, l2))
+    m = None
+    if l1.n == l2.n:  # one pass; a fault is raised again below, model by model, as it is alone
+        with suppress(PsdOrderError):
+            m = _symmetrize(_gram_sandwiches([l1, l2], tol))
+    m1, m2 = (_symmetrize(_gram_sandwiches([model], tol)[0]) for model in (l1, l2)) if m is None else m
     stack = np.array([m1, m2, derived("M1 - M2", np.subtract, m1, m2)])
     values, vectors = eigh_stack(stack)
     require_psd(stack[:2], values[:2], tol)
@@ -230,12 +238,11 @@ def blue_check(l, model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) -> Blu
 
 
 def _setup(a_list, v, mu, tol):
-    """The work the quadratic-form checks share, in two eigh_stack calls:
-    one certifies V and the forms (no forms raise); the other holds the k
-    forms and their total compressed to W^T A W, W = (V : mu), and the k
-    differences total - form.  Returns the forms followed by their total,
-    W, V's spectrum, the compressed matrices, the second stack's spectra
-    and the compressed matrices' ranks."""
+    """The work the quadratic-form checks share, in two eigh_stack calls: one
+    certifies V and the forms (no forms raise); the other the k forms and their
+    total compressed to W^T A W, W = (V : mu), and the k differences total - form.
+    Returns the forms and their total, W, V's spectrum, the compressed matrices,
+    their largest entries, the second stack's spectra and the compressed ranks."""
     v = sym_array(v)
     mats = []
     for i, a in enumerate(a_list):
@@ -256,12 +263,12 @@ def _setup(a_list, v, mu, tol):
         raise ValueError("need at least one quadratic form")
 
     w = np.hstack([v, mu[:, None]])
-    t = _symmetrize(derived("W^T A W", lambda: np.array([w.T @ m @ w for m in mats])))
+    t = _symmetrize(derived("W^T A W", lambda: w.T @ np.array(mats) @ w))
     k = len(mats) - 1
     values, vectors = eigh_stack(np.concatenate([t, derived("the total minus a form", np.subtract, t[k], t[:k])]))
-    require_psd(t, values[:k + 1], tol)
+    scales = require_psd(t, values[:k + 1], tol).tolist()
     ranks = (np.abs(values[:k + 1]) > tol.rank_cutoff(values[:k + 1])[:, None]).sum(axis=1).tolist()
-    return mats, w, (values_v[0], vectors_v[0]), t, values, vectors, ranks
+    return mats, w, (values_v[0], vectors_v[0]), t, scales, values, vectors, ranks
 
 
 def qform_rank_criterion(
@@ -274,14 +281,15 @@ def qform_rank_criterion(
     an explicit shared congruence per form.  A form compressed to zero
     passes trivially with rank 0.  The minus verdicts are the rank
     route's, read from the stack _setup decomposes, and the total's
-    spectrum from that stack serves every reduction.
+    spectrum from that stack, ordered only if some form holds, serves every reduction.
     """
-    _, w, _, t, values, vectors, ranks = _setup(a_list, v, mu, tol)
+    _, w, _, t, scales, values, vectors, ranks = _setup(a_list, v, mu, tol)
     k = len(t) - 1
     # the spectra of (form, total, total - form) for each form
     triples = values[np.c_[np.arange(k), np.full(k, k), np.arange(k + 1, 2 * k + 1)]]
     verdicts = _rank_verdicts(triples, tol)
-    (values_t,), (vectors_t,) = canonical_order(values[k:k + 1], vectors[k:k + 1])
+    if any(verdict.holds for verdict in verdicts):
+        (values_t,), (vectors_t,) = canonical_order(values[k:k + 1], vectors[k:k + 1])
     entries = []
     overall = True
     for i, verdict in enumerate(verdicts):
@@ -290,7 +298,7 @@ def qform_rank_criterion(
         reason = ""
         if verdict.holds:
             try:
-                sim = _sim_congruence(t[[i, k]], values_t, vectors_t, tol)
+                sim = _sim_congruence(t[[i, k]], values_t, vectors_t, tol, (scales[i], scales[k]))
                 r_i = sim.rank_a
             except NotMinusComparable as exc:
                 reason = str(exc)

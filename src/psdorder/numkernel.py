@@ -37,9 +37,9 @@ Conventions shared by everything built on top of this module:
   component of each eigenvector positive, so a factorization is
   reproducible run to run; sym_eig is eigh_stack and canonical_order on
   one matrix, and returns its values and vectors as arrays.  Where a
-  result shows one eigenvector (a Loewner witness), canonical_column
-  reads it from eigh's columns, bit for bit the column canonical_order
-  would give, with nothing sorted.  A containment test needs no order:
+  result shows one eigenvector (a Loewner witness, the first column of a
+  fitted congruence), canonical_column reads it from eigh's columns, bit
+  for bit the column canonical_order would give, with nothing sorted.  A containment test needs no order:
   image_in_span takes the eigenvectors as eigh returns them, those under
   the cutoff zeroed,
 - a spectrum is owned by the call that computed it and handed on as
@@ -242,18 +242,20 @@ class PsdMatrix(SymMatrix):
         return m
 
 
-def require_psd(stack, values, tol: ToleranceConfig = DEFAULT_TOL) -> None:
+def require_psd(stack, values, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Raise NotPositiveSemidefinite for the first matrix of a (k, n, n)
     stack whose smallest eigenvalue is below -psd_tol times its largest
     entry; `values` are the stack's spectra, ascending, as eigh_stack or
-    eigvalsh_stack returns them."""
+    eigvalsh_stack returns them.  Returns those largest entries."""
+    scales = maxabs_stack(stack)
     min_eigs = values[:, 0].tolist() if values.shape[-1] else [0.0] * len(values)
-    for min_eig, threshold in zip(min_eigs, (tol.psd_tol * maxabs_stack(stack)).tolist()):
+    for min_eig, threshold in zip(min_eigs, (tol.psd_tol * scales).tolist()):
         if not min_eig >= -threshold:
             raise NotPositiveSemidefinite(
                 f"minimum eigenvalue {min_eig:.6g} is below -{threshold:.6g}",
                 min_eig=min_eig,
             )
+    return scales
 
 
 def eigh_stack(x) -> tuple[np.ndarray, np.ndarray]:
@@ -354,11 +356,11 @@ def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 
 def _spectral_pinv(values, vectors, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """pinv of Q diag(values) Q^T, Q = `vectors`, from that spectrum, under
-    its own rank cutoff."""
-    keep = np.abs(values) > tol.rank_cutoff(values)
+    """pinv of Q diag(values) Q^T, Q = `vectors`, from that spectrum (or of
+    each matrix of a stack from its spectra), under its own rank cutoff."""
+    keep = np.abs(values) > tol.rank_cutoff(values)[..., None]
     inv = np.where(keep, 1.0 / np.where(keep, values, 1.0), 0.0)
-    return (vectors * inv) @ vectors.T
+    return (vectors * inv[..., None, :]) @ vectors.swapaxes(-1, -2)
 
 
 def image_in_span(m, basis, tol: ToleranceConfig = DEFAULT_TOL, slack=0.0) -> np.ndarray:

@@ -19,11 +19,12 @@ from .numkernel import (
     SymMatrix,
     _coerce,
     _symmetrize,
+    canonical_column,
     derived,
+    eigh_stack,
     maxabs_stack,
     min_singular_value,
     rel_residual_stack,
-    sym_eig,
     sym_stack,
 )
 from .orders import Relation, _lowner_stack, _minus_stack, _pair_spectra, holds_stack
@@ -332,18 +333,14 @@ def preserves_order(
 def probe_inputs(n: int) -> list:
     """The canonical probe matrices fit_congruence expects to see sampled:
     every e_i e_i^T and every (e_0 + e_i)(e_0 + e_i)^T."""
+    return list(_probe_stack(n))
+
+
+def _probe_stack(n: int) -> np.ndarray:
+    """probe_inputs(n) as one (2n - 1, n, n) array."""
     e = np.eye(n)
     v = np.concatenate([e, e[:1] + e[1:]])
-    return list(v[:, :, None] * v[:, None, :])
-
-
-def _rank_one_factor(m, tol):
-    """Write a PSD rank-one matrix as v v^T; None when it is not one."""
-    values, vectors = sym_eig(m)
-    lead = float(values[0])
-    if lead <= 0 or np.count_nonzero(np.abs(values) > tol.rank_cutoff(values)) != 1:
-        return None
-    return np.sqrt(lead) * vectors[:, 0]
+    return v[:, :, None] * v[:, None, :]
 
 
 def fit_congruence(samples, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -373,7 +370,7 @@ def fit_congruence(samples, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     # every probe against every sample, each probe taking its first match in
     # sample order; only the pairs that agree on the diagonal are compared
     # in full, since every other pair differs by more on the diagonal alone
-    probes = np.array(probe_inputs(n))
+    probes = _probe_stack(n)
     diag_given, diag_probes = (np.diagonal(m, axis1=1, axis2=2) for m in (given, probes))
     near = np.abs(diag_given - diag_probes[:, None]).max(axis=-1) <= tol.recon_tol
     p, i = np.nonzero(near)
@@ -384,12 +381,15 @@ def fit_congruence(samples, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     images = outputs[match.argmax(axis=1)]
 
     diag_images, mixed_images = images[:n], images[n:]
-    first = _rank_one_factor(diag_images[0], tol)
-    if first is None:
+    # the first probe's image is lambda q q^T: column 0 is sqrt(lambda) q, q as canonical_order gives it
+    (values,), (vectors,) = eigh_stack(_symmetrize(diag_images[:1]))
+    lead = float(values[-1])
+    if lead <= 0 or np.count_nonzero(np.abs(values) > tol.rank_cutoff(values)) != 1:
         raise InconsistentSamples(
             "image of the first probe is not rank one; no invertible "
             "congruence explains the samples"
         )
+    first = np.sqrt(lead) * canonical_column(values, vectors, last=False)
 
     def columns():
         # cross_i = s_0 s_i^T + s_i s_0^T, so applying it to s_0 isolates
@@ -415,7 +415,7 @@ def fit_congruence(samples, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
             f"column {off.argmax() + 1} reconstructed from the mixed probe does "
             "not reproduce its diagonal probe image"
         )
-    s = np.column_stack([first, *cols])
+    s = np.concatenate([first[:, None], cols.T], axis=1)
 
     with np.errstate(over="ignore", invalid="ignore"):
         predicted = s @ given @ s.T

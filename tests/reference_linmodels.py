@@ -10,9 +10,11 @@ V taken from sym_eig.  V, the forms and the compressed forms W^T A W are
 certified from their sym_eig spectra (reference_verdicts.certified_eig),
 from which each rank is counted and each minus question decided by the
 rank equation (reference_verdicts.minus_verdict), as the module decides
-them on the eigh spectra its stacks hold.  The efficiency matrices of
-model_compare are PsdMatrix objects, certified from eigvalsh where the
-module certifies them from eigh: the two could part only on a matrix
+them on the eigh spectra its stacks hold.  Each efficiency matrix of
+model_compare is formed model by model: the sym_eig spectrum of the Gram
+matrix D + X X^T, its spectral pseudoinverse and the product
+X^T (D + X X^T)^+ X, as a PsdMatrix certified from eigvalsh where the
+module certifies it from eigh: the two could part only on a matrix
 whose smallest eigenvalue lies within a few eps times its radius of the
 PSD threshold, which no input here comes near.  blue_check is Rao's
 fundamental BLUE equation written without the module's helpers: L X = X
@@ -38,9 +40,8 @@ from psdorder.linmodels import (
     McReport,
     QFormEntry,
     QFormReport,
-    efficiency_matrix,
 )
-from psdorder.numkernel import SymMatrix, identity_budget, rel_residual, sym_eig
+from psdorder.numkernel import PsdMatrix, SymMatrix, identity_budget, rel_residual, sym_eig
 from psdorder.rng import normal_matrix, substream
 from psdorder.special import chi2_cdf, ks_uniform_distance
 from psdorder.tolerances import DEFAULT_TOL
@@ -49,6 +50,14 @@ from reference_verdicts import certified_eig, lowner_both, minus_verdict
 
 def _rank(values, tol):
     return int(np.count_nonzero(np.abs(values) > tol.rank_cutoff(values)))
+
+
+def efficiency_matrix(model, tol=DEFAULT_TOL):
+    x = model.x
+    values, vectors = sym_eig(model.d.a + x @ x.T)
+    keep = np.abs(values) > tol.rank_cutoff(values)
+    ginv = (vectors * np.where(keep, 1.0 / np.where(keep, values, 1.0), 0.0)) @ vectors.T
+    return PsdMatrix(x.T @ ginv @ x, tol)
 
 
 def model_compare(l1, l2, tol=DEFAULT_TOL):

@@ -161,6 +161,19 @@ def test_model_compare_dimension_rules():
         model_compare(m1, m3)
 
 
+@pytest.mark.filterwarnings("error")
+def test_model_compare_raises_the_first_models_fault_first():
+    # models of one row count go through one pass, and a fault in it is
+    # raised again model by model, so the first model's fault wins even
+    # where it comes at a later step than the second model's
+    tiny = LinearModel(x=np.full((2, 1), 1e-160), d=np.zeros((2, 2)))  # a subnormal Gram matrix: 1 / lambda overflows
+    huge = LinearModel(x=np.full((2, 1), 1e160), d=np.eye(2))  # the Gram matrix overflows
+    with pytest.raises(PsdOrderError, match=r"^X\^T \(D \+ X X\^T\)\^\+ X overflows"):
+        model_compare(tiny, huge)
+    with pytest.raises(PsdOrderError, match=r"^D \+ X X\^T overflows"):
+        model_compare(huge, tiny)
+
+
 def test_estimator_covariance():
     model = LinearModel(x=np.ones((3, 1)), d=np.diag([1.0, 2.0, 3.0]), sigma2=2.0)
     np.testing.assert_allclose(

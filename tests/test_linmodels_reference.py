@@ -9,15 +9,19 @@ Carlo check draws the same degrees of freedom and its statistics agree to
 roundoff.  Inputs with two faults may report the other fault first; that
 precedence is pinned at the end.  A derived matrix beyond the float range
 is a PsdOrderError here and a ValueError in the reference; those inputs
-are pinned on their own."""
+are pinned on their own.  A generated property holds the three cheap
+analyses of a sweep, fit_congruence (against reference_preservers.py),
+model_compare and qform_rank_criterion, to their references bit for bit."""
 
 import dataclasses
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_linmodels as ref
+import reference_preservers
 from psdorder import (
     DimensionMismatch,
     LinearModel,
@@ -25,8 +29,10 @@ from psdorder import (
     PsdOrderError,
     SymMatrix,
     blue_check,
+    fit_congruence,
     mc_quadratic_forms,
     model_compare,
+    probe_inputs,
     qform_rank_criterion,
 )
 
@@ -284,3 +290,44 @@ def test_two_faults_report_the_structural_one_first():
         ref.qform_rank_criterion(*args)
     with pytest.raises(PsdOrderError, match=r"^W\^T A W overflows"):
         qform_rank_criterion(*args)
+
+
+def _generated_case(kind, n, k, rng):
+    """(call, reference, args) for the property below: samples of a
+    congruence scaled by 2^k in shuffled order, probes and extra samples
+    mixed; two models with designs of equal or unequal row counts, the
+    second noisier than the first or not; an independent or a dependent
+    family of forms scaled by 2^k, with or without a mean (which W = (V : mu)
+    weighs against V, so V and mu are left unscaled)."""
+    if kind == "fit_congruence":
+        s = 2.0 ** k * _orthogonal(rng, n) * rng.uniform(0.5, 2.0, n)
+        inputs = probe_inputs(n) + [g @ g.T for g in rng.standard_normal((rng.integers(0, 4), n, 2))]
+        samples = [(inputs[i], s @ inputs[i] @ s.T) for i in rng.permutation(len(inputs))]
+        return fit_congruence, reference_preservers.fit_congruence, (samples,)
+    if kind == "model_compare":
+        p = int(rng.integers(1, n + 1))
+        g = 2.0 ** k * rng.standard_normal((n, int(rng.integers(1, n + 1))))
+        first = LinearModel(rng.standard_normal((n, p)), g @ g.T)
+        rows = n + int(rng.integers(0, 3))
+        h = rng.standard_normal((rows, 1))
+        noise = g @ g.T + h[:n] @ h[:n].T if rows == n else np.eye(rows) + h @ h.T
+        second = LinearModel(first.x if rows == n and rng.uniform() < 0.5 else rng.standard_normal((rows, p)), noise)
+        return model_compare, ref.model_compare, (first, second)
+    r = _orthogonal(rng, n) * rng.uniform(0.5, 2.0, n)
+    r_inv = np.linalg.inv(r)
+    q = _orthogonal(rng, n)
+    half = max(1, n // 2)
+    second = q[:, half:] if rng.uniform() < 0.5 else q[:, half - 1:]
+    forms = [2.0 ** k * r_inv.T @ (b @ b.T) @ r_inv for b in (q[:, :half], second)]
+    mu = np.zeros(n) if rng.uniform() < 0.5 else rng.standard_normal(n)
+    return qform_rank_criterion, ref.qform_rank_criterion, (forms, r @ r.T, mu)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.sampled_from(["fit_congruence", "model_compare", "qform_rank_criterion"]), st.integers(1, 10),
+       st.integers(-60, 60), st.integers(0, 2**32 - 1))
+def test_sweep_analyses_match_their_references_on_generated_inputs(kind, n, k, seed):
+    call, reference, args = _generated_case(kind, n, k, np.random.default_rng(seed))
+    got = _outcome(call, *args)
+    assert got == _outcome(reference, *args)
+    assert got[0] != "raises" or kind == "qform_rank_criterion", got

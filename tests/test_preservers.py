@@ -22,7 +22,8 @@ from psdorder import (
     star_family_leq,
 )
 import per_trial
-from psdorder.numkernel import SymMatrix, maxabs, rel_residual, sym_eig
+import reference_preservers as ref
+from psdorder.numkernel import SymMatrix, maxabs
 from psdorder.preservers import CongruenceMap, _orthogonal, _projectors, sample_pair
 
 TOL12 = ToleranceConfig(rank_rel_tol=1e-12)
@@ -416,48 +417,6 @@ def test_fit_congruence_rejects_corrupted_probe():
         fit_congruence(samples)
 
 
-def _reference_fit(samples, tol=ToleranceConfig()):
-    """fit_congruence sample by sample: each probe takes the image of the
-    first sample that matches it, and every sample is checked against the
-    fitted S on its own."""
-    pairs = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y in samples]
-    if not pairs:
-        raise InconsistentSamples("no samples given")
-    n = pairs[0][0].shape[0]
-    images = []
-    for probe in probe_inputs(n):
-        found = [y for x, y in pairs if maxabs(x - probe) <= tol.recon_tol]
-        if not found:
-            raise InconsistentSamples("probe inputs are missing from the samples")
-        images.append(found[0])
-    values, vectors = sym_eig(images[0])
-    if values[0] <= 0 or np.count_nonzero(np.abs(values) > tol.rank_cutoff(values)) != 1:
-        raise InconsistentSamples(
-            "image of the first probe is not rank one; no invertible congruence explains the samples"
-        )
-    first = np.sqrt(float(values[0])) * vectors[:, 0]
-    if first[np.flatnonzero(np.abs(first) > 1e-12 * np.abs(first).max())[0]] < 0:
-        first = -first
-    norm_sq = float(first @ first)
-    columns = [first]
-    for i in range(1, n):
-        cross = images[n + i - 1] - images[0] - images[i]
-        col = (cross @ first - float(first @ cross @ first) / (2.0 * norm_sq) * first) / norm_sq
-        expected = np.outer(col, col)
-        if rel_residual(expected - images[i], expected, images[i]) > tol.recon_tol:
-            raise InconsistentSamples(
-                f"column {i} reconstructed from the mixed probe does not "
-                "reproduce its diagonal probe image"
-            )
-        columns.append(col)
-    s = np.column_stack(columns)
-    for given, image in pairs:
-        predicted = s @ given @ s.T
-        if rel_residual(predicted - image, predicted, image) > tol.recon_tol:
-            raise InconsistentSamples("a sample disagrees with the congruence fitted from the probes")
-    return s
-
-
 def _fit_outcome(fit, samples):
     try:
         return fit(samples).tobytes()
@@ -489,7 +448,7 @@ def test_fit_congruence_matches_per_sample_reference():
             near = probe_inputs(n)[-1] + 1e-3 * (1.0 - np.eye(n))
             samples.insert(0, (near, s @ near @ s.T))
         got = _fit_outcome(fit_congruence, samples)
-        assert got == _fit_outcome(_reference_fit, samples), (trial, n)
+        assert got == _fit_outcome(ref.fit_congruence, samples), (trial, n)
         outcomes.add(got if isinstance(got, str) else "fitted")
     # a fit, and each way to fail: missing, first probe, column, sample
     assert {o.split()[0] for o in outcomes} == {"fitted", "probe", "image", "column", "a"}

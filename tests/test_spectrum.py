@@ -24,6 +24,7 @@ from psdorder import (
     SymMatrix,
     ToleranceConfig,
     blue_check,
+    fit_congruence,
     inertia,
     lowner_leq,
     mc_quadratic_forms,
@@ -32,13 +33,14 @@ from psdorder import (
     order_holds_many,
     order_leq,
     preserves_order,
+    probe_inputs,
     projector_fixed_point_suite,
     qform_rank_criterion,
     sim_congruence,
     star_family_leq,
     sym_eig,
 )
-from psdorder import canonical, numkernel, orders
+from psdorder import canonical, linmodels, numkernel, orders
 from psdorder.numkernel import canonical_order, column_span, min_singular_value, rel_residual, rel_residual_stack
 from psdorder.preservers import _projectors, congruence_map, sample_pair
 
@@ -410,6 +412,51 @@ def test_holding_ginv_verdict_scans_a_and_b_once(monkeypatch):
     assert scanned == [(1, 8, 4), (3, 4, 4), (3, 8, 4), (4, 4)]
 
 
+def test_sim_congruence_scans_a_and_b_once(monkeypatch):
+    # the PSD thresholds and the reconstruction residuals read one scan of
+    # the (A, B) stack; the others are of the spill outside B's block, of
+    # whitened A (the spill is not zero) and of the two residuals
+    scanned = []
+    real = numkernel.maxabs_stack
+
+    def counting(m):
+        scanned.append(np.shape(m))
+        return real(m)
+
+    for module in (canonical, numkernel):
+        monkeypatch.setattr(module, "maxabs_stack", counting)
+    assert sim_congruence(*PAIRS["minus"]["holds"]).rank_a == 1
+    assert scanned == [(2, 4, 4), (1, 4), (4, 4), (2, 4, 4)]
+    # qform_rank_criterion scans V and the forms, then the compressed forms
+    # and their total once; each reduction reuses that scan and scans only
+    # its spill (zero here) and its residuals
+    scanned.clear()
+    assert qform_rank_criterion(*_three_forms()).overall
+    assert scanned == [(4, 6, 6), (4, 7, 7)] + [(1, 7), (2, 7, 7)] * 3
+
+
+def test_fit_congruence_and_a_failing_qform_order_no_eigenvectors(monkeypatch, eigh_calls):
+    def no_order(*args):
+        raise AssertionError("canonical_order was called")
+
+    for module in (numkernel, canonical, linmodels):
+        monkeypatch.setattr(module, "canonical_order", no_order)
+    rng = np.random.default_rng(29)
+    s = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
+    given = probe_inputs(4) + [np.eye(4)]
+    fitted = fit_congruence([(x, s @ x @ s.T) for x in given])
+    assert np.allclose(fitted, s * np.sign(s[0, 0]), rtol=1e-9, atol=1e-9)
+    # the first probe's image alone: its leading column, read unsorted
+    assert eigh_calls == [("eigh", 1)]
+    # two forms that share a direction: neither is below their total, so
+    # no reduction needs the total's eigenvectors in canonical order
+    eigh_calls.clear()
+    eye = np.eye(4)
+    report = qform_rank_criterion([eye[:, :2] @ eye[:, :2].T, eye[:, 1:3] @ eye[:, 1:3].T], eye, np.zeros(4))
+    assert not report.overall and not any(entry.verdict.holds for entry in report.forms)
+    assert eigh_calls == [("eigh", 3), ("eigh", 5)]
+
+
 def test_minus_certificates_make_their_lapack_calls_and_no_more(monkeypatch):
     calls = Counter()
 
@@ -493,8 +540,13 @@ def test_eigh_calls_model_compare(eigh_calls):
     v = model_compare(l1, l2)
     assert v.l1_geq_l2 and not v.l2_geq_l1
     assert v.certificate["m1_leq_m2"].detail == "strictly greater"
-    # per model the Gram pseudoinverse, then one stack of M1, M2 and
+    # both Gram pseudoinverses from one stack, then one stack of M1, M2 and
     # M1 - M2: the PSD certificates of M1 and M2 and both directions
+    assert eigh_calls == [("eigh", 2), ("eigh", 3)]
+    # designs of two row counts: one Gram matrix at a time
+    l3 = LinearModel(x=np.vstack([x, x[:1]]), d=np.eye(4))
+    eigh_calls.clear()
+    assert model_compare(l3, l1).l1_geq_l2
     assert eigh_calls == [("eigh", 1), ("eigh", 1), ("eigh", 3)]
 
 
