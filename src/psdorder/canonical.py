@@ -5,18 +5,21 @@ diag(I_p, -I_q, 0) with (p, q) its inertia, which `inertia` counts; on
 the PSD cone the form is E_k = diag(I_k, 0).  The central piece of this
 module is the simultaneous reduction: a pair of PSD matrices with A below
 B in the rank-subtractivity order shares one congruence S with
-A = S E_r S^T and B = S E_s S^T, and that S is constructed explicitly
-here.  A itself is below A, so sim_congruence(A, A) gives the single
-form A = S E_r S^T.
+A = S E_r S^T and B = S E_s S^T.  The rank equation of orders decides the
+order and its ranks r and s, and S is constructed here as a certificate
+of that verdict.  A itself is below A, so sim_congruence(A, A) gives the
+single form A = S E_r S^T.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import NotMinusComparable, PsdOrderError
-from .numkernel import (_symmetrize, canonical_order, derived, eigh_stack, eigvalsh_stack, maxabs_stack,
-                        min_singular_value, over_scale, rel_residual, require_psd, sym_array, sym_pair)
+from .errors import NotMinusComparable
+from .numkernel import (_symmetrize, canonical_order, derived, eigh_stack, eigvalsh_stack, maxabs, maxabs_stack,
+                        min_singular_value, over_scale, require_psd, sym_array, sym_pair)
+from .orders import _certificate_fails, _minus_pair
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -77,89 +80,76 @@ def inertia(a, tol: ToleranceConfig = DEFAULT_TOL) -> Inertia:
 def sim_congruence(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SimCongResult:
     """One congruence bringing a rank-subtractive PSD pair to (E_r, E_s).
 
-    A and B pass the gate as one stack (numkernel.sym_pair), are decomposed
-    in one call and certified PSD from their eigenvalues; B's eigenvectors
-    are then put in canonical order and the pair is reduced as
-    _sim_congruence describes.
+    The rank equation decides, as it decides minus_leq (orders._minus_pair):
+    A, B and B - A pass the gate together (sym_pair) and are decomposed in
+    one call, whose values also certify A and B PSD.  A pair whose rank
+    equation fails raises NotMinusComparable; any other is reduced with the
+    ranks r and s of that count, as _sim_congruence describes, from B's
+    eigenvectors in canonical order.
     """
-    pair, _ = sym_pair(a, b)
-    values, vectors = eigh_stack(pair)
-    scales = require_psd(pair, values, tol).tolist()
-    (values_b,), (vectors_b,) = canonical_order(values[1:], vectors[1:])
-    return _sim_congruence(pair, values_b, vectors_b, tol, scales)
+    pair, d = sym_pair(a, b, difference=True)
+    (holds, _, _), (r_rank, s_rank, d_rank), cutoff, values, vectors = _minus_pair(pair, d, tol, vectors=True)
+    scale = max(require_psd(pair, values[:2], tol).tolist())
+    if not holds:
+        raise NotMinusComparable(
+            f"the rank equation fails: rank(B - A) = {d_rank}, rank(B) - rank(A) = {s_rank - r_rank}"
+        )
+    (values_b,), (vectors_b,) = canonical_order(values[1:2], vectors[1:2])
+    return _sim_congruence(pair, values_b, vectors_b, r_rank, s_rank, cutoff, scale, tol)
 
 
-def _sim_congruence(pair, values_b, vectors_b, tol: ToleranceConfig, scales) -> SimCongResult:
-    """sim_congruence on a (2, n, n) stack `pair` of symmetric A and B,
-    certified PSD by the caller, which also supplies B's values and
-    vectors in canonical order and the largest entries of A and B (floats).
+def _sim_congruence(pair, values_b, vectors_b, r_rank, s_rank, cutoff, scale, tol: ToleranceConfig) -> SimCongResult:
+    """The congruence certificate of a (2, n, n) stack `pair` of A and B,
+    certified PSD by the caller, whose rank equation holds with ranks r and
+    s counted against `cutoff`; the caller also supplies B's values and
+    vectors in canonical order and the pair's largest entry `scale`.
 
-    The construction follows the structure of the pair directly.  Whiten B
-    to E_s; the transformed A is then confined to the leading s-by-s block
-    and that block must be a symmetric idempotent of rank r, which an
-    orthogonal change of basis inside the block turns into E_r.  Undoing
-    the whitening gives S = V^{-1} diag(U, I), which U changes only in its
-    leading s columns; S E_k S^T is S's leading k columns times their
-    transpose.  Each structural claim is verified numerically and any
-    failure raises NotMinusComparable, so a pair that is not actually
-    below B in the minus order cannot slip through.
+    Whiten B to E_s; the transformed A is then confined to the leading
+    s-by-s block, a symmetric idempotent of rank r, which an orthogonal U
+    inside the block turns into E_r.  Undoing the whitening gives
+    S = V^{-1} diag(U, I), which U changes only in its leading s columns;
+    S E_k S^T is S's leading k columns times their transpose.  Each claim
+    is a check judged against the pair's scale: the spill outside the block
+    and the block's distance from r ones and s - r zeros in whitened units,
+    where B is E_s, so against 1, and the reconstructions against `scale`.
+    A check that fails raises PsdOrderError naming it.
     """
     n = len(vectors_b)
-    s_rank = int(np.count_nonzero(values_b > tol.rank_cutoff(values_b)))
+    fails = partial(_certificate_fails, "congruence")
 
     # Whitening: v @ B @ v.T == E_s exactly up to roundoff.  B's null
     # directions take the scale of its largest eigenvalue, so that neither
-    # the spill test nor S depends on the units of A and B.
+    # the spill test nor S depends on the units of A and B.  A kept
+    # eigenvalue that B's PSD slack puts below zero is whitened at the
+    # cutoff, and the reconstruction judges it.
     inv_scales = np.full(n, 1.0 / np.sqrt(values_b[0]) if s_rank else 1.0)
-    inv_scales[:s_rank] = 1.0 / np.sqrt(values_b[:s_rank])
+    inv_scales[:s_rank] = 1.0 / np.sqrt(np.maximum(values_b[:s_rank], cutoff))
     v = inv_scales[:, None] * vectors_b.T
 
-    # A beyond the float range in B's own metric exceeds B, whatever the units
-    try:
-        a_tilde = derived("whitened A", lambda: v @ pair[0] @ v.T)
-    except PsdOrderError as exc:
-        raise NotMinusComparable(str(exc)) from None
+    a_tilde = derived("whitened A", lambda: v @ pair[0] @ v.T)
     # A below B forces Im A inside Im B, i.e. nothing outside the block.
-    spill = rel_residual(a_tilde[s_rank:, :], a_tilde)
+    spill = maxabs(a_tilde[s_rank:, :])
     if spill > tol.recon_tol:
-        raise NotMinusComparable(
-            f"transformed A leaks {spill:.3e} outside the rank-{s_rank} block"
-        )
+        raise fails(f"spill check: whitened A leaks {spill:.3e} outside the rank-{s_rank} block")
 
-    # P^2 = P in spectral form on a unit-scale block, judged as identities
-    # are; the block is derived, so finite, and is symmetrized as raw input is
+    # P^2 = P in spectral form: r eigenvalues 1 and s - r eigenvalues 0.
+    # The block is derived, so finite, and is symmetrized as raw input is
     (lam,), (u,) = canonical_order(*eigh_stack(_symmetrize(a_tilde[None, :s_rank, :s_rank])))
-    near_one = np.abs(lam - 1.0) <= tol.recon_tol
-    near_zero = np.abs(lam) <= tol.recon_tol
-    if not np.all(near_one | near_zero):
-        worst = lam[~(near_one | near_zero)]
-        raise NotMinusComparable(
-            "block spectrum not idempotent: eigenvalues "
-            f"{np.array2string(worst, precision=4)} away from {{0, 1}}"
-        )
-    r_rank = int(np.count_nonzero(near_one))
+    off = np.abs(lam - (np.arange(s_rank) < r_rank)).max(initial=0.0)
+    if off > tol.recon_tol:
+        raise fails(f"idempotent check: block eigenvalues {off:.3e} away from {r_rank} ones and "
+                    f"{s_rank - r_rank} zeros")
 
     # S = V^{-1} diag(U, I), the whitening inverse explicit
     s = np.multiply(vectors_b, 1.0 / inv_scales, order="C")
     s[:, :s_rank] = s[:, :s_rank] @ u
     s[:, s_rank:] += 0.0  # +0.0 for B's -0.0 entries, as a product with diag(U, I) gives
     recon = np.array([s[:, :r_rank] @ s[:, :r_rank].T, s[:, :s_rank] @ s[:, :s_rank].T])
-    residual_a, residual_b = map(over_scale, maxabs_stack(recon - pair).tolist(), scales)
+    residual_a, residual_b = (over_scale(x, scale) for x in maxabs_stack(recon - pair).tolist())
     sigma_min, invertible = min_singular_value(s, tol)
     if not invertible:
-        raise NotMinusComparable(
-            f"constructed transform is singular (sigma_min={sigma_min:.3e})"
-        )
+        raise fails(f"invertibility check: sigma_min {sigma_min:.3e}")
     if max(residual_a, residual_b) > tol.recon_tol:
-        raise NotMinusComparable(
-            f"reconstruction residuals ({residual_a:.3e}, {residual_b:.3e}) "
-            "out of budget"
-        )
-    return SimCongResult(
-        s=s,
-        rank_a=r_rank,
-        rank_b=s_rank,
-        residual_a=residual_a,
-        residual_b=residual_b,
-        sigma_min=sigma_min,
-    )
+        raise fails(f"reconstruction check: residuals ({residual_a:.3e}, {residual_b:.3e}) out of budget")
+    return SimCongResult(s=s, rank_a=r_rank, rank_b=s_rank, residual_a=residual_a, residual_b=residual_b,
+                         sigma_min=sigma_min)

@@ -370,7 +370,7 @@ def _cmd_qform_check(args, tol):
             {
                 "index": e.index,
                 "rank": e.rank,
-                "holds": e.verdict.holds and e.sim is not None,
+                "holds": e.verdict.holds,
                 "detail": e.reason or e.verdict.detail,
             }
             for e in report.forms

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import SimCongResult, _sim_congruence
-from .errors import DimensionMismatch, NotMinusComparable, PsdOrderError
+from .errors import DimensionMismatch, PsdOrderError
 from .numkernel import (
     PsdMatrix,
     _coerce,
@@ -176,20 +176,21 @@ def model_compare(
         raise DimensionMismatch(
             f"models estimate different parameter dimensions: {l1.p} vs {l2.p}"
         )
-    m = None
+    stack, m = np.empty((3, l1.p, l1.p)), None  # M1 and M2 are written into the stack of M1 - M2
     if l1.n == l2.n:  # one pass; a fault is raised again below, model by model, as it is alone
         with suppress(PsdOrderError):
-            m = _symmetrize(_gram_sandwiches([l1, l2], tol))
-    m1, m2 = (_symmetrize(_gram_sandwiches([model], tol)[0]) for model in (l1, l2)) if m is None else m
-    stack = np.array([m1, m2, derived("M1 - M2", np.subtract, m1, m2)])
+            m = _symmetrize(_gram_sandwiches([l1, l2], tol), out=stack[:2])
+    for i, model in enumerate((l1, l2) if m is None else ()):
+        _symmetrize(_gram_sandwiches([model], tol)[0], out=stack[i])
+    stack[2] = derived("M1 - M2", np.subtract, stack[0], stack[1])
     values, vectors = eigh_stack(stack)
     require_psd(stack[:2], values[:2], tol)
     forward, backward = _lowner_verdicts(_pair_scale(stack[:2]), values[2:], vectors[2:], tol, 2)
     return ComparisonVerdict(
         l1_geq_l2=forward.holds,
         l2_geq_l1=backward.holds,
-        m1=PsdMatrix._certified(m1),
-        m2=PsdMatrix._certified(m2),
+        m1=PsdMatrix._certified(stack[0]),
+        m2=PsdMatrix._certified(stack[1]),
         certificate={"m2_leq_m1": forward, "m1_leq_m2": backward},
     )
 
@@ -250,10 +251,12 @@ def _setup(a_list, v, mu, tol):
         if m.shape != v.shape:
             raise DimensionMismatch(f"form {i} is {len(m)}x{len(m)}, expected {len(v)}x{len(v)}")
         mats.append(m)
-    first = np.array([v, *mats])
-    values_v, vectors_v = eigh_stack(first)
-    require_psd(first, values_v, tol)
-    mats.append(derived("the sum of the forms", sum, mats, np.zeros(v.shape)))
+    # V, the forms and a last slot for their sum in one stack, sliced for both calls
+    stack = np.array([v, *mats, v])
+    values_v, vectors_v = eigh_stack(stack[:-1])
+    require_psd(stack[:-1], values_v, tol)
+    mats = stack[1:]
+    mats[-1] = derived("the sum of the forms", sum, mats[:-1], np.zeros(v.shape))
     mu = _coerce(np.reshape(mu, -1), ndim=1, square=False)
     if mu.shape[0] != len(v):
         raise DimensionMismatch(
@@ -263,7 +266,7 @@ def _setup(a_list, v, mu, tol):
         raise ValueError("need at least one quadratic form")
 
     w = np.hstack([v, mu[:, None]])
-    t = _symmetrize(derived("W^T A W", lambda: w.T @ np.array(mats) @ w))
+    t = _symmetrize(derived("W^T A W", lambda: w.T @ mats @ w))
     k = len(mats) - 1
     values, vectors = eigh_stack(np.concatenate([t, derived("the total minus a form", np.subtract, t[k], t[:k])]))
     scales = require_psd(t, values[:k + 1], tol).tolist()
@@ -279,9 +282,11 @@ def qform_rank_criterion(
     With W = (V : mu), each compressed form W^T A_i W must sit below the
     compressed total W^T A W in the rank-subtractivity order, certified by
     an explicit shared congruence per form.  A form compressed to zero
-    passes trivially with rank 0.  The minus verdicts are the rank
-    route's, read from the stack _setup decomposes, and the total's
-    spectrum from that stack, ordered only if some form holds, serves every reduction.
+    passes trivially with rank 0.  The minus verdicts are the rank route's,
+    read from the stack _setup decomposes, and decide; each holding form's
+    reduction takes its verdict's ranks and cutoff, and the total's spectrum
+    from that stack, ordered only if some form holds.  A reduction whose
+    certificate fails a check raises PsdOrderError (see _sim_congruence).
     """
     _, w, _, t, scales, values, vectors, ranks = _setup(a_list, v, mu, tol)
     k = len(t) - 1
@@ -291,25 +296,15 @@ def qform_rank_criterion(
     if any(verdict.holds for verdict in verdicts):
         (values_t,), (vectors_t,) = canonical_order(values[k:k + 1], vectors[k:k + 1])
     entries = []
-    overall = True
     for i, verdict in enumerate(verdicts):
-        r_i = ranks[i]
         sim = None
-        reason = ""
-        if verdict.holds:
-            try:
-                sim = _sim_congruence(t[[i, k]], values_t, vectors_t, tol, (scales[i], scales[k]))
-                r_i = sim.rank_a
-            except NotMinusComparable as exc:
-                reason = str(exc)
-        else:
-            reason = "compressed form is not below the compressed total"
-        holds = verdict.holds and (sim is not None)
-        overall = overall and holds
-        entries.append(
-            QFormEntry(index=i, rank=r_i, verdict=verdict, sim=sim, reason=reason)
-        )
-    return QFormReport(w=w, forms=entries, s=ranks[k], overall=overall)
+        if verdict.holds:  # the verdict's ranks and cutoff, and the pair's scale
+            cert = verdict.certificate
+            sim = _sim_congruence(t[[i, k]], values_t, vectors_t, cert["rank_a"], cert["rank_b"], cert["cutoff"],
+                                  max(scales[i], scales[k]), tol)
+        entries.append(QFormEntry(index=i, rank=sim.rank_a if sim else ranks[i], verdict=verdict, sim=sim,
+                                  reason="" if sim else "compressed form is not below the compressed total"))
+    return QFormReport(w=w, forms=entries, s=ranks[k], overall=all(verdict.holds for verdict in verdicts))
 
 
 def mc_quadratic_forms(

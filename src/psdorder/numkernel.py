@@ -75,12 +75,15 @@ _SHAPES = {1: "a vector", 2: "a {}matrix", 3: "a stack of {}matrices"}
 
 
 def _coerce(data, ndim: int = 2, square: bool = True, finite: bool = True) -> np.ndarray:
-    """The gate for raw input: a C-ordered float copy of `data`, which must
-    have `ndim` axes, the last two equal if `square` (else
-    DimensionMismatch), and finite entries (else ValueError).  finite=False
-    leaves the entries to the caller, which scans a result that is finite
-    only where they are (sym_pair scans B - A)."""
-    a = np.array(data, dtype=float, order="C")
+    """The gate for raw input: a C-ordered float copy of `data`, _checked."""
+    return _checked(np.array(data, dtype=float, order="C"), ndim, square, finite)
+
+
+def _checked(a: np.ndarray, ndim: int = 2, square: bool = True, finite: bool = True) -> np.ndarray:
+    """`a`, a float copy of raw input, if it has `ndim` axes, the last two
+    equal if `square` (else DimensionMismatch), and finite entries (else
+    ValueError).  finite=False leaves the entries to the caller, which
+    scans a result finite only where they are (sym_pair scans B - A)."""
     if a.ndim != ndim or (square and a.shape[-1] != a.shape[-2]):
         raise DimensionMismatch(f"expected {_SHAPES[ndim].format('square ' * square)}, got shape {a.shape}")
     if finite and not np.isfinite(a).all():
@@ -88,12 +91,12 @@ def _coerce(data, ndim: int = 2, square: bool = True, finite: bool = True) -> np
     return a
 
 
-def _symmetrize(a) -> np.ndarray:
+def _symmetrize(a, out=None) -> np.ndarray:
     """0.5 A + 0.5 A^T over the last two axes: exactly symmetric, finite for
     finite A, and the bits of 0.5 (A + A^T) unless an entry is subnormal
-    or that sum overflows."""
+    or that sum overflows; written into `out` when given."""
     half = 0.5 * a
-    return half + half.swapaxes(-1, -2)
+    return np.add(half, half.swapaxes(-1, -2), out=out)
 
 
 def sym_array(data) -> np.ndarray:
@@ -355,10 +358,11 @@ def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return _spectral_pinv(*sym_eig(a), tol)
 
 
-def _spectral_pinv(values, vectors, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def _spectral_pinv(values, vectors, tol: ToleranceConfig = DEFAULT_TOL, cutoff=None) -> np.ndarray:
     """pinv of Q diag(values) Q^T, Q = `vectors`, from that spectrum (or of
-    each matrix of a stack from its spectra), under its own rank cutoff."""
-    keep = np.abs(values) > tol.rank_cutoff(values)[..., None]
+    each matrix of a stack from its spectra), under its own rank cutoff or
+    the `cutoff` given."""
+    keep = np.abs(values) > (tol.rank_cutoff(values)[..., None] if cutoff is None else cutoff)
     inv = np.where(keep, 1.0 / np.where(keep, values, 1.0), 0.0)
     return (vectors * inv[..., None, :]) @ vectors.swapaxes(-1, -2)
 

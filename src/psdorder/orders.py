@@ -229,10 +229,22 @@ def _rank_verdicts(values, tol):
     return list(map(_rank_verdict, decisions.T.tolist(), ranks.T.tolist(), cutoffs))
 
 
-def _certificate_fails(method, check):
-    """The error of a requested certificate that fails its own `check` on a
-    verdict the rank equation holds."""
-    return PsdOrderError(f"the {method.value} certificate of a holding minus verdict fails its {check}")
+def _minus_pair(ab, d, tol, vectors=False):
+    """The rank equation of one pair for every caller: A, B (the stack `ab`)
+    and B - A decomposed in one call, eigvalsh_stack or, with `vectors`,
+    eigh_stack, and decided by _minus_stack.  Returns the decisions (A below
+    B, B below A, equal), the rank triple, the cutoff, the values (3, n) and
+    the eigenvector columns (3, n, n) or None."""
+    stack = np.array([ab[0], ab[1], d])
+    values, vecs = eigh_stack(stack) if vectors else (eigvalsh_stack(stack), None)
+    decisions, ranks, cutoff = _minus_stack(values[None], tol)
+    return decisions[:, 0].tolist(), ranks[:, 0].tolist(), cutoff[0], values, vecs
+
+
+def _certificate_fails(name, check):
+    """The error of a certificate (`name`: image, ginv or congruence) that
+    fails its own `check` on a verdict the rank equation holds."""
+    return PsdOrderError(f"the {name} certificate of a holding minus verdict fails its {check}")
 
 
 def _image_certificate(a, d, values_b, vectors_b, cutoff, tol):
@@ -247,7 +259,7 @@ def _image_certificate(a, d, values_b, vectors_b, cutoff, tol):
     """
     span_b = vectors_b * (np.abs(values_b) > cutoff)
     if not image_in_span(np.array([a, d]), span_b, tol, len(a) * cutoff).all():
-        raise _certificate_fails(MinusMethod.IMAGE, "containment check: Im A or Im(B - A) leaves Im B")
+        raise _certificate_fails("image", "containment check: Im A or Im(B - A) leaves Im B")
     return {"contained": True}
 
 
@@ -262,7 +274,8 @@ def _ginv_certificate(ab, scale, values, vectors, rank_a, cutoff, tol):
     stack of A and B; `scale`: its largest entry.  `values`, `vectors`:
     the spectra of A, B and B - A as eigh returns them, put in canonical
     order here, since G's bits depend on the order of the columns, and
-    masked by the cutoff; A^+ reads A's under its own.
+    masked by the cutoff, A^+ too: it inverts the rank_a eigenvalues of A
+    that the rank equation counted.
     """
     values, vectors = canonical_order(values, vectors)
     keep_a, keep, keep_d = np.abs(values) > cutoff
@@ -270,21 +283,23 @@ def _ginv_certificate(ab, scale, values, vectors, rank_a, cutoff, tol):
     m = np.concatenate((q_a, q_d, q_b), axis=1)[:, np.concatenate((keep_a, keep_d, ~keep))]
     sigma_min, direct = min_singular_value(m, tol)
     if not direct:
-        raise _certificate_fails(MinusMethod.GINV, f"direct-sum check: sigma_min {sigma_min:.3e}")
+        raise _certificate_fails("ginv", f"direct-sum check: sigma_min {sigma_min:.3e}")
     proj = m[:, :rank_a] @ np.linalg.inv(m)[:rank_a, :]
-    g = proj.T @ _spectral_pinv(values[0], q_a, tol) @ proj
+    g = proj.T @ _spectral_pinv(values[0], q_a, tol, cutoff) @ proj
     left, right = g @ ab, ab @ g
-    # the sides of A G A = A, G A = G B and A G = B G; each identity's
-    # residual is relative to its two sides, and the roundoff of the
+    # the sides of A G A = A, judged against the pair's `scale` as the rank
+    # equation judges the pair (G = 0 on an A under the cutoff), and of
+    # G A = G B and A G = B G, against their sides.  The roundoff of the
     # products grows with the dimensionless |G| |A, B|
     sides = np.array([(right[0] @ ab[0], ab[0]), left, right])
-    num, den = maxabs_stack(sides[:, 0] - sides[:, 1]), maxabs_stack(sides.reshape(3, 2 * len(g), len(g)))
-    residuals = dict(zip(("inner", "left", "right"), map(over_scale, num.tolist(), den.tolist())))
+    num = maxabs_stack(sides[:, 0] - sides[:, 1]).tolist()
+    den = [scale, *maxabs_stack(sides[1:].reshape(2, 2 * len(g), len(g))).tolist()]
+    residuals = dict(zip(("inner", "left", "right"), map(over_scale, num, den)))
     budget = identity_budget(tol, g, scale)
     worst = max(residuals, key=residuals.get)
     if residuals[worst] > budget:
         raise _certificate_fails(
-            MinusMethod.GINV, f"identity check: {worst} residual {residuals[worst]:.3e} over {budget:.3e}")
+            "ginv", f"identity check: {worst} residual {residuals[worst]:.3e} over {budget:.3e}")
     return {"sigma_min": sigma_min, "g": g, "residuals": residuals}
 
 
@@ -296,32 +311,25 @@ def minus_leq(
 ) -> OrderVerdict:
     """A <= B in the rank-subtractivity sense.
 
-    The rank equation decides, for every method: the ranks of A, B and
-    B - A, decomposed together, count against one cutoff from their three
-    spectra, and both directions and equality are read from that one count
-    (_minus_stack).  The certificate is the rank triple, the cutoff and the
-    method.  `method` names what a holding verdict carries besides: "rank"
-    nothing, "image" the containment of Im A and Im(B - A) in Im B, which
-    with the ranks makes Im B their direct sum, and "ginv" an explicit
-    inner inverse witness G.  The rank route reads eigenvalues alone
-    (eigvalsh_stack), the image and ginv routes eigh's factors.  A
+    The rank equation decides, for every method and for sim_congruence: the
+    ranks of A, B and B - A, decomposed together, count against one cutoff
+    from their three spectra, and both directions and equality are read from
+    that one count (_minus_pair).  The certificate is the rank triple, the
+    cutoff and the method.  `method` names what a holding verdict carries
+    besides: "rank" nothing, "image" the containment of Im A and Im(B - A)
+    in Im B, which with the ranks makes Im B their direct sum, and "ginv" an
+    explicit inner inverse witness G.  The rank route reads eigenvalues
+    alone (eigvalsh_stack), the image and ginv routes eigh's factors.  A
     requested certificate that fails its own check raises PsdOrderError,
-    naming the check.  The inputs are checked by one gate, which scans
-    B - A alone for finiteness (see _pair).
+    naming the check.  The inputs are checked by one gate, which scans B - A
+    alone for finiteness (see _pair).
     """
     method = MinusMethod(method)
     ab, d = _pair(a, b)
-    a, b = ab
-    stack = np.array([a, b, d])
-    if method is MinusMethod.RANK:
-        values = eigvalsh_stack(stack)
-    else:
-        values, vectors = eigh_stack(stack)
-    decisions, ranks, cutoff = _minus_stack(values[None], tol)
-    decision, triple, cutoff = decisions[:, 0].tolist(), ranks[:, 0].tolist(), cutoff[0]
+    decision, triple, cutoff, values, vectors = _minus_pair(ab, d, tol, method is not MinusMethod.RANK)
     holds, extra = decision[0], None
     if holds and method is MinusMethod.IMAGE:
-        extra = _image_certificate(a, d, values[1], vectors[1], cutoff, tol)
+        extra = _image_certificate(ab[0], d, values[1], vectors[1], cutoff, tol)
     elif holds and method is MinusMethod.GINV:
         extra = _ginv_certificate(ab, _pair_scale(ab).item(), values, vectors, triple[0], cutoff, tol)
     return _rank_verdict(decision, triple, cutoff, method, extra)

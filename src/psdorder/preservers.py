@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DimensionMismatch, InconsistentSamples, SingularS
 from .numkernel import (
     SymMatrix,
+    _checked,
     _coerce,
     _symmetrize,
     canonical_column,
@@ -360,10 +361,13 @@ def fit_congruence(samples, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     if not samples:
         raise InconsistentSamples("no samples given")
     try:
-        given, outputs = np.array(list(zip(*samples)), dtype=float)
+        pairs = np.array(list(zip(*samples)), dtype=float)
+        given, outputs = pairs
     except ValueError as exc:  # numpy's for matrices of mixed shapes, or samples that are not pairs
         raise DimensionMismatch("samples must be square matrices of one size") from exc
-    given, outputs = _coerce(given, ndim=3), _coerce(outputs, ndim=3)
+    # one copy, through the gate's checks: the inputs' shape, then every entry
+    _checked(given, ndim=3, finite=False)
+    _checked(pairs.reshape(2 * len(given), *given.shape[1:]), ndim=3)
     n = given.shape[1]
     if n == 0:
         raise DimensionMismatch("samples must be at least 1x1")

@@ -38,9 +38,8 @@ class ToleranceConfig:
         matrix (of A and B when it is the difference B - A).
     recon_tol
         Relative residual accepted by identity checks (reconstructions,
-        equality, A^2 = A B, and P^2 = P for the whitened unit-scale
-        block sim_congruence certifies, whose eigenvalues must lie within
-        it of 0 or 1) and by the symmetrization of raw input, which flags
+        equality, A^2 = A B, and the checks of sim_congruence's
+        certificate) and by the symmetrization of raw input, which flags
         input skewed beyond it.  Identities that multiply by an inner
         inverse or an estimator widen it by their unit-free size when that
         exceeds 1 (numkernel.identity_budget).

@@ -32,7 +32,7 @@ since the root and the forms are summed in another order.
 import numpy as np
 
 from psdorder.canonical import sim_congruence
-from psdorder.errors import DimensionMismatch, NotMinusComparable
+from psdorder.errors import DimensionMismatch
 from psdorder.linmodels import (
     _MC_SHARD,
     BlueVerdict,
@@ -117,17 +117,12 @@ def qform_rank_criterion(a_list, v, mu, tol=DEFAULT_TOL):
         values_d, _ = sym_eig(SymMatrix(t_total.a - t_i.a))
         verdict = minus_verdict([values_i, values_t, values_d], t_i.n, tol=tol)
         sim = None
-        reason = ""
-        if verdict.holds:
-            try:
-                sim = sim_congruence(t_i, t_total, tol)
-                r_i = sim.rank_a
-            except NotMinusComparable as exc:
-                reason = str(exc)
-        else:
-            reason = "compressed form is not below the compressed total"
-        holds = verdict.holds and (sim is not None)
-        overall = overall and holds
+        reason = "compressed form is not below the compressed total"
+        if verdict.holds:  # sim_congruence decides the same rank equation
+            sim = sim_congruence(t_i, t_total, tol)
+            r_i = sim.rank_a
+            reason = ""
+        overall = overall and verdict.holds
         entries.append(QFormEntry(index=i, rank=r_i, verdict=verdict, sim=sim, reason=reason))
     return QFormReport(w=w, forms=entries, s=s_rank, overall=overall)
 

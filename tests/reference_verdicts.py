@@ -7,8 +7,10 @@ matrix is decomposed on its own, and every decision is read from those
 spectra, masked against the cutoff where it counts a rank.  A decision
 that reads eigenvectors takes them from sym_eig, in canonical order; the
 minus rank route and inertia read eigenvalues alone, from
-np.linalg.eigvalsh, as the code does.  sim_congruence certifies each
-matrix PSD from its sym_eig spectrum, the eigh values its reduction reads.
+np.linalg.eigvalsh, as the code does.  sim_congruence decides the rank
+equation on the sym_eig spectra of A, B and B - A (minus_verdict),
+certifies A and B PSD from theirs, the eigh values its reduction reads,
+and reduces the pair with the ranks of that count.
 The checks in psdorder.orders and psdorder.canonical decompose all the
 matrices of a verdict in one stacked call and order eigenvectors only
 where they read them; they must return every value these return, bit for
@@ -26,7 +28,6 @@ from psdorder.numkernel import (
     image_in_span,
     maxabs,
     min_singular_value,
-    pinv,
     rel_residual,
     require_psd,
     sym_eig,
@@ -83,11 +84,13 @@ def _by_ginv(sa, sb, eigs, cutoff, tol):
                             f"direct-sum check: sigma_min {sigma_min:.3e}")
     r = u_a.shape[1]
     proj = m[:, :r] @ np.linalg.inv(m)[:r, :]
-    g = proj.T @ pinv(sa, tol) @ proj
+    kept = np.abs(v_a) > cutoff  # A^+ under the pair's cutoff, as the rank equation counted A
+    inv = np.where(kept, 1.0 / np.where(kept, v_a, 1.0), 0.0)
+    g = proj.T @ ((q_a * inv[None, :]) @ q_a.T) @ proj
     ga, gb, ag, bg = g @ sa.a, g @ sb.a, sa.a @ g, sb.a @ g
     aga = ag @ sa.a
     residuals = {
-        "inner": rel_residual(aga - sa.a, aga, sa.a),
+        "inner": rel_residual(aga - sa.a, sa.a, sb.a),
         "left": rel_residual(ga - gb, ga, gb),
         "right": rel_residual(ag - bg, ag, bg),
     }
@@ -159,45 +162,50 @@ def certified_eig(a, tol=DEFAULT_TOL):
     return m, values, vectors
 
 
+def _congruence_fails(check):
+    return PsdOrderError(f"the congruence certificate of a holding minus verdict fails its {check}")
+
+
 def sim_congruence(a, b, tol=DEFAULT_TOL):
-    pa, _, _ = certified_eig(a, tol)
-    pb, values_b, vectors_b = certified_eig(b, tol)
-    if pa.n != pb.n:
-        raise NotMinusComparable(f"size mismatch: {pa.n} vs {pb.n}")
-    n = pa.n
-    s_rank = int(np.count_nonzero(values_b > tol.rank_cutoff(values_b)))
+    sa, sb = _pair(a, b)
+    mats = (sa, sb, SymMatrix(sb.a - sa.a))
+    eigs = [sym_eig(m) for m in mats]
+    for m, (values, _) in zip(mats[:2], eigs):
+        require_psd(m.a[None], values[None, ::-1], tol)
+    cert = minus_verdict([v for v, _ in eigs], sa.n, tol=tol).certificate
+    r_rank, s_rank, d_rank, cutoff = (cert[k] for k in ("rank_a", "rank_b", "rank_diff", "cutoff"))
+    if d_rank != s_rank - r_rank:
+        raise NotMinusComparable(
+            f"the rank equation fails: rank(B - A) = {d_rank}, rank(B) - rank(A) = {s_rank - r_rank}"
+        )
+    n = sa.n
+    values_b, vectors_b = eigs[1]
     inv_scales = np.full(n, 1.0 / np.sqrt(values_b[0]) if s_rank else 1.0)
-    inv_scales[:s_rank] = 1.0 / np.sqrt(values_b[:s_rank])
+    inv_scales[:s_rank] = 1.0 / np.sqrt(np.maximum(values_b[:s_rank], cutoff))
     v = inv_scales[:, None] * vectors_b.T
-    a_tilde = v @ pa.a @ v.T
-    spill = rel_residual(a_tilde[s_rank:, :], a_tilde)
+    a_tilde = v @ sa.a @ v.T
+    spill = maxabs(a_tilde[s_rank:, :])
     if spill > tol.recon_tol:
-        raise NotMinusComparable(f"transformed A leaks {spill:.3e} outside the rank-{s_rank} block")
+        raise _congruence_fails(f"spill check: whitened A leaks {spill:.3e} outside the rank-{s_rank} block")
     u = np.zeros((0, 0))
-    r_rank = 0
     if s_rank:
         lam, u = sym_eig(a_tilde[:s_rank, :s_rank])
-        near_one = np.abs(lam - 1.0) <= tol.recon_tol
-        near_zero = np.abs(lam) <= tol.recon_tol
-        if not np.all(near_one | near_zero):
-            worst = lam[~(near_one | near_zero)]
-            raise NotMinusComparable(
-                "block spectrum not idempotent: eigenvalues "
-                f"{np.array2string(worst, precision=4)} away from {{0, 1}}"
-            )
-        r_rank = int(np.count_nonzero(near_one))
+        off = float(np.abs(lam - np.r_[np.ones(r_rank), np.zeros(s_rank - r_rank)]).max())
+        if off > tol.recon_tol:
+            raise _congruence_fails(f"idempotent check: block eigenvalues {off:.3e} away from "
+                                    f"{r_rank} ones and {s_rank - r_rank} zeros")
     v_inv = vectors_b * (1.0 / inv_scales)
     z = np.eye(n)
     z[:s_rank, :s_rank] = u
     s = v_inv @ z
-    residual_a = rel_residual(s @ canonical_ek(n, r_rank) @ s.T - pa.a, pa.a)
-    residual_b = rel_residual(s @ canonical_ek(n, s_rank) @ s.T - pb.a, pb.a)
+    residual_a = rel_residual(s @ canonical_ek(n, r_rank) @ s.T - sa.a, sa.a, sb.a)
+    residual_b = rel_residual(s @ canonical_ek(n, s_rank) @ s.T - sb.a, sa.a, sb.a)
     sigma_min, invertible = min_singular_value(s, tol)
     if not invertible:
-        raise NotMinusComparable(f"constructed transform is singular (sigma_min={sigma_min:.3e})")
+        raise _congruence_fails(f"invertibility check: sigma_min {sigma_min:.3e}")
     if max(residual_a, residual_b) > tol.recon_tol:
-        raise NotMinusComparable(
-            f"reconstruction residuals ({residual_a:.3e}, {residual_b:.3e}) out of budget"
+        raise _congruence_fails(
+            f"reconstruction check: residuals ({residual_a:.3e}, {residual_b:.3e}) out of budget"
         )
     return SimCongResult(s=s, rank_a=r_rank, rank_b=s_rank, residual_a=residual_a,
                          residual_b=residual_b, sigma_min=sigma_min)

@@ -9,6 +9,7 @@ from psdorder import (
     DimensionMismatch,
     NotMinusComparable,
     NotPositiveSemidefinite,
+    PsdOrderError,
     ToleranceConfig,
     canonical_ek,
     inertia,
@@ -142,56 +143,83 @@ def test_sim_congruence_on_canonical_units():
 
 
 def test_sim_congruence_rejects_scaled_support():
-    # Loewner-comparable but not rank-subtractive: the block spectrum is {1/2}
-    with pytest.raises(NotMinusComparable, match="idempotent"):
+    # Loewner-comparable but not rank-subtractive: rank(B - A) is 1, not 0
+    with pytest.raises(NotMinusComparable, match=r"rank equation fails: rank\(B - A\) = 1, rank\(B\) - rank\(A\) = 0"):
         sim_congruence(np.diag([1.0, 0.0]), np.diag([2.0, 0.0]))
-    with pytest.raises(NotMinusComparable, match="idempotent"):
+    with pytest.raises(NotMinusComparable, match="rank equation fails"):
         sim_congruence(np.diag([1.0, 0.0]), np.diag([2.0, 1.0]))
 
 
 def test_sim_congruence_rejects_image_spill():
     a = np.diag([0.0, 0.0, 1.0])
     b = np.diag([1.0, 0.0, 0.0])
-    with pytest.raises(NotMinusComparable, match="outside"):
+    with pytest.raises(NotMinusComparable, match=r"rank\(B - A\) = 2, rank\(B\) - rank\(A\) = 0"):
         sim_congruence(a, b)
 
 
-def _reduces_then_raises(a, b, ranks, loose, tight, message):
-    """sim_congruence reduces (a, b) to `ranks` at recon_tol `loose` and
-    raises NotMinusComparable with `message` at `tight`, 10 times smaller."""
-    res = sim_congruence(a, b, ToleranceConfig(recon_tol=loose))
+def test_sim_congruence_takes_the_rank_equations_ranks():
+    # A = diag(1, 1e-10) is not below I: rank(I - A) = 1, where the
+    # whitened block's eigenvalues lie within recon_tol of {0, 1}
+    assert not minus_leq(np.diag([1.0, 1e-10]), np.eye(2)).holds
+    with pytest.raises(NotMinusComparable, match="rank equation fails"):
+        sim_congruence(np.diag([1.0, 1e-10]), np.eye(2))
+    # A = diag(1e-15, 0) is under the pair's cutoff, so it is below
+    # B = diag(0, 1) with rank 0; judged against the pair's scale, the
+    # reconstruction S E_0 S^T = 0 misses A by 1e-15
+    a, b = np.diag([1e-15, 0.0]), np.diag([0.0, 1.0])
+    res = sim_congruence(a, b)
+    assert (res.rank_a, res.rank_b) == (0, 1)
+    assert (res.residual_a, res.residual_b) == (1e-15, 0.0)
+    ginv = minus_leq(a, b, method="ginv")
+    assert ginv.holds and ginv.certificate["residuals"]["inner"] == 1e-15
+
+
+def _reduces_then_raises(a, b, ranks, loose, tight, message, psd_tol=1e-9):
+    """On a pair whose rank equation holds with `ranks`, sim_congruence
+    reduces (a, b) at recon_tol `loose` and raises PsdOrderError with
+    `message`, naming a check of its certificate, at `tight`, 10 times
+    smaller."""
+    verdict = minus_leq(a, b, tol=ToleranceConfig(psd_tol=psd_tol))
+    assert verdict.holds and (verdict.certificate["rank_a"], verdict.certificate["rank_b"]) == ranks
+    res = sim_congruence(a, b, ToleranceConfig(psd_tol=psd_tol, recon_tol=loose))
     assert (res.rank_a, res.rank_b) == ranks
-    with pytest.raises(NotMinusComparable, match=message):
-        sim_congruence(a, b, ToleranceConfig(recon_tol=tight))
+    with pytest.raises(PsdOrderError, match=message) as info:
+        sim_congruence(a, b, ToleranceConfig(psd_tol=psd_tol, recon_tol=tight))
+    assert type(info.value) is PsdOrderError
 
 
 # Each check of the reduction is pinned from both sides at the default
-# recon_tol 1e-8: a pair it passes there and fails 10 times tighter, and a
-# pair it fails there, by its own message, and passes 10 times looser.
-# The final residual check rejects the first two families as well, so only
-# the message tells the check that fired.
+# recon_tol 1e-8, on pairs whose rank equation holds: a pair it passes
+# there and fails 10 times tighter, and a pair it fails there, by its own
+# message, and passes 10 times looser.  Graded spectra give such pairs:
+# the rank cutoff is relative to the pair's largest eigenvalue, while the
+# spill and the idempotent block are judged where B is whitened to E_s.
 
 def test_sim_congruence_spill_test_is_pinned_from_both_sides():
-    # A = diag(1, delta) below B = diag(1, 0): A leaks delta out of Im B
-    b = np.diag([1.0, 0.0])
-    _reduces_then_raises(np.diag([1.0, 5e-9]), b, (1, 1), 1e-8, 1e-9, "leaks 5.000e-09")
-    _reduces_then_raises(np.diag([1.0, 5e-8]), b, (1, 1), 1e-7, 1e-8, "leaks 5.000e-08")
+    # A = y y^T, y = (0, 1, eps, 0) below B = diag(1e14, 1, 0, 0): A's part
+    # in B's null space is under the cutoff, and whitened A leaks
+    # eps / 1e7 outside the rank-2 block
+    b = np.diag([1e14, 1.0, 0.0, 0.0])
+    for eps, loose, tight, leak in ((0.05, 1e-8, 1e-9, "5.000e-09"), (0.25, 1e-7, 1e-8, "2.500e-08")):
+        y = np.array([0.0, 1.0, eps, 0.0])
+        _reduces_then_raises(np.outer(y, y), b, (1, 2), loose, tight, f"spill check: whitened A leaks {leak}")
 
 
 def test_sim_congruence_idempotent_test_is_pinned_from_both_sides():
-    # A = diag(1 + delta, 0) below B = I: the block spectrum is {1 + delta, 0}
-    b = np.eye(2)
-    _reduces_then_raises(np.diag([1.0 + 5e-9, 0.0]), b, (1, 2), 1e-8, 1e-9, "not idempotent")
-    _reduces_then_raises(np.diag([1.0 + 5e-8, 0.0]), b, (1, 2), 1e-7, 1e-8, "not idempotent")
+    # A = diag(0, delta) below B = diag(1e12, 1): delta is under the cutoff
+    # (rank 0), and the whitened block's spectrum is {delta, 0}
+    b = np.diag([1e12, 1.0])
+    _reduces_then_raises(np.diag([0.0, 5e-9]), b, (0, 2), 1e-8, 1e-9, "idempotent check: block eigenvalues 5.000e-09")
+    _reduces_then_raises(np.diag([0.0, 5e-8]), b, (0, 2), 1e-7, 1e-8, "idempotent check: block eigenvalues 5.000e-08")
 
 
 def test_sim_congruence_residual_check_is_pinned_from_both_sides():
-    # A = diag(x, 1e-2) below B = diag(1, 1e-2): whitened, A is diag(x, 1),
-    # whose x passes the idempotent test at every recon_tol used here, but
-    # x is 100 x of A's own scale, which the reconstruction is judged against
-    b = np.diag([1.0, 1e-2])
-    _reduces_then_raises(np.diag([5e-11, 1e-2]), b, (1, 2), 1e-8, 1e-9, "reconstruction residuals")
-    _reduces_then_raises(np.diag([5e-10, 1e-2]), b, (1, 2), 1e-7, 1e-8, "reconstruction residuals")
+    # 0 below B = diag(1, -delta), PSD at psd_tol 1e-6: B's kept negative
+    # eigenvalue is whitened at the cutoff, so S E_2 S^T misses B by delta,
+    # while the spill and the block (A = 0) are exact
+    for delta, loose, tight in ((5e-9, 1e-8, 1e-9), (5e-8, 1e-7, 1e-8)):
+        _reduces_then_raises(np.zeros((2, 2)), np.diag([1.0, -delta]), (0, 2), loose, tight,
+                             rf"reconstruction check: residuals \(0.000e\+00, {delta:.3e}\)", psd_tol=1e-6)
 
 
 def test_sim_congruence_rejects_non_psd():

@@ -247,6 +247,29 @@ def test_canon_simcong_failure_payload(tmp_path, capsys):
     assert payload["error"] == "NotPositiveSemidefinite"
 
 
+def test_canon_simcong_follows_the_rank_equation(tmp_path, capsys):
+    # diag(1, 1e-10) is not below I (rank(I - A) = 1): exit 1
+    a = csv(tmp_path, "a.csv", np.diag([1.0, 1e-10]))
+    code, payload = run_json(capsys, ["canon", "simcong", a, csv(tmp_path, "i.csv", np.eye(2))])
+    assert (code, payload["error"], payload["rank_triple"]) == (1, "NotMinusComparable", [2, 2, 1])
+    # diag(1e-15, 0) is under the pair's cutoff, so below diag(0, 1) with
+    # rank 0: every route and the reduction say so
+    a = csv(tmp_path, "a.csv", np.diag([1e-15, 0.0]))
+    b = csv(tmp_path, "b.csv", np.diag([0.0, 1.0]))
+    code, payload = run_json(capsys, ["canon", "simcong", a, b])
+    assert (code, payload["result"]["rank_a"], payload["result"]["rank_b"]) == (0, 0, 1)
+    for method in ("rank", "image", "ginv"):
+        code, payload = run_json(capsys, ["order", "minus", "--method", method, a, b])
+        assert (code, payload["detail"]) == (0, "strictly less"), method
+    # a holding pair whose whitened block is graded off {0, 1}: the
+    # certificate's idempotent check fails, exit 2 with nothing on stdout
+    a = csv(tmp_path, "a.csv", np.diag([0.0, 5e-8]))
+    b = csv(tmp_path, "b.csv", np.diag([1e12, 1.0]))
+    assert run(["canon", "simcong", a, b]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "fails its idempotent check" in captured.err
+
+
 def test_preserver_verify(tmp_path, capsys):
     s = csv(tmp_path, "s.csv", [[2.0, 1.0], [0.0, 1.0]])
     code, payload = run_json(capsys, [
@@ -580,13 +603,14 @@ def test_a_derived_matrix_beyond_the_float_range_is_an_error(tmp_path, capsys, a
 
 @pytest.mark.filterwarnings("error")
 def test_simcong_reports_a_whitened_a_beyond_the_float_range(tmp_path, capsys):
-    # A = 1e100 I exceeds B = 1e-300 I in B's own metric, where it leaves
-    # the float range: the pair is not minus-comparable, whatever its units
+    # A = 1e100 I exceeds B = 1e-300 I in B's own metric, where it would
+    # leave the float range: the rank equation rejects the pair before B
+    # whitens A, whatever its units
     files = _overflow_files(tmp_path)
     code, payload = run_json(capsys, ["canon", "simcong", files["A"], files["B"]])
     assert code == 1
     assert payload["error"] == "NotMinusComparable"
-    assert payload["message"] == "whitened A overflows the floating-point range"
+    assert payload["message"] == "the rank equation fails: rank(B - A) = 2, rank(B) - rank(A) = -2"
     assert payload["rank_triple"] == [2, 0, 2]
 
 

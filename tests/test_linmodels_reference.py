@@ -1,8 +1,8 @@
 """The linear-model layer against the per-matrix reference in
 reference_linmodels.py: model_compare, blue_check and qform_rank_criterion
 return every result field, certificate value and error bit for bit and of
-the same type, on holding and failing inputs, NotMinusComparable
-reductions and inputs that are not PSD, except the residual and budget of
+the same type, on holding and failing inputs, reductions whose
+certificate check fails and inputs that are not PSD, except the residual and budget of
 blue_check's condition (ii), which the reference measures with another
 projector and agree to roundoff; the Monte
 Carlo check draws the same degrees of freedom and its statistics agree to
@@ -94,7 +94,9 @@ def _families(n):
     out.append(([np.outer(q[:, 0], q[:, 0]), np.zeros((n, n)), np.outer(q[:, -1], q[:, -1])],
                 np.eye(n), rng.standard_normal(n)))
     out.append(([np.eye(n)], (q[:, :1] * 2.0) @ q[:, :1].T, np.zeros(n)))
-    # rank-subtractive but graded: the reduction raises NotMinusComparable
+    # rank-subtractive but graded: at g = 1e-12 and 5e-10 the whitened
+    # block is off {0, 1}, and the reduction's idempotent check raises
+    # PsdOrderError; at g = 1e-6 it passes
     for g in (1e-12, 5e-10, 1e-6):
         u, w = rng.standard_normal((2, n, 1))
         out.append(([u @ u.T, g * (w @ w.T)], np.eye(n), np.zeros(n)))
@@ -181,8 +183,11 @@ def test_qform_rank_criterion_matches_the_reference_bit_for_bit(n):
         else:
             report = qform_rank_criterion(forms, v, mu)
             seen.add(report.overall)
-            seen.update(e.reason.split()[0] for e in report.forms if e.verdict.holds and e.reason)
-    assert {True, False, "block", "NotPositiveSemidefinite", "DimensionMismatch", "ValueError"} <= seen
+            # a form the rank equation holds carries its reduction
+            assert all((e.sim is not None, e.reason) == (e.verdict.holds, "" if e.verdict.holds else
+                                                        "compressed form is not below the compressed total")
+                       for e in report.forms)
+    assert {True, False, "PsdOrderError", "NotPositiveSemidefinite", "DimensionMismatch", "ValueError"} <= seen
 
 
 @pytest.mark.parametrize("n", [2, 3])

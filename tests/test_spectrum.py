@@ -396,9 +396,10 @@ def test_star_and_image_routes_order_no_eigenvectors(monkeypatch):
 
 
 def test_holding_ginv_verdict_scans_a_and_b_once(monkeypatch):
-    # the identity budget takes the pair's largest entry from the scan of
-    # the (A, B) stack; the other scans are of the three identities'
-    # differences, of their two sides together, and of G
+    # the identity budget and the residual of A G A = A take the pair's
+    # largest entry from the scan of the (A, B) stack; the other scans are
+    # of the three identities' differences, of the two sides of G A = G B
+    # and A G = B G together, and of G
     scanned = []
     real = numkernel.maxabs_stack
 
@@ -409,13 +410,14 @@ def test_holding_ginv_verdict_scans_a_and_b_once(monkeypatch):
     for module in (orders, numkernel):
         monkeypatch.setattr(module, "maxabs_stack", counting)
     assert _verdict("minus_ginv", *PAIRS["minus"]["holds"]).holds
-    assert scanned == [(1, 8, 4), (3, 4, 4), (3, 8, 4), (4, 4)]
+    assert scanned == [(1, 8, 4), (3, 4, 4), (2, 8, 4), (4, 4)]
 
 
 def test_sim_congruence_scans_a_and_b_once(monkeypatch):
     # the PSD thresholds and the reconstruction residuals read one scan of
-    # the (A, B) stack; the others are of the spill outside B's block, of
-    # whitened A (the spill is not zero) and of the two residuals
+    # the (A, B) stack; the others are of the spill outside B's block,
+    # judged in whitened units with no scan of whitened A, and of the two
+    # residuals
     scanned = []
     real = numkernel.maxabs_stack
 
@@ -426,7 +428,7 @@ def test_sim_congruence_scans_a_and_b_once(monkeypatch):
     for module in (canonical, numkernel):
         monkeypatch.setattr(module, "maxabs_stack", counting)
     assert sim_congruence(*PAIRS["minus"]["holds"]).rank_a == 1
-    assert scanned == [(2, 4, 4), (1, 4), (4, 4), (2, 4, 4)]
+    assert scanned == [(2, 4, 4), (1, 4), (2, 4, 4)]
     # qform_rank_criterion scans V and the forms, then the compressed forms
     # and their total once; each reduction reuses that scan and scans only
     # its spill (zero here) and its residuals
@@ -476,8 +478,8 @@ def test_minus_certificates_make_their_lapack_calls_and_no_more(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting(name))
     monkeypatch.setattr(canonical, "canonical_ek", no_ek)
     a, b = PAIRS["minus"]["holds"]
-    # A and B together, the idempotent block, and the SVD that certifies S
-    # invertible; S E_k S^T is read from S's leading k columns
+    # A, B and B - A together, the idempotent block, and the SVD that
+    # certifies S invertible; S E_k S^T is read from S's leading k columns
     assert (sim_congruence(a, b).rank_a, calls) == (1, {"eigh": 2, "svd": 1})
     calls.clear()
     # A, B and B - A together, the direct-sum SVD and the inverse of the
@@ -517,13 +519,14 @@ def test_eigh_calls_sim_congruence(eigh_calls):
     a, b = PAIRS["minus"]["holds"]
     res = sim_congruence(a, b)
     assert (res.rank_a, res.rank_b) == (1, 3)
-    # A and B together, the idempotent block once.
-    assert eigh_calls == [("eigh", 2), ("eigh", 1)]
+    # A, B and B - A together, which the rank equation decides, and the
+    # idempotent block once.
+    assert eigh_calls == [("eigh", 3), ("eigh", 1)]
     # a PsdMatrix pair keeps no spectrum, so it is decomposed the same way
     pa, pb = PsdMatrix(a), PsdMatrix(b)
     eigh_calls.clear()
     assert _bits(sim_congruence(pa, pb)) == _bits(res)
-    assert eigh_calls == [("eigh", 2), ("eigh", 1)]
+    assert eigh_calls == [("eigh", 3), ("eigh", 1)]
 
 
 def test_eigh_calls_inertia(eigh_calls):

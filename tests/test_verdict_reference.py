@@ -152,3 +152,28 @@ def test_minus_certificates_match_the_reference_on_generated_pairs(data, n, kind
         got = _outcome(call, a, b)
         assert got == _outcome(reference, a, b), name
         assert got[1], name
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(st.data(), st.integers(2, 8), st.floats(-16.0, -4.0), st.integers(0, 2**32 - 1))
+def test_sim_congruence_reduces_exactly_the_pairs_minus_holds(data, n, log_delta, seed):
+    # A = S E_r S^T + delta x x^T and B = S E_k S^T, S = Q1 D Q2 of
+    # condition at most 4: delta x x^T counts toward the ranks or not by the
+    # pair's one cutoff.  sim_congruence reduces the pair exactly when the
+    # ginv route holds it, with that verdict's ranks, and raises
+    # NotMinusComparable exactly when the rank equation fails
+    k = data.draw(st.integers(0, n))
+    r = data.draw(st.integers(0, k))
+    rng = np.random.default_rng(seed)
+    s = (_factor("orthogonal", n, rng) * rng.uniform(0.5, 2.0, n)) @ _factor("orthogonal", n, rng).T
+    x = rng.standard_normal(n)
+    a = (s * np.r_[np.ones(r), np.zeros(n - r)]) @ s.T + 10.0**log_delta * np.outer(x, x)
+    b = (s * np.r_[np.ones(k), np.zeros(n - k)]) @ s.T
+    verdict = minus_leq(a, b, method=MinusMethod.GINV)
+    got = _outcome(sim_congruence, a, b)
+    assert got == _outcome(ref.sim_congruence, a, b)
+    if verdict.holds:
+        res = sim_congruence(a, b)
+        assert (res.rank_a, res.rank_b) == (verdict.certificate["rank_a"], verdict.certificate["rank_b"])
+    else:
+        assert got[0][:2] == ("raises", "NotMinusComparable")
