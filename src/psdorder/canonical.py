@@ -16,9 +16,9 @@ from functools import partial
 
 import numpy as np
 
-from .errors import NotMinusComparable
+from .errors import NotMinusComparable, NotPositiveSemidefinite
 from .numkernel import (_symmetrize, canonical_order, derived, eigh_stack, eigvalsh_stack, maxabs, maxabs_stack,
-                        min_singular_value, over_scale, require_psd, sym_array, sym_pair)
+                        over_scale, require_psd, sym_array)
 from .orders import _certificate_fails, _minus_pair
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -46,7 +46,8 @@ class SimCongResult:
 
     `s` is invertible with A = s E_r s^T and B = s E_s s^T, where
     rank_a = r <= rank_b = s; the residuals record how well the two
-    reconstructions came out.
+    reconstructions came out, and sigma_min is the smallest singular value
+    of `s` (1 for an empty one).
     """
 
     s: np.ndarray
@@ -81,19 +82,23 @@ def sim_congruence(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SimCongResult:
     """One congruence bringing a rank-subtractive PSD pair to (E_r, E_s).
 
     The rank equation decides, as it decides minus_leq (orders._minus_pair):
-    A, B and B - A pass the gate together (sym_pair) and are decomposed in
-    one call, whose values also certify A and B PSD.  A pair whose rank
-    equation fails raises NotMinusComparable; any other is reduced with the
-    ranks r and s of that count, as _sim_congruence describes, from B's
-    eigenvectors in canonical order.
+    A, B and B - A pass the gate together and are decomposed in one call, whose values also certify A and B PSD.  A pair
+    whose rank equation fails raises NotMinusComparable; any other is
+    reduced with the ranks r and s of that count, as _sim_congruence
+    describes, from B's eigenvectors in canonical order.  NotMinusComparable
+    and NotPositiveSemidefinite carry that count's rank triple as
+    `rank_triple`.
     """
-    pair, d = sym_pair(a, b, difference=True)
-    (holds, _, _), (r_rank, s_rank, d_rank), cutoff, values, vectors = _minus_pair(pair, d, tol, vectors=True)
-    scale = max(require_psd(pair, values[:2], tol).tolist())
-    if not holds:
-        raise NotMinusComparable(
-            f"the rank equation fails: rank(B - A) = {d_rank}, rank(B) - rank(A) = {s_rank - r_rank}"
-        )
+    stack, (holds, _, _), triple, cutoff, values, vectors = _minus_pair(a, b, tol, vectors=True)
+    pair, (r_rank, s_rank, d_rank) = stack[:2], triple
+    try:
+        scale = max(require_psd(pair, values[:2], tol).tolist())
+        if not holds:
+            raise NotMinusComparable(f"the rank equation fails: rank(B - A) = {d_rank}, "
+                                     f"rank(B) - rank(A) = {s_rank - r_rank}")
+    except (NotMinusComparable, NotPositiveSemidefinite) as exc:
+        exc.rank_triple = triple
+        raise
     (values_b,), (vectors_b,) = canonical_order(values[1:2], vectors[1:2])
     return _sim_congruence(pair, values_b, vectors_b, r_rank, s_rank, cutoff, scale, tol)
 
@@ -108,7 +113,10 @@ def _sim_congruence(pair, values_b, vectors_b, r_rank, s_rank, cutoff, scale, to
     s-by-s block, a symmetric idempotent of rank r, which an orthogonal U
     inside the block turns into E_r.  Undoing the whitening gives
     S = V^{-1} diag(U, I), which U changes only in its leading s columns;
-    S E_k S^T is S's leading k columns times their transpose.  Each claim
+    S E_k S^T is S's leading k columns times their transpose.  V^{-1} is
+    B's eigenvectors times the square roots of the whitening scales, and U
+    is orthogonal, so those roots, all positive, are S's singular values:
+    S is invertible by construction.  Each claim
     is a check judged against the pair's scale: the spill outside the block
     and the block's distance from r ones and s - r zeros in whitened units,
     where B is E_s, so against 1, and the reconstructions against `scale`.
@@ -141,15 +149,13 @@ def _sim_congruence(pair, values_b, vectors_b, r_rank, s_rank, cutoff, scale, to
                     f"{s_rank - r_rank} zeros")
 
     # S = V^{-1} diag(U, I), the whitening inverse explicit
-    s = np.multiply(vectors_b, 1.0 / inv_scales, order="C")
+    sigmas = 1.0 / inv_scales
+    s = np.multiply(vectors_b, sigmas, order="C")
     s[:, :s_rank] = s[:, :s_rank] @ u
     s[:, s_rank:] += 0.0  # +0.0 for B's -0.0 entries, as a product with diag(U, I) gives
     recon = np.array([s[:, :r_rank] @ s[:, :r_rank].T, s[:, :s_rank] @ s[:, :s_rank].T])
     residual_a, residual_b = (over_scale(x, scale) for x in maxabs_stack(recon - pair).tolist())
-    sigma_min, invertible = min_singular_value(s, tol)
-    if not invertible:
-        raise fails(f"invertibility check: sigma_min {sigma_min:.3e}")
     if max(residual_a, residual_b) > tol.recon_tol:
         raise fails(f"reconstruction check: residuals ({residual_a:.3e}, {residual_b:.3e}) out of budget")
     return SimCongResult(s=s, rank_a=r_rank, rank_b=s_rank, residual_a=residual_a, residual_b=residual_b,
-                         sigma_min=sigma_min)
+                         sigma_min=min(sigmas.tolist(), default=1.0))

@@ -243,12 +243,8 @@ def _cmd_canon_simcong(args, tol):
     try:
         res = sim_congruence(a, b, tol)
     except (NotMinusComparable, NotPositiveSemidefinite) as exc:
-        triple = minus_leq(a, b, tol=tol).certificate
-        return {
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "rank_triple": [triple.get(k) for k in ("rank_a", "rank_b", "rank_diff")],
-        }, False
+        # the ranks the error was decided on
+        return {"error": type(exc).__name__, "message": str(exc), "rank_triple": exc.rank_triple}, False
     if args.out:
         write_matrix(args.out, res.s)
     result = dataclasses.asdict(res)

@@ -16,6 +16,8 @@ class NonConvergence(PsdOrderError):
 class NotPositiveSemidefinite(PsdOrderError):
     """A matrix required to be PSD has an eigenvalue below the tolerance floor."""
 
+    rank_triple = None  # set by sim_congruence: the ranks of A, B and B - A it counted
+
     def __init__(self, message, min_eig=None):
         super().__init__(message)
         self.min_eig = min_eig
@@ -23,6 +25,8 @@ class NotPositiveSemidefinite(PsdOrderError):
 
 class NotMinusComparable(PsdOrderError):
     """Simultaneous reduction was requested for a pair that is not rank-subtractive."""
+
+    rank_triple = None  # the ranks of A, B and B - A the decision counted
 
 
 class SingularS(PsdOrderError):

@@ -22,14 +22,14 @@ Conventions shared by everything built on top of this module:
   stack in one LAPACK call, each matrix's factors bit for bit those of a
   call on it alone, eigenvalues ascending.  A decision that reads no
   eigenvector takes eigvalsh_stack, the values alone, again bit for bit
-  those of a call on each matrix alone: the Loewner and minus decisions
-  of a sweep, the minus rank route, inertia and a PsdMatrix's
+  those of a call on each matrix alone: the decisions of a sweep, the
+  minus rank route, the star family, inertia and a PsdMatrix's
   certificate.  LAPACK computes them by another route (dsterf for the
   tridiagonal stage), so they can differ from eigh's in the last bits: a
   decision on them differs from one on eigh's values only where an
   eigenvalue lies within a few eps times the spectral radius of its
   cutoff or threshold.  A check that reads eigenvectors (the Loewner
-  witness, the image and ginv certificates, the star family, the
+  witness, the image and ginv certificates, the
   reductions of sim_congruence and the linear models) decides on the
   values of its one eigh call,
 - canonical_order, run only where the order of eigenvectors shows in a

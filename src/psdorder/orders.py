@@ -3,21 +3,24 @@
 Three families are covered: the PSD (Loewner) order A <= B iff B - A is
 positive semidefinite, the rank-subtractivity (minus) order
 rank(B - A) = rank(B) - rank(A), and the star family, which on symmetric
-arguments reduces to the identity A^2 = A B for every variant.
+arguments reduces to the identity A^2 = A B, i.e. A (B - A) = 0, for
+every variant.  On the PSD cone star implies minus and minus implies
+Loewner, and the star decision is the minus decision plus that identity.
 
 Every check returns an OrderVerdict carrying a machine-checkable
 certificate: an eigenvalue witness, residual norms, or a rank triple.  The
-rank equation decides the minus order for every method; a holding minus
-verdict can carry more on request, the containment of the images or an
-explicit inner inverse, each checked before it is returned.
+rank equation decides the minus order for every method and is the first
+step of the star order; a holding minus verdict can carry more on
+request, the containment of the images or an explicit inner inverse, each
+checked before it is returned.
 
 Each decision is written once, over stacks of pairs with a leading axis
-(_lowner_stack, _minus_stack, _star_stack): order_holds_many decides a
+(_lowner_stack, _minus_stack, _star_identity): order_holds_many decides a
 whole stack from one stacked eigendecomposition, and the scalar checks
 read their verdict and certificate from the same arithmetic at k = 1.
 A decision that reads no eigenvector takes the values alone
-(eigvalsh_stack): the stacked Loewner and minus decisions and the
-scalar minus rank route, which read the same bits.  The scalar Loewner
+(eigvalsh_stack): the stacked decisions, the scalar minus rank route and
+the star family, which read the same bits.  The scalar Loewner
 check, whose failing verdict carries an eigenvector, and the image and
 ginv minus routes decide on eigh's values, which LAPACK computes by
 another route: they agree with a values-only decision except on a pair
@@ -32,7 +35,7 @@ in canonical order only where the bits of a result depend on their
 order: the ginv certificate of a holding minus verdict, whose identities
 multiply G by the gate's (A, B) stack.  A Loewner witness is the one
 column canonical_order would give, read from eigh's output by
-canonical_column; the star and image tests read eigh's eigenvectors.
+canonical_column; the image test reads eigh's eigenvectors.
 """
 
 import math
@@ -229,16 +232,18 @@ def _rank_verdicts(values, tol):
     return list(map(_rank_verdict, decisions.T.tolist(), ranks.T.tolist(), cutoffs))
 
 
-def _minus_pair(ab, d, tol, vectors=False):
-    """The rank equation of one pair for every caller: A, B (the stack `ab`)
-    and B - A decomposed in one call, eigvalsh_stack or, with `vectors`,
-    eigh_stack, and decided by _minus_stack.  Returns the decisions (A below
-    B, B below A, equal), the rank triple, the cutoff, the values (3, n) and
+def _minus_pair(a, b, tol, vectors=False):
+    """The rank equation of one pair for every caller: A, B and B - A from
+    the pair gate (_pair), stacked and decomposed in one call,
+    eigvalsh_stack or, with `vectors`, eigh_stack, and decided by
+    _minus_stack.  Returns that (3, n, n) stack, the decisions (A below B,
+    B below A, equal), the rank triple, the cutoff, the values (3, n) and
     the eigenvector columns (3, n, n) or None."""
+    ab, d = _pair(a, b)
     stack = np.array([ab[0], ab[1], d])
     values, vecs = eigh_stack(stack) if vectors else (eigvalsh_stack(stack), None)
     decisions, ranks, cutoff = _minus_stack(values[None], tol)
-    return decisions[:, 0].tolist(), ranks[:, 0].tolist(), cutoff[0], values, vecs
+    return stack, decisions[:, 0].tolist(), ranks[:, 0].tolist(), cutoff[0], values, vecs
 
 
 def _certificate_fails(name, check):
@@ -254,8 +259,10 @@ def _image_certificate(a, d, values_b, vectors_b, cutoff, tol):
     up, so once both summands lie in Im B the sum fills Im B and is
     direct.  Containment is tested on the matrices themselves
     (image_in_span) against B's eigenvectors, `vectors_b` as eigh returns
-    them, with the columns under the cutoff zeroed.  The test allows for
-    the error in the eigenbasis of B, n times the cutoff (see _star_stack).
+    them, with the columns under the cutoff zeroed.  B is known only up to
+    the cutoff c, and a change of B that small turns its eigenbasis enough
+    to move the part of a matrix outside Im B by up to n c, which the test
+    allows on top of recon_tol.
     """
     span_b = vectors_b * (np.abs(values_b) > cutoff)
     if not image_in_span(np.array([a, d]), span_b, tol, len(a) * cutoff).all():
@@ -325,53 +332,28 @@ def minus_leq(
     alone for finiteness (see _pair).
     """
     method = MinusMethod(method)
-    ab, d = _pair(a, b)
-    decision, triple, cutoff, values, vectors = _minus_pair(ab, d, tol, method is not MinusMethod.RANK)
+    stack, decision, triple, cutoff, values, vectors = _minus_pair(a, b, tol, method is not MinusMethod.RANK)
     holds, extra = decision[0], None
     if holds and method is MinusMethod.IMAGE:
-        extra = _image_certificate(ab[0], d, values[1], vectors[1], cutoff, tol)
+        extra = _image_certificate(stack[0], stack[2], values[1], vectors[1], cutoff, tol)
     elif holds and method is MinusMethod.GINV:
+        ab = stack[:2]
         extra = _ginv_certificate(ab, _pair_scale(ab).item(), values, vectors, triple[0], cutoff, tol)
     return _rank_verdict(decision, triple, cutoff, method, extra)
 
 
-def _star_stack(a, b, values_b, vectors_b, tol, maxima=None):
-    """Whether each A of a stack is star-below its B, with the certificate
-    parts: the residual of A^2 = A B relative to |A^2| and |A B|, the
-    budget it is held against, and whether Im A sits inside Im B.  B comes
-    with its spectrum as eigh_stack returns it, values (k, n) and
-    eigenvector columns (k, n, n), in any order and sign; `maxima`, the
-    largest entries (k,) of the A and of the B, when the caller has them.
-
-    A^2 = A B gives A^2 = B A by transposing, so Im A = Im A^2 lies in
-    Im B.  The containment is tested as well because it is linear in a
-    part of A outside Im B, where the identity is quadratic: diag(1, t)
-    meets A^2 = A diag(1, 0) up to t^2.  B is known only up to its rank
-    cutoff c: a change of B that small moves A B by up to n |A| c
-    entrywise and the part of A outside Im B by up to n c, so both tests
-    allow that on top of recon_tol.  The products are formed from A and B
-    divided by their common largest entry, which keeps them clear of
-    underflow and overflow; rounding is monotone, so the largest entry of
-    A divided by it is that of the divided A.  Im B is spanned by B's
-    eigenvectors with the columns under the cutoff zeroed, so one pass
-    covers pairs of any mix of ranks.
-    """
-    max_a, max_b = (maxabs_stack(a), maxabs_stack(b)) if maxima is None else maxima
-    scale = np.maximum(max_a, max_b)
-    scale[scale == 0.0] = 1.0
-    a, b = a / scale[:, None, None], b / scale[:, None, None]
-    cutoff = tol.rank_cutoff(values_b)
-    slack = a.shape[-1] * cutoff / scale
-    aa, ab = a @ a, a @ b
-    den = np.maximum(maxabs_stack(aa), maxabs_stack(ab))
-    # where both products vanish, so does their difference: residual and
-    # budget term are 0, as x / inf is
-    den[den == 0.0] = np.inf
-    residual = maxabs_stack(aa - ab) / den
-    budget = tol.recon_tol + max_a / scale * slack / den
-    span_b = vectors_b * (np.abs(values_b) > cutoff[:, None])[:, None, :]
-    contained = image_in_span(a, span_b, tol, slack)
-    return (residual <= budget) & contained, residual, budget, contained
+def _star_identity(x, d, max_x, max_d, cutoff, tol):
+    """X (B - A) = 0, the star order's identity, for each X of a stack `x`
+    against B - A, `d` (one, or one per X), both divided by the largest
+    entry of their pair, which keeps the product clear of underflow and
+    overflow, as are the largest entries `max_x` and `max_d` of X and B - A
+    (rounding is monotone, so those are the divided matrices') and the rank
+    cutoff, each a float or one per X.  Returns each product's largest
+    entry, the residual, and the budget it is held against: recon_tol
+    |X| |B - A| plus n |X| times the cutoff, the roundoff of forming B - A
+    from A and B known to about the cutoff.  A product that is a fair part of |X| |B - A| fails,
+    however small B - A is next to X."""
+    return maxabs_stack(x @ d), max_x * (tol.recon_tol * max_d + x.shape[-1] * cutoff)
 
 
 def star_family_leq(
@@ -382,31 +364,32 @@ def star_family_leq(
 ) -> OrderVerdict:
     """A below B in the star order or one of its one-sided variants.
 
-    On symmetric arguments all three reduce to A^2 = A B (its transpose
-    gives the other identity for free, and the image containment the
-    one-sided variants are defined with follows from it); the test and its
-    certificate are described under _star_stack.
+    On symmetric arguments all three reduce to A^2 = A B, that is
+    A (B - A) = 0 (its transpose gives the other identity for free, and the
+    image containment the one-sided variants are defined with follows from
+    it).  The test has two steps.  The rank equation decides first, as it
+    decides minus_leq (_minus_pair), so star implies minus by construction;
+    its count gives both directions and equality (rank(B - A) = 0).  Then
+    X (B - A) = 0 is judged for X = A and, for the reverse test, X = B, in
+    one stacked product (_star_identity).  The certificate is the rank
+    triple and the cutoff, and the residual and budget of the identity.
     """
     variant = Relation(variant)
     if variant not in (Relation.STAR, Relation.LEFT_STAR, Relation.RIGHT_STAR):
         raise ValueError(f"{variant.value!r} is not a star-family relation")
-    ab, d = _pair(a, b)
-    # the test (A, B) and the reverse test (B, A) in one pass over a stack
-    # of two, on the spectra of B and of A from one call, with the largest
-    # entries of A and B scanned once
-    ba = ab[::-1]
-    values, vectors = eigh_stack(ba)
-    maxima = maxabs_stack(ab)
-    (holds, reverse), residual, budget, contained = (
-        x.tolist() for x in _star_stack(ab, ba, values, vectors, tol, (maxima, maxima[::-1]))
-    )
-    cert = {"residual": residual[0], "budget": budget[0], "image_contained": contained[0]}
-    # equality is read only when A is below B
-    equal = holds and _equal(d, max(maxima.tolist()), tol)
+    stack, (holds, reverse, equal), triple, cutoff, _, _ = _minus_pair(a, b, tol)
+    maxima = maxabs_stack(stack)
+    max_a, max_b, max_d = maxima.tolist()
+    scale = max(max_a, max_b) or 1.0
+    units = stack / scale
+    residual, budget = (x.tolist() for x in _star_identity(
+        units[:2], units[2], maxima[:2] / scale, max_d / scale, cutoff / scale, tol))
+    holds, reverse = holds and residual[0] <= budget[0], reverse and residual[1] <= budget[1]
     return OrderVerdict(
         holds=holds,
         relation=variant.value,
-        certificate=cert,
+        certificate=dict(zip(("rank_a", "rank_b", "rank_diff"), triple), cutoff=cutoff,
+                         residual=residual[0], budget=budget[0]),
         detail=_detail(holds, equal, reverse),
     )
 
@@ -431,11 +414,9 @@ def order_holds_many(a, b, relation: Relation | str, tol: ToleranceConfig = DEFA
     """order_leq(a[i], b[i], relation, tol).holds, as a bool array, for
     every pair of two (k, n, n) stacks on which order_leq returns; B may
     also be one (n, n) matrix, paired with every A.  Both stacks are
-    checked and symmetrized, then decided by holds_stack.  Only the star
-    family's forward test runs, so this answers a pair whose reverse test
-    raises (PsdOrderError: the rank cutoff of A's spectrum overflows).
-    The minus decision reads the values-only spectra order_leq's rank
-    route reads, and gets its answer.  The Loewner decision reads them
+    checked and symmetrized, then decided by holds_stack.  The minus and
+    star decisions read the values-only spectra order_leq's rank route
+    reads, and get its answer.  The Loewner decision reads them
     where lowner_leq reads eigh's, so a pair with an eigenvalue within a
     few eps times the spectral radius of its threshold may be decided
     otherwise than lowner_leq decides it; every other pair gets its
@@ -448,26 +429,35 @@ def order_holds_many(a, b, relation: Relation | str, tol: ToleranceConfig = DEFA
     return holds_stack(a, b, relation, tol)
 
 
-def _pair_spectra(a, b) -> np.ndarray:
+def _pair_spectra(a, b):
     """The ascending spectra (k, 3, n) of A, B and B - A for stacks as
     holds_stack takes them, from one values-only call (eigvalsh_stack; a
-    shared B decomposed once)."""
-    values = eigvalsh_stack(np.concatenate([a, b, derived("B - A", np.subtract, b, a)]))
+    shared B decomposed once), and B - A."""
+    d = derived("B - A", np.subtract, b, a)
+    values = eigvalsh_stack(np.concatenate([a, b, d]))
     parts = np.split(values, [len(a), len(a) + len(b)])
-    return np.stack(np.broadcast_arrays(*parts), axis=1)
+    return np.stack(np.broadcast_arrays(*parts), axis=1), d
 
 
 def holds_stack(a, b, relation: Relation | str, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """order_holds_many on stacks as sym_stack returns them, B (k, n, n) or
-    (1, n, n).  One stacked eigendecomposition covers the whole stack, then
-    each decision runs once over the stack: the Loewner and minus decisions
-    read the values alone (eigvalsh_stack) of B - A, or of A, B and B - A;
-    the star family reads B's eigenvectors as well (eigh_stack)."""
+    (1, n, n).  One stacked values-only decomposition (eigvalsh_stack)
+    covers the whole stack, of B - A for the Loewner order, of A, B and
+    B - A for the others, then each decision runs once over the stack: the
+    star family's is the minus decision and the identity A (B - A) = 0
+    (_star_identity), as star_family_leq decides a pair."""
     relation = Relation(relation)
     if relation is Relation.LOWNER:
         values = eigvalsh_stack(derived("B - A", np.subtract, b, a))
         return _lowner_stack(np.maximum(maxabs_stack(a), maxabs_stack(b)), values, tol)[1][:, 0]
+    values, d = _pair_spectra(a, b)
+    decisions, _, cutoff = _minus_stack(values, tol)
     if relation is Relation.MINUS:
-        return _minus_stack(_pair_spectra(a, b), tol)[0][0]
-    values, vectors = eigh_stack(b)
-    return _star_stack(a, b, values, vectors, tol)[0]
+        return decisions[0]
+    max_a = maxabs_stack(a)
+    scale = np.maximum(max_a, maxabs_stack(b))
+    scale[scale == 0.0] = 1.0
+    units = scale[:, None, None]
+    residual, budget = _star_identity(a / units, d / units, max_a / scale, maxabs_stack(d) / scale,
+                                      cutoff / scale, tol)
+    return decisions[0] & (residual <= budget)

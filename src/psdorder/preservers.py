@@ -477,7 +477,7 @@ def projector_fixed_point_suite(
     x = sym_stack(np.concatenate([projectors, shrink[:, None, None] * projectors, identity[None]]))
     fx = _symmetrize(derived("a map image", mmap._images, x))
     # one decomposition per side, read by the Loewner and the minus decisions
-    sides = [(m[:-1], m[-1:], _pair_spectra(m[:-1], m[-1:])) for m in (x, fx)]
+    sides = [(m[:-1], m[-1:], _pair_spectra(m[:-1], m[-1:])[0]) for m in (x, fx)]
     lowner = np.reshape([_lowner_stack(np.maximum(maxabs_stack(a), maxabs_stack(b)), v[:, 2], tol)[1][:, 0]
                          for a, b, v in sides], (2, 2, trials))
     minus = np.reshape([_minus_stack(v, tol)[0][0] for *_, v in sides], (2, 2, trials))

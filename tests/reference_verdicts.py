@@ -6,16 +6,17 @@ they moved onto plain arrays: every input becomes a SymMatrix, each
 matrix is decomposed on its own, and every decision is read from those
 spectra, masked against the cutoff where it counts a rank.  A decision
 that reads eigenvectors takes them from sym_eig, in canonical order; the
-minus rank route and inertia read eigenvalues alone, from
-np.linalg.eigvalsh, as the code does.  sim_congruence decides the rank
+minus rank route, the star family and inertia read eigenvalues alone,
+from np.linalg.eigvalsh, as the code does.  sim_congruence decides the rank
 equation on the sym_eig spectra of A, B and B - A (minus_verdict),
 certifies A and B PSD from theirs, the eigh values its reduction reads,
 and reduces the pair with the ranks of that count.
 The checks in psdorder.orders and psdorder.canonical decompose all the
 matrices of a verdict in one stacked call and order eigenvectors only
 where they read them; they must return every value these return, bit for
-bit and of the same type.  The decision arithmetic of the star test
-(_star_stack) is shared, not copied.
+bit and of the same type.  The star reference is minus_verdict on the
+rank route's spectra plus the identity A (B - A) = 0, its products formed
+one at a time.
 """
 
 import numpy as np
@@ -32,7 +33,7 @@ from psdorder.numkernel import (
     require_psd,
     sym_eig,
 )
-from psdorder.orders import MinusMethod, OrderVerdict, Relation, _detail, _star_stack
+from psdorder.orders import MinusMethod, OrderVerdict, Relation, _detail
 from psdorder.tolerances import DEFAULT_TOL
 
 
@@ -128,22 +129,28 @@ def minus_leq(a, b, method="rank", tol=DEFAULT_TOL):
     return minus_verdict([v for v, _ in eigs], sa.n, method, tol, lambda cutoff: by(sa, sb, eigs, cutoff, tol))
 
 
-def _star_holds(sa, sb, tol):
-    values, vectors = sym_eig(sb)
-    holds, residual, budget, contained = (
-        x[0] for x in _star_stack(sa.a[None], sb.a[None], values[None], vectors[None], tol)
-    )
-    cert = {"residual": float(residual), "budget": float(budget), "image_contained": bool(contained)}
-    return bool(holds), cert
-
-
 def star_family_leq(a, b, variant=Relation.STAR, tol=DEFAULT_TOL):
+    """The minus verdict on eigvalsh's spectra, as the rank route decides
+    it, and the identity X (B - A) = 0 for X = A and, reversed, X = B, each
+    product formed alone from the matrices divided by the pair's largest
+    entry and judged against recon_tol |X| |B - A| + n |X| cutoff."""
     sa, sb = _pair(a, b)
-    holds, cert = _star_holds(sa, sb, tol)
-    equal = rel_residual(sb.a - sa.a, sa.a, sb.a) <= tol.recon_tol
-    reverse = not holds and _star_holds(sb, sa, tol)[0]
-    return OrderVerdict(holds=holds, relation=Relation(variant).value, certificate=cert,
-                        detail=_detail(holds, equal, reverse))
+    d = SymMatrix(sb.a - sa.a)
+    minus = minus_verdict([np.linalg.eigvalsh(m.a) for m in (sa, sb, d)], sa.n, tol=tol)
+    cert = {k: minus.certificate[k] for k in ("rank_a", "rank_b", "rank_diff", "cutoff")}
+    scale = max(maxabs(sa.a), maxabs(sb.a)) or 1.0
+    identity = []
+    for x in (sa, sb):
+        residual = maxabs((x.a / scale) @ (d.a / scale))
+        cutoff = float(cert["cutoff"]) / scale
+        budget = maxabs(x.a) / scale * (tol.recon_tol * (maxabs(d.a) / scale) + sa.n * cutoff)
+        identity.append((residual, budget))
+    (residual, budget), (reverse_residual, reverse_budget) = identity
+    holds = minus.holds and residual <= budget
+    reverse = cert["rank_diff"] == cert["rank_a"] - cert["rank_b"] and reverse_residual <= reverse_budget
+    return OrderVerdict(holds=holds, relation=Relation(variant).value,
+                        certificate={**cert, "residual": residual, "budget": budget},
+                        detail=_detail(holds, cert["rank_diff"] == 0, reverse))
 
 
 def inertia(a, tol=DEFAULT_TOL):
@@ -200,9 +207,8 @@ def sim_congruence(a, b, tol=DEFAULT_TOL):
     s = v_inv @ z
     residual_a = rel_residual(s @ canonical_ek(n, r_rank) @ s.T - sa.a, sa.a, sb.a)
     residual_b = rel_residual(s @ canonical_ek(n, s_rank) @ s.T - sb.a, sa.a, sb.a)
-    sigma_min, invertible = min_singular_value(s, tol)
-    if not invertible:
-        raise _congruence_fails(f"invertibility check: sigma_min {sigma_min:.3e}")
+    # S = Q diag(1 / inv_scales) diag(U, I): its singular values
+    sigma_min = float((1.0 / inv_scales).min(initial=np.inf)) if n else 1.0
     if max(residual_a, residual_b) > tol.recon_tol:
         raise _congruence_fails(
             f"reconstruction check: residuals ({residual_a:.3e}, {residual_b:.3e}) out of budget"

@@ -284,14 +284,15 @@ def test_a_spectrum_beyond_the_float_range_raises():
 
 
 def test_order_holds_many_answers_a_star_pair_whose_reverse_test_overflows():
-    # the reverse test (B below A) order_leq runs for its detail takes the
-    # rank cutoff of A's spectrum, which overflows; the forward test alone
-    # reads B = 0's
+    # the star family no longer reads B = 0's cutoff alone for this pair:
+    # it counts ranks against the pair's one cutoff, as minus does, and
+    # that cutoff overflows, so the stacked verdict raises as order_leq does
     z, big = np.zeros((2, 2)), np.array([[1e308, 1.5e308], [1.5e308, 1e308]])
     for rel in ALL_RELATIONS[2:]:
         with pytest.raises(PsdOrderError, match="rank cutoff overflows"):
             order_leq(big, z, rel)
-        assert order_holds_many(big[None], z[None], rel).tolist() == [False]
+        with pytest.raises(PsdOrderError, match="rank cutoff overflows"):
+            order_holds_many(big[None], z[None], rel)
 
 
 def test_matrices_equal_scales():
@@ -628,7 +629,9 @@ def test_one_sided_star_accepts_graded_pairs(variant):
     for a, b in graded_pairs(89):
         v = star_family_leq(a, b, variant)
         assert v.holds and v.detail == "strictly less"
-        assert v.certificate["image_contained"]
+        cert = v.certificate
+        assert (cert["rank_a"], cert["rank_b"], cert["rank_diff"]) == (2, 3, 1)
+        assert cert["residual"] <= cert["budget"]
 
 
 @pytest.mark.parametrize("s", [1e-8, 1e-9])
@@ -645,24 +648,31 @@ def test_star_identity_is_measured_against_a_and_b(s):
 
 
 def test_one_sided_star_rejects_a_component_outside_im_b():
-    # A^2 = A B up to 1e-12, so only the containment can reject
+    # A^2 = A B up to 1e-12, yet both steps reject: the rank equation
+    # counts the 1e-6 eigenvalue of A and of B - A, and A (B - A), 1e-6
+    # times |A| |B - A|, is far over the identity's budget
     rng = np.random.default_rng(101)
     for _ in range(20):
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         a, b = q @ np.diag([1.0, 1e-6, 0.0]) @ q.T, q @ np.diag([1.0, 0.0, 0.0]) @ q.T
         for variant in (Relation.LEFT_STAR, Relation.RIGHT_STAR):
             v = star_family_leq(a, b, variant)
-            assert not v.holds and not v.certificate["image_contained"]
+            cert = v.certificate
+            assert not v.holds and (cert["rank_a"], cert["rank_b"], cert["rank_diff"]) == (2, 1, 1)
+            assert cert["residual"] > cert["budget"]
 
 
-def test_one_sided_star_accepts_what_matrices_equal_calls_equal():
-    # diag(1, 1e-9) is within recon_tol of diag(1, 0), so the part of it
-    # outside Im diag(1, 0) is within the containment budget too
+def test_star_follows_the_rank_equation_where_matrices_equal_calls_equal():
+    # diag(1, 1e-9) is within recon_tol of diag(1, 0), but the rank
+    # equation counts 1e-9, so in every variant star fails and reads
+    # "strictly greater", as minus does: equality is rank(B - A) = 0
     a, b = np.diag([1.0, 1e-9]), np.diag([1.0, 0.0])
     assert matrices_equal(a, b)
-    for variant in (Relation.LEFT_STAR, Relation.RIGHT_STAR):
+    assert minus_leq(a, b).detail == "strictly greater"
+    for variant in (Relation.STAR, Relation.LEFT_STAR, Relation.RIGHT_STAR):
         v = star_family_leq(a, b, variant)
-        assert v.holds and v.detail == "equal"
+        assert not v.holds and v.detail == "strictly greater"
+        assert (v.certificate["rank_a"], v.certificate["rank_b"], v.certificate["rank_diff"]) == (2, 1, 1)
 
 
 def test_star_rejects_a_small_a_orthogonal_to_b():
@@ -680,15 +690,18 @@ def test_star_rejects_a_small_a_orthogonal_to_b():
                 for variant in (Relation.STAR, Relation.LEFT_STAR, Relation.RIGHT_STAR):
                     v = star_family_leq(x, y, variant)
                     assert not v.holds and v.detail == "incomparable"
-                    assert not v.certificate["image_contained"]
+                    cert = v.certificate
+                    assert (cert["rank_a"], cert["rank_b"], cert["rank_diff"]) == (1, 1, 2)
 
 
 def test_star_rejects_a_part_of_a_outside_im_b_in_every_variant():
     # diag(1, t) meets A^2 = A diag(1, 0) up to t^2, within recon_tol for
-    # t = 1e-5; the containment, linear in t, rejects it as minus does
+    # t = 1e-5; but A (B - A) = -diag(0, t^2) is t times |A| |B - A|,
+    # linear in t, and the rank equation counts t: both steps reject it,
+    # as minus does
     a, b = np.diag([1.0, 1e-5]), np.diag([1.0, 0.0])
     assert not lowner_leq(a, b).holds and not minus_leq(a, b).holds
     for variant in (Relation.STAR, Relation.LEFT_STAR, Relation.RIGHT_STAR):
         v = star_family_leq(a, b, variant)
-        assert v.certificate["residual"] <= v.certificate["budget"]
-        assert not v.holds and not v.certificate["image_contained"]
+        assert v.certificate["residual"] > v.certificate["budget"]
+        assert not v.holds and (v.certificate["rank_a"], v.certificate["rank_diff"]) == (2, 1)

@@ -70,9 +70,9 @@ def _routines(calls):
     return [name for name, _ in calls]
 
 
-# the routine a sweep's stacked decision calls: the Loewner and minus
-# decisions read eigenvalues alone, the star family B's eigenvectors too
-SWEEP_ROUTINE = {"lowner": "eigvalsh", "minus": "eigvalsh", "star": "eigh"}
+# the routine a sweep's stacked decision calls: every decision reads
+# eigenvalues alone, the star family's those of the minus decision
+SWEEP_ROUTINE = {"lowner": "eigvalsh", "minus": "eigvalsh", "star": "eigvalsh"}
 
 
 def _pairs():
@@ -110,10 +110,11 @@ def _verdict(route, a, b):
     return star_family_leq(a, b, Relation.STAR)
 
 
-# the routine of a scalar verdict's one call: the rank route reads
-# eigenvalues alone, every other route eigenvectors too (a failing Loewner
-# verdict's witness, the image and ginv certificates, the star test)
-VERDICT_ROUTINE = {"minus_rank": "eigvalsh"}
+# the routine of a scalar verdict's one call: the rank route and the star
+# family, which decides on it, read eigenvalues alone, every other route
+# eigenvectors too (a failing Loewner verdict's witness, the image and
+# ginv certificates)
+VERDICT_ROUTINE = {"minus_rank": "eigvalsh", "star": "eigvalsh"}
 
 
 @pytest.mark.parametrize("route, holds_eighs, fails_eighs", [
@@ -121,7 +122,7 @@ VERDICT_ROUTINE = {"minus_rank": "eigvalsh"}
     ("minus_rank", 1, 1),
     ("minus_image", 1, 1),
     ("minus_ginv", 1, 1),
-    ("star", 1, 1),  # B and A in one call, the reverse test reading A's part
+    ("star", 1, 1),  # A, B and B - A in one call, as the rank route
 ])
 def test_eigh_calls_per_verdict(eigh_calls, route, holds_eighs, fails_eighs):
     pairs = PAIRS[route.split("_")[0]]
@@ -224,7 +225,7 @@ def test_stacked_kernels_match_per_matrix_calls(n, k):
     d = rng.uniform(0.5, 2.0, (k, n))
     s = rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
-    # the star and image containment: eigenvectors with the dropped columns
+    # the image containment: eigenvectors with the dropped columns
     # zeroed, a different mask per matrix, projected the way image_in_span does
     v = np.linalg.eigh(x + x.swapaxes(-1, -2))[1]
     keep = rng.uniform(size=(k, n)) < 0.5
@@ -254,7 +255,8 @@ def test_order_holds_many_with_one_b_decomposes_it_once(eigh_calls, relation):
     a = np.array([*pairs, b, 0.5 * b, (q * np.array([1.0, 0.0, 0.0, 0.0])) @ q.T])
     got = order_holds_many(a, b, relation)
     assert len(eigh_calls) == 1
-    assert eigh_calls[0] == (SWEEP_ROUTINE[relation], {"lowner": len(a), "minus": 2 * len(a) + 1, "star": 1}[relation])
+    # B - A for each A, or the A's, the shared B and the B - A's
+    assert eigh_calls[0] == (SWEEP_ROUTINE[relation], len(a) if relation == "lowner" else 2 * len(a) + 1)
     assert got.tolist() == order_holds_many(a, np.broadcast_to(b, a.shape), relation).tolist()
     assert got.tolist() == [order_leq(x, b, relation).holds for x in a]
     assert 0 < got.sum() < len(a)
@@ -366,8 +368,9 @@ def test_star_stack_mixes_every_image_rank(relation):
 
 
 def test_star_and_image_routes_order_no_eigenvectors(monkeypatch):
-    # they test containment on eigh's raw factors, with the dropped columns
-    # zeroed, so they never sort or sign-fix eigenvectors; nor does a
+    # the image route tests containment on eigh's raw factors, with the
+    # dropped columns zeroed, and the star family reads eigenvalues alone,
+    # so neither sorts or sign-fixes eigenvectors; nor does a
     # Loewner verdict, whose witness is one column read from eigh's output,
     # or a failing ginv verdict, which carries the rank route's certificate
     # and no inner inverse, its cutoff from eigh's values where the rank
@@ -478,9 +481,10 @@ def test_minus_certificates_make_their_lapack_calls_and_no_more(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting(name))
     monkeypatch.setattr(canonical, "canonical_ek", no_ek)
     a, b = PAIRS["minus"]["holds"]
-    # A, B and B - A together, the idempotent block, and the SVD that
-    # certifies S invertible; S E_k S^T is read from S's leading k columns
-    assert (sim_congruence(a, b).rank_a, calls) == (1, {"eigh": 2, "svd": 1})
+    # A, B and B - A together and the idempotent block; S E_k S^T is read
+    # from S's leading k columns, and S's singular values are its whitening
+    # scales, so no SVD certifies S invertible
+    assert (sim_congruence(a, b).rank_a, calls) == (1, {"eigh": 2})
     calls.clear()
     # A, B and B - A together, the direct-sum SVD and the inverse of the
     # oblique basis
@@ -719,10 +723,11 @@ def test_scale_defects_of_absolute_floors_are_gone():
     c = 1e-10
     v = lowner_leq(c * b, c * a)
     assert not v.holds and v.detail == "strictly greater"
-    # A^2 = diag(1, 0) differs from AB = diag(2, 0) at every scale
+    # A (B - A) = diag(c^2, 0) is a quarter of the pair's largest entry
+    # squared at every scale
     c = 1e-6
     v = star_family_leq(c * a, c * b)
-    assert not v.holds and v.certificate["residual"] == pytest.approx(0.5)
+    assert not v.holds and v.certificate["residual"] == 0.25
     assert not lowner_leq(np.zeros((2, 2)), 1e-10 * np.diag([1.0, -1.0])).holds
     # the star products neither underflow nor overflow: A^2 = A = A diag(1, 1)
     for c in (1e-200, 1e200):
