@@ -284,24 +284,22 @@ def qform_rank_criterion(
     an explicit shared congruence per form.  A form compressed to zero
     passes trivially with rank 0.  The minus verdicts are the rank route's,
     read from the stack _setup decomposes, and decide; each holding form's
-    reduction takes its verdict's ranks and cutoff, and the total's spectrum
-    from that stack, ordered only if some form holds.  A reduction whose
+    reduction takes its verdict's ranks and cutoff, and the spectra of the
+    form, the total and their difference from that stack.  A reduction whose
     certificate fails a check raises PsdOrderError (see _sim_congruence).
     """
     _, w, _, t, scales, values, vectors, ranks = _setup(a_list, v, mu, tol)
     k = len(t) - 1
-    # the spectra of (form, total, total - form) for each form
-    triples = values[np.c_[np.arange(k), np.full(k, k), np.arange(k + 1, 2 * k + 1)]]
-    verdicts = _rank_verdicts(triples, tol)
-    if any(verdict.holds for verdict in verdicts):
-        (values_t,), (vectors_t,) = canonical_order(values[k:k + 1], vectors[k:k + 1])
+    # the indices of (form, total, total - form) in that stack, for each form
+    triples = np.c_[np.arange(k), np.full(k, k), np.arange(k + 1, 2 * k + 1)]
+    verdicts = _rank_verdicts(values[triples], tol)
     entries = []
     for i, verdict in enumerate(verdicts):
         sim = None
         if verdict.holds:  # the verdict's ranks and cutoff, and the pair's scale
             cert = verdict.certificate
-            sim = _sim_congruence(t[[i, k]], values_t, vectors_t, cert["rank_a"], cert["rank_b"], cert["cutoff"],
-                                  max(scales[i], scales[k]), tol)
+            sim = _sim_congruence(t[[i, k]], values[triples[i]], vectors[triples[i]], cert["rank_a"],
+                                  cert["rank_b"], cert["cutoff"], max(scales[i], scales[k]), tol)
         entries.append(QFormEntry(index=i, rank=sim.rank_a if sim else ranks[i], verdict=verdict, sim=sim,
                                   reason="" if sim else "compressed form is not below the compressed total"))
     return QFormReport(w=w, forms=entries, s=ranks[k], overall=all(verdict.holds for verdict in verdicts))

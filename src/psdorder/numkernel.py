@@ -31,7 +31,8 @@ Conventions shared by everything built on top of this module:
   cutoff or threshold.  A check that reads eigenvectors (the Loewner
   witness, the image and ginv certificates, the
   reductions of sim_congruence and the linear models) decides on the
-  values of its one eigh call,
+  values of its one eigh call; the ginv certificate and sim_congruence
+  read their G and S off the eigenvectors of that same call,
 - canonical_order, run only where the order of eigenvectors shows in a
   result, sorts eigenvalues descending and makes the first nonzero
   component of each eigenvector positive, so a factorization is

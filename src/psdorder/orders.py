@@ -12,7 +12,8 @@ certificate: an eigenvalue witness, residual norms, or a rank triple.  The
 rank equation decides the minus order for every method and is the first
 step of the star order; a holding minus verdict can carry more on
 request, the containment of the images or an explicit inner inverse, each
-checked before it is returned.
+checked before it is returned.  The inner inverse and sim_congruence's S
+are read off one basis of the pair's eigenvectors (_oblique_basis).
 
 Each decision is written once, over stacks of pairs with a leading axis
 (_lowner_stack, _minus_stack, _star_identity): order_holds_many decides a
@@ -32,10 +33,9 @@ B - A once and scans only it for finiteness, takes the largest entries
 of A and B in one scan where a threshold or a scale needs them, and
 decomposes all its matrices in one stacked call.  Eigenvectors are put
 in canonical order only where the bits of a result depend on their
-order: the ginv certificate of a holding minus verdict, whose identities
-multiply G by the gate's (A, B) stack.  A Loewner witness is the one
-column canonical_order would give, read from eigh's output by
-canonical_column; the image test reads eigh's eigenvectors.
+order: the basis of the two minus certificates, G and S.  A Loewner
+witness is the one column canonical_order would give, read from eigh's
+output by canonical_column; the image test reads eigh's eigenvectors.
 """
 
 import math
@@ -46,7 +46,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, PsdOrderError
 from .numkernel import (
-    _spectral_pinv,
     canonical_column,
     canonical_order,
     derived,
@@ -229,7 +228,7 @@ def _rank_verdicts(values, tol):
     """_rank_verdict for each pair of a stack, from the spectra (k, 3, n) of
     their A, B and B - A (see _minus_stack)."""
     decisions, ranks, cutoffs = _minus_stack(values, tol)
-    return list(map(_rank_verdict, decisions.T.tolist(), ranks.T.tolist(), cutoffs))
+    return list(map(_rank_verdict, decisions.T.tolist(), ranks.T.tolist(), cutoffs.tolist()))
 
 
 def _minus_pair(a, b, tol, vectors=False):
@@ -243,7 +242,7 @@ def _minus_pair(a, b, tol, vectors=False):
     stack = np.array([ab[0], ab[1], d])
     values, vecs = eigh_stack(stack) if vectors else (eigvalsh_stack(stack), None)
     decisions, ranks, cutoff = _minus_stack(values[None], tol)
-    return stack, decisions[:, 0].tolist(), ranks[:, 0].tolist(), cutoff[0], values, vecs
+    return stack, decisions[:, 0].tolist(), ranks[:, 0].tolist(), cutoff.item(), values, vecs
 
 
 def _certificate_fails(name, check):
@@ -270,29 +269,39 @@ def _image_certificate(a, d, values_b, vectors_b, cutoff, tol):
     return {"contained": True}
 
 
+def _oblique_basis(values, vectors, cutoff):
+    """The basis m = (A's kept eigenvectors : B - A's kept : B's dropped)
+    of a pair whose rank equation holds, which makes it n x n, and each
+    column's eigenvalue, from the spectra of A, B and B - A as eigh returns
+    them, put in canonical order (the certificates' bits depend on the
+    column order) and masked by `cutoff`.  On the cone
+    Im B = Im A (+) Im(B - A), so m is invertible, and
+    S = m diag(sqrt(lambda)) gives A = S E_r S^T and B = S E_s S^T."""
+    values, vectors = canonical_order(values, vectors)
+    keep_a, keep_b, keep_d = np.abs(values) > cutoff
+    columns = np.concatenate((keep_a, keep_d, ~keep_b))
+    return (np.concatenate((vectors[0], vectors[2], vectors[1]), axis=1)[:, columns],
+            values[[0, 2, 1]].ravel()[columns])
+
+
 def _ginv_certificate(ab, scale, values, vectors, rank_a, cutoff, tol):
     """An inner inverse G of A with G A = G B and A G = B G, which exists
     exactly when A is below B, for a pair whose rank equation holds.
 
-    G is assembled from the oblique projector onto Im A along
-    Im(B - A) (+) (Im B)-perp.  The rank equation makes the three pieces'
-    dimensions add up to n; the certificate checks that their sum is
-    direct and that G meets the three identities.  `ab`: the (2, n, n)
-    stack of A and B; `scale`: its largest entry.  `values`, `vectors`:
-    the spectra of A, B and B - A as eigh returns them, put in canonical
-    order here, since G's bits depend on the order of the columns, and
-    masked by the cutoff, A^+ too: it inverts the rank_a eigenvalues of A
-    that the rank equation counted.
+    G = S^-T E_r S^-1 for S = m diag(sqrt(lambda)) (_oblique_basis), that
+    is W_r^T W_r, W_r the first r rows of S^-1 = diag(1 / sqrt(lambda)) m^-1,
+    formed as those rows of m^-1 over A's eigenvalues, transposed, times
+    the rows, which inverts a negative eigenvalue as A^+ does.  The
+    certificate checks that m is invertible (the sum of its three pieces is
+    direct) and that G meets the three identities.  `ab`: the (2, n, n)
+    stack of A and B; `scale`: its largest entry.
     """
-    values, vectors = canonical_order(values, vectors)
-    keep_a, keep, keep_d = np.abs(values) > cutoff
-    q_a, q_b, q_d = vectors
-    m = np.concatenate((q_a, q_d, q_b), axis=1)[:, np.concatenate((keep_a, keep_d, ~keep))]
+    m, lam = _oblique_basis(values, vectors, cutoff)
     sigma_min, direct = min_singular_value(m, tol)
     if not direct:
         raise _certificate_fails("ginv", f"direct-sum check: sigma_min {sigma_min:.3e}")
-    proj = m[:, :rank_a] @ np.linalg.inv(m)[:rank_a, :]
-    g = proj.T @ _spectral_pinv(values[0], q_a, tol, cutoff) @ proj
+    w = np.linalg.inv(m)[:rank_a]
+    g = (w / lam[:rank_a, None]).T @ w
     left, right = g @ ab, ab @ g
     # the sides of A G A = A, judged against the pair's `scale` as the rank
     # equation judges the pair (G = 0 on an A under the cutoff), and of

@@ -31,7 +31,6 @@ since the root and the forms are summed in another order.
 
 import numpy as np
 
-from psdorder.canonical import sim_congruence
 from psdorder.errors import DimensionMismatch
 from psdorder.linmodels import (
     _MC_SHARD,
@@ -45,7 +44,7 @@ from psdorder.numkernel import PsdMatrix, SymMatrix, identity_budget, rel_residu
 from psdorder.rng import normal_matrix, substream
 from psdorder.special import chi2_cdf, ks_uniform_distance
 from psdorder.tolerances import DEFAULT_TOL
-from reference_verdicts import certified_eig, lowner_both, minus_verdict
+from reference_verdicts import certified_eig, lowner_both, minus_verdict, sim_congruence
 
 
 def _rank(values, tol):

@@ -10,7 +10,9 @@ minus rank route, the star family and inertia read eigenvalues alone,
 from np.linalg.eigvalsh, as the code does.  sim_congruence decides the rank
 equation on the sym_eig spectra of A, B and B - A (minus_verdict),
 certifies A and B PSD from theirs, the eigh values its reduction reads,
-and reduces the pair with the ranks of that count.
+and reduces the pair with the ranks of that count: S is the basis of A's
+and B - A's kept eigenvectors and B's dropped ones, scaled column by
+column, as the ginv reference reads G off the same basis.
 The checks in psdorder.orders and psdorder.canonical decompose all the
 matrices of a verdict in one stacked call and order eigenvectors only
 where they read them; they must return every value these return, bit for
@@ -75,19 +77,24 @@ def _by_image(sa, sb, eigs, cutoff, tol):
     return {"contained": contained}
 
 
-def _by_ginv(sa, sb, eigs, cutoff, tol):
+def _oblique_basis(eigs, cutoff):
+    """(A's kept eigenvectors : B - A's kept : B's dropped), from sym_eig
+    spectra, and the eigenvalue of each column."""
     (v_a, q_a), (v_b, q_b), (v_d, q_d) = eigs
-    u_a = q_a[:, np.abs(v_a) > cutoff]
-    m = np.hstack([u_a, q_d[:, np.abs(v_d) > cutoff], q_b[:, np.abs(v_b) <= cutoff]])
+    pieces = [(v_a, q_a, np.abs(v_a) > cutoff), (v_d, q_d, np.abs(v_d) > cutoff), (v_b, q_b, np.abs(v_b) <= cutoff)]
+    return np.hstack([q[:, keep] for _, q, keep in pieces]), np.concatenate([v[keep] for v, _, keep in pieces])
+
+
+def _by_ginv(sa, sb, eigs, cutoff, tol):
+    m, lam = _oblique_basis(eigs, cutoff)
     sigma_min, direct = min_singular_value(m, tol)
     if not direct:
         raise PsdOrderError("the ginv certificate of a holding minus verdict fails its "
                             f"direct-sum check: sigma_min {sigma_min:.3e}")
-    r = u_a.shape[1]
-    proj = m[:, :r] @ np.linalg.inv(m)[:r, :]
-    kept = np.abs(v_a) > cutoff  # A^+ under the pair's cutoff, as the rank equation counted A
-    inv = np.where(kept, 1.0 / np.where(kept, v_a, 1.0), 0.0)
-    g = proj.T @ ((q_a * inv[None, :]) @ q_a.T) @ proj
+    r = int(np.count_nonzero(np.abs(eigs[0][0]) > cutoff))
+    # G = S^-T E_r S^-1, S = m diag(sqrt(lambda)): the first r rows of m^-1 over A's eigenvalues
+    w = np.linalg.inv(m)[:r, :]
+    g = (w / lam[:r, None]).T @ w
     ga, gb, ag, bg = g @ sa.a, g @ sb.a, sa.a @ g, sb.a @ g
     aga = ag @ sa.a
     residuals = {
@@ -108,7 +115,7 @@ def minus_verdict(spectra, n, method=MinusMethod.RANK, tol=DEFAULT_TOL, certify=
     the rank equation decides, and a holding verdict carries what
     certify(cutoff) returns, the certificate asked for."""
     radius = np.abs(np.concatenate(spectra)).max(initial=0.0)
-    cutoff = tol.rank_cutoff(np.array([radius]), n)
+    cutoff = float(tol.rank_cutoff(np.array([radius]), n))
     r_a, r_b, r_d = (int(np.count_nonzero(np.abs(v) > cutoff)) for v in spectra)
     holds, reverse = r_d == r_b - r_a, r_d == r_a - r_b
     cert = {"rank_a": r_a, "rank_b": r_b, "rank_diff": r_d, "cutoff": cutoff, "method": method.value}
@@ -142,7 +149,7 @@ def star_family_leq(a, b, variant=Relation.STAR, tol=DEFAULT_TOL):
     identity = []
     for x in (sa, sb):
         residual = maxabs((x.a / scale) @ (d.a / scale))
-        cutoff = float(cert["cutoff"]) / scale
+        cutoff = cert["cutoff"] / scale
         budget = maxabs(x.a) / scale * (tol.recon_tol * (maxabs(d.a) / scale) + sa.n * cutoff)
         identity.append((residual, budget))
     (residual, budget), (reverse_residual, reverse_budget) = identity
@@ -186,29 +193,15 @@ def sim_congruence(a, b, tol=DEFAULT_TOL):
             f"the rank equation fails: rank(B - A) = {d_rank}, rank(B) - rank(A) = {s_rank - r_rank}"
         )
     n = sa.n
-    values_b, vectors_b = eigs[1]
-    inv_scales = np.full(n, 1.0 / np.sqrt(values_b[0]) if s_rank else 1.0)
-    inv_scales[:s_rank] = 1.0 / np.sqrt(np.maximum(values_b[:s_rank], cutoff))
-    v = inv_scales[:, None] * vectors_b.T
-    a_tilde = v @ sa.a @ v.T
-    spill = maxabs(a_tilde[s_rank:, :])
-    if spill > tol.recon_tol:
-        raise _congruence_fails(f"spill check: whitened A leaks {spill:.3e} outside the rank-{s_rank} block")
-    u = np.zeros((0, 0))
-    if s_rank:
-        lam, u = sym_eig(a_tilde[:s_rank, :s_rank])
-        off = float(np.abs(lam - np.r_[np.ones(r_rank), np.zeros(s_rank - r_rank)]).max())
-        if off > tol.recon_tol:
-            raise _congruence_fails(f"idempotent check: block eigenvalues {off:.3e} away from "
-                                    f"{r_rank} ones and {s_rank - r_rank} zeros")
-    v_inv = vectors_b * (1.0 / inv_scales)
-    z = np.eye(n)
-    z[:s_rank, :s_rank] = u
-    s = v_inv @ z
+    m, lam = _oblique_basis(eigs, cutoff)
+    sigmas = np.sqrt(np.maximum(lam, cutoff))
+    sigmas[s_rank:] = np.sqrt(eigs[1][0][0]) if s_rank else 1.0
+    s = m * sigmas
+    sigma_min, direct = min_singular_value(s, tol)
+    if not direct:
+        raise _congruence_fails(f"direct-sum check: sigma_min {sigma_min:.3e}")
     residual_a = rel_residual(s @ canonical_ek(n, r_rank) @ s.T - sa.a, sa.a, sb.a)
     residual_b = rel_residual(s @ canonical_ek(n, s_rank) @ s.T - sb.a, sa.a, sb.a)
-    # S = Q diag(1 / inv_scales) diag(U, I): its singular values
-    sigma_min = float((1.0 / inv_scales).min(initial=np.inf)) if n else 1.0
     if max(residual_a, residual_b) > tol.recon_tol:
         raise _congruence_fails(
             f"reconstruction check: residuals ({residual_a:.3e}, {residual_b:.3e}) out of budget"

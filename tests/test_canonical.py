@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from psdorder import (
@@ -17,6 +18,7 @@ from psdorder import (
     sim_congruence,
 )
 from psdorder.numkernel import maxabs, rel_residual
+from test_hierarchy import _orthogonal, delta_family
 
 TOL12 = ToleranceConfig(rank_rel_tol=1e-12)
 
@@ -158,8 +160,7 @@ def test_sim_congruence_rejects_image_spill():
 
 
 def test_sim_congruence_takes_the_rank_equations_ranks():
-    # A = diag(1, 1e-10) is not below I: rank(I - A) = 1, where the
-    # whitened block's eigenvalues lie within recon_tol of {0, 1}
+    # A = diag(1, 1e-10) is not below I: rank(I - A) = 1
     assert not minus_leq(np.diag([1.0, 1e-10]), np.eye(2)).holds
     with pytest.raises(NotMinusComparable, match="rank equation fails"):
         sim_congruence(np.diag([1.0, 1e-10]), np.eye(2))
@@ -188,35 +189,37 @@ def _reduces_then_raises(a, b, ranks, loose, tight, message, psd_tol=1e-9):
     assert type(info.value) is PsdOrderError
 
 
-# Each check of the reduction is pinned from both sides at the default
-# recon_tol 1e-8, on pairs whose rank equation holds: a pair it passes
-# there and fails 10 times tighter, and a pair it fails there, by its own
-# message, and passes 10 times looser.  Graded spectra give such pairs:
-# the rank cutoff is relative to the pair's largest eigenvalue, while the
-# spill and the idempotent block are judged where B is whitened to E_s.
+# Each check of the reduction is pinned from both sides, on pairs whose
+# rank equation holds: a pair it passes and fails under a tolerance 10
+# times tighter, and a pair it fails and passes 10 times looser, or, for
+# the direct-sum check, at the edge of the rank cutoff.
 
-def test_sim_congruence_spill_test_is_pinned_from_both_sides():
-    # A = y y^T, y = (0, 1, eps, 0) below B = diag(1e14, 1, 0, 0): A's part
-    # in B's null space is under the cutoff, and whitened A leaks
-    # eps / 1e7 outside the rank-2 block
-    b = np.diag([1e14, 1.0, 0.0, 0.0])
-    for eps, loose, tight, leak in ((0.05, 1e-8, 1e-9, "5.000e-09"), (0.25, 1e-7, 1e-8, "2.500e-08")):
-        y = np.array([0.0, 1.0, eps, 0.0])
-        _reduces_then_raises(np.outer(y, y), b, (1, 2), loose, tight, f"spill check: whitened A leaks {leak}")
-
-
-def test_sim_congruence_idempotent_test_is_pinned_from_both_sides():
-    # A = diag(0, delta) below B = diag(1e12, 1): delta is under the cutoff
-    # (rank 0), and the whitened block's spectrum is {delta, 0}
-    b = np.diag([1e12, 1.0])
-    _reduces_then_raises(np.diag([0.0, 5e-9]), b, (0, 2), 1e-8, 1e-9, "idempotent check: block eigenvalues 5.000e-09")
-    _reduces_then_raises(np.diag([0.0, 5e-8]), b, (0, 2), 1e-7, 1e-8, "idempotent check: block eigenvalues 5.000e-08")
+def test_sim_congruence_direct_sum_check_is_pinned_from_both_sides():
+    # S's columns in Im B hold B's kept eigenvalues as squared singular
+    # values, and its null columns the square root of B's largest, so on a
+    # PSD pair whose rank equation holds sigma_min / sigma_max exceeds
+    # sqrt(rank_rel_tol): below rank_rel_tol 1 the check fails only by
+    # roundoff.  At 1 every rank is 0, S is B's orthonormal eigenbasis, and
+    # its singular values 1 meet the cutoff; the ginv route's direct-sum
+    # check of the unscaled basis fails alike
+    a, b = np.diag([1.0, 0.0]), np.eye(2)
+    tol = ToleranceConfig(rank_rel_tol=0.99)
+    res = sim_congruence(a, b, tol)
+    assert (res.rank_a, res.rank_b, res.sigma_min) == (1, 2, 1.0)
+    assert minus_leq(a, b, method="ginv", tol=tol).certificate["sigma_min"] == 1.0
+    for rel in (1.0, 2.0):
+        tol = ToleranceConfig(rank_rel_tol=rel)
+        assert minus_leq(a, b, tol=tol).certificate["rank_b"] == 0
+        with pytest.raises(PsdOrderError, match="congruence certificate .* direct-sum check: sigma_min 1.000e"):
+            sim_congruence(a, b, tol)
+        with pytest.raises(PsdOrderError, match="ginv certificate .* direct-sum check: sigma_min 1.000e"):
+            minus_leq(a, b, method="ginv", tol=tol)
 
 
 def test_sim_congruence_residual_check_is_pinned_from_both_sides():
-    # 0 below B = diag(1, -delta), PSD at psd_tol 1e-6: B's kept negative
-    # eigenvalue is whitened at the cutoff, so S E_2 S^T misses B by delta,
-    # while the spill and the block (A = 0) are exact
+    # 0 below B = diag(1, -delta), PSD at psd_tol 1e-6: B - A's kept
+    # negative eigenvalue is taken at the cutoff, so S E_2 S^T misses B by
+    # delta, while S E_0 S^T = A = 0 is exact
     for delta, loose, tight in ((5e-9, 1e-8, 1e-9), (5e-8, 1e-7, 1e-8)):
         _reduces_then_raises(np.zeros((2, 2)), np.diag([1.0, -delta]), (0, 2), loose, tight,
                              rf"reconstruction check: residuals \(0.000e\+00, {delta:.3e}\)", psd_tol=1e-6)
@@ -258,3 +261,31 @@ def test_sim_congruence_matches_minus_verdict():
                 sim_congruence(af, bf)
             rejected += 1
     assert accepted > 40 and rejected > 40
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data(), st.integers(2, 6), st.floats(0.0, 12.0), st.integers(0, 2**32 - 1))
+def test_sim_congruence_reduces_every_pair_the_ginv_route_holds(data, n, decades, seed):
+    # graded pairs A = S E_r S^T, B = S E_s S^T, S = Q1 diag(10^u) Q2 with u
+    # uniform on [0, decades], and a pair of the delta family, in both
+    # orders.  The ginv route's G and sim_congruence's S are read from one
+    # oblique basis; sim_congruence reduces exactly the pairs the ginv route
+    # holds, with its ranks and within recon_tol, and fails no check of its
+    # certificate, however graded the pair
+    s_rank = data.draw(st.integers(0, n))
+    r_rank = data.draw(st.integers(0, s_rank))
+    rng = np.random.default_rng(seed)
+    s = (_orthogonal(rng, n) * 10.0 ** rng.uniform(0.0, decades, n)) @ _orthogonal(rng, n).T
+    a, b = ((s * np.r_[np.ones(k), np.zeros(n - k)]) @ s.T for k in (r_rank, s_rank))
+    (da, db), = delta_family(count=1, seed=seed)
+    for x, y in ((a, b), (da, db), (db, da)):
+        verdict = minus_leq(x, y, method="ginv")
+        try:
+            res = sim_congruence(x, y)
+        except NotMinusComparable:
+            assert not verdict.holds
+            continue
+        assert verdict.holds
+        cert = verdict.certificate
+        assert (res.rank_a, res.rank_b) == (cert["rank_a"], cert["rank_b"])
+        assert max(res.residual_a, res.residual_b) <= DEFAULT_TOL.recon_tol

@@ -261,13 +261,15 @@ def test_canon_simcong_follows_the_rank_equation(tmp_path, capsys):
     for method in ("rank", "image", "ginv"):
         code, payload = run_json(capsys, ["order", "minus", "--method", method, a, b])
         assert (code, payload["detail"]) == (0, "strictly less"), method
-    # a holding pair whose whitened block is graded off {0, 1}: the
-    # certificate's idempotent check fails, exit 2 with nothing on stdout
+    # a holding graded pair: A = diag(0, 5e-8) is under the pair's cutoff,
+    # so below B = diag(1e12, 1) with rank 0, and S, read off B - A's
+    # eigenvectors, reconstructs both within recon_tol of the pair's scale
     a = csv(tmp_path, "a.csv", np.diag([0.0, 5e-8]))
     b = csv(tmp_path, "b.csv", np.diag([1e12, 1.0]))
-    assert run(["canon", "simcong", a, b]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "fails its idempotent check" in captured.err
+    code, payload = run_json(capsys, ["canon", "simcong", a, b])
+    result = payload["result"]
+    assert (code, result["rank_a"], result["rank_b"]) == (0, 0, 2)
+    assert max(result["residual_a"], result["residual_b"]) <= psdorder.DEFAULT_TOL.recon_tol
 
 
 def test_preserver_verify(tmp_path, capsys):
@@ -527,7 +529,7 @@ def test_non_finite_tolerances_are_usage_errors(tmp_path, capsys, monkeypatch):
     for flag in ("--tol-rank", "--tol-psd"):
         for value in ("inf", "nan"):
             assert_usage_error(capsys, ["order", "minus", flag, value, z, z])
-    # the idempotent block is judged against recon_tol, which has no flag
+    # certificate checks are judged against recon_tol, which has no flag
     assert_usage_error(capsys, ["order", "minus", "--tol-idem", "1e-8", z, z])
     for env in ("PSDORDER_TOL_PSD", "PSDORDER_TOL_RANK"):
         monkeypatch.setenv(env, "inf")
@@ -604,8 +606,8 @@ def test_a_derived_matrix_beyond_the_float_range_is_an_error(tmp_path, capsys, a
 @pytest.mark.filterwarnings("error")
 def test_simcong_reports_a_whitened_a_beyond_the_float_range(tmp_path, capsys):
     # A = 1e100 I exceeds B = 1e-300 I in B's own metric, where it would
-    # leave the float range: the rank equation rejects the pair before B
-    # whitens A, whatever its units
+    # leave the float range: the rank equation rejects the pair, whatever
+    # its units, before any certificate is formed
     files = _overflow_files(tmp_path)
     code, payload = run_json(capsys, ["canon", "simcong", files["A"], files["B"]])
     assert code == 1

@@ -1,8 +1,8 @@
 """The linear-model layer against the per-matrix reference in
 reference_linmodels.py: model_compare, blue_check and qform_rank_criterion
 return every result field, certificate value and error bit for bit and of
-the same type, on holding and failing inputs, reductions whose
-certificate check fails and inputs that are not PSD, except the residual and budget of
+the same type, on holding and failing inputs, graded holding forms and
+inputs that are not PSD, except the residual and budget of
 blue_check's condition (ii), which the reference measures with another
 projector and agree to roundoff; the Monte
 Carlo check draws the same degrees of freedom and its statistics agree to
@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 import reference_linmodels as ref
 import reference_preservers
 from psdorder import (
+    DEFAULT_TOL,
     DimensionMismatch,
     LinearModel,
     NotPositiveSemidefinite,
@@ -94,9 +95,9 @@ def _families(n):
     out.append(([np.outer(q[:, 0], q[:, 0]), np.zeros((n, n)), np.outer(q[:, -1], q[:, -1])],
                 np.eye(n), rng.standard_normal(n)))
     out.append(([np.eye(n)], (q[:, :1] * 2.0) @ q[:, :1].T, np.zeros(n)))
-    # rank-subtractive but graded: at g = 1e-12 and 5e-10 the whitened
-    # block is off {0, 1}, and the reduction's idempotent check raises
-    # PsdOrderError; at g = 1e-6 it passes
+    # rank-subtractive but graded, g from 1e-12 to 1e-6: each holding form
+    # is reduced, its S read off the eigenvectors of the form, the total
+    # and their difference
     for g in (1e-12, 5e-10, 1e-6):
         u, w = rng.standard_normal((2, n, 1))
         out.append(([u @ u.T, g * (w @ w.T)], np.eye(n), np.zeros(n)))
@@ -187,7 +188,11 @@ def test_qform_rank_criterion_matches_the_reference_bit_for_bit(n):
             assert all((e.sim is not None, e.reason) == (e.verdict.holds, "" if e.verdict.holds else
                                                         "compressed form is not below the compressed total")
                        for e in report.forms)
-    assert {True, False, "PsdOrderError", "NotPositiveSemidefinite", "DimensionMismatch", "ValueError"} <= seen
+            assert all(max(e.sim.residual_a, e.sim.residual_b) <= DEFAULT_TOL.recon_tol
+                       for e in report.forms if e.sim)
+    # no reduction of a holding form fails its certificate, graded or not
+    assert {True, False, "NotPositiveSemidefinite", "DimensionMismatch", "ValueError"} <= seen
+    assert "PsdOrderError" not in seen
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -418,9 +418,7 @@ def test_holding_ginv_verdict_scans_a_and_b_once(monkeypatch):
 
 def test_sim_congruence_scans_a_and_b_once(monkeypatch):
     # the PSD thresholds and the reconstruction residuals read one scan of
-    # the (A, B) stack; the others are of the spill outside B's block,
-    # judged in whitened units with no scan of whitened A, and of the two
-    # residuals
+    # the (A, B) stack; the other is of the two residuals
     scanned = []
     real = numkernel.maxabs_stack
 
@@ -431,20 +429,20 @@ def test_sim_congruence_scans_a_and_b_once(monkeypatch):
     for module in (canonical, numkernel):
         monkeypatch.setattr(module, "maxabs_stack", counting)
     assert sim_congruence(*PAIRS["minus"]["holds"]).rank_a == 1
-    assert scanned == [(2, 4, 4), (1, 4), (2, 4, 4)]
+    assert scanned == [(2, 4, 4), (2, 4, 4)]
     # qform_rank_criterion scans V and the forms, then the compressed forms
     # and their total once; each reduction reuses that scan and scans only
-    # its spill (zero here) and its residuals
+    # its residuals
     scanned.clear()
     assert qform_rank_criterion(*_three_forms()).overall
-    assert scanned == [(4, 6, 6), (4, 7, 7)] + [(1, 7), (2, 7, 7)] * 3
+    assert scanned == [(4, 6, 6), (4, 7, 7)] + [(2, 7, 7)] * 3
 
 
 def test_fit_congruence_and_a_failing_qform_order_no_eigenvectors(monkeypatch, eigh_calls):
     def no_order(*args):
         raise AssertionError("canonical_order was called")
 
-    for module in (numkernel, canonical, linmodels):
+    for module in (numkernel, orders, linmodels):
         monkeypatch.setattr(module, "canonical_order", no_order)
     rng = np.random.default_rng(29)
     s = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
@@ -454,7 +452,7 @@ def test_fit_congruence_and_a_failing_qform_order_no_eigenvectors(monkeypatch, e
     # the first probe's image alone: its leading column, read unsorted
     assert eigh_calls == [("eigh", 1)]
     # two forms that share a direction: neither is below their total, so
-    # no reduction needs the total's eigenvectors in canonical order
+    # no reduction puts eigenvectors in canonical order
     eigh_calls.clear()
     eye = np.eye(4)
     report = qform_rank_criterion([eye[:, :2] @ eye[:, :2].T, eye[:, 1:3] @ eye[:, 1:3].T], eye, np.zeros(4))
@@ -481,10 +479,10 @@ def test_minus_certificates_make_their_lapack_calls_and_no_more(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting(name))
     monkeypatch.setattr(canonical, "canonical_ek", no_ek)
     a, b = PAIRS["minus"]["holds"]
-    # A, B and B - A together and the idempotent block; S E_k S^T is read
-    # from S's leading k columns, and S's singular values are its whitening
-    # scales, so no SVD certifies S invertible
-    assert (sim_congruence(a, b).rank_a, calls) == (1, {"eigh": 2})
+    # A, B and B - A together, and the SVD that certifies S invertible;
+    # S is read off their eigenvectors, and S E_k S^T from S's leading k
+    # columns
+    assert (sim_congruence(a, b).rank_a, calls) == (1, {"eigh": 1, "svd": 1})
     calls.clear()
     # A, B and B - A together, the direct-sum SVD and the inverse of the
     # oblique basis
@@ -523,14 +521,14 @@ def test_eigh_calls_sim_congruence(eigh_calls):
     a, b = PAIRS["minus"]["holds"]
     res = sim_congruence(a, b)
     assert (res.rank_a, res.rank_b) == (1, 3)
-    # A, B and B - A together, which the rank equation decides, and the
-    # idempotent block once.
-    assert eigh_calls == [("eigh", 3), ("eigh", 1)]
+    # A, B and B - A together, which the rank equation decides, and from
+    # whose eigenvectors S is read
+    assert eigh_calls == [("eigh", 3)]
     # a PsdMatrix pair keeps no spectrum, so it is decomposed the same way
     pa, pb = PsdMatrix(a), PsdMatrix(b)
     eigh_calls.clear()
     assert _bits(sim_congruence(pa, pb)) == _bits(res)
-    assert eigh_calls == [("eigh", 3), ("eigh", 1)]
+    assert eigh_calls == [("eigh", 3)]
 
 
 def test_eigh_calls_inertia(eigh_calls):
@@ -577,9 +575,10 @@ def test_eigh_calls_qform_rank_criterion(eigh_calls):
     report = qform_rank_criterion(*_three_forms())
     assert report.overall and report.s == 6
     # V and the forms certified in one stack; the compressed forms, their
-    # total and the differences total - form in a second; one idempotent
-    # block per form.  The per-matrix path made 14 calls on 20 matrices.
-    assert eigh_calls == [("eigh", k) for k in (4, 7, 1, 1, 1)]
+    # total and the differences total - form in a second, from which each
+    # reduction reads its S.  The per-matrix path made 14 calls on 20
+    # matrices.
+    assert eigh_calls == [("eigh", 4), ("eigh", 7)]
 
 
 def test_eigh_calls_mc_quadratic_forms(eigh_calls):
@@ -742,9 +741,8 @@ def test_scale_defects_of_absolute_floors_are_gone():
 
 @pytest.mark.parametrize("c", [1e-300, 1e-40, 1.0, 1e40, 1e300])
 def test_sim_congruence_and_qform_criterion_do_not_depend_on_units(c):
-    # B's null directions must take the scale of B in the whitening and in
-    # S: unit scale makes S singular at c = 1e+-40 and makes the transformed
-    # A leak out of the rank-2 block from c = 1e20 on
+    # B's null directions must take the scale of B in S: unit scale makes
+    # S singular to its direct-sum check at c = 1e+-40
     a, b = np.diag([1.0, 0.0, 0.0]), np.diag([1.0, 1.0, 0.0])
     res = sim_congruence(c * a, c * b)
     assert (res.rank_a, res.rank_b) == (1, 2)
