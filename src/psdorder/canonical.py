@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotMinusComparable, NotPositiveSemidefinite
-from .numkernel import eigvalsh_stack, maxabs_stack, min_singular_value, over_scale, require_psd, sym_array
-from .orders import _certificate_fails, _minus_pair, _oblique_basis
+from .numkernel import canonical_order, eigvalsh_stack, maxabs_stack, over_scale, require_psd, sym_array
+from .orders import _certificate_fails, _direct_sum, _minus_pair, _oblique_basis
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -107,22 +107,21 @@ def _sim_congruence(pair, values, vectors, r_rank, s_rank, cutoff, scale, tol: T
     B and B - A as eigh returns them, `values` (3, n) and `vectors`
     (3, n, n), and the pair's largest entry `scale`.
 
-    S is the oblique basis (orders._oblique_basis) with each kept column
-    scaled by the square root of its eigenvalue, taken at the cutoff where
-    PSD slack puts it below, and B's null columns by that of B's largest
-    (1 when B is zero), so that S does not depend on the units of A and B.
-    S E_k S^T is read from S's leading k columns.  Two checks certify S:
-    its smallest singular value clears the rank cutoff (the sum is direct,
-    so S is invertible), and both reconstructions are within recon_tol of
-    `scale`.  A check that fails raises PsdOrderError naming it.
+    S is the oblique basis (orders._oblique_basis), in canonical order,
+    with each kept column scaled by the square root of its eigenvalue,
+    taken at the cutoff where PSD slack puts it below, and B's null columns
+    by that of B's largest (1 when B is zero), so that S does not depend on
+    the units of A and B.  S E_k S^T is read from S's leading k columns.
+    Two checks certify S: the direct-sum check of every minus certificate
+    (orders._direct_sum: S is invertible), and both reconstructions are
+    within recon_tol of `scale`.  A check that fails raises PsdOrderError
+    naming it.
     """
-    m, lam = _oblique_basis(values, vectors, cutoff)
+    m, lam = _oblique_basis(*canonical_order(values, vectors), cutoff)
     sigmas = np.sqrt(np.maximum(lam, cutoff))
     sigmas[s_rank:] = np.sqrt(values[1, -1]) if s_rank else 1.0
     s = m * sigmas
-    sigma_min, direct = min_singular_value(s, tol)
-    if not direct:
-        raise _certificate_fails("congruence", f"direct-sum check: sigma_min {sigma_min:.3e}")
+    sigma_min = _direct_sum("congruence", s, tol)
     recon = np.array([s[:, :r_rank] @ s[:, :r_rank].T, s[:, :s_rank] @ s[:, :s_rank].T])
     residual_a, residual_b = (over_scale(x, scale) for x in maxabs_stack(recon - pair).tolist())
     if max(residual_a, residual_b) > tol.recon_tol:

@@ -29,10 +29,12 @@ Conventions shared by everything built on top of this module:
   decision on them differs from one on eigh's values only where an
   eigenvalue lies within a few eps times the spectral radius of its
   cutoff or threshold.  A check that reads eigenvectors (the Loewner
-  witness, the image and ginv certificates, the
-  reductions of sim_congruence and the linear models) decides on the
-  values of its one eigh call; the ginv certificate and sim_congruence
-  read their G and S off the eigenvectors of that same call,
+  witness, the image and ginv certificates, the reductions of
+  sim_congruence and the linear models) decides on the values of its one
+  eigh call; the three minus certificates (image, ginv, sim_congruence)
+  read one basis off the eigenvectors of that same call, check it with
+  one direct-sum test on its singular values, and the last two read G and
+  S off it,
 - canonical_order, run only where the order of eigenvectors shows in a
   result, sorts eigenvalues descending and makes the first nonzero
   component of each eigenvector positive, so a factorization is
@@ -40,9 +42,9 @@ Conventions shared by everything built on top of this module:
   one matrix, and returns its values and vectors as arrays.  Where a
   result shows one eigenvector (a Loewner witness, the first column of a
   fitted congruence), canonical_column reads it from eigh's columns, bit
-  for bit the column canonical_order would give, with nothing sorted.  A containment test needs no order:
-  image_in_span takes the eigenvectors as eigh returns them, those under
-  the cutoff zeroed,
+  for bit the column canonical_order would give, with nothing sorted.
+  Singular values need no order: the image certificate checks its basis
+  with the eigenvectors as eigh returns them,
 - a spectrum is owned by the call that computed it and handed on as
   arrays, never kept on a matrix object: a PsdMatrix is certified from
   its eigenvalues and keeps none, and require_psd certifies a whole
@@ -368,22 +370,13 @@ def _spectral_pinv(values, vectors, tol: ToleranceConfig = DEFAULT_TOL, cutoff=N
     return (vectors * inv[..., None, :]) @ vectors.swapaxes(-1, -2)
 
 
-def image_in_span(m, basis, tol: ToleranceConfig = DEFAULT_TOL, slack=0.0) -> np.ndarray:
-    """Whether Im M lies in the span of `basis`, whose columns are
-    orthonormal or zero (eigenvectors with the dropped ones zeroed, in any
-    order and sign): the part of M outside the span is within recon_tol of
-    the largest entry of M, plus `slack`, the error the basis itself
-    carries into M.
-    Measuring M itself rather than a basis of Im M weighs each direction
-    by how much of M it carries, so an eigenvalue far below the others
-    cannot fail the test through the roundoff in its eigenvector.  Stacks
-    of M, bases and slacks give one answer per matrix."""
-    outside, scale = outside_span(m, basis)
-    return outside <= tol.recon_tol * scale + slack
-
-
 def outside_span(m, basis):
-    """The largest entry of the part of M outside the span of `basis`, and
-    the largest entry of M, as image_in_span compares them."""
+    """The largest entry of the part of M outside the span of `basis`, whose
+    columns are orthonormal, and the largest entry of M, the two sides of
+    a test that Im M lies in that span (blue_check's).  Measuring M itself
+    rather than a basis of Im M weighs each direction by how much of M it
+    carries, so an eigenvalue far below the others cannot fail the test
+    through the roundoff in its eigenvector.  Stacks of M and bases give
+    one pair per matrix."""
     outside = m - basis @ (basis.swapaxes(-1, -2) @ m)
     return maxabs_stack(outside), maxabs_stack(m)

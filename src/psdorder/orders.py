@@ -11,12 +11,14 @@ Every check returns an OrderVerdict carrying a machine-checkable
 certificate: an eigenvalue witness, residual norms, or a rank triple.  The
 rank equation decides the minus order for every method and is the first
 step of the star order; a holding minus verdict can carry more on
-request, the containment of the images or an explicit inner inverse, each
-checked before it is returned.  The inner inverse and sim_congruence's S
-are read off one basis of the pair's eigenvectors (_oblique_basis).
+request, the direct sum Im B = Im A (+) Im(B - A) or an explicit inner
+inverse, each checked before it is returned.  Both, and sim_congruence's
+S, are read off one basis of the pair's eigenvectors (_oblique_basis),
+which one direct-sum check certifies for all three (_direct_sum).
 
 Each decision is written once, over stacks of pairs with a leading axis
-(_lowner_stack, _minus_stack, _star_identity): order_holds_many decides a
+(_lowner_stack, _minus_stack, _star_identity), each scale too (_pair_scale
+for one pair, _stack_scale for a stack): order_holds_many decides a
 whole stack from one stacked eigendecomposition, and the scalar checks
 read their verdict and certificate from the same arithmetic at k = 1.
 A decision that reads no eigenvector takes the values alone
@@ -28,14 +30,14 @@ another route: they agree with a values-only decision except on a pair
 with an eigenvalue within a few eps times the spectral radius of its
 cutoff (the threshold, for Loewner), which either backward-stable
 solver may put on either side.
-A scalar check passes A and B through one gate as a stack (_pair), forms
-B - A once and scans only it for finiteness, takes the largest entries
-of A and B in one scan where a threshold or a scale needs them, and
-decomposes all its matrices in one stacked call.  Eigenvectors are put
+A scalar check passes A and B through one gate as a stack
+(numkernel.sym_pair), forms B - A once and scans only it for finiteness,
+takes the largest entries of A and B in one scan where a threshold or a
+scale needs them, and decomposes all its matrices in one stacked call.  Eigenvectors are put
 in canonical order only where the bits of a result depend on their
-order: the basis of the two minus certificates, G and S.  A Loewner
-witness is the one column canonical_order would give, read from eigh's
-output by canonical_column; the image test reads eigh's eigenvectors.
+order: the basis of G and S.  A Loewner witness is the one column
+canonical_order would give, read from eigh's output by canonical_column;
+the image certificate's direct-sum check reads eigh's eigenvectors.
 """
 
 import math
@@ -52,7 +54,6 @@ from .numkernel import (
     eigh_stack,
     eigvalsh_stack,
     identity_budget,
-    image_in_span,
     maxabs,
     maxabs_stack,
     min_singular_value,
@@ -92,34 +93,25 @@ class OrderVerdict:
     detail: str = ""
 
 
-def _pair(a, b):
-    """A and B checked and symmetrized, as one (2, n, n) stack, and B - A,
-    through numkernel.sym_pair: raw input is copied once and scanned once,
-    as B - A, for finiteness.  A non-finite entry of A or B raises
-    ValueError, as sym_array does, and a finite pair whose difference
-    leaves the float range PsdOrderError."""
-    return sym_pair(a, b, difference=True)
-
-
 def _pair_scale(ab):
     """The largest entry of A and B together, as a (1,) array, from their
     (2, n, n) stack in one scan."""
     return maxabs_stack(ab.reshape(1, 2 * ab.shape[-1], ab.shape[-1]))
 
 
+def _stack_scale(a, b):
+    """The largest entry of each pair's A and B, (k,), for stacks as
+    holds_stack takes them: the scale of the Loewner threshold and of the
+    star identity."""
+    return np.maximum(maxabs_stack(a), maxabs_stack(b))
+
+
 def matrices_equal(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Equality up to the reconstruction tolerance, relative to the larger
-    of the two entry scales; exactly equal matrices (zero included) are
-    always equal."""
-    ab, d = _pair(a, b)
-    return _equal(d, _pair_scale(ab).item(), tol)
-
-
-def _equal(d, scale, tol):
-    """matrices_equal from the difference d of two symmetric arrays and the
-    largest entry `scale` of the two: rel_residual(d, A, B) against
-    recon_tol."""
-    return over_scale(maxabs(d), scale) <= tol.recon_tol
+    """Equality up to the reconstruction tolerance: rel_residual(B - A, A, B)
+    against recon_tol, relative to the larger of the two entry scales;
+    exactly equal matrices (zero included) are always equal."""
+    ab, d = sym_pair(a, b, difference=True)
+    return over_scale(maxabs(d), _pair_scale(ab).item()) <= tol.recon_tol
 
 
 def _detail(holds: bool, equal: bool, reverse_holds: bool) -> str:
@@ -151,6 +143,12 @@ def _lowner_stack(scale, values, tol):
     else:
         min_eigs = np.zeros((len(values), 2))
     return min_eigs, min_eigs >= -threshold[:, None], threshold
+
+
+def _lowner_holds(a, b, values, tol):
+    """Whether A <= B, (k,), for stacks as holds_stack takes them, from the
+    ascending spectra `values` (k, n) of their differences B - A."""
+    return _lowner_stack(_stack_scale(a, b), values, tol)[1][:, 0]
 
 
 def _lowner_verdicts(scale, values, vectors, tol, count):
@@ -185,7 +183,7 @@ def lowner_leq(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
     it was held against and, on failure, a unit vector x with
     x^T (B - A) x < 0.
     """
-    ab, d = _pair(a, b)
+    ab, d = sym_pair(a, b, difference=True)
     return _lowner_verdicts(_pair_scale(ab), *eigh_stack(d[None]), tol, 1)[0]
 
 
@@ -233,12 +231,12 @@ def _rank_verdicts(values, tol):
 
 def _minus_pair(a, b, tol, vectors=False):
     """The rank equation of one pair for every caller: A, B and B - A from
-    the pair gate (_pair), stacked and decomposed in one call,
+    the pair gate (numkernel.sym_pair), stacked and decomposed in one call,
     eigvalsh_stack or, with `vectors`, eigh_stack, and decided by
     _minus_stack.  Returns that (3, n, n) stack, the decisions (A below B,
     B below A, equal), the rank triple, the cutoff, the values (3, n) and
     the eigenvector columns (3, n, n) or None."""
-    ab, d = _pair(a, b)
+    ab, d = sym_pair(a, b, difference=True)
     stack = np.array([ab[0], ab[1], d])
     values, vecs = eigh_stack(stack) if vectors else (eigvalsh_stack(stack), None)
     decisions, ranks, cutoff = _minus_stack(values[None], tol)
@@ -251,33 +249,28 @@ def _certificate_fails(name, check):
     return PsdOrderError(f"the {name} certificate of a holding minus verdict fails its {check}")
 
 
-def _image_certificate(a, d, values_b, vectors_b, cutoff, tol):
-    """Im B = Im A (+) Im(B - A) for a pair whose rank equation holds.
-
-    B = A + (B - A) puts Im B inside Im A + Im(B - A), and the ranks add
-    up, so once both summands lie in Im B the sum fills Im B and is
-    direct.  Containment is tested on the matrices themselves
-    (image_in_span) against B's eigenvectors, `vectors_b` as eigh returns
-    them, with the columns under the cutoff zeroed.  B is known only up to
-    the cutoff c, and a change of B that small turns its eigenbasis enough
-    to move the part of a matrix outside Im B by up to n c, which the test
-    allows on top of recon_tol.
-    """
-    span_b = vectors_b * (np.abs(values_b) > cutoff)
-    if not image_in_span(np.array([a, d]), span_b, tol, len(a) * cutoff).all():
-        raise _certificate_fails("image", "containment check: Im A or Im(B - A) leaves Im B")
-    return {"contained": True}
+def _direct_sum(name, m, tol):
+    """The direct-sum check of every minus certificate (`name`: image, ginv
+    or congruence): the n x n basis `m` of a pair whose rank equation holds
+    (_oblique_basis, or S, its columns scaled) is invertible, its smallest
+    singular value clearing the rank cutoff, which with the rank equation
+    is Im B = Im A (+) Im(B - A).  Returns that sigma_min; a basis that fails
+    raises PsdOrderError naming it."""
+    sigma_min, direct = min_singular_value(m, tol)
+    if not direct:
+        raise _certificate_fails(name, f"direct-sum check: sigma_min {sigma_min:.3e}")
+    return sigma_min
 
 
 def _oblique_basis(values, vectors, cutoff):
     """The basis m = (A's kept eigenvectors : B - A's kept : B's dropped)
     of a pair whose rank equation holds, which makes it n x n, and each
-    column's eigenvalue, from the spectra of A, B and B - A as eigh returns
-    them, put in canonical order (the certificates' bits depend on the
-    column order) and masked by `cutoff`.  On the cone
-    Im B = Im A (+) Im(B - A), so m is invertible, and
-    S = m diag(sqrt(lambda)) gives A = S E_r S^T and B = S E_s S^T."""
-    values, vectors = canonical_order(values, vectors)
+    column's eigenvalue, from the spectra of A, B and B - A, (3, n) and
+    (3, n, n), masked by `cutoff`.  On the cone Im B = Im A (+) Im(B - A),
+    so m is invertible, and S = m diag(sqrt(lambda)) gives A = S E_r S^T
+    and B = S E_s S^T.  The columns come in the order of the spectra given:
+    a caller whose bits depend on it (G, S) passes them through
+    canonical_order first; the direct-sum check alone does not."""
     keep_a, keep_b, keep_d = np.abs(values) > cutoff
     columns = np.concatenate((keep_a, keep_d, ~keep_b))
     return (np.concatenate((vectors[0], vectors[2], vectors[1]), axis=1)[:, columns],
@@ -292,14 +285,12 @@ def _ginv_certificate(ab, scale, values, vectors, rank_a, cutoff, tol):
     is W_r^T W_r, W_r the first r rows of S^-1 = diag(1 / sqrt(lambda)) m^-1,
     formed as those rows of m^-1 over A's eigenvalues, transposed, times
     the rows, which inverts a negative eigenvalue as A^+ does.  The
-    certificate checks that m is invertible (the sum of its three pieces is
-    direct) and that G meets the three identities.  `ab`: the (2, n, n)
-    stack of A and B; `scale`: its largest entry.
+    certificate checks that m is invertible (_direct_sum) and that G meets
+    the three identities.  `ab`: the (2, n, n) stack of A and B; `scale`:
+    its largest entry.
     """
-    m, lam = _oblique_basis(values, vectors, cutoff)
-    sigma_min, direct = min_singular_value(m, tol)
-    if not direct:
-        raise _certificate_fails("ginv", f"direct-sum check: sigma_min {sigma_min:.3e}")
+    m, lam = _oblique_basis(*canonical_order(values, vectors), cutoff)
+    sigma_min = _direct_sum("ginv", m, tol)
     w = np.linalg.inv(m)[:rank_a]
     g = (w / lam[:rank_a, None]).T @ w
     left, right = g @ ab, ab @ g
@@ -332,37 +323,45 @@ def minus_leq(
     from their three spectra, and both directions and equality are read from
     that one count (_minus_pair).  The certificate is the rank triple, the
     cutoff and the method.  `method` names what a holding verdict carries
-    besides: "rank" nothing, "image" the containment of Im A and Im(B - A)
-    in Im B, which with the ranks makes Im B their direct sum, and "ginv" an
-    explicit inner inverse witness G.  The rank route reads eigenvalues
-    alone (eigvalsh_stack), the image and ginv routes eigh's factors.  A
+    besides: "rank" nothing, "image" {"contained": True}, that
+    Im B = Im A (+) Im(B - A), so both images lie in Im B, and "ginv" an
+    explicit inner inverse witness G.  Both certificates pass the one
+    direct-sum check (_direct_sum) on the basis they read off eigh's
+    factors; the rank route reads eigenvalues alone (eigvalsh_stack).  A
     requested certificate that fails its own check raises PsdOrderError,
     naming the check.  The inputs are checked by one gate, which scans B - A
-    alone for finiteness (see _pair).
+    alone for finiteness (see numkernel.sym_pair).
     """
     method = MinusMethod(method)
     stack, decision, triple, cutoff, values, vectors = _minus_pair(a, b, tol, method is not MinusMethod.RANK)
     holds, extra = decision[0], None
     if holds and method is MinusMethod.IMAGE:
-        extra = _image_certificate(stack[0], stack[2], values[1], vectors[1], cutoff, tol)
+        # Im B = Im A (+) Im(B - A) exactly when the basis, with B's null
+        # space, fills R^n; its singular values do not depend on the order
+        # or sign of its columns, so they are left as eigh returns them
+        _direct_sum("image", _oblique_basis(values, vectors, cutoff)[0], tol)
+        extra = {"contained": True}
     elif holds and method is MinusMethod.GINV:
         ab = stack[:2]
         extra = _ginv_certificate(ab, _pair_scale(ab).item(), values, vectors, triple[0], cutoff, tol)
     return _rank_verdict(decision, triple, cutoff, method, extra)
 
 
-def _star_identity(x, d, max_x, max_d, cutoff, tol):
+def _star_identity(x, d, scale, cutoff, tol):
     """X (B - A) = 0, the star order's identity, for each X of a stack `x`
-    against B - A, `d` (one, or one per X), both divided by the largest
-    entry of their pair, which keeps the product clear of underflow and
-    overflow, as are the largest entries `max_x` and `max_d` of X and B - A
-    (rounding is monotone, so those are the divided matrices') and the rank
-    cutoff, each a float or one per X.  Returns each product's largest
-    entry, the residual, and the budget it is held against: recon_tol
-    |X| |B - A| plus n |X| times the cutoff, the roundoff of forming B - A
-    from A and B known to about the cutoff.  A product that is a fair part of |X| |B - A| fails,
-    however small B - A is next to X."""
-    return maxabs_stack(x @ d), max_x * (tol.recon_tol * max_d + x.shape[-1] * cutoff)
+    against B - A, `d` (one, or one per X).  X, B - A and the rank cutoff
+    are divided by `scale`, the largest entry of the pair's A and B (1 for
+    a zero pair), which keeps the product clear of underflow and overflow;
+    `scale` and `cutoff` are floats or one per X.  Returns each product's largest entry, the residual, and the
+    budget it is held against: recon_tol |X| |B - A| plus n |X| times the
+    cutoff, the roundoff of forming B - A from A and B known to about the
+    cutoff.  A product that is a fair part of |X| |B - A| fails, however
+    small B - A is next to X."""
+    scale = scale + (scale == 0.0)  # 1 for a zero pair, and a float stays a float
+    units = np.asarray(scale)[..., None, None]
+    x, d = x / units, d / units
+    budget = maxabs_stack(x) * (tol.recon_tol * maxabs_stack(d) + x.shape[-1] * (cutoff / scale))
+    return maxabs_stack(x @ d), budget
 
 
 def star_family_leq(
@@ -387,12 +386,9 @@ def star_family_leq(
     if variant not in (Relation.STAR, Relation.LEFT_STAR, Relation.RIGHT_STAR):
         raise ValueError(f"{variant.value!r} is not a star-family relation")
     stack, (holds, reverse, equal), triple, cutoff, _, _ = _minus_pair(a, b, tol)
-    maxima = maxabs_stack(stack)
-    max_a, max_b, max_d = maxima.tolist()
-    scale = max(max_a, max_b) or 1.0
-    units = stack / scale
+    # a float scale keeps B - A one (n, n) matrix, and the product's bits with it
     residual, budget = (x.tolist() for x in _star_identity(
-        units[:2], units[2], maxima[:2] / scale, max_d / scale, cutoff / scale, tol))
+        stack[:2], stack[2], _pair_scale(stack[:2]).item(), cutoff, tol))
     holds, reverse = holds and residual[0] <= budget[0], reverse and residual[1] <= budget[1]
     return OrderVerdict(
         holds=holds,
@@ -457,16 +453,10 @@ def holds_stack(a, b, relation: Relation | str, tol: ToleranceConfig = DEFAULT_T
     (_star_identity), as star_family_leq decides a pair."""
     relation = Relation(relation)
     if relation is Relation.LOWNER:
-        values = eigvalsh_stack(derived("B - A", np.subtract, b, a))
-        return _lowner_stack(np.maximum(maxabs_stack(a), maxabs_stack(b)), values, tol)[1][:, 0]
+        return _lowner_holds(a, b, eigvalsh_stack(derived("B - A", np.subtract, b, a)), tol)
     values, d = _pair_spectra(a, b)
     decisions, _, cutoff = _minus_stack(values, tol)
     if relation is Relation.MINUS:
         return decisions[0]
-    max_a = maxabs_stack(a)
-    scale = np.maximum(max_a, maxabs_stack(b))
-    scale[scale == 0.0] = 1.0
-    units = scale[:, None, None]
-    residual, budget = _star_identity(a / units, d / units, max_a / scale, maxabs_stack(d) / scale,
-                                      cutoff / scale, tol)
+    residual, budget = _star_identity(a, d, _stack_scale(a, b), cutoff, tol)
     return decisions[0] & (residual <= budget)

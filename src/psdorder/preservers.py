@@ -28,7 +28,7 @@ from .numkernel import (
     rel_residual_stack,
     sym_stack,
 )
-from .orders import Relation, _lowner_stack, _minus_stack, _pair_spectra, holds_stack
+from .orders import Relation, _lowner_holds, _minus_stack, _pair_spectra, holds_stack
 from .rng import box_muller, child_key, index_hash, uniform_block
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -478,8 +478,7 @@ def projector_fixed_point_suite(
     fx = _symmetrize(derived("a map image", mmap._images, x))
     # one decomposition per side, read by the Loewner and the minus decisions
     sides = [(m[:-1], m[-1:], _pair_spectra(m[:-1], m[-1:])[0]) for m in (x, fx)]
-    lowner = np.reshape([_lowner_stack(np.maximum(maxabs_stack(a), maxabs_stack(b)), v[:, 2], tol)[1][:, 0]
-                         for a, b, v in sides], (2, 2, trials))
+    lowner = np.reshape([_lowner_holds(a, b, v[:, 2], tol) for a, b, v in sides], (2, 2, trials))
     minus = np.reshape([_minus_stack(v, tol)[0][0] for *_, v in sides], (2, 2, trials))
     # P <= I in both orders, t P <= I in the PSD order only (unless P = 0)
     on_interval = lowner[:, 0] & minus[:, 0] & lowner[:, 1] & ((ranks == 0) | ~minus[:, 1])

@@ -271,15 +271,25 @@ def test_sim_congruence_reduces_every_pair_the_ginv_route_holds(data, n, decades
     # orders.  The ginv route's G and sim_congruence's S are read from one
     # oblique basis; sim_congruence reduces exactly the pairs the ginv route
     # holds, with its ranks and within recon_tol, and fails no check of its
-    # certificate, however graded the pair
+    # certificate, however graded the pair.  The image route checks the same
+    # basis, so it holds exactly where the ginv route holds, on those pairs
+    # and off the cone, on A = S diag(+-lambda on r) S^T below
+    # B = A + S diag(+-mu on the next s - r) S^T and the reverse, and
+    # neither fails its direct-sum check
     s_rank = data.draw(st.integers(0, n))
     r_rank = data.draw(st.integers(0, s_rank))
     rng = np.random.default_rng(seed)
     s = (_orthogonal(rng, n) * 10.0 ** rng.uniform(0.0, decades, n)) @ _orthogonal(rng, n).T
     a, b = ((s * np.r_[np.ones(k), np.zeros(n - k)]) @ s.T for k in (r_rank, s_rank))
     (da, db), = delta_family(count=1, seed=seed)
+    weights, index = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n), np.arange(n)
+    oa = (s * np.where(index < r_rank, weights, 0.0)) @ s.T
+    ob = oa + (s * np.where((index >= r_rank) & (index < s_rank), weights, 0.0)) @ s.T
+    for x, y in ((oa, ob), (ob, oa)):
+        assert minus_leq(x, y, method="image").holds == minus_leq(x, y, method="ginv").holds
     for x, y in ((a, b), (da, db), (db, da)):
         verdict = minus_leq(x, y, method="ginv")
+        assert minus_leq(x, y, method="image").holds == verdict.holds
         try:
             res = sim_congruence(x, y)
         except NotMinusComparable:

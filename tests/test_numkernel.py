@@ -16,7 +16,7 @@ from psdorder import (
     sym_eig,
 )
 from psdorder.errors import DimensionMismatch, PsdOrderError
-from psdorder.numkernel import canonical_column, canonical_order, column_span, image_in_span, maxabs, sym_stack
+from psdorder.numkernel import canonical_column, canonical_order, column_span, maxabs, outside_span, sym_stack
 
 
 def image(a, tol=DEFAULT_TOL):
@@ -226,22 +226,25 @@ def test_image_basis():
 
 
 def test_image_in_span():
+    def inside(m, basis):
+        outside, scale = outside_span(m, basis)
+        return outside <= DEFAULT_TOL.recon_tol * scale
+
     e1 = np.diag([1.0, 0.0, 0.0])
     full = np.eye(3)
-    assert image_in_span(e1, image(full))
-    assert not image_in_span(full, image(e1))
-    assert image_in_span(e1, image(e1))
+    assert inside(e1, image(full))
+    assert not inside(full, image(e1))
+    assert inside(e1, image(e1))
     # the zero matrix has the zero image, which sits inside every span
     z = np.zeros((3, 3))
-    assert image_in_span(z, image(e1))
-    assert image_in_span(z, image(z))
-    assert not image_in_span(e1, image(z))
-    # the part outside the span is measured against M, plus the slack
-    assert image_in_span(np.diag([1.0, 1e-9, 0.0]), image(e1))
+    assert inside(z, image(e1))
+    assert inside(z, image(z))
+    assert not inside(e1, image(z))
+    # the part outside the span is measured against M
+    assert inside(np.diag([1.0, 1e-9, 0.0]), image(e1))
     m = np.diag([1.0, 1e-6, 0.0])
-    assert not image_in_span(m, image(e1))
-    assert image_in_span(m, image(e1), slack=1e-6)
-    assert not image_in_span(m, image(e1), slack=0.5e-6)
+    assert not inside(m, image(e1))
+    assert [x.item() for x in outside_span(m, image(e1))] == [1e-6, 1.0]
 
 
 def test_symmetrization_does_not_overflow():

@@ -22,7 +22,7 @@ from psdorder import (
     sym_eig,
 )
 from psdorder.errors import DimensionMismatch, PsdOrderError
-from psdorder.numkernel import image_in_span, maxabs
+from psdorder.numkernel import maxabs, outside_span
 
 ALL_RELATIONS = [Relation.LOWNER, Relation.MINUS, Relation.STAR,
                  Relation.LEFT_STAR, Relation.RIGHT_STAR]
@@ -467,7 +467,7 @@ def test_a_certificate_that_fails_its_check_raises():
     v = minus_leq(*MISCOUNTED)
     assert (v.holds, v.detail) == (True, "strictly less")
     assert [v.certificate[k] for k in ("rank_a", "rank_b", "rank_diff")] == [1, 2, 1]
-    with pytest.raises(PsdOrderError, match="image certificate .* containment check"):
+    with pytest.raises(PsdOrderError, match="image certificate .* direct-sum check: sigma_min"):
         minus_leq(*MISCOUNTED, method=MinusMethod.IMAGE)
     with pytest.raises(PsdOrderError, match="ginv certificate .* direct-sum check"):
         minus_leq(*MISCOUNTED, method=MinusMethod.GINV)
@@ -533,7 +533,8 @@ def test_lowner_implies_image_containment():
         a = 0.3 * b
         assert lowner_leq(a, b).holds
         values, vectors = sym_eig(b)
-        assert image_in_span(a, vectors[:, np.abs(values) > DEFAULT_TOL.rank_cutoff(values)])
+        outside, scale = outside_span(a, vectors[:, np.abs(values) > DEFAULT_TOL.rank_cutoff(values)])
+        assert outside <= DEFAULT_TOL.recon_tol * scale
         # and a generic witness with larger image is not PSD-below
         if inertia(b).rank < n:
             big = b + np.eye(n)

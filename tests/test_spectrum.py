@@ -225,8 +225,8 @@ def test_stacked_kernels_match_per_matrix_calls(n, k):
     d = rng.uniform(0.5, 2.0, (k, n))
     s = rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
-    # the image containment: eigenvectors with the dropped columns
-    # zeroed, a different mask per matrix, projected the way image_in_span does
+    # a masked projection: eigenvectors with the dropped columns zeroed, a
+    # different mask per matrix, projected the way outside_span projects
     v = np.linalg.eigh(x + x.swapaxes(-1, -2))[1]
     keep = rng.uniform(size=(k, n)) < 0.5
     span = v * keep[:, None, :]
@@ -508,13 +508,20 @@ def test_one_finiteness_scan_per_pair(monkeypatch, route):
         assert scanned == [(4, 4)], (route, label)
 
 
-def test_image_route_takes_no_svd(monkeypatch):
-    def no_svd(*args, **kwargs):
-        raise AssertionError("the image route called np.linalg.svd")
+def test_image_route_takes_one_svd_on_a_holding_pair(monkeypatch):
+    # the direct-sum check's singular values, which a failing verdict skips
+    calls = []
+    svd = np.linalg.svd
 
-    monkeypatch.setattr(np.linalg, "svd", no_svd)
-    for label in ("holds", "fails"):
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for label, want in (("holds", [{"compute_uv": False}]), ("fails", [])):
+        calls.clear()
         assert _verdict("minus_image", *PAIRS["minus"][label]).holds == (label == "holds")
+        assert calls == want, label
 
 
 def test_eigh_calls_sim_congruence(eigh_calls):

@@ -142,12 +142,14 @@ def test_minus_certificates_match_the_reference_on_generated_pairs(data, n, kind
     # reconstructions from S's leading columns and the ginv route G's
     # identities from stacked products, where the reference multiplies by
     # E_k and by each matrix on its own; the bits agree as the BLAS
-    # kernel sums, so they are compared on many pairs
+    # kernel sums, so they are compared on many pairs.  The image route
+    # checks the same basis, as eigh returns it, by the ginv route's
+    # direct-sum check
     s_rank = data.draw(st.integers(0, n))
     r_rank = data.draw(st.integers(0, s_rank))
     factor = _factor(kind, n, np.random.default_rng(seed))
     a, b = ((factor * np.r_[np.ones(k), np.zeros(n - k)]) @ factor.T for k in (r_rank, s_rank))
-    for name in ("sim_congruence", "minus_ginv"):
+    for name in ("sim_congruence", "minus_ginv", "minus_image"):
         call, reference = CALLS[name]
         got = _outcome(call, a, b)
         assert got == _outcome(reference, a, b), name
