@@ -34,7 +34,7 @@ from .numkernel import (
     require_psd,
     sym_array,
 )
-from .orders import OrderVerdict, _lowner_verdicts, _pair_scale, _rank_verdicts
+from .orders import OrderVerdict, _lowner_verdicts, _rank_verdicts
 from .rng import normal_matrix, substream
 from .special import chi2_cdf, ks_uniform_distance
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -184,8 +184,8 @@ def model_compare(
         _symmetrize(_gram_sandwiches([model], tol)[0], out=stack[i])
     stack[2] = derived("M1 - M2", np.subtract, stack[0], stack[1])
     values, vectors = eigh_stack(stack)
-    require_psd(stack[:2], values[:2], tol)
-    forward, backward = _lowner_verdicts(_pair_scale(stack[:2]), values[2:], vectors[2:], tol, 2)
+    scales = require_psd(stack[:2], values[:2], tol)
+    forward, backward = _lowner_verdicts(scales.max(keepdims=True), values[2:], vectors[2:], tol, 2)
     return ComparisonVerdict(
         l1_geq_l2=forward.holds,
         l2_geq_l1=backward.holds,

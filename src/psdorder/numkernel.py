@@ -9,11 +9,11 @@ Conventions shared by everything built on top of this module:
   matrix) and sym_stack (a stack) pass a symmetric argument through it and
   symmetrize it as 0.5 A + 0.5 A^T, which cannot overflow; a SymMatrix is
   sym_array's result made read-only.  sym_pair passes the two matrices of
-  a pair through it as one stack and scans them once: a pair entry of
-  the orders scans B - A alone, finite exactly when A and B are and
-  their difference stays in range, and only when that scan fails does
-  it scan A and B to tell ValueError from PsdOrderError; every fault
-  raises what it raises alone,
+  a pair through it as one stack and returns the pair as one stack
+  [A, B, B - A]: it scans B - A alone for finiteness, finite exactly when
+  A and B are and their difference stays in range, and only when that
+  scan fails does it scan A and B to tell ValueError from PsdOrderError;
+  every fault raises what it raises alone,
 - a matrix derived from checked input (B - A, D + X X^T, W^T A W, a
   map's images) is formed by `derived`, which raises PsdOrderError when
   it leaves the float range; a residual beyond it is inf to rel_residual
@@ -60,7 +60,9 @@ Conventions shared by everything built on top of this module:
   largest entry of the matrices the test is about (the matrix itself
   for require_psd, A and B for the Loewner order on B - A), so scaling
   every input by c > 0 changes no decision; exact zero is its own case
-  at any scale.
+  at any scale.  A pair is scanned once for its largest entries, one
+  maxabs_stack of its stack [A, B, B - A], and every check of the pair
+  reads them: its scale is the larger of A's and B's.
 """
 
 from functools import reduce
@@ -116,30 +118,32 @@ def sym_stack(data) -> np.ndarray:
     return _symmetrize(_coerce(data, ndim=3))
 
 
-def sym_pair(a, b, difference: bool = False):
-    """A pair of square matrices of one shape, checked and symmetrized as
-    sym_array does each, as one (2, n, n) stack; with `difference`, also
-    B - A, formed as derived forms it (else None).
+def sym_pair(a, b) -> np.ndarray:
+    """The stack [A, B, B - A] of a pair of square matrices of one shape,
+    A and B checked and symmetrized as sym_array does each, B - A formed as
+    derived forms it.
 
-    Raw A and B of one shape pass _coerce as one stack: one copy and one
-    finiteness scan, of B - A when it is formed, since symmetrized A and B
-    are finite wherever B - A is.  On any fault the pair goes through
-    sym_array one matrix at a time, A first, then the size check and
-    derived, so that each fault raises the error it raises alone.
+    Raw A and B of one shape pass _coerce as one stack, symmetrized in
+    place: one copy and one finiteness scan, of B - A, since symmetrized A
+    and B are finite wherever B - A is.  On any fault the pair goes through sym_array one
+    matrix at a time, A first, then the size check and derived, so that
+    each fault raises the error it raises alone.
     """
     if not isinstance(a, SymMatrix) and not isinstance(b, SymMatrix):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                ab = _symmetrize(_coerce((a, b), ndim=3, finite=not difference))
-                d = np.subtract(ab[1], ab[0]) if difference else None
-            if d is None or np.isfinite(d).all():
-                return ab, d
+                # a second copy of A holds the place of B - A
+                stack = _coerce((a, b, a), ndim=3, finite=False)
+                _symmetrize(stack, out=stack)
+                np.subtract(stack[1], stack[0], out=stack[2])
+            if np.isfinite(stack[2]).all():
+                return stack
         except (DimensionMismatch, ValueError, TypeError):
             pass
     a, b = sym_array(a), sym_array(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"size mismatch: {len(a)} vs {len(b)}")
-    return np.array([a, b]), (derived("B - A", np.subtract, b, a) if difference else None)
+    return np.array([a, b, derived("B - A", np.subtract, b, a)])
 
 
 def derived(what: str, op, *args) -> np.ndarray:
@@ -163,29 +167,26 @@ def maxabs_stack(m) -> np.ndarray:
     return np.abs(m).max(axis=(-2, -1), initial=0.0)
 
 
-def rel_residual(diff, *refs) -> float:
-    """maxabs(diff) over the largest entry of `refs`: 0 when diff is exactly
-    zero, inf (failing every budget) when it is not but every ref is, or
-    when diff is not finite (a residual beyond the float range)."""
-    num = maxabs(diff)
-    # the refs are scanned only for a nonzero residual
-    return over_scale(num, max(map(maxabs, refs))) if num else 0.0
+def rel_residual(diff, *refs):
+    """maxabs(diff) over the largest entry of `refs`, as a float for one
+    matrix and an array for each matrix of a stack: 0 where diff is
+    exactly zero, inf (failing every budget) where it is not but every ref
+    is, or where diff is not finite (a residual beyond the float range)."""
+    num = maxabs_stack(diff)
+    if not num.ndim:
+        # the refs are scanned only for a nonzero residual
+        return over_scale(float(num), max(map(maxabs, refs))) if num else 0.0
+    den = reduce(np.maximum, map(maxabs_stack, refs))
+    out = np.where(num == 0.0, 0.0, np.inf)
+    return np.divide(num, den, out=out, where=(num != 0.0) & (num < np.inf) & (den > 0.0))
 
 
 def over_scale(num: float, den: float) -> float:
     """rel_residual from the largest entries, `num` of the residual and
-    `den` of the matrices compared."""
+    `den` of the matrices compared, as floats."""
     if num == 0.0:
         return 0.0
     return num / den if den > 0.0 and num < np.inf else np.inf
-
-
-def rel_residual_stack(diff, *refs) -> np.ndarray:
-    """rel_residual of each matrix of a stack (over the last two axes)."""
-    num = maxabs_stack(diff)
-    den = reduce(np.maximum, map(maxabs_stack, refs))
-    out = np.where(num == 0.0, 0.0, np.inf)
-    return np.divide(num, den, out=out, where=(num != 0.0) & (num < np.inf) & (den > 0.0))
 
 
 def identity_budget(tol: ToleranceConfig, op, scale: float = 1.0) -> float:
@@ -361,11 +362,10 @@ def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return _spectral_pinv(*sym_eig(a), tol)
 
 
-def _spectral_pinv(values, vectors, tol: ToleranceConfig = DEFAULT_TOL, cutoff=None) -> np.ndarray:
+def _spectral_pinv(values, vectors, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """pinv of Q diag(values) Q^T, Q = `vectors`, from that spectrum (or of
-    each matrix of a stack from its spectra), under its own rank cutoff or
-    the `cutoff` given."""
-    keep = np.abs(values) > (tol.rank_cutoff(values)[..., None] if cutoff is None else cutoff)
+    each matrix of a stack from its spectra), under its own rank cutoff."""
+    keep = np.abs(values) > tol.rank_cutoff(values)[..., None]
     inv = np.where(keep, 1.0 / np.where(keep, values, 1.0), 0.0)
     return (vectors * inv[..., None, :]) @ vectors.swapaxes(-1, -2)
 

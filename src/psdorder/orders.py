@@ -17,10 +17,12 @@ S, are read off one basis of the pair's eigenvectors (_oblique_basis),
 which one direct-sum check certifies for all three (_direct_sum).
 
 Each decision is written once, over stacks of pairs with a leading axis
-(_lowner_stack, _minus_stack, _star_identity), each scale too (_pair_scale
-for one pair, _stack_scale for a stack): order_holds_many decides a
+(_lowner_stack, _minus_stack, _star_identity): order_holds_many decides a
 whole stack from one stacked eigendecomposition, and the scalar checks
 read their verdict and certificate from the same arithmetic at k = 1.
+A pair is one stack [A, B, B - A], scanned once for its largest entries
+(maxabs_stack), and every threshold, budget and residual of the pair
+reads them: its scale is the larger of A's and B's.
 A decision that reads no eigenvector takes the values alone
 (eigvalsh_stack): the stacked decisions, the scalar minus rank route and
 the star family, which read the same bits.  The scalar Loewner
@@ -30,14 +32,15 @@ another route: they agree with a values-only decision except on a pair
 with an eigenvalue within a few eps times the spectral radius of its
 cutoff (the threshold, for Loewner), which either backward-stable
 solver may put on either side.
-A scalar check passes A and B through one gate as a stack
-(numkernel.sym_pair), forms B - A once and scans only it for finiteness,
-takes the largest entries of A and B in one scan where a threshold or a
-scale needs them, and decomposes all its matrices in one stacked call.  Eigenvectors are put
-in canonical order only where the bits of a result depend on their
-order: the basis of G and S.  A Loewner witness is the one column
-canonical_order would give, read from eigh's output by canonical_column;
-the image certificate's direct-sum check reads eigh's eigenvectors.
+A scalar check passes A and B through one gate (numkernel.sym_pair),
+which forms B - A once, scans only it for finiteness and returns the
+pair's stack; the check decomposes all its matrices in one stacked call
+and scans the stack only where a threshold or a budget needs the
+largest entries.  Eigenvectors are put in canonical order only where the
+bits of a result depend on their order: the basis of G and S.  A
+Loewner witness is the one column canonical_order would give, read from
+eigh's output by canonical_column; the image certificate's direct-sum
+check reads eigh's eigenvectors.
 """
 
 import math
@@ -54,7 +57,6 @@ from .numkernel import (
     eigh_stack,
     eigvalsh_stack,
     identity_budget,
-    maxabs,
     maxabs_stack,
     min_singular_value,
     over_scale,
@@ -93,25 +95,12 @@ class OrderVerdict:
     detail: str = ""
 
 
-def _pair_scale(ab):
-    """The largest entry of A and B together, as a (1,) array, from their
-    (2, n, n) stack in one scan."""
-    return maxabs_stack(ab.reshape(1, 2 * ab.shape[-1], ab.shape[-1]))
-
-
-def _stack_scale(a, b):
-    """The largest entry of each pair's A and B, (k,), for stacks as
-    holds_stack takes them: the scale of the Loewner threshold and of the
-    star identity."""
-    return np.maximum(maxabs_stack(a), maxabs_stack(b))
-
-
 def matrices_equal(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Equality up to the reconstruction tolerance: rel_residual(B - A, A, B)
     against recon_tol, relative to the larger of the two entry scales;
     exactly equal matrices (zero included) are always equal."""
-    ab, d = sym_pair(a, b, difference=True)
-    return over_scale(maxabs(d), _pair_scale(ab).item()) <= tol.recon_tol
+    max_a, max_b, max_d = maxabs_stack(sym_pair(a, b)).tolist()
+    return over_scale(max_d, max(max_a, max_b)) <= tol.recon_tol
 
 
 def _detail(holds: bool, equal: bool, reverse_holds: bool) -> str:
@@ -131,7 +120,7 @@ def _lowner_stack(scale, values, tol):
     B - A and of A - B (k, 2), whether each is at least -threshold (A <= B,
     B <= A; a pair is equal when both hold, i.e. every eigenvalue of B - A
     is within the threshold), and the threshold: psd_tol times `scale`
-    (k,), the largest entry of each pair's A and B."""
+    (k,), the larger of the largest entries of each pair's A and B."""
     threshold = tol.psd_tol * scale
     if values.shape[-1]:
         min_eigs = values[:, [0, -1]]
@@ -145,16 +134,10 @@ def _lowner_stack(scale, values, tol):
     return min_eigs, min_eigs >= -threshold[:, None], threshold
 
 
-def _lowner_holds(a, b, values, tol):
-    """Whether A <= B, (k,), for stacks as holds_stack takes them, from the
-    ascending spectra `values` (k, n) of their differences B - A."""
-    return _lowner_stack(_stack_scale(a, b), values, tol)[1][:, 0]
-
-
 def _lowner_verdicts(scale, values, vectors, tol, count):
     """The first `count` of the verdicts A <= B and B <= A, from the one
     spectrum of B - A, values (1, n) and vectors (1, n, n) as eigh_stack
-    returns them, and the largest entry `scale` (1,) of A and B.  A verdict
+    returns them, and the pair's scale (1,).  A verdict
     that fails gives as its witness the one eigenvector that
     canonical_order would put last (A <= B) or first (B <= A), read from
     eigh's columns by canonical_column; no other eigenvector is ordered."""
@@ -183,8 +166,8 @@ def lowner_leq(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
     it was held against and, on failure, a unit vector x with
     x^T (B - A) x < 0.
     """
-    ab, d = sym_pair(a, b, difference=True)
-    return _lowner_verdicts(_pair_scale(ab), *eigh_stack(d[None]), tol, 1)[0]
+    stack = sym_pair(a, b)
+    return _lowner_verdicts(_scan(stack, 1)[0], *eigh_stack(stack[2:]), tol, 1)[0]
 
 
 # _minus_stack's decisions: r_B - r_A - r_{B-A}, r_A - r_B - r_{B-A} and r_{B-A} vanish
@@ -231,13 +214,12 @@ def _rank_verdicts(values, tol):
 
 def _minus_pair(a, b, tol, vectors=False):
     """The rank equation of one pair for every caller: A, B and B - A from
-    the pair gate (numkernel.sym_pair), stacked and decomposed in one call,
+    the pair gate (numkernel.sym_pair) as one stack, decomposed in one call,
     eigvalsh_stack or, with `vectors`, eigh_stack, and decided by
     _minus_stack.  Returns that (3, n, n) stack, the decisions (A below B,
     B below A, equal), the rank triple, the cutoff, the values (3, n) and
     the eigenvector columns (3, n, n) or None."""
-    ab, d = sym_pair(a, b, difference=True)
-    stack = np.array([ab[0], ab[1], d])
+    stack = sym_pair(a, b)
     values, vecs = eigh_stack(stack) if vectors else (eigvalsh_stack(stack), None)
     decisions, ranks, cutoff = _minus_stack(values[None], tol)
     return stack, decisions[:, 0].tolist(), ranks[:, 0].tolist(), cutoff.item(), values, vecs
@@ -277,7 +259,7 @@ def _oblique_basis(values, vectors, cutoff):
             values[[0, 2, 1]].ravel()[columns])
 
 
-def _ginv_certificate(ab, scale, values, vectors, rank_a, cutoff, tol):
+def _ginv_certificate(stack, values, vectors, rank_a, cutoff, tol):
     """An inner inverse G of A with G A = G B and A G = B G, which exists
     exactly when A is below B, for a pair whose rank equation holds.
 
@@ -286,9 +268,10 @@ def _ginv_certificate(ab, scale, values, vectors, rank_a, cutoff, tol):
     formed as those rows of m^-1 over A's eigenvalues, transposed, times
     the rows, which inverts a negative eigenvalue as A^+ does.  The
     certificate checks that m is invertible (_direct_sum) and that G meets
-    the three identities.  `ab`: the (2, n, n) stack of A and B; `scale`:
-    its largest entry.
+    the three identities.  `stack`: the pair's [A, B, B - A], scanned once
+    for its scale, the larger of A's and B's largest entries.
     """
+    ab, scale = stack[:2], max(maxabs_stack(stack)[:2].tolist())
     m, lam = _oblique_basis(*canonical_order(values, vectors), cutoff)
     sigma_min = _direct_sum("ginv", m, tol)
     w = np.linalg.inv(m)[:rank_a]
@@ -342,26 +325,27 @@ def minus_leq(
         _direct_sum("image", _oblique_basis(values, vectors, cutoff)[0], tol)
         extra = {"contained": True}
     elif holds and method is MinusMethod.GINV:
-        ab = stack[:2]
-        extra = _ginv_certificate(ab, _pair_scale(ab).item(), values, vectors, triple[0], cutoff, tol)
+        extra = _ginv_certificate(stack, values, vectors, triple[0], cutoff, tol)
     return _rank_verdict(decision, triple, cutoff, method, extra)
 
 
-def _star_identity(x, d, scale, cutoff, tol):
+def _star_identity(x, d, max_x, max_d, scale, cutoff, tol):
     """X (B - A) = 0, the star order's identity, for each X of a stack `x`
-    against B - A, `d` (one, or one per X).  X, B - A and the rank cutoff
-    are divided by `scale`, the largest entry of the pair's A and B (1 for
-    a zero pair), which keeps the product clear of underflow and overflow;
-    `scale` and `cutoff` are floats or one per X.  Returns each product's largest entry, the residual, and the
-    budget it is held against: recon_tol |X| |B - A| plus n |X| times the
-    cutoff, the roundoff of forming B - A from A and B known to about the
-    cutoff.  A product that is a fair part of |X| |B - A| fails, however
-    small B - A is next to X."""
+    against B - A, `d` (one, or one per X), whose largest entries are
+    `max_x` (one per X) and `max_d`.  X, B - A and the rank cutoff are
+    divided by `scale`, the pair's (1 for a zero pair), which keeps the
+    product clear of underflow and overflow; `scale` and `cutoff` are
+    floats or one per X.  Returns each product's largest entry, the
+    residual, and the budget it is held against: recon_tol |X| |B - A|
+    plus n |X| times the cutoff, the roundoff of forming B - A from A and B
+    known to about the cutoff.  The largest entries are divided rather
+    than the quotients scanned: division by scale > 0 is monotone, so both
+    give the same bits.  A product that is a fair part of |X| |B - A|
+    fails, however small B - A is next to X."""
     scale = scale + (scale == 0.0)  # 1 for a zero pair, and a float stays a float
     units = np.asarray(scale)[..., None, None]
-    x, d = x / units, d / units
-    budget = maxabs_stack(x) * (tol.recon_tol * maxabs_stack(d) + x.shape[-1] * (cutoff / scale))
-    return maxabs_stack(x @ d), budget
+    budget = max_x / scale * (tol.recon_tol * (max_d / scale) + x.shape[-1] * (cutoff / scale))
+    return maxabs_stack(x / units @ (d / units)), budget
 
 
 def star_family_leq(
@@ -386,9 +370,10 @@ def star_family_leq(
     if variant not in (Relation.STAR, Relation.LEFT_STAR, Relation.RIGHT_STAR):
         raise ValueError(f"{variant.value!r} is not a star-family relation")
     stack, (holds, reverse, equal), triple, cutoff, _, _ = _minus_pair(a, b, tol)
+    maxima = maxabs_stack(stack)
     # a float scale keeps B - A one (n, n) matrix, and the product's bits with it
     residual, budget = (x.tolist() for x in _star_identity(
-        stack[:2], stack[2], _pair_scale(stack[:2]).item(), cutoff, tol))
+        stack[:2], stack[2], maxima[:2], maxima[2], max(maxima[:2].tolist()), cutoff, tol))
     holds, reverse = holds and residual[0] <= budget[0], reverse and residual[1] <= budget[1]
     return OrderVerdict(
         holds=holds,
@@ -434,29 +419,39 @@ def order_holds_many(a, b, relation: Relation | str, tol: ToleranceConfig = DEFA
     return holds_stack(a, b, relation, tol)
 
 
-def _pair_spectra(a, b):
-    """The ascending spectra (k, 3, n) of A, B and B - A for stacks as
-    holds_stack takes them, from one values-only call (eigvalsh_stack; a
-    shared B decomposed once), and B - A."""
-    d = derived("B - A", np.subtract, b, a)
-    values = eigvalsh_stack(np.concatenate([a, b, d]))
-    parts = np.split(values, [len(a), len(a) + len(b)])
-    return np.stack(np.broadcast_arrays(*parts), axis=1), d
+def _scan(stack, k):
+    """One scan of the stack [A, B, B - A] of k pairs: each pair's scale
+    (k,), the larger of its A's and B's largest entries, and the largest
+    entries (k,) of each A and each B - A."""
+    maxima = maxabs_stack(stack)
+    max_a, max_d = maxima[:k], maxima[len(stack) - k:]
+    return np.maximum(max_a, maxima[k:len(stack) - k]), max_a, max_d
+
+
+def _per_pair(x, k):
+    """`x`, one entry per matrix of the stack [A, B, B - A] of k pairs, as
+    (k, 3, ...): each pair's entries of A, B and B - A, a shared B's in
+    every pair."""
+    return np.stack(np.broadcast_arrays(*np.split(x, [k, len(x) - k])), axis=1)
 
 
 def holds_stack(a, b, relation: Relation | str, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """order_holds_many on stacks as sym_stack returns them, B (k, n, n) or
-    (1, n, n).  One stacked values-only decomposition (eigvalsh_stack)
-    covers the whole stack, of B - A for the Loewner order, of A, B and
-    B - A for the others, then each decision runs once over the stack: the
-    star family's is the minus decision and the identity A (B - A) = 0
-    (_star_identity), as star_family_leq decides a pair."""
+    (1, n, n), formed into one stack [A, B, B - A], a shared B in it once,
+    scanned once where a threshold or a budget reads it (_scan) and
+    decomposed in one values-only call (eigvalsh_stack), of B - A alone for
+    the Loewner order.  Each decision runs once over the stack; the star
+    family's is the minus decision and A (B - A) = 0 (_star_identity), as
+    star_family_leq decides a pair."""
     relation = Relation(relation)
+    k = len(a)
+    stack = np.concatenate([a, b, derived("B - A", np.subtract, b, a)])
+    d = stack[len(stack) - k:]
     if relation is Relation.LOWNER:
-        return _lowner_holds(a, b, eigvalsh_stack(derived("B - A", np.subtract, b, a)), tol)
-    values, d = _pair_spectra(a, b)
-    decisions, _, cutoff = _minus_stack(values, tol)
+        return _lowner_stack(_scan(stack, k)[0], eigvalsh_stack(d), tol)[1][:, 0]
+    decisions, _, cutoff = _minus_stack(_per_pair(eigvalsh_stack(stack), k), tol)
     if relation is Relation.MINUS:
         return decisions[0]
-    residual, budget = _star_identity(a, d, _stack_scale(a, b), cutoff, tol)
+    scale, max_a, max_d = _scan(stack, k)
+    residual, budget = _star_identity(a, d, max_a, max_d, scale, cutoff, tol)
     return decisions[0] & (residual <= budget)

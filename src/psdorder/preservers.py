@@ -23,12 +23,13 @@ from .numkernel import (
     canonical_column,
     derived,
     eigh_stack,
+    eigvalsh_stack,
     maxabs_stack,
     min_singular_value,
-    rel_residual_stack,
+    rel_residual,
     sym_stack,
 )
-from .orders import Relation, _lowner_holds, _minus_stack, _pair_spectra, holds_stack
+from .orders import Relation, _lowner_stack, _minus_stack, _per_pair, _scan, holds_stack
 from .rng import box_muller, child_key, index_hash, uniform_block
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -83,16 +84,9 @@ class MatrixMap:
         return cls(label="rank-collapse", fn=collapse, stack_fn=collapse)
 
 
-@dataclass(frozen=True)
-class CongruenceMap(MatrixMap):
-    """The MatrixMap of congruence_map, which keeps its factor S."""
-
-    s: np.ndarray = field(default=None, repr=False, compare=False)
-
-
 def congruence_map(s, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixMap:
-    """The map A -> S A S^T for an invertible S, as a CongruenceMap, which
-    maps a whole stack in one product and keeps S.
+    """The map A -> S A S^T for an invertible S, which maps a whole stack
+    in one product.
 
     Raises SingularS when S is empty or singular to working precision,
     since a non-invertible factor defines no order automorphism; the map
@@ -115,7 +109,7 @@ def congruence_map(s, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixMap:
             raise DimensionMismatch(f"a {len(s)}x{len(s)} congruence cannot map shape {a.shape[-2:]}")
         return s @ a @ s.T
 
-    return CongruenceMap(label="congruence", fn=congruence, stack_fn=congruence, s=s)
+    return MatrixMap(label="congruence", fn=congruence, stack_fn=congruence)
 
 
 @dataclass
@@ -413,7 +407,7 @@ def fit_congruence(samples, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     # s_i s_i^T and S X S^T enter residuals alone, which fail beyond the float range
     with np.errstate(over="ignore", invalid="ignore"):
         expected, image = cols[:, :, None] * cols[:, None, :], diag_images[1:]
-    off = rel_residual_stack(expected - image, expected, image) > tol.recon_tol
+    off = rel_residual(expected - image, expected, image) > tol.recon_tol
     if off.any():
         raise InconsistentSamples(
             f"column {off.argmax() + 1} reconstructed from the mixed probe does "
@@ -423,7 +417,7 @@ def fit_congruence(samples, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
     with np.errstate(over="ignore", invalid="ignore"):
         predicted = s @ given @ s.T
-    if (rel_residual_stack(predicted - outputs, predicted, outputs) > tol.recon_tol).any():
+    if (rel_residual(predicted - outputs, predicted, outputs) > tol.recon_tol).any():
         raise InconsistentSamples(
             "a sample disagrees with the congruence fitted from the probes"
         )
@@ -476,10 +470,13 @@ def projector_fixed_point_suite(
     identity = np.eye(n)
     x = sym_stack(np.concatenate([projectors, shrink[:, None, None] * projectors, identity[None]]))
     fx = _symmetrize(derived("a map image", mmap._images, x))
-    # one decomposition per side, read by the Loewner and the minus decisions
-    sides = [(m[:-1], m[-1:], _pair_spectra(m[:-1], m[-1:])[0]) for m in (x, fx)]
-    lowner = np.reshape([_lowner_holds(a, b, v[:, 2], tol) for a, b, v in sides], (2, 2, trials))
-    minus = np.reshape([_minus_stack(v, tol)[0][0] for *_, v in sides], (2, 2, trials))
+    # one stack [A, B, B - A] per side, B = I, scanned and decomposed once
+    # for the Loewner and the minus decisions
+    stacks = [np.concatenate([m, derived("B - A", np.subtract, m[-1:], m[:-1])]) for m in (x, fx)]
+    spectra = [_per_pair(eigvalsh_stack(stack), 2 * trials) for stack in stacks]
+    lowner = np.reshape([_lowner_stack(_scan(stack, 2 * trials)[0], v[:, 2], tol)[1][:, 0]
+                         for stack, v in zip(stacks, spectra)], (2, 2, trials))
+    minus = np.reshape([_minus_stack(v, tol)[0][0] for v in spectra], (2, 2, trials))
     # P <= I in both orders, t P <= I in the PSD order only (unless P = 0)
     on_interval = lowner[:, 0] & minus[:, 0] & lowner[:, 1] & ((ranks == 0) | ~minus[:, 1])
     invariant, image = on_interval

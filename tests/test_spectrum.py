@@ -11,6 +11,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from psdorder import (
@@ -20,6 +21,7 @@ from psdorder import (
     LinearModel,
     MinusMethod,
     PsdMatrix,
+    PsdOrderError,
     Relation,
     SymMatrix,
     ToleranceConfig,
@@ -41,7 +43,7 @@ from psdorder import (
     sym_eig,
 )
 from psdorder import canonical, linmodels, numkernel, orders
-from psdorder.numkernel import canonical_order, column_span, min_singular_value, rel_residual, rel_residual_stack
+from psdorder.numkernel import canonical_order, column_span, min_singular_value, rel_residual
 from psdorder.preservers import _projectors, congruence_map, sample_pair
 
 
@@ -398,36 +400,48 @@ def test_star_and_image_routes_order_no_eigenvectors(monkeypatch):
         _verdict("minus_ginv", *PAIRS["minus"]["holds"])
 
 
-def test_holding_ginv_verdict_scans_a_and_b_once(monkeypatch):
-    # the identity budget and the residual of A G A = A take the pair's
-    # largest entry from the scan of the (A, B) stack; the other scans are
-    # of the three identities' differences, of the two sides of G A = G B
-    # and A G = B G together, and of G
-    scanned = []
+@pytest.fixture
+def scanned(monkeypatch):
+    """The shapes of the maxabs_stack calls orders, canonical and numkernel
+    make while the test runs, in order."""
+    shapes = []
     real = numkernel.maxabs_stack
 
     def counting(m):
-        scanned.append(np.shape(m))
+        shapes.append(np.shape(m))
         return real(m)
 
-    for module in (orders, numkernel):
+    for module in (orders, canonical, numkernel):
         monkeypatch.setattr(module, "maxabs_stack", counting)
+    return shapes
+
+
+def test_holding_ginv_verdict_scans_a_and_b_once(scanned):
+    # the identity budget and the residual of A G A = A take the pair's
+    # largest entry from the one scan of its stack [A, B, B - A]; the other
+    # scans are of the three identities' differences, of the two sides of
+    # G A = G B and A G = B G together, and of G
     assert _verdict("minus_ginv", *PAIRS["minus"]["holds"]).holds
-    assert scanned == [(1, 8, 4), (3, 4, 4), (2, 8, 4), (4, 4)]
+    assert scanned == [(3, 4, 4), (3, 4, 4), (2, 8, 4), (4, 4)]
 
 
-def test_sim_congruence_scans_a_and_b_once(monkeypatch):
+def test_star_verdicts_scan_each_pair_once(scanned):
+    # the budget and the scale of the identity read one scan of the pair's
+    # stack [A, B, B - A]; the other scan is of the products X (B - A)
+    a, b = PAIRS["star"]["holds"]
+    assert star_family_leq(a, b).holds
+    assert scanned == [(3, 4, 4), (2, 4, 4)]
+    # a stack of pairs is one stack [A, B, B - A] too, a shared B in it once
+    x = np.array([a, b, a])
+    for y, rows in ((np.array([b, b, b]), 9), (b, 7)):
+        scanned.clear()
+        assert order_holds_many(x, y, "star").tolist() == [True, True, True]
+        assert scanned == [(rows, 4, 4), (3, 4, 4)]
+
+
+def test_sim_congruence_scans_a_and_b_once(scanned):
     # the PSD thresholds and the reconstruction residuals read one scan of
     # the (A, B) stack; the other is of the two residuals
-    scanned = []
-    real = numkernel.maxabs_stack
-
-    def counting(m):
-        scanned.append(np.shape(m))
-        return real(m)
-
-    for module in (canonical, numkernel):
-        monkeypatch.setattr(module, "maxabs_stack", counting)
     assert sim_congruence(*PAIRS["minus"]["holds"]).rank_a == 1
     assert scanned == [(2, 4, 4), (2, 4, 4)]
     # qform_rank_criterion scans V and the forms, then the compressed forms
@@ -723,6 +737,46 @@ def test_verdict_is_invariant_under_positive_scaling(route, label, k):
     assert _verdict(route, c * b, c * a).detail == swapped
 
 
+# the power of the pair's scale c each certificate entry carries; every
+# other entry is dimensionless
+CERTIFICATE_UNITS = {"min_eig": 1, "threshold": 1, "cutoff": 1, "g": -1}
+
+
+def _reduced(a, b):
+    """sim_congruence(a, b), or the type of the error it raises."""
+    try:
+        return sim_congruence(a, b)
+    except PsdOrderError as exc:
+        return type(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.sampled_from(["lowner", "minus", "star"]), st.integers(0, 2**16), st.sampled_from([3, 10]),
+       st.sampled_from([-60, -1, 1, 60]), st.booleans())
+def test_certificates_scale_with_the_pair_bit_for_bit(relation, trial, n, k, swap):
+    # A, B -> 2^k A, 2^k B is exact, and so is every threshold, cutoff and
+    # budget taken from the pair's own scale: verdicts and dimensionless
+    # entries keep their bits, the others scale by exactly their power of 2^k
+    a, b = sample_pair(relation, 13, trial, n)[::-1 if swap else 1]
+    c = 2.0 ** k
+    for route in ROUTES:
+        v, scaled = _verdict(route, a, b), _verdict(route, c * a, c * b)
+        assert (scaled.holds, scaled.detail) == (v.holds, v.detail), route
+        expected = {key: value * c ** CERTIFICATE_UNITS[key] if key in CERTIFICATE_UNITS else value
+                    for key, value in v.certificate.items()}
+        assert _bits(scaled.certificate) == _bits(expected), route
+    res, scaled = _reduced(a, b), _reduced(c * a, c * b)
+    if isinstance(res, type):
+        assert scaled is res
+        return
+    assert (scaled.rank_a, scaled.rank_b) == (res.rank_a, res.rank_b)
+    # S takes the square root of the pair's scale, exact at even k, and with
+    # it the reconstructions; a zero B's S is B's unit eigenbasis
+    if k % 2 == 0:
+        assert _bits(scaled.s) == _bits(res.s * (2.0 ** (k // 2) if res.rank_b else 1.0))
+        assert (scaled.residual_a, scaled.residual_b) == (res.residual_a, res.residual_b)
+
+
 def test_scale_defects_of_absolute_floors_are_gone():
     a, b = np.diag([1.0, 0.0]), np.diag([2.0, 0.0])
     # cA - cB has eigenvalue -c, however small c is
@@ -791,6 +845,9 @@ def test_rel_residual():
     assert rel_residual(np.zeros((0, 0)), np.zeros((0, 0))) == 0.0
     assert rel_residual(1e-300 * np.eye(2), np.zeros((2, 2))) == np.inf
     assert rel_residual([[1.0, 0.0]], a, 2 * a) == 1.0 / 8.0
+    # a float for one matrix, an array for a stack
+    assert type(rel_residual([[1.0, 0.0]], a)) is float
+    assert rel_residual(np.array([a, a - a]), [a, a]).tolist() == [1.0, 0.0]
     # the same ratio at every scale
     assert rel_residual(1e-200 * np.eye(2), 1e-200 * a) == rel_residual(np.eye(2), a)
 
@@ -802,8 +859,8 @@ def test_a_residual_beyond_the_float_range_fails_its_check():
     inf, nan = np.full((2, 2), np.inf), np.full((2, 2), np.nan)
     for diff, ref in ((inf, inf), (inf, np.eye(2)), (nan, inf), (nan, np.eye(2))):
         assert rel_residual(diff, ref) == np.inf
-        assert rel_residual_stack(diff[None], ref[None]).tolist() == [np.inf]
-    got = rel_residual_stack(np.array([np.eye(2), inf, np.zeros((2, 2))]), np.array([2 * np.eye(2), inf, inf]))
+        assert rel_residual(diff[None], ref[None]).tolist() == [np.inf]
+    got = rel_residual(np.array([np.eye(2), inf, np.zeros((2, 2))]), np.array([2 * np.eye(2), inf, inf]))
     assert got.tolist() == [0.5, np.inf, 0.0]
 
 
