@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotMinusComparable, NotPositiveSemidefinite
-from .numkernel import canonical_order, eigvalsh_stack, maxabs_stack, over_scale, require_psd, sym_array
+from .numkernel import eigvalsh_stack, maxabs_stack, over_scale, require_psd, sym_array
 from .orders import _certificate_fails, _direct_sum, _minus_pair, _oblique_basis
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -107,17 +107,17 @@ def _sim_congruence(pair, values, vectors, r_rank, s_rank, cutoff, scale, tol: T
     B and B - A as eigh returns them, `values` (3, n) and `vectors`
     (3, n, n), and the pair's largest entry `scale`.
 
-    S is the oblique basis (orders._oblique_basis), in canonical order,
-    with each kept column scaled by the square root of its eigenvalue,
-    taken at the cutoff where PSD slack puts it below, and B's null columns
-    by that of B's largest (1 when B is zero), so that S does not depend on
-    the units of A and B.  S E_k S^T is read from S's leading k columns.
+    S is the oblique basis (orders._oblique_basis), its n columns in
+    canonical order, each kept one scaled by the square root of its
+    eigenvalue, taken at the cutoff where PSD slack puts it below, and B's
+    null columns by that of B's largest (1 when B is zero), so that S does
+    not depend on the units of A and B.  S E_k S^T is read from S's leading k columns.
     Two checks certify S: the direct-sum check of every minus certificate
     (orders._direct_sum: S is invertible), and both reconstructions are
     within recon_tol of `scale`.  A check that fails raises PsdOrderError
     naming it.
     """
-    m, lam = _oblique_basis(*canonical_order(values, vectors), cutoff)
+    m, lam = _oblique_basis(values, vectors, cutoff, ordered=True)
     sigmas = np.sqrt(np.maximum(lam, cutoff))
     sigmas[s_rank:] = np.sqrt(values[1, -1]) if s_rank else 1.0
     s = m * sigmas

@@ -23,11 +23,11 @@ from .numkernel import (
     _coerce,
     _spectral_pinv,
     _symmetrize,
-    canonical_order,
     column_span,
     derived,
     eigh_stack,
     identity_budget,
+    maxabs,
     outside_span,
     over_scale,
     rel_residual,
@@ -149,7 +149,7 @@ def _gram_sandwiches(models, tol: ToleranceConfig) -> np.ndarray:
     x = np.array([model.x for model in models])
     gram = derived("D + X X^T", lambda: np.array([model.d.a for model in models]) + x @ x.swapaxes(-1, -2))
     return derived("X^T (D + X X^T)^+ X", lambda: x.swapaxes(-1, -2) @ _spectral_pinv(
-        *canonical_order(*eigh_stack(_symmetrize(gram))), tol) @ x)
+        *eigh_stack(_symmetrize(gram)), tol) @ x)
 
 
 def efficiency_matrix(model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) -> PsdMatrix:
@@ -232,7 +232,7 @@ def blue_check(l, model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) -> Blu
     # which moves the part of D L^T outside it by up to that much of D L^T
     budget_dl = tol.recon_tol + float(angle)
     return BlueVerdict(
-        cond_i=residual_lx <= identity_budget(tol, l),
+        cond_i=residual_lx <= identity_budget(tol, maxabs(l)),
         cond_ii=residual_dl <= budget_dl,
         certificate={"residual_lx": residual_lx, "residual_dl": residual_dl, "budget_dl": budget_dl},
     )

@@ -35,16 +35,13 @@ Conventions shared by everything built on top of this module:
   read one basis off the eigenvectors of that same call, check it with
   one direct-sum test on its singular values, and the last two read G and
   S off it,
-- canonical_order, run only where the order of eigenvectors shows in a
-  result, sorts eigenvalues descending and makes the first nonzero
-  component of each eigenvector positive, so a factorization is
-  reproducible run to run; sym_eig is eigh_stack and canonical_order on
-  one matrix, and returns its values and vectors as arrays.  Where a
-  result shows one eigenvector (a Loewner witness, the first column of a
-  fitted congruence), canonical_column reads it from eigh's columns, bit
-  for bit the column canonical_order would give, with nothing sorted.
-  Singular values need no order: the image certificate checks its basis
-  with the eigenvectors as eigh returns them,
+- canonical_order (sym_eig's) sorts eigenvalues descending and makes the
+  first nonzero component of each eigenvector positive (fix_signs), so a
+  factorization is reproducible run to run.  Only what a result shows is
+  ordered, the same bits: S's n columns, and one eigenvector (a Loewner
+  witness, a fitted congruence's first column) that canonical_column
+  reads from eigh's columns; singular values, G and a pseudoinverse,
+  which show no basis, read eigh's columns as they come,
 - a spectrum is owned by the call that computed it and handed on as
   arrays, never kept on a matrix object: a PsdMatrix is certified from
   its eigenvalues and keeps none, and require_psd certifies a whole
@@ -189,13 +186,11 @@ def over_scale(num: float, den: float) -> float:
     return num / den if den > 0.0 and num < np.inf else np.inf
 
 
-def identity_budget(tol: ToleranceConfig, op, scale: float = 1.0) -> float:
-    """Budget for rel_residual of an identity that multiplies by `op` (G in
-    A G A = A, L in L X = X): recon_tol, widened once the dimensionless size
-    |op| `scale` passes 1, since the roundoff of the products grows with
-    it; `scale` is the largest entry of the matrices op multiplies (A and
-    B for G), 1 where op is unit-free (L)."""
-    return tol.recon_tol * max(1.0, maxabs(op) * scale)
+def identity_budget(tol: ToleranceConfig, size: float) -> float:
+    """Budget for rel_residual of an identity that multiplies by an op (G in A G A = A, L in
+    L X = X): recon_tol, widened by the op's unit-free `size` (|G| |A, B|, or |L|) once it
+    passes 1, since the roundoff of the products grows with it."""
+    return tol.recon_tol * max(1.0, size)
 
 
 class SymMatrix:
@@ -290,21 +285,26 @@ def _solve(solver, x):
 
 def canonical_order(values: np.ndarray, vectors: np.ndarray):
     """Sort each spectrum of an eigh_stack result descending and apply the
-    deterministic sign convention.  The eigenvectors are permuted as rows,
-    so each matrix of columns comes back column-major, the layout that
-    indexing the columns of one matrix gives."""
+    deterministic sign convention (fix_signs).  The eigenvectors are
+    permuted as rows, so each matrix of columns comes back column-major,
+    the layout that indexing the columns of one matrix gives."""
     order = np.argsort(-values, axis=-1, kind="stable")
     stack = np.arange(len(values))[:, None]
     values = values[stack, order]
-    rows = vectors.swapaxes(-1, -2)[stack, order]
-    if rows.size:
-        # a unit vector always has a component above _SIGN_EPS
-        first = (np.abs(rows) > _SIGN_EPS).argmax(axis=-1)
-        lead = rows[stack, np.arange(rows.shape[1]), first]
-        np.negative(rows, out=rows, where=(lead < 0)[..., None])
+    rows = fix_signs(vectors.swapaxes(-1, -2)[stack, order])
     values.setflags(write=False)
     rows.setflags(write=False)
     return values, np.swapaxes(rows, -1, -2)
+
+
+def fix_signs(rows: np.ndarray) -> np.ndarray:
+    """canonical_order's sign rule, in place: negate each row whose first entry above _SIGN_EPS is < 0."""
+    if rows.size:
+        flat = rows.reshape(-1, rows.shape[-1])
+        first = (np.abs(flat) > _SIGN_EPS).argmax(axis=-1)
+        lead = flat[np.arange(len(flat)), first].reshape(rows.shape[:-1])
+        np.negative(rows, out=rows, where=(lead < 0)[..., None])
+    return rows
 
 
 def canonical_column(values: np.ndarray, vectors: np.ndarray, last: bool) -> np.ndarray:
@@ -345,11 +345,11 @@ def column_span(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, floa
 
 
 def min_singular_value(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, bool]:
-    """Smallest singular value of a square matrix and whether it clears the
-    rank cutoff, i.e. whether the matrix is invertible to working
-    precision.  An empty matrix counts as invertible with sigma_min 1."""
+    """Smallest singular value of a square matrix, LAPACK's last, and
+    whether it clears the rank cutoff, i.e. whether the matrix is invertible
+    to working precision; an empty one is, with sigma_min 1."""
     s = np.linalg.svd(m, compute_uv=False)
-    return (float(s[-1]) if s.size else 1.0), bool((s > tol.rank_cutoff(s, max(m.shape))).all())
+    return (float(s[-1]), bool(s[-1] > tol.rank_cutoff(s, max(m.shape)))) if s.size else (1.0, True)
 
 
 def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

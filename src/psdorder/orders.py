@@ -36,11 +36,11 @@ A scalar check passes A and B through one gate (numkernel.sym_pair),
 which forms B - A once, scans only it for finiteness and returns the
 pair's stack; the check decomposes all its matrices in one stacked call
 and scans the stack only where a threshold or a budget needs the
-largest entries.  Eigenvectors are put in canonical order only where the
-bits of a result depend on their order: the basis of G and S.  A
-Loewner witness is the one column canonical_order would give, read from
-eigh's output by canonical_column; the image certificate's direct-sum
-check reads eigh's eigenvectors.
+largest entries.  Eigenvectors are put in canonical order only where a
+result shows their order: S's n columns.  G and the direct-sum check,
+which do not depend on the order or signs of the basis, read eigh's
+eigenvectors as they come.  A Loewner witness is the one column
+canonical_order would give, read from eigh's output by canonical_column.
 """
 
 import math
@@ -52,10 +52,10 @@ import numpy as np
 from .errors import DimensionMismatch, PsdOrderError
 from .numkernel import (
     canonical_column,
-    canonical_order,
     derived,
     eigh_stack,
     eigvalsh_stack,
+    fix_signs,
     identity_budget,
     maxabs_stack,
     min_singular_value,
@@ -172,6 +172,8 @@ def lowner_leq(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
 
 # _minus_stack's decisions: r_B - r_A - r_{B-A}, r_A - r_B - r_{B-A} and r_{B-A} vanish
 _RANK_EQUATIONS = np.array([[-1, 1, -1], [1, -1, -1], [0, 0, 1]])
+# the oblique basis's blocks in its column order, A, B - A, B, by place in the stack [A, B, B - A]
+_BLOCKS, _SPECTRA = np.array([0, 2, 1]), np.arange(3)[:, None]
 
 
 def _minus_stack(values, tol):
@@ -244,19 +246,21 @@ def _direct_sum(name, m, tol):
     return sigma_min
 
 
-def _oblique_basis(values, vectors, cutoff):
+def _oblique_basis(values, vectors, cutoff, ordered=False):
     """The basis m = (A's kept eigenvectors : B - A's kept : B's dropped)
     of a pair whose rank equation holds, which makes it n x n, and each
     column's eigenvalue, from the spectra of A, B and B - A, (3, n) and
     (3, n, n), masked by `cutoff`.  On the cone Im B = Im A (+) Im(B - A),
     so m is invertible, and S = m diag(sqrt(lambda)) gives A = S E_r S^T
-    and B = S E_s S^T.  The columns come in the order of the spectra given:
-    a caller whose bits depend on it (G, S) passes them through
-    canonical_order first; the direct-sum check alone does not."""
-    keep_a, keep_b, keep_d = np.abs(values) > cutoff
-    columns = np.concatenate((keep_a, keep_d, ~keep_b))
-    return (np.concatenate((vectors[0], vectors[2], vectors[1]), axis=1)[:, columns],
-            values[[0, 2, 1]].ravel()[columns])
+    and B = S E_s S^T.  Only those n columns are gathered, each block in
+    its spectrum's order or, `ordered`, canonical_order's, signs fixed."""
+    n, keep = values.shape[-1], np.abs(values) > cutoff
+    keep[1] ^= True  # B's dropped columns
+    order = np.argsort(-values, axis=-1, kind="stable") if ordered else np.arange(n)
+    index = (n * _SPECTRA + order)[_BLOCKS]  # each candidate's row among all 3n
+    index = index[keep.ravel()[index]]
+    rows = vectors.swapaxes(-1, -2).reshape(3 * n, n)[index]
+    return (fix_signs(rows) if ordered else rows).T.copy(), values.ravel()[index]
 
 
 def _ginv_certificate(stack, values, vectors, rank_a, cutoff, tol):
@@ -265,27 +269,32 @@ def _ginv_certificate(stack, values, vectors, rank_a, cutoff, tol):
 
     G = S^-T E_r S^-1 for S = m diag(sqrt(lambda)) (_oblique_basis), that
     is W_r^T W_r, W_r the first r rows of S^-1 = diag(1 / sqrt(lambda)) m^-1,
-    formed as those rows of m^-1 over A's eigenvalues, transposed, times
-    the rows, which inverts a negative eigenvalue as A^+ does.  The
+    which over A's eigenvalues inverts a negative one as A^+ does: G is
+    P^T A^+ P, P the projector onto Im A along Im(B - A) (+) Ker B, for m's
+    columns in any order and signs, so m is eigh's, unsorted.  The
     certificate checks that m is invertible (_direct_sum) and that G meets
-    the three identities.  `stack`: the pair's [A, B, B - A], scanned once
-    for its scale, the larger of A's and B's largest entries.
+    the three identities.  `stack`: the pair's [A, B, B - A].
     """
-    ab, scale = stack[:2], max(maxabs_stack(stack)[:2].tolist())
-    m, lam = _oblique_basis(*canonical_order(values, vectors), cutoff)
+    ab, n = stack[:2], len(stack[0])
+    m, lam = _oblique_basis(values, vectors, cutoff)
     sigma_min = _direct_sum("ginv", m, tol)
     w = np.linalg.inv(m)[:rank_a]
     g = (w / lam[:rank_a, None]).T @ w
-    left, right = g @ ab, ab @ g
-    # the sides of A G A = A, judged against the pair's `scale` as the rank
-    # equation judges the pair (G = 0 on an A under the cutoff), and of
-    # G A = G B and A G = B G, against their sides.  The roundoff of the
-    # products grows with the dimensionless |G| |A, B|
-    sides = np.array([(right[0] @ ab[0], ab[0]), left, right])
-    num = maxabs_stack(sides[:, 0] - sides[:, 1]).tolist()
-    den = [scale, *maxabs_stack(sides[1:].reshape(2, 2 * len(g), len(g))).tolist()]
-    residuals = dict(zip(("inner", "left", "right"), map(over_scale, num, den)))
-    budget = identity_budget(tol, g, scale)
+    # one buffer, scanned once: the differences of A G A = A, G A = G B and
+    # A G = B G, then G A, G B, A G, B G, A, B and G
+    x = np.empty((10, n, n))
+    x[7:9], x[9] = ab, g
+    np.matmul(g, ab, out=x[3:5])
+    np.matmul(ab, g, out=x[5:7])
+    np.subtract(x[5] @ ab[0], ab[0], out=x[0])
+    np.subtract(x[3:7:2], x[4:7:2], out=x[1:3])
+    maxima = maxabs_stack(x).tolist()
+    # A G A = A is judged against the pair's scale, as the rank equation
+    # judges the pair (G = 0 on an A under the cutoff), the others against their sides
+    scale = max(maxima[7:9])
+    den = (scale, max(maxima[3:5]), max(maxima[5:7]))
+    residuals = dict(zip(("inner", "left", "right"), map(over_scale, maxima[:3], den)))
+    budget = identity_budget(tol, maxima[9] * scale)
     worst = max(residuals, key=residuals.get)
     if residuals[worst] > budget:
         raise _certificate_fails(

@@ -11,8 +11,9 @@ certified from their sym_eig spectra (reference_verdicts.certified_eig),
 from which each rank is counted and each minus question decided by the
 rank equation (reference_verdicts.minus_verdict), as the module decides
 them on the eigh spectra its stacks hold.  Each efficiency matrix of
-model_compare is formed model by model: the sym_eig spectrum of the Gram
-matrix D + X X^T, its spectral pseudoinverse and the product
+model_compare is formed model by model: the eigh spectrum of the Gram
+matrix D + X X^T, its columns as eigh returns them, since the
+pseudoinverse shows no basis, its spectral pseudoinverse and the product
 X^T (D + X X^T)^+ X, as a PsdMatrix certified from eigvalsh where the
 module certifies it from eigh: the two could part only on a matrix
 whose smallest eigenvalue lies within a few eps times its radius of the
@@ -40,7 +41,7 @@ from psdorder.linmodels import (
     QFormEntry,
     QFormReport,
 )
-from psdorder.numkernel import PsdMatrix, SymMatrix, identity_budget, rel_residual, sym_eig
+from psdorder.numkernel import PsdMatrix, SymMatrix, identity_budget, maxabs, rel_residual, sym_eig
 from psdorder.rng import normal_matrix, substream
 from psdorder.special import chi2_cdf, ks_uniform_distance
 from psdorder.tolerances import DEFAULT_TOL
@@ -53,7 +54,7 @@ def _rank(values, tol):
 
 def efficiency_matrix(model, tol=DEFAULT_TOL):
     x = model.x
-    values, vectors = sym_eig(model.d.a + x @ x.T)
+    values, vectors = np.linalg.eigh(SymMatrix(model.d.a + x @ x.T).a)
     keep = np.abs(values) > tol.rank_cutoff(values)
     ginv = (vectors * np.where(keep, 1.0 / np.where(keep, values, 1.0), 0.0)) @ vectors.T
     return PsdMatrix(x.T @ ginv @ x, tol)
@@ -84,7 +85,7 @@ def blue_check(l, model, tol=DEFAULT_TOL):
     sv = np.linalg.svd(x, compute_uv=False)
     kept = sv[sv > tol.rank_cutoff(sv, max(x.shape))]
     budget_dl = tol.recon_tol + (float(max(x.shape) * np.finfo(float).eps * sv[0] / kept[-1]) if kept.size else 0.0)
-    return BlueVerdict(cond_i=residual_lx <= identity_budget(tol, l), cond_ii=residual_dl <= budget_dl,
+    return BlueVerdict(cond_i=residual_lx <= identity_budget(tol, maxabs(l)), cond_ii=residual_dl <= budget_dl,
                        certificate={"residual_lx": residual_lx, "residual_dl": residual_dl, "budget_dl": budget_dl})
 
 

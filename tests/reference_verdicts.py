@@ -4,16 +4,19 @@ sim_congruence.
 Each function here decides one pair the way the scalar checks did before
 they moved onto plain arrays: every input becomes a SymMatrix, each
 matrix is decomposed on its own, and every decision is read from those
-spectra, masked against the cutoff where it counts a rank.  A decision
-that reads eigenvectors takes them from sym_eig, in canonical order; the
-minus rank route, the star family and inertia read eigenvalues alone,
-from np.linalg.eigvalsh, as the code does.  sim_congruence decides the rank
-equation on the sym_eig spectra of A, B and B - A (minus_verdict),
-certifies A and B PSD from theirs, the eigh values its reduction reads,
-and reduces the pair with the ranks of that count: S is the basis of A's
-and B - A's kept eigenvectors and B's dropped ones, scaled column by
-column, as the ginv reference reads G off the same basis and the image
-reference checks that basis by its smallest singular value.
+spectra, masked against the cutoff where it counts a rank.  The Loewner
+witness and sim_congruence take eigenvectors from sym_eig, in canonical
+order; the image and ginv routes take np.linalg.eigh's columns as they
+come, since neither the direct sum nor G depends on their order or
+signs; the minus rank route, the star family and inertia read
+eigenvalues alone, from np.linalg.eigvalsh, as the code does.
+sim_congruence decides the rank equation on the sym_eig spectra of A, B
+and B - A (minus_verdict), certifies A and B PSD from theirs, the eigh
+values its reduction reads, and reduces the pair with the ranks of that
+count: S is the basis of A's and B - A's kept eigenvectors and B's
+dropped ones, scaled column by column, as the ginv reference reads G off
+the same basis, unordered, and the image reference checks that basis by
+its smallest singular value.
 The checks in psdorder.orders and psdorder.canonical decompose all the
 matrices of a verdict in one stacked call and order eigenvectors only
 where they read them; they must return every value these return, bit for
@@ -79,8 +82,8 @@ def _by_image(_sa, _sb, eigs, cutoff, tol):
 
 
 def _oblique_basis(eigs, cutoff):
-    """(A's kept eigenvectors : B - A's kept : B's dropped), from sym_eig
-    spectra, and the eigenvalue of each column."""
+    """(A's kept eigenvectors : B - A's kept : B's dropped), each block in
+    the order of the spectra given, and the eigenvalue of each column."""
     (v_a, q_a), (v_b, q_b), (v_d, q_d) = eigs
     pieces = [(v_a, q_a, np.abs(v_a) > cutoff), (v_d, q_d, np.abs(v_d) > cutoff), (v_b, q_b, np.abs(v_b) <= cutoff)]
     return np.hstack([q[:, keep] for _, q, keep in pieces]), np.concatenate([v[keep] for v, _, keep in pieces])
@@ -103,7 +106,7 @@ def _by_ginv(sa, sb, eigs, cutoff, tol):
         "left": rel_residual(ga - gb, ga, gb),
         "right": rel_residual(ag - bg, ag, bg),
     }
-    budget = identity_budget(tol, g, max(maxabs(sa.a), maxabs(sb.a)))
+    budget = identity_budget(tol, maxabs(g) * max(maxabs(sa.a), maxabs(sb.a)))
     worst = max(residuals, key=residuals.get)
     if residuals[worst] > budget:
         raise PsdOrderError("the ginv certificate of a holding minus verdict fails its identity "
@@ -132,7 +135,7 @@ def minus_leq(a, b, method="rank", tol=DEFAULT_TOL):
     mats = (sa, sb, SymMatrix(sb.a - sa.a))
     if method is MinusMethod.RANK:
         return minus_verdict([np.linalg.eigvalsh(m.a) for m in mats], sa.n, method, tol)
-    eigs = [sym_eig(m) for m in mats]
+    eigs = [np.linalg.eigh(m.a) for m in mats]
     by = _by_image if method is MinusMethod.IMAGE else _by_ginv
     return minus_verdict([v for v, _ in eigs], sa.n, method, tol, lambda cutoff: by(sa, sb, eigs, cutoff, tol))
 

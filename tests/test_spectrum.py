@@ -370,20 +370,22 @@ def test_star_stack_mixes_every_image_rank(relation):
 
 
 def test_star_and_image_routes_order_no_eigenvectors(monkeypatch):
-    # the image route tests containment on eigh's raw factors, with the
-    # dropped columns zeroed, and the star family reads eigenvalues alone,
-    # so neither sorts or sign-fixes eigenvectors; nor does a
-    # Loewner verdict, whose witness is one column read from eigh's output,
-    # or a failing ginv verdict, which carries the rank route's certificate
-    # and no inner inverse, its cutoff from eigh's values where the rank
-    # route reads eigvalsh's
+    # the image and ginv routes check the direct sum and read G off eigh's
+    # raw factors, whose order and signs neither depends on, and the star
+    # family reads eigenvalues alone, so none sorts or sign-fixes
+    # eigenvectors with canonical_order; nor does a Loewner verdict, whose
+    # witness is one column read from eigh's output, a failing ginv
+    # verdict, which carries the rank route's certificate and no inner
+    # inverse, its cutoff from eigh's values where the rank route reads
+    # eigvalsh's, or sim_congruence, which orders only S's n columns
     def no_order(*args, **kwargs):
         raise AssertionError("canonical_order was called")
 
-    for module in (orders, numkernel):
-        monkeypatch.setattr(module, "canonical_order", no_order)
+    for module in (orders, canonical, numkernel):
+        monkeypatch.setattr(module, "canonical_order", no_order, raising=False)
     for label in ("holds", "fails"):
         assert _verdict("minus_image", *PAIRS["minus"][label]).holds == (label == "holds")
+        assert _verdict("minus_ginv", *PAIRS["minus"][label]).holds == (label == "holds")
         assert _verdict("lowner", *PAIRS["lowner"][label]).holds == (label == "holds")
         a, b = PAIRS["star"][label]
         for variant in ("star", "left-star", "right-star"):
@@ -396,8 +398,9 @@ def test_star_and_image_routes_order_no_eigenvectors(monkeypatch):
     assert (fails.detail, fails.certificate) == (
         "incomparable", {**rank.certificate, "method": "ginv", "cutoff": fails.certificate["cutoff"]})
     assert oracles.cutoff_gap(fails.certificate["cutoff"], rank.certificate["cutoff"], *PAIRS["minus"]["fails"]) <= 4.0
+    assert sim_congruence(*PAIRS["minus"]["holds"]).rank_a == 1
     with pytest.raises(AssertionError, match="canonical_order"):
-        _verdict("minus_ginv", *PAIRS["minus"]["holds"])
+        sym_eig(PAIRS["minus"]["holds"][0])
 
 
 @pytest.fixture
@@ -417,12 +420,39 @@ def scanned(monkeypatch):
 
 
 def test_holding_ginv_verdict_scans_a_and_b_once(scanned):
-    # the identity budget and the residual of A G A = A take the pair's
-    # largest entry from the one scan of its stack [A, B, B - A]; the other
-    # scans are of the three identities' differences, of the two sides of
-    # G A = G B and A G = B G together, and of G
+    # every largest entry the identity check reads, of the three
+    # identities' differences, of the sides of G A = G B and A G = B G, of
+    # A and B (the pair's scale) and of G (the budget), comes from one scan
     assert _verdict("minus_ginv", *PAIRS["minus"]["holds"]).holds
-    assert scanned == [(3, 4, 4), (3, 4, 4), (2, 8, 4), (4, 4)]
+    assert scanned == [(10, 4, 4)]
+
+
+@pytest.mark.parametrize("n", [3, 10])
+def test_ginv_and_image_routes_check_one_basis(monkeypatch, n):
+    # the ginv certificate reads G off the basis the image route checks,
+    # eigh's columns unsorted, so its sigma_min is that route's, bit for bit
+    seen = []
+
+    def recording(m, tol):
+        seen.append(min_singular_value(m, tol))
+        return seen[-1]
+
+    monkeypatch.setattr(orders, "min_singular_value", recording)
+    a, b = sample_pair("minus", 11, np.arange(24), n)
+    held = 0
+    for x, y in [*zip(a, b), *zip(b, a)]:
+        seen.clear()
+        image = minus_leq(x, y, method="image")
+        ginv = minus_leq(x, y, method="ginv")
+        assert ginv.holds == image.holds
+        if image.holds:
+            held += 1
+            (sigma_min, direct), again = seen
+            assert direct and again == (sigma_min, direct)
+            assert struct.pack("<d", ginv.certificate["sigma_min"]) == struct.pack("<d", sigma_min)
+        else:
+            assert seen == []
+    assert held >= 12
 
 
 def test_star_verdicts_scan_each_pair_once(scanned):
@@ -457,7 +487,7 @@ def test_fit_congruence_and_a_failing_qform_order_no_eigenvectors(monkeypatch, e
         raise AssertionError("canonical_order was called")
 
     for module in (numkernel, orders, linmodels):
-        monkeypatch.setattr(module, "canonical_order", no_order)
+        monkeypatch.setattr(module, "canonical_order", no_order, raising=False)
     rng = np.random.default_rng(29)
     s = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
     given = probe_inputs(4) + [np.eye(4)]

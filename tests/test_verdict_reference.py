@@ -156,6 +156,23 @@ def test_minus_certificates_match_the_reference_on_generated_pairs(data, n, kind
         assert got[1], name
 
 
+def test_sim_congruence_orders_tied_columns_as_canonical_order_does():
+    # S orders only its kept columns, each block by a stable descending
+    # sort: on exactly tied eigenvalues it keeps eigh's order within a tie,
+    # as canonical_order does on the reference's spectra, where reversing
+    # eigh's ascending order would not
+    e = lambda n, k: np.diag(np.r_[np.ones(k), np.zeros(n - k)])  # noqa: E731
+    swap = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    assert sim_congruence(e(3, 2), np.eye(3)).s.tobytes() == swap.tobytes()
+    pairs = [(e(3, 2), np.eye(3)), (e(4, 1), e(4, 3)), (np.zeros((3, 3)), e(3, 2)),
+             (np.zeros((3, 3)), np.eye(3)), (np.zeros((3, 3)), np.zeros((3, 3)))]
+    pairs += [(2.0**k * e(4, r), 2.0**k * e(4, q)) for k in (-60, -1, 1, 60) for q in range(5) for r in range(q + 1)]
+    for a, b in pairs:
+        got = _outcome(sim_congruence, a, b)
+        assert got == _outcome(ref.sim_congruence, a, b), (a, b)
+        assert got[1]
+
+
 @settings(derandomize=True, database=None, max_examples=600, deadline=None)
 @given(st.data(), st.integers(2, 8), st.floats(-16.0, -4.0), st.integers(0, 2**32 - 1))
 def test_sim_congruence_reduces_exactly_the_pairs_minus_holds(data, n, log_delta, seed):
