@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .canonical import (
     Inertia,
     SimCongResult,
-    canonical_ek,
     inertia,
     sim_congruence,
 )
@@ -40,18 +39,12 @@ from .linmodels import (
     model_compare,
     qform_rank_criterion,
 )
-from .numkernel import (
-    PsdMatrix,
-    SymMatrix,
-    pinv,
-    sym_eig,
-)
+from .numkernel import PsdMatrix, SymMatrix
 from .orders import (
     MinusMethod,
     OrderVerdict,
     Relation,
     lowner_leq,
-    matrices_equal,
     minus_leq,
     order_holds_many,
     order_leq,

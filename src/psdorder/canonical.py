@@ -56,15 +56,6 @@ class SimCongResult:
     sigma_min: float
 
 
-def canonical_ek(n: int, k: int) -> np.ndarray:
-    """The canonical PSD representative E_k = diag(I_k, 0) of rank k."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    e = np.zeros((n, n))
-    e[:k, :k] = np.eye(k)
-    return e
-
-
 def inertia(a, tol: ToleranceConfig = DEFAULT_TOL) -> Inertia:
     """Signature of a symmetric matrix with the shared rank-cutoff
     convention: eigenvalues within the cutoff of zero count as zero.  It

@@ -94,11 +94,13 @@ def _read_json(path: str):
 
 def _json_entries(path: str) -> np.ndarray:
     """Finite float array from a JSON file holding either a bare list or
-    {"n": rows, "entries": [...]}."""
+    {"n": rows, "entries": [...]}, n an integer."""
     obj = _read_json(path)
     entries = obj.get("entries") if isinstance(obj, dict) else obj
     if entries is None:
         raise ParseError(f"{path}: expected an 'entries' key")
+    if isinstance(obj, dict) and "n" in obj and type(obj["n"]) is not int:
+        raise ParseError(f"{path}: 'n' must be an integer, got {obj['n']!r}")
     try:
         a = np.array(entries, dtype=float)
     except (TypeError, ValueError) as exc:

@@ -35,10 +35,11 @@ Conventions shared by everything built on top of this module:
   read one basis off the eigenvectors of that same call, check it with
   one direct-sum test on its singular values, and the last two read G and
   S off it,
-- canonical_order (sym_eig's) sorts eigenvalues descending and makes the
-  first nonzero component of each eigenvector positive (fix_signs), so a
-  factorization is reproducible run to run.  Only what a result shows is
-  ordered, the same bits: S's n columns, and one eigenvector (a Loewner
+- eigenvectors a result shows are put in canonical order, so a
+  factorization is reproducible run to run: a stable descending sort of
+  their eigenvalues, and each column negated where its first entry above
+  _SIGN_EPS in magnitude is negative (fix_signs).  Only what a result
+  shows is ordered: S's n columns, and one eigenvector (a Loewner
   witness, a fitted congruence's first column) that canonical_column
   reads from eigh's columns; singular values, G and a pseudoinverse,
   which show no basis, read eigh's columns as they come,
@@ -283,22 +284,8 @@ def _solve(solver, x):
         raise NonConvergence(f"eigensolver failed: {exc}") from exc
 
 
-def canonical_order(values: np.ndarray, vectors: np.ndarray):
-    """Sort each spectrum of an eigh_stack result descending and apply the
-    deterministic sign convention (fix_signs).  The eigenvectors are
-    permuted as rows, so each matrix of columns comes back column-major,
-    the layout that indexing the columns of one matrix gives."""
-    order = np.argsort(-values, axis=-1, kind="stable")
-    stack = np.arange(len(values))[:, None]
-    values = values[stack, order]
-    rows = fix_signs(vectors.swapaxes(-1, -2)[stack, order])
-    values.setflags(write=False)
-    rows.setflags(write=False)
-    return values, np.swapaxes(rows, -1, -2)
-
-
 def fix_signs(rows: np.ndarray) -> np.ndarray:
-    """canonical_order's sign rule, in place: negate each row whose first entry above _SIGN_EPS is < 0."""
+    """The canonical sign rule, in place: negate each row whose first entry above _SIGN_EPS is < 0."""
     if rows.size:
         flat = rows.reshape(-1, rows.shape[-1])
         first = (np.abs(flat) > _SIGN_EPS).argmax(axis=-1)
@@ -308,24 +295,17 @@ def fix_signs(rows: np.ndarray) -> np.ndarray:
 
 
 def canonical_column(values: np.ndarray, vectors: np.ndarray, last: bool) -> np.ndarray:
-    """The last (last=True) or the first eigenvector column that
-    canonical_order gives one spectrum, values (n,) and vectors (n, n) as
-    eigh returns them, bit for bit, with no other column sorted: its stable
-    descending sort puts last eigh's column t - 1, t the number of
-    eigenvalues equal to the smallest, and first column n - t', t' the
-    number equal to the largest."""
+    """The last (last=True) or the first eigenvector column in canonical
+    order of one spectrum, values (n,) and vectors (n, n) as eigh returns
+    them, with no other column sorted: a stable descending sort puts last
+    eigh's column t - 1, t the number of eigenvalues equal to the smallest,
+    and first column n - t', t' the number equal to the largest, and the
+    column is negated where its first entry above _SIGN_EPS is negative."""
     spectrum = values.tolist()
     x = vectors[:, spectrum.count(spectrum[0]) - 1 if last else len(spectrum) - spectrum.count(spectrum[-1])]
     entries = x.tolist()
     lead = next((e for e in entries if abs(e) > _SIGN_EPS), entries[0])
     return -x if lead < 0 else x
-
-
-def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix: its values and eigenvector
-    columns, ordered and sign-fixed by canonical_order."""
-    values, vectors = canonical_order(*eigh_stack(sym_array(a)[None]))
-    return values[0], vectors[0]
 
 
 def column_span(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, float]:
@@ -352,19 +332,10 @@ def min_singular_value(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, bo
     return (float(s[-1]), bool(s[-1] > tol.rank_cutoff(s, max(m.shape)))) if s.size else (1.0, True)
 
 
-def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a symmetric matrix via its spectrum.
-
-    Eigenvalues under the rank cutoff are dropped rather than inverted, so
-    the result is the pseudoinverse of the nearest matrix of the detected
-    rank.
-    """
-    return _spectral_pinv(*sym_eig(a), tol)
-
-
 def _spectral_pinv(values, vectors, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """pinv of Q diag(values) Q^T, Q = `vectors`, from that spectrum (or of
-    each matrix of a stack from its spectra), under its own rank cutoff."""
+    """The Moore-Penrose pseudoinverse of Q diag(values) Q^T, Q = `vectors`,
+    from that spectrum (or of each matrix of a stack from its spectra):
+    eigenvalues under its own rank cutoff are dropped rather than inverted."""
     keep = np.abs(values) > tol.rank_cutoff(values)[..., None]
     inv = np.where(keep, 1.0 / np.where(keep, values, 1.0), 0.0)
     return (vectors * inv[..., None, :]) @ vectors.swapaxes(-1, -2)

@@ -36,11 +36,13 @@ A scalar check passes A and B through one gate (numkernel.sym_pair),
 which forms B - A once, scans only it for finiteness and returns the
 pair's stack; the check decomposes all its matrices in one stacked call
 and scans the stack only where a threshold or a budget needs the
-largest entries.  Eigenvectors are put in canonical order only where a
-result shows their order: S's n columns.  G and the direct-sum check,
-which do not depend on the order or signs of the basis, read eigh's
-eigenvectors as they come.  A Loewner witness is the one column
-canonical_order would give, read from eigh's output by canonical_column.
+largest entries.  Eigenvectors are put in canonical order (a stable
+descending sort of their eigenvalues, and the first entry above
+numkernel._SIGN_EPS of each made positive) only where a result shows
+their order: S's n columns.  G and the direct-sum check, which do not
+depend on the order or signs of the basis, read eigh's eigenvectors as
+they come.  A Loewner witness is the one column of that order read from
+eigh's output by canonical_column.
 """
 
 import math
@@ -95,14 +97,6 @@ class OrderVerdict:
     detail: str = ""
 
 
-def matrices_equal(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Equality up to the reconstruction tolerance: rel_residual(B - A, A, B)
-    against recon_tol, relative to the larger of the two entry scales;
-    exactly equal matrices (zero included) are always equal."""
-    max_a, max_b, max_d = maxabs_stack(sym_pair(a, b)).tolist()
-    return over_scale(max_d, max(max_a, max_b)) <= tol.recon_tol
-
-
 def _detail(holds: bool, equal: bool, reverse_holds: bool) -> str:
     if holds and equal:
         return "equal"
@@ -138,9 +132,10 @@ def _lowner_verdicts(scale, values, vectors, tol, count):
     """The first `count` of the verdicts A <= B and B <= A, from the one
     spectrum of B - A, values (1, n) and vectors (1, n, n) as eigh_stack
     returns them, and the pair's scale (1,).  A verdict
-    that fails gives as its witness the one eigenvector that
-    canonical_order would put last (A <= B) or first (B <= A), read from
-    eigh's columns by canonical_column; no other eigenvector is ordered."""
+    that fails gives as its witness the one eigenvector that a stable
+    descending sort puts last (A <= B) or first (B <= A), its first entry
+    above _SIGN_EPS made positive, read from eigh's columns by
+    canonical_column; no other eigenvector is ordered."""
     min_eigs, holds, threshold = _lowner_stack(scale, values, tol)
     (min_eigs,), (holds,), (threshold,) = min_eigs.tolist(), holds.tolist(), threshold.tolist()
     return tuple(
@@ -253,7 +248,9 @@ def _oblique_basis(values, vectors, cutoff, ordered=False):
     (3, n, n), masked by `cutoff`.  On the cone Im B = Im A (+) Im(B - A),
     so m is invertible, and S = m diag(sqrt(lambda)) gives A = S E_r S^T
     and B = S E_s S^T.  Only those n columns are gathered, each block in
-    its spectrum's order or, `ordered`, canonical_order's, signs fixed."""
+    its spectrum's order or, `ordered`, in canonical order: a stable
+    descending sort, and the first entry above _SIGN_EPS of each column
+    made positive (fix_signs)."""
     n, keep = values.shape[-1], np.abs(values) > cutoff
     keep[1] ^= True  # B's dropped columns
     order = np.argsort(-values, axis=-1, kind="stable") if ordered else np.arange(n)

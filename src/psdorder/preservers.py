@@ -344,10 +344,10 @@ def fit_congruence(samples, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     The sample list must contain the probe_inputs images: the image of
     e_i e_i^T pins column i up to sign, and the mixed probes
     (e_0 + e_i)(e_0 + e_i)^T fix every sign relative to the first column.
-    The global sign is canonical_order's: column 0 is sqrt(lambda) q for
-    the leading eigenpair of its probe image, the first entry of q above
-    1e-12 in magnitude positive (one in (1e-12 max|q|, 1e-12] never sets
-    it).  Every remaining sample is then validated against the recovered
+    The global sign is the canonical order's: column 0 is sqrt(lambda) q
+    for the leading eigenpair of its probe image, the first entry of q
+    above 1e-12 in magnitude positive (one in (1e-12 max|q|, 1e-12] never
+    sets it).  Every remaining sample is then validated against the recovered
     S; anything unexplained raises InconsistentSamples.  A column whose
     reconstruction leaves the float range raises PsdOrderError.
     """
@@ -379,7 +379,7 @@ def fit_congruence(samples, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     images = outputs[match.argmax(axis=1)]
 
     diag_images, mixed_images = images[:n], images[n:]
-    # the first probe's image is lambda q q^T: column 0 is sqrt(lambda) q, q as canonical_order gives it
+    # the first probe's image is lambda q q^T: column 0 is sqrt(lambda) q, q in canonical order
     (values,), (vectors,) = eigh_stack(_symmetrize(diag_images[:1]))
     lead = float(values[-1])
     if lead <= 0 or np.count_nonzero(np.abs(values) > tol.rank_cutoff(values)) != 1:

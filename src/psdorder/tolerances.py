@@ -38,9 +38,9 @@ class ToleranceConfig:
         matrix (of A and B when it is the difference B - A).
     recon_tol
         Relative residual accepted by identity checks (reconstructions,
-        matrices_equal, A (B - A) = 0 relative to |A| |B - A|, and the
-        checks of sim_congruence's certificate) and by the symmetrization of raw input, which flags
-        input skewed beyond it.  Identities that multiply by an inner
+        A (B - A) = 0 relative to |A| |B - A|, and the checks of
+        sim_congruence's certificate) and by the symmetrization of raw
+        input, which flags input skewed beyond it.  Identities that multiply by an inner
         inverse or an estimator widen it by their unit-free size when that
         exceeds 1 (numkernel.identity_budget).
 

@@ -6,11 +6,12 @@ every matrix it certifies is certified on its own, each reduction is a
 sim_congruence call, the Loewner verdicts of model_compare are both read
 from one decomposition of M1 - M2 (reference_verdicts.lowner_both), and
 the Monte Carlo forms are three-operand einsums on the symmetric root of
-V taken from sym_eig.  V, the forms and the compressed forms W^T A W are
-certified from their sym_eig spectra (reference_verdicts.certified_eig),
-from which each rank is counted and each minus question decided by the
-rank equation (reference_verdicts.minus_verdict), as the module decides
-them on the eigh spectra its stacks hold.  Each efficiency matrix of
+V taken from reference_verdicts.canonical_eig.  V, the forms and the
+compressed forms W^T A W are certified from their canonical_eig spectra
+(reference_verdicts.certified_eig), from which each rank is counted and
+each minus question decided by the rank equation
+(reference_verdicts.minus_verdict), as the module decides them on the
+eigh spectra its stacks hold.  Each efficiency matrix of
 model_compare is formed model by model: the eigh spectrum of the Gram
 matrix D + X X^T, its columns as eigh returns them, since the
 pseudoinverse shows no basis, its spectral pseudoinverse and the product
@@ -41,11 +42,11 @@ from psdorder.linmodels import (
     QFormEntry,
     QFormReport,
 )
-from psdorder.numkernel import PsdMatrix, SymMatrix, identity_budget, maxabs, rel_residual, sym_eig
+from psdorder.numkernel import PsdMatrix, SymMatrix, identity_budget, maxabs, rel_residual
 from psdorder.rng import normal_matrix, substream
 from psdorder.special import chi2_cdf, ks_uniform_distance
 from psdorder.tolerances import DEFAULT_TOL
-from reference_verdicts import certified_eig, lowner_both, minus_verdict, sim_congruence
+from reference_verdicts import canonical_eig, certified_eig, lowner_both, minus_verdict, sim_congruence
 
 
 def _rank(values, tol):
@@ -114,7 +115,7 @@ def qform_rank_criterion(a_list, v, mu, tol=DEFAULT_TOL):
     overall = True
     for i, (t_i, values_i, _) in enumerate(t_forms):
         r_i = _rank(values_i, tol)
-        values_d, _ = sym_eig(SymMatrix(t_total.a - t_i.a))
+        values_d, _ = canonical_eig(SymMatrix(t_total.a - t_i.a))
         verdict = minus_verdict([values_i, values_t, values_d], t_i.n, tol=tol)
         sim = None
         reason = "compressed form is not below the compressed total"
@@ -133,7 +134,7 @@ def mc_quadratic_forms(a_list, v, mu, n_samples, seed, tol=DEFAULT_TOL):
     v, mats, w = _setup(a_list, v, mu, tol)
     mu = w[:, -1]
     dfs = [_rank(certified_eig(w.T @ m @ w, tol)[1], tol) for m in mats]
-    values, vectors = sym_eig(v)
+    values, vectors = canonical_eig(v)
     root = (vectors * np.sqrt(np.maximum(values, 0.0))) @ vectors.T
     q_values = np.empty((len(mats), n_samples))
     done = 0

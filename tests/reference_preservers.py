@@ -4,7 +4,7 @@ It computes what psdorder.preservers.fit_congruence computes the way that
 function did before it read one column of one eigh call and filled S in
 place: each probe takes the image of the first sample that matches it in
 full, the first column is sqrt(lambda) q for the leading eigenpair of
-sym_eig (canonical_order's values and signs), each further column is
+reference_verdicts.canonical_eig (canonical order), each further column is
 isolated from its mixed probe on its own, S is np.column_stack of the
 columns, and every sample is checked against S on its own.  The module
 scales the first column by a power of two before it multiplies four
@@ -15,8 +15,9 @@ products stay inside the float range.
 import numpy as np
 
 from psdorder import InconsistentSamples, probe_inputs
-from psdorder.numkernel import maxabs, rel_residual, sym_eig
+from psdorder.numkernel import maxabs, rel_residual
 from psdorder.tolerances import DEFAULT_TOL
+from reference_verdicts import canonical_eig
 
 
 def fit_congruence(samples, tol=DEFAULT_TOL):
@@ -30,7 +31,7 @@ def fit_congruence(samples, tol=DEFAULT_TOL):
         if not found:
             raise InconsistentSamples("probe inputs are missing from the samples")
         images.append(found[0])
-    values, vectors = sym_eig(images[0])
+    values, vectors = canonical_eig(images[0])
     if values[0] <= 0 or np.count_nonzero(np.abs(values) > tol.rank_cutoff(values)) != 1:
         raise InconsistentSamples(
             "image of the first probe is not rank one; no invertible congruence explains the samples"

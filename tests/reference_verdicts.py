@@ -5,12 +5,12 @@ Each function here decides one pair the way the scalar checks did before
 they moved onto plain arrays: every input becomes a SymMatrix, each
 matrix is decomposed on its own, and every decision is read from those
 spectra, masked against the cutoff where it counts a rank.  The Loewner
-witness and sim_congruence take eigenvectors from sym_eig, in canonical
-order; the image and ginv routes take np.linalg.eigh's columns as they
+witness and sim_congruence take eigenvectors from canonical_eig, numpy's
+eigh put in canonical order here; the image and ginv routes take np.linalg.eigh's columns as they
 come, since neither the direct sum nor G depends on their order or
 signs; the minus rank route, the star family and inertia read
 eigenvalues alone, from np.linalg.eigvalsh, as the code does.
-sim_congruence decides the rank equation on the sym_eig spectra of A, B
+sim_congruence decides the rank equation on the canonical_eig spectra of A, B
 and B - A (minus_verdict), certifies A and B PSD from theirs, the eigh
 values its reduction reads, and reduces the pair with the ranks of that
 count: S is the basis of A's and B - A's kept eigenvectors and B's
@@ -27,7 +27,7 @@ one at a time.
 
 import numpy as np
 
-from psdorder.canonical import Inertia, SimCongResult, canonical_ek
+from psdorder.canonical import Inertia, SimCongResult
 from psdorder.errors import DimensionMismatch, NotMinusComparable, PsdOrderError
 from psdorder.numkernel import (
     SymMatrix,
@@ -36,10 +36,30 @@ from psdorder.numkernel import (
     min_singular_value,
     rel_residual,
     require_psd,
-    sym_eig,
+    sym_array,
 )
 from psdorder.orders import MinusMethod, OrderVerdict, Relation, _detail
 from psdorder.tolerances import DEFAULT_TOL
+
+
+def canonical_eig(a):
+    """The eigendecomposition of a symmetric matrix in canonical order, from
+    numpy alone: eigh of sym_array(a), its values sorted descending by a
+    stable argsort and the columns with them, each column negated where its
+    first entry above 1e-12 in magnitude is negative."""
+    values, vectors = np.linalg.eigh(sym_array(a))
+    order = np.argsort(-values, kind="stable")
+    values, vectors = values[order], vectors[:, order]
+    for j in range(len(values)):
+        nz = np.flatnonzero(np.abs(vectors[:, j]) > 1e-12)
+        if nz.size and vectors[nz[0], j] < 0:
+            vectors[:, j] = -vectors[:, j]
+    return values, vectors
+
+
+def ek(n, k):
+    """E_k = diag(I_k, 0), the canonical PSD form of rank k."""
+    return np.diag(np.r_[np.ones(k), np.zeros(n - k)])
 
 
 def _pair(a, b):
@@ -51,7 +71,7 @@ def _pair(a, b):
 
 def lowner_both(a, b, tol=DEFAULT_TOL):
     sa, sb = _pair(a, b)
-    values, vectors = sym_eig(SymMatrix(sb.a - sa.a))
+    values, vectors = canonical_eig(SymMatrix(sb.a - sa.a))
     threshold = tol.psd_tol * max(maxabs(sa.a), maxabs(sb.a))
     min_eigs = (float(values[-1]), -float(values[0]))
     holds = [m >= -threshold for m in min_eigs]
@@ -173,9 +193,9 @@ def inertia(a, tol=DEFAULT_TOL):
 
 
 def certified_eig(a, tol=DEFAULT_TOL):
-    """A SymMatrix of `a` and its sym_eig spectrum, certified PSD from it."""
+    """A SymMatrix of `a` and its canonical_eig spectrum, certified PSD from it."""
     m = SymMatrix(a)
-    values, vectors = sym_eig(m)
+    values, vectors = canonical_eig(m)
     require_psd(m.a[None], values[None, ::-1], tol)
     return m, values, vectors
 
@@ -187,7 +207,7 @@ def _congruence_fails(check):
 def sim_congruence(a, b, tol=DEFAULT_TOL):
     sa, sb = _pair(a, b)
     mats = (sa, sb, SymMatrix(sb.a - sa.a))
-    eigs = [sym_eig(m) for m in mats]
+    eigs = [canonical_eig(m) for m in mats]
     for m, (values, _) in zip(mats[:2], eigs):
         require_psd(m.a[None], values[None, ::-1], tol)
     cert = minus_verdict([v for v, _ in eigs], sa.n, tol=tol).certificate
@@ -204,8 +224,8 @@ def sim_congruence(a, b, tol=DEFAULT_TOL):
     sigma_min, direct = min_singular_value(s, tol)
     if not direct:
         raise _congruence_fails(f"direct-sum check: sigma_min {sigma_min:.3e}")
-    residual_a = rel_residual(s @ canonical_ek(n, r_rank) @ s.T - sa.a, sa.a, sb.a)
-    residual_b = rel_residual(s @ canonical_ek(n, s_rank) @ s.T - sb.a, sa.a, sb.a)
+    residual_a = rel_residual(s @ ek(n, r_rank) @ s.T - sa.a, sa.a, sb.a)
+    residual_b = rel_residual(s @ ek(n, s_rank) @ s.T - sb.a, sa.a, sb.a)
     if max(residual_a, residual_b) > tol.recon_tol:
         raise _congruence_fails(
             f"reconstruction check: residuals ({residual_a:.3e}, {residual_b:.3e}) out of budget"

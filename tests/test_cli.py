@@ -415,6 +415,18 @@ def assert_usage_error(capsys, argv):
     assert "error:" in captured.err
 
 
+def test_a_json_matrix_must_declare_an_integer_n(tmp_path, capsys):
+    # a string or a bool "n" is a usage error that names the key, not a
+    # row count that seems to disagree, and no bool passes as 1
+    for name, text in (("string.json", '{"n": "2", "entries": [[1, 0], [0, 1]]}'),
+                       ("bool.json", '{"n": true, "entries": [[1]]}')):
+        bad = tmp_path / name
+        bad.write_text(text)
+        with pytest.raises(ParseError, match="'n' must be an integer"):
+            read_array(bad)
+        assert_usage_error(capsys, ["canon", "inertia", str(bad)])
+
+
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
 def test_non_finite_matrix_entries_are_parse_errors(tmp_path, capsys, token):
     good = csv(tmp_path, "good.csv", np.eye(2))

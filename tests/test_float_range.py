@@ -33,20 +33,17 @@ from psdorder import (
     fit_congruence,
     inertia,
     lowner_leq,
-    matrices_equal,
     mc_quadratic_forms,
     minus_leq,
     model_compare,
     order_holds_many,
     order_leq,
-    pinv,
     preserves_order,
     probe_inputs,
     projector_fixed_point_suite,
     qform_rank_criterion,
     sim_congruence,
     star_family_leq,
-    sym_eig,
 )
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -84,12 +81,9 @@ _RAW_ENTRIES = {
     **{f"minus_leq/{m.value}": (lambda a, b, m=m: minus_leq(a, b, method=m), _E1, _I) for m in MinusMethod},
     "star_family_leq": (star_family_leq, _E1, _I),
     "order_leq": (lambda a, b: order_leq(a, b, Relation.LOWNER), _E1, _I),
-    "matrices_equal": (matrices_equal, _E1, _I),
     "order_holds_many": (lambda a, b: order_holds_many(a, b, Relation.MINUS), _E1[None], _I[None]),
     "sim_congruence": (sim_congruence, _E1, _I),
     "inertia": (inertia, _I),
-    "pinv": (pinv, _I),
-    "sym_eig": (sym_eig, _I),
     "SymMatrix": (SymMatrix, _I),
     "PsdMatrix": (PsdMatrix, _I),
     "LinearModel": (LinearModel, _X, _I),

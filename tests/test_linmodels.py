@@ -20,10 +20,9 @@ from psdorder import (
     mc_quadratic_forms,
     minus_leq,
     model_compare,
-    pinv,
     qform_rank_criterion,
 )
-from psdorder.numkernel import maxabs
+from psdorder.numkernel import _spectral_pinv, maxabs
 from psdorder.rng import normal_matrix
 
 
@@ -78,7 +77,7 @@ def test_efficiency_matrix_inner_inverse_invariance():
         model = LinearModel(x=x, d=d)
         gram = d + x @ x.T
         base = efficiency_matrix(model).a
-        plus = pinv(gram)
+        plus = _spectral_pinv(*np.linalg.eigh(gram))
         for seed in (1, 2, 3):
             gi = oracles.inner_inverse(gram, plus, normal_matrix(seed, n, n))
             assert maxabs(gram @ gi @ gram - gram) <= 1e-8 * max(1.0, maxabs(gram))
@@ -98,7 +97,7 @@ def test_reduced_and_general_order_models_identically():
         m1, m2 = LinearModel(x=x, d=d1), LinearModel(x=x, d=d2)
         general = model_compare(m1, m2)
         # the reduced summary X^T D^- X (Im X sits inside Im D, D invertible)
-        red1, red2 = x.T @ pinv(d1) @ x, x.T @ pinv(d2) @ x
+        red1, red2 = x.T @ np.linalg.inv(d1) @ x, x.T @ np.linalg.inv(d2) @ x
         assert general.l1_geq_l2 == lowner_leq(red2, red1).holds
         assert general.l2_geq_l1 == lowner_leq(red1, red2).holds
 
@@ -172,6 +171,9 @@ def test_model_compare_raises_the_first_models_fault_first():
         model_compare(tiny, huge)
     with pytest.raises(PsdOrderError, match=r"^D \+ X X\^T overflows"):
         model_compare(huge, tiny)
+    # a finite Gram matrix whose eigenvalue 2.5e308 is not: its rank cutoff overflows
+    with pytest.raises(PsdOrderError, match="^the rank cutoff overflows"):
+        efficiency_matrix(LinearModel(np.zeros((2, 1)), np.full((2, 2), 1.25e308)))
 
 
 def test_estimator_covariance():

@@ -12,18 +12,32 @@ from psdorder import (
     ToleranceConfig,
     inertia,
     lowner_leq,
-    pinv,
-    sym_eig,
+    sim_congruence,
 )
 from psdorder.errors import DimensionMismatch, PsdOrderError
-from psdorder.numkernel import canonical_column, canonical_order, column_span, maxabs, outside_span, sym_stack
+from psdorder.numkernel import (
+    _spectral_pinv,
+    canonical_column,
+    column_span,
+    eigh_stack,
+    fix_signs,
+    maxabs,
+    outside_span,
+    sym_stack,
+)
+from reference_verdicts import canonical_eig
 
 
 def image(a, tol=DEFAULT_TOL):
     """Orthonormal columns spanning Im A: the eigenvectors whose eigenvalues
     clear A's own rank cutoff."""
-    values, vectors = sym_eig(a)
+    values, vectors = np.linalg.eigh(a)
     return vectors[:, np.abs(values) > tol.rank_cutoff(values)]
+
+
+def pinv(a):
+    """The Gram pseudoinverse's rule (numkernel._spectral_pinv) on eigh's spectrum of A."""
+    return _spectral_pinv(*np.linalg.eigh(a))
 
 
 def random_sym(rng, n, scale=1.0):
@@ -58,60 +72,67 @@ def test_psd_matrix_accepts_and_rejects():
 
 
 def test_eig_diagonal_is_signed_permutation():
-    values, vectors = sym_eig(np.diag([3.0, 1.0, 2.0]))
-    np.testing.assert_allclose(values, [3.0, 2.0, 1.0], atol=1e-14)
-    # columns must be +/- standard basis vectors in the order 0, 2, 1
-    perm = np.abs(vectors)
-    expected = np.eye(3)[:, [0, 2, 1]]
-    np.testing.assert_allclose(perm, expected, atol=1e-14)
+    (values,), (vectors,) = eigh_stack(np.diag([3.0, 1.0, 2.0])[None])
+    np.testing.assert_allclose(values, [1.0, 2.0, 3.0], atol=1e-14)
+    # columns must be +/- standard basis vectors in the order 1, 2, 0
+    np.testing.assert_allclose(np.abs(vectors), np.eye(3)[:, [1, 2, 0]], atol=1e-14)
+    # in canonical order the first column is e_0 and the last e_1, signs fixed
+    assert canonical_column(values, vectors, last=False).tolist() == [1.0, 0.0, 0.0]
+    assert canonical_column(values, vectors, last=True).tolist() == [0.0, 1.0, 0.0]
 
 
 def test_eig_2x2_closed_form():
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
-    values, vectors = sym_eig(a)
+    (values,), (vectors,) = eigh_stack(a[None])
     lam1, lam2 = oracles.eig2(2.0, 1.0, 2.0)
-    np.testing.assert_allclose(values, [lam1, lam2], atol=1e-14)
+    np.testing.assert_allclose(values, [lam2, lam1], atol=1e-14)
     np.testing.assert_allclose(np.abs(vectors[:, 0]), [1, 1] / np.sqrt(2), atol=1e-14)
     np.testing.assert_allclose(np.abs(vectors[:, 1]), [1, 1] / np.sqrt(2), atol=1e-14)
 
 
 def test_eig_zero_matrix_gives_identity_basis():
-    values, vectors = sym_eig(np.zeros((4, 4)))
+    (values,), (vectors,) = eigh_stack(np.zeros((1, 4, 4)))
     np.testing.assert_array_equal(values, np.zeros(4))
     np.testing.assert_array_equal(vectors, np.eye(4))
+    # so the zero pair's S, that basis in canonical order, is the identity
+    np.testing.assert_array_equal(sim_congruence(np.zeros((4, 4)), np.zeros((4, 4))).s, np.eye(4))
 
 
 def test_eig_sign_convention_first_nonzero_positive():
+    # fix_signs on eigh's columns as rows, and canonical_column's two columns
     rng = np.random.default_rng(7)
     for _ in range(50):
         a = random_sym(rng, 5)
-        _, vecs = sym_eig(a)
-        for j in range(5):
-            col = vecs[:, j]
+        values, vectors = np.linalg.eigh(a)
+        ends = [canonical_column(values, vectors, last) for last in (False, True)]
+        for col in [*fix_signs(vectors.T.copy()), *ends]:
             nz = col[np.abs(col) > 1e-12]
             assert nz.size > 0 and nz[0] > 0
 
 
 def test_canonical_column_is_the_column_canonical_order_gives():
-    # the first and last columns, bit for bit, on spectra with and without
-    # ties (a tie keeps LAPACK's order inside it) and of both signs
+    # the first and last columns of the test reference's canonical
+    # eigendecomposition, bit for bit, on spectra with and without ties (a
+    # tie keeps LAPACK's order inside it) and of both signs
     rng = np.random.default_rng(11)
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     spectra = [np.zeros(5), np.ones(5), [2.0, 2.0, 1.0, -1.0, -1.0], [0.0, 0.0, 3.0, 0.0, -3.0]]
-    stack = np.array([random_sym(rng, 5) for _ in range(20)] + [(q * np.array(d)) @ q.T for d in spectra]
-                     + [np.diag(d) for d in spectra])
+    stack = sym_stack([random_sym(rng, 5) for _ in range(20)] + [(q * np.array(d)) @ q.T for d in spectra]
+                      + [np.diag(d) for d in spectra])
     values, vectors = np.linalg.eigh(stack)
-    _, ordered = canonical_order(values, vectors)
+    ordered = [canonical_eig(x)[1] for x in stack]
     for v, q_raw, q_ordered in zip(values, vectors, ordered):
         for last, column in ((True, -1), (False, 0)):
             assert canonical_column(v, q_raw, last).tobytes() == q_ordered[:, column].tobytes()
 
 
 def test_eig_reconstruction_and_orthogonality():
+    # the test reference's canonical eigendecomposition: descending,
+    # orthonormal and reconstructing A
     rng = np.random.default_rng(11)
     for n in (1, 2, 3, 5, 9, 16):
         a = random_sym(rng, n, scale=3.0)
-        values, q = sym_eig(a)
+        values, q = canonical_eig(a)
         assert np.all(np.diff(values) <= 1e-12)
         np.testing.assert_allclose((q * values) @ q.T, a, atol=1e-12 * max(1.0, maxabs(a)))
         np.testing.assert_allclose(q.T @ q, np.eye(n), atol=1e-13)
@@ -124,7 +145,7 @@ def test_jacobi_backend_matches_lapack():
     for _ in range(40):
         n = rng.integers(1, 7)
         a = random_sym(rng, n, scale=2.0)
-        np.testing.assert_allclose(sym_eig(a)[0], oracles.jacobi_eigvals(a), atol=1e-10)
+        np.testing.assert_allclose(canonical_eig(a)[0], oracles.jacobi_eigvals(a), atol=1e-10)
 
 
 def test_rank_examples():

@@ -9,20 +9,17 @@ from psdorder import (
     MinusMethod,
     Relation,
     ToleranceConfig,
-    canonical_ek,
     inertia,
     lowner_leq,
-    matrices_equal,
     minus_leq,
     order_holds_many,
     order_leq,
-    pinv,
     sim_congruence,
     star_family_leq,
-    sym_eig,
 )
 from psdorder.errors import DimensionMismatch, PsdOrderError
-from psdorder.numkernel import maxabs, outside_span
+from psdorder.numkernel import maxabs, outside_span, rel_residual
+from reference_verdicts import ek
 
 ALL_RELATIONS = [Relation.LOWNER, Relation.MINUS, Relation.STAR,
                  Relation.LEFT_STAR, Relation.RIGHT_STAR]
@@ -79,7 +76,7 @@ def test_lowner_witness_certificate():
 
 
 def test_canonical_units_under_every_relation():
-    e1, e2 = canonical_ek(3, 1), canonical_ek(3, 2)
+    e1, e2 = ek(3, 1), ek(3, 2)
     for rel in ALL_RELATIONS:
         v = check(rel, e1, e2)
         assert v.holds and v.detail == "strictly less", rel
@@ -188,7 +185,7 @@ LOOSE = ToleranceConfig(rank_rel_tol=0.1, psd_tol=0.1, recon_tol=0.1)
 @pytest.mark.parametrize("rel", ALL_RELATIONS, ids=lambda r: r.value)
 def test_order_leq_matches_the_specific_check(rel):
     rng = np.random.default_rng(31)
-    e1, e2 = canonical_ek(3, 1), canonical_ek(3, 2)
+    e1, e2 = ek(3, 1), ek(3, 2)
     near = (np.diag([1.05, 0.0, 0.0]), np.diag([1.0, 1.0, 0.0]))
     pairs = [(e1, e2), (e2, e1), (e1, e1), star_pair(rng, 3, 1, 2),
              (random_psd(rng, 3), random_psd(rng, 3)), near]
@@ -254,8 +251,6 @@ def test_a_difference_that_overflows_raises():
     for rel in ALL_RELATIONS:
         with pytest.raises(PsdOrderError, match="overflows"):
             order_leq(a, b, rel)
-    with pytest.raises(PsdOrderError, match="overflows"):
-        matrices_equal(a, b)
 
 
 @pytest.mark.filterwarnings("error")
@@ -279,8 +274,6 @@ def test_a_spectrum_beyond_the_float_range_raises():
     for m in (big, -big):
         with pytest.raises(PsdOrderError, match="overflows"):
             inertia(m)
-        with pytest.raises(PsdOrderError, match="overflows"):
-            pinv(m)
 
 
 def test_order_holds_many_answers_a_star_pair_whose_reverse_test_overflows():
@@ -293,15 +286,6 @@ def test_order_holds_many_answers_a_star_pair_whose_reverse_test_overflows():
             order_leq(big, z, rel)
         with pytest.raises(PsdOrderError, match="rank cutoff overflows"):
             order_holds_many(big[None], z[None], rel)
-
-
-def test_matrices_equal_scales():
-    a = np.eye(2)
-    assert matrices_equal(a, a + 1e-12)
-    assert not matrices_equal(a, a + 1e-4)
-    big = 1e8 * np.eye(2)
-    assert matrices_equal(big, big + 1.0 * np.eye(2) * 1e-3)
-    assert not matrices_equal(big, big + 10.0 * np.eye(2))
 
 
 # ----- preorder axioms -------------------------------------------------------
@@ -326,7 +310,7 @@ def test_antisymmetry():
         for rel in ALL_RELATIONS:
             if check(rel, a, b).holds and check(rel, b, a).holds:
                 hits += 1
-                assert matrices_equal(a, b), rel
+                assert rel_residual(b - a, a, b) <= DEFAULT_TOL.recon_tol, rel
     assert hits > 50  # the a == b branch must actually fire
 
 
@@ -532,7 +516,7 @@ def test_lowner_implies_image_containment():
         # shrink inside B's range to get a guaranteed PSD-below pair
         a = 0.3 * b
         assert lowner_leq(a, b).holds
-        values, vectors = sym_eig(b)
+        values, vectors = np.linalg.eigh(b)
         outside, scale = outside_span(a, vectors[:, np.abs(values) > DEFAULT_TOL.rank_cutoff(values)])
         assert outside <= DEFAULT_TOL.recon_tol * scale
         # and a generic witness with larger image is not PSD-below
@@ -668,7 +652,7 @@ def test_star_follows_the_rank_equation_where_matrices_equal_calls_equal():
     # equation counts 1e-9, so in every variant star fails and reads
     # "strictly greater", as minus does: equality is rank(B - A) = 0
     a, b = np.diag([1.0, 1e-9]), np.diag([1.0, 0.0])
-    assert matrices_equal(a, b)
+    assert rel_residual(b - a, a, b) <= DEFAULT_TOL.recon_tol
     assert minus_leq(a, b).detail == "strictly greater"
     for variant in (Relation.STAR, Relation.LEFT_STAR, Relation.RIGHT_STAR):
         v = star_family_leq(a, b, variant)

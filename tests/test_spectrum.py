@@ -40,11 +40,11 @@ from psdorder import (
     qform_rank_criterion,
     sim_congruence,
     star_family_leq,
-    sym_eig,
 )
-from psdorder import canonical, linmodels, numkernel, orders
-from psdorder.numkernel import canonical_order, column_span, min_singular_value, rel_residual
+from psdorder import canonical, numkernel, orders
+from psdorder.numkernel import column_span, min_singular_value, rel_residual
 from psdorder.preservers import _projectors, congruence_map, sample_pair
+from reference_verdicts import canonical_eig
 
 
 @pytest.fixture
@@ -178,8 +178,7 @@ def test_sampler_makes_one_qr_call_per_draw(monkeypatch, relation):
 @pytest.mark.parametrize("n", [2, 3, 5, 10, 50])
 def test_stacked_eigh_matches_per_matrix_eigh(n, k):
     # the premise of the stacked core: LAPACK on a (k, n, n) stack gives
-    # each matrix the bits a call on it alone gives, and so does sym_eig
-    # against the stack's factors in canonical order
+    # each matrix the bits a call on it alone gives
     rng = np.random.default_rng(1000 * n + k)
     g = rng.standard_normal((k, n, n))
     x = g + g.swapaxes(1, 2)
@@ -187,15 +186,10 @@ def test_stacked_eigh_matches_per_matrix_eigh(n, k):
     x[0] = (q * np.r_[np.ones(n // 2), np.zeros(n - n // 2)]) @ q.T  # a projector
     x[-1] = np.diag(np.r_[np.ones(n - 1), 0.0])  # exactly repeated eigenvalues
     values, vectors = np.linalg.eigh(x)
-    c_values, c_vectors = canonical_order(values, vectors)
     for i in range(k):
         v, q = np.linalg.eigh(x[i])
         assert v.tobytes() == values[i].tobytes()
         assert q.tobytes() == vectors[i].tobytes()
-        v, q = sym_eig(x[i])
-        assert v.tobytes() == c_values[i].tobytes()
-        assert q.tobytes() == c_vectors[i].tobytes()
-        assert q.strides == c_vectors[i].strides
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 48])
@@ -369,20 +363,30 @@ def test_star_stack_mixes_every_image_rank(relation):
     assert order_holds_many(a, b, relation).tolist() == labels
 
 
-def test_star_and_image_routes_order_no_eigenvectors(monkeypatch):
+@pytest.fixture
+def sign_fixed(monkeypatch):
+    """The number of rows of each fix_signs call orders and numkernel make
+    while the test runs, in order."""
+    rows = []
+    real = numkernel.fix_signs
+
+    def counting(x):
+        rows.append(int(np.prod(x.shape[:-1])))
+        return real(x)
+
+    for module in (orders, numkernel):
+        monkeypatch.setattr(module, "fix_signs", counting)
+    return rows
+
+
+def test_star_and_image_routes_order_no_eigenvectors(sign_fixed):
     # the image and ginv routes check the direct sum and read G off eigh's
     # raw factors, whose order and signs neither depends on, and the star
-    # family reads eigenvalues alone, so none sorts or sign-fixes
-    # eigenvectors with canonical_order; nor does a Loewner verdict, whose
-    # witness is one column read from eigh's output, a failing ginv
-    # verdict, which carries the rank route's certificate and no inner
-    # inverse, its cutoff from eigh's values where the rank route reads
-    # eigvalsh's, or sim_congruence, which orders only S's n columns
-    def no_order(*args, **kwargs):
-        raise AssertionError("canonical_order was called")
-
-    for module in (orders, canonical, numkernel):
-        monkeypatch.setattr(module, "canonical_order", no_order, raising=False)
+    # family reads eigenvalues alone, so none sign-fixes eigenvectors; nor
+    # does a Loewner verdict, whose witness is one column read from eigh's
+    # output, or a failing ginv verdict, which carries the rank route's
+    # certificate and no inner inverse, its cutoff from eigh's values where
+    # the rank route reads eigvalsh's
     for label in ("holds", "fails"):
         assert _verdict("minus_image", *PAIRS["minus"][label]).holds == (label == "holds")
         assert _verdict("minus_ginv", *PAIRS["minus"][label]).holds == (label == "holds")
@@ -398,9 +402,10 @@ def test_star_and_image_routes_order_no_eigenvectors(monkeypatch):
     assert (fails.detail, fails.certificate) == (
         "incomparable", {**rank.certificate, "method": "ginv", "cutoff": fails.certificate["cutoff"]})
     assert oracles.cutoff_gap(fails.certificate["cutoff"], rank.certificate["cutoff"], *PAIRS["minus"]["fails"]) <= 4.0
+    assert sign_fixed == []
+    # sim_congruence sign-fixes S's n columns, once
     assert sim_congruence(*PAIRS["minus"]["holds"]).rank_a == 1
-    with pytest.raises(AssertionError, match="canonical_order"):
-        sym_eig(PAIRS["minus"]["holds"][0])
+    assert sign_fixed == [4]
 
 
 @pytest.fixture
@@ -482,12 +487,7 @@ def test_sim_congruence_scans_a_and_b_once(scanned):
     assert scanned == [(4, 6, 6), (4, 7, 7)] + [(2, 7, 7)] * 3
 
 
-def test_fit_congruence_and_a_failing_qform_order_no_eigenvectors(monkeypatch, eigh_calls):
-    def no_order(*args):
-        raise AssertionError("canonical_order was called")
-
-    for module in (numkernel, orders, linmodels):
-        monkeypatch.setattr(module, "canonical_order", no_order, raising=False)
+def test_fit_congruence_and_a_failing_qform_order_no_eigenvectors(sign_fixed, eigh_calls):
     rng = np.random.default_rng(29)
     s = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
     given = probe_inputs(4) + [np.eye(4)]
@@ -502,6 +502,19 @@ def test_fit_congruence_and_a_failing_qform_order_no_eigenvectors(monkeypatch, e
     report = qform_rank_criterion([eye[:, :2] @ eye[:, :2].T, eye[:, 1:3] @ eye[:, 1:3].T], eye, np.zeros(4))
     assert not report.overall and not any(entry.verdict.holds for entry in report.forms)
     assert eigh_calls == [("eigh", 3), ("eigh", 5)]
+    assert sign_fixed == []
+    # the fitted S's pair (S E_1 S^T, S S^T): its ginv certificate reads G
+    # off eigh's columns as they come, and its congruence sign-fixes the n
+    # columns of S once
+    a, b = fitted[:, :1] @ fitted[:, :1].T, fitted @ fitted.T
+    assert minus_leq(a, b, method="ginv").holds
+    assert sign_fixed == []
+    assert sim_congruence(a, b).rank_a == 1
+    assert sign_fixed == [4]
+    # as does each reduction of a holding qform, from linmodels
+    sign_fixed.clear()
+    assert qform_rank_criterion(*_three_forms()).overall
+    assert sign_fixed == [7, 7, 7]
 
 
 def test_minus_certificates_make_their_lapack_calls_and_no_more(monkeypatch):
@@ -516,12 +529,8 @@ def test_minus_certificates_make_their_lapack_calls_and_no_more(monkeypatch):
 
         return call
 
-    def no_ek(*args):
-        raise AssertionError("canonical_ek was called")
-
     for name in ("eigh", "eigvalsh", "svd", "inv"):
         monkeypatch.setattr(np.linalg, name, counting(name))
-    monkeypatch.setattr(canonical, "canonical_ek", no_ek)
     a, b = PAIRS["minus"]["holds"]
     # A, B and B - A together, and the SVD that certifies S invertible;
     # S is read off their eigenvectors, and S E_k S^T from S's leading k
@@ -639,19 +648,12 @@ def test_eigh_calls_mc_quadratic_forms(eigh_calls):
     assert eigh_calls == [("eigh", 4), ("eigh", 7)]
 
 
-def test_sym_eig_keeps_no_spectrum_on_a_sym_matrix(eigh_calls):
-    m = SymMatrix(PAIRS["lowner"]["holds"][1])
-    first = sym_eig(m)
-    second = sym_eig(m)
-    assert all(x is not y for x, y in zip(first, second)) and _bits(second) == _bits(first)
-    assert len(eigh_calls) == 2
-    assert not hasattr(m, "_eig")
+def test_psd_matrix_keeps_no_spectrum(eigh_calls):
     # a PsdMatrix is certified from the eigenvalues of one values-only
     # decomposition and keeps none of them
-    p = PsdMatrix(m.a)
-    assert eigh_calls[2] == ("eigvalsh", 1)
-    sym_eig(p)
-    assert len(eigh_calls) == 4
+    p = PsdMatrix(PAIRS["lowner"]["holds"][1])
+    assert eigh_calls == [("eigvalsh", 1)]
+    assert vars(p).keys() == {"_a"}
 
 
 def _bits(obj):
@@ -691,6 +693,9 @@ def test_verdict_on_sym_matrices_matches_raw_bit_for_bit(relation, label):
 
 
 def test_canonical_order_matches_per_column_sign_fix():
+    # fix_signs, on eigh's columns as rows in a stable descending sort, is
+    # the per-column sign loop of the test reference's canonical_eig, bit
+    # for bit
     rng = np.random.default_rng(71)
     for n in (1, 2, 3, 6, 10):
         for _ in range(20):
@@ -700,27 +705,24 @@ def test_canonical_order_matches_per_column_sign_fix():
                 a[:, 0] = a[0, :] = 0.0  # a zero leading component in some vectors
             values, vectors = np.linalg.eigh(SymMatrix(a).a)
             order = np.argsort(-values, kind="stable")
-            want = vectors[:, order]
-            for j in range(n):
-                nz = np.flatnonzero(np.abs(want[:, j]) > 1e-12)
-                if nz.size and want[nz[0], j] < 0:
-                    want[:, j] = -want[:, j]
-            got_values, got_vectors = sym_eig(a)
-            assert got_values.tobytes() == values[order].tobytes()
-            assert got_vectors.tobytes() == want.tobytes()
-    empty_values, empty_vectors = sym_eig(np.zeros((0, 0)))
+            rows = numkernel.fix_signs(vectors.T[order])
+            want_values, want_vectors = canonical_eig(a)
+            assert want_values.tobytes() == values[order].tobytes()
+            assert want_vectors.tobytes() == rows.T.tobytes()
+    empty_values, empty_vectors = canonical_eig(np.zeros((0, 0)))
     assert empty_values.shape == (0,) and empty_vectors.shape == (0, 0)
+    assert numkernel.fix_signs(np.zeros((0, 0))).shape == (0, 0)
 
 
 def test_eig_decomposition_cutoff_queries():
-    values, _ = sym_eig(np.diag([4.0, -2.0, 1e-17, 0.0]))
+    values, _ = canonical_eig(np.diag([4.0, -2.0, 1e-17, 0.0]))
     cutoff = DEFAULT_TOL.rank_cutoff(values)
     assert cutoff == 4 * 4 * np.finfo(float).eps * 4.0
     # values are descending: 4, 1e-17, 0, -2
     np.testing.assert_array_equal(np.abs(values) > cutoff, [True, False, False, True])
     assert np.count_nonzero(np.abs(values) > ToleranceConfig(rank_rel_tol=0.6).rank_cutoff(values)) == 1
     assert np.count_nonzero(np.abs(values) > 5.0) == 0
-    zero, _ = sym_eig(np.zeros((3, 3)))
+    zero, _ = canonical_eig(np.zeros((3, 3)))
     assert DEFAULT_TOL.rank_cutoff(zero) == 0.0 and np.count_nonzero(np.abs(zero) > 0.0) == 0
     # the minus order counts A, B and B - A against the largest radius of the three
     small = np.diag([1.0, 0.0, 0.0, 0.0])
@@ -896,7 +898,7 @@ def test_a_residual_beyond_the_float_range_fails_its_check():
 
 def test_negated_spectrum_decomposes_minus_a():
     a, b = PAIRS["lowner"]["fails"]
-    values, vectors = sym_eig(b - a)
+    values, vectors = canonical_eig(b - a)
     # B - A's spectrum negated and reversed, as views, is a canonical one of A - B
     neg_values, q = -values[::-1], vectors[:, ::-1]
     assert np.all(np.diff(neg_values) <= 0)
@@ -904,4 +906,3 @@ def test_negated_spectrum_decomposes_minus_a():
     cutoff = DEFAULT_TOL.rank_cutoff(values)
     assert DEFAULT_TOL.rank_cutoff(neg_values) == cutoff
     assert np.count_nonzero(np.abs(neg_values) > cutoff) == np.count_nonzero(np.abs(values) > cutoff)
-    assert not values.flags.writeable and not vectors.flags.writeable

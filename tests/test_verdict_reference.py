@@ -159,9 +159,9 @@ def test_minus_certificates_match_the_reference_on_generated_pairs(data, n, kind
 def test_sim_congruence_orders_tied_columns_as_canonical_order_does():
     # S orders only its kept columns, each block by a stable descending
     # sort: on exactly tied eigenvalues it keeps eigh's order within a tie,
-    # as canonical_order does on the reference's spectra, where reversing
-    # eigh's ascending order would not
-    e = lambda n, k: np.diag(np.r_[np.ones(k), np.zeros(n - k)])  # noqa: E731
+    # as the reference's canonical_eig does, where reversing eigh's
+    # ascending order would not
+    e = ref.ek
     swap = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     assert sim_congruence(e(3, 2), np.eye(3)).s.tobytes() == swap.tobytes()
     pairs = [(e(3, 2), np.eye(3)), (e(4, 1), e(4, 3)), (np.zeros((3, 3)), e(3, 2)),
