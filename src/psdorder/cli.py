@@ -103,8 +103,8 @@ def _json_entries(path: str) -> np.ndarray:
         raise ParseError(f"{path}: 'n' must be an integer, got {obj['n']!r}")
     try:
         a = np.array(entries, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: ragged rows or non-numeric entries") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: ragged rows or non-numeric entries ({exc})") from exc
     if isinstance(obj, dict) and "n" in obj and a.ndim and a.shape[0] != obj["n"]:
         raise ParseError(f"{path}: declared n={obj['n']} but found {a.shape[0]} rows")
     return _finite(a, path)
@@ -171,12 +171,14 @@ def read_model(path, tol: ToleranceConfig = DEFAULT_TOL) -> LinearModel:
     obj = _read_json(path)
     if not isinstance(obj, dict) or "X" not in obj or "D" not in obj:
         raise ParseError(f"{path}: model files need 'X' and 'D' keys")
+    sigma2 = obj.get("sigma2", 1.0)
+    if type(sigma2) not in (int, float):  # a JSON number; a bool is not one
+        raise ParseError(f"{path}: 'sigma2' must be a number, got {sigma2!r}")
     try:
-        x = np.array(obj["X"], dtype=float)
-        d = np.array(obj["D"], dtype=float)
-        sigma2 = float(obj.get("sigma2", 1.0))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: non-numeric model entries") from exc
+        x, d = (np.array(obj[key], dtype=float) for key in "XD")
+        sigma2 = float(sigma2)
+    except (TypeError, ValueError, OverflowError) as exc:  # an integer beyond the float range overflows
+        raise ParseError(f"{path}: non-numeric model entries ({exc})") from exc
     if x.ndim != 2 or d.ndim != 2:
         raise ParseError(f"{path}: 'X' and 'D' must be 2-D")
     _finite(np.r_[x.ravel(), d.ravel(), sigma2], path)

@@ -34,7 +34,7 @@ from .numkernel import (
     require_psd,
     sym_array,
 )
-from .orders import OrderVerdict, _lowner_verdicts, _rank_verdicts
+from .orders import OrderVerdict, _lowner_verdicts, _minus_stack, _rank_verdict
 from .rng import normal_matrix, substream
 from .special import chi2_cdf, ks_uniform_distance
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -243,7 +243,9 @@ def _setup(a_list, v, mu, tol):
     certifies V and the forms (no forms raise); the other the k forms and their
     total compressed to W^T A W, W = (V : mu), and the k differences total - form.
     Returns the forms and their total, W, V's spectrum, the compressed matrices,
-    their largest entries, the second stack's spectra and the compressed ranks."""
+    their largest entries, the second stack's spectra, the index of each triple
+    (form, total, total - form) in it, and the family's one rank count: the
+    triples' rank equations (orders._minus_stack), each against its cutoff."""
     v = sym_array(v)
     mats = []
     for i, a in enumerate(a_list):
@@ -270,8 +272,10 @@ def _setup(a_list, v, mu, tol):
     k = len(mats) - 1
     values, vectors = eigh_stack(np.concatenate([t, derived("the total minus a form", np.subtract, t[k], t[:k])]))
     scales = require_psd(t, values[:k + 1], tol).tolist()
-    ranks = (np.abs(values[:k + 1]) > tol.rank_cutoff(values[:k + 1])[:, None]).sum(axis=1).tolist()
-    return mats, w, (values_v[0], vectors_v[0]), t, scales, values, vectors, ranks
+    # the indices of (form, total, total - form) in that stack, for each form
+    triples = np.c_[np.arange(k), np.full(k, k), np.arange(k + 1, 2 * k + 1)]
+    return mats, w, (values_v[0], vectors_v[0]), t, scales, (values, vectors), triples, _minus_stack(
+        values[triples], tol)
 
 
 def qform_rank_criterion(
@@ -280,29 +284,27 @@ def qform_rank_criterion(
     """Rank criterion for independence of the quadratic forms x^T A_i x.
 
     With W = (V : mu), each compressed form W^T A_i W must sit below the
-    compressed total W^T A W in the rank-subtractivity order, certified by
-    an explicit shared congruence per form.  A form compressed to zero
-    passes trivially with rank 0.  The minus verdicts are the rank route's,
-    read from the stack _setup decomposes, and decide; each holding form's
-    reduction takes its verdict's ranks and cutoff, and the spectra of the
-    form, the total and their difference from that stack.  A reduction whose
-    certificate fails a check raises PsdOrderError (see _sim_congruence).
+    compressed total W^T A W in the rank-subtractivity order, certified by an
+    explicit shared congruence per form.  A form compressed to zero passes
+    trivially with rank 0.  The minus verdicts are the rank route's, built
+    from _setup's rank count, and decide.  Each form's rank is its verdict's
+    rank_a and s the total's rank_b in the first triple (on the cone every
+    triple's cutoff is the total's radius times the relative cutoff).  Each
+    holding form's reduction takes its verdict's ranks and cutoff, and the
+    spectra of the form, the total and their difference from that stack.  A
+    reduction whose certificate fails a check raises PsdOrderError.
     """
-    _, w, _, t, scales, values, vectors, ranks = _setup(a_list, v, mu, tol)
-    k = len(t) - 1
-    # the indices of (form, total, total - form) in that stack, for each form
-    triples = np.c_[np.arange(k), np.full(k, k), np.arange(k + 1, 2 * k + 1)]
-    verdicts = _rank_verdicts(values[triples], tol)
+    _, w, _, t, scales, (values, vectors), triples, (decisions, ranks, cutoffs) = _setup(a_list, v, mu, tol)
+    verdicts = list(map(_rank_verdict, decisions.T.tolist(), ranks.T.tolist(), cutoffs.tolist()))
     entries = []
     for i, verdict in enumerate(verdicts):
-        sim = None
+        cert, sim = verdict.certificate, None
         if verdict.holds:  # the verdict's ranks and cutoff, and the pair's scale
-            cert = verdict.certificate
-            sim = _sim_congruence(t[[i, k]], values[triples[i]], vectors[triples[i]], cert["rank_a"],
-                                  cert["rank_b"], cert["cutoff"], max(scales[i], scales[k]), tol)
-        entries.append(QFormEntry(index=i, rank=sim.rank_a if sim else ranks[i], verdict=verdict, sim=sim,
+            sim = _sim_congruence(t[[i, -1]], values[triples[i]], vectors[triples[i]], cert["rank_a"],
+                                  cert["rank_b"], cert["cutoff"], max(scales[i], scales[-1]), tol)
+        entries.append(QFormEntry(index=i, rank=cert["rank_a"], verdict=verdict, sim=sim,
                                   reason="" if sim else "compressed form is not below the compressed total"))
-    return QFormReport(w=w, forms=entries, s=ranks[k], overall=all(verdict.holds for verdict in verdicts))
+    return QFormReport(w=w, forms=entries, s=ranks[1, 0].item(), overall=all(e.verdict.holds for e in entries))
 
 
 def mc_quadratic_forms(
@@ -319,13 +321,14 @@ def mc_quadratic_forms(
     deterministic normal streams, _MC_SHARD draws per sub-seed of `seed`,
     and reports pairwise correlations of the Q_i plus the KS distances of
     each form and of their total against chi-squared with the ranks of
-    the compressed forms as degrees of freedom.  The ranks and V's
-    spectrum come from the two stacks _setup decomposes.
+    the compressed forms as degrees of freedom.  V's spectrum and the ranks,
+    those qform_rank_criterion reports, come from _setup.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
+    mats, w, (lam, q), *_, (_, ranks, _) = _setup(a_list, v, mu, tol)
     # one entry per form, then the total's, in dfs, q_values and ks alike
-    mats, w, (lam, q), *_, dfs = _setup(a_list, v, mu, tol)
+    dfs = np.append(ranks[0], ranks[1, 0]).tolist()
     n = len(w)
     mu = w[:, -1]
     root = (q * np.sqrt(np.maximum(lam, 0.0))) @ q.T

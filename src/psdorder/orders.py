@@ -18,8 +18,8 @@ which one direct-sum check certifies for all three (_direct_sum).
 
 Each decision is written once, over stacks of pairs with a leading axis
 (_lowner_stack, _minus_stack, _star_identity): order_holds_many decides a
-whole stack from one stacked eigendecomposition, and the scalar checks
-read their verdict and certificate from the same arithmetic at k = 1.
+whole stack, and linmodels each form of a family below its total, from one
+stacked eigendecomposition; the scalar checks run the same code at k = 1.
 A pair is one stack [A, B, B - A], scanned once for its largest entries
 (maxabs_stack), and every threshold, budget and residual of the pair
 reads them: its scale is the larger of A's and B's.
@@ -137,7 +137,8 @@ def _lowner_verdicts(scale, values, vectors, tol, count):
     above _SIGN_EPS made positive, read from eigh's columns by
     canonical_column; no other eigenvector is ordered."""
     min_eigs, holds, threshold = _lowner_stack(scale, values, tol)
-    (min_eigs,), (holds,), (threshold,) = min_eigs.tolist(), holds.tolist(), threshold.tolist()
+    threshold, *min_eigs, forward, backward = np.concatenate((threshold, min_eigs[0], holds[0])).tolist()
+    holds = forward == 1.0, backward == 1.0  # converted with the floats, in one call
     return tuple(
         OrderVerdict(
             holds=holds[i],
@@ -200,13 +201,6 @@ def _rank_verdict(decision, triple, cutoff, method=MinusMethod.RANK, extra=None)
                          method=method.value, **(extra or {})),
         detail=_detail(holds, equal, reverse),
     )
-
-
-def _rank_verdicts(values, tol):
-    """_rank_verdict for each pair of a stack, from the spectra (k, 3, n) of
-    their A, B and B - A (see _minus_stack)."""
-    decisions, ranks, cutoffs = _minus_stack(values, tol)
-    return list(map(_rank_verdict, decisions.T.tolist(), ranks.T.tolist(), cutoffs.tolist()))
 
 
 def _minus_pair(a, b, tol, vectors=False):

@@ -8,11 +8,13 @@ from one decomposition of M1 - M2 (reference_verdicts.lowner_both), and
 the Monte Carlo forms are three-operand einsums on the symmetric root of
 V taken from reference_verdicts.canonical_eig.  V, the forms and the
 compressed forms W^T A W are certified from their canonical_eig spectra
-(reference_verdicts.certified_eig), from which each rank is counted and
-each minus question decided by the rank equation
-(reference_verdicts.minus_verdict), as the module decides them on the
-eigh spectra its stacks hold.  Each efficiency matrix of
-model_compare is formed model by model: the eigh spectrum of the Gram
+(reference_verdicts.certified_eig), and each minus question is decided by
+the rank equation (reference_verdicts.minus_verdict), as the module
+decides them on the eigh spectra its stacks hold.  Every rank reported
+comes from those equations, each form's own count in its triple (form,
+total, total - form) and the total's in the first triple, for the
+criterion and the Monte Carlo degrees of freedom alike.  Each efficiency
+matrix of model_compare is formed model by model: the eigh spectrum of the Gram
 matrix D + X X^T, its columns as eigh returns them, since the
 pseudoinverse shows no basis, its spectral pseudoinverse and the product
 X^T (D + X X^T)^+ X, as a PsdMatrix certified from eigvalsh where the
@@ -47,10 +49,6 @@ from psdorder.rng import normal_matrix, substream
 from psdorder.special import chi2_cdf, ks_uniform_distance
 from psdorder.tolerances import DEFAULT_TOL
 from reference_verdicts import canonical_eig, certified_eig, lowner_both, minus_verdict, sim_congruence
-
-
-def _rank(values, tol):
-    return int(np.count_nonzero(np.abs(values) > tol.rank_cutoff(values)))
 
 
 def efficiency_matrix(model, tol=DEFAULT_TOL):
@@ -107,25 +105,28 @@ def _setup(a_list, v, mu, tol):
     return v, mats, np.hstack([v.a, mu[:, None]])
 
 
+def _compressed_verdicts(mats, w, tol):
+    """The compressed forms, each certified, the compressed total, and each
+    form's minus verdict below the total, from the spectra of the form, the
+    total and their difference."""
+    *t_forms, (t_total, values_t, _) = (certified_eig(w.T @ m @ w, tol) for m in mats)
+    verdicts = [minus_verdict([values_i, values_t, canonical_eig(SymMatrix(t_total.a - t_i.a))[0]], t_i.n, tol=tol)
+                for t_i, values_i, _ in t_forms]
+    return [t_i for t_i, _, _ in t_forms], t_total, verdicts
+
+
 def qform_rank_criterion(a_list, v, mu, tol=DEFAULT_TOL):
     _, mats, w = _setup(a_list, v, mu, tol)
-    *t_forms, (t_total, values_t, _) = (certified_eig(w.T @ m @ w, tol) for m in mats)
-    s_rank = _rank(values_t, tol)
+    t_forms, t_total, verdicts = _compressed_verdicts(mats, w, tol)
     entries = []
-    overall = True
-    for i, (t_i, values_i, _) in enumerate(t_forms):
-        r_i = _rank(values_i, tol)
-        values_d, _ = canonical_eig(SymMatrix(t_total.a - t_i.a))
-        verdict = minus_verdict([values_i, values_t, values_d], t_i.n, tol=tol)
-        sim = None
-        reason = "compressed form is not below the compressed total"
-        if verdict.holds:  # sim_congruence decides the same rank equation
-            sim = sim_congruence(t_i, t_total, tol)
-            r_i = sim.rank_a
-            reason = ""
-        overall = overall and verdict.holds
-        entries.append(QFormEntry(index=i, rank=r_i, verdict=verdict, sim=sim, reason=reason))
-    return QFormReport(w=w, forms=entries, s=s_rank, overall=overall)
+    for i, (t_i, verdict) in enumerate(zip(t_forms, verdicts)):
+        # sim_congruence decides the same rank equation
+        sim = sim_congruence(t_i, t_total, tol) if verdict.holds else None
+        reason = "" if verdict.holds else "compressed form is not below the compressed total"
+        entries.append(QFormEntry(index=i, rank=verdict.certificate["rank_a"], verdict=verdict, sim=sim,
+                                  reason=reason))
+    return QFormReport(w=w, forms=entries, s=verdicts[0].certificate["rank_b"],
+                       overall=all(verdict.holds for verdict in verdicts))
 
 
 def mc_quadratic_forms(a_list, v, mu, n_samples, seed, tol=DEFAULT_TOL):
@@ -133,7 +134,8 @@ def mc_quadratic_forms(a_list, v, mu, n_samples, seed, tol=DEFAULT_TOL):
         raise ValueError("n_samples must be positive")
     v, mats, w = _setup(a_list, v, mu, tol)
     mu = w[:, -1]
-    dfs = [_rank(certified_eig(w.T @ m @ w, tol)[1], tol) for m in mats]
+    verdicts = _compressed_verdicts(mats, w, tol)[2]
+    dfs = [verdict.certificate["rank_a"] for verdict in verdicts] + [verdicts[0].certificate["rank_b"]]
     values, vectors = canonical_eig(v)
     root = (vectors * np.sqrt(np.maximum(values, 0.0))) @ vectors.T
     q_values = np.empty((len(mats), n_samples))

@@ -427,6 +427,34 @@ def test_a_json_matrix_must_declare_an_integer_n(tmp_path, capsys):
         assert_usage_error(capsys, ["canon", "inertia", str(bad)])
 
 
+def test_a_model_file_must_give_sigma2_as_a_number(tmp_path, capsys):
+    # a string or a bool "sigma2" is a usage error naming the key, and no
+    # bool passes as 1.0; an integer is a number
+    model = tmp_path / "model.json"
+    good = '"X": [[1.0], [1.0]], "D": [[1.0, 0.0], [0.0, 1.0]]'
+    for text in ('"2"', "true", "null"):
+        model.write_text(f'{{{good}, "sigma2": {text}}}')
+        with pytest.raises(ParseError, match="'sigma2' must be a number"):
+            read_model(model)
+        assert_usage_error(capsys, ["model", "compare", str(model), str(model)])
+    model.write_text(f'{{{good}, "sigma2": 2}}')
+    assert read_model(model).sigma2 == 2.0 and type(read_model(model).sigma2) is float
+
+
+def test_a_json_integer_beyond_the_float_range_is_a_parse_error(tmp_path, capsys):
+    # json reads it as an int, which no float holds: a usage error, not a traceback
+    huge = "1" + "0" * 400
+    model = tmp_path / "model.json"
+    for text in (f'"X": [[1.0]], "D": [[1.0]], "sigma2": {huge}', f'"X": [[{huge}]], "D": [[1.0]]'):
+        model.write_text(f"{{{text}}}")
+        with pytest.raises(ParseError, match="int too large"):
+            read_model(model)
+        assert_usage_error(capsys, ["model", "compare", str(model), str(model)])
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(f"[[{huge}]]")
+    assert_usage_error(capsys, ["canon", "inertia", str(matrix)])
+
+
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
 def test_non_finite_matrix_entries_are_parse_errors(tmp_path, capsys, token):
     good = csv(tmp_path, "good.csv", np.eye(2))

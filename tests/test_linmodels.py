@@ -455,6 +455,18 @@ def test_mc_zero_form_has_no_df():
         mc_quadratic_forms(forms, np.eye(2), np.zeros(2), n_samples=0, seed=1)
 
 
+def test_a_graded_family_reports_one_rank_count():
+    # diag(0, 1e-16, 0) lies under the cutoff of its triple (form, total,
+    # total - form), which the total's radius sets, so the criterion counts
+    # it rank 0, and the Monte Carlo check draws it with no degrees of freedom
+    forms = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1e-16, 0.0])]
+    rep = qform_rank_criterion(forms, np.eye(3), np.zeros(3))
+    assert rep.overall and rep.s == 1 and [e.rank for e in rep.forms] == [1, 0]
+    mc = mc_quadratic_forms(forms, np.eye(3), np.zeros(3), n_samples=2000, seed=1)
+    assert (mc.dfs, mc.total_df) == ([1, 0], 1) and mc.ks[1] is None
+    assert mc.ks[0] < 0.1 and mc.total_ks == mc.ks[0]
+
+
 def test_mc_takes_a_single_draw():
     forms = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     rep = mc_quadratic_forms(forms, np.eye(2), np.zeros(2), n_samples=1, seed=3)

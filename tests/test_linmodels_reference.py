@@ -277,6 +277,25 @@ def test_mc_quadratic_forms_matches_the_reference_to_roundoff(n):
             ref.mc_quadratic_forms, forms, v, mu, 100, 1)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_the_criterion_and_the_monte_carlo_check_report_one_rank_count(n):
+    # every rank either reports comes from the triples' rank equations: a
+    # form's rank is its verdict's rank_a, holding or not, and its degrees
+    # of freedom; the total's are s
+    checked = 0
+    for i, (forms, v, mu) in enumerate(_families(n)):
+        try:
+            report = qform_rank_criterion(forms, v, mu)
+        except (PsdOrderError, ValueError):
+            continue
+        mc = mc_quadratic_forms(forms, v, mu, 50, seed=i)
+        ranks = [e.rank for e in report.forms]
+        assert ranks == [e.verdict.certificate["rank_a"] for e in report.forms], (n, i)
+        assert (mc.dfs, mc.total_df) == (ranks, report.s), (n, i)
+        checked += 1
+    assert checked >= 10
+
+
 def test_two_faults_report_the_structural_one_first():
     # Each family of matrices is decomposed in one call, so every input of
     # it is checked for shape and finiteness before any is certified PSD;
