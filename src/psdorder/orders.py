@@ -430,9 +430,10 @@ def _scan(stack, k):
 
 def _per_pair(x, k):
     """`x`, one entry per matrix of the stack [A, B, B - A] of k pairs, as
-    (k, 3, ...): each pair's entries of A, B and B - A, a shared B's in
-    every pair."""
-    return np.stack(np.broadcast_arrays(*np.split(x, [k, len(x) - k])), axis=1)
+    (k, 3, ...): each pair's entries of A, B and B - A, gathered at once;
+    a shared B (len(x) = 2k + 1) gives its entry k to every pair."""
+    b_step = 0 if len(x) == 2 * k + 1 else 1
+    return x.take(np.arange(k)[:, None] * (1, b_step, 1) + (0, k, len(x) - k), axis=0)
 
 
 def holds_stack(a, b, relation: Relation | str, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

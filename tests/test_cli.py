@@ -292,6 +292,21 @@ def test_preserver_verify(tmp_path, capsys):
                 "--relation", "lowner"]) == 2
 
 
+@pytest.mark.parametrize("relation", ["lowner", "minus"])
+@pytest.mark.parametrize("tol", [["--tol-psd", "0.5"], ["--tol-rank", "0.5"], ["--tol-psd", "1e-300"],
+                                 ["--tol-rank", "1e-300"], []])
+def test_the_identity_preserves_every_order_under_any_tolerances(tmp_path, capsys, relation, tol):
+    # the originals and their images are decided under the same tolerances,
+    # so the identity map passes whether they relate more pairs (loose) or
+    # fewer (strict) than the pairs' construction does
+    s = csv(tmp_path, "eye.csv", np.eye(3))
+    code, payload = run_json(capsys, [*tol, "preserver", "verify", "--map", f"congruence:{s}",
+                                      "--relation", relation, "--trials", "80"])
+    result = payload["result"]
+    assert (code, result["forward_failures"], result["backward_failures"]) == (0, 0, 0)
+    assert 0 < result["forward_checked"] == result["backward_checked"]
+
+
 def test_preserver_verify_rejects_a_congruence_that_does_not_fit(tmp_path, capsys):
     # a factor that is not square, and a square one of another size than --n
     for s, n in (([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], []), (np.eye(2), ["--n", "3"])):

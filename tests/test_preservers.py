@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from psdorder import (
+    DEFAULT_TOL,
     DimensionMismatch,
     InconsistentSamples,
     MatrixMap,
@@ -23,8 +24,9 @@ from psdorder import (
 )
 import per_trial
 import reference_preservers as ref
-from psdorder.numkernel import SymMatrix, maxabs
-from psdorder.preservers import _orthogonal, _projectors, sample_pair
+from psdorder.numkernel import SymMatrix, maxabs, sym_stack
+from psdorder.orders import holds_stack
+from psdorder.preservers import _orthogonal, _projectors, _trial_kinds, sample_pair
 
 TOL12 = ToleranceConfig(rank_rel_tol=1e-12)
 
@@ -170,6 +172,22 @@ def test_sample_pair_mix():
                 assert not holds, (rel, t)
                 unrelated += 1
         assert related and unrelated
+
+
+@pytest.mark.parametrize("relation", ["lowner", "minus", "star", "left-star", "right-star"])
+def test_sampled_pairs_are_related_exactly_where_their_trial_kind_says(relation):
+    # preserves_order takes each original pair's status from its trial's
+    # kind rather than deciding it, so the stacked decision on the drawn
+    # pairs must bear every label out
+    trials = np.arange(200)
+    incomparable, _ = _trial_kinds(trials)
+    # the cycle: comparable, incomparable, chain, comparable
+    assert incomparable[:8].tolist() == [False, True, False, False] * 2
+    for n in (2, 3, 5, 8):
+        for seed in range(3):
+            a, b = sample_pair(relation, seed, trials, n)
+            holds = holds_stack(sym_stack(a), sym_stack(b), relation)
+            assert (holds == ~incomparable).all(), (n, seed, np.flatnonzero(holds == incomparable))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 10])
@@ -478,13 +496,13 @@ def test_projector_fixed_point_suite():
 # scalar verdicts.
 
 
-def _reference_preserves(mmap, relation, n, trials, seed):
+def _reference_preserves(mmap, relation, n, trials, seed, tol=DEFAULT_TOL):
     counts = [0, 0, 0, 0]  # forward checked/failures, backward checked/failures
     examples = []
     for t in range(trials):
         a, b = per_trial.sample_pair(relation, seed, t, n)
-        before = order_leq(a, b, relation).holds
-        after = order_leq(mmap.apply(a), mmap.apply(b), relation).holds
+        before = order_leq(a, b, relation, tol).holds
+        after = order_leq(mmap.apply(a), mmap.apply(b), relation, tol).holds
         for side, (given, implied) in enumerate(((before, after), (after, before))):
             if given:
                 counts[2 * side] += 1
@@ -552,6 +570,20 @@ def test_preserves_order_matches_per_pair_reference(relation, n):
             seed = 7 * n + k
             got = _as_reference(preserves_order(mmap, relation, n, trials=40, seed=seed))
             _assert_same(got, _reference_preserves(mmap, relation, n, 40, seed))
+
+
+@pytest.mark.parametrize("tol", [ToleranceConfig(psd_tol=0.5), ToleranceConfig(rank_rel_tol=0.5),
+                                 ToleranceConfig(psd_tol=1e-12, rank_rel_tol=1e-13)])
+@pytest.mark.parametrize("relation", ["lowner", "minus", "star"])
+def test_preserves_order_under_other_tolerances_matches_per_pair_reference(relation, tol):
+    # away from the default tolerances a sampled pair's label need not be
+    # its verdict, so the originals are decided under the same tolerances
+    # as their images and the identity still passes
+    for n in (2, 5):
+        assert preserves_order(congruence_map(np.eye(n)), relation, n, trials=40, seed=n, tol=tol).preserves_both
+        for mmap in _sweep_maps(n, 0):
+            got = preserves_order(mmap, relation, n, trials=40, seed=n, tol=tol)
+            _assert_same(_as_reference(got), _reference_preserves(mmap, relation, n, 40, n, tol))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 10])

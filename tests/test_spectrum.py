@@ -143,16 +143,15 @@ def test_sweep_eigh_calls_do_not_grow_with_trials(eigh_calls, relation):
     for trials in (1, 4, 40):
         eigh_calls.clear()
         preserves_order(mmap, relation, n=3, trials=trials, seed=5)
-        assert len(eigh_calls) == 1, (relation, trials)
-        assert _routines(eigh_calls) == [SWEEP_ROUTINE[relation]], (relation, trials)
+        # the originals' status is known by construction, so only the image
+        # pairs are decided: B - A of each (Loewner), or A, B and B - A
+        assert eigh_calls == [(SWEEP_ROUTINE[relation], (1 if relation == "lowner" else 3) * trials)], trials
         eigh_calls.clear()
         projector_fixed_point_suite(mmap, n=3, trials=trials, seed=5)
         # one stack per side, P, t P, I and the differences, then their
-        # images: the Loewner and the minus decisions read the same
-        # values-only spectra
-        assert len(eigh_calls) == 2, trials
-        assert _routines(eigh_calls) == ["eigvalsh"] * 2, trials
-        assert sum(k for _, k in eigh_calls) == 8 * trials + 2, trials
+        # images, all in one call: the Loewner and the minus decisions read
+        # the same values-only spectra
+        assert eigh_calls == [("eigvalsh", 8 * trials + 2)], trials
 
 
 @pytest.mark.parametrize("relation", ["lowner", "minus", "star"])
@@ -260,6 +259,40 @@ def test_order_holds_many_with_one_b_decomposes_it_once(eigh_calls, relation):
         order_holds_many(a, b[:3, :3], relation)
     with pytest.raises(DimensionMismatch):
         order_holds_many(a, b[None], relation)
+
+
+# Pairs exact in floating point whose answers differ by order: E_1 below I
+# in all three; I below E_1 in none; E_1 below diag(2, 1, 0) in the PSD
+# order only; E_1 below E_1 + v v^T, v = (1, 1, 0) / sqrt 2, in the PSD
+# and minus orders, but E_1 v v^T != 0.  Then As for that B shared: E_1,
+# B, 2 B and B / 2.
+_E1, _VV = np.diag([1.0, 0.0, 0.0]), np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 0.0]])
+_EDGE_PAIRS = (np.array([_E1, np.eye(3), _E1, _E1]),
+               np.array([np.eye(3), _E1, np.diag([2.0, 1.0, 0.0]), _E1 + _VV]))
+_EDGE_SHARED = np.array([_E1, _E1 + _VV, 2.0 * (_E1 + _VV), 0.5 * (_E1 + _VV)]), _E1 + _VV
+_EDGE_HOLDS = {
+    "lowner": ([True, False, True, True], [True, True, False, True]),
+    "minus": ([True, False, False, True], [True, True, False, False]),
+    "star": ([True, False, False, False], [False, True, False, False]),
+}
+
+
+@pytest.mark.parametrize("relation", ["lowner", "minus", "star"])
+def test_order_holds_many_gathers_each_pair_at_every_edge(relation):
+    # the stacked decision reads each pair's entries of [A, B, B - A] in one
+    # gather; a stack of 2k + 1 matrices holds a shared B, and at k = 1 the
+    # two layouts coincide: k = 0, 1 and 4 pairs of their own, against a
+    # shared B, and of 0 x 0 matrices
+    pairs, shared = _EDGE_HOLDS[relation]
+    cases = [(_EDGE_PAIRS[0][:k], _EDGE_PAIRS[1][:k], pairs[:k]) for k in (0, 1, 4)]
+    cases += [(_EDGE_SHARED[0][:k], _EDGE_SHARED[1], shared[:k]) for k in (0, 1, 4)]
+    cases += [(np.zeros((k, 0, 0)), b, [True] * k)
+              for k in (0, 1, 4) for b in (np.zeros((k, 0, 0)), np.zeros((0, 0)))]
+    for a, b, want in cases:
+        got = order_holds_many(a, b, relation)
+        assert got.dtype == bool and got.shape == (len(a),) and got.tolist() == want, (a.shape, np.shape(b))
+        for i, x in enumerate(a):
+            assert order_leq(x, b if np.ndim(b) == 2 else b[i], relation).holds == want[i]
 
 
 @pytest.mark.parametrize("relation", ["lowner", "minus", "star", "left-star", "right-star"])
