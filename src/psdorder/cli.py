@@ -4,10 +4,12 @@ Every subcommand prints a single JSON document on stdout (diagnostics go to
 stderr) so the tool can be scripted and its verdicts diffed.  Exit codes:
 0 the relation holds or the operation succeeded, 1 the relation fails or a
 domain precondition rejects the input (a JSON verdict is still printed),
-2 usage or parse errors.
+2 usage or parse errors, a file that cannot be read or written (one that is
+not UTF-8 text included): one line on stderr and nothing on stdout.
 
 Each subcommand is one row of the _COMMANDS table, whose handler returns
-(payload, ok); run() alone prints the payload and maps ok to exit 0 or 1.
+(payload, ok); run() alone prints the payload, maps ok to exit 0 or 1 and
+turns an exception into an exit code.
 
 Matrix files are CSV (one row per line, comma-separated) or JSON
 ({"n": int, "entries": [[...]]}); model files are JSON objects with keys
@@ -80,8 +82,8 @@ def _finite(a: np.ndarray, path: str) -> np.ndarray:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -242,13 +244,7 @@ def _cmd_canon_inertia(args, tol):
 
 
 def _cmd_canon_simcong(args, tol):
-    a = read_matrix(args.a, tol)
-    b = read_matrix(args.b, tol)
-    try:
-        res = sim_congruence(a, b, tol)
-    except (NotMinusComparable, NotPositiveSemidefinite) as exc:
-        # the ranks the error was decided on
-        return {"error": type(exc).__name__, "message": str(exc), "rank_triple": exc.rank_triple}, False
+    res = sim_congruence(read_matrix(args.a, tol), read_matrix(args.b, tol), tol)
     if args.out:
         write_matrix(args.out, res.s)
     result = dataclasses.asdict(res)
@@ -282,16 +278,8 @@ def _cmd_preserver_verify(args, tol):
     report = preserves_order(
         mmap, args.relation, n, trials=args.trials, seed=args.seed, tol=tol
     )
-    result = {
-        "relation": report.relation,
-        "map": report.map_label,
-        "n": report.n,
-        "trials": report.trials,
-        "forward_checked": report.forward_checked,
-        "forward_failures": report.forward_failures,
-        "backward_checked": report.backward_checked,
-        "backward_failures": report.backward_failures,
-    }
+    result = {("map" if key == "map_label" else key): value
+              for key, value in dataclasses.asdict(report).items() if key != "counterexamples"}
     return {"holds": report.preserves_both, "result": result}, report.preserves_both
 
 
@@ -481,14 +469,12 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         tol = _build_tol(args)
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         payload, ok = args.handler(args, tol)
     except _DOMAIN_ERRORS as exc:
         payload, ok = {"error": type(exc).__name__, "message": str(exc)}, False
-    except PsdOrderError as exc:  # ParseError included
+        if getattr(exc, "rank_triple", None) is not None:  # the ranks the error was decided on
+            payload["rank_triple"] = exc.rank_triple
+    except (PsdOrderError, ValueError, OSError) as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payload = {"command": f"{args.group} {args.sub}", **payload}

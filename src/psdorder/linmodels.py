@@ -34,7 +34,7 @@ from .numkernel import (
     require_psd,
     sym_array,
 )
-from .orders import OrderVerdict, _lowner_verdicts, _minus_stack, _rank_verdict
+from .orders import OrderVerdict, _lowner_verdicts, _minus_stack, _per_pair, _rank_verdict
 from .rng import normal_matrix, substream
 from .special import chi2_cdf, ks_uniform_distance
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -243,9 +243,10 @@ def _setup(a_list, v, mu, tol):
     certifies V and the forms (no forms raise); the other the k forms and their
     total compressed to W^T A W, W = (V : mu), and the k differences total - form.
     Returns the forms and their total, W, V's spectrum, the compressed matrices,
-    their largest entries, the second stack's spectra, the index of each triple
-    (form, total, total - form) in it, and the family's one rank count: the
-    triples' rank equations (orders._minus_stack), each against its cutoff."""
+    their largest entries, the second stack's spectra gathered per triple
+    (form, total, total - form) by orders._per_pair, and the family's one rank
+    count: the triples' rank equations (orders._minus_stack), each against its
+    cutoff."""
     v = sym_array(v)
     mats = []
     for i, a in enumerate(a_list):
@@ -272,10 +273,9 @@ def _setup(a_list, v, mu, tol):
     k = len(mats) - 1
     values, vectors = eigh_stack(np.concatenate([t, derived("the total minus a form", np.subtract, t[k], t[:k])]))
     scales = require_psd(t, values[:k + 1], tol).tolist()
-    # the indices of (form, total, total - form) in that stack, for each form
-    triples = np.c_[np.arange(k), np.full(k, k), np.arange(k + 1, 2 * k + 1)]
-    return mats, w, (values_v[0], vectors_v[0]), t, scales, (values, vectors), triples, _minus_stack(
-        values[triples], tol)
+    # the stack [forms, total, total - forms] has the shared-B layout: one triple per form
+    values, vectors = _per_pair(values, k), _per_pair(vectors, k)
+    return mats, w, (values_v[0], vectors_v[0]), t, scales, (values, vectors), _minus_stack(values, tol)
 
 
 def qform_rank_criterion(
@@ -294,14 +294,14 @@ def qform_rank_criterion(
     spectra of the form, the total and their difference from that stack.  A
     reduction whose certificate fails a check raises PsdOrderError.
     """
-    _, w, _, t, scales, (values, vectors), triples, (decisions, ranks, cutoffs) = _setup(a_list, v, mu, tol)
+    _, w, _, t, scales, (values, vectors), (decisions, ranks, cutoffs) = _setup(a_list, v, mu, tol)
     verdicts = list(map(_rank_verdict, decisions.T.tolist(), ranks.T.tolist(), cutoffs.tolist()))
     entries = []
     for i, verdict in enumerate(verdicts):
         cert, sim = verdict.certificate, None
         if verdict.holds:  # the verdict's ranks and cutoff, and the pair's scale
-            sim = _sim_congruence(t[[i, -1]], values[triples[i]], vectors[triples[i]], cert["rank_a"],
-                                  cert["rank_b"], cert["cutoff"], max(scales[i], scales[-1]), tol)
+            sim = _sim_congruence(t[[i, -1]], values[i], vectors[i], cert["rank_a"], cert["rank_b"],
+                                  cert["cutoff"], max(scales[i], scales[-1]), tol)
         entries.append(QFormEntry(index=i, rank=cert["rank_a"], verdict=verdict, sim=sim,
                                   reason="" if sim else "compressed form is not below the compressed total"))
     return QFormReport(w=w, forms=entries, s=ranks[1, 0].item(), overall=all(e.verdict.holds for e in entries))

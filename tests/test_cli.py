@@ -22,6 +22,9 @@ from psdorder.cli import (
 from psdorder.errors import ParseError
 
 
+NOT_UTF8 = b"\xff\xfe\x00\x01"
+
+
 def csv(tmp_path, name, m):
     p = tmp_path / name
     write_matrix(p, np.asarray(m, dtype=float))
@@ -69,12 +72,21 @@ def test_read_array_rejects_bad_input(tmp_path):
         read_array(p)
     with pytest.raises(ParseError):
         read_array(tmp_path / "absent.csv")
+    p.write_bytes(NOT_UTF8)
+    with pytest.raises(ParseError, match=re.escape(str(p))):
+        read_array(p)
     j = tmp_path / "m.json"
     j.write_text('{"n": 3, "entries": [[1, 0], [0, 1]]}')
     with pytest.raises(ParseError, match="declared n=3"):
         read_array(j)
     j.write_text("{not json")
     with pytest.raises(ParseError, match="invalid JSON"):
+        read_array(j)
+    j.write_text('{"n": 2}')
+    with pytest.raises(ParseError, match="expected an 'entries' key"):
+        read_array(j)
+    j.write_text("[1, 2]")
+    with pytest.raises(ParseError, match="2-D matrix"):
         read_array(j)
 
 
@@ -141,6 +153,14 @@ def test_read_model(tmp_path):
     p.write_text(json.dumps({"X": [1.0, 1.0], "D": [[1.0, 0.0], [0.0, 1.0]]}))
     with pytest.raises(ParseError, match="2-D"):
         read_model(p)
+    # the library's own faults on a parsed model name the file too: a D of
+    # another size than X's rows, a negative sigma2 and a D that is not square
+    for model in ({"X": [[1.0], [1.0]], "D": np.eye(3).tolist()},
+                  {"X": [[1.0], [1.0]], "D": np.eye(2).tolist(), "sigma2": -1},
+                  {"X": [[1.0], [1.0]], "D": [[1.0, 0.0]]}):
+        p.write_text(json.dumps(model))
+        with pytest.raises(ParseError, match=re.escape(str(p))):
+            read_model(p)
 
 
 # ----- exit codes and payloads ----------------------------------------------
@@ -341,6 +361,8 @@ def test_preserver_fit_error_paths(tmp_path, capsys):
     d = tmp_path / "samples"
     d.mkdir()
     assert run(["preserver", "fit", "--samples", str(d)]) == 2  # empty dir
+    not_a_dir = csv(tmp_path, "in_0.csv", np.eye(2))
+    assert_usage_error(capsys, ["preserver", "fit", "--samples", not_a_dir])
     write_matrix(d / "in_0.csv", np.eye(2))
     assert run(["preserver", "fit", "--samples", str(d)]) == 2  # missing out_0
     write_matrix(d / "out_0.csv", np.eye(2))
@@ -350,6 +372,55 @@ def test_preserver_fit_error_paths(tmp_path, capsys):
     write_matrix(d / "in_1.csv", np.eye(3))
     write_matrix(d / "out_1.csv", np.eye(3))
     assert_usage_error(capsys, ["preserver", "fit", "--samples", str(d)])  # mixed shapes
+
+
+def _sample_dir(tmp_path, name):
+    d = tmp_path / name
+    d.mkdir()
+    for k, probe in enumerate(psdorder.probe_inputs(2)):
+        write_matrix(d / f"in_{k}.csv", probe)
+        write_matrix(d / f"out_{k}.csv", 2.0 * probe)
+    return d
+
+
+def _file_faults(tmp_path):
+    """Each file-fault case: its argv, and the path its error must name."""
+    bad, model = tmp_path / "bad.csv", tmp_path / "bad.json"
+    bad.write_bytes(NOT_UTF8)
+    model.write_bytes(NOT_UTF8)
+    bad_samples = _sample_dir(tmp_path, "bad_samples")
+    (bad_samples / "in_0.csv").write_bytes(NOT_UTF8)
+    eye = csv(tmp_path, "eye.csv", np.eye(2))
+    simcong = ["canon", "simcong", csv(tmp_path, "e1.csv", np.diag([1.0, 0.0])), eye]
+    fit = ["preserver", "fit", "--samples", str(_sample_dir(tmp_path, "samples"))]
+    missing = tmp_path / "missing" / "s.csv"
+    return {
+        "matrix": (["canon", "inertia", str(bad)], bad),
+        "model": (["model", "compare", str(model), str(model)], model),
+        "mean": (["qform", "check", "--forms", eye, "--cov", eye, "--mean", str(bad)], bad),
+        "sample": (["preserver", "fit", "--samples", str(bad_samples)], bad_samples / "in_0.csv"),
+        "simcong --out missing dir": ([*simcong, "--out", str(missing)], missing),
+        "simcong --out dir": ([*simcong, "--out", str(tmp_path)], tmp_path),
+        "fit --out missing dir": ([*fit, "--out", str(missing)], missing),
+        "fit --out dir": ([*fit, "--out", str(tmp_path)], tmp_path),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "matrix", "model", "mean", "sample",
+    "simcong --out missing dir", "simcong --out dir", "fit --out missing dir", "fit --out dir",
+])
+def test_a_file_that_cannot_be_read_or_written_is_a_usage_error(tmp_path, capsys, case):
+    # a file that is not UTF-8 text, or an --out path that cannot be written,
+    # is a usage error naming the path, with nothing on stdout and no file left
+    argv, path = _file_faults(tmp_path)[case]
+    before = sorted(tmp_path.rglob("*"))
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert str(path) in captured.err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_model_compare(tmp_path, capsys):
