@@ -34,7 +34,6 @@ from .linmodels import (
     QFormReport,
     blue_check,
     efficiency_matrix,
-    estimator_covariance,
     mc_quadratic_forms,
     model_compare,
     qform_rank_criterion,

@@ -195,18 +195,6 @@ def model_compare(
     )
 
 
-def estimator_covariance(
-    l, model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL
-) -> PsdMatrix:
-    """Covariance sigma^2 L D L^T of the linear statistic L y."""
-    l = _coerce(l, square=False)
-    if l.shape[1] != model.n:
-        raise DimensionMismatch(
-            f"estimator must have {model.n} columns, got shape {l.shape}"
-        )
-    return PsdMatrix(derived("sigma^2 L D L^T", lambda: model.sigma2 * (l @ model.d.a @ l.T)), tol)
-
-
 def blue_check(l, model: LinearModel, tol: ToleranceConfig = DEFAULT_TOL) -> BlueVerdict:
     """Is L y the best linear unbiased estimator of X beta?
 

@@ -10,7 +10,7 @@ input/output samples.
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -39,49 +39,48 @@ _MAX_COUNTEREXAMPLES = 5
 
 @dataclass(frozen=True)
 class MatrixMap:
-    """A named map on symmetric matrices: fn on one matrix, and optionally
-    stack_fn, the same map on a whole (k, n, n) stack at once, each image
-    bit for bit fn's on its matrix (without it, fn maps matrix by matrix)."""
+    """A named map on symmetric matrices: fn maps a whole (k, n, n) stack
+    at once.  A map written for one matrix f becomes
+    MatrixMap(label, lambda x: np.array([f(m) for m in x]))."""
 
     label: str
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    stack_fn: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False, compare=False)
 
     def apply(self, a) -> np.ndarray:
-        """fn on one matrix, or on each matrix of a (k, n, n) stack.  The
-        input is checked and symmetrized as SymMatrix does, once for the
-        whole stack (sym_stack); each image has the shape of its input, and
-        one beyond the float range raises PsdOrderError."""
+        """The map on one matrix, as a stack of one, or on a (k, n, n)
+        stack.  The input is checked and symmetrized as SymMatrix does,
+        once for the whole stack (sym_stack), and mapped by _images."""
         a = a.a if isinstance(a, SymMatrix) else a
         single = np.ndim(a) == 2
-        out = derived("a map image", self._images, sym_stack(np.expand_dims(a, 0) if single else a))
+        out = self._images(sym_stack(np.expand_dims(a, 0) if single else a))
         return out[0] if single else out
 
     def _images(self, stack) -> np.ndarray:
-        """fn on each matrix of a stack already checked and symmetrized."""
-        if self.stack_fn is not None:
-            return self.stack_fn(stack)
-        return np.array([self.fn(m) for m in stack], dtype=float).reshape(stack.shape)
+        """fn on a stack already checked and symmetrized, the one path every
+        image takes: images beyond the float range raise PsdOrderError, and
+        images not of the stack's shape DimensionMismatch."""
+        images = derived("a map image", self.fn, stack)
+        if np.shape(images) != stack.shape:
+            raise DimensionMismatch(f"map {self.label!r} gave images of shape {np.shape(images)} "
+                                    f"for a stack of shape {stack.shape}")
+        return images
 
     @classmethod
     def trace_inflation(cls) -> "MatrixMap":
         """A -> A + tr(A) I; keeps the PSD order forward but not backward."""
-        return cls(
-            label="trace-inflation",
-            fn=lambda a: a + np.trace(a) * np.eye(a.shape[0]),
-            stack_fn=lambda x: x + np.trace(x, axis1=-2, axis2=-1)[:, None, None] * np.eye(x.shape[-1]),
-        )
+        return cls("trace-inflation",
+                   lambda x: x + np.trace(x, axis1=-2, axis2=-1)[:, None, None] * np.eye(x.shape[-1]))
 
     @classmethod
     def rank_collapse(cls) -> "MatrixMap":
         """A -> tr(A) E_11; flattens everything onto one ray."""
 
-        def collapse(a):
-            out = np.zeros_like(a)
-            out[..., 0, 0] = np.trace(a, axis1=-2, axis2=-1)
+        def collapse(x):
+            out = np.zeros_like(x)
+            out[:, :1, :1] = np.trace(x, axis1=-2, axis2=-1)[:, None, None]  # empty at n = 0
             return out
 
-        return cls(label="rank-collapse", fn=collapse, stack_fn=collapse)
+        return cls("rank-collapse", collapse)
 
 
 def congruence_map(s, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixMap:
@@ -102,14 +101,14 @@ def congruence_map(s, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixMap:
         )
     s.setflags(write=False)
 
-    def congruence(a):
-        """S A S^T for one matrix A, or S X S^T for every X of a stack in
-        one stacked product, each image bit for bit the one of its matrix."""
-        if a.shape[-2:] != s.shape:
-            raise DimensionMismatch(f"a {len(s)}x{len(s)} congruence cannot map shape {a.shape[-2:]}")
-        return s @ a @ s.T
+    def congruence(x):
+        """S X S^T for every X of a stack in one stacked product, each image
+        bit for bit the one of its matrix alone."""
+        if x.shape[-2:] != s.shape:
+            raise DimensionMismatch(f"a {len(s)}x{len(s)} congruence cannot map shape {x.shape[-2:]}")
+        return s @ x @ s.T
 
-    return MatrixMap(label="congruence", fn=congruence, stack_fn=congruence)
+    return MatrixMap("congruence", congruence)
 
 
 @dataclass
@@ -318,7 +317,7 @@ def preserves_order(
     )
     a, b = sample_pair(relation, seed, np.arange(trials), n)
     x = sym_stack(np.concatenate([a, b]))
-    fx = _symmetrize(derived("a map image", mmap._images, x))
+    fx = _symmetrize(mmap._images(x))
     k = trials
     if tol == DEFAULT_TOL:
         before, after = ~_trial_kinds(np.arange(k))[0], holds_stack(fx[:k], fx[k:], relation, tol)
@@ -478,7 +477,7 @@ def projector_fixed_point_suite(
     # images below the image of I
     identity = np.eye(n)
     x = sym_stack(np.concatenate([projectors, shrink[:, None, None] * projectors, identity[None]]))
-    fx = _symmetrize(derived("a map image", mmap._images, x))
+    fx = _symmetrize(mmap._images(x))
     # one stack [A, B, B - A] per side, B = I, scanned once, and both sides
     # decomposed in one call for the Loewner and the minus decisions
     stacks = [np.concatenate([m, derived("B - A", np.subtract, m[-1:], m[:-1])]) for m in (x, fx)]

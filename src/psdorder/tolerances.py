@@ -39,8 +39,9 @@ class ToleranceConfig:
     recon_tol
         Relative residual accepted by identity checks (reconstructions,
         A (B - A) = 0 relative to |A| |B - A|, and the checks of
-        sim_congruence's certificate) and by the symmetrization of raw
-        input, which flags input skewed beyond it.  Identities that multiply by an inner
+        sim_congruence's certificate).  The library symmetrizes raw input
+        silently; only the CLI's read_matrix warns on stderr about input
+        skewed beyond it.  Identities that multiply by an inner
         inverse or an estimator widen it by their unit-free size when that
         exceeds 1 (numkernel.identity_budget).
 

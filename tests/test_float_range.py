@@ -29,7 +29,6 @@ from psdorder import (
     SymMatrix,
     blue_check,
     congruence_map,
-    estimator_covariance,
     fit_congruence,
     inertia,
     lowner_leq,
@@ -89,7 +88,6 @@ _RAW_ENTRIES = {
     "LinearModel": (LinearModel, _X, _I),
     "model_compare": (lambda x, d: model_compare(LinearModel(x, d), _MODEL), _X, _I),
     "blue_check": (lambda l, x, d: blue_check(l, LinearModel(x, d)), _E1, _X, _I),
-    "estimator_covariance": (lambda l: estimator_covariance(l, _MODEL), _E1),
     "qform_rank_criterion": (lambda a, v, mu: qform_rank_criterion([a], v, mu), _E1, _I, np.zeros(2)),
     "mc_quadratic_forms": (lambda a, v, mu: mc_quadratic_forms([a], v, mu, 8, 0), _E1, _I, np.zeros(2)),
     "congruence_map": (congruence_map, _S),

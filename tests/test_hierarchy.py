@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from psdorder import (
     NotPositiveSemidefinite,
     Relation,
+    congruence_map,
     lowner_leq,
     minus_leq,
     order_holds_many,
@@ -131,6 +132,7 @@ def _star_pair(rng, n, holds):
 
 
 _BUILD = {Relation.LOWNER: _lowner_pair, Relation.MINUS: _minus_pair, Relation.STAR: _star_pair}
+_CHECK = {Relation.LOWNER: lowner_leq, Relation.MINUS: minus_leq, Relation.STAR: star_family_leq}
 
 
 @st.composite
@@ -153,10 +155,28 @@ def test_hierarchy_on_labelled_pairs(pair):
     if not _certified(a, b):
         return
     want = "strictly less" if holds else "incomparable"
-    check = {Relation.LOWNER: lowner_leq, Relation.MINUS: minus_leq, Relation.STAR: star_family_leq}[relation]
-    assert check(a, b).detail == want
+    assert _CHECK[relation](a, b).detail == want
     for x, y in ((a, b), (b, a)):
         _assert_hierarchy(x, y)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(labelled_pairs(), st.integers(0, 2**32 - 1))
+def test_verdicts_are_invariant_under_congruence(pair, seed):
+    # every invertible congruence preserves the Loewner and minus orders,
+    # drawn as S = Q1 D Q2 with D in [0.5, 2]; an orthogonal one the star order
+    relation, holds, a, b = pair
+    if not _certified(a, b):
+        return
+    rng, n, check = np.random.default_rng(seed), len(a), _CHECK[relation]
+    s = _orthogonal(rng, n)
+    if relation is not Relation.STAR:
+        s = (s * rng.uniform(0.5, 2.0, n)) @ _orthogonal(rng, n)
+    fa, fb = congruence_map(s).apply(np.array([a, b]))
+    assert check(a, b).detail == ("strictly less" if holds else "incomparable")
+    for (x, y), (fx, fy) in (((a, b), (fa, fb)), ((b, a), (fb, fa))):
+        want, got = check(x, y), check(fx, fy)
+        assert (got.holds, got.detail) == (want.holds, want.detail), (relation, holds, n)
 
 
 # ----- the star decision's two steps -----------------------------------------

@@ -20,7 +20,7 @@ PUBLIC = {
     "NotMinusComparable", "NotPositiveSemidefinite", "OrderVerdict", "ParseError",
     "PreservationReport", "PsdMatrix", "PsdOrderError", "QFormEntry", "QFormReport", "Relation",
     "SimCongResult", "SingularS", "SymMatrix", "ToleranceConfig", "blue_check", "congruence_map",
-    "efficiency_matrix", "estimator_covariance", "fit_congruence", "inertia", "lowner_leq",
+    "efficiency_matrix", "fit_congruence", "inertia", "lowner_leq",
     "mc_quadratic_forms", "minus_leq", "model_compare", "order_holds_many", "order_leq",
     "preserves_order", "probe_inputs", "projector_fixed_point_suite", "qform_rank_criterion",
     "sim_congruence", "star_family_leq",

@@ -15,7 +15,6 @@ from psdorder import (
     PsdOrderError,
     blue_check,
     efficiency_matrix,
-    estimator_covariance,
     lowner_leq,
     mc_quadratic_forms,
     minus_leq,
@@ -174,17 +173,6 @@ def test_model_compare_raises_the_first_models_fault_first():
     # a finite Gram matrix whose eigenvalue 2.5e308 is not: its rank cutoff overflows
     with pytest.raises(PsdOrderError, match="^the rank cutoff overflows"):
         efficiency_matrix(LinearModel(np.zeros((2, 1)), np.full((2, 2), 1.25e308)))
-
-
-def test_estimator_covariance():
-    model = LinearModel(x=np.ones((3, 1)), d=np.diag([1.0, 2.0, 3.0]), sigma2=2.0)
-    np.testing.assert_allclose(
-        estimator_covariance(np.eye(3), model).a, 2.0 * np.diag([1.0, 2.0, 3.0]),
-        atol=1e-15)
-    np.testing.assert_allclose(
-        estimator_covariance(np.zeros((3, 3)), model).a, np.zeros((3, 3)), atol=1e-15)
-    with pytest.raises(DimensionMismatch):
-        estimator_covariance(np.eye(2), model)
 
 
 def test_blue_accepts_least_squares_under_white_noise():

@@ -53,6 +53,10 @@ def test_builtin_maps():
     cu = MatrixMap("double", lambda m: 2.0 * m)
     assert cu.label == "double"
     np.testing.assert_allclose(cu.apply(a), 2.0 * a, atol=1e-15)
+    # every built-in map takes an empty matrix and a stack of them
+    for mmap in (ti, rc, cu):
+        for shape in ((0, 0), (3, 0, 0)):
+            assert mmap.apply(np.empty(shape)).shape == shape, (mmap, shape)
 
 
 def test_congruence_map_apply_and_reject():
@@ -240,15 +244,13 @@ def test_projector_draws_match_per_trial_reference(n):
 
 def test_matrix_map_applies_to_stacks():
     # a congruence maps a whole stack in one product S X S^T, the built-in
-    # maps in one stacked trace, a map without stack_fn matrix by matrix:
-    # either way each image is fn's on its matrix
+    # maps in one stacked trace: each image is fn's on its matrix alone
     rng = np.random.default_rng(71)
     double = MatrixMap("double", lambda m: 2.0 * m)
-    assert double.stack_fn is None
     for n in range(1, 13):
         s = random_invertible(rng, n)
         congruences = [congruence_map(c * s) for c in (1e-6, 1.0, 1e6)]
-        assert all(type(m) is MatrixMap and m.stack_fn is m.fn for m in congruences)
+        assert all(type(m) is MatrixMap for m in congruences)
         for k in (1, 2, 3, 7, 16, 48):
             x = rng.standard_normal((k, n, n))
             for mmap in (*congruences, MatrixMap.trace_inflation(), MatrixMap.rank_collapse(), double):
@@ -256,17 +258,19 @@ def test_matrix_map_applies_to_stacks():
                 assert got.shape == x.shape
                 for m, image in zip(x, got):
                     sym = 0.5 * (m + m.T)
-                    assert image.tobytes() == np.asarray(mmap.fn(sym), dtype=float).tobytes(), (n, k, mmap)
+                    assert image.tobytes() == mmap.fn(sym[None])[0].tobytes(), (n, k, mmap)
                     assert mmap.apply(m).tobytes() == image.tobytes()
                     assert mmap.apply(SymMatrix(m)).tobytes() == image.tobytes()
                 assert mmap.apply(np.empty((0, n, n))).shape == (0, n, n)
     # the stacked trace sums each diagonal as np.trace sums it alone, also
     # past the 8 terms where numpy's sums turn pairwise and past a block of 128
+    alone = {"trace-inflation": lambda a: a + np.trace(a) * np.eye(len(a)),
+             "rank-collapse": lambda a: np.diag(np.r_[np.trace(a), np.zeros(len(a) - 1)])}
     for n in (13, 20, 50, 130, 300):
         x = rng.standard_normal((5, n, n)) * 10.0 ** rng.integers(-3, 4, size=(5, 1, 1))
         for mmap in (MatrixMap.trace_inflation(), MatrixMap.rank_collapse()):
             for m, image in zip(x, mmap.apply(x)):
-                assert image.tobytes() == mmap.fn(0.5 * (m + m.T)).tobytes(), (n, mmap)
+                assert image.tobytes() == alone[mmap.label](0.5 * (m + m.T)).tobytes(), (n, mmap)
     x = rng.standard_normal((6, 4, 4))
     bad = x.copy()
     bad[3, 1, 2] = np.nan
@@ -274,6 +278,14 @@ def test_matrix_map_applies_to_stacks():
         MatrixMap.trace_inflation().apply(bad)
     with pytest.raises(DimensionMismatch):
         MatrixMap.trace_inflation().apply(x[:, :, :3])
+    # images of another shape than their matrices', here cropped to 2 x 2,
+    # are a fault of the map wherever it is applied
+    crop = MatrixMap("crop", lambda x: x[:, :2, :2])
+    for call in (lambda: crop.apply(np.eye(3)), lambda: crop.apply(x[:, :3, :3]),
+                 lambda: preserves_order(crop, Relation.LOWNER, 3, trials=8),
+                 lambda: projector_fixed_point_suite(crop, 3, trials=8)):
+        with pytest.raises(DimensionMismatch, match="'crop' gave images of shape"):
+            call()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
