@@ -273,8 +273,6 @@ def _cmd_preserver_verify(args, tol):
         raise ParseError(f"--trials must be at least 1, got {args.trials}")
     mmap, size = _parse_map(args.map, tol)
     n = args.n if args.n is not None else (size or 3)
-    if n < 2:
-        raise ParseError(f"preserver checks need n >= 2, got n={n}")
     report = preserves_order(
         mmap, args.relation, n, trials=args.trials, seed=args.seed, tol=tol
     )

@@ -34,7 +34,7 @@ from .numkernel import (
     require_psd,
     sym_array,
 )
-from .orders import OrderVerdict, _lowner_verdicts, _minus_stack, _per_pair, _rank_verdict
+from .orders import OrderVerdict, Relation, _lowner_verdicts, _minus_stack, _per_pair, _rank_verdict
 from .rng import normal_matrix, substream
 from .special import chi2_cdf, ks_uniform_distance
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -283,7 +283,8 @@ def qform_rank_criterion(
     reduction whose certificate fails a check raises PsdOrderError.
     """
     _, w, _, t, scales, (values, vectors), (decisions, ranks, cutoffs) = _setup(a_list, v, mu, tol)
-    verdicts = list(map(_rank_verdict, decisions.T.tolist(), ranks.T.tolist(), cutoffs.tolist()))
+    verdicts = [_rank_verdict(Relation.MINUS, *triple, method="rank")
+                for triple in zip(decisions.T.tolist(), ranks.T.tolist(), cutoffs.tolist())]
     entries = []
     for i, verdict in enumerate(verdicts):
         cert, sim = verdict.certificate, None

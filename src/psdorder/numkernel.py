@@ -54,9 +54,10 @@ Conventions shared by everything built on top of this module:
   column bases and invertibility checks apply it to singular values,
 - every other tolerance is relative to its inputs, with no absolute
   floor: rel_residual measures a residual against the largest entry of
-  the matrices compared, and a PSD threshold is psd_tol times the
-  largest entry of the matrices the test is about (the matrix itself
-  for require_psd, A and B for the Loewner order on B - A), so scaling
+  the matrices compared, and the PSD rule, written once (psd_rule), holds
+  a smallest eigenvalue against -psd_tol times the largest entry of the
+  matrices the test is about (the matrix itself for require_psd, A and B
+  for the Loewner order on B - A, orders._lowner_stack), so scaling
   every input by c > 0 changes no decision; exact zero is its own case
   at any scale.  A pair is scanned once for its largest entries, one
   maxabs_stack of its stack [A, B, B - A], and every check of the pair
@@ -222,10 +223,8 @@ class SymMatrix:
 class PsdMatrix(SymMatrix):
     """A symmetric matrix verified positive semidefinite at construction.
 
-    The check is tolerance-based: the minimum eigenvalue must be at least
-    -psd_tol times the largest entry of the matrix (see require_psd).  It
-    reads the eigenvalues alone, from eigvalsh_stack, and keeps none of
-    them.
+    The PSD rule (psd_rule, through require_psd) judges its eigenvalues
+    alone, from eigvalsh_stack, and none of them is kept.
     """
 
     def __init__(self, data, tol: ToleranceConfig = DEFAULT_TOL):
@@ -245,19 +244,25 @@ class PsdMatrix(SymMatrix):
         return m
 
 
+def psd_rule(min_eig, scale, tol: ToleranceConfig):
+    """The PSD rule, written here alone: (min_eig >= -threshold, threshold), the threshold psd_tol
+    times `scale`, the largest entry of the matrices judged; floats, or arrays that broadcast."""
+    threshold = tol.psd_tol * scale
+    return min_eig >= -threshold, threshold
+
+
 def require_psd(stack, values, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Raise NotPositiveSemidefinite for the first matrix of a (k, n, n)
-    stack whose smallest eigenvalue is below -psd_tol times its largest
-    entry; `values` are the stack's spectra, ascending, as eigh_stack or
+    stack that fails the PSD rule (psd_rule) against its largest entry;
+    `values` are the stack's spectra, ascending, as eigh_stack or
     eigvalsh_stack returns them.  Returns those largest entries."""
     scales = maxabs_stack(stack)
     min_eigs = values[:, 0].tolist() if values.shape[-1] else [0.0] * len(values)
-    for min_eig, threshold in zip(min_eigs, (tol.psd_tol * scales).tolist()):
-        if not min_eig >= -threshold:
-            raise NotPositiveSemidefinite(
-                f"minimum eigenvalue {min_eig:.6g} is below -{threshold:.6g}",
-                min_eig=min_eig,
-            )
+    for min_eig, scale in zip(min_eigs, scales.tolist()):
+        holds, threshold = psd_rule(min_eig, scale, tol)
+        if not holds:
+            raise NotPositiveSemidefinite(f"minimum eigenvalue {min_eig:.6g} is below -{threshold:.6g}",
+                                          min_eig=min_eig)
     return scales
 
 

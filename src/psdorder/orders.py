@@ -8,13 +8,17 @@ every variant.  On the PSD cone star implies minus and minus implies
 Loewner, and the star decision is the minus decision plus that identity.
 
 Every check returns an OrderVerdict carrying a machine-checkable
-certificate: an eigenvalue witness, residual norms, or a rank triple.  The
-rank equation decides the minus order for every method and is the first
-step of the star order; a holding minus verdict can carry more on
-request, the direct sum Im B = Im A (+) Im(B - A) or an explicit inner
-inverse, each checked before it is returned.  Both, and sim_congruence's
-S, are read off one basis of the pair's eigenvectors (_oblique_basis),
-which one direct-sum check certifies for all three (_direct_sum).
+certificate: an eigenvalue witness, residual norms, or a rank triple.
+Every verdict is built by one function, _verdict, the rank-decided ones
+(minus, the star family, the quadratic-form criterion) through its
+rank-triple form _rank_verdict.  The Loewner order is the PSD rule
+(numkernel.psd_rule) on B - A and on A - B.  The rank equation decides
+the minus order for every method and is the first step of the star
+order; a holding minus verdict can carry more on request, the direct sum
+Im B = Im A (+) Im(B - A) or an explicit inner inverse, each checked
+before it is returned.  Both, and sim_congruence's S, are read off one
+basis of the pair's eigenvectors (_oblique_basis), which one direct-sum
+check certifies for all three (_direct_sum).
 
 Each decision is written once, over stacks of pairs with a leading axis
 (_lowner_stack, _minus_stack, _star_identity): order_holds_many decides a
@@ -62,6 +66,7 @@ from .numkernel import (
     maxabs_stack,
     min_singular_value,
     over_scale,
+    psd_rule,
     sym_pair,
     sym_stack,
 )
@@ -107,15 +112,22 @@ def _detail(holds: bool, equal: bool, reverse_holds: bool) -> str:
     return "incomparable"
 
 
+def _verdict(relation: Relation, holds: bool, reverse: bool, equal: bool, **certificate) -> OrderVerdict:
+    """The one builder of an OrderVerdict: A below B in `relation` or not,
+    its detail from whether B is below A and whether they are equal
+    (_detail), and the certificate's entries in the order given."""
+    return OrderVerdict(holds, relation.value, certificate, _detail(holds, equal, reverse))
+
+
 def _lowner_stack(scale, values, tol):
     """Loewner decisions for stacked pairs, from the ascending spectra
     `values` (k, n) of their differences B - A, both read from them: B <= A
     is the PSD test of the negation.  Returns the smallest eigenvalues of
-    B - A and of A - B (k, 2), whether each is at least -threshold (A <= B,
-    B <= A; a pair is equal when both hold, i.e. every eigenvalue of B - A
-    is within the threshold), and the threshold: psd_tol times `scale`
-    (k,), the larger of the largest entries of each pair's A and B."""
-    threshold = tol.psd_tol * scale
+    B - A and of A - B (k, 2), whether each passes the PSD rule
+    (numkernel.psd_rule; A <= B, B <= A; a pair is equal when both hold,
+    i.e. every eigenvalue of B - A is within the threshold), and the
+    threshold (k, 1), the rule's against `scale`, the larger of the largest
+    entries of each pair's A and B."""
     if values.shape[-1]:
         min_eigs = values[:, [0, -1]]
         min_eigs[:, 1] *= -1.0
@@ -125,7 +137,8 @@ def _lowner_stack(scale, values, tol):
             raise PsdOrderError("an eigenvalue of B - A overflows the floating-point range")
     else:
         min_eigs = np.zeros((len(values), 2))
-    return min_eigs, min_eigs >= -threshold[:, None], threshold
+    holds, threshold = psd_rule(min_eigs, scale[:, None], tol)
+    return min_eigs, holds, threshold
 
 
 def _lowner_verdicts(scale, values, vectors, tol, count):
@@ -137,20 +150,12 @@ def _lowner_verdicts(scale, values, vectors, tol, count):
     above _SIGN_EPS made positive, read from eigh's columns by
     canonical_column; no other eigenvector is ordered."""
     min_eigs, holds, threshold = _lowner_stack(scale, values, tol)
-    threshold, *min_eigs, forward, backward = np.concatenate((threshold, min_eigs[0], holds[0])).tolist()
+    threshold, *min_eigs, forward, backward = np.concatenate((threshold[0], min_eigs[0], holds[0])).tolist()
     holds = forward == 1.0, backward == 1.0  # converted with the floats, in one call
     return tuple(
-        OrderVerdict(
-            holds=holds[i],
-            relation=Relation.LOWNER.value,
-            certificate={
-                "min_eig": min_eigs[i],
-                "threshold": threshold,
-                # the eigenvector of the smallest eigenvalue of B - A, or of A - B
-                "witness": None if holds[i] else canonical_column(values[0], vectors[0], last=i == 0),
-            },
-            detail=_detail(holds[i], all(holds), holds[1 - i]),
-        )
+        _verdict(Relation.LOWNER, holds[i], holds[1 - i], all(holds), min_eig=min_eigs[i], threshold=threshold,
+                 # the eigenvector of the smallest eigenvalue of B - A, or of A - B
+                 witness=None if holds[i] else canonical_column(values[0], vectors[0], last=i == 0))
         for i in range(count)
     )
 
@@ -187,20 +192,11 @@ def _minus_stack(values, tol):
     return _RANK_EQUATIONS @ ranks == 0, ranks, cutoff
 
 
-def _rank_verdict(decision, triple, cutoff, method=MinusMethod.RANK, extra=None):
-    """The minus verdict A below B for one pair, from its decisions (A below
-    B, B below A, equal), its rank triple and its cutoff as _minus_stack
-    gives them.  The triple, the cutoff and the method are the certificate,
-    whatever the method; `extra`, the image or ginv certificate of a
-    holding verdict, is appended to it."""
-    holds, reverse, equal = decision
-    return OrderVerdict(
-        holds=holds,
-        relation=Relation.MINUS.value,
-        certificate=dict(zip(("rank_a", "rank_b", "rank_diff"), triple), cutoff=cutoff,
-                         method=method.value, **(extra or {})),
-        detail=_detail(holds, equal, reverse),
-    )
+def _rank_verdict(relation, decision, triple, cutoff, **extra):
+    """_verdict from one pair's decisions (A below B, B below A, equal), rank triple and cutoff
+    as _minus_stack gives them, the certificate the triple, the cutoff, then `extra`."""
+    rank_a, rank_b, rank_diff = triple
+    return _verdict(relation, *decision, rank_a=rank_a, rank_b=rank_b, rank_diff=rank_diff, cutoff=cutoff, **extra)
 
 
 def _minus_pair(a, b, tol, vectors=False):
@@ -317,7 +313,7 @@ def minus_leq(
     """
     method = MinusMethod(method)
     stack, decision, triple, cutoff, values, vectors = _minus_pair(a, b, tol, method is not MinusMethod.RANK)
-    holds, extra = decision[0], None
+    holds, extra = decision[0], {}
     if holds and method is MinusMethod.IMAGE:
         # Im B = Im A (+) Im(B - A) exactly when the basis, with B's null
         # space, fills R^n; its singular values do not depend on the order
@@ -326,7 +322,7 @@ def minus_leq(
         extra = {"contained": True}
     elif holds and method is MinusMethod.GINV:
         extra = _ginv_certificate(stack, values, vectors, triple[0], cutoff, tol)
-    return _rank_verdict(decision, triple, cutoff, method, extra)
+    return _rank_verdict(Relation.MINUS, decision, triple, cutoff, method=method.value, **extra)
 
 
 def _star_identity(x, d, max_x, max_d, scale, cutoff, tol):
@@ -374,14 +370,8 @@ def star_family_leq(
     # a float scale keeps B - A one (n, n) matrix, and the product's bits with it
     residual, budget = (x.tolist() for x in _star_identity(
         stack[:2], stack[2], maxima[:2], maxima[2], max(maxima[:2].tolist()), cutoff, tol))
-    holds, reverse = holds and residual[0] <= budget[0], reverse and residual[1] <= budget[1]
-    return OrderVerdict(
-        holds=holds,
-        relation=variant.value,
-        certificate=dict(zip(("rank_a", "rank_b", "rank_diff"), triple), cutoff=cutoff,
-                         residual=residual[0], budget=budget[0]),
-        detail=_detail(holds, equal, reverse),
-    )
+    decision = holds and residual[0] <= budget[0], reverse and residual[1] <= budget[1], equal
+    return _rank_verdict(variant, decision, triple, cutoff, residual=residual[0], budget=budget[0])
 
 
 def order_leq(

@@ -113,6 +113,25 @@ def exact_minus_leq(a, b) -> bool:
     return exact_rank(b - a) == exact_rank(b) - exact_rank(a)
 
 
+def exact_direct_sum_minus(a, b) -> bool:
+    """The minus order on the PSD cone in its direct-sum form, decided
+    exactly: A <= B in the Loewner order and Im A and Im(B - A) meet only in
+    0, that is rank[A | B - A] = rank A + rank(B - A) (Mitra, Bhimasankaram
+    and Malik, Matrix Partial Orders, Shorted Operators and Applications,
+    2010).  On PSD A and B it is rank subtractivity, as exact_minus_leq
+    decides it, by another route."""
+    a = np.asarray(a, dtype=object)
+    d = np.asarray(b, dtype=object) - a
+    return exact_psd(d) and exact_rank(np.hstack([a, d])) == exact_rank(a) + exact_rank(d)
+
+
+def exact_star_leq(a, b) -> bool:
+    """A (B - A) = 0, the star order (and each one-sided variant) on
+    symmetric A and B, decided exactly."""
+    a = np.asarray(a, dtype=object)
+    return not (a.dot(np.asarray(b, dtype=object) - a) != 0).any()
+
+
 def eig2(a, b, c):
     """Eigenvalues of [[a, b], [b, c]], descending, in closed form."""
     mean = 0.5 * (a + c)

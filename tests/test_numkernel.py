@@ -71,6 +71,33 @@ def test_psd_matrix_accepts_and_rejects():
     assert exc.value.min_eig == pytest.approx(-1.0, abs=1e-12)
 
 
+def test_psd_certification_and_the_loewner_test_apply_one_rule():
+    # M = P diag(1, ..., 1, -c psd_tol) P^T 2^k, P a signed permutation: M is
+    # diagonal, so every eigensolver returns its eigenvalues exactly, and
+    # -c psd_tol sits on either side of the threshold psd_tol |M|
+    rng = np.random.default_rng(29)
+    mats = [np.zeros((0, 0))]
+    for psd_tol in (DEFAULT_TOL.psd_tol, 1e-6):
+        for c in (0.5, 2.0):
+            for n in range(1, 7):
+                p = np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], n)
+                d = p @ np.diag([1.0] * (n - 1) + [-c * psd_tol]) @ p.T
+                mats += [np.ldexp(d, k) for k in (-60, 0, 60)]
+    outcomes = set()
+    for tol in (DEFAULT_TOL, ToleranceConfig(psd_tol=1e-6)):
+        for m in mats:
+            verdict = lowner_leq(np.zeros_like(m), m, tol)
+            outcomes.add(verdict.holds)
+            if verdict.holds:
+                PsdMatrix(m, tol)
+                continue
+            with pytest.raises(NotPositiveSemidefinite) as exc:
+                PsdMatrix(m, tol)
+            assert exc.value.min_eig == verdict.certificate["min_eig"]
+            assert str(exc.value).endswith(f" is below -{verdict.certificate['threshold']:.6g}")
+    assert outcomes == {True, False}
+
+
 def test_eig_diagonal_is_signed_permutation():
     (values,), (vectors,) = eigh_stack(np.diag([3.0, 1.0, 2.0])[None])
     np.testing.assert_allclose(values, [1.0, 2.0, 3.0], atol=1e-14)

@@ -474,6 +474,50 @@ def test_a_certificate_that_fails_its_check_raises():
 
 # ----- relation lattice ------------------------------------------------------
 
+def _rank_one_pairs(rng, n, orthogonal):
+    """A = x x^T and B = x x^T + y y^T for integer x and y, not parallel:
+    x . y = 0 (`orthogonal`, star holds) or x . y != 0 (minus holds, star
+    fails)."""
+    while True:
+        x, z = rng.integers(-3, 4, size=(2, n))
+        y = x.dot(x) * z - x.dot(z) * x if orthogonal else z
+        if y.any() and oracles.exact_rank(np.array([x, y])) == 2 and (x.dot(y) == 0) == orthogonal:
+            return np.outer(x, x), np.outer(x, x) + np.outer(y, y)
+
+
+def test_exact_oracles_agree_with_every_verdict():
+    # every fixture is an integer PSD pair, tried both ways round
+    rng = np.random.default_rng(71)
+    pairs = []
+    for trial in range(24):
+        n = int(rng.integers(1, 6))
+        a = oracles.integer_psd(rng, n)
+        pairs += [oracles.exact_minus_pair(rng, n), (a, oracles.integer_psd(rng, n)),
+                  (a, a + oracles.integer_psd(rng, n))]
+        if n > 1:
+            pairs += [_rank_one_pairs(rng, n, trial % 2 == 0)]
+    pairs += [(b, a) for a, b in pairs]
+    seen = set()
+    for a, b in pairs:
+        minus, star = oracles.exact_minus_leq(a, b), oracles.exact_star_leq(a, b)
+        assert oracles.exact_direct_sum_minus(a, b) == minus, (a, b)
+        seen.add((minus, star))
+        fa, fb = a.astype(float), b.astype(float)
+        for method in MinusMethod:
+            assert minus_leq(fa, fb, method=method).holds == minus, (method, a, b)
+        for variant in (Relation.STAR, Relation.LEFT_STAR, Relation.RIGHT_STAR):
+            assert star_family_leq(fa, fb, variant=variant).holds == star, (variant, a, b)
+    # star implies minus; every other combination occurs
+    assert seen == {(True, True), (True, False), (False, False)}
+    exact = {Relation.LOWNER: oracles.exact_lowner_leq, Relation.MINUS: oracles.exact_minus_leq}
+    for n in range(1, 6):
+        same_n = [pair for pair in pairs if len(pair[0]) == n]
+        a, b = (np.array([pair[i] for pair in same_n], dtype=float) for i in (0, 1))
+        for rel in ALL_RELATIONS:
+            expect = [exact.get(rel, oracles.exact_star_leq)(x, y) for x, y in same_n]
+            assert order_holds_many(a, b, rel).tolist() == expect, (rel, n)
+
+
 def test_star_variants_coincide_on_psd():
     rng = np.random.default_rng(53)
     for trial in range(120):
