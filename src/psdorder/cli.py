@@ -475,9 +475,8 @@ def run(argv=None) -> int:
     except (PsdOrderError, ValueError, OSError) as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    payload = {"command": f"{args.group} {args.sub}", **payload}
-    payload["tolerances"] = dataclasses.asdict(tol)
-    payload["version"] = __version__
+    payload = {"command": f"{args.group} {args.sub}", **payload,
+               "tolerances": dataclasses.asdict(tol), "version": __version__}
     print(json.dumps(payload, default=_json_default))
     return 0 if ok else 1
 

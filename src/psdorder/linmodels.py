@@ -323,30 +323,21 @@ def mc_quadratic_forms(
     root = (q * np.sqrt(np.maximum(lam, 0.0))) @ q.T
 
     q_values = np.empty((len(mats), n_samples))
-    done = 0
-    shard = 0
-    while done < n_samples:
-        count = min(_MC_SHARD, n_samples - done)
-        z = normal_matrix(substream(seed, shard), count, n)
-        x = z @ root + mu
-        q_values[:, done:done + count] = derived(
+    for shard, start in enumerate(range(0, n_samples, _MC_SHARD)):
+        x = normal_matrix(substream(seed, shard), min(_MC_SHARD, n_samples - start), n) @ root + mu
+        q_values[:, start:start + _MC_SHARD] = derived(
             "a quadratic form's value", lambda: np.array([np.einsum("ij,ij->i", x @ m, x) for m in mats]))
-        done += count
-        shard += 1
 
     ks = [ks_uniform_distance(chi2_cdf(q, df)) if df > 0 else None for q, df in zip(q_values, dfs)]
     k = len(mats) - 1
+    corr = np.eye(k)
+    # a lone form has no correlation and no spread to check; degenerate forms
+    # (constant Q, e.g. df 0) carry none
     if k > 1:
-        # degenerate forms (constant Q, e.g. df 0) carry no correlation
         live = np.flatnonzero(derived("the spread of a form", lambda: q_values[:k].std(axis=1)) > 0.0)
-        corr = np.eye(k)
         if live.size > 1:
             corr[np.ix_(live, live)] = derived("the correlation of two forms", np.corrcoef, q_values[live])
-        off = corr - np.eye(k)
-        max_abs_corr = float(np.abs(off).max())
-    else:
-        corr = np.ones((1, 1))
-        max_abs_corr = 0.0
+    max_abs_corr = float(np.abs(corr - np.eye(k)).max())
     return McReport(
         n_samples=n_samples,
         seed=seed,

@@ -246,8 +246,14 @@ class PsdMatrix(SymMatrix):
 
 def psd_rule(min_eig, scale, tol: ToleranceConfig):
     """The PSD rule, written here alone: (min_eig >= -threshold, threshold), the threshold psd_tol
-    times `scale`, the largest entry of the matrices judged; floats, or arrays that broadcast."""
-    threshold = tol.psd_tol * scale
+    times `scale`, the largest entry of the matrices judged; floats, or arrays that broadcast.
+    A threshold beyond the float range is inf, formed silently; as every scale is at most the
+    float maximum, only a psd_tol above 1 can reach it, and only then are warnings silenced."""
+    if tol.psd_tol > 1.0:
+        with np.errstate(over="ignore"):
+            threshold = tol.psd_tol * scale
+    else:
+        threshold = tol.psd_tol * scale
     return min_eig >= -threshold, threshold
 
 
@@ -271,22 +277,23 @@ def eigh_stack(x) -> tuple[np.ndarray, np.ndarray]:
     ascending values (k, n) and eigenvector columns (k, n, n) as it returns
     them.  Each matrix's factors are bit for bit those of a call on it
     alone."""
-    return _solve(np.linalg.eigh, x)
+    return _solve("eigensolver", np.linalg.eigh, x)
 
 
 def eigvalsh_stack(x) -> np.ndarray:
     """The values-only twin of eigh_stack: the ascending spectra (k, n) of a
     (k, n, n) stack in one LAPACK call, each bit for bit that of a call on
     its matrix alone."""
-    return _solve(np.linalg.eigvalsh, x)
+    return _solve("eigensolver", np.linalg.eigvalsh, x)
 
 
-def _solve(solver, x):
-    """solver(x), LAPACK's failure to converge raised as NonConvergence."""
+def _solve(what: str, solver, *args, **kwargs):
+    """solver(*args, **kwargs), a LAPACK eigensolver or SVD, its failure to
+    converge raised as NonConvergence naming `what`."""
     try:
-        return solver(x)
+        return solver(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigensolver failed: {exc}") from exc
+        raise NonConvergence(f"{what} failed: {exc}") from exc
 
 
 def fix_signs(rows: np.ndarray) -> np.ndarray:
@@ -322,7 +329,7 @@ def column_span(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, floa
     smallest singular value kept (Wedin, BIT 12, 1972), 0 when none is
     kept.  The rank cutoff's margin over roundoff decides which columns
     are kept, not how far they turn."""
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    u, s, _ = _solve("SVD", np.linalg.svd, m, full_matrices=False)
     keep = s > tol.rank_cutoff(s, max(m.shape))
     if not keep.any():
         return u[:, keep], 0.0
@@ -333,7 +340,7 @@ def min_singular_value(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, bo
     """Smallest singular value of a square matrix, LAPACK's last, and
     whether it clears the rank cutoff, i.e. whether the matrix is invertible
     to working precision; an empty one is, with sigma_min 1."""
-    s = np.linalg.svd(m, compute_uv=False)
+    s = _solve("SVD", np.linalg.svd, m, compute_uv=False)
     return (float(s[-1]), bool(s[-1] > tol.rank_cutoff(s, max(m.shape)))) if s.size else (1.0, True)
 
 

@@ -102,21 +102,15 @@ class OrderVerdict:
     detail: str = ""
 
 
-def _detail(holds: bool, equal: bool, reverse_holds: bool) -> str:
-    if holds and equal:
-        return "equal"
-    if holds:
-        return "strictly less"
-    if reverse_holds:
-        return "strictly greater"
-    return "incomparable"
-
-
 def _verdict(relation: Relation, holds: bool, reverse: bool, equal: bool, **certificate) -> OrderVerdict:
     """The one builder of an OrderVerdict: A below B in `relation` or not,
-    its detail from whether B is below A and whether they are equal
-    (_detail), and the certificate's entries in the order given."""
-    return OrderVerdict(holds, relation.value, certificate, _detail(holds, equal, reverse))
+    its detail from whether they are equal (when it holds) or B is below A
+    (when not), and the certificate's entries in the order given."""
+    if holds:
+        detail = "equal" if equal else "strictly less"
+    else:
+        detail = "strictly greater" if reverse else "incomparable"
+    return OrderVerdict(holds, relation.value, certificate, detail)
 
 
 def _lowner_stack(scale, values, tol):

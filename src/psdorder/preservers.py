@@ -111,9 +111,10 @@ def congruence_map(s, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixMap:
     return MatrixMap("congruence", congruence)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreservationReport:
-    """Tally of forward/backward implication checks for one map and relation.
+    """Tally of forward/backward implication checks for one map and relation,
+    built in one call from a sweep's decisions.
 
     Forward failures are sampled pairs with A related to B whose images are
     not; backward failures are pairs whose images are related although the
@@ -124,11 +125,11 @@ class PreservationReport:
     map_label: str
     n: int
     trials: int
-    forward_checked: int = 0
-    forward_failures: int = 0
-    backward_checked: int = 0
-    backward_failures: int = 0
-    counterexamples: list = field(default_factory=list)
+    forward_checked: int
+    forward_failures: int
+    backward_checked: int
+    backward_failures: int
+    counterexamples: list
 
     @property
     def preserves_forward(self) -> bool:
@@ -312,9 +313,6 @@ def preserves_order(
     if trials < 1 or n < 2:
         raise ValueError(f"preserves_order needs trials >= 1 and n >= 2, got trials={trials}, n={n}")
     relation = Relation(relation)
-    report = PreservationReport(
-        relation=relation.value, map_label=mmap.label, n=n, trials=trials
-    )
     a, b = sample_pair(relation, seed, np.arange(trials), n)
     x = sym_stack(np.concatenate([a, b]))
     fx = _symmetrize(mmap._images(x))
@@ -324,13 +322,13 @@ def preserves_order(
     else:
         holds = holds_stack(np.concatenate([x[:k], fx[:k]]), np.concatenate([x[k:], fx[k:]]), relation, tol)
         before, after = holds.reshape(2, trials)
-    report.forward_checked = int(before.sum())
-    report.forward_failures = int((before & ~after).sum())
-    report.backward_checked = int(after.sum())
-    report.backward_failures = int((after & ~before).sum())
-    for t in np.flatnonzero(before != after)[:_MAX_COUNTEREXAMPLES]:
-        report.counterexamples.append(("forward" if before[t] else "backward", a[t], b[t]))
-    return report
+    return PreservationReport(
+        relation=relation.value, map_label=mmap.label, n=n, trials=trials,
+        forward_checked=int(before.sum()), forward_failures=int((before & ~after).sum()),
+        backward_checked=int(after.sum()), backward_failures=int((after & ~before).sum()),
+        counterexamples=[("forward" if before[t] else "backward", a[t], b[t])
+                         for t in np.flatnonzero(before != after)[:_MAX_COUNTEREXAMPLES]],
+    )
 
 
 def probe_inputs(n: int) -> list:
@@ -469,9 +467,6 @@ def projector_fixed_point_suite(
     """
     if trials < 1 or n < 1:
         raise ValueError(f"projector_fixed_point_suite needs trials >= 1 and n >= 1, got trials={trials}, n={n}")
-    report = PreservationReport(
-        relation="projector-interval", map_label=mmap.label, n=n, trials=trials
-    )
     ranks, projectors, shrink = _projectors(seed, trials, n)
     # rows P, t P and I, mapped together: P and t P below I, then their
     # images below the image of I
@@ -488,11 +483,10 @@ def projector_fixed_point_suite(
     # P <= I in both orders, t P <= I in the PSD order only (unless P = 0)
     on_interval = lowner[:, 0] & minus[:, 0] & lowner[:, 1] & ((ranks == 0) | ~minus[:, 1])
     invariant, image = on_interval
-    report.forward_checked = trials
-    report.forward_failures = int((~invariant).sum())
-    report.backward_checked = int(invariant.sum())
-    report.backward_failures = int((invariant & ~image).sum())
-    for t in np.flatnonzero(~(invariant & image))[:_MAX_COUNTEREXAMPLES]:
-        kind = "image" if invariant[t] else "invariant"
-        report.counterexamples.append((kind, projectors[t], identity))
-    return report
+    return PreservationReport(
+        relation="projector-interval", map_label=mmap.label, n=n, trials=trials,
+        forward_checked=trials, forward_failures=int((~invariant).sum()),
+        backward_checked=int(invariant.sum()), backward_failures=int((invariant & ~image).sum()),
+        counterexamples=[("image" if invariant[t] else "invariant", projectors[t], identity)
+                         for t in np.flatnonzero(~(invariant & image))[:_MAX_COUNTEREXAMPLES]],
+    )

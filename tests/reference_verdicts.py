@@ -22,24 +22,31 @@ matrices of a verdict in one stacked call and order eigenvectors only
 where they read them; they must return every value these return, bit for
 bit and of the same type.  The star reference is minus_verdict on the
 rank route's spectra plus the identity A (B - A) = 0, its products formed
-one at a time.
+one at a time.  The reference keeps its own copy of every rule it checks:
+a verdict's detail (_detail) and the PSD rule (require_psd, on the
+canonical_eig values) are written here again, not imported.
 """
 
 import numpy as np
 
 from psdorder.canonical import Inertia, SimCongResult
-from psdorder.errors import DimensionMismatch, NotMinusComparable, PsdOrderError
-from psdorder.numkernel import (
-    SymMatrix,
-    identity_budget,
-    maxabs,
-    min_singular_value,
-    rel_residual,
-    require_psd,
-    sym_array,
-)
-from psdorder.orders import MinusMethod, OrderVerdict, Relation, _detail
+from psdorder.errors import DimensionMismatch, NotMinusComparable, NotPositiveSemidefinite, PsdOrderError
+from psdorder.numkernel import SymMatrix, identity_budget, maxabs, min_singular_value, rel_residual, sym_array
+from psdorder.orders import MinusMethod, OrderVerdict, Relation
 from psdorder.tolerances import DEFAULT_TOL
+
+
+def _detail(holds, equal, reverse_holds):
+    """A verdict's detail: "equal" or "strictly less" when it holds,
+    "strictly greater" when the reverse comparison holds instead, else
+    "incomparable"."""
+    if holds and equal:
+        return "equal"
+    if holds:
+        return "strictly less"
+    if reverse_holds:
+        return "strictly greater"
+    return "incomparable"
 
 
 def canonical_eig(a):
@@ -192,11 +199,22 @@ def inertia(a, tol=DEFAULT_TOL):
     return Inertia(n_pos, n_neg, len(values) - n_pos - n_neg)
 
 
+def require_psd(m, values, tol=DEFAULT_TOL):
+    """NotPositiveSemidefinite unless the smallest of a SymMatrix's
+    canonical_eig values (descending; 0 for an empty one) is at least
+    -psd_tol times its largest entry."""
+    min_eig = float(values[-1]) if values.size else 0.0
+    threshold = tol.psd_tol * maxabs(m.a)
+    if min_eig < -threshold:
+        raise NotPositiveSemidefinite(f"minimum eigenvalue {min_eig:.6g} is below -{threshold:.6g}",
+                                      min_eig=min_eig)
+
+
 def certified_eig(a, tol=DEFAULT_TOL):
     """A SymMatrix of `a` and its canonical_eig spectrum, certified PSD from it."""
     m = SymMatrix(a)
     values, vectors = canonical_eig(m)
-    require_psd(m.a[None], values[None, ::-1], tol)
+    require_psd(m, values, tol)
     return m, values, vectors
 
 
@@ -209,7 +227,7 @@ def sim_congruence(a, b, tol=DEFAULT_TOL):
     mats = (sa, sb, SymMatrix(sb.a - sa.a))
     eigs = [canonical_eig(m) for m in mats]
     for m, (values, _) in zip(mats[:2], eigs):
-        require_psd(m.a[None], values[None, ::-1], tol)
+        require_psd(m, values, tol)
     cert = minus_verdict([v for v, _ in eigs], sa.n, tol=tol).certificate
     r_rank, s_rank, d_rank, cutoff = (cert[k] for k in ("rank_a", "rank_b", "rank_diff", "cutoff"))
     if d_rank != s_rank - r_rank:

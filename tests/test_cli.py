@@ -52,6 +52,9 @@ def test_read_array_csv_and_json(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("1,0\n0,1\n")
     np.testing.assert_array_equal(read_array(p), np.eye(2))
+    # blank lines, wherever they fall, are skipped
+    p.write_text("\n1,0\n  \n0,1\n\n")
+    np.testing.assert_array_equal(read_array(p), np.eye(2))
     j = tmp_path / "m.json"
     j.write_text('{"n": 2, "entries": [[1, 2], [2, 1]]}')
     np.testing.assert_array_equal(read_array(j), [[1, 2], [2, 1]])
@@ -229,6 +232,27 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run(["order", "check", "--relation", "lowner", a, str(rect)]) == 2
     err = capsys.readouterr().err
     assert "square" in err
+    # a --forms list that names no file
+    assert run(["qform", "check", "--forms", ",", "--cov", a, "--mean", a]) == 2
+    assert "--forms needs at least one matrix path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver, argv", [
+    ("eigh", ["order", "check", "--relation", "lowner"]),
+    ("eigvalsh", ["order", "minus"]),
+    ("svd", ["order", "minus", "--method", "ginv"]),
+    ("svd", ["canon", "simcong"]),
+])
+def test_a_lapack_failure_to_converge_exits_1(tmp_path, capsys, monkeypatch, solver, argv):
+    # a domain fault, whichever LAPACK routine fails: its JSON on stdout, exit 1
+    a, b = csv(tmp_path, "a.csv", np.diag([1.0, 0.0])), csv(tmp_path, "b.csv", np.eye(2))
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{solver} did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, fail)
+    code, payload = run_json(capsys, argv + [a, b])
+    assert (code, payload["error"]) == (1, "NonConvergence")
 
 
 def test_canon_inertia(tmp_path, capsys):

@@ -249,6 +249,14 @@ def test_mc_quadratic_forms_raises_when_a_statistic_leaves_the_float_range(forms
 
 
 @pytest.mark.filterwarnings("error")
+def test_a_lone_form_has_no_spread_to_check():
+    # its variance leaves the float range, as in the "spread" case above, but
+    # one form has no correlation to read from it
+    rep = mc_quadratic_forms([1e307 * np.eye(2)], np.eye(2), np.zeros(2), 64, seed=0)
+    assert (rep.corr.tolist(), rep.max_abs_corr) == ([[1.0]], 0.0)
+
+
+@pytest.mark.filterwarnings("error")
 def test_blue_check_fails_conditions_beyond_the_float_range():
     # L X = 1e400 J is not finite, so condition (i) fails with an infinite
     # residual, with no numpy warning and no NaN; D L^T = 1e-100 J is, and

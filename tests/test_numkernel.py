@@ -1,17 +1,21 @@
 """Symmetric eigensolver, rank decisions, and generalized inverses."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import oracles
 from psdorder import (
     DEFAULT_TOL,
+    NonConvergence,
     NotPositiveSemidefinite,
     PsdMatrix,
     SymMatrix,
     ToleranceConfig,
     inertia,
     lowner_leq,
+    order_holds_many,
     sim_congruence,
 )
 from psdorder.errors import DimensionMismatch, PsdOrderError
@@ -22,6 +26,7 @@ from psdorder.numkernel import (
     eigh_stack,
     fix_signs,
     maxabs,
+    min_singular_value,
     outside_span,
     sym_stack,
 )
@@ -48,6 +53,7 @@ def random_sym(rng, n, scale=1.0):
 def test_sym_matrix_coercion():
     s = SymMatrix([[1.0, 2.0], [2.0, 3.0]])
     assert s.n == 2
+    assert repr(s) == "SymMatrix(n=2)"
     # slight asymmetry is averaged away
     t = SymMatrix([[1.0, 2.0 + 1e-10], [2.0, 3.0]])
     assert t.a[0, 1] == t.a[1, 0]
@@ -96,6 +102,35 @@ def test_psd_certification_and_the_loewner_test_apply_one_rule():
             assert exc.value.min_eig == verdict.certificate["min_eig"]
             assert str(exc.value).endswith(f" is below -{verdict.certificate['threshold']:.6g}")
     assert outcomes == {True, False}
+
+
+def test_a_psd_threshold_beyond_the_float_range_is_inf_and_silent():
+    # psd_tol 10 times a largest entry of 1e308 passes the float maximum: the
+    # threshold is inf, which every eigenvalue clears, and no numpy warning
+    # is raised on the way, in the Loewner test or in PSD certification
+    z, big, tol = np.zeros((2, 2)), np.diag([1e308, -1.0]), ToleranceConfig(psd_tol=10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = lowner_leq(z, big, tol)
+        holds = order_holds_many(z[None], big[None], "lowner", tol)
+        PsdMatrix(big, tol)
+    assert (verdict.holds, verdict.detail, verdict.certificate["threshold"]) == (True, "equal", np.inf)
+    assert holds.tolist() == [True]
+
+
+@pytest.mark.parametrize("solver, what, call", [
+    ("eigh", "eigensolver", lambda: lowner_leq(np.eye(2), 2.0 * np.eye(2))),
+    ("eigvalsh", "eigensolver", lambda: inertia(np.eye(2))),
+    ("svd", "SVD", lambda: column_span(np.eye(2))),
+    ("svd", "SVD", lambda: min_singular_value(np.eye(2))),
+])
+def test_a_lapack_failure_to_converge_is_non_convergence(monkeypatch, solver, what, call):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{solver} did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, fail)
+    with pytest.raises(NonConvergence, match=f"^{what} failed: {solver} did not converge$"):
+        call()
 
 
 def test_eig_diagonal_is_signed_permutation():

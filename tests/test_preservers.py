@@ -1,5 +1,7 @@
 """Order-preserver verification and congruence recovery from samples."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,9 @@ def test_trace_inflation_breaks_backward_lowner():
     ti = MatrixMap.trace_inflation()
     assert lowner_leq(ti.apply(a), ti.apply(b)).holds
     assert not lowner_leq(a, b).holds
+    # a report is a frozen record
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.backward_failures = 0
 
 
 def test_rank_collapse_breaks_forward_minus():
@@ -641,5 +646,8 @@ def test_sweeps_reject_sizes_they_cannot_draw():
                 preserves_order(m, "lowner", n=n, trials=trials)
     with pytest.raises(ValueError, match="n >= 1"):
         projector_fixed_point_suite(m, n=0, trials=1)
+    # the sampler refuses an incomparable trial (1 mod 4) at n = 1 on its own
+    with pytest.raises(ValueError, match="n >= 2"):
+        sample_pair("lowner", 0, 1, 1)
     assert preserves_order(m, "lowner", n=2, trials=1).trials == 1
     assert projector_fixed_point_suite(m, n=1, trials=1).forward_checked == 1

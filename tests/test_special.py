@@ -142,6 +142,9 @@ def test_gammainc_rejects_arguments_outside_its_domain():
             gammainc_lower_reg(s, 1.0)
     with pytest.raises(ValueError, match="x >= 0"):
         gammainc_lower_reg(1.0, [1.0, -0.5])
+    for x in (np.inf, [1.0, np.nan]):
+        with pytest.raises(ValueError, match="finite x"):
+            gammainc_lower_reg(1.0, x)
 
 
 def test_gammainc_special_point():
